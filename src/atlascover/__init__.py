@@ -22,6 +22,7 @@ from .core import (
     InvalidBeta,
     InvalidDoublingFactor,
     LevelOutsideRange,
+    MalformedFile,
     MonomialLevelSet,
     NoContainingChart,
     NotARegularValue,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +92,9 @@ class RingDisks(Sequence):
     Disk (k, j) has center cf*q^k * exp(2 pi i j / n_angles) and radius
     rf*q^k; the flat index is k * n_angles + j.  The object doubles as a
     point-location structure: `covers` and `candidates` answer membership
-    queries through the ring/angle grid instead of a linear scan.
+    queries through the ring/angle grid instead of a linear scan.  Every
+    accessor reads the ring radii from one table, so single disks and the
+    bulk arrays agree bit for bit.
     """
 
     def __init__(self, zeta: float, q: float, n_angles: int, n_rings: int):
@@ -101,7 +104,18 @@ class RingDisks(Sequence):
         self.n_rings = int(n_rings)
         self.cf = (1.0 + self.q) / 2.0              # center radius / ring radius
         self.rf = self.cf / (2.0 * self.zeta)       # disk radius / ring radius
-        self._unit = np.exp(2j * math.pi * np.arange(self.n_angles) / self.n_angles)
+
+    @cached_property
+    def _unit(self) -> np.ndarray:
+        """Unit centers by angle; built on first use, so a family with no
+        rings allocates nothing whatever its ``n_angles``."""
+        return np.exp(2j * math.pi * np.arange(self.n_angles) / self.n_angles)
+
+    @cached_property
+    def _rho(self) -> np.ndarray:
+        """Ring radii q^k, one Python ``pow`` per ring (numpy's vectorized
+        power can differ from it in the last bit)."""
+        return np.array([self.q ** k for k in range(self.n_rings)], dtype=float)
 
     # -- sequence protocol --------------------------------------------------
 
@@ -134,13 +148,13 @@ class RingDisks(Sequence):
     # -- geometry -----------------------------------------------------------
 
     def disk(self, k: int, j: int):
-        rho = self.q ** k
+        rho = float(self._rho[k])
         a = self.cf * rho * complex(self._unit[j % self.n_angles])
         return a, self.rf * rho
 
     def disk_arrays(self):
         """Centers and radii of all disks, flat-index order."""
-        rho = self.q ** np.arange(self.n_rings)
+        rho = self._rho
         a = (self.cf * rho[:, None] * self._unit[None, :]).ravel()
         r = np.repeat(self.rf * rho, self.n_angles)
         return a, r
@@ -204,7 +218,7 @@ class RingDisks(Sequence):
             if not valid_k.any():
                 continue
             idx = np.nonzero(valid_k)[0]
-            rho = self.q ** k[idx].astype(float)
+            rho = self._rho[k[idx]]
             r = self.rf * rho * rmult * scale[idx]
             for da in angle_offsets:
                 j = (j0[idx] + da) % self.n_angles

@@ -87,6 +87,10 @@ class NotHolomorphic(AtlasError):
     pass
 
 
+class MalformedFile(AtlasError):
+    """A covering or atlas file that does not follow the schema."""
+
+
 def tolerance(tol: float | None = None) -> float:
     """Resolve the relative tolerance for equality-flavored checks.
 
@@ -305,7 +309,7 @@ class Covering:
             return NotImplemented
         return (self.ambient == other.ambient
                 and self.gamma == other.gamma
-                and list(self.charts) == list(other.charts))
+                and self.charts == other.charts)
 
     def __repr__(self) -> str:
         return (f"Covering(ambient={self.ambient!r}, gamma={self.gamma}, "

@@ -34,7 +34,12 @@ from .core import (
     avoidance_certificate,
     tolerance,
 )
-from .polydisc import cover_punctured_polydisc, level_lower_bound
+from .polydisc import (
+    PolydiscCoveringPlan,
+    cover_punctured_polydisc,
+    level_lower_bound,
+    polydisc_plan,
+)
 from .suspension import chart_candidates
 
 
@@ -153,6 +158,9 @@ class LevelBranchCharts(Sequence):
             yield self[i]
 
     def __eq__(self, other):
+        if isinstance(other, LevelBranchCharts):
+            return (self.base_cov, self.alpha, self.c) == \
+                   (other.base_cov, other.alpha, other.c)
         if isinstance(other, Sequence):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
@@ -194,8 +202,8 @@ class LevelBranchCharts(Sequence):
         return out
 
 
-def cover_monomial_level_set(alpha, c: complex, gamma: float = 2.0) -> Covering:
-    """Cover {x^alpha = c} over the punctured polydisc by branch charts.
+def level_base_plan(alpha, c: complex, gamma: float = 2.0) -> PolydiscCoveringPlan:
+    """Count-only mode: the plan of the base covering of {x^alpha = c}.
 
     eta for the base covering is the coordinate lower bound (|c|)^(1/alpha0);
     every base chart spawns alpha_1 branches, so kappa = alpha_1 * kappa(base).
@@ -213,15 +221,23 @@ def cover_monomial_level_set(alpha, c: complex, gamma: float = 2.0) -> Covering:
             f"|c| = {abs(c)} >= 1 leaves no room inside the unit polydisc")
     if not gamma >= 2.0:
         raise GammaTooSmall(f"the base induction requires gamma >= 2, got {gamma}")
-    alpha0 = min(alpha)
-    eta = level_lower_bound(c, 1.0, alpha0)
-    n = len(alpha)
-    base_cov, base_plan = cover_punctured_polydisc(n - 1, eta, gamma)
+    eta = level_lower_bound(c, 1.0, min(alpha))
+    return polydisc_plan(len(alpha) - 1, eta, gamma)
+
+
+def cover_monomial_level_set(alpha, c: complex, gamma: float = 2.0) -> Covering:
+    """Cover {x^alpha = c} over the punctured polydisc by branch charts.
+
+    The base covering follows `level_base_plan`.
+    """
+    plan = level_base_plan(alpha, c, gamma)
+    alpha, c = tuple(int(a) for a in alpha), complex(c)
+    base_cov, base_plan = cover_punctured_polydisc(plan.n, plan.eta, gamma)
     charts = LevelBranchCharts(base_cov, alpha, c)
     ambient = MonomialLevelSet(alpha=alpha, c=c)
     meta = {
         "construction": "monomial_level_graph",
-        "eta": float(eta),
+        "eta": plan.eta,
         "alpha1": alpha[0],
         "base_kappa": base_cov.kappa,
         "base_plan": base_plan.to_dict(),

@@ -142,6 +142,9 @@ class SuspendedCharts(Sequence):
                 yield suspend_chart(self.inner.charts[t], p)
 
     def __eq__(self, other):
+        if isinstance(other, SuspendedCharts):
+            return (self.inner, self.layers, self.beta) == \
+                   (other.inner, other.layers, other.beta)
         if isinstance(other, Sequence):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
@@ -202,7 +205,7 @@ class SuspendedCharts(Sequence):
             return np.zeros(j.shape, complex), np.full(j.shape, self.lam_factor)
         L = self.layers
         k, jj = np.divmod(j, L.n_angles)
-        rho = L.q ** k.astype(float)
+        rho = L._rho[k]
         return L.cf * rho * L._unit[jj], L.rf * rho * self.lam_factor
 
     def _layer_passes(self, w: np.ndarray, scale: np.ndarray):

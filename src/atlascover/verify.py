@@ -23,7 +23,7 @@ from .core import (
     chart_contains,
     tolerance,
 )
-from .levelset import LevelBranchCharts, level_residual
+from .levelset import LevelBranchCharts, level_base_plan, level_residual
 from .polydisc import polydisc_bound, polydisc_plan
 from .suspension import (
     chart_candidates,
@@ -517,13 +517,12 @@ def scaling_experiment(experiment: str, param_grid, fixed: dict | None = None):
             kappa = polydisc_plan(n, p, gamma).kappa_final
             bound = named_bound("polydisc", {"n": n, "gamma": gamma, "eta": p})
         elif experiment == "levelset":
-            from .polydisc import level_lower_bound
             alpha = tuple(int(a) for a in fixed.get("alpha", (2, 1)))
             gamma = float(fixed.get("gamma", 2.0))
-            eta = level_lower_bound(p, 1.0, min(alpha))
-            kappa = alpha[0] * polydisc_plan(len(alpha) - 1, eta, gamma).kappa_final
+            plan = level_base_plan(alpha, p, gamma)
+            kappa = alpha[0] * plan.kappa_final
             bound = named_bound("level_set", {"alpha1": alpha[0], "n": len(alpha),
-                                              "gamma": gamma, "eta": eta})
+                                              "gamma": gamma, "eta": plan.eta})
         elif experiment == "graph":
             from .real_acharts import MonomialData, cover_monomial_graph, graph_count_bound
             mu = tuple(float(m) for m in fixed.get("mu", (1.0,)))
