@@ -247,24 +247,31 @@ class RingDisks(Sequence):
             for da in angle_offsets:
                 yield k * self.n_angles + (j0 + da) % self.n_angles
 
-    def neighbor_candidates(self, i: int):
-        """Disk indices that might intersect unit-scale disk ``i``."""
+    def neighbors(self, i: int, scale: float = 1.0) -> list:
+        """Disk indices (``i`` included) whose disks at ``scale`` can meet disk ``i``'s.
+
+        Two disks meet only if their center radii differ by at most the sum
+        of their radii, which bounds the ring offset, and only if
+        2 sqrt(R R') sin(dtheta/2) <= r + r', which bounds the angle offset.
+        """
         k, j = divmod(i, self.n_angles)
-        span = math.log((self.cf + self.rf) / (self.cf - self.rf)) / -math.log(self.q)
-        w_ring = math.ceil(span) + 1
-        for do in range(-w_ring, w_ring + 1):
-            kk = k + do
-            if not 0 <= kk < self.n_rings:
-                continue
-            rsum = self.rf * (self.q ** k + self.q ** kk)
+        rs = self.rf * scale
+        if self.cf - rs <= 0.0:
+            ring_range = range(self.n_rings)
+        else:
+            span = math.log((self.cf + rs) / (self.cf - rs)) / -math.log(self.q)
+            w_ring = math.ceil(span) + 1
+            ring_range = range(max(0, k - w_ring), min(self.n_rings, k + w_ring + 1))
+        out = []
+        for kk in ring_range:
+            rsum = rs * (self.q ** k + self.q ** kk)
             geo = 2.0 * self.cf * math.sqrt(self.q ** (k + kk))
             sin_half = min(1.0, rsum / geo)
             w_ang = min(self.n_angles // 2 + 1,
                         math.ceil(2.0 * math.asin(sin_half) / (TWO_PI / self.n_angles)) + 1)
-            for da in range(-w_ang, w_ang + 1):
-                idx = kk * self.n_angles + (j + da) % self.n_angles
-                if idx != i:
-                    yield idx
+            out.extend(kk * self.n_angles + (j + da) % self.n_angles
+                       for da in range(-w_ang, w_ang + 1))
+        return sorted(set(out))
 
 
 def construction_constant(zeta: float,

@@ -120,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="RE,IM[,...]")
     p.add_argument("--to", dest="dst", type=_point_arg, required=True,
                    metavar="RE,IM[,...]")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="kept for compatibility; chains are exact and do not use it")
 
     p = sub.add_parser("scaling", help="chart counts across a parameter grid")
     p.add_argument("--experiment", required=True,

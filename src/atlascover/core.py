@@ -158,9 +158,6 @@ class DiagonalAffineChart:
     def preimage(self, p) -> np.ndarray:
         return (np.asarray(p, dtype=complex) - np.asarray(self.b)) / np.asarray(self.d)
 
-    def preimage_norm(self, p) -> float:
-        return float(np.linalg.norm(self.preimage(p)))
-
 
 # ---------------------------------------------------------------------------
 # ambient regions

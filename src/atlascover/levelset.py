@@ -40,7 +40,7 @@ from .polydisc import (
     level_lower_bound,
     polydisc_plan,
 )
-from .suspension import chart_candidates
+from .suspension import chart_candidates, chart_neighbors
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,14 @@ class LevelBranchCharts(Sequence):
         for t in chart_candidates(self.base_cov.charts, xbar, scale, tol=tol):
             for k in range(self.alpha1):
                 yield t * self.alpha1 + k
+
+    def neighbors(self, i: int, scale: float = 1.0) -> list:
+        """Chart indices whose images at ``scale`` can meet chart ``i``'s: every
+        branch over a base chart whose image can meet base chart ``i``'s."""
+        t = i // self.alpha1
+        return [tt * self.alpha1 + k
+                for tt in chart_neighbors(self.base_cov.charts, t, scale)
+                for k in range(self.alpha1)]
 
     def contains(self, ch_index: int, p, scale: float,
                  tol: float | None = None) -> bool:

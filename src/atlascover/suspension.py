@@ -90,6 +90,9 @@ class _SingleDisk:
     def candidates(self, z, scale, rmult=1.0):
         yield 0
 
+    def neighbors(self, i, scale=1.0):
+        return [0]
+
     def __eq__(self, other):
         return isinstance(other, _SingleDisk)
 
@@ -249,8 +252,19 @@ class SuspendedCharts(Sequence):
             for tt in chart_candidates(self.inner.charts, v, inner_scale, tol=t):
                 yield j * kappa_in + tt
 
-    def neighbor_candidates(self, i: int):
-        return (j for j in range(len(self)) if j != i)
+    def neighbors(self, i: int, scale: float = 1.0) -> list:
+        """Chart indices (``i`` included) whose images at ``scale`` can meet chart ``i``'s.
+
+        Two images meet only if their projections meet on every axis: on the
+        last axis these are the layer disks at ``scale * lam_factor``, on the
+        others the inner images at ``scale * beta``.
+        """
+        kappa_in = len(self.inner.charts)
+        j, t = divmod(i, kappa_in)
+        inner = chart_neighbors(self.inner.charts, t, scale * self.beta)
+        return [jj * kappa_in + tt
+                for jj in self.layers.neighbors(j, scale * self.lam_factor)
+                for tt in inner]
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +281,10 @@ def chart_arrays(charts) -> tuple:
             return np.zeros((0, 1), complex), np.zeros((0, 1), complex)
         return (np.concatenate([b for b, _ in blocks]),
                 np.concatenate([d for _, d in blocks]))
+    if not all(isinstance(c, DiagonalAffineChart) for c in charts):
+        raise UnsupportedAmbient(
+            "chart arrays need diagonal affine charts; level-branch charts are "
+            "supported as a LevelBranchCharts family, not as a plain list")
     b = np.array([c.b for c in charts], dtype=complex)
     d = np.array([c.d for c in charts], dtype=complex)
     if b.size == 0:
@@ -329,6 +347,15 @@ def chart_candidates(charts, p, scale: float, tol: float | None = None):
         yield from cand_fn(p, scale, tol=tol)
         return
     yield from range(len(charts))
+
+
+def chart_neighbors(charts, i: int, scale: float = 1.0) -> list:
+    """Sorted superset of the chart indices whose images at ``scale`` can meet
+    chart ``i``'s (``i`` included); every index for plain lists."""
+    neighbors_fn = getattr(charts, "neighbors", None)
+    if neighbors_fn is not None:
+        return neighbors_fn(i, scale)
+    return list(range(len(charts)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .levelset import LevelBranchCharts, level_base_plan, level_residual
 from .polydisc import polydisc_bound, polydisc_plan
 from .suspension import (
     chart_candidates,
+    chart_neighbors,
     covers_points,
     iter_chart_arrays,
 )
@@ -124,9 +125,8 @@ def region_samples(region, n_samples: int, seed: int) -> np.ndarray:
         return np.concatenate([grid, rand])
     if isinstance(region, LevelGraphRegion):
         from .levelset import direct_branch_values
-        from .polydisc import level_lower_bound
         alpha = tuple(region.alpha)
-        eta = level_lower_bound(region.c, 1.0, min(alpha))
+        eta = level_base_plan(alpha, region.c).eta
         nb = len(alpha) - 1
         base_target = max(1, n_samples // alpha[0])
         base = region_samples(PolydiscRegion(eta=eta, n=nb), base_target, seed)
@@ -301,37 +301,62 @@ def _segment_witness(c1: DiagonalAffineChart, c2: DiagonalAffineChart,
     return None
 
 
-def _sampled_witness(c1: DiagonalAffineChart, c2: DiagonalAffineChart,
-                     seed: int, samples: int, tol: float):
-    rng = np.random.default_rng(seed)
-    dim = c1.dim
-    for src, dst in ((c1, c2), (c2, c1)):
-        x = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
-        x /= np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-300)
-        x *= rng.random((samples, 1)) ** (1.0 / (2 * dim))
-        pts = src.map_points(x)
-        pre = (pts - np.asarray(dst.b)) / np.asarray(dst.d)
-        norms = np.linalg.norm(pre, axis=1)
-        hits = np.nonzero(norms <= math.sqrt(1.0 + tol))[0]
-        if hits.size:
-            return tuple(pts[hits[0]])
+def _lagrange_witness(c1: DiagonalAffineChart, c2: DiagonalAffineChart,
+                      tol: float):
+    """Exact witness for two diagonal charts, or None when the images miss.
+
+    With w = 1/|d|^2 the squared preimage norms f_c(p) = sum_i w_i |p_i - b_i|^2
+    are separable.  The minimizer of s f1 + (1-s) f2 is the per-axis weighted
+    mean p(s), and by strong duality the minimax point of (f1, f2) is p(s*)
+    where f1 = f2.  f1 - f2 falls along the path, so bisection on its sign
+    finds s*.  Every value s f1 + (1-s) f2 at p(s) is a lower bound on the
+    minimax, so one above 1 + tol proves the images disjoint.
+    """
+    bound = 1.0 + tol
+    root = math.sqrt(bound)
+    if any(abs(x - y) > (abs(u) + abs(v)) * root
+           for x, y, u, v in zip(c1.b, c2.b, c1.d, c2.d)):
+        return None                         # the projections miss on some axis
+    w1 = [1.0 / abs(u) ** 2 for u in c1.d]
+    w2 = [1.0 / abs(v) ** 2 for v in c2.d]
+
+    def point(s):
+        return tuple((s * u * x + (1.0 - s) * v * y) / (s * u + (1.0 - s) * v)
+                     for x, y, u, v in zip(c1.b, c2.b, w1, w2))
+
+    def norm2(p, b, w):
+        return sum(wi * abs(pi - bi) ** 2 for pi, bi, wi in zip(p, b, w))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        p = point(s)
+        f1, f2 = norm2(p, c1.b, w1), norm2(p, c2.b, w2)
+        if s * f1 + (1.0 - s) * f2 > bound:
+            return None
+        if f1 > f2:
+            lo = s
+        else:
+            hi = s
+    p = point(0.5 * (lo + hi))
+    if chart_contains(c1, p, 1.0, tol=tol) and chart_contains(c2, p, 1.0, tol=tol):
+        return p
     return None
 
 
-def intersection_witness(c1, c2, seed: int = 0, samples: int = 1000,
-                         tol: float | None = None):
-    """A point in both unit-scale images, or None if none is found.
+def intersection_witness(c1, c2, tol: float | None = None):
+    """A point in both unit-scale images, or None if they do not meet.
 
-    The deterministic center-segment test runs first (complete for disks);
-    seeded image sampling backs it up for higher-dimensional ellipsoid pairs
-    whose intersection misses the segment.  Level-branch charts intersect
-    where their bases do and the branch values agree at the base witness.
-    The search is incomplete for thin intersections, which only ever
-    lengthens chains.
+    Diagonal affine charts get an exact test: the center segment first
+    (complete for disks), then per-axis projections, then the Lagrange
+    bisection of `_lagrange_witness`.  Level-branch charts intersect where
+    their bases do and the branch values agree at the base witness; on the
+    convex base overlap two roots of one equation agree everywhere or
+    nowhere, so this test is exact as well.
     """
     t = tolerance(tol)
     if hasattr(c1, "base"):
-        wb = intersection_witness(c1.base, c2.base, seed=seed, samples=samples, tol=t)
+        wb = intersection_witness(c1.base, c2.base, tol=t)
         if wb is None:
             return None
         g1 = complex(c1.first_coordinate(c1.base.preimage(wb)))
@@ -342,7 +367,7 @@ def intersection_witness(c1, c2, seed: int = 0, samples: int = 1000,
     w = _segment_witness(c1, c2, t)
     if w is not None:
         return w
-    return _sampled_witness(c1, c2, seed, samples, t)
+    return _lagrange_witness(c1, c2, t)
 
 
 def _containing_charts(cov: Covering, p, tol: float) -> list:
@@ -360,13 +385,16 @@ def _containing_charts(cov: Covering, p, tol: float) -> list:
     return sorted(out)
 
 
-def chain_between(cov: Covering, p, q, seed: int = 0, samples: int = 1000,
+def chain_between(cov: Covering, p, q, seed: int = 0,
                   tol: float | None = None) -> Chain:
     """Shortest witnessed chain of charts joining p to q (BFS, deterministic).
 
     Edges of the chart intersection graph are confirmed by
     `intersection_witness`; neighbor candidates come from the covering's
-    structural index when available.
+    structural index (`chart_neighbors`), so the search visits the charts
+    near the path rather than all of them.  Candidates are tried in index
+    order, which gives the chain a full scan would give.  ``seed`` is kept
+    for compatibility; the witnesses are exact and do not use it.
     """
     t = tolerance(tol)
     starts = _containing_charts(cov, p, t)
@@ -377,26 +405,24 @@ def chain_between(cov: Covering, p, q, seed: int = 0, samples: int = 1000,
     if common:
         return Chain(chart_indices=(common[0],), witnesses=())
     charts = cov.charts
-    neighbor_fn = getattr(charts, "neighbor_candidates",
-                          lambda i: (j for j in range(len(charts)) if j != i))
     parent = {i: None for i in starts}
     edge_witness = {}
     frontier = deque(starts)
     found = None
-    while frontier:
+    while frontier and found is None:
         i = frontier.popleft()
-        if i in goals:
-            found = i
-            break
         ci = charts[i]
-        for j in sorted(set(neighbor_fn(i))):
+        for j in sorted(set(chart_neighbors(charts, i))):
             if j in parent:
                 continue
-            w = intersection_witness(ci, charts[j], seed=seed, samples=samples, tol=t)
+            w = intersection_witness(ci, charts[j], tol=t)
             if w is None:
                 continue
             parent[j] = i
             edge_witness[(i, j)] = w
+            if j in goals:              # FIFO: the first goal a full BFS pops
+                found = j
+                break
             frontier.append(j)
     if found is None:
         raise Disconnected("no chain joins the two points in this covering")

@@ -17,6 +17,9 @@ from atlascover.levelset import (
     evaluate_level_chart,
     level_residual,
 )
+from atlascover.core import AtlasError, Covering, UnsupportedAmbient
+from atlascover.jsonio import covering_to_dict
+from atlascover.suspension import chart_arrays, covers_points
 from atlascover.verify import LevelGraphRegion, certify_doubling, check_coverage
 
 from oracles import ball_points
@@ -128,3 +131,18 @@ def test_direct_roots_satisfy_equation():
     for i, xb in enumerate(xbar[:, 0]):
         for g in roots[i]:
             assert abs(g ** 3 * xb ** 2 - 0.07) <= 1e-12
+
+
+def test_plain_list_of_level_charts_is_a_domain_error():
+    """Only `LevelBranchCharts` carries level charts; a plain list of them
+    ends in an `AtlasError` naming it, not an `AttributeError`."""
+    lvl = cover_monomial_level_set((2, 1), 0.04)
+    cov = Covering(lvl.ambient, lvl.gamma, list(lvl.charts)[2:])
+    with pytest.raises(UnsupportedAmbient, match="LevelBranchCharts"):
+        chart_arrays(cov.charts)
+    pts = np.array([list(lvl.charts[2].map_points(np.zeros(1)))])
+    for call in (lambda: covers_points(cov.charts, pts, 1.0),
+                 lambda: covering_to_dict(cov),
+                 lambda: certify_doubling(cov)):
+        with pytest.raises(AtlasError):
+            call()

@@ -1,8 +1,10 @@
 import math
 import types
 
+import numpy as np
 import pytest
 
+import atlascover.verify as verify_mod
 from atlascover.annulus import cover_annulus
 from atlascover.core import (
     DiagonalAffineChart,
@@ -15,10 +17,18 @@ from atlascover.core import (
     chart_contains,
 )
 from atlascover.core import Covering
-from atlascover.polydisc import cover_punctured_polydisc
+from atlascover.levelset import (
+    cover_monomial_level_set,
+    direct_branch_values,
+    level_base_plan,
+)
+from atlascover.polydisc import cover_punctured_polydisc, level_lower_bound
+from atlascover.suspension import chart_arrays, chart_neighbors
 from atlascover.verify import (
     AnnulusRegion,
+    LevelGraphRegion,
     PolydiscRegion,
+    _segment_witness,
     certify_doubling,
     chain_between,
     check_coverage,
@@ -26,6 +36,7 @@ from atlascover.verify import (
     fit_log_exponent,
     intersection_witness,
     linear_fit,
+    region_samples,
     scaling_experiment,
 )
 
@@ -206,3 +217,150 @@ def test_polydisc_region_requires_matching_axes():
     cov, _ = cover_punctured_polydisc(2, 0.4, 2.0, active_axes={2})
     with pytest.raises(RegionMismatch):
         check_coverage(cov, PolydiscRegion(eta=0.4, n=2), 100, 0)
+
+
+# ---------------------------------------------------------------------------
+# chart neighbours and exact witnesses
+# ---------------------------------------------------------------------------
+
+def _projections_meet(b, d, i, scale):
+    """Brute force: charts whose per-axis image disks at ``scale`` meet chart i's."""
+    meet = np.abs(b - b[i]) <= scale * (np.abs(d) + np.abs(d[i]))
+    return set(np.nonzero(meet.all(axis=1))[0].tolist())
+
+
+def _assert_neighbors_cover(charts, indices, base_of=lambda t: [t]):
+    """``neighbors(i, s)`` contains every chart whose projections meet chart i's.
+
+    ``base_of`` maps a projection index to the chart indices it stands for
+    (the branches of a level family's base chart).
+    """
+    base = charts.base_cov.charts if hasattr(charts, "base_cov") else charts
+    b, d = chart_arrays(base)
+    stride = len(charts) // len(base)
+    for s in (1.0, 2.0):
+        for i in indices:
+            got = set(chart_neighbors(charts, int(i), s))
+            assert i in got
+            for t in _projections_meet(b, d, int(i) // stride, s):
+                assert set(base_of(t)) <= got, (i, t, s)
+
+
+class TestNeighbors:
+    def test_ring_disks(self):
+        charts = cover_annulus(1e-2, 2.0).charts
+        _assert_neighbors_cover(charts, range(len(charts)))
+
+    def test_ring_disks_at_a_scale_with_no_ring_bound(self):
+        charts = cover_annulus(1e-2, 2.0).charts
+        rings = {i // charts.n_angles
+                 for i in charts.neighbors(0, 1.01 * charts.cf / charts.rf)}
+        assert rings == set(range(charts.n_rings))
+
+    def test_single_axis_polydisc(self):
+        cov, _ = cover_punctured_polydisc(2, 0.75, 2.0, active_axes={2})
+        assert cov.kappa == 186
+        _assert_neighbors_cover(cov.charts, range(cov.kappa))
+
+    @pytest.mark.parametrize("eta, kappa", [(0.75, 25_110), (0.3, 349_866)])
+    def test_full_polydisc_sampled(self, eta, kappa):
+        cov, _ = cover_punctured_polydisc(2, eta, 2.0)
+        assert cov.kappa == kappa
+        rng = np.random.default_rng(0)
+        idx = np.concatenate([[0, cov.kappa - 1], rng.integers(0, cov.kappa, 40)])
+        _assert_neighbors_cover(cov.charts, idx)
+
+    def test_level_set(self):
+        cov = cover_monomial_level_set((2, 1), 0.04, 2.0)
+        charts = cov.charts
+        _assert_neighbors_cover(charts, range(0, len(charts), 3),
+                                base_of=lambda t: [2 * t, 2 * t + 1])
+
+    def test_plain_list_yields_every_index(self):
+        charts = list(cover_annulus(0.5, 2.0).charts)
+        assert chart_neighbors(charts, 3) == list(range(len(charts)))
+
+
+class TestStructuredChains:
+    @pytest.mark.parametrize("build, p, q", [
+        (lambda: cover_annulus(1e-2, 2.0), (0.01,), (-0.01,)),
+        (lambda: cover_punctured_polydisc(2, 0.75, 2.0, active_axes={2})[0],
+         (0.1, 0.9), (0.1, 0.9j)),
+    ])
+    def test_structure_matches_full_scan(self, build, p, q):
+        cov = build()
+        flat = Covering(cov.ambient, cov.gamma, list(cov.charts))
+        fast = chain_between(cov, p, q)
+        assert fast == chain_between(flat, p, q)
+        for (i, j), w in zip(zip(fast.chart_indices, fast.chart_indices[1:]),
+                             fast.witnesses):
+            assert chart_contains(cov.charts[i], w, 1.0, tol=1e-10)
+            assert chart_contains(cov.charts[j], w, 1.0, tol=1e-10)
+
+    def test_chain_does_not_depend_on_seed(self):
+        cov, _ = cover_punctured_polydisc(2, 0.75, 2.0, active_axes={2})
+        chains = {chain_between(cov, (0.1, 0.9), (0.1, 0.9j), seed=s)
+                  for s in range(3)}
+        assert len(chains) == 1
+
+    def test_polydisc_chain_witness_calls(self, monkeypatch):
+        calls = []
+        real = verify_mod.intersection_witness
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "intersection_witness", counted)
+        cov, _ = cover_punctured_polydisc(2, 0.75, 2.0, active_axes={2})
+        chain = chain_between(cov, (0.1, 0.9), (0.1, 0.9j))
+        assert chain.chart_indices == tuple(range(9))
+        assert len(calls) < 2_000
+
+    def test_level_set_chain(self):
+        cov = cover_monomial_level_set((2, 1), 0.04, 2.0)
+        pts = region_samples(LevelGraphRegion((2, 1), 0.04), 10, 1)
+        chain = chain_between(cov, tuple(pts[0]), tuple(pts[3]))
+        assert chain.chart_indices == (616, 532, 448, 364, 280, 196, 170,
+                                       144, 118, 92, 66, 40, 14)
+        for (i, j), w in zip(zip(chain.chart_indices, chain.chart_indices[1:]),
+                             chain.witnesses):
+            assert cov.charts.contains(i, w, 1.0, tol=1e-10)
+            assert cov.charts.contains(j, w, 1.0, tol=1e-10)
+
+
+class TestExactWitness:
+    def test_crossed_ellipses_off_the_segment(self):
+        c1 = DiagonalAffineChart(b=(0, 0), d=(1, 0.05), gamma=2.0)
+        c2 = DiagonalAffineChart(b=(0.9, 0.9), d=(0.05, 1), gamma=2.0)
+        assert _segment_witness(c1, c2, 1e-10) is None
+        w = intersection_witness(c1, c2)
+        assert w is not None
+        assert chart_contains(c1, w, 1.0, tol=1e-10)
+        assert chart_contains(c2, w, 1.0, tol=1e-10)
+
+    def test_disjoint_balls_whose_projections_meet(self):
+        ball = DiagonalAffineChart(b=(0, 0), d=(1, 1), gamma=2.0)
+        small = DiagonalAffineChart(b=(0.95, 0.95), d=(0.3, 0.3), gamma=2.0)
+        assert intersection_witness(ball, small) is None
+        assert intersection_witness(small, ball) is None
+
+    def test_disjoint_projection_on_one_axis(self):
+        c1 = DiagonalAffineChart(b=(0, 0), d=(1, 0.1), gamma=2.0)
+        c2 = DiagonalAffineChart(b=(0, 0.5), d=(1, 0.1), gamma=2.0)
+        assert intersection_witness(c1, c2) is None
+
+
+@pytest.mark.parametrize("alpha, c", [((2, 1), 0.04), ((2, 1, 1), 0.5)])
+def test_level_region_samples_use_the_base_plan_eta(alpha, c):
+    """The samples equal those drawn from the original eta formula, bit for bit."""
+    eta = level_lower_bound(c, 1.0, min(alpha))
+    assert level_base_plan(alpha, c).eta == eta
+    n = 2_000
+    base = region_samples(PolydiscRegion(eta=eta, n=len(alpha) - 1),
+                          n // alpha[0], 3)
+    roots = direct_branch_values(alpha, c, base)
+    expected = np.concatenate([np.concatenate([roots[:, k:k + 1], base], axis=1)
+                               for k in range(alpha[0])])
+    got = region_samples(LevelGraphRegion(alpha, c), n, 3)
+    assert got.tobytes() == expected.tobytes()
