@@ -23,7 +23,7 @@ from .jsonio import (
 )
 from .levelset import cover_monomial_level_set
 from .polydisc import cover_punctured_polydisc, eta_from_delta, polydisc_plan
-from .real_acharts import MonomialData, cover_monomial_graph, verify_achart
+from .real_acharts import DEVIATION_BOUND, MonomialData, cover_monomial_graph, verify_achart_batch
 from .verify import (
     AnnulusRegion,
     LevelGraphRegion,
@@ -203,12 +203,8 @@ def _run(args) -> int:
             return 0 if report.passed else 1
         if args.what == "achart":
             charts, data, eps = read_achart_atlas(args.charts)
-            worst = 0.0
-            ok = True
-            for ch in charts:
-                rep = verify_achart(ch, grid=args.grid)
-                worst = max(worst, rep.max_deviation)
-                ok = ok and rep.passed
+            worst = float(verify_achart_batch(charts, grid=args.grid).max(initial=0.0))
+            ok = worst <= DEVIATION_BOUND
             print(f"acharts {len(charts)} max_deviation={worst:.12g} pass={ok}")
             return 0 if ok else 1
 

@@ -39,6 +39,10 @@ class UnsupportedAmbient(AtlasError):
     pass
 
 
+AFFINE_ONLY = ("chart arrays need diagonal affine charts; level-branch charts are "
+               "supported as a LevelBranchCharts family, not as a plain list")
+
+
 class InvalidDoublingFactor(AtlasError):
     pass
 
@@ -240,6 +244,8 @@ def chart_contains(chart: DiagonalAffineChart, p, scale: float,
     Exact test: sum_i |(p_i - b_i)/d_i|^2 <= scale^2, with a relative
     tolerance on the right-hand side for boundary points.
     """
+    if not isinstance(chart, DiagonalAffineChart):
+        raise UnsupportedAmbient(AFFINE_ONLY)
     p = tuple(p)
     if len(p) != chart.dim:
         raise DimensionMismatch(f"point dim {len(p)} != chart dim {chart.dim}")

@@ -21,6 +21,7 @@ import numpy as np
 
 from .annulus import RingDisks, cover_annulus
 from .core import (
+    AFFINE_ONLY,
     Covering,
     DiagonalAffineChart,
     InvalidBeta,
@@ -282,9 +283,7 @@ def chart_arrays(charts) -> tuple:
         return (np.concatenate([b for b, _ in blocks]),
                 np.concatenate([d for _, d in blocks]))
     if not all(isinstance(c, DiagonalAffineChart) for c in charts):
-        raise UnsupportedAmbient(
-            "chart arrays need diagonal affine charts; level-branch charts are "
-            "supported as a LevelBranchCharts family, not as a plain list")
+        raise UnsupportedAmbient(AFFINE_ONLY)
     b = np.array([c.b for c in charts], dtype=complex)
     d = np.array([c.d for c in charts], dtype=complex)
     if b.size == 0:

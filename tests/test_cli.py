@@ -8,12 +8,13 @@ from atlascover.jsonio import (
     covering_to_dict,
     read_achart_atlas,
     read_covering,
+    write_achart_atlas,
     write_covering,
 )
 from atlascover.annulus import cover_annulus
 from atlascover.levelset import cover_monomial_level_set
 from atlascover.polydisc import cover_punctured_polydisc
-from atlascover.real_acharts import MonomialData, cover_monomial_graph
+from atlascover.real_acharts import MonomialData, RealAChart, cover_monomial_graph
 
 
 def test_cover_then_verify_roundtrip(tmp_path, capsys):
@@ -87,6 +88,41 @@ def test_graph_cli_flow(tmp_path, capsys):
     assert charts == cover_monomial_graph(MonomialData(1.0, (1.0,)), 0.01)
     assert main(["verify", "achart", "--charts", str(out), "--grid", "12"]) == 0
     assert "pass=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cover,stdout", [
+    (["--mu", "0.5,-0.25", "--eps", "0.01"],
+     "acharts 4500 max_deviation=0.292178230811 pass=True\n"),
+    (["--mu", "1", "--eps", "1e-6"],
+     "acharts 280 max_deviation=0.0714285714286 pass=True\n"),
+    (["--mu", "1", "--coeff", "1e9", "--eps", "0.3"],
+     "acharts 0 max_deviation=0 pass=True\n"),
+], ids=["m2", "m1", "empty"])
+def test_verify_achart_output_bytes(tmp_path, capsys, cover, stdout):
+    """Printed lines of the per-chart scan, frozen before the factored one."""
+    out = tmp_path / "graph.json"
+    assert main(["cover", "graph", *cover, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "achart", "--charts", str(out), "--grid", "16"]) == 0
+    assert capsys.readouterr().out == stdout
+
+
+def test_verify_achart_reports_failure(tmp_path, capsys):
+    # C3 = 3.5 is too small for x^6: the scan deviation reaches about 17
+    data = MonomialData(1.0, (6.0,))
+    charts = [RealAChart(y=(0.9,), z0=(z,), c3=3.5, data=data)
+              for z in (-3.0, -1.0, 1.0, 3.0)]
+    out = tmp_path / "bad.json"
+    write_achart_atlas(charts, data, 0.1, out)
+    assert main(["verify", "achart", "--charts", str(out)]) == 1
+    assert capsys.readouterr().out == "acharts 4 max_deviation=17.2863619901 pass=False\n"
+
+
+def test_verify_achart_grid_one_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "graph.json"
+    assert main(["cover", "graph", "--mu", "1", "--eps", "0.1", "--out", str(out)]) == 0
+    assert main(["verify", "achart", "--charts", str(out), "--grid", "1"]) == 2
+    assert "grid must be at least 2" in capsys.readouterr().err
 
 
 def test_chain_cli(tmp_path, capsys):

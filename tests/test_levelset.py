@@ -20,7 +20,12 @@ from atlascover.levelset import (
 from atlascover.core import AtlasError, Covering, UnsupportedAmbient
 from atlascover.jsonio import covering_to_dict
 from atlascover.suspension import chart_arrays, covers_points
-from atlascover.verify import LevelGraphRegion, certify_doubling, check_coverage
+from atlascover.verify import (
+    LevelGraphRegion,
+    certify_doubling,
+    chain_between,
+    check_coverage,
+)
 
 from oracles import ball_points
 
@@ -146,3 +151,27 @@ def test_plain_list_of_level_charts_is_a_domain_error():
                  lambda: certify_doubling(cov)):
         with pytest.raises(AtlasError):
             call()
+
+
+class _CountingList(list):
+    """A plain chart list that counts the charts read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_chain_on_plain_list_of_level_charts_is_a_domain_error():
+    """`chain_between` names `LevelBranchCharts` like `chart_arrays` does,
+    and says so at the first chart it reads rather than after all of them."""
+    lvl = cover_monomial_level_set((2, 1), 0.04)
+    charts = _CountingList(list(lvl.charts)[2:])
+    cov = Covering(lvl.ambient, lvl.gamma, charts)
+    p = tuple(lvl.charts[2].map_points(np.zeros(1)))
+    q = tuple(lvl.charts[40].map_points(np.zeros(1)))
+    charts.reads = 0
+    with pytest.raises(UnsupportedAmbient, match="LevelBranchCharts"):
+        chain_between(cov, p, q)
+    assert charts.reads == 1

@@ -137,13 +137,34 @@ def test_graph_coverage(mu, coeff):
 
 
 def test_every_chart_verifies():
-    data = MonomialData(1.0, (0.5, -0.25))
-    charts = cover_monomial_graph(data, 0.05)
-    devs = verify_achart_batch(charts, grid=12, interior=200, seed=0)
-    assert (devs <= 1.0 + 1e-9).all()
-    # batch scan matches the one-chart path
-    rep = verify_achart(charts[3], grid=12, interior=200, seed=0)
-    assert rep.max_deviation == pytest.approx(float(devs[3]), abs=1e-12)
+    # every chart (a sample of the m=3 atlas, stride 499) against the one-chart path
+    for mu, coeff, eps, stride in (((0.5, -0.25), 1.0, 0.05, 1), ((1.0,), 1.6, 0.05, 1),
+                                   ((-0.5,), 0.7, 0.05, 1),
+                                   ((0.5, -0.25, 0.25), 0.9, 0.3, 499)):
+        charts = cover_monomial_graph(MonomialData(coeff, mu), eps)
+        devs = verify_achart_batch(charts, grid=12, interior=200, seed=0)
+        assert (devs <= 1.0 + 1e-9).all()
+        for i in range(0, len(charts), stride):
+            rep = verify_achart(charts[i], grid=12, interior=200, seed=0)
+            assert rep.max_deviation == pytest.approx(float(devs[i]), rel=1e-12, abs=0)
+
+
+def test_batch_rejects_mixed_atlases():
+    one = cover_monomial_graph(MonomialData(1.0, (1.0,)), 0.05)
+    two = cover_monomial_graph(MonomialData(1.6, (1.0,)), 0.05)
+    with pytest.raises(ValueError, match="share"):
+        verify_achart_batch(one + two)
+    wider = [RealAChart(y=c.y, z0=c.z0, c3=c.c3 + 1.0, data=c.data) for c in one]
+    with pytest.raises(ValueError, match="share"):
+        verify_achart_batch(one[:3] + wider[:3])
+
+
+def test_grid_below_two_is_rejected():
+    ch = cover_monomial_graph(MonomialData(1.0, (1.0,)), 0.05)
+    for call in (lambda: scan_points(1, 1, 10), lambda: verify_achart(ch[0], grid=1),
+                 lambda: verify_achart_batch(ch, grid=1)):
+        with pytest.raises(ValueError, match="grid"):
+            call()
 
 
 def test_count_bound_and_scaling():
