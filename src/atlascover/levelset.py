@@ -40,7 +40,7 @@ from .polydisc import (
     level_lower_bound,
     polydisc_plan,
 )
-from .suspension import chart_candidates, chart_neighbors
+from .suspension import chart_candidates, chart_neighbors, covers_points
 
 
 @dataclass(frozen=True)
@@ -197,16 +197,21 @@ class LevelBranchCharts(Sequence):
         return abs(g - complex(p[0])) <= t ** 0.5 * max(1.0, abs(g))
 
     def covers(self, pts: np.ndarray, scale, tol: float | None = None) -> np.ndarray:
+        """Base location, then a root match on the rows the base covers.
+
+        Every base chart carries all alpha_1 branches, and their values at
+        xbar are the alpha_1 roots g of g^alpha_1 = c / xbar^alphabar, so p
+        is covered iff the base covers xbar and |g - x1| <= sqrt(t) max(1, |g|)
+        for one of them (the rule of `contains`).
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=complex))
-        n_pts = pts.shape[0]
-        scales = np.broadcast_to(np.asarray(scale, dtype=float), (n_pts,))
-        out = np.zeros(n_pts, dtype=bool)
-        for i in range(n_pts):
-            p = tuple(pts[i])
-            for j in self.candidates(p, float(scales[i]), tol=tol):
-                if self.contains(j, p, float(scales[i]), tol=tol):
-                    out[i] = True
-                    break
+        t = tolerance(tol)
+        out = covers_points(self.base_cov.charts, pts[:, 1:], scale, tol=t)
+        rows = np.nonzero(out)[0]
+        if rows.size:
+            g = direct_branch_values(self.alpha, self.c, pts[rows, 1:])
+            near = np.abs(g - pts[rows, :1]) <= t ** 0.5 * np.maximum(1.0, np.abs(g))
+            out[rows] = near.any(axis=1)
         return out
 
 

@@ -15,6 +15,7 @@ constant C3 tiling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -293,6 +294,7 @@ def verify_achart_batch(charts: list, grid: int = 16, interior: int = 1000,
     max_z max_i y_i |z_i| / (2 C3) depends on y alone.
     """
     if not charts:
+        scan_points(1, grid, 0)             # the grid check of every atlas
         return np.zeros(0)
     data, c3 = charts[0].data, charts[0].c3
     if any(c.data != data or c.c3 != c3 for c in charts):
@@ -327,49 +329,83 @@ def graph_membership(charts: list, xs: np.ndarray,
                      tol: float | None = None) -> np.ndarray:
     """Which real points (x, a x^mu) lie in some chart's real image.
 
-    Membership solves the affine part for w, checks w in [-1, 1]^m, and the
-    last coordinate then agrees identically because the chart's last
-    coordinate is the same monomial of the first m coordinates.
+    On each axis x_i lies in the interval (y/2, 3y/2) of at most two dyadic
+    scales k, y = (2/3) 2^-k.  For each, u = 2 C3 (x/y - 1) names the unit
+    box z0 = 2 floor(u/2) + 1 and w = u - z0.  A point is a member iff for
+    some choice of scale per axis every |u_i| < C3 (1 + t) and
+    |w_i| <= 1 + t, and (k, z0) is the key of a chart; the last coordinate
+    then agrees identically, being the same monomial of the first m.  Chart
+    images lie in (0, inf)^m, so a row with a coordinate that is not a
+    positive finite number (or too small to invert) is not a member.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     out = np.zeros(xs.shape[0], dtype=bool)
-    if not charts:
+    if not charts or xs.shape[1] != charts[0].m:
         return out
     t = tolerance(tol)
-    keys = {}
-    for ch in charts:
-        k = tuple(round(math.log2((2.0 / 3.0) / yi)) for yi in ch.y)
-        keys[(k, ch.z0)] = ch
     c3 = charts[0].c3
-    for i, x in enumerate(xs):
-        if out[i]:
-            continue
-        for kbox in _axis_box_candidates(x):
-            y = np.asarray([(2.0 / 3.0) * 2.0 ** -k for k in kbox])
-            u = 2.0 * c3 * (x / y - 1.0)
-            if np.any(np.abs(u) >= c3 * (1.0 + t)):
-                continue
-            z0 = tuple(2.0 * np.floor(u / 2.0) + 1.0)
-            w = u - np.asarray(z0)
-            if (kbox, z0) in keys and np.all(np.abs(w) <= 1.0 + t):
-                out[i] = True
-                break
+    k_values, z0_values, levels = _chart_keys(charts)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lg = np.log2((2.0 / 3.0) / xs)
+    rows = np.nonzero(np.isfinite(lg).all(axis=1))[0]
+    # (point, axis, scale slot) arrays for the scales base - 1, base, base + 1
+    x = xs[rows, :, None]
+    k = np.floor(lg[rows]).astype(np.int64)[:, :, None] + np.arange(-1, 2)
+    y = np.ldexp(2.0 / 3.0, -k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = 2.0 * c3 * (x / y - 1.0)
+    z0 = 2.0 * np.floor(u / 2.0) + 1.0
+    ok = ((k >= 0) & (y / 2.0 < x) & (x < 3.0 * y / 2.0)
+          & (np.abs(u) < c3 * (1.0 + t)) & (np.abs(u - z0) <= 1.0 + t))
+    rk = np.minimum(np.searchsorted(k_values, k), len(k_values) - 1)
+    rz = np.minimum(np.searchsorted(z0_values, z0), len(z0_values) - 1)
+    ok &= (k_values[rk] == k) & (z0_values[rz] == z0)
+    code = rk * len(z0_values) + rz
+    member = np.zeros(len(rows), dtype=bool)
+    axes = np.arange(xs.shape[1])
+    for slots in itertools.product(range(3), repeat=xs.shape[1]):
+        idx = np.nonzero(ok[:, axes, slots].all(axis=1) & ~member)[0]
+        if idx.size:
+            member[idx] = _key_lookup(levels, len(k_values) * len(z0_values),
+                                      code[idx[:, None], axes, slots])
+    out[rows] = member
     return out
 
 
-def _axis_box_candidates(x: np.ndarray):
-    """Product of the (at most two) dyadic scales whose interval contains x_i."""
-    per_axis = []
-    for xi in x:
-        ks = []
-        base = math.floor(math.log2((2.0 / 3.0) / xi))
-        for k in (base - 1, base, base + 1):
-            if k >= 0:
-                y = (2.0 / 3.0) * 2.0 ** -k
-                if y / 2.0 < xi < 3.0 * y / 2.0:
-                    ks.append(k)
-        per_axis.append(ks)
-    combos = [()]
-    for ks in per_axis:
-        combos = [c + (k,) for c in combos for k in ks]
-    return combos
+def _chart_keys(charts: list):
+    """Sorted chart scales k = round(log2((2/3) / y)), sorted offsets z0, and
+    the per-axis prefix tables of the key rows (k, z0) (see `_key_lookup`).
+
+    Each axis is coded as rank(k) * len(z0 values) + rank(z0); the tables
+    rank the key prefixes axis by axis, so codes stay below kappa * radix.
+    """
+    m = charts[0].m
+
+    def flat(field):
+        rows = itertools.chain.from_iterable(getattr(c, field) for c in charts)
+        return np.fromiter(rows, dtype=float, count=len(charts) * m)
+
+    y_values, y_of = np.unique(flat("y"), return_inverse=True)
+    k_of_y = np.fromiter((round(math.log2((2.0 / 3.0) / v)) for v in y_values),
+                         dtype=np.int64, count=len(y_values))
+    k_values, k_of = np.unique(k_of_y[y_of], return_inverse=True)
+    z0_values, z0_of = np.unique(flat("z0"), return_inverse=True)
+    codes = (k_of * len(z0_values) + z0_of).reshape(len(charts), m)
+    radix = len(k_values) * len(z0_values)
+    prefix = np.zeros(len(charts), dtype=np.int64)
+    levels = []
+    for i in range(m):
+        table, prefix = np.unique(prefix * radix + codes[:, i], return_inverse=True)
+        levels.append(table)
+    return k_values, z0_values, levels
+
+
+def _key_lookup(levels: list, radix: int, codes: np.ndarray) -> np.ndarray:
+    """Whether each row of per-axis codes, shape (N, m), is a chart key."""
+    hit = np.ones(codes.shape[0], dtype=bool)
+    prefix = np.zeros(codes.shape[0], dtype=np.int64)
+    for i, table in enumerate(levels):
+        key = prefix * radix + codes[:, i]
+        prefix = np.minimum(np.searchsorted(table, key), len(table) - 1)
+        hit &= table[prefix] == key
+    return hit

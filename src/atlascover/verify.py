@@ -357,17 +357,20 @@ def intersection_witness(c1, c2, tol: float | None = None):
     t = tolerance(tol)
     if hasattr(c1, "base"):
         wb = intersection_witness(c1.base, c2.base, tol=t)
-        if wb is None:
-            return None
-        g1 = complex(c1.first_coordinate(c1.base.preimage(wb)))
-        g2 = complex(c2.first_coordinate(c2.base.preimage(wb)))
-        if abs(g1 - g2) <= t ** 0.5 * max(1.0, abs(g1)):
-            return (g1,) + tuple(wb)
-        return None
+        return None if wb is None else _branch_witness(c1, c2, wb, t)
     w = _segment_witness(c1, c2, t)
     if w is not None:
         return w
     return _lagrange_witness(c1, c2, t)
+
+
+def _branch_witness(c1, c2, wb, tol: float):
+    """The witness of two level-branch charts over the base witness ``wb``."""
+    g1 = complex(c1.first_coordinate(c1.base.preimage(wb)))
+    g2 = complex(c2.first_coordinate(c2.base.preimage(wb)))
+    if abs(g1 - g2) <= tol ** 0.5 * max(1.0, abs(g1)):
+        return (g1,) + tuple(wb)
+    return None
 
 
 def _containing_charts(cov: Covering, p, tol: float) -> list:
@@ -393,8 +396,10 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
     `intersection_witness`; neighbor candidates come from the covering's
     structural index (`chart_neighbors`), so the search visits the charts
     near the path rather than all of them.  Candidates are tried in index
-    order, which gives the chain a full scan would give.  ``seed`` is kept
-    for compatibility; the witnesses are exact and do not use it.
+    order, which gives the chain a full scan would give.  On level-branch
+    charts the base witness is computed once per pair of base charts and
+    shared by their up to alpha_1^2 branch pairs.  ``seed`` is kept for
+    compatibility; the witnesses are exact and do not use it.
     """
     t = tolerance(tol)
     starts = _containing_charts(cov, p, t)
@@ -405,6 +410,18 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
     if common:
         return Chain(chart_indices=(common[0],), witnesses=())
     charts = cov.charts
+    base_witness = {}
+
+    def witness(i, ci, j):
+        if not isinstance(charts, LevelBranchCharts):
+            return intersection_witness(ci, charts[j], tol=t)
+        key = (i // charts.alpha1, j // charts.alpha1)
+        if key not in base_witness:
+            base_witness[key] = intersection_witness(
+                ci.base, charts.base_cov.charts[key[1]], tol=t)
+        wb = base_witness[key]
+        return None if wb is None else _branch_witness(ci, charts[j], wb, t)
+
     parent = {i: None for i in starts}
     edge_witness = {}
     frontier = deque(starts)
@@ -415,7 +432,7 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
         for j in sorted(set(chart_neighbors(charts, i))):
             if j in parent:
                 continue
-            w = intersection_witness(ci, charts[j], tol=t)
+            w = witness(i, ci, j)
             if w is None:
                 continue
             parent[j] = i

@@ -125,6 +125,14 @@ def test_verify_achart_grid_one_is_a_usage_error(tmp_path, capsys):
     assert "grid must be at least 2" in capsys.readouterr().err
 
 
+def test_verify_achart_grid_one_on_an_empty_atlas(tmp_path, capsys):
+    out = tmp_path / "graph.json"
+    assert main(["cover", "graph", "--mu", "1", "--coeff", "1e9", "--eps", "0.3",
+                 "--out", str(out)]) == 0
+    assert main(["verify", "achart", "--charts", str(out), "--grid", "1"]) == 2
+    assert "grid must be at least 2" in capsys.readouterr().err
+
+
 def test_chain_cli(tmp_path, capsys):
     out = tmp_path / "c.json"
     main(["cover", "annulus", "--delta", "0.1", "--zeta", "2", "--out", str(out)])

@@ -11,6 +11,7 @@ from atlascover.core import (
     NotARegularValue,
 )
 from atlascover.levelset import (
+    LevelBranchCharts,
     MonomialLevelChart,
     cover_monomial_level_set,
     direct_branch_values,
@@ -25,9 +26,10 @@ from atlascover.verify import (
     certify_doubling,
     chain_between,
     check_coverage,
+    region_samples,
 )
 
-from oracles import ball_points
+from oracles import ball_points, level_covers_loop
 
 
 BASE = DiagonalAffineChart(b=(0.5,), d=(0.05,), gamma=2.0)
@@ -175,3 +177,55 @@ def test_chain_on_plain_list_of_level_charts_is_a_domain_error():
     with pytest.raises(UnsupportedAmbient, match="LevelBranchCharts"):
         chain_between(cov, p, q)
     assert charts.reads == 1
+
+
+def _level_test_points(alpha, c, count):
+    """Surface points and moved copies: x1 off by a relative 1e-3, 2e-5 and
+    -5e-6 (sqrt(t) = 1e-5 lies between the last two), xbar moved out of the
+    base region with x1 a root there, and a coordinate of xbar set to 0."""
+    pts = region_samples(LevelGraphRegion(alpha, c), count, 5)
+    sets = [pts]
+    for rel in (1e-3, 2e-5, -5e-6):
+        moved = pts.copy()
+        moved[:, 0] *= 1.0 + rel
+        sets.append(moved)
+    out = pts.copy()
+    out[:, -1] *= 1.3 / np.abs(out[:, -1])
+    out[:, 0] = direct_branch_values(alpha, c, out[:, 1:])[:, 0]
+    zero = pts.copy()
+    zero[:, -1] = 0.0
+    return np.concatenate(sets + [out, zero])
+
+
+@pytest.mark.parametrize("alpha, c, count, scales", [
+    ((2, 1), 0.04, 60, ("one", "per-point", "two")),
+    ((2, 1, 1), 0.5, 12, ("one", "per-point")),
+    ((3, 1), 0.07 + 0.02j, 40, ("one", "per-point", "two")),
+])
+def test_covers_matches_the_per_point_loop(alpha, c, count, scales):
+    """Base location plus the root match answers like the loop over
+    candidate charts and `contains`, on and off the surface."""
+    charts = cover_monomial_level_set(alpha, c).charts
+    pts = _level_test_points(alpha, c, count)
+    n = len(pts) // 6
+    per_point = np.random.default_rng(0).uniform(0.5, 1.0, len(pts))
+    for name in scales:
+        scale = {"one": 1.0, "per-point": per_point, "two": 2.0}[name]
+        got = charts.covers(pts, scale)
+        assert np.array_equal(got, level_covers_loop(charts, pts, scale)), name
+        if name == "one":
+            assert got[:n].all() and not got[n:2 * n].any()
+            assert got[3 * n:4 * n].all() and not got[4 * n:].any()
+
+
+def test_covers_does_not_test_charts_one_by_one(monkeypatch):
+    charts = cover_monomial_level_set((2, 1), 0.04).charts
+    pts = _level_test_points((2, 1), 0.04, 30)
+    expected = charts.covers(pts, 1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-chart membership test")
+
+    monkeypatch.setattr(LevelBranchCharts, "contains", refuse)
+    assert np.array_equal(charts.covers(pts, 1.0), expected)
+    assert expected.any()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from atlascover.real_acharts import (
     verify_achart,
     verify_achart_batch,
 )
+
+from oracles import graph_membership_loop
 
 
 class TestAxisCenters:
@@ -208,3 +211,61 @@ def test_scan_points_shapes():
     pts = scan_points(2, 8, 50, seed=1)
     assert pts.shape == (64 + 50, 2)
     assert np.allclose(np.abs(pts[:64]), 3.0)
+
+
+def _edge_points(charts, count, seed):
+    """Seeded points whose coordinates sit on the box edges of the atlas's
+    scales: x = y/2 and 3y/2 (|u| = C3), unit-box edges |w| = 1, one ulp
+    either side of those, and log-uniform values in (eps/3, 3/2)."""
+    rng = np.random.default_rng(seed)
+    c3 = charts[0].c3
+    ys = np.unique([c.y for c in charts])
+    edges = np.concatenate([ys / 2.0, 3.0 * ys / 2.0]
+                           + [ys * (1.0 + j / c3) for j in range(1 - int(c3), int(c3))])
+    values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+                             (ys.min() / 3.0) ** rng.random(len(edges)) * 1.5])
+    return rng.choice(values, size=(count, charts[0].m))
+
+
+@pytest.mark.parametrize("mu, coeff, eps", [((1.0,), 1.0, 1e-3),
+                                            ((0.5, -0.25), 1.0, 0.01),
+                                            ((0.5, -0.25, 0.25), 0.9, 0.3)])
+def test_membership_matches_the_per_point_loop(mu, coeff, eps):
+    """The array lookup gives the loop's answers bit for bit, on the full and
+    a pruned atlas, on domain points and on the exact box edges."""
+    data = MonomialData(coeff, mu)
+    charts = cover_monomial_graph(data, eps)
+    rng = np.random.default_rng(3)
+    inside = eps ** rng.random((600, data.m))
+    xs = np.concatenate([inside, _edge_points(charts, 1500, 4)])
+    for atlas in (charts, charts[::3]):
+        for tol in (None, 1e-6):
+            got = graph_membership(atlas, xs, tol)
+            assert np.array_equal(got, graph_membership_loop(atlas, xs, tol))
+            assert got.any() and not got.all()
+
+
+def test_membership_with_hand_made_offsets():
+    """Offsets that are not odd integers never match; a non-dyadic y takes
+    the key of the nearest scale, as in the loop."""
+    data = MonomialData(1.0, (1.0,))
+    charts = [RealAChart(y=(2.0 / 3.0,), z0=(z,), c3=5.0, data=data)
+              for z in (-3.0, 0.0, 1.0, 2.0, 2.5)]
+    charts.append(RealAChart(y=(0.3,), z0=(3.0,), c3=5.0, data=data))
+    xs = _edge_points(charts, 400, 5)
+    got = graph_membership(charts, xs)
+    assert np.array_equal(got, graph_membership_loop(charts, xs))
+    u = 10.0 * (xs[:, 0] / (2.0 / 3.0) - 1.0)
+    assert not got[(u > -1.0) & (u < 0.0)].any()     # z0 = -1 is missing
+
+
+def test_membership_outside_the_positive_orthant():
+    """Chart images lie in (0, inf)^m: zero, negative, NaN, infinite and
+    uninvertible coordinates are not members, and raise no warning."""
+    charts = cover_monomial_graph(MonomialData(1.0, (0.5, -0.25)), 0.01)
+    xs = [[0.0, 0.5], [-0.3, 0.5], [math.nan, 0.5], [math.inf, 0.5],
+          [0.5, -math.inf], [1e-320, 0.5], [0.5, 0.5]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = graph_membership(charts, xs)
+    assert got.tolist() == [False] * 6 + [True]
