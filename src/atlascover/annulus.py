@@ -14,13 +14,13 @@ disks.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import (
+    ChartFamily,
     Covering,
     DiagonalAffineChart,
     InvalidDoublingFactor,
@@ -86,16 +86,17 @@ def _ring_count(delta: float, q: float) -> int:
     return K
 
 
-class RingDisks(Sequence):
-    """Lazy sequence of the ring disks, outermost ring first, by angle.
+class RingDisks(ChartFamily):
+    """Lazy family of the ring disks, outermost ring first, by angle.
 
     Disk (k, j) has center cf*q^k * exp(2 pi i j / n_angles) and radius
-    rf*q^k; the flat index is k * n_angles + j.  The object doubles as a
-    point-location structure: `covers` and `candidates` answer membership
-    queries through the ring/angle grid instead of a linear scan.  Every
-    accessor reads the ring radii from one table, so single disks and the
-    bulk arrays agree bit for bit.
+    rf*q^k; the flat index is k * n_angles + j.  Point location goes through
+    the ring/angle grid (`passes`) instead of a linear scan.  Every accessor
+    reads one disk table, so single disks and the bulk arrays agree bit for
+    bit.
     """
+
+    dim = 1
 
     def __init__(self, zeta: float, q: float, n_angles: int, n_rings: int):
         self.zeta = float(zeta)
@@ -106,146 +107,89 @@ class RingDisks(Sequence):
         self.rf = self.cf / (2.0 * self.zeta)       # disk radius / ring radius
 
     @cached_property
-    def _unit(self) -> np.ndarray:
-        """Unit centers by angle; built on first use, so a family with no
-        rings allocates nothing whatever its ``n_angles``."""
-        return np.exp(2j * math.pi * np.arange(self.n_angles) / self.n_angles)
-
-    @cached_property
-    def _rho(self) -> np.ndarray:
-        """Ring radii q^k, one Python ``pow`` per ring (numpy's vectorized
-        power can differ from it in the last bit)."""
-        return np.array([self.q ** k for k in range(self.n_rings)], dtype=float)
-
-    # -- sequence protocol --------------------------------------------------
+    def _disks(self) -> tuple:
+        """Centers and radii of all disks, flat-index order.  Ring radii are
+        q^k by Python ``pow`` (numpy's vectorized power can differ from it in
+        the last bit); a family with no rings allocates nothing."""
+        rho = np.array([self.q ** k for k in range(self.n_rings)], dtype=float)
+        unit = np.exp(2j * math.pi * np.arange(self.n_angles if self.n_rings else 0)
+                      / self.n_angles)
+        return (self.cf * rho[:, None] * unit[None, :]).ravel(), \
+            np.repeat(self.rf * rho, self.n_angles)
 
     def __len__(self) -> int:
         return self.n_rings * self.n_angles
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        k, j = divmod(i, self.n_angles)
-        a, r = self.disk(k, j)
-        return DiagonalAffineChart(b=(a,), d=(r,), gamma=self.zeta)
+    def _chart(self, i):
+        return DiagonalAffineChart(b=(self._disks[0][i],), d=(self._disks[1][i],),
+                                   gamma=self.zeta)
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    def __eq__(self, other):
-        if isinstance(other, RingDisks):
-            return (self.zeta, self.q, self.n_angles, self.n_rings) == \
-                   (other.zeta, other.q, other.n_angles, other.n_rings)
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    # -- geometry -----------------------------------------------------------
+    def _recipe(self):
+        return self.zeta, self.q, self.n_angles, self.n_rings
 
     def disk(self, k: int, j: int):
-        rho = float(self._rho[k])
-        a = self.cf * rho * complex(self._unit[j % self.n_angles])
-        return a, self.rf * rho
-
-    def disk_arrays(self):
-        """Centers and radii of all disks, flat-index order."""
-        rho = self._rho
-        a = (self.cf * rho[:, None] * self._unit[None, :]).ravel()
-        r = np.repeat(self.rf * rho, self.n_angles)
-        return a, r
+        i = k * self.n_angles + j % self.n_angles
+        return complex(self._disks[0][i]), float(self._disks[1][i])
 
     def chart_arrays(self):
-        a, r = self.disk_arrays()
+        a, r = self._disks
         return a[:, None], r[:, None].astype(complex)
 
     # -- point location -----------------------------------------------------
 
-    def _windows(self, smax: float, rmult: float):
-        """Ring/angle offset windows that bound every disk containing a point.
+    def passes(self, pts: np.ndarray, scale: np.ndarray, done: np.ndarray):
+        """(point indices, disk indices) per ring and angle offset.
 
-        A disk of ring k at scale s reaches radii cf*q^k * (1 -+ s*rmult/(2 zeta)),
-        which pins the candidate rings relative to the anchor ring
-        k0 = floor(log_q |z|); the angular half-width is bounded by
-        asin(s*r*rmult / u) at the smallest radius u inside the disk.
+        A point z is paired with the disks of the rings k0 + o and angles
+        j0 + o' around its anchor k0 = floor(log_q |z|), j0 = nearest angle.
+        A disk of ring k at scale s reaches radii cf*q^k * (1 -+ s*rf/cf),
+        which bounds the ring offsets o; the angle offsets are bounded by
+        asin(s*rf / lo) at the smallest such radius lo.
         """
-        lo = self.cf - smax * self.rf * rmult
-        hi = self.cf + smax * self.rf * rmult
-        lnq = math.log(self.q)
+        smax = float(scale.max(initial=0.0))
+        if len(self) == 0 or smax <= 0.0:
+            return
+        z = pts[:, 0]
+        k0 = np.floor(np.log(np.maximum(np.abs(z), 1e-300)) / math.log(self.q)).astype(int)
+        j0 = np.round(np.angle(z) / (TWO_PI / self.n_angles)).astype(int)
+        lo, hi = self.cf - smax * self.rf, self.cf + smax * self.rf
+        angle_offsets = range(self.n_angles)
         if lo <= 0.0:
             ring_offsets = range(-self.n_rings, self.n_rings + 1)
-            return ring_offsets, range(self.n_angles)
-        o_lo = math.floor(math.log(lo) / -lnq) - 1
-        o_hi = math.ceil(1.0 + math.log(hi) / -lnq) + 1
-        ring_offsets = sorted(range(o_lo, o_hi + 1), key=abs)
-        sin_bound = smax * self.rf * rmult / lo
-        if sin_bound >= 1.0:
-            angle_offsets = range(self.n_angles)
         else:
-            w = math.ceil(math.asin(sin_bound) / (TWO_PI / self.n_angles)) + 1
-            w = min(w, self.n_angles // 2 + 1)
-            angle_offsets = sorted(range(-w, w + 1), key=abs)
-        return ring_offsets, angle_offsets
-
-    def covers(self, pts: np.ndarray, scale, tol: float | None = None,
-               rmult: float = 1.0) -> np.ndarray:
-        """Vectorized: which points lie in some disk scaled by ``scale``.
-
-        ``scale`` may be a scalar or a per-point array; ``rmult`` rescales
-        all disk radii uniformly (used by suspension layers).
-        """
-        pts = np.asarray(pts, dtype=complex).ravel()
-        scale = np.broadcast_to(np.asarray(scale, dtype=float), pts.shape)
-        t = tolerance(tol)
-        covered = np.zeros(pts.shape, dtype=bool)
-        if len(self) == 0 or pts.size == 0:
-            return covered
-        smax = float(scale.max(initial=0.0))
-        if smax <= 0.0:
-            return covered
-        u = np.abs(pts)
-        k0 = np.floor(np.log(np.maximum(u, 1e-300)) / math.log(self.q)).astype(int)
-        theta = np.angle(pts)
-        j0 = np.round(theta / (TWO_PI / self.n_angles)).astype(int)
-        ring_offsets, angle_offsets = self._windows(smax, rmult)
+            lnq = -math.log(self.q)
+            ring_offsets = sorted(range(math.floor(math.log(lo) / lnq) - 1,
+                                        math.ceil(1.0 + math.log(hi) / lnq) + 2), key=abs)
+            if smax * self.rf / lo < 1.0:
+                w = math.ceil(math.asin(smax * self.rf / lo) / (TWO_PI / self.n_angles)) + 1
+                w = min(w, self.n_angles // 2 + 1)
+                angle_offsets = sorted(range(-w, w + 1), key=abs)
         for do in ring_offsets:
             k = k0 + do
-            valid_k = (k >= 0) & (k < self.n_rings) & ~covered
-            if not valid_k.any():
-                continue
-            idx = np.nonzero(valid_k)[0]
-            rho = self._rho[k[idx]]
-            r = self.rf * rho * rmult * scale[idx]
+            idx = np.nonzero((k >= 0) & (k < self.n_rings) & ~done)[0]
             for da in angle_offsets:
-                j = (j0[idx] + da) % self.n_angles
-                a = self.cf * rho * self._unit[j]
-                hit = np.abs(pts[idx] - a) ** 2 <= r * r * (1.0 + t)
-                if hit.any():
-                    covered[idx[hit]] = True
-                    keep = ~hit
-                    idx, rho, r = idx[keep], rho[keep], r[keep]
-                    if idx.size == 0:
-                        break
+                idx = idx[~done[idx]]
+                if idx.size == 0:
+                    break
+                yield idx, k[idx] * self.n_angles + (j0[idx] + da) % self.n_angles
+
+    def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
+        """Which points lie in some disk scaled by ``scale`` (scalar or per point)."""
+        pts = self._points(pts)
+        scale = np.broadcast_to(np.asarray(scale, dtype=float), pts.shape[:1])
+        t = tolerance(tol)
+        covered = np.zeros(pts.shape[0], dtype=bool)
+        a, r = self._disks
+        for idx, j in self.passes(pts, scale, covered):
+            rs = r[j] * scale[idx]
+            covered[idx[np.abs(pts[idx, 0] - a[j]) ** 2 <= rs * rs * (1.0 + t)]] = True
         return covered
 
-    def candidates(self, z: complex, scale: float, rmult: float = 1.0):
-        """Indices of every disk that could contain ``z`` at ``scale``."""
-        if len(self) == 0:
-            return
-        u = abs(z)
-        k0 = math.floor(math.log(max(u, 1e-300)) / math.log(self.q))
-        j0 = round(math.atan2(z.imag, z.real) / (TWO_PI / self.n_angles))
-        ring_offsets, angle_offsets = self._windows(float(scale), rmult)
-        for do in ring_offsets:
-            k = k0 + do
-            if not 0 <= k < self.n_rings:
-                continue
-            for da in angle_offsets:
-                yield k * self.n_angles + (j0 + da) % self.n_angles
+    def candidates(self, p, scale: float, tol: float | None = None):
+        """Indices of every disk that could contain the point ``p`` at ``scale``."""
+        pts = self._points(np.reshape(p, (1, -1)))
+        for _, j in self.passes(pts, np.full(1, float(scale)), np.zeros(1, dtype=bool)):
+            yield int(j[0])
 
     def neighbors(self, i: int, scale: float = 1.0) -> list:
         """Disk indices (``i`` included) whose disks at ``scale`` can meet disk ``i``'s.

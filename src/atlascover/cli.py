@@ -239,11 +239,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except AtlasError as exc:
+    except (AtlasError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except MemoryError as exc:                  # numpy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
 
 

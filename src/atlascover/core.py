@@ -276,6 +276,136 @@ def avoidance_certificate(chart: DiagonalAffineChart, ambient: Ambient,
 
 
 # ---------------------------------------------------------------------------
+# chart families
+# ---------------------------------------------------------------------------
+
+class ChartFamily(Sequence):
+    """A sequence of charts that also answers point-location queries.
+
+    Subclasses supply ``__len__``, ``dim``, ``_chart(i)`` for 0 <= i < len
+    and ``_recipe()`` (what makes two families of the same type equal).  The
+    default queries treat the family as a list of diagonal affine charts and
+    scan it; structured families override them with their own index.
+    """
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._chart(j) for j in range(*i.indices(len(self)))]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return self._chart(i)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._recipe() == other._recipe()
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def _points(self, pts) -> np.ndarray:
+        """``pts`` as an (N, dim) complex array: (N,) is N points when dim is 1,
+        (dim,) is one point; any other shape raises `DimensionMismatch`."""
+        pts = np.asarray(pts, dtype=complex)
+        if pts.ndim == 1:
+            pts = pts[:, None] if self.dim in (1, None) else pts[None, :]
+        if pts.ndim != 2 or self.dim not in (pts.shape[1], None):
+            raise DimensionMismatch(
+                f"points of shape {pts.shape} for charts of dim {self.dim}")
+        return pts
+
+    def chart_arrays(self) -> tuple:
+        """(b, d) arrays of shape (kappa, dim)."""
+        if not all(isinstance(c, DiagonalAffineChart) for c in self):
+            raise UnsupportedAmbient(AFFINE_ONLY)
+        b = np.array([c.b for c in self], dtype=complex)
+        d = np.array([c.d for c in self], dtype=complex)
+        if b.size == 0:
+            b, d = b.reshape(0, 1), d.reshape(0, 1)
+        return b, d
+
+    def iter_chart_arrays(self):
+        """(b, d) blocks in index order, for streaming scans."""
+        yield self.chart_arrays()
+
+    def _blocks(self, done: np.ndarray):
+        """(points not done, lo, hi): scan blocks of at most 2^17 point-chart pairs."""
+        lo = 0
+        while lo < len(self):
+            idx = np.nonzero(~done)[0]
+            if idx.size == 0:
+                return
+            hi = min(len(self), lo + max(1, (1 << 17) // idx.size))
+            yield idx, lo, hi
+            lo = hi
+
+    def passes(self, pts: np.ndarray, scale: np.ndarray, done: np.ndarray):
+        """(point indices, chart indices) pairs to test, pass by pass.  Every
+        point meets every chart that contains it at its ``scale`` in some pass,
+        unless the point is flagged in ``done`` (the caller may update it
+        between passes) before that pass."""
+        for idx, lo, hi in self._blocks(done):
+            yield np.repeat(idx, hi - lo), np.tile(np.arange(lo, hi), idx.size)
+
+    def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
+        """Which points lie in some chart image at ``scale`` (scalar or per point)."""
+        pts = self._points(pts)
+        scale = np.broadcast_to(np.asarray(scale, dtype=float), pts.shape[:1])
+        t = tolerance(tol)
+        covered = np.zeros(pts.shape[0], dtype=bool)
+        if len(self) == 0 or pts.shape[0] == 0:
+            return covered
+        b, d = self.chart_arrays()
+        for idx, lo, hi in self._blocks(covered):
+            z = (pts[idx, None, :] - b[None, lo:hi]) / d[None, lo:hi]
+            n2 = (np.abs(z) ** 2).sum(axis=2)
+            covered[idx[(n2 <= scale[idx, None] ** 2 * (1.0 + t)).any(axis=1)]] = True
+        return covered
+
+    def candidates(self, p, scale: float, tol: float | None = None):
+        """Chart indices that could contain the point ``p`` at ``scale``."""
+        return range(len(self))
+
+    def contains(self, i: int, p, scale: float, tol: float | None = None) -> bool:
+        """Whether chart ``i``'s image at ``scale`` contains ``p``."""
+        return chart_contains(self[i], p, scale, tol=tol)
+
+    def neighbors(self, i: int, scale: float = 1.0) -> list:
+        """Sorted chart indices (``i`` included) whose images at ``scale`` can
+        meet chart ``i``'s: a superset of those that do."""
+        return list(range(len(self)))
+
+
+class ChartList(ChartFamily):
+    """A plain sequence of charts seen as a family: a view, not a copy."""
+
+    def __init__(self, charts: Sequence):
+        self.charts = charts
+
+    def __len__(self) -> int:
+        return len(self.charts)
+
+    def __iter__(self):
+        return iter(self.charts)
+
+    @property
+    def dim(self):
+        return self.charts[0].dim if len(self.charts) else None
+
+    def _chart(self, i):
+        return self.charts[i]
+
+    def _recipe(self):
+        return self.charts
+
+
+def family(charts: Sequence) -> ChartFamily:
+    """``charts`` itself if it is a chart family, else a `ChartList` view of it."""
+    return charts if isinstance(charts, ChartFamily) else ChartList(charts)
+
+
+# ---------------------------------------------------------------------------
 # coverings
 # ---------------------------------------------------------------------------
 
@@ -283,9 +413,9 @@ class Covering:
     """A finite (possibly lazily materialized) family of charts of one kind.
 
     All charts share the doubling factor ``gamma``; the complexity ``kappa``
-    is the chart count.  ``charts`` may be a plain list or a structured lazy
-    sequence (rings, suspension layers) that also knows how to answer
-    membership queries quickly.
+    is the chart count.  ``charts`` is a plain list or a lazy `ChartFamily`
+    (rings, suspension layers, level branches) that answers membership
+    queries through its index; `family(charts)` reads either one.
     """
 
     def __init__(self, ambient: Ambient, gamma: float, charts: Sequence,

@@ -253,8 +253,9 @@ def dumps(obj: dict) -> str:
 
 
 def write_covering(cov: Covering, path) -> None:
+    text = dumps(covering_to_dict(cov))         # built first: no partial file on failure
     with open(path, "w") as fh:
-        fh.write(dumps(covering_to_dict(cov)))
+        fh.write(text)
 
 
 def read_covering(path) -> Covering:
@@ -288,8 +289,9 @@ def achart_atlas_from_dict(d: dict):
 
 
 def write_achart_atlas(charts, data, eps, path) -> None:
+    text = dumps(achart_atlas_to_dict(charts, data, eps))
     with open(path, "w") as fh:
-        fh.write(dumps(achart_atlas_to_dict(charts, data, eps)))
+        fh.write(text)
 
 
 def read_achart_atlas(path):

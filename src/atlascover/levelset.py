@@ -17,13 +17,13 @@ is holomorphic on the whole doubled chart.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     BranchUndefined,
+    ChartFamily,
     Covering,
     DiagonalAffineChart,
     DimensionMismatch,
@@ -32,6 +32,7 @@ from .core import (
     MonomialLevelSet,
     NotARegularValue,
     avoidance_certificate,
+    family,
     tolerance,
 )
 from .polydisc import (
@@ -40,7 +41,6 @@ from .polydisc import (
     level_lower_bound,
     polydisc_plan,
 )
-from .suspension import chart_candidates, chart_neighbors, covers_points
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def level_residual(ch: MonomialLevelChart, x: np.ndarray) -> np.ndarray:
     return np.abs(mono - ch.c)
 
 
-class LevelBranchCharts(Sequence):
+class LevelBranchCharts(ChartFamily):
     """All (base chart, branch) compositions, ordered base-major then branch."""
 
     def __init__(self, base_cov: Covering, alpha: tuple, c: complex):
@@ -138,50 +138,31 @@ class LevelBranchCharts(Sequence):
         self.alpha = tuple(int(a) for a in alpha)
         self.c = complex(c)
         self.alpha1 = self.alpha[0]
+        self._base = family(base_cov.charts)
+        self.dim = len(self.alpha)
 
     def __len__(self) -> int:
-        return self.alpha1 * len(self.base_cov.charts)
+        return self.alpha1 * len(self._base)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
+    def _chart(self, i):
         t, k = divmod(i, self.alpha1)
-        return MonomialLevelChart(base=self.base_cov.charts[t], branch=k,
+        return MonomialLevelChart(base=self._base[t], branch=k,
                                   alpha=self.alpha, c=self.c)
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    def __eq__(self, other):
-        if isinstance(other, LevelBranchCharts):
-            return (self.base_cov, self.alpha, self.c) == \
-                   (other.base_cov, other.alpha, other.c)
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    @property
-    def gamma(self) -> float:
-        return self.base_cov.gamma
+    def _recipe(self):
+        return self.base_cov, self.alpha, self.c
 
     def candidates(self, p, scale: float, tol: float | None = None):
         """Chart indices that could contain the ambient point p = (x1, xbar)."""
-        xbar = tuple(p[1:])
-        for t in chart_candidates(self.base_cov.charts, xbar, scale, tol=tol):
+        for t in self._base.candidates(tuple(p[1:]), scale, tol=tol):
             for k in range(self.alpha1):
                 yield t * self.alpha1 + k
 
     def neighbors(self, i: int, scale: float = 1.0) -> list:
         """Chart indices whose images at ``scale`` can meet chart ``i``'s: every
         branch over a base chart whose image can meet base chart ``i``'s."""
-        t = i // self.alpha1
         return [tt * self.alpha1 + k
-                for tt in chart_neighbors(self.base_cov.charts, t, scale)
+                for tt in self._base.neighbors(i // self.alpha1, scale)
                 for k in range(self.alpha1)]
 
     def contains(self, ch_index: int, p, scale: float,
@@ -204,9 +185,9 @@ class LevelBranchCharts(Sequence):
         is covered iff the base covers xbar and |g - x1| <= sqrt(t) max(1, |g|)
         for one of them (the rule of `contains`).
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=complex))
+        pts = self._points(pts)
         t = tolerance(tol)
-        out = covers_points(self.base_cov.charts, pts[:, 1:], scale, tol=t)
+        out = self._base.covers(pts[:, 1:], scale, tol=t)
         rows = np.nonzero(out)[0]
         if rows.size:
             g = direct_branch_values(self.alpha, self.c, pts[rows, 1:])

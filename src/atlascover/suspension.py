@@ -14,20 +14,21 @@ covers G x D_{r_j}(a_j) exactly.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .annulus import RingDisks, cover_annulus
+from .annulus import cover_annulus
 from .core import (
-    AFFINE_ONLY,
+    ChartFamily,
     Covering,
     DiagonalAffineChart,
     InvalidBeta,
     PolydiscComplement,
     PuncturedPlane,
     UnsupportedAmbient,
+    family,
     tolerance,
 )
 
@@ -70,187 +71,104 @@ def suspend_chart(chart: DiagonalAffineChart,
     )
 
 
-class _SingleDisk:
-    """Degenerate layer family: one disk (a=0, r=1) covering the whole unit disk.
-
-    Used for axes that carry no puncture.
-    """
-
-    n_angles = 1
-    n_rings = 1
-
-    def __len__(self):
-        return 1
-
-    def disk(self, k, j):
-        return 0j, 1.0
-
-    def disk_arrays(self):
-        return np.array([0j]), np.array([1.0])
-
-    def candidates(self, z, scale, rmult=1.0):
-        yield 0
-
-    def neighbors(self, i, scale=1.0):
-        return [0]
-
-    def __eq__(self, other):
-        return isinstance(other, _SingleDisk)
-
-
-class SuspendedCharts(Sequence):
+class SuspendedCharts(ChartFamily):
     """Lazy chart family of a layered suspension, ordered (layer, inner chart).
 
     Chart j * kappa_inner + t is the suspension of inner chart t over layer
     disk j.  Membership splits exactly: with y = |(w - a_j) / lambda_j|, the
     point (v, w) lies in chart (j, t) at scale s iff the inner preimage norm
-    of v is at most beta * sqrt(s^2 - y^2).
+    of v is at most beta * sqrt(s^2 - y^2).  The layer disks are any
+    one-dimensional chart family.
     """
 
-    def __init__(self, inner: Covering, layers, beta: float, theta: float):
+    def __init__(self, inner: Covering, layers, beta: float):
         self.inner = inner
-        self.layers = layers
+        self.layers = family(layers)
         self.beta = float(beta)
-        self.theta = float(theta)
         self.lam_factor = 1.0 / math.sqrt(1.0 - 1.0 / (beta * beta))
+        self._inner = family(inner.charts)
+        self.dim = inner.dim + 1
 
-    # -- sequence protocol ----------------------------------------------------
+    @cached_property
+    def _layer_table(self) -> tuple:
+        """Centers a_j and heights lambda_j = r_j * lam_factor of the layer disks."""
+        a, r = self.layers.chart_arrays()
+        return a[:, 0], r[:, 0].real * self.lam_factor
 
     def __len__(self) -> int:
-        return len(self.layers) * len(self.inner.charts)
+        return len(self.layers) * len(self._inner)
 
-    def _layer(self, j: int):
-        k, jj = divmod(j, self.layers.n_angles)
-        a, r = self.layers.disk(k, jj)
-        return a, r * self.lam_factor
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        j, t = divmod(i, len(self.inner.charts))
-        a, lam = self._layer(j)
+    def _chart(self, i):
+        j, t = divmod(i, len(self._inner))
+        a, lam = self._layer_table
         return suspend_chart(
-            self.inner.charts[t],
-            SuspensionParams(lam=lam, a=a, beta=self.beta))
+            self._inner[t],
+            SuspensionParams(lam=float(lam[j]), a=complex(a[j]), beta=self.beta))
 
-    def __iter__(self):
-        kappa_in = len(self.inner.charts)
-        for j in range(len(self.layers)):
-            a, lam = self._layer(j)
-            p = SuspensionParams(lam=lam, a=a, beta=self.beta)
-            for t in range(kappa_in):
-                yield suspend_chart(self.inner.charts[t], p)
-
-    def __eq__(self, other):
-        if isinstance(other, SuspendedCharts):
-            return (self.inner, self.layers, self.beta) == \
-                   (other.inner, other.layers, other.beta)
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+    def _recipe(self):
+        return self.inner, self.layers, self.beta
 
     # -- bulk access ------------------------------------------------------------
 
+    def chart_arrays(self):
+        blocks = list(self.iter_chart_arrays())
+        if not blocks:
+            return np.zeros((0, 1), complex), np.zeros((0, 1), complex)
+        return (np.concatenate([b for b, _ in blocks]),
+                np.concatenate([d for _, d in blocks]))
+
     def iter_chart_arrays(self):
         """Yield (b, d) blocks, one layer at a time, for streaming scans."""
-        bi, di = chart_arrays(self.inner.charts)
-        a_arr, r_arr = self.layers.disk_arrays()
-        lam_arr = r_arr * self.lam_factor
-        kappa_in = bi.shape[0]
-        for j in range(len(self.layers)):
-            b = np.empty((kappa_in, bi.shape[1] + 1), dtype=complex)
+        bi, di = self._inner.chart_arrays()
+        di = self.beta * di
+        for a, lam in zip(*self._layer_table):
+            b = np.empty((bi.shape[0], bi.shape[1] + 1), dtype=complex)
             d = np.empty_like(b)
             b[:, :-1] = bi
-            b[:, -1] = a_arr[j]
-            d[:, :-1] = self.beta * di
-            d[:, -1] = lam_arr[j]
+            b[:, -1] = a
+            d[:, :-1] = di
+            d[:, -1] = lam
             yield b, d
 
     # -- point location -----------------------------------------------------------
 
-    def covers(self, pts: np.ndarray, scale, tol: float | None = None) -> np.ndarray:
-        pts = np.asarray(pts, dtype=complex)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        n_pts = pts.shape[0]
-        scale = np.broadcast_to(np.asarray(scale, dtype=float), (n_pts,))
+    def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
+        """Layer candidates from the layer family's passes, then the inner
+        family at the scale the exact split leaves for each point."""
+        pts = self._points(pts)
+        scale = np.broadcast_to(np.asarray(scale, dtype=float), pts.shape[:1])
         t = tolerance(tol)
-        covered = np.zeros(n_pts, dtype=bool)
-        if len(self) == 0 or n_pts == 0:
+        covered = np.zeros(pts.shape[0], dtype=bool)
+        if len(self) == 0:
             return covered
-        w = pts[:, -1]
-        v = pts[:, :-1]
-        for base_idx, layer_j in self._layer_passes(w, scale):
-            keep = ~covered[base_idx]
-            idx = base_idx[keep]
-            if idx.size == 0:
-                continue
-            jj = layer_j[keep]
-            a, lam = self._layer_arrays(jj)
-            y2 = np.abs((w[idx] - a) / lam) ** 2
+        w, v = pts[:, -1], pts[:, :-1]
+        a, lam = self._layer_table
+        for idx, j in self.layers.passes(pts[:, -1:], scale * self.lam_factor, covered):
+            y2 = np.abs((w[idx] - a[j]) / lam[j]) ** 2
             s2 = scale[idx] ** 2 * (1.0 + t)
             feas = y2 <= s2
             if not feas.any():
                 continue
             sub = idx[feas]
             inner_scale = self.beta * np.sqrt(np.maximum(s2[feas] - y2[feas], 0.0))
-            ok = covers_points(self.inner.charts, v[sub], inner_scale, tol=t)
-            covered[sub] |= ok
+            covered[sub] |= self._inner.covers(v[sub], inner_scale, tol=t)
         return covered
-
-    def _layer_arrays(self, j: np.ndarray):
-        """Centers and lambda heights of the given layer indices (vectorized)."""
-        j = np.asarray(j, dtype=int)
-        if isinstance(self.layers, _SingleDisk):
-            return np.zeros(j.shape, complex), np.full(j.shape, self.lam_factor)
-        L = self.layers
-        k, jj = np.divmod(j, L.n_angles)
-        rho = L._rho[k]
-        return L.cf * rho * L._unit[jj], L.rf * rho * self.lam_factor
-
-    def _layer_passes(self, w: np.ndarray, scale: np.ndarray):
-        """Enumerate (point indices, layer index per point) candidate passes."""
-        n_pts = w.shape[0]
-        if isinstance(self.layers, _SingleDisk):
-            yield np.arange(n_pts), np.zeros(n_pts, dtype=int)
-            return
-        L = self.layers
-        smax = float(scale.max(initial=0.0))
-        u = np.abs(w)
-        k0 = np.floor(np.log(np.maximum(u, 1e-300)) / math.log(L.q)).astype(int)
-        j0 = np.round(np.angle(w) / (2.0 * math.pi / L.n_angles)).astype(int)
-        ring_offsets, angle_offsets = L._windows(smax, self.lam_factor)
-        for do in ring_offsets:
-            k = k0 + do
-            valid = (k >= 0) & (k < L.n_rings)
-            if not valid.any():
-                continue
-            base = np.nonzero(valid)[0]
-            for da in angle_offsets:
-                j = k[base] * L.n_angles + (j0[base] + da) % L.n_angles
-                yield base, j
 
     def candidates(self, p, scale: float, tol: float | None = None):
         """Indices of all charts that could contain point ``p`` at ``scale``."""
-        p = tuple(p)
-        w, v = p[-1], p[:-1]
+        w, v = complex(p[-1]), p[:-1]
         t = tolerance(tol)
-        kappa_in = len(self.inner.charts)
-        layer_js = self.layers.candidates(complex(w), scale, rmult=self.lam_factor)
-        for j in layer_js:
-            a, lam = self._layer(j)
-            y2 = abs((complex(w) - a) / lam) ** 2
-            s2 = scale * scale * (1.0 + t)
+        a, lam = self._layer_table
+        kappa_in = len(self._inner)
+        s2 = scale * scale * (1.0 + t)
+        for j in self.layers.candidates((w,), scale * self.lam_factor):
+            y2 = abs((w - complex(a[j])) / float(lam[j])) ** 2
             if y2 > s2:
                 continue
             inner_scale = self.beta * math.sqrt(max(s2 - y2, 0.0))
             if inner_scale <= 0.0:
                 continue
-            for tt in chart_candidates(self.inner.charts, v, inner_scale, tol=t):
+            for tt in self._inner.candidates(v, inner_scale, tol=t):
                 yield j * kappa_in + tt
 
     def neighbors(self, i: int, scale: float = 1.0) -> list:
@@ -260,101 +178,42 @@ class SuspendedCharts(Sequence):
         last axis these are the layer disks at ``scale * lam_factor``, on the
         others the inner images at ``scale * beta``.
         """
-        kappa_in = len(self.inner.charts)
+        kappa_in = len(self._inner)
         j, t = divmod(i, kappa_in)
-        inner = chart_neighbors(self.inner.charts, t, scale * self.beta)
+        inner = self._inner.neighbors(t, scale * self.beta)
         return [jj * kappa_in + tt
                 for jj in self.layers.neighbors(j, scale * self.lam_factor)
                 for tt in inner]
 
 
 # ---------------------------------------------------------------------------
-# generic sequence helpers (shared by list-backed and structured coverings)
+# module-level views of the chart-family protocol (any chart sequence)
 # ---------------------------------------------------------------------------
 
 def chart_arrays(charts) -> tuple:
-    """Materialize (b, d) arrays of shape (kappa, dim) for any chart sequence."""
-    if isinstance(charts, RingDisks):
-        return charts.chart_arrays()
-    if isinstance(charts, SuspendedCharts):
-        blocks = list(charts.iter_chart_arrays())
-        if not blocks:
-            return np.zeros((0, 1), complex), np.zeros((0, 1), complex)
-        return (np.concatenate([b for b, _ in blocks]),
-                np.concatenate([d for _, d in blocks]))
-    if not all(isinstance(c, DiagonalAffineChart) for c in charts):
-        raise UnsupportedAmbient(AFFINE_ONLY)
-    b = np.array([c.b for c in charts], dtype=complex)
-    d = np.array([c.d for c in charts], dtype=complex)
-    if b.size == 0:
-        b = b.reshape(0, 1)
-        d = d.reshape(0, 1)
-    return b, d
+    """(b, d) arrays of shape (kappa, dim) for any chart sequence."""
+    return family(charts).chart_arrays()
 
 
-def iter_chart_arrays(charts, block: int = 1 << 18):
+def iter_chart_arrays(charts):
     """Stream (b, d) blocks without materializing lazy chart families."""
-    if isinstance(charts, SuspendedCharts):
-        yield from charts.iter_chart_arrays()
-        return
-    b, d = chart_arrays(charts)
-    for lo in range(0, b.shape[0], block):
-        yield b[lo:lo + block], d[lo:lo + block]
+    yield from family(charts).iter_chart_arrays()
 
 
-def covers_points(charts, pts: np.ndarray, scale, tol: float | None = None) -> np.ndarray:
-    """Vectorized membership of points in the union of chart images.
-
-    Structured chart families answer through their own point location
-    (rings, layers, level branches); plain lists get a blocked scan.
-    """
-    pts = np.asarray(pts, dtype=complex)
-    if isinstance(charts, RingDisks):
-        return charts.covers(pts.ravel() if pts.ndim > 1 else pts, scale, tol=tol)
-    cover_fn = getattr(charts, "covers", None)
-    if cover_fn is not None:
-        return cover_fn(pts, scale, tol=tol)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n_pts = pts.shape[0]
-    scale = np.broadcast_to(np.asarray(scale, dtype=float), (n_pts,))
-    t = tolerance(tol)
-    covered = np.zeros(n_pts, dtype=bool)
-    if len(charts) == 0 or n_pts == 0:
-        return covered
-    b, d = chart_arrays(charts)
-    for lo in range(0, b.shape[0], 512):
-        idx = np.nonzero(~covered)[0]
-        if idx.size == 0:
-            break
-        bb, dd = b[lo:lo + 512], d[lo:lo + 512]
-        z = pts[idx, None, :] - bb[None, :, :]
-        norms = (np.abs(z / dd[None, :, :]) ** 2).sum(axis=2)
-        hit = (norms <= (scale[idx, None] ** 2) * (1.0 + t)).any(axis=1)
-        covered[idx[hit]] = True
-    return covered
+def covers_points(charts, pts, scale, tol: float | None = None) -> np.ndarray:
+    """Vectorized membership of points in the union of chart images."""
+    return family(charts).covers(pts, scale, tol=tol)
 
 
 def chart_candidates(charts, p, scale: float, tol: float | None = None):
     """Candidate chart indices for a single point (superset of the containing set)."""
-    if isinstance(charts, RingDisks):
-        z = complex(p[0]) if isinstance(p, (tuple, list, np.ndarray)) else complex(p)
-        yield from charts.candidates(z, scale)
-        return
-    cand_fn = getattr(charts, "candidates", None)
-    if cand_fn is not None:
-        yield from cand_fn(p, scale, tol=tol)
-        return
-    yield from range(len(charts))
+    yield from family(charts).candidates(p, scale, tol=tol)
 
 
 def chart_neighbors(charts, i: int, scale: float = 1.0) -> list:
     """Sorted superset of the chart indices whose images at ``scale`` can meet
     chart ``i``'s (``i`` included); every index for plain lists."""
-    neighbors_fn = getattr(charts, "neighbors", None)
-    if neighbors_fn is not None:
-        return neighbors_fn(i, scale)
-    return list(range(len(charts)))
+    return family(charts).neighbors(i, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +246,7 @@ def suspend_covering(cov: Covering, delta: float, beta: float) -> Covering:
     theta = mu / beta
     zeta = layer_zeta(mu, beta)
     layer_cov = cover_annulus(delta, zeta)
-    charts = SuspendedCharts(cov, layer_cov.charts, beta=beta, theta=theta)
+    charts = SuspendedCharts(cov, layer_cov.charts, beta=beta)
     ambient = _extended_ambient(cov.ambient, puncture_new_axis=True)
     meta = {
         "construction": "suspension",
@@ -413,7 +272,8 @@ def suspend_trivial(cov: Covering, beta: float) -> Covering:
     if not 1.0 < beta < mu:
         raise InvalidBeta(f"beta must lie in (1, {mu}), got {beta}")
     theta = mu / beta
-    charts = SuspendedCharts(cov, _SingleDisk(), beta=beta, theta=theta)
+    layer = DiagonalAffineChart(b=(0j,), d=(1.0,), gamma=layer_zeta(mu, beta))
+    charts = SuspendedCharts(cov, [layer], beta=beta)
     ambient = _extended_ambient(cov.ambient, puncture_new_axis=False)
     meta = {
         "construction": "suspension_trivial",

@@ -21,6 +21,7 @@ from .core import (
     UnknownBound,
     active_axis_indices,
     chart_contains,
+    family,
     tolerance,
 )
 from .levelset import LevelBranchCharts, level_base_plan, level_residual
@@ -374,18 +375,9 @@ def _branch_witness(c1, c2, wb, tol: float):
 
 
 def _containing_charts(cov: Covering, p, tol: float) -> list:
-    out = []
-    seen = set()
-    for i in chart_candidates(cov.charts, p, 1.0, tol=tol):
-        if i in seen:
-            continue
-        seen.add(i)
-        if isinstance(cov.charts, LevelBranchCharts):
-            if cov.charts.contains(i, p, 1.0, tol=tol):
-                out.append(i)
-        elif chart_contains(cov.charts[i], p, 1.0, tol=tol):
-            out.append(i)
-    return sorted(out)
+    fam = family(cov.charts)
+    return sorted(i for i in set(chart_candidates(cov.charts, p, 1.0, tol=tol))
+                  if fam.contains(i, p, 1.0, tol=tol))
 
 
 def chain_between(cov: Covering, p, q, seed: int = 0,
