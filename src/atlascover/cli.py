@@ -198,7 +198,7 @@ def _run(args) -> int:
         if args.what == "doubling":
             cov = read_covering(args.covering)
             report = certify_doubling(cov)
-            print(f"doubling {int(report.per_chart.sum())}/{report.n_charts} "
+            print(f"doubling {report.n_passed}/{report.n_charts} "
                   f"pass={report.passed}")
             return 0 if report.passed else 1
         if args.what == "achart":

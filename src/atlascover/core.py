@@ -229,8 +229,7 @@ def active_axis_indices(ambient: Ambient) -> tuple:
         return (0,)
     if isinstance(ambient, PolydiscComplement):
         return tuple(sorted(i - 1 for i in ambient.active_axes))
-    raise UnsupportedAmbient(
-        "level-set charts are certified in the levelset module")
+    return ()           # x^alpha = c != 0 meets no coordinate hyperplane
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +266,14 @@ def avoidance_certificate(chart: DiagonalAffineChart, ambient: Ambient,
     """
     if scale > chart.gamma:
         raise ValueError(f"scale {scale} exceeds the chart factor {chart.gamma}")
-    axes = active_axis_indices(ambient)
-    if isinstance(ambient, (PuncturedPlane, PolydiscComplement)) \
-            and ambient.dim != chart.dim:
+    if not isinstance(ambient, (PuncturedPlane, PolydiscComplement)):
+        raise UnsupportedAmbient(
+            "level-set charts are certified in the levelset module")
+    if ambient.dim != chart.dim:
         raise DimensionMismatch(
             f"ambient dim {ambient.dim} != chart dim {chart.dim}")
-    return all(abs(chart.b[i]) > scale * abs(chart.d[i]) for i in axes)
+    return all(abs(chart.b[i]) > scale * abs(chart.d[i])
+               for i in active_axis_indices(ambient))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +323,29 @@ class ChartFamily(Sequence):
         b = np.array([c.b for c in self], dtype=complex)
         d = np.array([c.d for c in self], dtype=complex)
         if b.size == 0:
-            b, d = b.reshape(0, 1), d.reshape(0, 1)
+            b, d = b.reshape(0, self.dim or 1), d.reshape(0, self.dim or 1)
         return b, d
 
     def iter_chart_arrays(self):
         """(b, d) blocks in index order, for streaming scans."""
         yield self.chart_arrays()
+
+    def doubling_factors(self, axes, scale: float, betas=(), **sampling) -> tuple:
+        """1-D boolean factors whose C-order outer product flags every chart:
+        |b_i| > scale * |beta_k ... beta_1 d_i| on every axis in ``axes``, d
+        multiplied by each of ``betas`` in turn as the suspensions above do.
+        Level sets read ``sampling``; this default streams (b, d) blocks."""
+        flags = np.empty(len(self), dtype=bool)
+        pos = 0
+        for b, d in self.iter_chart_arrays():
+            for beta in betas:
+                d = beta * d
+            ok = np.ones(b.shape[0], dtype=bool)
+            for i in axes:
+                ok &= np.abs(b[:, i]) > scale * np.abs(d[:, i])
+            flags[pos:pos + b.shape[0]] = ok
+            pos += b.shape[0]
+        return (flags,)
 
     def _blocks(self, done: np.ndarray):
         """(points not done, lo, hi): scan blocks of at most 2^17 point-chart pairs."""
@@ -380,18 +398,15 @@ class ChartFamily(Sequence):
 class ChartList(ChartFamily):
     """A plain sequence of charts seen as a family: a view, not a copy."""
 
-    def __init__(self, charts: Sequence):
+    def __init__(self, charts: Sequence, dim: int | None = None):
         self.charts = charts
+        self.dim = dim if dim is not None or not len(charts) else charts[0].dim
 
     def __len__(self) -> int:
         return len(self.charts)
 
     def __iter__(self):
         return iter(self.charts)
-
-    @property
-    def dim(self):
-        return self.charts[0].dim if len(self.charts) else None
 
     def _chart(self, i):
         return self.charts[i]
@@ -400,9 +415,9 @@ class ChartList(ChartFamily):
         return self.charts
 
 
-def family(charts: Sequence) -> ChartFamily:
+def family(charts: Sequence, dim: int | None = None) -> ChartFamily:
     """``charts`` itself if it is a chart family, else a `ChartList` view of it."""
-    return charts if isinstance(charts, ChartFamily) else ChartList(charts)
+    return charts if isinstance(charts, ChartFamily) else ChartList(charts, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +451,11 @@ class Covering:
     @property
     def dim(self) -> int:
         return self.ambient.dim
+
+    @property
+    def family(self) -> ChartFamily:
+        """The charts as a `ChartFamily` of the ambient dimension, even when empty."""
+        return family(self.charts, self.dim)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Covering):

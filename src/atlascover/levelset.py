@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .core import (
     LevelOutsideRange,
     MonomialLevelSet,
     NotARegularValue,
+    PolydiscComplement,
     avoidance_certificate,
-    family,
     tolerance,
 )
 from .polydisc import (
@@ -68,7 +69,7 @@ class MonomialLevelChart:
             raise NotARegularValue("0 is the singular value of a monomial")
         if not 0 <= self.branch < self.alpha[0]:
             raise ValueError(f"branch must lie in [0, {self.alpha[0]})")
-        ambient = _base_ambient(self.base.dim)
+        ambient = PolydiscComplement(self.base.dim, range(1, self.base.dim + 1))
         if not avoidance_certificate(self.base, ambient, self.base.gamma):
             raise BranchUndefined(
                 "base chart touches a coordinate hyperplane on its doubled ball; "
@@ -82,32 +83,34 @@ class MonomialLevelChart:
     def dim(self) -> int:
         return self.base.dim + 1
 
-    def branch_log(self, x: np.ndarray) -> np.ndarray:
-        """log of the branch value at base preimage points x, shape (..., n-1)."""
-        x = np.asarray(x, dtype=complex)
-        b = np.asarray(self.base.b)
-        d = np.asarray(self.base.d)
-        abar = np.asarray(self.alpha[1:], dtype=float)
-        s = (abar * (np.log(b) + np.log(1.0 + d * x / b))).sum(axis=-1)
-        a1 = self.alpha[0]
-        return (np.log(self.c) - s) / a1 + 2j * math.pi * self.branch / a1
-
-    def first_coordinate(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.branch_log(x))
-
     def map_points(self, x: np.ndarray) -> np.ndarray:
         """Chart map: x in the (n-1)-ball -> (g_k(phi(x)), phi(x)) in C^n."""
-        x = np.asarray(x, dtype=complex)
-        base_pts = self.base.map_points(x)
-        g = self.first_coordinate(x)
-        return np.concatenate([g[..., None], base_pts], axis=-1)
+        return level_points(np.asarray(self.base.b), np.asarray(self.base.d), self.alpha,
+                            self.c, np.asarray(x, dtype=complex), (self.branch,))[..., 0, :]
+
+    def first_coordinate(self, x: np.ndarray) -> np.ndarray:
+        return self.map_points(x)[..., 0]
 
 
-def _base_ambient(dim):
-    from .core import PolydiscComplement, PuncturedPlane
-    if dim == 1:
-        return PuncturedPlane()
-    return PolydiscComplement(n=dim, active_axes=frozenset(range(1, dim + 1)))
+def level_points(b, d, alpha, c, x, branches) -> np.ndarray:
+    """The chart map (g_k(phi(x)), phi(x)) of the listed branches k over base
+    data (b, d) at base preimage points x.  b, d and x broadcast with base
+    coordinates last; the branches index a new axis before the last."""
+    abar = np.asarray(alpha[1:], dtype=float)
+    s = (abar * (np.log(b) + np.log(1.0 + d * x / b))).sum(axis=-1)
+    a1 = alpha[0]
+    # Python scalars: numpy's complex division can differ from Python's in the last bit
+    logs = ((np.log(c) - s) / a1)[..., None] + np.array([2j * math.pi * k / a1 for k in branches])
+    base = b + d * x
+    return np.concatenate([np.exp(logs)[..., None], np.broadcast_to(
+        base[..., None, :], logs.shape + base.shape[-1:])], axis=-1)
+
+
+def _residual(pts: np.ndarray, alpha, c: complex) -> np.ndarray:
+    """|p^alpha - c| for points p on the last axis, as rows of a 2-D view: numpy
+    rounds a product over the last axis of a higher-rank array differently."""
+    rows = pts.reshape(-1, pts.shape[-1])
+    return np.abs(np.prod(rows ** np.asarray(alpha), axis=-1) - c).reshape(pts.shape[:-1])
 
 
 def evaluate_level_chart(ch: MonomialLevelChart, x, scale: float | None = None):
@@ -125,9 +128,7 @@ def evaluate_level_chart(ch: MonomialLevelChart, x, scale: float | None = None):
 
 def level_residual(ch: MonomialLevelChart, x: np.ndarray) -> np.ndarray:
     """|psi(x)^alpha - c| at base preimage points x (vectorized)."""
-    pts = np.atleast_2d(ch.map_points(x))
-    mono = np.prod(pts ** np.asarray(ch.alpha), axis=-1)
-    return np.abs(mono - ch.c)
+    return _residual(np.atleast_2d(ch.map_points(x)), ch.alpha, ch.c)
 
 
 class LevelBranchCharts(ChartFamily):
@@ -138,7 +139,7 @@ class LevelBranchCharts(ChartFamily):
         self.alpha = tuple(int(a) for a in alpha)
         self.c = complex(c)
         self.alpha1 = self.alpha[0]
-        self._base = family(base_cov.charts)
+        self._base = base_cov.family
         self.dim = len(self.alpha)
 
     def __len__(self) -> int:
@@ -151,6 +152,29 @@ class LevelBranchCharts(ChartFamily):
 
     def _recipe(self):
         return self.base_cov, self.alpha, self.c
+
+    def doubling_factors(self, axes, scale: float, betas=(), *, samples_per_chart: int = 128,
+                         seed: int = 0, tol: float | None = None) -> tuple:
+        """One factor: the base flags on every base axis, which the branches
+        need, and the residual |psi(x)^alpha - c| <= tol |c| at
+        ``samples_per_chart`` seeded points x of the unit ball, in one
+        blocked pass over the base (b, d) arrays and all branches."""
+        nb, s = self.dim - 1, samples_per_chart
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((s, nb)) + 1j * rng.standard_normal((s, nb))
+        x = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-300) \
+            * rng.random((s, 1)) ** (1.0 / (2 * nb))
+        bound = tolerance(tol) * abs(self.c)
+        b, d = self._base.chart_arrays()
+        ok = np.empty((b.shape[0], self.alpha1), dtype=bool)
+        step = max(1, (1 << 15) // max(1, s * self.alpha1))
+        for lo in range(0, b.shape[0], step):
+            pts = level_points(b[lo:lo + step, None], d[lo:lo + step, None], self.alpha,
+                               self.c, x, range(self.alpha1))
+            ok[lo:lo + step] = (_residual(pts, self.alpha, self.c) <= bound).all(axis=1)
+        base_ok = reduce(np.logical_and.outer,
+                         self._base.doubling_factors(tuple(range(nb)), scale)).ravel()
+        return (np.repeat(base_ok, self.alpha1) & ok.ravel(),)
 
     def candidates(self, p, scale: float, tol: float | None = None):
         """Chart indices that could contain the ambient point p = (x1, xbar)."""

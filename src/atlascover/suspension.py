@@ -86,7 +86,7 @@ class SuspendedCharts(ChartFamily):
         self.layers = family(layers)
         self.beta = float(beta)
         self.lam_factor = 1.0 / math.sqrt(1.0 - 1.0 / (beta * beta))
-        self._inner = family(inner.charts)
+        self._inner = inner.family
         self.dim = inner.dim + 1
 
     @cached_property
@@ -129,6 +129,16 @@ class SuspendedCharts(ChartFamily):
             d[:, :-1] = di
             d[:, -1] = lam
             yield b, d
+
+    def doubling_factors(self, axes, scale: float, betas=(), **sampling) -> tuple:
+        """The layer family's factors at ``(lam_factor,) + betas``, then the
+        inner family's at ``(beta,) + betas``: chart (j, t) has d = (beta d_t,
+        lam_factor r_j), so it passes iff layer disk j and inner chart t do."""
+        last = self.dim - 1
+        return (self.layers.doubling_factors((0,) if last in axes else (), scale,
+                                             (self.lam_factor,) + betas)
+                + self._inner.doubling_factors(tuple(i for i in axes if i != last),
+                                               scale, (self.beta,) + betas))
 
     # -- point location -----------------------------------------------------------
 

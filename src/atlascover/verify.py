@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .core import (
+    AtlasError,
     Covering,
     DiagonalAffineChart,
     Disconnected,
@@ -21,16 +23,14 @@ from .core import (
     UnknownBound,
     active_axis_indices,
     chart_contains,
-    family,
     tolerance,
 )
-from .levelset import LevelBranchCharts, level_base_plan, level_residual
+from .levelset import LevelBranchCharts, level_base_plan
 from .polydisc import polydisc_bound, polydisc_plan
 from .suspension import (
     chart_candidates,
     chart_neighbors,
     covers_points,
-    iter_chart_arrays,
 )
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
     pts = region_samples(region, n_samples, seed)
     if pts.shape[0] == 0:
         return CoverageReport(samples_total=0, samples_covered=0)
-    got = covers_points(cov.charts, pts, 1.0, tol=tol)
+    got = covers_points(cov.family, pts, 1.0, tol=tol)
     uncovered = tuple(tuple(p) for p in pts[~got][:100])
     return CoverageReport(samples_total=int(pts.shape[0]),
                           samples_covered=int(got.sum()),
@@ -204,16 +204,58 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
 
 @dataclass(frozen=True)
 class DoublingReport:
-    per_chart: np.ndarray
-    failures: tuple = field(default_factory=tuple)
+    """Per-chart avoidance flags kept as factors: their C-order outer product
+    flags every chart in index order.  A layered covering has one factor per
+    level, outermost first, so level 1 is the last factor; `level_failures`
+    counts the failing flags of each level."""
 
-    @property
-    def passed(self) -> bool:
-        return bool(self.per_chart.all()) if self.per_chart.size else True
+    factors: tuple
 
     @property
     def n_charts(self) -> int:
-        return int(self.per_chart.size)
+        return math.prod(f.size for f in self.factors)
+
+    @property
+    def n_passed(self) -> int:
+        return math.prod(int(f.sum()) for f in self.factors)
+
+    @property
+    def passed(self) -> bool:
+        return self.n_passed == self.n_charts
+
+    @property
+    def level_failures(self) -> dict:
+        m = len(self.factors)
+        return {m - k: int(f.size - f.sum()) for k, f in enumerate(self.factors)}
+
+    @property
+    def failures(self) -> tuple:
+        """The first 100 failing flat chart indices, in increasing order."""
+        fs, out = self.factors, []
+
+        def walk(k, offset):            # the block of fs[k:] at offset holds a failure
+            size = math.prod(f.size for f in fs[k + 1:])
+            rest_ok = all(f.all() for f in fs[k + 1:])
+            for i in np.nonzero(~fs[k])[0] if rest_ok else range(fs[k].size):
+                start = offset + int(i) * size
+                if fs[k][i]:
+                    walk(k + 1, start)
+                else:
+                    out.extend(range(start, start + min(size, 100 - len(out))))
+                if len(out) >= 100:
+                    return
+
+        if not self.passed:
+            walk(0, 0)
+        return tuple(out)
+
+    @property
+    def per_chart(self) -> np.ndarray:
+        """The flag of every chart, materialized (at most 10^8 of them)."""
+        if self.n_charts > 10 ** 8:
+            raise AtlasError(f"{self.n_charts} chart flags are too many to "
+                             "materialize; read the report's factors")
+        return reduce(np.logical_and.outer, self.factors).ravel()
 
 
 def certify_doubling(cov: Covering, samples_per_chart: int = 128,
@@ -221,48 +263,13 @@ def certify_doubling(cov: Covering, samples_per_chart: int = 128,
     """Per-chart avoidance certificates at the full factor gamma.
 
     Affine charts get the exact per-axis disk-separation test on every
-    punctured axis.  Level-branch charts get the base chart's certificate
-    plus a sampled residual bound |psi(x)^alpha - c| <= tol * |c| at unit
-    scale.
+    punctured axis, once per level (`ChartFamily.doubling_factors`).
+    Level-branch charts get the base chart's certificate plus a sampled
+    residual bound |psi(x)^alpha - c| <= tol * |c| at unit scale.
     """
-    charts = cov.charts
-    if isinstance(charts, LevelBranchCharts):
-        return _certify_level(cov, samples_per_chart, seed, tol)
-    axes = active_axis_indices(cov.ambient)
-    flags = np.empty(cov.kappa, dtype=bool)
-    pos = 0
-    for b, d in iter_chart_arrays(charts):
-        ok = np.ones(b.shape[0], dtype=bool)
-        for i in axes:
-            ok &= np.abs(b[:, i]) > cov.gamma * np.abs(d[:, i])
-        flags[pos:pos + b.shape[0]] = ok
-        pos += b.shape[0]
-    failures = tuple(int(i) for i in np.nonzero(~flags)[0][:100])
-    return DoublingReport(per_chart=flags, failures=failures)
-
-
-def _certify_level(cov: Covering, samples_per_chart: int, seed: int,
-                   tol: float | None) -> DoublingReport:
-    t = tolerance(tol)
-    charts = cov.charts
-    base_cov = charts.base_cov
-    rng = np.random.default_rng(seed)
-    dim = base_cov.ambient.dim
-    x = rng.standard_normal((samples_per_chart, dim)) \
-        + 1j * rng.standard_normal((samples_per_chart, dim))
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    x = x / np.maximum(norms, 1e-300) * rng.random((samples_per_chart, 1)) ** (1.0 / (2 * dim))
-    base_axes = range(dim)
-    flags = np.empty(cov.kappa, dtype=bool)
-    c_abs = abs(charts.c)
-    for i in range(cov.kappa):
-        ch = charts[i]
-        base_ok = all(abs(ch.base.b[a]) > ch.base.gamma * abs(ch.base.d[a])
-                      for a in base_axes)
-        res_ok = bool((level_residual(ch, x) <= t * c_abs).all())
-        flags[i] = base_ok and res_ok
-    failures = tuple(int(i) for i in np.nonzero(~flags)[0][:100])
-    return DoublingReport(per_chart=flags, failures=failures)
+    return DoublingReport(cov.family.doubling_factors(
+        active_axis_indices(cov.ambient), cov.gamma,
+        samples_per_chart=samples_per_chart, seed=seed, tol=tol))
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +381,8 @@ def _branch_witness(c1, c2, wb, tol: float):
     return None
 
 
-def _containing_charts(cov: Covering, p, tol: float) -> list:
-    fam = family(cov.charts)
-    return sorted(i for i in set(chart_candidates(cov.charts, p, 1.0, tol=tol))
+def _containing_charts(fam, p, tol: float) -> list:
+    return sorted(i for i in set(chart_candidates(fam, p, 1.0, tol=tol))
                   if fam.contains(i, p, 1.0, tol=tol))
 
 
@@ -394,14 +400,14 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
     compatibility; the witnesses are exact and do not use it.
     """
     t = tolerance(tol)
-    starts = _containing_charts(cov, p, t)
-    goals = set(_containing_charts(cov, q, t))
+    charts = cov.family
+    starts = _containing_charts(charts, p, t)
+    goals = set(_containing_charts(charts, q, t))
     if not starts or not goals:
         raise NoContainingChart("an endpoint lies in no chart of the covering")
     common = sorted(goals.intersection(starts))
     if common:
         return Chain(chart_indices=(common[0],), witnesses=())
-    charts = cov.charts
     base_witness = {}
 
     def witness(i, ci, j):

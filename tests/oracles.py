@@ -1,15 +1,17 @@
 """Independent brute-force oracles the tests check the library against.
 
-Everything here recomputes membership and sampling from the raw formulas,
-deliberately bypassing the library's structural point location.
+Everything here recomputes membership, sampling and doubling certificates
+from the raw formulas, chart by chart, deliberately bypassing the library's
+structural point location and its per-level factoring.
 """
 
 import math
 
 import numpy as np
 
-from atlascover.core import tolerance
-from atlascover.suspension import chart_arrays
+from atlascover.core import active_axis_indices, tolerance
+from atlascover.levelset import level_residual
+from atlascover.suspension import chart_arrays, iter_chart_arrays
 
 
 def brute_covered(charts, pts, scale=1.0, tol=1e-10):
@@ -113,3 +115,35 @@ def _axis_box_candidates(x):
     for ks in per_axis:
         combos = [c + (k,) for c in combos for k in ks]
     return combos
+
+
+def doubling_streamed(cov):
+    """Avoidance flag of every affine chart, streamed over the (b, d) blocks:
+    |b_i| > gamma |d_i| on every punctured axis (the reference answer)."""
+    axes = active_axis_indices(cov.ambient)
+    flags = np.empty(cov.kappa, dtype=bool)
+    pos = 0
+    for b, d in iter_chart_arrays(cov.family):
+        ok = np.ones(b.shape[0], dtype=bool)
+        for i in axes:
+            ok &= np.abs(b[:, i]) > cov.gamma * np.abs(d[:, i])
+        flags[pos:pos + b.shape[0]] = ok
+        pos += b.shape[0]
+    return flags
+
+
+def doubling_level_loop(cov, samples_per_chart=128, seed=0, tol=None):
+    """Flag of every level-branch chart, one chart at a time: the base
+    chart's avoidance on every base axis and the sampled residual of
+    `level_residual` (the reference answer)."""
+    t = tolerance(tol)
+    charts = cov.charts
+    dim = charts.base_cov.ambient.dim
+    x = ball_points(dim, samples_per_chart, seed)
+    flags = np.empty(cov.kappa, dtype=bool)
+    for i in range(cov.kappa):
+        ch = charts[i]
+        base_ok = all(abs(ch.base.b[a]) > ch.base.gamma * abs(ch.base.d[a])
+                      for a in range(dim))
+        flags[i] = base_ok and bool((level_residual(ch, x) <= t * abs(charts.c)).all())
+    return flags

@@ -1,0 +1,142 @@
+"""Factored doubling certificates against the per-chart reference loops."""
+
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from atlascover.annulus import cover_annulus
+from atlascover.cli import main
+from atlascover.core import (
+    AtlasError,
+    Covering,
+    DiagonalAffineChart,
+    PolydiscComplement,
+)
+from atlascover.levelset import cover_monomial_level_set
+from atlascover.polydisc import cover_punctured_polydisc
+from atlascover.suspension import SuspendedCharts
+from atlascover.verify import certify_doubling
+
+from oracles import doubling_level_loop, doubling_streamed
+from test_jsonio import BUILDS
+
+
+def _fat_layer_covering(fat_at):
+    """Level 1 an annulus covering, level 2 the annulus disks of ``layers``
+    with a fat disk (|a| <= gamma * lambda) inserted at index ``fat_at``."""
+    inner = cover_annulus(0.5, 4.0)
+    layers = list(cover_annulus(0.5, 4.0).charts)
+    layers.insert(fat_at, DiagonalAffineChart((0.5,), (0.5,), 4.0))
+    charts = SuspendedCharts(inner, layers, beta=2.0)
+    return Covering(PolydiscComplement(2, {1, 2}), 2.0, charts)
+
+
+AFFINE = dict(BUILDS, **{
+    "polydisc-n2-axis1-small-eta": lambda: cover_punctured_polydisc(2, 0.05, 2.0, {1})[0],
+    "polydisc-n3-axes12": lambda: cover_punctured_polydisc(3, 0.7, 2.0, {1, 2})[0],
+    "polydisc-n4-axes24": lambda: cover_punctured_polydisc(4, 0.9, 2.0, {2, 4})[0],
+    "polydisc-n4-axis3": lambda: cover_punctured_polydisc(4, 0.8, 2.0, {3})[0],
+    "polydisc-n2-1.5e-3": lambda: cover_punctured_polydisc(2, 1.5e-3, 2.0)[0],
+    "fat-layer-first": lambda: _fat_layer_covering(0),
+    "fat-layer-middle": lambda: _fat_layer_covering(17),
+    "list-every-third-fat": lambda: Covering(
+        cover_annulus(0.1, 2.0).ambient, 2.0,
+        [DiagonalAffineChart(c.b, (c.d[0] * (3 if i % 3 == 0 else 1),), 2.0)
+         for i, c in enumerate(cover_annulus(0.1, 2.0).charts)]),
+})
+AFFINE = {k: v for k, v in AFFINE.items() if not k.startswith("level")}
+LEVEL = {
+    "level-21": lambda: cover_monomial_level_set((2, 1), 0.04),
+    "level-211": lambda: cover_monomial_level_set((2, 1, 1), 0.9),
+    "level-31-complex": lambda: cover_monomial_level_set((3, 1), 0.3 + 0.2j),
+    "level-31-small": lambda: cover_monomial_level_set((3, 1), 0.07 + 0.02j),
+}
+
+
+def _same_report(rep, want):
+    assert rep.n_charts == want.size
+    assert rep.n_passed == int(want.sum())
+    assert rep.passed == bool(want.all())
+    assert np.array_equal(rep.per_chart, want)
+    assert rep.failures == tuple(np.nonzero(~want)[0][:100].tolist())
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_factored_flags_equal_the_streamed_loop(name):
+    cov = AFFINE[name]()
+    assert cov.kappa <= 10 ** 7
+    _same_report(certify_doubling(cov), doubling_streamed(cov))
+
+
+@pytest.mark.parametrize("name", LEVEL)
+@pytest.mark.parametrize("tol", [None, 1e-15])
+def test_level_flags_equal_the_chart_loop(name, tol):
+    """At tol 1e-15 the residuals of some charts pass and others fail, so
+    the array pass must round like the chart-by-chart evaluation."""
+    cov = LEVEL[name]()
+    want = doubling_level_loop(cov, samples_per_chart=32, seed=4, tol=tol)
+    _same_report(certify_doubling(cov, samples_per_chart=32, seed=4, tol=tol), want)
+    if tol is not None:
+        assert 0 < want.sum() < want.size
+
+
+def test_a_fat_layer_disk_is_named_by_its_level():
+    cov = _fat_layer_covering(17)
+    rep = certify_doubling(cov)
+    assert rep.level_failures == {1: 0, 2: 1}
+    kappa_in = len(cov.charts.inner.charts)
+    assert rep.failures == tuple(range(17 * kappa_in, 17 * kappa_in + 100))
+    assert rep.n_passed == rep.n_charts - kappa_in
+
+
+@pytest.mark.parametrize("n, eta", [(3, 0.3), (4, 1e-3)])
+def test_certificates_scale_with_the_levels(n, eta):
+    cov, plan = cover_punctured_polydisc(n, eta, 2.0)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rep = certify_doubling(cov)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.failures == ()
+    assert rep.n_charts == rep.n_passed == plan.kappa_final == cov.kappa
+    assert elapsed < 1.0
+    assert peak < 64 * 2 ** 20
+    with pytest.raises(AtlasError, match="too many"):
+        rep.per_chart
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cover_punctured_polydisc(2, 1.5, 2.0)[0],
+    lambda: cover_annulus(2.0, 2.0),
+])
+def test_empty_coverings_pass_vacuously(build):
+    rep = certify_doubling(build())
+    assert rep.passed and rep.n_charts == rep.n_passed == 0
+    assert rep.failures == () and rep.per_chart.size == 0
+
+
+# `atlas verify doubling` stdout as the streamed certificate printed it
+CLI_OUTPUT = {
+    ("annulus", "--delta", "0.01", "--zeta", "2"): "doubling 490/490 pass=True\n",
+    ("polydisc", "--dim", "2", "--eta", "0.75", "--gamma", "2"):
+        "doubling 25110/25110 pass=True\n",
+    ("polydisc", "--dim", "3", "--eta", "0.9", "--gamma", "2", "--active-axes", "1,3"):
+        "doubling 13144/13144 pass=True\n",
+    ("levelset", "--alpha", "2,1", "--c", "0.04,0", "--gamma", "2"):
+        "doubling 700/700 pass=True\n",
+    ("polydisc", "--dim", "2", "--eta", "1.5", "--gamma", "2"): "doubling 0/0 pass=True\n",
+}
+
+
+@pytest.mark.parametrize("argv", CLI_OUTPUT)
+def test_cli_doubling_output(argv, tmp_path, capsys):
+    path = str(tmp_path / "cov.json")
+    assert main(["cover", *argv, "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", "doubling", "--covering", path]) == 0
+    assert capsys.readouterr().out == CLI_OUTPUT[argv]

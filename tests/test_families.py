@@ -106,6 +106,7 @@ TWO_DIM = [
     lambda: cover_punctured_polydisc(2, 0.75, 2.0, {2})[0].charts,
     lambda: [DiagonalAffineChart((0.5, 0.5), (0.25, 0.25), 2.0)],
     lambda: cover_monomial_level_set((2, 1), 0.04).charts,
+    lambda: cover_punctured_polydisc(2, 1.5, 2.0)[0].family,     # no charts
 ]
 
 
