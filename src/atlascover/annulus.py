@@ -103,6 +103,8 @@ class RingDisks(ChartFamily):
         self.q = float(q)
         self.n_angles = int(n_angles)
         self.n_rings = int(n_rings)
+        if not (0.0 < self.q < 1.0 and min(self.n_angles, self.n_rings) >= 0):
+            raise ValueError("ring ratio outside (0, 1) or a negative ring or angle count")
         self.cf = (1.0 + self.q) / 2.0              # center radius / ring radius
         self.rf = self.cf / (2.0 * self.zeta)       # disk radius / ring radius
 

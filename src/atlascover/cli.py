@@ -59,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="atlas",
         description="Doubling coverings with poly-logarithmic chart counts.")
-    ap.add_argument("--version", action="version",
-                    version=f"atlas {__version__} (covering schema {SCHEMA_VERSION})")
+    ap.add_argument("--version", action="version", version=f"atlas {__version__} "
+                    f"(writes covering schema {SCHEMA_VERSION}, reads 1 and 2)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     cover = sub.add_parser("cover", help="build a covering")
@@ -86,6 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--out", required=True)
 
+    for name in ("annulus", "polydisc", "levelset"):
+        csub.choices[name].add_argument("--materialize", action="store_true",
+                                        help="write every chart (schema 1), not the recipe")
     p = csub.add_parser("graph", help="real a-charts for the graph of a*x^mu")
     p.add_argument("--mu", type=_floats, required=True)
     p.add_argument("--coeff", type=float, default=1.0)
@@ -153,7 +156,7 @@ def _run(args) -> int:
     if args.command == "cover":
         if args.what == "annulus":
             cov = cover_annulus(args.delta, args.zeta)
-            write_covering(cov, args.out)
+            write_covering(cov, args.out, args.materialize)
             print(f"kappa={cov.kappa} -> {args.out}")
             return 0
         if args.what == "polydisc":
@@ -166,12 +169,12 @@ def _run(args) -> int:
                                                  active_axes=axes)
             print(json.dumps(plan.to_dict(), separators=(",", ":")))
             if args.out:
-                write_covering(cov, args.out)
+                write_covering(cov, args.out, args.materialize)
                 print(f"kappa={cov.kappa} -> {args.out}")
             return 0
         if args.what == "levelset":
             cov = cover_monomial_level_set(tuple(args.alpha), args.c, args.gamma)
-            write_covering(cov, args.out)
+            write_covering(cov, args.out, args.materialize)
             print(f"kappa={cov.kappa} -> {args.out}")
             return 0
         if args.what == "graph":

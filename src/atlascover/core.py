@@ -21,6 +21,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 TOL_ENV_VAR = "ATLAS_TOL"
+MATERIALIZE_BUDGET = 10 ** 8    # most charts, or chart flags, ever listed at once
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ Files are bit-reproducible for fixed inputs: keys are emitted in a fixed
 order and floats use the shortest round-trip representation, so loading a
 file reproduces the covering field for field.
 
-Charts are written from the covering's (b, d) arrays.  On reading, the lazy
-construction named by ``meta["construction"]`` is rebuilt, and kept with its
-structural index, only when it reproduces every stored chart bit for bit;
-any other file is read as the plain chart list it stores.  A file that does
-not follow the schema raises `MalformedFile`.
+Schema 2 stores a covering's recipe alone when its charts are the lazy family
+that ``meta["construction"]`` builds; reading rebuilds it and checks kappa and
+meta.  Other coverings, and any under ``materialize``, list every chart (schema
+1, as do a-chart atlases); their reader keeps the rebuilt construction only if
+it reproduces every chart bit for bit.  Malformed files raise `MalformedFile`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .annulus import RingDisks
 from .core import (
+    MATERIALIZE_BUDGET,
     AtlasError,
     Covering,
     DiagonalAffineChart,
@@ -38,7 +39,7 @@ from .polydisc import cover_punctured_polydisc, polydisc_plan
 from .real_acharts import MonomialData, RealAChart
 from .suspension import chart_arrays
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"        # written for a covering that has a recipe
 
 
 @contextmanager
@@ -46,7 +47,7 @@ def _reading(what: str):
     """Report a structural error while reading ``what`` as `MalformedFile`."""
     try:
         yield
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -117,12 +118,15 @@ def _pairs(z: np.ndarray) -> np.ndarray:
     return np.stack([z.real, z.imag], axis=-1)
 
 
+def _affine(charts):
+    """The diagonal affine charts under ``charts``: the base of a level family."""
+    return charts.base_cov.charts if isinstance(charts, LevelBranchCharts) else charts
+
+
 def _charts_to_list(charts) -> list:
     """`chart_to_dict` of every chart, built from the (b, d) arrays."""
-    level = isinstance(charts, LevelBranchCharts)
-    b, d = chart_arrays(charts.base_cov.charts if level else charts)
-    rows = zip(_pairs(b).tolist(), _pairs(d).tolist())
-    if not level:
+    rows = zip(*(_pairs(z).tolist() for z in chart_arrays(_affine(charts))))
+    if not isinstance(charts, LevelBranchCharts):
         return [{"kind": "diag_affine", "b": bi, "d": di} for bi, di in rows]
     alpha, c = list(charts.alpha), _c2j(charts.c)
     return [{"kind": "level_branch", "b": bi, "d": di, "branch": k,
@@ -131,14 +135,33 @@ def _charts_to_list(charts) -> list:
 
 
 def covering_to_dict(cov: Covering) -> dict:
+    """Schema 1: every chart, refused above `MATERIALIZE_BUDGET` before any is built."""
+    if cov.kappa > MATERIALIZE_BUDGET:
+        raise AtlasError(f"{cov.kappa} charts are too many to list; write the recipe")
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": "1",
         "ambient": ambient_to_dict(cov.ambient),
         "gamma": cov.gamma,
         "kappa": cov.kappa,
         "charts": _charts_to_list(cov.charts),
         "meta": _jsonable(cov.meta),
     }
+
+
+def recipe_to_dict(cov: Covering) -> dict | None:
+    """Schema 2: the recipe alone, or None when the charts are not the family
+    that ``cov.meta``'s construction builds.  The family types must match, so
+    `==` compares recipes and never scans charts."""
+    meta = _jsonable(cov.meta)
+    try:
+        built = _construction(cov.meta, cov.ambient, cov.gamma, cov.kappa)
+    except (AtlasError, ArithmeticError, KeyError, TypeError, ValueError):
+        return None
+    if not (type(_affine(built.charts)) is type(_affine(cov.charts))
+            and built == cov and _jsonable(built.meta) == meta):
+        return None
+    return {"schema_version": SCHEMA_VERSION, "ambient": ambient_to_dict(cov.ambient),
+            "gamma": cov.gamma, "kappa": cov.kappa, "meta": meta}
 
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
@@ -187,61 +210,74 @@ def _stored_arrays(charts: list, ambient):
     return b[::a1], d[::a1]
 
 
+def _construction(meta: dict, ambient, gamma: float, kappa) -> Covering:
+    """The covering that the construction named in ``meta`` builds on ``ambient``:
+    ``kappa`` charts, no ring table over `MATERIALIZE_BUDGET` (both counted
+    before anything is allocated), and factor ``gamma``."""
+    kind = meta.get("construction")
+    if kind == "whitney_rings" and isinstance(ambient, PuncturedPlane):
+        rings = RingDisks(float(meta["zeta"]), float(meta["ring_ratio"]),
+                          int(meta["n_angles"]), int(meta["n_rings"]))
+        table = total = len(rings)
+        build = lambda: Covering(ambient, rings.zeta, rings, meta)
+    elif kind == "punctured_polydisc" and isinstance(ambient, PolydiscComplement):
+        args = (ambient.n, float(meta["eta"]), float(meta.get("gamma", gamma)),
+                ambient.active_axes)
+        plan = polydisc_plan(*args)
+        table, total = max(plan.per_level_count, default=0), plan.kappa_final
+        build = lambda: cover_punctured_polydisc(*args)[0]
+    elif kind == "monomial_level_graph" and isinstance(ambient, MonomialLevelSet):
+        args = (ambient.alpha, ambient.c, gamma)
+        plan = level_base_plan(*args)
+        table, total = max(plan.per_level_count), ambient.alpha[0] * plan.kappa_final
+        build = lambda: cover_monomial_level_set(*args)
+    else:
+        raise MalformedFile(f"no construction {kind!r} for {ambient!r}")
+    if total != kappa:
+        raise MalformedFile(f"the recipe builds {total} charts, not kappa={kappa}")
+    if table > MATERIALIZE_BUDGET:
+        raise AtlasError(f"a ring table of {table} disks is over the budget")
+    cov = build()
+    if cov.gamma != gamma:
+        raise MalformedFile(f"the recipe builds factor {cov.gamma}, not gamma={gamma}")
+    return cov
+
+
 def _rebuild(meta: dict, ambient, gamma: float, b: np.ndarray, d: np.ndarray):
     """The charts of the construction ``meta`` names if they reproduce (b, d)
-    bit for bit, else None.
-
-    The construction's chart count is checked by count-only arithmetic first,
-    so a meta that promises more charts than the file holds allocates nothing.
-    """
-    level = isinstance(ambient, MonomialLevelSet)
-    kappa = b.shape[0] * (ambient.alpha[0] if level else 1)
-    kind = meta.get("construction")
+    bit for bit, else None."""
+    kappa = b.shape[0] * (ambient.alpha[0] if isinstance(ambient, MonomialLevelSet) else 1)
     try:
-        if kind == "whitney_rings" and isinstance(ambient, PuncturedPlane):
-            zeta, q = float(meta["zeta"]), float(meta["ring_ratio"])
-            n_angles, n_rings = int(meta["n_angles"]), int(meta["n_rings"])
-            if n_angles * n_rings != kappa or min(n_angles, n_rings) < 0:
-                return None
-            cov = Covering(ambient, zeta, RingDisks(zeta, q, n_angles, n_rings))
-        elif kind == "punctured_polydisc" and isinstance(ambient, PolydiscComplement):
-            args = (ambient.n, float(meta["eta"]), float(meta.get("gamma", gamma)),
-                    ambient.active_axes)
-            if polydisc_plan(*args).kappa_final != kappa:
-                return None
-            cov = cover_punctured_polydisc(*args)[0]
-        elif kind == "monomial_level_graph" and level:
-            args = (ambient.alpha, ambient.c, gamma)
-            if ambient.alpha[0] * level_base_plan(*args).kappa_final != kappa:
-                return None
-            cov = cover_monomial_level_set(*args)
-        else:
-            return None
+        cov = _construction(meta, ambient, gamma, kappa)
     except (AtlasError, ArithmeticError, KeyError, TypeError, ValueError):
         return None
-    rb, rd = chart_arrays(cov.charts.base_cov.charts if level else cov.charts)
-    if cov.gamma == gamma and _same_bits(rb, b) and _same_bits(rd, d):
-        return cov.charts
-    return None
+    rb, rd = chart_arrays(_affine(cov.charts))
+    return cov.charts if _same_bits(rb, b) and _same_bits(rd, d) else None
 
 
 def covering_from_dict(d: dict) -> Covering:
     with _reading("covering"):
+        version = d["schema_version"]
         gamma = float(d["gamma"])
         ambient = ambient_from_dict(d["ambient"])
         meta = dict(d.get("meta") or {})
+        if version == SCHEMA_VERSION:
+            if "charts" in d:
+                raise MalformedFile("a schema-2 covering stores its recipe, not charts")
+            cov = _construction(meta, ambient, gamma, d["kappa"])
+            if _jsonable(cov.meta) != meta:
+                raise MalformedFile("meta disagrees with the one its construction builds")
+            return cov
+        if version != "1":
+            raise MalformedFile(f"unknown covering schema_version {version!r}")
         b, dd = _stored_arrays(list(d["charts"]), ambient)
         charts = _rebuild(meta, ambient, gamma, b, dd)
         if charts is None:
             charts = [DiagonalAffineChart(b=x, d=y, gamma=gamma)
                       for x, y in zip(b.tolist(), dd.tolist())]
             if isinstance(ambient, MonomialLevelSet):
-                base_cov = Covering(
-                    ambient=PolydiscComplement(
-                        n=ambient.dim - 1,
-                        active_axes=frozenset(range(1, ambient.dim))),
-                    gamma=gamma, charts=charts)
-                charts = LevelBranchCharts(base_cov, ambient.alpha, ambient.c)
+                base = PolydiscComplement(ambient.dim - 1, range(1, ambient.dim))
+                charts = LevelBranchCharts(Covering(base, gamma, charts), ambient.alpha, ambient.c)
         cov = Covering(ambient=ambient, gamma=gamma, charts=charts, meta=meta)
         if cov.kappa != d.get("kappa", cov.kappa):
             raise MalformedFile("kappa field disagrees with the chart list")
@@ -252,8 +288,11 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-def write_covering(cov: Covering, path) -> None:
-    text = dumps(covering_to_dict(cov))         # built first: no partial file on failure
+def write_covering(cov: Covering, path, materialize: bool = False) -> None:
+    """Write ``cov`` as its recipe (schema 2) when it has one; otherwise, or
+    with ``materialize``, as its chart list (schema 1)."""
+    d = None if materialize else recipe_to_dict(cov)
+    text = dumps(d or covering_to_dict(cov))    # built first: no partial file on failure
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -269,7 +308,7 @@ def read_covering(path) -> Covering:
 
 def achart_atlas_to_dict(charts: list, data: MonomialData, eps: float) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": "1",
         "kind": "real_achart_atlas",
         "mu": list(data.exponents),
         "coefficient": data.coefficient,

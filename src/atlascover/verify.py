@@ -10,6 +10,7 @@ from functools import reduce
 import numpy as np
 
 from .core import (
+    MATERIALIZE_BUDGET,
     AtlasError,
     Covering,
     DiagonalAffineChart,
@@ -202,7 +203,7 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
 # doubling certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoublingReport:
     """Per-chart avoidance flags kept as factors: their C-order outer product
     flags every chart in index order.  A layered covering has one factor per
@@ -210,6 +211,10 @@ class DoublingReport:
     counts the failing flags of each level."""
 
     factors: tuple
+
+    def __eq__(self, other):
+        return (isinstance(other, DoublingReport) and len(self.factors) == len(other.factors)
+                and all(map(np.array_equal, self.factors, other.factors)))
 
     @property
     def n_charts(self) -> int:
@@ -251,8 +256,8 @@ class DoublingReport:
 
     @property
     def per_chart(self) -> np.ndarray:
-        """The flag of every chart, materialized (at most 10^8 of them)."""
-        if self.n_charts > 10 ** 8:
+        """The flag of every chart, materialized (at most `MATERIALIZE_BUDGET`)."""
+        if self.n_charts > MATERIALIZE_BUDGET:
             raise AtlasError(f"{self.n_charts} chart flags are too many to "
                              "materialize; read the report's factors")
         return reduce(np.logical_and.outer, self.factors).ravel()

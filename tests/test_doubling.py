@@ -140,3 +140,10 @@ def test_cli_doubling_output(argv, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "doubling", "--covering", path]) == 0
     assert capsys.readouterr().out == CLI_OUTPUT[argv]
+
+
+def test_reports_compare_factor_by_factor():
+    cov = cover_annulus(0.1, 2.0)
+    assert certify_doubling(cov) == certify_doubling(cov)
+    assert certify_doubling(cov) != certify_doubling(cover_annulus(0.05, 2.0))
+    assert certify_doubling(cov) != certify_doubling(cov).factors
