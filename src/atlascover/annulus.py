@@ -20,6 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    MATERIALIZE_BUDGET,
+    AtlasError,
     ChartFamily,
     Covering,
     DiagonalAffineChart,
@@ -93,18 +95,21 @@ class RingDisks(ChartFamily):
     rf*q^k; the flat index is k * n_angles + j.  Point location goes through
     the ring/angle grid (`passes`) instead of a linear scan.  Every accessor
     reads one disk table, so single disks and the bulk arrays agree bit for
-    bit.
+    bit; a table over `MATERIALIZE_BUDGET` disks is refused before it exists.
     """
 
     dim = 1
 
     def __init__(self, zeta: float, q: float, n_angles: int, n_rings: int):
-        self.zeta = float(zeta)
+        self.zeta = self.gamma = float(zeta)
         self.q = float(q)
         self.n_angles = int(n_angles)
         self.n_rings = int(n_rings)
         if not (0.0 < self.q < 1.0 and min(self.n_angles, self.n_rings) >= 0):
             raise ValueError("ring ratio outside (0, 1) or a negative ring or angle count")
+        if self.n_rings * self.n_angles > MATERIALIZE_BUDGET:
+            raise AtlasError(f"a ring table of {self.n_rings * self.n_angles} disks "
+                             "is over the budget")
         self.cf = (1.0 + self.q) / 2.0              # center radius / ring radius
         self.rf = self.cf / (2.0 * self.zeta)       # disk radius / ring radius
 

@@ -22,7 +22,7 @@ from .jsonio import (
     write_covering,
 )
 from .levelset import cover_monomial_level_set
-from .polydisc import cover_punctured_polydisc, eta_from_delta, polydisc_plan
+from .polydisc import cover_punctured_polydisc, eta_from_delta
 from .real_acharts import DEVIATION_BOUND, MonomialData, cover_monomial_graph, verify_achart_batch
 from .verify import (
     AnnulusRegion,
@@ -161,14 +161,10 @@ def _run(args) -> int:
             return 0
         if args.what == "polydisc":
             axes = frozenset(args.active_axes) if args.active_axes else None
-            if args.count_only:
-                plan = polydisc_plan(args.dim, args.eta, args.gamma, active_axes=axes)
-                print(json.dumps(plan.to_dict(), separators=(",", ":")))
-                return 0
             cov, plan = cover_punctured_polydisc(args.dim, args.eta, args.gamma,
                                                  active_axes=axes)
             print(json.dumps(plan.to_dict(), separators=(",", ":")))
-            if args.out:
+            if args.out and not args.count_only:
                 write_covering(cov, args.out, args.materialize)
                 print(f"kappa={cov.kappa} -> {args.out}")
             return 0

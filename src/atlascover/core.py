@@ -13,6 +13,7 @@ disk separation) exact O(n) formulas.
 from __future__ import annotations
 
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Union
@@ -284,7 +285,8 @@ def avoidance_certificate(chart: DiagonalAffineChart, ambient: Ambient,
 class ChartFamily(Sequence):
     """A sequence of charts that also answers point-location queries.
 
-    Subclasses supply ``__len__``, ``dim``, ``_chart(i)`` for 0 <= i < len
+    Subclasses supply ``__len__``, ``dim``, ``gamma`` (the factor every chart
+    shares, read without building a chart), ``_chart(i)`` for 0 <= i < len
     and ``_recipe()`` (what makes two families of the same type equal).  The
     default queries treat the family as a list of diagonal affine charts and
     scan it; structured families override them with their own index.
@@ -406,6 +408,11 @@ class ChartList(ChartFamily):
     def __len__(self) -> int:
         return len(self.charts)
 
+    @property
+    def gamma(self) -> float | None:
+        """Chart 0's factor; None for an empty list."""
+        return self.charts[0].gamma if len(self.charts) else None
+
     def __iter__(self):
         return iter(self.charts)
 
@@ -442,12 +449,16 @@ class Covering:
         self.meta = dict(meta or {})
         if not self.gamma > 1.0:
             raise InvalidDoublingFactor(f"gamma must exceed 1, got {gamma}")
-        if len(charts) > 0 and abs(charts[0].gamma - self.gamma) > 1e-12:
+        factor = family(charts).gamma
+        if factor is not None and abs(factor - self.gamma) > 1e-12:
             raise ValueError("charts do not share the covering factor")
 
     @property
     def kappa(self) -> int:
-        return len(self.charts)
+        n = self.charts.__len__()       # len() refuses 2^63 and above
+        if n > sys.maxsize:
+            raise AtlasError(f"kappa={n} charts are more than an index can address")
+        return n
 
     @property
     def dim(self) -> int:

@@ -29,13 +29,8 @@ from .core import (
     PolydiscComplement,
     PuncturedPlane,
 )
-from .levelset import (
-    LevelBranchCharts,
-    MonomialLevelChart,
-    cover_monomial_level_set,
-    level_base_plan,
-)
-from .polydisc import cover_punctured_polydisc, polydisc_plan
+from .levelset import LevelBranchCharts, MonomialLevelChart, cover_monomial_level_set
+from .polydisc import cover_punctured_polydisc
 from .real_acharts import MonomialData, RealAChart
 from .suspension import chart_arrays
 
@@ -211,33 +206,23 @@ def _stored_arrays(charts: list, ambient):
 
 
 def _construction(meta: dict, ambient, gamma: float, kappa) -> Covering:
-    """The covering that the construction named in ``meta`` builds on ``ambient``:
-    ``kappa`` charts, no ring table over `MATERIALIZE_BUDGET` (both counted
-    before anything is allocated), and factor ``gamma``."""
+    """The covering that the construction named in ``meta`` builds on ``ambient``,
+    checked to have ``kappa`` charts and factor ``gamma``.  Building lists no
+    chart, and `RingDisks` refuses a ring table over the budget."""
     kind = meta.get("construction")
     if kind == "whitney_rings" and isinstance(ambient, PuncturedPlane):
         rings = RingDisks(float(meta["zeta"]), float(meta["ring_ratio"]),
                           int(meta["n_angles"]), int(meta["n_rings"]))
-        table = total = len(rings)
-        build = lambda: Covering(ambient, rings.zeta, rings, meta)
+        cov = Covering(ambient, rings.zeta, rings, meta)
     elif kind == "punctured_polydisc" and isinstance(ambient, PolydiscComplement):
-        args = (ambient.n, float(meta["eta"]), float(meta.get("gamma", gamma)),
-                ambient.active_axes)
-        plan = polydisc_plan(*args)
-        table, total = max(plan.per_level_count, default=0), plan.kappa_final
-        build = lambda: cover_punctured_polydisc(*args)[0]
+        cov = cover_punctured_polydisc(ambient.n, float(meta["eta"]),
+                                       float(meta.get("gamma", gamma)), ambient.active_axes)[0]
     elif kind == "monomial_level_graph" and isinstance(ambient, MonomialLevelSet):
-        args = (ambient.alpha, ambient.c, gamma)
-        plan = level_base_plan(*args)
-        table, total = max(plan.per_level_count), ambient.alpha[0] * plan.kappa_final
-        build = lambda: cover_monomial_level_set(*args)
+        cov = cover_monomial_level_set(ambient.alpha, ambient.c, gamma)
     else:
         raise MalformedFile(f"no construction {kind!r} for {ambient!r}")
-    if total != kappa:
-        raise MalformedFile(f"the recipe builds {total} charts, not kappa={kappa}")
-    if table > MATERIALIZE_BUDGET:
-        raise AtlasError(f"a ring table of {table} disks is over the budget")
-    cov = build()
+    if cov.kappa != kappa:
+        raise MalformedFile(f"the recipe builds {cov.kappa} charts, not kappa={kappa}")
     if cov.gamma != gamma:
         raise MalformedFile(f"the recipe builds factor {cov.gamma}, not gamma={gamma}")
     return cov

@@ -28,7 +28,6 @@ from .core import (
     Covering,
     DiagonalAffineChart,
     DimensionMismatch,
-    GammaTooSmall,
     LevelOutsideRange,
     MonomialLevelSet,
     NotARegularValue,
@@ -36,12 +35,7 @@ from .core import (
     avoidance_certificate,
     tolerance,
 )
-from .polydisc import (
-    PolydiscCoveringPlan,
-    cover_punctured_polydisc,
-    level_lower_bound,
-    polydisc_plan,
-)
+from .polydisc import PolydiscCoveringPlan, cover_punctured_polydisc, level_lower_bound
 
 
 @dataclass(frozen=True)
@@ -145,6 +139,10 @@ class LevelBranchCharts(ChartFamily):
     def __len__(self) -> int:
         return self.alpha1 * len(self._base)
 
+    @property
+    def gamma(self) -> float | None:
+        return self._base.gamma
+
     def _chart(self, i):
         t, k = divmod(i, self.alpha1)
         return MonomialLevelChart(base=self._base[t], branch=k,
@@ -220,12 +218,10 @@ class LevelBranchCharts(ChartFamily):
         return out
 
 
-def level_base_plan(alpha, c: complex, gamma: float = 2.0) -> PolydiscCoveringPlan:
-    """Count-only mode: the plan of the base covering of {x^alpha = c}.
-
-    eta for the base covering is the coordinate lower bound (|c|)^(1/alpha0);
-    every base chart spawns alpha_1 branches, so kappa = alpha_1 * kappa(base).
-    """
+def _level_base(alpha, c: complex, gamma: float):
+    """(alpha, c, (base covering, base plan)) of {x^alpha = c}: the base
+    covers the punctured polydisc Q_(n-1)^eta at the coordinate lower bound
+    eta = |c|^(1/alpha0)."""
     alpha = tuple(int(a) for a in alpha)
     if not alpha or any(a < 1 for a in alpha):
         raise ValueError("all exponents must be >= 1")
@@ -237,25 +233,28 @@ def level_base_plan(alpha, c: complex, gamma: float = 2.0) -> PolydiscCoveringPl
     if abs(c) >= 1.0:
         raise LevelOutsideRange(
             f"|c| = {abs(c)} >= 1 leaves no room inside the unit polydisc")
-    if not gamma >= 2.0:
-        raise GammaTooSmall(f"the base induction requires gamma >= 2, got {gamma}")
     eta = level_lower_bound(c, 1.0, min(alpha))
-    return polydisc_plan(len(alpha) - 1, eta, gamma)
+    return alpha, c, cover_punctured_polydisc(len(alpha) - 1, eta, gamma)
+
+
+def level_base_plan(alpha, c: complex, gamma: float = 2.0) -> PolydiscCoveringPlan:
+    """Count-only mode: the plan of the base covering of {x^alpha = c}, read
+    off its lazy build.  Every base chart spawns alpha_1 branches, so
+    kappa = alpha_1 * kappa(base)."""
+    return _level_base(alpha, c, gamma)[2][1]
 
 
 def cover_monomial_level_set(alpha, c: complex, gamma: float = 2.0) -> Covering:
     """Cover {x^alpha = c} over the punctured polydisc by branch charts.
 
-    The base covering follows `level_base_plan`.
+    The base covering is the one `level_base_plan` reads.
     """
-    plan = level_base_plan(alpha, c, gamma)
-    alpha, c = tuple(int(a) for a in alpha), complex(c)
-    base_cov, base_plan = cover_punctured_polydisc(plan.n, plan.eta, gamma)
+    alpha, c, (base_cov, base_plan) = _level_base(alpha, c, gamma)
     charts = LevelBranchCharts(base_cov, alpha, c)
     ambient = MonomialLevelSet(alpha=alpha, c=c)
     meta = {
         "construction": "monomial_level_graph",
-        "eta": plan.eta,
+        "eta": base_plan.eta,
         "alpha1": alpha[0],
         "base_kappa": base_cov.kappa,
         "base_plan": base_plan.to_dict(),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .annulus import _angular_count, _ring_count, cover_annulus, default_params
+from .annulus import cover_annulus
 from .core import (
     Covering,
     DiagonalAffineChart,
@@ -23,7 +23,7 @@ from .core import (
     NotARegularValue,
     PolydiscComplement,
 )
-from .suspension import layer_zeta, suspend_covering, suspend_trivial
+from .suspension import suspend_covering, suspend_trivial
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,9 @@ class LevelPlan:
     level: int
     axis_active: bool
     mu: float            # factor of the covering being extended (gamma^n at level 1)
-    zeta: float          # doubling factor of the level's annulus disks (0 if trivial)
+    zeta: float          # factor of the level's layer disks (0 if trivial)
     annulus_count: int   # N_l, number of layer disks (1 if trivial)
-    kappa: int           # chart count after this level
+    kappa: int           # chart count after this level, a Python int
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,7 @@ class PolydiscCoveringPlan:
 
     @property
     def kappa_final(self) -> int:
-        k = 1
-        for lv in self.levels:
-            k *= lv.annulus_count
-        return k if self.levels else 0
+        return self.levels[-1].kappa if self.levels else 0
 
     def to_dict(self) -> dict:
         return {
@@ -82,12 +79,6 @@ class PolydiscCoveringPlan:
         }
 
 
-def _annulus_count(eta: float, zeta: float) -> int:
-    params = default_params(zeta)
-    q = params.ring_ratio
-    return _ring_count(eta, q) * _angular_count(q, zeta, 1.0)
-
-
 def _normalize_axes(n: int, active_axes) -> frozenset:
     if active_axes is None:
         return frozenset(range(1, n + 1))
@@ -101,33 +92,16 @@ def _normalize_axes(n: int, active_axes) -> frozenset:
 
 def polydisc_plan(n: int, eta: float, gamma: float,
                   active_axes=None) -> PolydiscCoveringPlan:
-    """Count-only mode: the per-level annulus sizes without building charts."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if not gamma >= 2.0:
-        raise GammaTooSmall(f"the induction requires gamma >= 2, got {gamma}")
-    axes = _normalize_axes(n, active_axes)
-    if eta >= 1.0:
-        return PolydiscCoveringPlan(n=n, eta=float(eta), gamma=float(gamma))
-    levels = []
-    kappa = 1
-    for l in range(1, n + 1):
-        active = l in axes
-        if l == 1:
-            # level 1 is its own base covering with factor gamma^n
-            mu = gamma ** n
-            zeta = gamma ** n if active else 0.0
-        else:
-            # the suspension producing level l extends the level-(l-1)
-            # covering, whose factor is gamma^(n-l+2)
-            mu = gamma ** (n - l + 2)
-            zeta = layer_zeta(mu, gamma) if active else 0.0
-        count = _annulus_count(eta, zeta) if active else 1
-        kappa *= count
-        levels.append(LevelPlan(level=l, axis_active=active, mu=mu,
-                                zeta=zeta, annulus_count=count, kappa=kappa))
-    return PolydiscCoveringPlan(n=n, eta=float(eta), gamma=float(gamma),
-                                levels=tuple(levels))
+    """Count-only mode: the plan the lazy construction records; no chart is built."""
+    return cover_punctured_polydisc(n, eta, gamma, active_axes)[1]
+
+
+def _level_plan(level: int, active: bool, mu: float, layers, below: int) -> LevelPlan:
+    """The plan of a level just built from ``layers`` over ``below`` charts."""
+    count = len(layers)
+    return LevelPlan(level=level, axis_active=active, mu=mu,
+                     zeta=layers.gamma if active else 0.0,
+                     annulus_count=count, kappa=below * count)
 
 
 def cover_punctured_polydisc(n: int, eta: float, gamma: float,
@@ -137,36 +111,42 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
     Returns (covering, plan).  Level 1 covers the first axis with factor
     gamma^n; each later level suspends with beta = gamma.  eta >= 1 yields the
     empty covering.  Chart storage is lazy: kappa grows like the product of
-    the per-level counts, but construction cost does not.
+    the per-level counts, but construction cost does not, and no chart or
+    ring table is built.  The plan records each level as it is built: the
+    factor mu it extends, its layer family's factor and count, and kappa.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
     if not gamma >= 2.0:
         raise GammaTooSmall(f"the induction requires gamma >= 2, got {gamma}")
     axes = _normalize_axes(n, active_axes)
-    plan = polydisc_plan(n, eta, gamma, active_axes=axes)
+    ambient = PolydiscComplement(n=n, active_axes=axes)
     if eta >= 1.0:
-        cov = Covering(
-            ambient=PolydiscComplement(n=n, active_axes=axes),
-            gamma=float(gamma), charts=[],
-            meta={"construction": "punctured_polydisc", "eta": float(eta),
-                  "n": n, "plan": plan.to_dict()})
+        plan = PolydiscCoveringPlan(n=n, eta=float(eta), gamma=float(gamma))
+        cov = Covering(ambient=ambient, gamma=float(gamma), charts=[],
+                       meta={"construction": "punctured_polydisc", "eta": float(eta),
+                             "n": n, "plan": plan.to_dict()})
         return cov, plan
 
+    mu = gamma ** n
     if 1 in axes:
-        cov = cover_annulus(eta, gamma ** n)
+        cov = cover_annulus(eta, mu)
     else:
-        chart = DiagonalAffineChart(b=(0j,), d=(1.0 + 0j,), gamma=gamma ** n)
+        chart = DiagonalAffineChart(b=(0j,), d=(1.0 + 0j,), gamma=mu)
         cov = Covering(ambient=PolydiscComplement(n=1, active_axes=frozenset()),
-                       gamma=gamma ** n, charts=[chart],
+                       gamma=mu, charts=[chart],
                        meta={"construction": "unpunctured_disc"})
+    levels = [_level_plan(1, 1 in axes, mu, cov.family, 1)]
     for l in range(2, n + 1):
+        mu = cov.gamma
         if l in axes:
             cov = suspend_covering(cov, delta=eta, beta=gamma)
         else:
             cov = suspend_trivial(cov, beta=gamma)
+        levels.append(_level_plan(l, l in axes, mu, cov.charts.layers, levels[-1].kappa))
 
-    ambient = PolydiscComplement(n=n, active_axes=axes)
+    plan = PolydiscCoveringPlan(n=n, eta=float(eta), gamma=float(gamma),
+                                levels=tuple(levels))
     meta = {
         "construction": "punctured_polydisc",
         "eta": float(eta),

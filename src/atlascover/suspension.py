@@ -88,6 +88,7 @@ class SuspendedCharts(ChartFamily):
         self.lam_factor = 1.0 / math.sqrt(1.0 - 1.0 / (beta * beta))
         self._inner = inner.family
         self.dim = inner.dim + 1
+        self.gamma = inner.gamma / self.beta
 
     @cached_property
     def _layer_table(self) -> tuple:

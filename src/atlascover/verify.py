@@ -109,15 +109,11 @@ def _polydisc_random(eta: float, n: int, axes: frozenset, count: int,
 
 def region_samples(region, n_samples: int, seed: int) -> np.ndarray:
     """Deterministic grid plus seeded random points, about half and half."""
+    if isinstance(region, AnnulusRegion):
+        return region_samples(PolydiscRegion(eta=region.delta, n=1), n_samples, seed)
     rng = np.random.default_rng(seed)
     n_grid = n_samples - n_samples // 2
     n_rand = n_samples // 2
-    if isinstance(region, AnnulusRegion):
-        if region.delta >= 1.0:
-            return np.zeros((0, 1), dtype=complex)
-        grid = _polydisc_grid(region.delta, 1, frozenset({1}), n_grid)
-        rand = _polydisc_random(region.delta, 1, frozenset({1}), n_rand, rng)
-        return np.concatenate([grid, rand])
     if isinstance(region, PolydiscRegion):
         if region.eta >= 1.0:
             return np.zeros((0, region.n), dtype=complex)

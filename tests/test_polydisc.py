@@ -1,10 +1,14 @@
+import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from atlascover.annulus import cover_annulus
+from atlascover.annulus import RingDisks, cover_annulus
+from atlascover.cli import main
 from atlascover.core import (
     EtaParams,
     GammaTooSmall,
@@ -19,7 +23,7 @@ from atlascover.polydisc import (
     polydisc_bound,
     polydisc_plan,
 )
-from atlascover.suspension import covers_points, suspend_covering
+from atlascover.suspension import SuspendedCharts, covers_points, suspend_covering
 from atlascover.verify import PolydiscRegion, certify_doubling, check_coverage
 
 from oracles import brute_covered, polydisc_random
@@ -156,6 +160,98 @@ def test_plan_matches_construction():
     assert plan.per_level_zeta[0] == 4.0
     assert plan.per_level_zeta[1] == pytest.approx(8.0 / math.sqrt(3.0), rel=1e-12)
     assert cov.meta["plan"] == plan.to_dict()
+
+
+def built_levels(cov) -> list:
+    """(level, mu, zeta, count, kappa) of every level, read off the built
+    coverings: mu is the factor of the covering a level extends, zeta its
+    layer disks' factor (0 for a one-disk layer), count its layer disks."""
+    out = []
+    while isinstance(cov.charts, SuspendedCharts):
+        layers, inner = cov.charts.layers, cov.charts.inner
+        zeta = layers.zeta if isinstance(layers, RingDisks) else 0.0
+        out.append((inner.gamma, zeta, len(layers), cov.charts.__len__()))
+        cov = inner
+    zeta = cov.charts.zeta if isinstance(cov.charts, RingDisks) else 0.0
+    out.append((cov.gamma, zeta, len(cov.charts), len(cov.charts)))
+    return [(l, *row) for l, row in enumerate(reversed(out), 1)]
+
+
+@pytest.mark.parametrize("gamma", [2.0, 2.2, 3.3])
+@pytest.mark.parametrize("n, axes", [
+    (1, None), (2, None), (2, {2}), (2, {1}), (3, None), (3, {1, 3}), (3, {2}),
+    (4, None), (4, {2, 4}), (4, {1, 2, 3}),
+])
+def test_plan_is_read_off_the_build(n, axes, gamma):
+    """Every level's mu, zeta, count and kappa are those the layers were
+    built with, bit for bit, for gammas whose powers round and for none."""
+    eta = 0.2 if gamma > 3.0 else 0.05
+    cov, plan = cover_punctured_polydisc(n, eta, gamma, active_axes=axes)
+    got = [(lv.level, lv.mu, lv.zeta, lv.annulus_count, lv.kappa) for lv in plan.levels]
+    assert got == built_levels(cov)
+    assert [lv.axis_active for lv in plan.levels] == \
+        [l in (axes or range(1, n + 1)) for l in range(1, n + 1)]
+    assert plan.to_dict() == cov.meta["plan"]
+    assert polydisc_plan(n, eta, gamma, active_axes=axes) == plan
+    assert plan.kappa_final == cov.kappa
+
+
+def test_plan_factors_are_the_built_ones_where_powers_round():
+    """At gamma=2.2, n=4 the fourth level extends a covering of factor 4.84
+    (two divisions of 2.2^4 by 2.2), not 2.2^2 = 4.840000000000001."""
+    plan = polydisc_plan(4, 1e-3, 2.2)
+    assert plan.levels[3].mu == 4.84 != 2.2 ** 2
+    assert plan.levels[3].zeta == 4.939804314612742
+
+
+COUNT_ONLY_BYTES = {        # --count-only stdout before the plan was read off the build
+    ("2", "0.1"): (
+        '{"n":2,"eta":0.1,"gamma":2.0,"levels":[{"level":1,"axis_active":true,'
+        '"mu":4.0,"zeta":4.0,"annulus_count":972,"kappa":972},{"level":2,'
+        '"axis_active":true,"mu":4.0,"zeta":4.618802153517007,"annulus_count":1302,'
+        '"kappa":1265544}],"kappa":1265544}\n'),
+    ("4", "1e-3"): "c3da184891fd573e37b95efa26cc7af3818daf63b80f3d318d57837eb063b828",
+}
+
+
+@pytest.mark.parametrize("dim, eta", COUNT_ONLY_BYTES)
+def test_count_only_bytes_at_gamma_two(capsys, dim, eta):
+    assert main(["cover", "polydisc", "--dim", dim, "--eta", eta, "--gamma", "2",
+                 "--count-only"]) == 0
+    out = capsys.readouterr().out
+    want = COUNT_ONLY_BYTES[dim, eta]
+    assert out == want or hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_lazy_build_allocates_no_ring_table():
+    """n=4, eta=1e-3 has sum N_l = 126,810 layer disks; building lists none."""
+    cover_punctured_polydisc(2, 0.5, 2.0)      # one-off first-call costs are not the build's
+    tracemalloc.start()
+    try:
+        cov, plan = cover_punctured_polydisc(4, 1e-3, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert sum(plan.per_level_count) == 126_810
+    assert cov.kappa == plan.kappa_final == 168_773_782_806_090_000
+
+
+def test_kappa_beyond_an_index_is_a_domain_error(tmp_path, capsys):
+    """n=4, eta=0.01, gamma=3 has kappa = 6.5e19 >= 2^63: it can be counted
+    and planned, but not written or listed."""
+    kappa = 65_171_733_770_154_375_000
+    argv = ["cover", "polydisc", "--dim", "4", "--eta", "0.01", "--gamma", "3"]
+    assert main([*argv, "--count-only"]) == 0
+    assert json.loads(capsys.readouterr().out)["kappa"] == kappa
+    path = tmp_path / "big.json"
+    assert main([*argv, "--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: AtlasError: kappa={kappa}")
+    assert not path.exists()
+    csv = tmp_path / "scaling.csv"
+    assert main(["scaling", "--experiment", "polydisc", "--dim", "4", "--gamma", "3",
+                 "--grid", "0.1,0.03,0.01", "--out", str(csv)]) == 0
+    assert csv.read_text().splitlines()[-1].startswith(f"0.01,{kappa},")
 
 
 def test_bound_formula_value():

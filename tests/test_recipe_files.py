@@ -164,8 +164,7 @@ def test_recipe_keys_are_checked_as_malformed():
 
 @pytest.mark.parametrize("dim, eta, kappa, max_peak", [
     (3, "0.3", 3_686_602_832, 1 << 20),
-    # the construction builds its ring tables, sum N_l = 126,810 disks
-    (4, "1e-3", 168_773_782_806_090_000, 8 << 20),
+    (4, "1e-3", 168_773_782_806_090_000, 1 << 20),
 ], ids=["n3", "n4"])
 def test_coverings_too_large_to_list(tmp_path, capsys, dim, eta, kappa, max_peak):
     path = tmp_path / "big.json"
@@ -186,3 +185,15 @@ def test_coverings_too_large_to_list(tmp_path, capsys, dim, eta, kappa, max_peak
     assert peak < max_peak
     assert not path.exists()
     assert "too many to list" in capsys.readouterr().err
+
+
+def test_ring_table_over_the_budget_is_refused_before_it_exists():
+    tracemalloc.start()
+    try:
+        with pytest.raises(AtlasError, match="over the budget"):
+            RingDisks(2.0, 0.875, 12, 10 ** 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(RingDisks(2.0, 0.875, 10, 10 ** 7)) == 10 ** 8

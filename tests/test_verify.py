@@ -1,3 +1,4 @@
+import hashlib
 import math
 import types
 
@@ -364,3 +365,20 @@ def test_level_region_samples_use_the_base_plan_eta(alpha, c):
                                for k in range(alpha[0])])
     got = region_samples(LevelGraphRegion(alpha, c), n, 3)
     assert got.tobytes() == expected.tobytes()
+
+
+ANNULUS_SAMPLES = {     # sha256 of the samples before the annulus branch was routed
+    (0.1, 0): "99c04c25fe19408a2e5f238b366323b7083623ebc1a868a720f699752c01f351",
+    (1e-3, 7): "78dea117d22310cf91aaa05880e6736d169edb90ca14bcad0aa4801e865bc56e",
+    (0.5, 3): "cb24d8f85eb9ff8d294747ad06c2576c0383ee9a1196de5f4244a1847e41f039",
+    (1.0, 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+@pytest.mark.parametrize("delta, seed", ANNULUS_SAMPLES)
+def test_annulus_samples_are_the_n1_polydisc_samples(delta, seed):
+    got = region_samples(AnnulusRegion(delta), 1001, seed)
+    want = region_samples(PolydiscRegion(eta=delta, n=1), 1001, seed)
+    assert got.shape == want.shape == (0 if delta >= 1.0 else 1029, 1)
+    assert got.tobytes() == want.tobytes()
+    assert hashlib.sha256(got.tobytes()).hexdigest() == ANNULUS_SAMPLES[delta, seed]
