@@ -53,6 +53,7 @@ from .polydisc import (
     polydisc_plan,
 )
 from .real_acharts import (
+    GraphCharts,
     MonomialData,
     RealAChart,
     choose_C3,

@@ -86,14 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--out", required=True)
 
-    for name in ("annulus", "polydisc", "levelset"):
-        csub.choices[name].add_argument("--materialize", action="store_true",
-                                        help="write every chart (schema 1), not the recipe")
     p = csub.add_parser("graph", help="real a-charts for the graph of a*x^mu")
     p.add_argument("--mu", type=_floats, required=True)
     p.add_argument("--coeff", type=float, default=1.0)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--out", required=True)
+
+    for p in csub.choices.values():
+        p.add_argument("--materialize", action="store_true",
+                       help="write every chart (schema 1), not the recipe")
 
     p = sub.add_parser("eta", help="inner radius from a tube width")
     p.add_argument("--delta", type=float, required=True)
@@ -176,7 +177,7 @@ def _run(args) -> int:
         if args.what == "graph":
             data = MonomialData(coefficient=args.coeff, exponents=tuple(args.mu))
             charts = cover_monomial_graph(data, args.eps)
-            write_achart_atlas(charts, data, args.eps, args.out)
+            write_achart_atlas(charts, data, args.eps, args.out, args.materialize)
             print(f"count={len(charts)} -> {args.out}")
             return 0
 

@@ -282,6 +282,15 @@ def avoidance_certificate(chart: DiagonalAffineChart, ambient: Ambient,
 # chart families
 # ---------------------------------------------------------------------------
 
+def chart_count(charts) -> int:
+    """``len(charts)``, or an `AtlasError` when it is too large to index
+    (``len()`` itself refuses 2^63 and above with an `OverflowError`)."""
+    n = charts.__len__()
+    if n > sys.maxsize:
+        raise AtlasError(f"kappa={n} charts are more than an index can address")
+    return n
+
+
 class ChartFamily(Sequence):
     """A sequence of charts that also answers point-location queries.
 
@@ -293,13 +302,20 @@ class ChartFamily(Sequence):
     """
 
     def __getitem__(self, i):
+        n = chart_count(self)
         if isinstance(i, slice):
-            return [self._chart(j) for j in range(*i.indices(len(self)))]
+            return [self._chart(j) for j in range(*i.indices(n))]
         if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
+            i += n
+        if not 0 <= i < n:
             raise IndexError(i)
         return self._chart(i)
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
 
     def __eq__(self, other):
         if type(other) is type(self):
@@ -455,10 +471,7 @@ class Covering:
 
     @property
     def kappa(self) -> int:
-        n = self.charts.__len__()       # len() refuses 2^63 and above
-        if n > sys.maxsize:
-            raise AtlasError(f"kappa={n} charts are more than an index can address")
-        return n
+        return chart_count(self.charts)
 
     @property
     def dim(self) -> int:

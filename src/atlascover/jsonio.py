@@ -5,10 +5,11 @@ order and floats use the shortest round-trip representation, so loading a
 file reproduces the covering field for field.
 
 Schema 2 stores a covering's recipe alone when its charts are the lazy family
-that ``meta["construction"]`` builds; reading rebuilds it and checks kappa and
-meta.  Other coverings, and any under ``materialize``, list every chart (schema
-1, as do a-chart atlases); their reader keeps the rebuilt construction only if
-it reproduces every chart bit for bit.  Malformed files raise `MalformedFile`.
+that ``meta["construction"]`` builds, and an a-chart atlas's when it is the
+`GraphCharts` that ``cover_monomial_graph`` builds; reading rebuilds it and
+checks kappa and meta (count and c3).  Others, and any under ``materialize``,
+list every chart (schema 1); their reader keeps the rebuilt construction only
+if it reproduces every chart bit for bit.  Malformed files raise `MalformedFile`.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .core import (
 )
 from .levelset import LevelBranchCharts, MonomialLevelChart, cover_monomial_level_set
 from .polydisc import cover_punctured_polydisc
-from .real_acharts import MonomialData, RealAChart
+from .real_acharts import GraphCharts, MonomialData, RealAChart, cover_monomial_graph
 from .suspension import chart_arrays
 
-SCHEMA_VERSION = "2"        # written for a covering that has a recipe
+SCHEMA_VERSION = "2"        # written for a covering or atlas that has a recipe
 
 
 @contextmanager
@@ -291,29 +292,96 @@ def read_covering(path) -> Covering:
 # real-chart atlases
 # ---------------------------------------------------------------------------
 
-def achart_atlas_to_dict(charts: list, data: MonomialData, eps: float) -> dict:
-    return {
-        "schema_version": "1",
-        "kind": "real_achart_atlas",
-        "mu": list(data.exponents),
-        "coefficient": data.coefficient,
-        "eps": float(eps),
-        "c3": charts[0].c3 if charts else None,
-        "count": len(charts),
-        "charts": [{"y": list(c.y), "z0": list(c.z0)} for c in charts],
-    }
+def _achart_header(version: str, data: MonomialData, eps: float, c3, count: int) -> dict:
+    return {"schema_version": version, "kind": "real_achart_atlas",
+            "mu": list(data.exponents), "coefficient": data.coefficient,
+            "eps": float(eps), "c3": c3, "count": count}
+
+
+def achart_atlas_to_dict(charts, data: MonomialData, eps: float) -> dict:
+    """Schema 1: every chart's (y, z0), read off the arrays of a `GraphCharts`."""
+    if isinstance(charts, GraphCharts):
+        rows = zip(*(a.tolist() for a in charts.chart_arrays()))
+        c3 = charts.c3 if len(charts) else None
+    else:
+        rows = ((list(c.y), list(c.z0)) for c in charts)
+        c3 = charts[0].c3 if charts else None
+    d = _achart_header("1", data, eps, c3, len(charts))
+    d["charts"] = [{"y": y, "z0": z0} for y, z0 in rows]
+    return d
+
+
+def achart_recipe_to_dict(charts, data: MonomialData, eps: float) -> dict | None:
+    """Schema 2: the recipe alone, or None when ``charts`` are not the family
+    that ``cover_monomial_graph(data, eps)`` builds (compared by recipe)."""
+    if not isinstance(charts, GraphCharts):
+        return None
+    try:
+        built = cover_monomial_graph(data, eps)
+    except (TypeError, ValueError):
+        return None
+    if built != charts:
+        return None
+    return _achart_header(SCHEMA_VERSION, data, eps, built.c3, len(built))
+
+
+def _float_array(rows: list, shape: tuple) -> np.ndarray:
+    arr = np.array(rows, dtype=float) if rows else np.zeros(shape)
+    if arr.shape != shape:
+        raise MalformedFile(f"expected chart data of shape {shape}, got {arr.shape}")
+    return arr
+
+
+def _rebuild_graph(data: MonomialData, eps, c3, rows: list):
+    """``cover_monomial_graph(data, eps)`` if it reproduces the stored charts
+    (C3 and the (y, z0) arrays) bit for bit, else None."""
+    try:
+        charts = cover_monomial_graph(data, eps)
+    except (TypeError, ValueError):
+        return None
+    shape = (len(rows), data.m)
+    y = _float_array([r["y"] for r in rows], shape)
+    z0 = _float_array([r["z0"] for r in rows], shape)
+    if rows and c3 != charts.c3:
+        return None
+    same = all(_same_bits(a, b) for a, b in zip(charts.chart_arrays(), (y, z0)))
+    return charts if same else None
 
 
 def achart_atlas_from_dict(d: dict):
+    """(charts, data, eps) of an atlas file.  Schema 2 rebuilds the family and
+    checks ``count`` and ``c3``; schema 1 is that family when its charts
+    reproduce it, else a list of `RealAChart`."""
     with _reading("a-chart atlas"):
+        version = d["schema_version"]
+        if d["kind"] != "real_achart_atlas":
+            raise MalformedFile(f"not an a-chart atlas: kind {d['kind']!r}")
         data = MonomialData(coefficient=d["coefficient"], exponents=tuple(d["mu"]))
-        charts = [RealAChart(y=tuple(c["y"]), z0=tuple(c["z0"]), c3=d["c3"], data=data)
-                  for c in d["charts"]]
-        return charts, data, d["eps"]
+        eps = d["eps"]
+        if version == SCHEMA_VERSION:
+            if "charts" in d:
+                raise MalformedFile("a schema-2 atlas stores its recipe, not charts")
+            charts = cover_monomial_graph(data, eps)
+            if d["count"] != len(charts) or d["c3"] != charts.c3:
+                raise MalformedFile(
+                    f"the recipe builds {len(charts)} charts with C3={charts.c3}, "
+                    f"not count={d['count']} with c3={d['c3']}")
+            return charts, data, eps
+        if version != "1":
+            raise MalformedFile(f"unknown atlas schema_version {version!r}")
+        rows = list(d["charts"])
+        charts = _rebuild_graph(data, eps, d["c3"], rows)
+        if charts is None:
+            charts = [RealAChart(y=tuple(c["y"]), z0=tuple(c["z0"]), c3=d["c3"], data=data)
+                      for c in rows]
+        return charts, data, eps
 
 
-def write_achart_atlas(charts, data, eps, path) -> None:
-    text = dumps(achart_atlas_to_dict(charts, data, eps))
+def write_achart_atlas(charts, data, eps, path, materialize: bool = False) -> None:
+    """Write the atlas as its recipe (schema 2) when it has one; otherwise,
+    or with ``materialize``, as its chart list (schema 1)."""
+    d = None if materialize else achart_recipe_to_dict(charts, data, eps)
+    text = dumps(d or achart_atlas_to_dict(charts, data, eps))
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import NotHolomorphic, tolerance
+from .core import ChartFamily, NotHolomorphic, tolerance
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,12 @@ def axis_scale_centers(eps: float) -> list:
     return [(2.0 / 3.0) * 2.0 ** -k for k in range(K + 1)]
 
 
+def _product_rows(values, m: int) -> np.ndarray:
+    """Rows of values^m, shape (len(values)^m, m), in `itertools.product` order."""
+    axes = np.meshgrid(*([np.asarray(values, dtype=float)] * m), indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, m)
+
+
 def cover_unit_cube_scales(eps: float, m: int) -> list:
     """Product grid of box centers covering (eps, 1)^m; count = (K+1)^m."""
     if m < 1:
@@ -175,7 +182,79 @@ def offset_grid(c3: float) -> list:
     return [float(z) for z in range(-2 * half + 1, 2 * half, 2)]
 
 
-def cover_monomial_graph(data: MonomialData, eps: float) -> list:
+class AtlasFactors:
+    """An a-chart atlas as (kept boxes, offset tuples): chart i has center
+    ``boxes[box_of][i]`` and offset ``tuples[tuple_of][i]`` once the two index
+    arrays are broadcast together and raveled.  A `GraphCharts` gives every
+    (box, tuple) pair, box-major (``every_pair``); a plain list indexes its
+    charts' unique rows."""
+
+    def __init__(self, data, c3, boxes, box_of, tuples, tuple_of, every_pair):
+        self.data, self.c3 = data, float(c3)
+        self.boxes, self.box_of = boxes, box_of
+        self.tuples, self.tuple_of = tuples, tuple_of
+        self.every_pair = every_pair
+
+    @cached_property
+    def keys(self) -> "_ChartKeys":
+        return _ChartKeys(self)
+
+
+def _factors(charts) -> AtlasFactors:
+    """The factors of a non-empty atlas: handed over by a `GraphCharts`,
+    found again with `np.unique` over the charts of a plain list."""
+    if isinstance(charts, GraphCharts):
+        return charts.factors
+    data, c3 = charts[0].data, charts[0].c3
+    if any(c.data != data or c.c3 != c3 for c in charts):
+        raise ValueError("charts of one atlas must share their monomial data and C3")
+    boxes, box_of = np.unique([c.y for c in charts], axis=0, return_inverse=True)
+    tuples, tuple_of = np.unique([c.z0 for c in charts], axis=0, return_inverse=True)
+    return AtlasFactors(data, c3, boxes, box_of.reshape(-1), tuples, tuple_of.reshape(-1),
+                        every_pair=False)
+
+
+class GraphCharts(ChartFamily):
+    """The a-charts of `cover_monomial_graph`: every kept dyadic box center
+    times every offset tuple of the 1-D grid, box-major, the tuples in
+    `itertools.product` order.  It stores the K centers and the V offsets,
+    not K * V^m charts: a chart is built only when one is indexed, and the
+    scan, the membership lookup and the file writer read the factors."""
+
+    def __init__(self, data: MonomialData, eps: float, c3: float, boxes, offsets):
+        self.data = data
+        self.eps = float(eps)
+        self.c3 = float(c3)
+        self.boxes = np.asarray(boxes, dtype=float).reshape(-1, data.m)
+        self.offsets = np.asarray(offsets, dtype=float)
+        self.m = self.dim = data.m
+
+    def __len__(self) -> int:
+        return len(self.boxes) * len(self.offsets) ** self.m
+
+    def _chart(self, i):
+        box, t = divmod(i, len(self.offsets) ** self.m)
+        z0 = self.offsets[list(np.unravel_index(t, (len(self.offsets),) * self.m))]
+        return RealAChart(y=self.boxes[box], z0=z0, c3=self.c3, data=self.data)
+
+    def _recipe(self):
+        return (self.data, self.c3, self.boxes.shape, self.boxes.tobytes(),
+                self.offsets.tobytes())
+
+    @cached_property
+    def factors(self) -> AtlasFactors:
+        tuples = _product_rows(self.offsets, self.m)
+        return AtlasFactors(self.data, self.c3, self.boxes, np.arange(len(self.boxes))[:, None],
+                            tuples, np.arange(len(tuples))[None, :], every_pair=True)
+
+    def chart_arrays(self) -> tuple:
+        """(y, z0) of every chart, shape (len, m) each."""
+        f = self.factors
+        y, z0 = np.broadcast_arrays(self.boxes[f.box_of], f.tuples[f.tuple_of])
+        return y.reshape(-1, self.m), z0.reshape(-1, self.m)
+
+
+def cover_monomial_graph(data: MonomialData, eps: float) -> GraphCharts:
     """Charts covering the graph of a * x^mu over {x in (eps,1)^m : a x^mu < 1}.
 
     A dyadic box is kept iff it meets the domain (its closed-box minimum of
@@ -185,21 +264,10 @@ def cover_monomial_graph(data: MonomialData, eps: float) -> list:
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
-    mu = data.exponents
-    M = data.abs_degree
-    c3 = choose_C3(mu, 3.0 ** M)
-    offsets = offset_grid(c3)
-    rmin = box_min_ratio(mu)
-    charts = []
-    for y in cover_unit_cube_scales(eps, data.m):
-        if data.value(np.asarray(y)) * rmin >= 1.0:
-            continue
-        grids = [()]
-        for _ in range(data.m):
-            grids = [g + (z,) for g in grids for z in offsets]
-        for z0 in grids:
-            charts.append(RealAChart(y=y, z0=z0, c3=c3, data=data))
-    return charts
+    c3 = choose_C3(data.exponents, 3.0 ** data.abs_degree)
+    centers = _product_rows(axis_scale_centers(eps), data.m)
+    keep = ~(data.value(centers) * box_min_ratio(data.exponents) >= 1.0)
+    return GraphCharts(data, eps, c3, centers[keep], offset_grid(c3))
 
 
 def graph_count_bound(data: MonomialData, eps: float) -> float:
@@ -283,7 +351,7 @@ def scan_points(m: int, grid: int, interior: int, seed: int = 0) -> np.ndarray:
     return np.concatenate([boundary, radii * np.exp(1j * thetas)], axis=0)
 
 
-def verify_achart_batch(charts: list, grid: int = 16, interior: int = 1000,
+def verify_achart_batch(charts, grid: int = 16, interior: int = 1000,
                         seed: int = 0) -> np.ndarray:
     """Max-coordinate deviations of every chart of one atlas (the points and
     values of `verify_achart`), factored by dyadic box and offset tuple.
@@ -293,16 +361,13 @@ def verify_achart_batch(charts: list, grid: int = 16, interior: int = 1000,
     D(z0) = max_z |prod u^mu(z) - prod u^mu(0)|, and the affine deviation
     max_z max_i y_i |z_i| / (2 C3) depends on y alone.
     """
-    if not charts:
+    if not len(charts):
         scan_points(1, grid, 0)             # the grid check of every atlas
         return np.zeros(0)
-    data, c3 = charts[0].data, charts[0].c3
-    if any(c.data != data or c.c3 != c3 for c in charts):
-        raise ValueError("charts of one batch must share their monomial data and C3")
+    f = _factors(charts)
+    data, c3, tuples = f.data, f.c3, f.tuples
     mu = np.asarray(data.exponents)
     z = np.vstack([scan_points(data.m, grid, interior, seed), np.zeros(data.m)])  # center last
-    boxes, box_of = np.unique([c.y for c in charts], axis=0, return_inverse=True)
-    tuples, tuple_of = np.unique([c.z0 for c in charts], axis=0, return_inverse=True)
     values = np.unique(tuples)
     # u^mu per offset value, axis and point (the center is the last point)
     powers = (1.0 + (values[:, None, None] + z.T) / (2.0 * c3)) ** mu[:, None]  # (V, m, P)
@@ -313,9 +378,9 @@ def verify_achart_batch(charts: list, grid: int = 16, interior: int = 1000,
         k = idx[lo:lo + step]
         prod = np.prod(powers[k, np.arange(data.m)], axis=1)        # (t, P)
         spread[lo:lo + step] = np.abs(prod - prod[:, -1:]).max(axis=1)
-    affine = (boxes * np.abs(z).max(axis=0)).max(axis=1) / (2.0 * c3)
-    graph = data.coefficient * np.prod(boxes ** mu, axis=1)
-    dev = np.maximum(affine[box_of], graph[box_of] * spread[tuple_of])
+    affine = (f.boxes * np.abs(z).max(axis=0)).max(axis=1) / (2.0 * c3)
+    graph = data.coefficient * np.prod(f.boxes ** mu, axis=1)
+    dev = np.maximum(affine[f.box_of], graph[f.box_of] * spread[f.tuple_of]).reshape(-1)
     if not np.isfinite(dev).all():
         raise NotHolomorphic("extension evaluation produced non-finite values")
     return dev
@@ -325,7 +390,7 @@ def verify_achart_batch(charts: list, grid: int = 16, interior: int = 1000,
 # graph coverage (membership of real graph points in the chart union)
 # ---------------------------------------------------------------------------
 
-def graph_membership(charts: list, xs: np.ndarray,
+def graph_membership(charts, xs: np.ndarray,
                      tol: float | None = None) -> np.ndarray:
     """Which real points (x, a x^mu) lie in some chart's real image.
 
@@ -340,11 +405,13 @@ def graph_membership(charts: list, xs: np.ndarray,
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     out = np.zeros(xs.shape[0], dtype=bool)
-    if not charts or xs.shape[1] != charts[0].m:
+    if not len(charts):
+        return out
+    f = _factors(charts)
+    if xs.shape[1] != f.data.m:
         return out
     t = tolerance(tol)
-    c3 = charts[0].c3
-    k_values, z0_values, levels = _chart_keys(charts)
+    c3, keys = f.c3, f.keys
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lg = np.log2((2.0 / 3.0) / xs)
     rows = np.nonzero(np.isfinite(lg).all(axis=1))[0]
@@ -357,55 +424,76 @@ def graph_membership(charts: list, xs: np.ndarray,
     z0 = 2.0 * np.floor(u / 2.0) + 1.0
     ok = ((k >= 0) & (y / 2.0 < x) & (x < 3.0 * y / 2.0)
           & (np.abs(u) < c3 * (1.0 + t)) & (np.abs(u - z0) <= 1.0 + t))
-    rk = np.minimum(np.searchsorted(k_values, k), len(k_values) - 1)
-    rz = np.minimum(np.searchsorted(z0_values, z0), len(z0_values) - 1)
-    ok &= (k_values[rk] == k) & (z0_values[rz] == z0)
-    code = rk * len(z0_values) + rz
+    rk = np.minimum(np.searchsorted(keys.k_values, k), len(keys.k_values) - 1)
+    rz = np.minimum(np.searchsorted(keys.z0_values, z0), len(keys.z0_values) - 1)
+    ok &= (keys.k_values[rk] == k) & (keys.z0_values[rz] == z0)
     member = np.zeros(len(rows), dtype=bool)
     axes = np.arange(xs.shape[1])
     for slots in itertools.product(range(3), repeat=xs.shape[1]):
         idx = np.nonzero(ok[:, axes, slots].all(axis=1) & ~member)[0]
         if idx.size:
-            member[idx] = _key_lookup(levels, len(k_values) * len(z0_values),
-                                      code[idx[:, None], axes, slots])
+            member[idx] = keys.lookup(rk[idx[:, None], axes, slots],
+                                      rz[idx[:, None], axes, slots])
     out[rows] = member
     return out
 
 
-def _chart_keys(charts: list):
-    """Sorted chart scales k = round(log2((2/3) / y)), sorted offsets z0, and
-    the per-axis prefix tables of the key rows (k, z0) (see `_key_lookup`).
+class _ChartKeys:
+    """Exact-match tables of an atlas's chart keys (k, z0), where
+    k = round(log2((2/3) / y)) per axis.
 
-    Each axis is coded as rank(k) * len(z0 values) + rank(z0); the tables
-    rank the key prefixes axis by axis, so codes stay below kappa * radix.
+    A key is the pair (k row of its box, its offset tuple).  Each half is
+    found by per-axis prefix tables over the boxes or the tuples of the
+    factors (see `_row_lookup`), and the pair in a sorted table of the
+    charts' pairs unless the atlas holds every pair.
     """
-    m = charts[0].m
 
-    def flat(field):
-        rows = itertools.chain.from_iterable(getattr(c, field) for c in charts)
-        return np.fromiter(rows, dtype=float, count=len(charts) * m)
+    def __init__(self, f: AtlasFactors):
+        y_values, y_of = np.unique(f.boxes, return_inverse=True)
+        k_of_y = np.fromiter((round(math.log2((2.0 / 3.0) / v)) for v in y_values),
+                             dtype=np.int64, count=len(y_values))
+        self.k_values, k_of = np.unique(k_of_y[y_of], return_inverse=True)
+        self.z0_values, z0_of = np.unique(f.tuples, return_inverse=True)
+        self.box_levels, box_row = _row_tables(k_of.reshape(f.boxes.shape),
+                                               len(self.k_values))
+        self.tuple_levels, tuple_row = _row_tables(z0_of.reshape(f.tuples.shape),
+                                                   len(self.z0_values))
+        self.radix = len(f.tuples)
+        self.pairs = None
+        if not f.every_pair:
+            self.pairs = np.unique(box_row[f.box_of] * self.radix + tuple_row[f.tuple_of])
 
-    y_values, y_of = np.unique(flat("y"), return_inverse=True)
-    k_of_y = np.fromiter((round(math.log2((2.0 / 3.0) / v)) for v in y_values),
-                         dtype=np.int64, count=len(y_values))
-    k_values, k_of = np.unique(k_of_y[y_of], return_inverse=True)
-    z0_values, z0_of = np.unique(flat("z0"), return_inverse=True)
-    codes = (k_of * len(z0_values) + z0_of).reshape(len(charts), m)
-    radix = len(k_values) * len(z0_values)
-    prefix = np.zeros(len(charts), dtype=np.int64)
+    def lookup(self, k_ranks: np.ndarray, z0_ranks: np.ndarray) -> np.ndarray:
+        """Whether each row of per-axis ranks of k and z0, shape (N, m), is a chart key."""
+        hit, box_row = _row_lookup(self.box_levels, len(self.k_values), k_ranks)
+        tuple_hit, tuple_row = _row_lookup(self.tuple_levels, len(self.z0_values), z0_ranks)
+        hit &= tuple_hit
+        if self.pairs is not None:
+            code = box_row * self.radix + tuple_row
+            at = np.minimum(np.searchsorted(self.pairs, code), len(self.pairs) - 1)
+            hit &= self.pairs[at] == code
+        return hit
+
+
+def _row_tables(codes: np.ndarray, radix: int) -> tuple:
+    """Per-axis prefix tables of the rows of ``codes`` (values below ``radix``)
+    and each row's rank in the last table.  Table i ranks the distinct
+    prefixes of axes 0..i, so its entries stay below rows * radix."""
+    prefix = np.zeros(codes.shape[0], dtype=np.int64)
     levels = []
-    for i in range(m):
+    for i in range(codes.shape[1]):
         table, prefix = np.unique(prefix * radix + codes[:, i], return_inverse=True)
         levels.append(table)
-    return k_values, z0_values, levels
+    return levels, prefix
 
 
-def _key_lookup(levels: list, radix: int, codes: np.ndarray) -> np.ndarray:
-    """Whether each row of per-axis codes, shape (N, m), is a chart key."""
+def _row_lookup(levels: list, radix: int, codes: np.ndarray) -> tuple:
+    """Whether each row of ``codes``, shape (N, m), is a row of the tables,
+    and its rank in the last table where it is."""
     hit = np.ones(codes.shape[0], dtype=bool)
     prefix = np.zeros(codes.shape[0], dtype=np.int64)
     for i, table in enumerate(levels):
         key = prefix * radix + codes[:, i]
         prefix = np.minimum(np.searchsorted(table, key), len(table) - 1)
         hit &= table[prefix] == key
-    return hit
+    return hit, prefix

@@ -28,6 +28,7 @@ from .core import (
     PolydiscComplement,
     PuncturedPlane,
     UnsupportedAmbient,
+    chart_count,
     family,
     tolerance,
 )
@@ -150,7 +151,7 @@ class SuspendedCharts(ChartFamily):
         scale = np.broadcast_to(np.asarray(scale, dtype=float), pts.shape[:1])
         t = tolerance(tol)
         covered = np.zeros(pts.shape[0], dtype=bool)
-        if len(self) == 0:
+        if chart_count(self) == 0:
             return covered
         w, v = pts[:, -1], pts[:, :-1]
         a, lam = self._layer_table

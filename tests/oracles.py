@@ -11,6 +11,13 @@ import numpy as np
 
 from atlascover.core import active_axis_indices, tolerance
 from atlascover.levelset import level_residual
+from atlascover.real_acharts import (
+    RealAChart,
+    box_min_ratio,
+    choose_C3,
+    cover_unit_cube_scales,
+    offset_grid,
+)
 from atlascover.suspension import chart_arrays, iter_chart_arrays
 
 
@@ -68,6 +75,27 @@ def level_covers_loop(charts, pts, scale, tol=None):
                 out[i] = True
                 break
     return out
+
+
+def cover_monomial_graph_list(data, eps):
+    """`real_acharts.cover_monomial_graph` as a flat list, one box and one
+    offset tuple at a time (the reference atlas, in the family's order)."""
+    if not 0.0 < eps < 0.5:
+        raise ValueError("eps must lie in (0, 1/2)")
+    mu = data.exponents
+    c3 = choose_C3(mu, 3.0 ** data.abs_degree)
+    offsets = offset_grid(c3)
+    rmin = box_min_ratio(mu)
+    charts = []
+    for y in cover_unit_cube_scales(eps, data.m):
+        if data.value(np.asarray(y)) * rmin >= 1.0:
+            continue
+        grids = [()]
+        for _ in range(data.m):
+            grids = [g + (z,) for g in grids for z in offsets]
+        for z0 in grids:
+            charts.append(RealAChart(y=y, z0=z0, c3=c3, data=data))
+    return charts
 
 
 def graph_membership_loop(charts, xs, tol=None):

@@ -13,8 +13,10 @@ def _out_of_memory(*args, **kwargs):
 @pytest.mark.parametrize("builder, argv", [
     ("covering_to_dict", ["cover", "annulus", "--delta", "0.1", "--zeta", "2",
                           "--materialize"]),
-    ("achart_atlas_to_dict", ["cover", "graph", "--mu", "1", "--eps", "0.3"]),
+    ("achart_atlas_to_dict", ["cover", "graph", "--mu", "1", "--eps", "0.3",
+                              "--materialize"]),
     ("recipe_to_dict", ["cover", "annulus", "--delta", "0.1", "--zeta", "2"]),
+    ("achart_recipe_to_dict", ["cover", "graph", "--mu", "1", "--eps", "0.3"]),
 ])
 def test_memory_error_exits_2_without_a_file(tmp_path, monkeypatch, capsys, builder, argv):
     monkeypatch.setattr(jsonio, builder, _out_of_memory)

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from atlascover.annulus import RingDisks, cover_annulus
 from atlascover.cli import main
 from atlascover.core import (
+    AtlasError,
     EtaParams,
     GammaTooSmall,
     NotARegularValue,
@@ -252,6 +253,17 @@ def test_kappa_beyond_an_index_is_a_domain_error(tmp_path, capsys):
     assert main(["scaling", "--experiment", "polydisc", "--dim", "4", "--gamma", "3",
                  "--grid", "0.1,0.03,0.01", "--out", str(csv)]) == 0
     assert csv.read_text().splitlines()[-1].startswith(f"0.01,{kappa},")
+
+
+def test_kappa_beyond_an_index_in_memory_is_a_domain_error():
+    """The same covering built in memory: indexing a chart and sampling its
+    coverage raise `AtlasError`, not numpy's or Python's `OverflowError`."""
+    cov = cover_punctured_polydisc(4, 0.01, 3.0)[0]
+    region = PolydiscRegion(eta=0.01, n=4, active_axes=frozenset(range(1, 5)))
+    for call in (lambda: cov.charts[5], lambda: cov.kappa,
+                 lambda: check_coverage(cov, region, n_samples=100)):
+        with pytest.raises(AtlasError, match="more than an index can address"):
+            call()
 
 
 def test_bound_formula_value():
