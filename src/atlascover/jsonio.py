@@ -32,7 +32,14 @@ from .core import (
 )
 from .levelset import LevelBranchCharts, MonomialLevelChart, cover_monomial_level_set
 from .polydisc import cover_punctured_polydisc
-from .real_acharts import GraphCharts, MonomialData, RealAChart, cover_monomial_graph
+from .real_acharts import (
+    GraphCharts,
+    MonomialData,
+    RealAChart,
+    cover_monomial_graph,
+    graph_c3,
+    graph_grid_size,
+)
 from .suspension import chart_arrays
 
 SCHEMA_VERSION = "2"        # written for a covering or atlas that has a recipe
@@ -165,12 +172,17 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
+def _float_array(rows: list, shape: tuple) -> np.ndarray:
+    """Stored numbers as a float array of ``shape``, bit for bit."""
+    arr = np.array(rows, dtype=float) if rows else np.zeros(shape)
+    if arr.shape != shape:
+        raise MalformedFile(f"expected data of shape {shape}, got {arr.shape}")
+    return arr
+
+
 def _complex_array(rows: list, shape: tuple) -> np.ndarray:
     """Stored [re, im] pairs as a complex array of ``shape``, bit for bit."""
-    arr = np.array(rows, dtype=float) if rows else np.zeros(shape + (2,))
-    if arr.shape != shape + (2,):
-        raise MalformedFile(f"expected [re, im] data of shape {shape}, got {arr.shape}")
-    return arr.view(complex)[..., 0]
+    return _float_array(rows, shape + (2,)).view(complex)[..., 0]
 
 
 def _stored_arrays(charts: list, ambient):
@@ -314,36 +326,45 @@ def achart_atlas_to_dict(charts, data: MonomialData, eps: float) -> dict:
 def achart_recipe_to_dict(charts, data: MonomialData, eps: float) -> dict | None:
     """Schema 2: the recipe alone, or None when ``charts`` are not the family
     that ``cover_monomial_graph(data, eps)`` builds (compared by recipe)."""
-    if not isinstance(charts, GraphCharts):
+    if not (isinstance(charts, GraphCharts) and charts.data == data
+            and charts.eps == float(eps)):
         return None
     try:
         built = cover_monomial_graph(data, eps)
-    except (TypeError, ValueError):
+    except (AtlasError, ArithmeticError, TypeError, ValueError):
         return None
     if built != charts:
         return None
     return _achart_header(SCHEMA_VERSION, data, eps, built.c3, len(built))
 
 
-def _float_array(rows: list, shape: tuple) -> np.ndarray:
-    arr = np.array(rows, dtype=float) if rows else np.zeros(shape)
-    if arr.shape != shape:
-        raise MalformedFile(f"expected chart data of shape {shape}, got {arr.shape}")
-    return arr
+def _graph_of_size(data: MonomialData, eps, c3, count):
+    """``cover_monomial_graph(data, eps)`` if its C3 is ``c3`` and it has
+    ``count`` charts, else None.  C3, and the count against the grid sizes
+    (a multiple of the offset tuples, at most the boxes times them), are
+    checked before anything is built, so a file that names a family other
+    than its own builds none of it; one over the budget is refused unbuilt."""
+    try:
+        if c3 != graph_c3(data):
+            return None
+        n_boxes, n_tuples = graph_grid_size(data, eps, c3)
+        if count % n_tuples or count > n_boxes * n_tuples:
+            return None
+        charts = cover_monomial_graph(data, eps)
+    except (AtlasError, ArithmeticError, TypeError, ValueError):
+        return None
+    return charts if len(charts) == count else None
 
 
 def _rebuild_graph(data: MonomialData, eps, c3, rows: list):
     """``cover_monomial_graph(data, eps)`` if it reproduces the stored charts
     (C3 and the (y, z0) arrays) bit for bit, else None."""
-    try:
-        charts = cover_monomial_graph(data, eps)
-    except (TypeError, ValueError):
+    charts = _graph_of_size(data, eps, c3, len(rows))
+    if charts is None:
         return None
     shape = (len(rows), data.m)
     y = _float_array([r["y"] for r in rows], shape)
     z0 = _float_array([r["z0"] for r in rows], shape)
-    if rows and c3 != charts.c3:
-        return None
     same = all(_same_bits(a, b) for a, b in zip(charts.chart_arrays(), (y, z0)))
     return charts if same else None
 
@@ -351,7 +372,7 @@ def _rebuild_graph(data: MonomialData, eps, c3, rows: list):
 def achart_atlas_from_dict(d: dict):
     """(charts, data, eps) of an atlas file.  Schema 2 rebuilds the family and
     checks ``count`` and ``c3``; schema 1 is that family when its charts
-    reproduce it, else a list of `RealAChart`."""
+    reproduce it, else a list of `RealAChart` (an empty one for no charts)."""
     with _reading("a-chart atlas"):
         version = d["schema_version"]
         if d["kind"] != "real_achart_atlas":
@@ -361,16 +382,15 @@ def achart_atlas_from_dict(d: dict):
         if version == SCHEMA_VERSION:
             if "charts" in d:
                 raise MalformedFile("a schema-2 atlas stores its recipe, not charts")
-            charts = cover_monomial_graph(data, eps)
-            if d["count"] != len(charts) or d["c3"] != charts.c3:
-                raise MalformedFile(
-                    f"the recipe builds {len(charts)} charts with C3={charts.c3}, "
-                    f"not count={d['count']} with c3={d['c3']}")
+            charts = _graph_of_size(data, eps, d["c3"], d["count"])
+            if charts is None:
+                raise MalformedFile(f"the recipe builds no family of count={d['count']} "
+                                    f"charts with c3={d['c3']} within the budget")
             return charts, data, eps
         if version != "1":
             raise MalformedFile(f"unknown atlas schema_version {version!r}")
         rows = list(d["charts"])
-        charts = _rebuild_graph(data, eps, d["c3"], rows)
+        charts = _rebuild_graph(data, eps, d["c3"], rows) if rows else None
         if charts is None:
             charts = [RealAChart(y=tuple(c["y"]), z0=tuple(c["z0"]), c3=d["c3"], data=data)
                       for c in rows]

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ChartFamily, NotHolomorphic, tolerance
+from .core import MATERIALIZE_BUDGET, AtlasError, ChartFamily, NotHolomorphic, tolerance
 
 
 @dataclass(frozen=True)
@@ -162,24 +162,45 @@ def choose_C3(mu, value_bound: float) -> float:
     The certificate is V(C3) = A (exp(M s / (1 - s)) - 1) with s = 3 / C3 and
     M = sum |mu_i|; it dominates the true boundary supremum whenever the chart
     center's last coordinate is at most A.  The affine-coordinate variation
-    3 / (2 C3) <= 1 holds automatically for C3 >= 4.
+    3 / (2 C3) <= 1 holds automatically for C3 >= 4.  V falls as C3 grows, so
+    the least passing C3 is bracketed by doubling and found by bisection, in
+    O(log C3) steps however large it is.
     """
     A = float(value_bound)
     if not A >= 1.0:
         raise ValueError("value_bound must be >= 1")
     M = float(sum(abs(float(mi)) for mi in mu))
-    c3 = 4
-    while True:
+
+    def certified(c3: int) -> bool:
         s = 3.0 / c3
-        if A * (math.exp(M * s / (1.0 - s)) - 1.0) <= 1.0 and 3.0 / (2 * c3) <= 1.0:
-            return float(c3)
-        c3 += 1
+        return A * (math.exp(M * s / (1.0 - s)) - 1.0) <= 1.0
+
+    fails, passes = 3, 4                # 3 stands for "below the range"
+    while not certified(passes):
+        fails, passes = passes, 2 * passes
+    while passes - fails > 1:
+        mid = (fails + passes) // 2
+        fails, passes = (fails, mid) if certified(mid) else (mid, passes)
+    return float(passes)
 
 
-def offset_grid(c3: float) -> list:
-    """Odd-integer centers of the unit boxes tiling (-C3, C3)."""
+def graph_c3(data: MonomialData) -> float:
+    """C3 of every chart of `cover_monomial_graph`: center values over kept
+    boxes stay below 3^M."""
+    return choose_C3(data.exponents, 3.0 ** data.abs_degree)
+
+
+def offset_grid(c3: float) -> np.ndarray:
+    """Odd-integer centers of the unit boxes tiling (-C3, C3): V = 2 ceil(C3/2) of them."""
     half = math.ceil(c3 / 2.0)
-    return [float(z) for z in range(-2 * half + 1, 2 * half, 2)]
+    return np.arange(1 - 2 * half, 2 * half, 2, dtype=float)
+
+
+def graph_grid_size(data: MonomialData, eps: float, c3: float) -> tuple:
+    """((K+1)^m, V^m): the dyadic box centers and the offset tuples that
+    `cover_monomial_graph` takes its charts from, counted without building
+    either.  Its chart count is a multiple of V^m and at most the product."""
+    return len(axis_scale_centers(eps)) ** data.m, (2 * math.ceil(c3 / 2.0)) ** data.m
 
 
 class AtlasFactors:
@@ -261,10 +282,16 @@ def cover_monomial_graph(data: MonomialData, eps: float) -> GraphCharts:
     a x^mu is below 1); keeping boxes by intersection rather than by their
     center value is what makes the union of chart images catch every graph
     point.  Center values over kept boxes stay below 3^M, which sizes C3.
+    A family whose box centers times offset tuples exceed `MATERIALIZE_BUDGET`
+    is refused before either is built.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
-    c3 = choose_C3(data.exponents, 3.0 ** data.abs_degree)
+    c3 = graph_c3(data)
+    n_boxes, n_tuples = graph_grid_size(data, eps, c3)
+    if n_boxes * n_tuples > MATERIALIZE_BUDGET:
+        raise AtlasError(f"{n_boxes} box centers times {n_tuples} offset tuples "
+                         "are over the budget")
     centers = _product_rows(axis_scale_centers(eps), data.m)
     keep = ~(data.value(centers) * box_min_ratio(data.exponents) >= 1.0)
     return GraphCharts(data, eps, c3, centers[keep], offset_grid(c3))
@@ -272,7 +299,7 @@ def cover_monomial_graph(data: MonomialData, eps: float) -> GraphCharts:
 
 def graph_count_bound(data: MonomialData, eps: float) -> float:
     """Recorded construction bound C(mu) * max(1, log(1/eps))^m on the chart count."""
-    c3 = choose_C3(data.exponents, 3.0 ** data.abs_degree)
+    c3 = graph_c3(data)
     per_axis = (2 * math.ceil(c3 / 2.0)) * (1.0 / math.log(2.0) + 2.0)
     return per_axis ** data.m * max(1.0, math.log(1.0 / eps)) ** data.m
 

@@ -77,6 +77,17 @@ def level_covers_loop(charts, pts, scale, tol=None):
     return out
 
 
+def choose_C3_loop(mu, value_bound):
+    """`real_acharts.choose_C3` by trying C3 = 4, 5, ... until the certificate
+    holds (the search it replaces, linear in C3)."""
+    A = float(value_bound)
+    M = float(sum(abs(float(mi)) for mi in mu))
+    c3 = 4
+    while A * (math.exp(M * (3.0 / c3) / (1.0 - 3.0 / c3)) - 1.0) > 1.0:
+        c3 += 1
+    return float(c3)
+
+
 def cover_monomial_graph_list(data, eps):
     """`real_acharts.cover_monomial_graph` as a flat list, one box and one
     offset tuple at a time (the reference atlas, in the family's order)."""

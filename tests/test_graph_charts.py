@@ -3,13 +3,14 @@ factored scan and lookup on it, and schema-2 atlas files."""
 
 import hashlib
 import json
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from atlascover.cli import main
-from atlascover.core import MalformedFile
+from atlascover.core import AtlasError, MalformedFile
 from atlascover.jsonio import (
     achart_atlas_from_dict,
     achart_atlas_to_dict,
@@ -22,12 +23,14 @@ from atlascover.real_acharts import (
     GraphCharts,
     MonomialData,
     RealAChart,
+    choose_C3,
     cover_monomial_graph,
+    graph_c3,
     graph_membership,
     verify_achart_batch,
 )
 
-from oracles import cover_monomial_graph_list, graph_membership_loop
+from oracles import choose_C3_loop, cover_monomial_graph_list, graph_membership_loop
 from test_real_acharts import _edge_points
 
 CASES = {
@@ -218,6 +221,77 @@ def test_v1_files_that_are_not_the_family_read_as_lists(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "achart", "--charts", str(path), "--grid", "16"]) == 0
     assert capsys.readouterr().out == "acharts 4499 max_deviation=0.292178230811 pass=True\n"
+
+
+def test_choose_c3_is_the_stepping_search():
+    rng = np.random.default_rng(5)
+    for M in [0.0, 0.25, 0.75, 1.0, 1.5, 3.0, 5.0, *rng.uniform(0.0, 4.0, 200)]:
+        for bound in (1.0, 2.0, 3.0 ** M, float(rng.uniform(1.0, 40.0))):
+            assert choose_C3((M,), bound) == choose_C3_loop((M,), bound), (M, bound)
+
+
+def _peak(fn):
+    """``fn()`` and the peak traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_families_over_the_budget_are_refused_unbuilt(tmp_path, capsys):
+    """C3 of x^16 is about 2e9; twelve axes at eps = 1e-6 give 21^12 boxes."""
+    big = MonomialData(1.0, (16.0,))
+    assert graph_c3(big) == 2_066_242_635.0
+    for data, eps in ((big, 0.1), (MonomialData(1.0, (0.1,) * 12), 1e-6)):
+        def refused():
+            with pytest.raises(AtlasError, match="over the budget"):
+                cover_monomial_graph(data, eps)
+        assert _peak(refused)[1] < 1 << 20
+    out = tmp_path / "big.json"
+    code, peak = _peak(lambda: main(["cover", "graph", "--mu", "16", "--eps", "0.1",
+                                     "--out", str(out)]))
+    assert code == 2 and peak < 1 << 20 and not out.exists()
+    assert "over the budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu, eps, c3, count", [
+    ((16.0,), 0.1, 2_066_242_635.0, 2 * 2_066_242_636),
+    ((16.0,), 0.1, 5.0, 4),
+    ((0.1,) * 12, 1e-6, 5.0, 4 ** 12),
+    ((0.5, -0.75, 0.25), 1e-4, 29.0, 4),
+], ids=["huge_c3", "huge_mu_wrong_c3", "huge_grid", "large_family_small_count"])
+def test_oversized_recipe_files_are_malformed_unbuilt(tmp_path, capsys, mu, eps, c3, count):
+    d = {"schema_version": "2", "kind": "real_achart_atlas", "mu": list(mu),
+         "coefficient": 1.0, "eps": eps, "c3": c3, "count": count}
+
+    def read():
+        with pytest.raises(MalformedFile):
+            achart_atlas_from_dict(d)
+    assert _peak(read)[1] < 1 << 20
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(d))
+    assert main(["verify", "achart", "--charts", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: MalformedFile")
+
+
+def test_small_v1_files_naming_large_families_read_as_lists(tmp_path, capsys):
+    """Four hand-made charts under x^16 (C3 about 2e9), and four charts of the
+    m=3 atlas filed under eps = 1e-4 (2,197 boxes times 27,000 tuples), are
+    read as the lists they store without building the family they name."""
+    hand = MonomialData(1.0, (16.0,))
+    bad = [RealAChart(y=(0.9,), z0=(z,), c3=3.5, data=hand) for z in (-3.0, -1.0, 1.0, 3.0)]
+    data, _, _, lst = atlases("m3")
+    for charts, atlas_data, eps in ((bad, hand, 0.1), (lst[:4], data, 1e-4)):
+        d = json.loads(dumps(achart_atlas_to_dict(charts, atlas_data, eps)))
+        (back, _, _), peak = _peak(lambda: achart_atlas_from_dict(d))
+        assert type(back) is list and back == charts and peak < 1 << 20
+    path = tmp_path / "bad.json"
+    write_achart_atlas(bad, hand, 0.1, path)
+    assert main(["verify", "achart", "--charts", str(path)]) == 1
+    assert capsys.readouterr().out.endswith("pass=False\n")
 
 
 def test_graph_scaling_csv_bytes(tmp_path):
