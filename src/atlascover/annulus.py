@@ -139,8 +139,11 @@ class RingDisks(ChartFamily):
         return complex(self._disks[0][i]), float(self._disks[1][i])
 
     def chart_arrays(self):
+        return self.arrays_at(slice(None))
+
+    def arrays_at(self, idx):
         a, r = self._disks
-        return a[:, None], r[:, None].astype(complex)
+        return a[idx, None], r[idx, None].astype(complex)
 
     # -- point location -----------------------------------------------------
 
@@ -198,7 +201,7 @@ class RingDisks(ChartFamily):
         for _, j in self.passes(pts, np.full(1, float(scale)), np.zeros(1, dtype=bool)):
             yield int(j[0])
 
-    def neighbors(self, i: int, scale: float = 1.0) -> list:
+    def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
         """Disk indices (``i`` included) whose disks at ``scale`` can meet disk ``i``'s.
 
         Two disks meet only if their center radii differ by at most the sum
@@ -213,16 +216,18 @@ class RingDisks(ChartFamily):
             span = math.log((self.cf + rs) / (self.cf - rs)) / -math.log(self.q)
             w_ring = math.ceil(span) + 1
             ring_range = range(max(0, k - w_ring), min(self.n_rings, k + w_ring + 1))
-        out = []
+        widths = []
         for kk in ring_range:
             rsum = rs * (self.q ** k + self.q ** kk)
             geo = 2.0 * self.cf * math.sqrt(self.q ** (k + kk))
             sin_half = min(1.0, rsum / geo)
-            w_ang = min(self.n_angles // 2 + 1,
-                        math.ceil(2.0 * math.asin(sin_half) / (TWO_PI / self.n_angles)) + 1)
-            out.extend(kk * self.n_angles + (j + da) % self.n_angles
-                       for da in range(-w_ang, w_ang + 1))
-        return sorted(set(out))
+            widths.append(min(self.n_angles // 2 + 1, math.ceil(
+                2.0 * math.asin(sin_half) / (TWO_PI / self.n_angles)) + 1))
+        w = np.array(widths, dtype=np.int64)
+        size = np.minimum(2 * w + 1, self.n_angles)    # angle offsets -w.., each angle once
+        offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size + w, size)
+        return np.sort(np.repeat(np.arange(ring_range.start, ring_range.stop), size)
+                       * self.n_angles + (j + offset) % self.n_angles)
 
 
 def construction_constant(zeta: float,

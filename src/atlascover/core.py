@@ -298,7 +298,7 @@ class ChartFamily(Sequence):
     shares, read without building a chart), ``_chart(i)`` for 0 <= i < len
     and ``_recipe()`` (what makes two families of the same type equal).  The
     default queries treat the family as a list of diagonal affine charts and
-    scan it; structured families override them with their own index.
+    scan it; structured families override them (``arrays_at`` too) by index.
     """
 
     def __getitem__(self, i):
@@ -344,6 +344,11 @@ class ChartFamily(Sequence):
         if b.size == 0:
             b, d = b.reshape(0, self.dim or 1), d.reshape(0, self.dim or 1)
         return b, d
+
+    def arrays_at(self, idx) -> tuple:
+        """(b, d) rows of the charts ``idx`` (int array), as `chart_arrays` has them."""
+        b, d = self.chart_arrays()
+        return b[idx], d[idx]
 
     def iter_chart_arrays(self):
         """(b, d) blocks in index order, for streaming scans."""
@@ -408,10 +413,10 @@ class ChartFamily(Sequence):
         """Whether chart ``i``'s image at ``scale`` contains ``p``."""
         return chart_contains(self[i], p, scale, tol=tol)
 
-    def neighbors(self, i: int, scale: float = 1.0) -> list:
-        """Sorted chart indices (``i`` included) whose images at ``scale`` can
-        meet chart ``i``'s: a superset of those that do."""
-        return list(range(len(self)))
+    def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
+        """Sorted int64 chart indices (``i`` included) whose images at ``scale``
+        can meet chart ``i``'s: a superset of those that do."""
+        return np.arange(len(self), dtype=np.int64)
 
 
 class ChartList(ChartFamily):

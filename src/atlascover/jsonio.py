@@ -390,6 +390,8 @@ def achart_atlas_from_dict(d: dict):
         if version != "1":
             raise MalformedFile(f"unknown atlas schema_version {version!r}")
         rows = list(d["charts"])
+        if d["count"] != len(rows):
+            raise MalformedFile(f"count={d['count']} but {len(rows)} chart rows")
         charts = _rebuild_graph(data, eps, d["c3"], rows) if rows else None
         if charts is None:
             charts = [RealAChart(y=tuple(c["y"]), z0=tuple(c["z0"]), c3=d["c3"], data=data)

@@ -180,12 +180,11 @@ class LevelBranchCharts(ChartFamily):
             for k in range(self.alpha1):
                 yield t * self.alpha1 + k
 
-    def neighbors(self, i: int, scale: float = 1.0) -> list:
+    def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
         """Chart indices whose images at ``scale`` can meet chart ``i``'s: every
         branch over a base chart whose image can meet base chart ``i``'s."""
-        return [tt * self.alpha1 + k
-                for tt in self._base.neighbors(i // self.alpha1, scale)
-                for k in range(self.alpha1)]
+        base = self._base.neighbors(i // self.alpha1, scale) * self.alpha1
+        return (base[:, None] + np.arange(self.alpha1)).ravel()
 
     def contains(self, ch_index: int, p, scale: float,
                  tol: float | None = None) -> bool:

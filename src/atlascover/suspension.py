@@ -119,18 +119,19 @@ class SuspendedCharts(ChartFamily):
         return (np.concatenate([b for b, _ in blocks]),
                 np.concatenate([d for _, d in blocks]))
 
+    def arrays_at(self, idx):
+        """Rows (inner b_t, a_j) and (beta d_t, lambda_j) of the charts (j, t)."""
+        j, t = np.divmod(idx, len(self._inner))
+        bi, di = self._inner.arrays_at(t)
+        a, lam = self._layer_table
+        return (np.concatenate([bi, a[j, None]], axis=1),
+                np.concatenate([self.beta * di, lam[j, None].astype(complex)], axis=1))
+
     def iter_chart_arrays(self):
         """Yield (b, d) blocks, one layer at a time, for streaming scans."""
-        bi, di = self._inner.chart_arrays()
-        di = self.beta * di
-        for a, lam in zip(*self._layer_table):
-            b = np.empty((bi.shape[0], bi.shape[1] + 1), dtype=complex)
-            d = np.empty_like(b)
-            b[:, :-1] = bi
-            b[:, -1] = a
-            d[:, :-1] = di
-            d[:, -1] = lam
-            yield b, d
+        kappa_in = len(self._inner)
+        for j in range(len(self.layers)):
+            yield self.arrays_at(np.arange(j * kappa_in, (j + 1) * kappa_in))
 
     def doubling_factors(self, axes, scale: float, betas=(), **sampling) -> tuple:
         """The layer family's factors at ``(lam_factor,) + betas``, then the
@@ -183,7 +184,7 @@ class SuspendedCharts(ChartFamily):
             for tt in self._inner.candidates(v, inner_scale, tol=t):
                 yield j * kappa_in + tt
 
-    def neighbors(self, i: int, scale: float = 1.0) -> list:
+    def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
         """Chart indices (``i`` included) whose images at ``scale`` can meet chart ``i``'s.
 
         Two images meet only if their projections meet on every axis: on the
@@ -192,10 +193,8 @@ class SuspendedCharts(ChartFamily):
         """
         kappa_in = len(self._inner)
         j, t = divmod(i, kappa_in)
-        inner = self._inner.neighbors(t, scale * self.beta)
-        return [jj * kappa_in + tt
-                for jj in self.layers.neighbors(j, scale * self.lam_factor)
-                for tt in inner]
+        outer = self.layers.neighbors(j, scale * self.lam_factor) * kappa_in
+        return (outer[:, None] + self._inner.neighbors(t, scale * self.beta)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +221,9 @@ def chart_candidates(charts, p, scale: float, tol: float | None = None):
     yield from family(charts).candidates(p, scale, tol=tol)
 
 
-def chart_neighbors(charts, i: int, scale: float = 1.0) -> list:
-    """Sorted superset of the chart indices whose images at ``scale`` can meet
-    chart ``i``'s (``i`` included); every index for plain lists."""
+def chart_neighbors(charts, i: int, scale: float = 1.0) -> np.ndarray:
+    """Sorted int64 superset of the chart indices whose images at ``scale`` can
+    meet chart ``i``'s (``i`` included); every index for plain lists."""
     return family(charts).neighbors(i, scale)
 
 

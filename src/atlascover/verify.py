@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -13,7 +12,6 @@ from .core import (
     MATERIALIZE_BUDGET,
     AtlasError,
     Covering,
-    DiagonalAffineChart,
     Disconnected,
     InsufficientPoints,
     MonomialLevelSet,
@@ -23,16 +21,12 @@ from .core import (
     RegionMismatch,
     UnknownBound,
     active_axis_indices,
-    chart_contains,
+    chart_count,
     tolerance,
 )
-from .levelset import LevelBranchCharts, level_base_plan
+from .levelset import LevelBranchCharts, level_base_plan, level_points
 from .polydisc import polydisc_bound, polydisc_plan
-from .suspension import (
-    chart_candidates,
-    chart_neighbors,
-    covers_points,
-)
+from .suspension import chart_candidates, covers_points
 
 # ---------------------------------------------------------------------------
 # sample regions
@@ -289,97 +283,137 @@ class Chain:
         return len(self.chart_indices)
 
 
-def _segment_witness(c1: DiagonalAffineChart, c2: DiagonalAffineChart,
-                     tol: float):
-    """Deterministic witness on the center segment.
+def _abs(z, power: float = 1.0):
+    """``abs(z) ** power`` as Python rounds it (libm ``hypot`` and ``pow``)."""
+    h = np.hypot(z.real, z.imag)
+    return h if power == 1.0 else np.float_power(h, power)
 
-    Both preimage norms are linear along the segment (t * n1 and (1-t) * n2),
-    so the minimax point is their crossing; for one-dimensional disks this
-    test is complete.
+
+def _complex(re, im):
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _quot(a, b):
+    """Python's complex ``a / b`` (Smith's scaling), not numpy's division."""
+    big = np.abs(b.real) >= np.abs(b.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(big, b.imag / b.real, b.real / b.imag)
+        den = np.where(big, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        return _complex(np.where(big, a.real + a.imag * ratio, a.real * ratio + a.imag) / den,
+                        np.where(big, a.imag - a.real * ratio, a.imag * ratio - a.real) / den)
+
+
+def _rowsum(x):
+    """Left-to-right sums over the last axis, as Python's ``sum`` adds floats."""
+    return reduce(np.add, np.moveaxis(x, -1, 0))
+
+
+def _norm(z):
+    """Row norms as `np.linalg.norm` rounds one row: BLAS dots of the real and imaginary parts."""
+    return np.sqrt(sum((x[:, None, :] @ x[:, :, None])[:, 0, 0] for x in (z.real, z.imag)))
+
+
+def _witness_rows(b1, d1, b2, d2, tol: float):
+    """(ok, w): whether the unit images of charts (b1[r], d1[r]) and
+    (b2[r], d2[r]) meet, and a point w[r] of both, for all rows r at once.
+
+    Each test runs on the rows the last left open: the center segment, whose
+    minimax point is where the preimage norms t n1 and (1-t) n2 cross
+    (complete for disks); rejection where the projections miss on some axis;
+    then `_bisect`.  Each step rounds as the one-pair formula in Python floats.
     """
-    b1 = np.asarray(c1.b)
-    b2 = np.asarray(c2.b)
-    n1 = float(np.linalg.norm((b2 - b1) / np.asarray(c1.d)))
-    n2 = float(np.linalg.norm((b1 - b2) / np.asarray(c2.d)))
-    if n1 + n2 == 0.0:
-        return tuple(b1)
-    tstar = n2 / (n1 + n2)
-    if n1 * n2 / (n1 + n2) <= math.sqrt(1.0 + tol):
-        p = b1 + tstar * (b2 - b1)
-        return tuple(p)
-    return None
+    root = math.sqrt(1.0 + tol)
+    n1, n2 = _norm((b2 - b1) / d1), _norm((b1 - b2) / d2)
+    same = n1 + n2 == 0.0                   # coincident centers
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = same | (n1 * n2 / (n1 + n2) <= root)
+        w = np.where(same[:, None], b1, b1 + (n2 / (n1 + n2))[:, None] * (b2 - b1))
+    miss = (_abs(b1 - b2) > (_abs(d1) + _abs(d2)) * root).any(axis=1)
+    r = np.nonzero(~ok & ~miss)[0]
+    if r.size:
+        ok[r], w[r] = _bisect(b1[r], d1[r], b2[r], d2[r], 1.0 + tol)
+    return ok, w
 
 
-def _lagrange_witness(c1: DiagonalAffineChart, c2: DiagonalAffineChart,
-                      tol: float):
-    """Exact witness for two diagonal charts, or None when the images miss.
+def _bisect(b1, d1, b2, d2, bound: float):
+    """The Lagrange stage.  The squared preimage norms f_c(p) = sum_i w_i
+    |p_i - b_i|^2 (w = 1/|d|^2) are separable: s f1 + (1-s) f2 is least at the
+    weighted mean p(s) of the centers, and the minimax point is p(s*) where
+    f1 = f2, which bisection on the sign of f1 - f2 finds.  A value of
+    s f1 + (1-s) f2 above ``bound`` = 1 + tol bounds the minimax from below:
+    the images are disjoint and the row drops out.  The point must lie in both."""
+    ok, live = np.ones(len(b1), dtype=bool), np.arange(len(b1))
+    w1, w2 = 1.0 / _abs(d1, 2.0), 1.0 / _abs(d2, 2.0)
+    lo, hi = np.zeros(len(b1)), np.ones(len(b1))
 
-    With w = 1/|d|^2 the squared preimage norms f_c(p) = sum_i w_i |p_i - b_i|^2
-    are separable.  The minimizer of s f1 + (1-s) f2 is the per-axis weighted
-    mean p(s), and by strong duality the minimax point of (f1, f2) is p(s*)
-    where f1 = f2.  f1 - f2 falls along the path, so bisection on its sign
-    finds s*.  Every value s f1 + (1-s) f2 at p(s) is a lower bound on the
-    minimax, so one above 1 + tol proves the images disjoint.
-    """
-    bound = 1.0 + tol
-    root = math.sqrt(bound)
-    if any(abs(x - y) > (abs(u) + abs(v)) * root
-           for x, y, u, v in zip(c1.b, c2.b, c1.d, c2.d)):
-        return None                         # the projections miss on some axis
-    w1 = [1.0 / abs(u) ** 2 for u in c1.d]
-    w2 = [1.0 / abs(v) ** 2 for v in c2.d]
+    def point(s):           # Python's float * complex is (x + 0j) * z, to the zeros' signs
+        u, v = s[:, None] * w1, (1.0 - s)[:, None] * w2
+        re = u * b1.real - 0.0 * b1.imag + (v * b2.real - 0.0 * b2.imag)
+        im = u * b1.imag + 0.0 * b1.real + (v * b2.imag + 0.0 * b2.real)
+        return _quot(_complex(re, im), _complex(u + v, 0.0))
 
-    def point(s):
-        return tuple((s * u * x + (1.0 - s) * v * y) / (s * u + (1.0 - s) * v)
-                     for x, y, u, v in zip(c1.b, c2.b, w1, w2))
-
-    def norm2(p, b, w):
-        return sum(wi * abs(pi - bi) ** 2 for pi, bi, wi in zip(p, b, w))
-
-    lo, hi = 0.0, 1.0
     for _ in range(60):
         s = 0.5 * (lo + hi)
         p = point(s)
-        f1, f2 = norm2(p, c1.b, w1), norm2(p, c2.b, w2)
-        if s * f1 + (1.0 - s) * f2 > bound:
-            return None
-        if f1 > f2:
-            lo = s
-        else:
-            hi = s
+        f1, f2 = _rowsum(w1 * _abs(p - b1, 2.0)), _rowsum(w2 * _abs(p - b2, 2.0))
+        out = s * f1 + (1.0 - s) * f2 > bound
+        lo, hi = np.where(f1 > f2, s, lo), np.where(f1 > f2, hi, s)
+        if out.any():
+            ok[live[out]] = False
+            live, lo, hi, b1, d1, b2, d2, w1, w2 = (
+                x[~out] for x in (live, lo, hi, b1, d1, b2, d2, w1, w2))
+            if not live.size:
+                break
     p = point(0.5 * (lo + hi))
-    if chart_contains(c1, p, 1.0, tol=tol) and chart_contains(c2, p, 1.0, tol=tol):
-        return p
-    return None
+    ok[live] = ((_rowsum(_abs(_quot(p - b1, d1), 2.0)) <= bound)       # `chart_contains`
+                & (_rowsum(_abs(_quot(p - b2, d2), 2.0)) <= bound))
+    w = np.empty((len(ok), b1.shape[1]), dtype=complex)
+    w[live] = p
+    return ok, w
+
+
+def _branch_rows(alpha, c, rows, branches, wb, tol: float):
+    """(ok, w) for level-branch pairs whose base charts ``rows`` = (b1, d1, b2,
+    d2) meet at ``wb``: the branch values g at wb agree by the rule of
+    `LevelBranchCharts.contains`, and w = (g1, wb).  Two roots of one equation
+    agree on all of the convex base overlap or nowhere: the test is exact."""
+    g1, g2 = (level_points(b, d, alpha, c, (wb - b) / d,
+                           range(alpha[0]))[np.arange(len(wb)), k, 0]
+              for b, d, k in ((*rows[:2], branches[0]), (*rows[2:], branches[1])))
+    ok = _abs(g1 - g2) <= tol ** 0.5 * np.maximum(1.0, _abs(g1))
+    return ok, np.concatenate([g1[:, None], wb], axis=1)
 
 
 def intersection_witness(c1, c2, tol: float | None = None):
-    """A point in both unit-scale images, or None if they do not meet.
-
-    Diagonal affine charts get an exact test: the center segment first
-    (complete for disks), then per-axis projections, then the Lagrange
-    bisection of `_lagrange_witness`.  Level-branch charts intersect where
-    their bases do and the branch values agree at the base witness; on the
-    convex base overlap two roots of one equation agree everywhere or
-    nowhere, so this test is exact as well.
-    """
+    """A point in both unit-scale images, or None if they do not meet: one row
+    of `_witness_rows` (level-branch charts: of their bases, then `_branch_rows`)."""
     t = tolerance(tol)
-    if hasattr(c1, "base"):
-        wb = intersection_witness(c1.base, c2.base, tol=t)
-        return None if wb is None else _branch_witness(c1, c2, wb, t)
-    w = _segment_witness(c1, c2, t)
-    if w is not None:
-        return w
-    return _lagrange_witness(c1, c2, t)
+    level = hasattr(c1, "base")
+    a, b = (c1.base, c2.base) if level else (c1, c2)
+    rows = [np.array([x], dtype=complex) for x in (a.b, a.d, b.b, b.d)]
+    ok, w = _witness_rows(*rows, t)
+    if level and ok[0]:
+        ok, w = _branch_rows(c1.alpha, c1.c, rows, ([c1.branch], [c2.branch]), w, t)
+    return tuple(w[0].tolist()) if ok[0] else None
 
 
-def _branch_witness(c1, c2, wb, tol: float):
-    """The witness of two level-branch charts over the base witness ``wb``."""
-    g1 = complex(c1.first_coordinate(c1.base.preimage(wb)))
-    g2 = complex(c2.first_coordinate(c2.base.preimage(wb)))
-    if abs(g1 - g2) <= tol ** 0.5 * max(1.0, abs(g1)):
-        return (g1,) + tuple(wb)
-    return None
+def _pair_witnesses(fam, i, j, tol: float):
+    """(ok, w) for the chart pairs (i[r], j[r]): one `_witness_rows` call on
+    their gathered (b, d) rows, or for level-branch charts on their distinct
+    base-chart pairs, then `_branch_rows` where those meet."""
+    if not isinstance(fam, LevelBranchCharts):
+        return _witness_rows(*fam.arrays_at(i), *fam.arrays_at(j), tol)
+    base = fam.base_cov.family
+    (ti, ki), (tj, kj) = np.divmod(i, fam.alpha1), np.divmod(j, fam.alpha1)
+    pairs, inv = np.unique(np.stack([ti, tj], axis=1), axis=0, return_inverse=True)
+    okb, wb = _witness_rows(*base.arrays_at(pairs[:, 0]), *base.arrays_at(pairs[:, 1]), tol)
+    ok, w = okb[inv], np.empty((i.size, fam.dim), dtype=complex)
+    r = np.nonzero(ok)[0]
+    ok[r], w[r] = _branch_rows(fam.alpha, fam.c, (*base.arrays_at(ti[r]), *base.arrays_at(tj[r])),
+                               (ki[r], kj[r]), wb[inv[r]], tol)
+    return ok, w
 
 
 def _containing_charts(fam, p, tol: float) -> list:
@@ -387,67 +421,62 @@ def _containing_charts(fam, p, tol: float) -> list:
                   if fam.contains(i, p, 1.0, tol=tol))
 
 
+PAIR_BLOCK = 1 << 16            # most chart pairs one `_witness_rows` call decides
+
+
 def chain_between(cov: Covering, p, q, seed: int = 0,
                   tol: float | None = None) -> Chain:
     """Shortest witnessed chain of charts joining p to q (BFS, deterministic).
 
-    Edges of the chart intersection graph are confirmed by
-    `intersection_witness`; neighbor candidates come from the covering's
-    structural index (`chart_neighbors`), so the search visits the charts
-    near the path rather than all of them.  Candidates are tried in index
-    order, which gives the chain a full scan would give.  On level-branch
-    charts the base witness is computed once per pair of base charts and
-    shared by their up to alpha_1^2 branch pairs.  ``seed`` is kept for
-    compatibility; the witnesses are exact and do not use it.
+    The BFS runs a layer at a time.  A layer's pairs (i, j) are its charts i
+    in queue order, each with its neighbours j (`chart_neighbors`) in index
+    order, less the charts already reached.  Their (b, d) rows are gathered
+    without building a chart (`ChartFamily.arrays_at`) and one batched exact
+    test decides them all (`_pair_witnesses`, in blocks of `PAIR_BLOCK`).  A
+    chart's parent is its first pair that meets, and the chain ends at the
+    first goal chart so reached: the chain and witnesses of a FIFO BFS that
+    tests one pair at a time.  ``seed`` is kept for compatibility; the
+    witnesses are exact and do not use it.
     """
     t = tolerance(tol)
-    charts = cov.family
-    starts = _containing_charts(charts, p, t)
-    goals = set(_containing_charts(charts, q, t))
+    chart_count(cov.charts)
+    fam = cov.family
+    starts, goals = _containing_charts(fam, p, t), _containing_charts(fam, q, t)
     if not starts or not goals:
         raise NoContainingChart("an endpoint lies in no chart of the covering")
-    common = sorted(goals.intersection(starts))
+    common = sorted(set(goals).intersection(starts))
     if common:
         return Chain(chart_indices=(common[0],), witnesses=())
-    base_witness = {}
-
-    def witness(i, ci, j):
-        if not isinstance(charts, LevelBranchCharts):
-            return intersection_witness(ci, charts[j], tol=t)
-        key = (i // charts.alpha1, j // charts.alpha1)
-        if key not in base_witness:
-            base_witness[key] = intersection_witness(
-                ci.base, charts.base_cov.charts[key[1]], tol=t)
-        wb = base_witness[key]
-        return None if wb is None else _branch_witness(ci, charts[j], wb, t)
-
-    parent = {i: None for i in starts}
-    edge_witness = {}
-    frontier = deque(starts)
+    parent = dict.fromkeys(starts)          # chart -> (parent chart, witness)
+    layer = seen = np.array(starts, dtype=np.int64)     # charts reached, in order
     found = None
-    while frontier and found is None:
-        i = frontier.popleft()
-        ci = charts[i]
-        for j in sorted(set(chart_neighbors(charts, i))):
-            if j in parent:
-                continue
-            w = witness(i, ci, j)
-            if w is None:
-                continue
-            parent[j] = i
-            edge_witness[(i, j)] = w
-            if j in goals:              # FIFO: the first goal a full BFS pops
-                found = j
+    while layer.size and found is None:
+        nbrs = [fam.neighbors(int(i)) for i in layer]
+        pi, pj = np.repeat(layer, [a.size for a in nbrs]), np.concatenate(nbrs)
+        n_seen = seen.size
+        for lo in range(0, pj.size, PAIR_BLOCK):
+            i, j = pi[lo:lo + PAIR_BLOCK], pj[lo:lo + PAIR_BLOCK]
+            keep = ~np.isin(j, seen)
+            i, j = i[keep], j[keep]
+            ok, w = _pair_witnesses(fam, i, j, t)
+            r = np.nonzero(ok)[0]
+            r = r[np.sort(np.unique(j[r], return_index=True)[1])]   # each chart's first
+            hit = np.nonzero(np.isin(j[r], goals))[0]
+            if hit.size:
+                r, found = r[:hit[0] + 1], int(j[r[hit[0]]])
+            parent.update(zip(j[r].tolist(), zip(i[r].tolist(), w[r].tolist())))
+            seen = np.concatenate([seen, j[r]])
+            if found is not None:
                 break
-            frontier.append(j)
+        layer = seen[n_seen:]
     if found is None:
         raise Disconnected("no chain joins the two points in this covering")
     path = [found]
     while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
+        path.append(parent[path[-1]][0])
     path.reverse()
-    witnesses = tuple(edge_witness[(a, b)] for a, b in zip(path, path[1:]))
-    return Chain(chart_indices=tuple(path), witnesses=witnesses)
+    return Chain(chart_indices=tuple(path),
+                 witnesses=tuple(tuple(parent[j][1]) for j in path[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,24 @@
 """Independent brute-force oracles the tests check the library against.
 
-Everything here recomputes membership, sampling and doubling certificates
-from the raw formulas, chart by chart, deliberately bypassing the library's
-structural point location and its per-level factoring.
+Everything here recomputes membership, sampling, doubling certificates and
+chain witnesses from the raw formulas, chart by chart (or pair by pair),
+deliberately bypassing the library's structural point location, its
+per-level factoring and its batched witness kernel.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
-from atlascover.core import active_axis_indices, tolerance
-from atlascover.levelset import level_residual
+from atlascover.core import (
+    Disconnected,
+    NoContainingChart,
+    active_axis_indices,
+    chart_contains,
+    tolerance,
+)
+from atlascover.levelset import LevelBranchCharts, level_residual
 from atlascover.real_acharts import (
     RealAChart,
     box_min_ratio,
@@ -18,7 +26,13 @@ from atlascover.real_acharts import (
     cover_unit_cube_scales,
     offset_grid,
 )
-from atlascover.suspension import chart_arrays, iter_chart_arrays
+from atlascover.suspension import (
+    chart_arrays,
+    chart_candidates,
+    chart_neighbors,
+    iter_chart_arrays,
+)
+from atlascover.verify import Chain
 
 
 def brute_covered(charts, pts, scale=1.0, tol=1e-10):
@@ -186,3 +200,134 @@ def doubling_level_loop(cov, samples_per_chart=128, seed=0, tol=None):
                       for a in range(dim))
         flags[i] = base_ok and bool((level_residual(ch, x) <= t * abs(charts.c)).all())
     return flags
+
+
+def _segment_witness(c1, c2, tol):
+    """Deterministic witness on the center segment.
+
+    Both preimage norms are linear along the segment (t * n1 and (1-t) * n2),
+    so the minimax point is their crossing; for one-dimensional disks this
+    test is complete.
+    """
+    b1 = np.asarray(c1.b)
+    b2 = np.asarray(c2.b)
+    n1 = float(np.linalg.norm((b2 - b1) / np.asarray(c1.d)))
+    n2 = float(np.linalg.norm((b1 - b2) / np.asarray(c2.d)))
+    if n1 + n2 == 0.0:
+        return tuple(b1)
+    tstar = n2 / (n1 + n2)
+    if n1 * n2 / (n1 + n2) <= math.sqrt(1.0 + tol):
+        p = b1 + tstar * (b2 - b1)
+        return tuple(p)
+    return None
+
+
+def _lagrange_witness(c1, c2, tol):
+    """Exact witness for two diagonal charts, or None when the images miss:
+    the projection test, then a 60-step bisection on the sign of f1 - f2
+    along the weighted means p(s) of the two centers, in Python floats."""
+    bound = 1.0 + tol
+    root = math.sqrt(bound)
+    if any(abs(x - y) > (abs(u) + abs(v)) * root
+           for x, y, u, v in zip(c1.b, c2.b, c1.d, c2.d)):
+        return None                         # the projections miss on some axis
+    w1 = [1.0 / abs(u) ** 2 for u in c1.d]
+    w2 = [1.0 / abs(v) ** 2 for v in c2.d]
+
+    def point(s):
+        return tuple((s * u * x + (1.0 - s) * v * y) / (s * u + (1.0 - s) * v)
+                     for x, y, u, v in zip(c1.b, c2.b, w1, w2))
+
+    def norm2(p, b, w):
+        return sum(wi * abs(pi - bi) ** 2 for pi, bi, wi in zip(p, b, w))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        p = point(s)
+        f1, f2 = norm2(p, c1.b, w1), norm2(p, c2.b, w2)
+        if s * f1 + (1.0 - s) * f2 > bound:
+            return None
+        if f1 > f2:
+            lo = s
+        else:
+            hi = s
+    p = point(0.5 * (lo + hi))
+    if chart_contains(c1, p, 1.0, tol=tol) and chart_contains(c2, p, 1.0, tol=tol):
+        return p
+    return None
+
+
+def _branch_witness(c1, c2, wb, tol):
+    """The witness of two level-branch charts over the base witness ``wb``."""
+    g1 = complex(c1.first_coordinate(c1.base.preimage(wb)))
+    g2 = complex(c2.first_coordinate(c2.base.preimage(wb)))
+    if abs(g1 - g2) <= tol ** 0.5 * max(1.0, abs(g1)):
+        return (g1,) + tuple(wb)
+    return None
+
+
+def scalar_witness(c1, c2, tol=None):
+    """`verify.intersection_witness` one chart pair at a time in Python
+    floats: the center segment, then `_lagrange_witness`; level-branch
+    charts through their bases and `_branch_witness`."""
+    t = tolerance(tol)
+    if hasattr(c1, "base"):
+        wb = scalar_witness(c1.base, c2.base, tol=t)
+        return None if wb is None else _branch_witness(c1, c2, wb, t)
+    w = _segment_witness(c1, c2, t)
+    return w if w is not None else _lagrange_witness(c1, c2, t)
+
+
+def chain_bfs_loop(cov, p, q, tol=None):
+    """`verify.chain_between` as a FIFO BFS that tests one chart pair at a
+    time by `scalar_witness`, building each chart (the reference chain)."""
+    t = tolerance(tol)
+    charts = cov.family
+    contains = [sorted(i for i in set(chart_candidates(charts, x, 1.0, tol=t))
+                       if charts.contains(i, x, 1.0, tol=t)) for x in (p, q)]
+    starts, goals = contains[0], set(contains[1])
+    if not starts or not goals:
+        raise NoContainingChart("an endpoint lies in no chart of the covering")
+    common = sorted(goals.intersection(starts))
+    if common:
+        return Chain(chart_indices=(common[0],), witnesses=())
+    base_witness = {}
+
+    def witness(i, ci, j):
+        if not isinstance(charts, LevelBranchCharts):
+            return scalar_witness(ci, charts[j], tol=t)
+        key = (i // charts.alpha1, j // charts.alpha1)
+        if key not in base_witness:
+            base_witness[key] = scalar_witness(
+                ci.base, charts.base_cov.charts[key[1]], tol=t)
+        wb = base_witness[key]
+        return None if wb is None else _branch_witness(ci, charts[j], wb, t)
+
+    parent = {i: None for i in starts}
+    edge_witness = {}
+    frontier = deque(starts)
+    found = None
+    while frontier and found is None:
+        i = frontier.popleft()
+        ci = charts[i]
+        for j in sorted(set(int(k) for k in chart_neighbors(charts, i))):
+            if j in parent:
+                continue
+            w = witness(i, ci, j)
+            if w is None:
+                continue
+            parent[j] = i
+            edge_witness[(i, j)] = w
+            if j in goals:              # FIFO: the first goal a full BFS pops
+                found = j
+                break
+            frontier.append(j)
+    if found is None:
+        raise Disconnected("no chain joins the two points in this covering")
+    path = [found]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    witnesses = tuple(edge_witness[(a, b)] for a, b in zip(path, path[1:]))
+    return Chain(chart_indices=tuple(path), witnesses=witnesses)

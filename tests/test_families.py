@@ -87,6 +87,20 @@ def test_streamed_arrays_equal_the_full_arrays(name):
     assert np.array_equal(bits(np.concatenate([y for _, y in blocks])), bits(d))
 
 
+@pytest.mark.parametrize("name", FAMILIES)
+def test_arrays_at_equals_the_charts(name):
+    """`arrays_at` gathers the rows of random charts, repeats and all, bit for
+    bit as the charts hold them."""
+    charts = _charts(name)
+    fam = family(charts)
+    idx = np.random.default_rng(4).integers(0, len(fam), 300)
+    b, d = fam.arrays_at(idx)
+    bits = lambda z: np.ascontiguousarray(z, dtype=complex).view(np.uint64)
+    assert b.shape == d.shape == (idx.size, fam.dim)
+    assert np.array_equal(bits(b), bits([charts[i].b for i in idx]))
+    assert np.array_equal(bits(d), bits([charts[i].d for i in idx]))
+
+
 def test_plain_list_view_is_not_a_copy():
     charts = [DiagonalAffineChart((0.5j,), (0.25,), 2.0)]
     view = family(charts)

@@ -210,6 +210,7 @@ def test_v1_files_that_are_not_the_family_read_as_lists(tmp_path, capsys):
     assert d == achart_atlas_to_dict(lst, data, eps)
     pruned = json.loads(dumps(d))
     del pruned["charts"][17]
+    pruned["count"] = 4499
     moved = json.loads(dumps(d))
     moved["charts"][3]["y"][0] = float(np.nextafter(moved["charts"][3]["y"][0], 1.0))
     for edited, count in ((pruned, 4499), (moved, 4500)):
@@ -221,6 +222,21 @@ def test_v1_files_that_are_not_the_family_read_as_lists(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "achart", "--charts", str(path), "--grid", "16"]) == 0
     assert capsys.readouterr().out == "acharts 4499 max_deviation=0.292178230811 pass=True\n"
+
+
+def test_v1_count_must_match_the_rows(tmp_path, capsys):
+    """A v1 file with a chart row deleted but ``count`` still 4500 is malformed."""
+    data, eps, fam, _ = atlases("m2")
+    d = json.loads(dumps(achart_atlas_to_dict(fam, data, eps)))
+    del d["charts"][17]
+    assert d["count"] == 4500
+    with pytest.raises(MalformedFile, match="count=4500 but 4499 chart rows"):
+        achart_atlas_from_dict(d)
+    path = tmp_path / "short.json"
+    path.write_text(dumps(d))
+    capsys.readouterr()
+    assert main(["verify", "achart", "--charts", str(path), "--grid", "16"]) == 2
+    assert "MalformedFile" in capsys.readouterr().err
 
 
 def test_choose_c3_is_the_stepping_search():

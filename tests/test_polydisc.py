@@ -25,7 +25,8 @@ from atlascover.polydisc import (
     polydisc_plan,
 )
 from atlascover.suspension import SuspendedCharts, covers_points, suspend_covering
-from atlascover.verify import PolydiscRegion, certify_doubling, check_coverage
+from atlascover.jsonio import ambient_to_dict, dumps
+from atlascover.verify import PolydiscRegion, certify_doubling, chain_between, check_coverage
 
 from oracles import brute_covered, polydisc_random
 
@@ -264,6 +265,24 @@ def test_kappa_beyond_an_index_in_memory_is_a_domain_error():
                  lambda: check_coverage(cov, region, n_samples=100)):
         with pytest.raises(AtlasError, match="more than an index can address"):
             call()
+
+
+def test_chain_beyond_an_index_is_a_domain_error(tmp_path, capsys):
+    """A chain on the kappa >= 2^63 covering raises `AtlasError` before any
+    search (it could not address its charts), and `atlas chain` on a
+    hand-written recipe of that covering exits 2."""
+    cov = cover_punctured_polydisc(4, 0.01, 3.0)[0]
+    p, q = (0.5, 0.5, 0.5, 0.5), (0.5j, 0.5, 0.5, 0.5)
+    with pytest.raises(AtlasError, match="more than an index can address"):
+        chain_between(cov, p, q)
+    recipe = {"schema_version": "2", "ambient": ambient_to_dict(cov.ambient),
+              "gamma": cov.gamma, "kappa": 65_171_733_770_154_375_000,
+              "meta": json.loads(dumps(cov.meta))}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(recipe))
+    assert main(["chain", "--covering", str(path), "--from=0.5,0,0.5,0,0.5,0,0.5,0",
+                 "--to=0,0.5,0.5,0,0.5,0,0.5,0"]) == 2
+    assert "more than an index can address" in capsys.readouterr().err
 
 
 def test_bound_formula_value():

@@ -12,6 +12,7 @@ from atlascover.core import (
     Disconnected,
     InsufficientPoints,
     NoContainingChart,
+    PolydiscComplement,
     PuncturedPlane,
     RegionMismatch,
     UnknownBound,
@@ -25,11 +26,11 @@ from atlascover.levelset import (
 )
 from atlascover.polydisc import cover_punctured_polydisc, level_lower_bound
 from atlascover.suspension import chart_arrays, chart_neighbors
+from oracles import _lagrange_witness, _segment_witness, chain_bfs_loop
 from atlascover.verify import (
     AnnulusRegion,
     LevelGraphRegion,
     PolydiscRegion,
-    _segment_witness,
     certify_doubling,
     chain_between,
     check_coverage,
@@ -279,7 +280,8 @@ class TestNeighbors:
 
     def test_plain_list_yields_every_index(self):
         charts = list(cover_annulus(0.5, 2.0).charts)
-        assert chart_neighbors(charts, 3) == list(range(len(charts)))
+        got = chart_neighbors(charts, 3)
+        assert got.dtype == np.int64 and got.tolist() == list(range(len(charts)))
 
 
 class TestStructuredChains:
@@ -305,18 +307,22 @@ class TestStructuredChains:
         assert len(chains) == 1
 
     def test_polydisc_chain_witness_calls(self, monkeypatch):
+        """Every BFS layer is decided by one batched kernel call, so a chain
+        of length L takes at most L calls; no chart pair is tested alone."""
         calls = []
-        real = verify_mod.intersection_witness
+        real = verify_mod._witness_rows
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(args[0].shape[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(verify_mod, "intersection_witness", counted)
+        monkeypatch.setattr(verify_mod, "_witness_rows", counted)
+        monkeypatch.setattr(verify_mod, "intersection_witness", None)
         cov, _ = cover_punctured_polydisc(2, 0.75, 2.0, active_axes={2})
         chain = chain_between(cov, (0.1, 0.9), (0.1, 0.9j))
         assert chain.chart_indices == tuple(range(9))
-        assert len(calls) < 2_000
+        assert 1 <= len(calls) <= chain.length
+        assert sum(calls) > len(calls)
 
     def test_level_set_chain(self):
         cov = cover_monomial_level_set((2, 1), 0.04, 2.0)
@@ -350,6 +356,123 @@ class TestExactWitness:
         c1 = DiagonalAffineChart(b=(0, 0), d=(1, 0.1), gamma=2.0)
         c2 = DiagonalAffineChart(b=(0, 0.5), d=(1, 0.1), gamma=2.0)
         assert intersection_witness(c1, c2) is None
+
+
+# ---------------------------------------------------------------------------
+# the batched witness kernel and the layer-at-a-time BFS against the scalar oracles
+# ---------------------------------------------------------------------------
+
+def _bits(w):
+    """A witness (or None) as the raw bits of its coordinates."""
+    return None if w is None else np.array(w, dtype=complex).view(np.uint64).tolist()
+
+
+def _staircase():
+    """Crossed ellipses along the diagonal: consecutive charts meet off their
+    center segment, so only the Lagrange stage finds their witnesses."""
+    charts = [DiagonalAffineChart(b=(0.9 * k, 0.9 * k),
+                                  d=(1, 0.05) if k % 2 == 0 else (0.05, 1), gamma=2.0)
+              for k in range(5)]
+    return Covering(PolydiscComplement(2), 2.0, charts)
+
+
+def _polydisc_axis2():
+    return cover_punctured_polydisc(2, 0.75, 2.0, active_axes={2})[0]
+
+
+def _level_21():
+    return cover_monomial_level_set((2, 1), 0.04, 2.0)
+
+
+_LEVEL_PTS = region_samples(LevelGraphRegion((2, 1), 0.04), 10, 1)
+
+CHAIN_CASES = {
+    "annulus-1e-2": (lambda: cover_annulus(1e-2, 2.0), (0.01,), (-0.01,)),
+    "annulus-1e-2-quarter": (lambda: cover_annulus(1e-2, 2.0), (0.5,), (0.5j,)),
+    "annulus-1e-3": (lambda: cover_annulus(1e-3, 2.0), (1e-3,), (-1e-3,)),
+    "polydisc-axis2": (_polydisc_axis2, (0.1, 0.9), (0.1, 0.9j)),
+    "polydisc-axis2-list": (lambda: Covering(_polydisc_axis2().ambient, 2.0,
+                                             list(_polydisc_axis2().charts)),
+                            (0.1, 0.9), (0.1, 0.9j)),
+    "level-21": (_level_21, tuple(_LEVEL_PTS[0]), tuple(_LEVEL_PTS[3])),
+    "crossed-ellipses": (_staircase, (-0.9, 0.0), (3.6, 3.6 + 0.04j)),
+}
+
+
+class TestBatchedChains:
+    @pytest.mark.parametrize("name", CHAIN_CASES)
+    def test_chain_equals_the_fifo_oracle(self, name):
+        build, p, q = CHAIN_CASES[name]
+        cov = build()
+        got, ref = chain_between(cov, p, q), chain_bfs_loop(cov, p, q)
+        assert got.chart_indices == ref.chart_indices
+        assert [_bits(w) for w in got.witnesses] == [_bits(w) for w in ref.witnesses]
+        fam = cov.family
+        for (i, j), w in zip(zip(got.chart_indices, got.chart_indices[1:]), got.witnesses):
+            assert fam.contains(i, w, 1.0, tol=1e-10) and fam.contains(j, w, 1.0, tol=1e-10)
+        if name == "crossed-ellipses":
+            assert got.length == 5
+            assert all(_segment_witness(cov.charts[i], cov.charts[i + 1], 1e-10) is None
+                       for i in range(4))
+
+    @pytest.mark.parametrize("name", ["annulus-1e-2", "polydisc-axis2", "level-21"])
+    def test_the_bfs_builds_no_chart(self, name, monkeypatch):
+        """Charts are built only to find the endpoints' charts."""
+        build, p, q = CHAIN_CASES[name]
+        cov = build()
+        built, lookup = [], verify_mod._containing_charts
+        real_post_init = DiagonalAffineChart.__post_init__
+
+        def counting(self):
+            built.append(1)
+            real_post_init(self)
+
+        def endpoints(*args):
+            out = lookup(*args)
+            built.clear()
+            return out
+
+        monkeypatch.setattr(DiagonalAffineChart, "__post_init__", counting)
+        monkeypatch.setattr(verify_mod, "_containing_charts", endpoints)
+        assert chain_between(cov, p, q).length > 2
+        assert built == []
+
+    def test_kernel_equals_the_scalar_tests_row_by_row(self):
+        """About 2,000 random chart pairs in dimensions 1 to 3 and the hand-made
+        pairs of `TestExactWitness`: the same None-or-not and the same bits."""
+        rng = np.random.default_rng(11)
+        pairs = [((0, 0), (1, 0.05), (0.9, 0.9), (0.05, 1)),
+                 ((0, 0), (1, 1), (0.95, 0.95), (0.3, 0.3)),
+                 ((0.95, 0.95), (0.3, 0.3), (0, 0), (1, 1)),
+                 ((0, 0), (1, 0.1), (0, 0.5), (1, 0.1))]
+        for dim in (1, 2, 3):
+            for _ in range(670):
+                b1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                b2 = b1 + rng.uniform(0.0, 1.5) * (rng.standard_normal(dim)
+                                                   + 1j * rng.standard_normal(dim))
+                d1, d2 = (rng.uniform(0.05, 1.5, dim) * np.exp(
+                    1j * rng.uniform(0, 2 * np.pi, dim) * (rng.random() < 0.3))
+                    for _ in range(2))
+                pairs.append((b1, d1, b2, d2))
+        stages = {"segment": 0, "lagrange": 0, "none": 0}
+        for dim in (1, 2, 3):
+            group = [x for x in pairs if len(x[0]) == dim]
+            ok, w = verify_mod._witness_rows(
+                *(np.array([x[k] for x in group], dtype=complex) for k in range(4)), 1e-10)
+            for r, (b1, d1, b2, d2) in enumerate(group):
+                c1 = DiagonalAffineChart(b=tuple(b1), d=tuple(d1), gamma=2.0)
+                c2 = DiagonalAffineChart(b=tuple(b2), d=tuple(d2), gamma=2.0)
+                ref = _segment_witness(c1, c2, 1e-10)
+                stage = "segment"
+                if ref is None:
+                    ref = _lagrange_witness(c1, c2, 1e-10)
+                    stage = "none" if ref is None else "lagrange"
+                stages[stage] += 1
+                assert bool(ok[r]) == (ref is not None), (dim, r)
+                if ok[r]:
+                    assert _bits(w[r]) == _bits(ref), (dim, r)
+                    assert _bits(intersection_witness(c1, c2)) == _bits(ref)
+        assert min(stages.values()) >= 100, stages
 
 
 @pytest.mark.parametrize("alpha, c", [((2, 1), 0.04), ((2, 1, 1), 0.5)])
