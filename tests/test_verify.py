@@ -26,7 +26,6 @@ from atlascover.levelset import (
 )
 from atlascover.polydisc import cover_punctured_polydisc, level_lower_bound
 from atlascover.suspension import chart_arrays, chart_neighbors
-from oracles import _lagrange_witness, _segment_witness, chain_bfs_loop
 from atlascover.verify import (
     AnnulusRegion,
     LevelGraphRegion,
@@ -41,6 +40,8 @@ from atlascover.verify import (
     region_samples,
     scaling_experiment,
 )
+
+from oracles import _lagrange_witness, _segment_witness, chain_bfs_loop
 
 
 class TestCoverage:
