@@ -58,7 +58,6 @@ from .real_acharts import (
     RealAChart,
     choose_C3,
     cover_monomial_graph,
-    cover_unit_cube_scales,
     graph_membership,
     shrink_for_tube,
     verify_achart,

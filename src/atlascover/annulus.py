@@ -27,7 +27,6 @@ from .core import (
     DiagonalAffineChart,
     InvalidDoublingFactor,
     PuncturedPlane,
-    tolerance,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -154,14 +153,16 @@ class RingDisks(ChartFamily):
         j0 + o' around its anchor k0 = floor(log_q |z|), j0 = nearest angle.
         A disk of ring k at scale s reaches radii cf*q^k * (1 -+ s*rf/cf),
         which bounds the ring offsets o; the angle offsets are bounded by
-        asin(s*rf / lo) at the smallest such radius lo.
+        asin(s*rf / lo) at the smallest such radius lo.  A point that is not
+        finite meets no disk.
         """
         smax = float(scale.max(initial=0.0))
         if len(self) == 0 or smax <= 0.0:
             return
-        z = pts[:, 0]
-        k0 = np.floor(np.log(np.maximum(np.abs(z), 1e-300)) / math.log(self.q)).astype(int)
-        j0 = np.round(np.angle(z) / (TWO_PI / self.n_angles)).astype(int)
+        z, finite = pts[:, 0], np.isfinite(pts[:, 0])
+        with np.errstate(invalid="ignore"):         # the anchors of those points are not read
+            k0 = np.floor(np.log(np.maximum(np.abs(z), 1e-300)) / math.log(self.q)).astype(int)
+            j0 = np.round(np.angle(z) / (TWO_PI / self.n_angles)).astype(int)
         lo, hi = self.cf - smax * self.rf, self.cf + smax * self.rf
         angle_offsets = range(self.n_angles)
         if lo <= 0.0:
@@ -176,7 +177,7 @@ class RingDisks(ChartFamily):
                 angle_offsets = sorted(range(-w, w + 1), key=abs)
         for do in ring_offsets:
             k = k0 + do
-            idx = np.nonzero((k >= 0) & (k < self.n_rings) & ~done)[0]
+            idx = np.nonzero((k >= 0) & (k < self.n_rings) & finite & ~done)[0]
             for da in angle_offsets:
                 idx = idx[~done[idx]]
                 if idx.size == 0:
@@ -185,21 +186,13 @@ class RingDisks(ChartFamily):
 
     def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
         """Which points lie in some disk scaled by ``scale`` (scalar or per point)."""
-        pts = self._points(pts)
-        scale = np.broadcast_to(np.asarray(scale, dtype=float), pts.shape[:1])
-        t = tolerance(tol)
+        pts, scale, t = self._points(pts, scale, tol)
         covered = np.zeros(pts.shape[0], dtype=bool)
         a, r = self._disks
         for idx, j in self.passes(pts, scale, covered):
             rs = r[j] * scale[idx]
             covered[idx[np.abs(pts[idx, 0] - a[j]) ** 2 <= rs * rs * (1.0 + t)]] = True
         return covered
-
-    def candidates(self, p, scale: float, tol: float | None = None):
-        """Indices of every disk that could contain the point ``p`` at ``scale``."""
-        pts = self._points(np.reshape(p, (1, -1)))
-        for _, j in self.passes(pts, np.full(1, float(scale)), np.zeros(1, dtype=bool)):
-            yield int(j[0])
 
     def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
         """Disk indices (``i`` included) whose disks at ``scale`` can meet disk ``i``'s.

@@ -50,7 +50,7 @@ def _complex_arg(text: str) -> complex:
 
 def _point_arg(text: str):
     vals = _floats(text)
-    if len(vals) % 2 != 0:
+    if not vals or len(vals) % 2:
         raise ValueError("points are flat re,im pairs: re1,im1[,re2,im2,...]")
     return cpoint(complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
 

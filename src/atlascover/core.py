@@ -16,6 +16,7 @@ import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Union
 
 import numpy as np
@@ -258,6 +259,44 @@ def chart_contains(chart: DiagonalAffineChart, p, scale: float,
     return s2 <= scale * scale * (1.0 + t)
 
 
+def _abs(z, power: float = 1.0):
+    """``abs(z) ** power`` as Python rounds it (libm ``hypot`` and ``pow``)."""
+    h = np.hypot(z.real, z.imag)
+    return h if power == 1.0 else np.float_power(h, power)
+
+
+def _complex(re, im):
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _quot(a, b):
+    """Python's complex ``a / b`` (Smith's scaling), not numpy's division."""
+    big = np.abs(b.real) >= np.abs(b.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(big, b.imag / b.real, b.real / b.imag)
+        den = np.where(big, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        return _complex(np.where(big, a.real + a.imag * ratio, a.real * ratio + a.imag) / den,
+                        np.where(big, a.imag - a.real * ratio, a.imag * ratio - a.real) / den)
+
+
+def _rowsum(x):
+    """Left-to-right sums over the last axis, as Python's ``sum`` adds floats."""
+    return reduce(np.add, np.moveaxis(x, -1, 0))
+
+
+def _norm(z):
+    """Row norms as `np.linalg.norm` rounds one row: BLAS dots of the real and imaginary parts."""
+    return np.sqrt(sum((x[:, None, :] @ x[:, :, None])[:, 0, 0] for x in (z.real, z.imag)))
+
+
+def _in_ball(p, b, d, bound):
+    """`chart_contains` row by row: sum_i |(p_i - b_i) / d_i|^2 <= bound."""
+    with np.errstate(over="ignore"):            # a sum that overflows is outside
+        return _rowsum(_abs(_quot(p - b, d), 2.0)) <= bound
+
+
 def avoidance_certificate(chart: DiagonalAffineChart, ambient: Ambient,
                           scale: float) -> bool:
     """Certify that the extended chart at ``scale`` avoids the deleted set.
@@ -299,6 +338,7 @@ class ChartFamily(Sequence):
     and ``_recipe()`` (what makes two families of the same type equal).  The
     default queries treat the family as a list of diagonal affine charts and
     scan it; structured families override them (``arrays_at`` too) by index.
+    `locate` and `contains` are built on ``passes`` and the row test ``_inside``.
     """
 
     def __getitem__(self, i):
@@ -324,16 +364,19 @@ class ChartFamily(Sequence):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
-    def _points(self, pts) -> np.ndarray:
-        """``pts`` as an (N, dim) complex array: (N,) is N points when dim is 1,
+    def _points(self, pts, scale, tol: float | None) -> tuple:
+        """A query checked: ``pts`` as an (N, dim) complex array, ``scale`` as
+        one value per point and the resolved tolerance, on a family small
+        enough to index (`chart_count`).  (N,) is N points when dim is 1,
         (dim,) is one point; any other shape raises `DimensionMismatch`."""
+        chart_count(self)
         pts = np.asarray(pts, dtype=complex)
         if pts.ndim == 1:
             pts = pts[:, None] if self.dim in (1, None) else pts[None, :]
         if pts.ndim != 2 or self.dim not in (pts.shape[1], None):
             raise DimensionMismatch(
                 f"points of shape {pts.shape} for charts of dim {self.dim}")
-        return pts
+        return pts, np.broadcast_to(np.asarray(scale, dtype=float), pts.shape[:1]), tolerance(tol)
 
     def chart_arrays(self) -> tuple:
         """(b, d) arrays of shape (kappa, dim)."""
@@ -390,11 +433,27 @@ class ChartFamily(Sequence):
         for idx, lo, hi in self._blocks(done):
             yield np.repeat(idx, hi - lo), np.tile(np.arange(lo, hi), idx.size)
 
+    def _inside(self, pts, idx, scale, tol: float) -> np.ndarray:
+        """Row r: whether chart idx[r]'s image at scale[r] contains pts[r] (`chart_contains`)."""
+        b, d = self.arrays_at(idx)
+        return _in_ball(pts, b, d, scale * scale * (1.0 + tol))
+
+    def locate(self, pts, scale, tol: float | None = None) -> tuple:
+        """(point indices, chart indices): every pair whose chart image at
+        ``scale`` (scalar or per point) contains the point, as sorted int64
+        arrays; no chart is built.  `passes` offer the pairs (at the scale times
+        1 + tol, as their windows test no tolerance) and `_inside` decides them."""
+        pts, scale, t = self._points(pts, scale, tol)
+        found = [np.zeros((0, 2), dtype=np.int64)]
+        for i, j in self.passes(pts, scale * (1.0 + t), np.zeros(pts.shape[0], dtype=bool)):
+            hit = self._inside(pts[i], j, scale[i], t)
+            found.append(np.stack([i[hit], j[hit]], axis=1).astype(np.int64))
+        pairs = np.unique(np.concatenate(found), axis=0)
+        return pairs[:, 0], pairs[:, 1]
+
     def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
         """Which points lie in some chart image at ``scale`` (scalar or per point)."""
-        pts = self._points(pts)
-        scale = np.broadcast_to(np.asarray(scale, dtype=float), pts.shape[:1])
-        t = tolerance(tol)
+        pts, scale, t = self._points(pts, scale, tol)
         covered = np.zeros(pts.shape[0], dtype=bool)
         if len(self) == 0 or pts.shape[0] == 0:
             return covered
@@ -405,13 +464,12 @@ class ChartFamily(Sequence):
             covered[idx[(n2 <= scale[idx, None] ** 2 * (1.0 + t)).any(axis=1)]] = True
         return covered
 
-    def candidates(self, p, scale: float, tol: float | None = None):
-        """Chart indices that could contain the point ``p`` at ``scale``."""
-        return range(len(self))
-
     def contains(self, i: int, p, scale: float, tol: float | None = None) -> bool:
-        """Whether chart ``i``'s image at ``scale`` contains ``p``."""
-        return chart_contains(self[i], p, scale, tol=tol)
+        """Whether chart ``i``'s image at ``scale`` contains ``p``: `_inside` on one row."""
+        if not 0 < scale <= self.gamma:
+            raise ValueError(f"scale must lie in (0, gamma={self.gamma}], got {scale}")
+        pts, scale, t = self._points(np.reshape(np.asarray(p, dtype=complex), (1, -1)), scale, tol)
+        return bool(self._inside(pts, np.array([i]), scale, t)[0])
 
     def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
         """Sorted int64 chart indices (``i`` included) whose images at ``scale``

@@ -32,6 +32,8 @@ from .core import (
     MonomialLevelSet,
     NotARegularValue,
     PolydiscComplement,
+    _abs,
+    _norm,
     avoidance_certificate,
     tolerance,
 )
@@ -174,11 +176,11 @@ class LevelBranchCharts(ChartFamily):
                          self._base.doubling_factors(tuple(range(nb)), scale)).ravel()
         return (np.repeat(base_ok, self.alpha1) & ok.ravel(),)
 
-    def candidates(self, p, scale: float, tol: float | None = None):
-        """Chart indices that could contain the ambient point p = (x1, xbar)."""
-        for t in self._base.candidates(tuple(p[1:]), scale, tol=tol):
-            for k in range(self.alpha1):
-                yield t * self.alpha1 + k
+    def passes(self, pts, scale, done):
+        """The base family's passes on xbar, each base chart with its alpha_1 branches."""
+        a1 = self.alpha1
+        for idx, t in self._base.passes(pts[:, 1:], scale, done):
+            yield np.repeat(idx, a1), (t[:, None] * a1 + np.arange(a1)).ravel()
 
     def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
         """Chart indices whose images at ``scale`` can meet chart ``i``'s: every
@@ -186,17 +188,20 @@ class LevelBranchCharts(ChartFamily):
         base = self._base.neighbors(i // self.alpha1, scale) * self.alpha1
         return (base[:, None] + np.arange(self.alpha1)).ravel()
 
-    def contains(self, ch_index: int, p, scale: float,
-                 tol: float | None = None) -> bool:
-        """Membership in one chart image: invert the base, match the branch."""
-        t = tolerance(tol)
-        ch = self[ch_index]
-        xbar = np.asarray(p[1:], dtype=complex)
-        x = ch.base.preimage(xbar)
-        if float(np.linalg.norm(x)) > scale * math.sqrt(1.0 + t):
-            return False
-        g = complex(ch.first_coordinate(x))
-        return abs(g - complex(p[0])) <= t ** 0.5 * max(1.0, abs(g))
+    def _inside(self, pts, idx, scale, tol: float) -> np.ndarray:
+        """Row by row: the base preimage x of xbar has norm at most scale sqrt(1 + tol),
+        and the branch value g at x matches x1: |g - x1| <= sqrt(tol) max(1, |g|)."""
+        base, k = np.divmod(idx, self.alpha1)
+        b, d = self._base.arrays_at(base)
+        x = (pts[:, 1:] - b) / d
+        ok = _norm(x) <= scale * math.sqrt(1.0 + tol)
+        r = np.nonzero(ok)[0]
+        g = level_points(b[r], d[r], self.alpha, self.c, x[r], range(self.alpha1))
+        g = g[np.arange(r.size), k[r], 0]
+        ok[r] = _abs(g - pts[r, 0]) <= tol ** 0.5 * np.maximum(1.0, _abs(g))
+        return ok
+
+    contains = ChartFamily.contains         # bound here too: the benchmark tracer counts its calls
 
     def covers(self, pts: np.ndarray, scale, tol: float | None = None) -> np.ndarray:
         """Base location, then a root match on the rows the base covers.
@@ -204,10 +209,9 @@ class LevelBranchCharts(ChartFamily):
         Every base chart carries all alpha_1 branches, and their values at
         xbar are the alpha_1 roots g of g^alpha_1 = c / xbar^alphabar, so p
         is covered iff the base covers xbar and |g - x1| <= sqrt(t) max(1, |g|)
-        for one of them (the rule of `contains`).
+        for one of them (the rule of `_inside`).
         """
-        pts = self._points(pts)
-        t = tolerance(tol)
+        pts, _, t = self._points(pts, scale, tol)
         out = self._base.covers(pts[:, 1:], scale, tol=t)
         rows = np.nonzero(out)[0]
         if rows.size:

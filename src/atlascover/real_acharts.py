@@ -137,17 +137,6 @@ def _product_rows(values, m: int) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, m)
 
 
-def cover_unit_cube_scales(eps: float, m: int) -> list:
-    """Product grid of box centers covering (eps, 1)^m; count = (K+1)^m."""
-    if m < 1:
-        raise ValueError("dimension must be positive")
-    axis = axis_scale_centers(eps)
-    centers = [()]
-    for _ in range(m):
-        centers = [c + (y,) for c in centers for y in axis]
-    return centers
-
-
 def box_min_ratio(mu) -> float:
     """min over the closed dyadic box of x^mu / y^mu = prod min((1/2)^mu_i, (3/2)^mu_i)."""
     r = 1.0

@@ -28,9 +28,7 @@ from .core import (
     PolydiscComplement,
     PuncturedPlane,
     UnsupportedAmbient,
-    chart_count,
     family,
-    tolerance,
 )
 
 
@@ -145,44 +143,38 @@ class SuspendedCharts(ChartFamily):
 
     # -- point location -----------------------------------------------------------
 
+    def _split(self, pts, scale, t: float, idx, j):
+        """The rows r of the layer pairs (idx, j) with y^2 <= s^2 (1 + t) for
+        y = |(w - a_j) / lambda_j|, and their inner scales beta sqrt(s^2 (1 + t) - y^2)."""
+        a, lam = self._layer_table
+        with np.errstate(invalid="ignore", over="ignore"):
+            y2 = np.abs((pts[idx, -1] - a[j]) / lam[j]) ** 2
+        s2 = scale[idx] ** 2 * (1.0 + t)
+        r = np.nonzero(y2 <= s2)[0]
+        return r, self.beta * np.sqrt(np.maximum(s2[r] - y2[r], 0.0))
+
+    def passes(self, pts, scale, done):
+        """The layer family's passes, all at once, then the inner family's passes
+        at the scale the exact split leaves: as many passes as the inner family
+        makes, however many levels deep.  ``done`` is read once."""
+        layer = self.layers.passes(pts[:, -1:], scale * self.lam_factor, done)
+        idx, j = np.concatenate([np.zeros((2, 0), dtype=np.int64), *map(np.stack, layer)], axis=1)
+        r, inner_scale = self._split(pts, scale, 0.0, idx, j)
+        sub, outer = idx[r], j[r] * len(self._inner)
+        for k, tt in self._inner.passes(pts[sub, :-1], inner_scale, done[sub]):
+            yield sub[k], outer[k] + tt
+
     def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
         """Layer candidates from the layer family's passes, then the inner
         family at the scale the exact split leaves for each point."""
-        pts = self._points(pts)
-        scale = np.broadcast_to(np.asarray(scale, dtype=float), pts.shape[:1])
-        t = tolerance(tol)
+        pts, scale, t = self._points(pts, scale, tol)
         covered = np.zeros(pts.shape[0], dtype=bool)
-        if chart_count(self) == 0:
-            return covered
-        w, v = pts[:, -1], pts[:, :-1]
-        a, lam = self._layer_table
         for idx, j in self.layers.passes(pts[:, -1:], scale * self.lam_factor, covered):
-            y2 = np.abs((w[idx] - a[j]) / lam[j]) ** 2
-            s2 = scale[idx] ** 2 * (1.0 + t)
-            feas = y2 <= s2
-            if not feas.any():
-                continue
-            sub = idx[feas]
-            inner_scale = self.beta * np.sqrt(np.maximum(s2[feas] - y2[feas], 0.0))
-            covered[sub] |= self._inner.covers(v[sub], inner_scale, tol=t)
+            r, inner_scale = self._split(pts, scale, t, idx, j)
+            sub = idx[r]
+            if r.size:
+                covered[sub[self._inner.covers(pts[sub, :-1], inner_scale, tol=t)]] = True
         return covered
-
-    def candidates(self, p, scale: float, tol: float | None = None):
-        """Indices of all charts that could contain point ``p`` at ``scale``."""
-        w, v = complex(p[-1]), p[:-1]
-        t = tolerance(tol)
-        a, lam = self._layer_table
-        kappa_in = len(self._inner)
-        s2 = scale * scale * (1.0 + t)
-        for j in self.layers.candidates((w,), scale * self.lam_factor):
-            y2 = abs((w - complex(a[j])) / float(lam[j])) ** 2
-            if y2 > s2:
-                continue
-            inner_scale = self.beta * math.sqrt(max(s2 - y2, 0.0))
-            if inner_scale <= 0.0:
-                continue
-            for tt in self._inner.candidates(v, inner_scale, tol=t):
-                yield j * kappa_in + tt
 
     def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
         """Chart indices (``i`` included) whose images at ``scale`` can meet chart ``i``'s.
@@ -217,14 +209,8 @@ def covers_points(charts, pts, scale, tol: float | None = None) -> np.ndarray:
 
 
 def chart_candidates(charts, p, scale: float, tol: float | None = None):
-    """Candidate chart indices for a single point (superset of the containing set)."""
-    yield from family(charts).candidates(p, scale, tol=tol)
-
-
-def chart_neighbors(charts, i: int, scale: float = 1.0) -> np.ndarray:
-    """Sorted int64 superset of the chart indices whose images at ``scale`` can
-    meet chart ``i``'s (``i`` included); every index for plain lists."""
-    return family(charts).neighbors(i, scale)
+    """The indices of the charts whose images at ``scale`` contain the point ``p``."""
+    yield from family(charts).locate(np.reshape(p, (1, -1)), scale, tol=tol)[1].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from .core import (
     MATERIALIZE_BUDGET,
     AtlasError,
     Covering,
+    DimensionMismatch,
     Disconnected,
     InsufficientPoints,
     MonomialLevelSet,
@@ -20,13 +21,18 @@ from .core import (
     PuncturedPlane,
     RegionMismatch,
     UnknownBound,
+    _abs,
+    _complex,
+    _in_ball,
+    _norm,
+    _quot,
+    _rowsum,
     active_axis_indices,
-    chart_count,
     tolerance,
 )
 from .levelset import LevelBranchCharts, level_base_plan, level_points
 from .polydisc import polydisc_bound, polydisc_plan
-from .suspension import chart_candidates, covers_points
+from .suspension import covers_points
 
 # ---------------------------------------------------------------------------
 # sample regions
@@ -283,38 +289,6 @@ class Chain:
         return len(self.chart_indices)
 
 
-def _abs(z, power: float = 1.0):
-    """``abs(z) ** power`` as Python rounds it (libm ``hypot`` and ``pow``)."""
-    h = np.hypot(z.real, z.imag)
-    return h if power == 1.0 else np.float_power(h, power)
-
-
-def _complex(re, im):
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _quot(a, b):
-    """Python's complex ``a / b`` (Smith's scaling), not numpy's division."""
-    big = np.abs(b.real) >= np.abs(b.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(big, b.imag / b.real, b.real / b.imag)
-        den = np.where(big, b.real + b.imag * ratio, b.real * ratio + b.imag)
-        return _complex(np.where(big, a.real + a.imag * ratio, a.real * ratio + a.imag) / den,
-                        np.where(big, a.imag - a.real * ratio, a.imag * ratio - a.real) / den)
-
-
-def _rowsum(x):
-    """Left-to-right sums over the last axis, as Python's ``sum`` adds floats."""
-    return reduce(np.add, np.moveaxis(x, -1, 0))
-
-
-def _norm(z):
-    """Row norms as `np.linalg.norm` rounds one row: BLAS dots of the real and imaginary parts."""
-    return np.sqrt(sum((x[:, None, :] @ x[:, :, None])[:, 0, 0] for x in (z.real, z.imag)))
-
-
 def _witness_rows(b1, d1, b2, d2, tol: float):
     """(ok, w): whether the unit images of charts (b1[r], d1[r]) and
     (b2[r], d2[r]) meet, and a point w[r] of both, for all rows r at once.
@@ -367,8 +341,7 @@ def _bisect(b1, d1, b2, d2, bound: float):
             if not live.size:
                 break
     p = point(0.5 * (lo + hi))
-    ok[live] = ((_rowsum(_abs(_quot(p - b1, d1), 2.0)) <= bound)       # `chart_contains`
-                & (_rowsum(_abs(_quot(p - b2, d2), 2.0)) <= bound))
+    ok[live] = _in_ball(p, b1, d1, bound) & _in_ball(p, b2, d2, bound)
     w = np.empty((len(ok), b1.shape[1]), dtype=complex)
     w[live] = p
     return ok, w
@@ -377,7 +350,7 @@ def _bisect(b1, d1, b2, d2, bound: float):
 def _branch_rows(alpha, c, rows, branches, wb, tol: float):
     """(ok, w) for level-branch pairs whose base charts ``rows`` = (b1, d1, b2,
     d2) meet at ``wb``: the branch values g at wb agree by the rule of
-    `LevelBranchCharts.contains`, and w = (g1, wb).  Two roots of one equation
+    `LevelBranchCharts._inside`, and w = (g1, wb).  Two roots of one equation
     agree on all of the convex base overlap or nowhere: the test is exact."""
     g1, g2 = (level_points(b, d, alpha, c, (wb - b) / d,
                            range(alpha[0]))[np.arange(len(wb)), k, 0]
@@ -416,11 +389,6 @@ def _pair_witnesses(fam, i, j, tol: float):
     return ok, w
 
 
-def _containing_charts(fam, p, tol: float) -> list:
-    return sorted(i for i in set(chart_candidates(fam, p, 1.0, tol=tol))
-                  if fam.contains(i, p, 1.0, tol=tol))
-
-
 PAIR_BLOCK = 1 << 16            # most chart pairs one `_witness_rows` call decides
 
 
@@ -428,8 +396,9 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
                   tol: float | None = None) -> Chain:
     """Shortest witnessed chain of charts joining p to q (BFS, deterministic).
 
+    One `ChartFamily.locate` call finds the charts that contain p and q.
     The BFS runs a layer at a time.  A layer's pairs (i, j) are its charts i
-    in queue order, each with its neighbours j (`chart_neighbors`) in index
+    in queue order, each with its neighbours j (`ChartFamily.neighbors`) in index
     order, less the charts already reached.  Their (b, d) rows are gathered
     without building a chart (`ChartFamily.arrays_at`) and one batched exact
     test decides them all (`_pair_witnesses`, in blocks of `PAIR_BLOCK`).  A
@@ -439,16 +408,18 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
     witnesses are exact and do not use it.
     """
     t = tolerance(tol)
-    chart_count(cov.charts)
-    fam = cov.family
-    starts, goals = _containing_charts(fam, p, t), _containing_charts(fam, q, t)
-    if not starts or not goals:
+    fam, p, q, n = cov.family, tuple(p), tuple(q), cov.dim
+    if not len(p) == len(q) == n:
+        raise DimensionMismatch(f"endpoints of dim {len(p)}, {len(q)} for a covering of dim {n}")
+    end, charts = fam.locate(np.array([p, q], dtype=complex), 1.0, tol=t)
+    starts, goals = charts[end == 0], charts[end == 1]
+    if not starts.size or not goals.size:
         raise NoContainingChart("an endpoint lies in no chart of the covering")
-    common = sorted(set(goals).intersection(starts))
-    if common:
-        return Chain(chart_indices=(common[0],), witnesses=())
-    parent = dict.fromkeys(starts)          # chart -> (parent chart, witness)
-    layer = seen = np.array(starts, dtype=np.int64)     # charts reached, in order
+    common = np.intersect1d(starts, goals)
+    if common.size:
+        return Chain(chart_indices=(int(common[0]),), witnesses=())
+    parent = dict.fromkeys(starts.tolist())     # chart -> (parent chart, witness)
+    layer = seen = starts                       # charts reached, in order
     found = None
     while layer.size and found is None:
         nbrs = [fam.neighbors(int(i)) for i in layer]

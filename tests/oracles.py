@@ -21,15 +21,13 @@ from atlascover.core import (
 from atlascover.levelset import LevelBranchCharts, level_residual
 from atlascover.real_acharts import (
     RealAChart,
+    axis_scale_centers,
     box_min_ratio,
     choose_C3,
-    cover_unit_cube_scales,
     offset_grid,
 )
 from atlascover.suspension import (
     chart_arrays,
-    chart_candidates,
-    chart_neighbors,
     iter_chart_arrays,
 )
 from atlascover.verify import Chain
@@ -75,19 +73,53 @@ def ball_points(dim, count, seed):
     return x * rng.random((count, 1)) ** (1.0 / (2 * dim))
 
 
+def level_contains(charts, i, p, scale, tol=None):
+    """Whether level-branch chart ``i``'s image at ``scale`` contains ``p``, on
+    the built chart: invert the base, then match the branch value at the
+    preimage against x1 (the reference rule)."""
+    t = tolerance(tol)
+    ch = charts[i]
+    x = ch.base.preimage(np.asarray(p[1:], dtype=complex))
+    if float(np.linalg.norm(x)) > scale * math.sqrt(1.0 + t):
+        return False
+    g = complex(ch.first_coordinate(x))
+    return abs(g - complex(p[0])) <= t ** 0.5 * max(1.0, abs(g))
+
+
+def containing_pairs(charts, pts, scale=1.0, tol=None):
+    """The sorted (point, chart) index pairs whose chart image at ``scale``
+    (scalar or per point) contains the point of the (N, dim) array ``pts``,
+    by the per-chart rule: `chart_contains`, or `level_contains` for
+    level-branch charts.  A vectorized scan of every (b, d) row (of the base,
+    for level charts) keeps the charts within 1e-6 of the ball, and only
+    those are built and tested."""
+    t = tolerance(tol)
+    pts = np.asarray(pts, dtype=complex)
+    scales = np.broadcast_to(np.asarray(scale, dtype=float), pts.shape[:1])
+    level = isinstance(charts, LevelBranchCharts)
+    b, d = chart_arrays(charts.base_cov.charts if level else charts)
+    w = 1.0 / np.abs(d) ** 2
+    a1 = charts.alpha1 if level else 1
+    out = []
+    for r, (p, s) in enumerate(zip(pts, scales)):
+        near, n2 = np.arange(b.shape[0]), np.zeros(b.shape[0])
+        for k, x in enumerate(p[1:] if level else p):     # the sum so far, axis by axis
+            n2 = n2 + np.abs(x - b[near, k]) ** 2 * w[near, k]
+            keep = n2 <= s * s * (1.0 + t) * (1.0 + 1e-6)
+            near, n2 = near[keep], n2[keep]
+        for i in near.tolist():
+            out += [(r, c) for c in range(i * a1, (i + 1) * a1)
+                    if (level_contains(charts, c, tuple(p), s, tol=t) if level
+                        else chart_contains(charts[c], tuple(p), s, tol=t))]
+    return out
+
+
 def level_covers_loop(charts, pts, scale, tol=None):
-    """`LevelBranchCharts.covers` as a per-point loop over candidate charts,
-    each tested by `LevelBranchCharts.contains` (the reference answer)."""
+    """`LevelBranchCharts.covers` point by point: whether `containing_pairs`
+    pairs the point with a chart (the reference answer)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=complex))
-    n_pts = pts.shape[0]
-    scales = np.broadcast_to(np.asarray(scale, dtype=float), (n_pts,))
-    out = np.zeros(n_pts, dtype=bool)
-    for i in range(n_pts):
-        p = tuple(pts[i])
-        for j in charts.candidates(p, float(scales[i]), tol=tol):
-            if charts.contains(j, p, float(scales[i]), tol=tol):
-                out[i] = True
-                break
+    out = np.zeros(pts.shape[0], dtype=bool)
+    out[[r for r, _ in containing_pairs(charts, pts, scale, tol=tol)]] = True
     return out
 
 
@@ -100,6 +132,17 @@ def choose_C3_loop(mu, value_bound):
     while A * (math.exp(M * (3.0 / c3) / (1.0 - 3.0 / c3)) - 1.0) > 1.0:
         c3 += 1
     return float(c3)
+
+
+def cover_unit_cube_scales(eps, m):
+    """Product grid of box centers covering (eps, 1)^m; count = (K+1)^m."""
+    if m < 1:
+        raise ValueError("dimension must be positive")
+    axis = axis_scale_centers(eps)
+    centers = [()]
+    for _ in range(m):
+        centers = [c + (y,) for c in centers for y in axis]
+    return centers
 
 
 def cover_monomial_graph_list(data, eps):
@@ -281,12 +324,12 @@ def scalar_witness(c1, c2, tol=None):
 
 def chain_bfs_loop(cov, p, q, tol=None):
     """`verify.chain_between` as a FIFO BFS that tests one chart pair at a
-    time by `scalar_witness`, building each chart (the reference chain)."""
+    time by `scalar_witness`, building each chart, from the endpoints'
+    `containing_pairs` (the reference chain)."""
     t = tolerance(tol)
     charts = cov.family
-    contains = [sorted(i for i in set(chart_candidates(charts, x, 1.0, tol=t))
-                       if charts.contains(i, x, 1.0, tol=t)) for x in (p, q)]
-    starts, goals = contains[0], set(contains[1])
+    pairs = containing_pairs(charts, np.array([p, q], dtype=complex), 1.0, tol=t)
+    starts, goals = [c for r, c in pairs if r == 0], {c for r, c in pairs if r == 1}
     if not starts or not goals:
         raise NoContainingChart("an endpoint lies in no chart of the covering")
     common = sorted(goals.intersection(starts))
@@ -311,7 +354,7 @@ def chain_bfs_loop(cov, p, q, tol=None):
     while frontier and found is None:
         i = frontier.popleft()
         ci = charts[i]
-        for j in sorted(set(int(k) for k in chart_neighbors(charts, i))):
+        for j in sorted(set(int(k) for k in charts.neighbors(i))):
             if j in parent:
                 continue
             w = witness(i, ci, j)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -139,6 +140,33 @@ def test_chain_cli(tmp_path, capsys):
     assert main(["chain", "--covering", str(out),
                  "--from=0.1,0", "--to=-0.1,0"]) == 0
     assert "length=" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, cover", [
+    (1, ["annulus", "--delta", "0.1", "--zeta", "2"]),
+    (2, ["polydisc", "--dim", "2", "--eta", "0.75", "--gamma", "2"]),
+    (2, ["levelset", "--alpha", "2,1", "--c", "0.04,0", "--gamma", "2"]),
+], ids=["annulus", "polydisc", "levelset"])
+def test_chain_with_malformed_endpoints_exits_two(tmp_path, capsys, n, cover):
+    """Wrong lengths name the covering's dimension; nan and inf lie in no
+    chart.  Each prints one error line and no numpy warning."""
+    out = tmp_path / "cov.json"
+    assert main(["cover", *cover, "--out", str(out)]) == 0
+    capsys.readouterr()
+    good, long = ",".join(["0.5,0"] * n), ",".join(["0.5,0"] * (n + 1))
+    cases = [(long, good, "DimensionMismatch"), (good, long, "DimensionMismatch"),
+             (long, long, "DimensionMismatch")]
+    cases += [(good.replace("0.5,0", bad, 1), good, "NoContainingChart")
+              for bad in ("nan,0", "inf,0", "0.5,-inf", "inf,nan")]
+    for src, dst, error in cases:
+        assert main(["chain", "--covering", str(out), f"--from={src}", f"--to={dst}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and re.match(f"error: {error}: ", err), (src, dst, err)
+        if error == "DimensionMismatch":
+            assert err.endswith(f"for a covering of dim {n}\n")
+    assert main(["chain", "--covering", str(out), "--from=", f"--to={good}"]) == 2
+    assert "error: argument --from: invalid _point_arg value: ''" in capsys.readouterr().err
 
 
 def test_scaling_csv_columns(tmp_path):

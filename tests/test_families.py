@@ -19,7 +19,7 @@ from atlascover.suspension import (
     iter_chart_arrays,
 )
 
-from oracles import brute_covered
+from oracles import brute_covered, containing_pairs
 
 FAMILIES = {
     "rings": lambda: cover_annulus(1e-2, 2.0).charts,
@@ -65,16 +65,46 @@ def test_covers_matches_brute_force(name):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-@pytest.mark.parametrize("scale", [1.0, 1.7])
+@pytest.mark.parametrize("scale", [1.0, 1.7, "per-point"])
 def test_candidates_contain_every_containing_chart(name, scale):
+    """`locate` gives exactly the (point, chart) pairs that `chart_contains`
+    accepts, as int64 arrays sorted by point, then chart; `contains` and
+    `chart_candidates`, its one-point view, agree with it."""
     charts = _charts(name)
-    b, d = chart_arrays(charts)
-    for p in _points(charts, count=40, seed=2):
-        n2 = (np.abs((p - b) / d) ** 2).sum(axis=1)
-        inside = set(np.nonzero(n2 <= scale * scale * (1.0 + TOL))[0].tolist())
-        got = sorted(chart_candidates(charts, tuple(p), scale, tol=TOL))
-        assert len(got) == len(set(got))
-        assert inside <= set(got)
+    fam = family(charts)
+    pts = _points(charts, count=60, seed=2)
+    if scale == "per-point":
+        scale = 0.5 + np.random.default_rng(3).random(pts.shape[0])
+    i, j = fam.locate(pts, scale, tol=TOL)
+    want = containing_pairs(charts, pts, scale, tol=TOL)
+    assert i.dtype == j.dtype == np.int64
+    assert 0 < len({r for r, _ in want}) < pts.shape[0]
+    assert list(zip(i.tolist(), j.tolist())) == want
+    r, c = want[len(want) // 2]
+    s = np.broadcast_to(scale, pts.shape[:1])[r]
+    assert fam.contains(c, pts[r], s, tol=TOL)
+    assert list(chart_candidates(charts, pts[r], s, tol=TOL)) == [k for q, k in want if q == r]
+
+
+@pytest.mark.parametrize("fam, pts", [
+    (cover_punctured_polydisc(2, 1.5, 2.0)[0].family, np.full((3, 2), 0.5 + 0j)),
+    (cover_annulus(1e-2, 2.0).charts, np.zeros((0, 1), dtype=complex)),
+    (cover_monomial_level_set((2, 1), 0.04).charts, np.zeros((0, 2), dtype=complex)),
+    (family([], dim=2), np.full((3, 2), 0.5 + 0j)),
+])
+def test_locate_without_charts_or_points(fam, pts):
+    i, j = fam.locate(pts, 1.0)
+    assert i.dtype == j.dtype == np.int64 and i.shape == j.shape == (0,)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_contains_refuses_a_scale_outside_the_factor(name):
+    fam = family(_charts(name))
+    p = fam.arrays_at(np.array([0]))[0][0]
+    assert fam.contains(0, p, fam.gamma)
+    for scale in (0.0, -1.0, fam.gamma * 1.01):
+        with pytest.raises(ValueError, match="scale must lie in"):
+            fam.contains(0, p, scale)
 
 
 @pytest.mark.parametrize("name", FAMILIES)

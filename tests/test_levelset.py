@@ -29,7 +29,7 @@ from atlascover.verify import (
     region_samples,
 )
 
-from oracles import ball_points, level_covers_loop
+from oracles import ball_points, containing_pairs, level_covers_loop
 
 
 BASE = DiagonalAffineChart(b=(0.5,), d=(0.05,), gamma=2.0)
@@ -156,13 +156,19 @@ def test_plain_list_of_level_charts_is_a_domain_error():
 
 
 class _CountingList(list):
-    """A plain chart list that counts the charts read from it."""
+    """A plain chart list that counts the charts read from it, by index or
+    by iteration."""
 
     reads = 0
 
     def __getitem__(self, i):
         self.reads += 1
         return super().__getitem__(i)
+
+    def __iter__(self):
+        for chart in super().__iter__():
+            self.reads += 1
+            yield chart
 
 
 def test_chain_on_plain_list_of_level_charts_is_a_domain_error():
@@ -216,6 +222,23 @@ def test_covers_matches_the_per_point_loop(alpha, c, count, scales):
         if name == "one":
             assert got[:n].all() and not got[n:2 * n].any()
             assert got[3 * n:4 * n].all() and not got[4 * n:].any()
+
+
+@pytest.mark.parametrize("alpha, c, count", [
+    ((2, 1), 0.04, 30), ((2, 1, 1), 0.5, 4), ((3, 1), 0.07 + 0.02j, 20),
+])
+def test_locate_equals_the_per_chart_rule(alpha, c, count):
+    """`locate` gives exactly the (point, chart) pairs of the rule on built
+    charts, on and off the surface, and covers the points `covers` covers."""
+    charts = cover_monomial_level_set(alpha, c).charts
+    pts = _level_test_points(alpha, c, count)
+    per_point = np.random.default_rng(1).uniform(0.5, 1.0, len(pts))
+    for scale in (1.0, per_point):
+        i, j = charts.locate(pts, scale)
+        want = containing_pairs(charts, pts, scale)
+        assert len(want) > len(pts) // 4
+        assert list(zip(i.tolist(), j.tolist())) == want
+        assert np.array_equal(np.isin(np.arange(len(pts)), i), charts.covers(pts, scale))
 
 
 def test_covers_does_not_test_charts_one_by_one(monkeypatch):

@@ -11,7 +11,6 @@ from atlascover.real_acharts import (
     axis_scale_centers,
     choose_C3,
     cover_monomial_graph,
-    cover_unit_cube_scales,
     graph_count_bound,
     graph_membership,
     offset_grid,
@@ -21,7 +20,7 @@ from atlascover.real_acharts import (
     verify_achart_batch,
 )
 
-from oracles import graph_membership_loop
+from oracles import cover_unit_cube_scales, graph_membership_loop
 
 
 class TestAxisCenters:

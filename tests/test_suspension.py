@@ -11,6 +11,7 @@ from atlascover.core import (
     chart_contains,
 )
 from atlascover.suspension import (
+    SuspendedCharts,
     SuspensionParams,
     chart_arrays,
     layer_zeta,
@@ -19,7 +20,7 @@ from atlascover.suspension import (
     vertical_radius,
 )
 
-from oracles import ball_points
+from oracles import ball_points, brute_covered, containing_pairs
 
 
 def test_suspend_chart_instantiation():
@@ -121,3 +122,19 @@ def test_no_touch_on_the_new_axis():
     amb = PolydiscComplement(n=2, active_axes={2})
     for i in np.random.default_rng(0).integers(0, out.kappa, 50):
         assert avoidance_certificate(out.charts[int(i)], amb, theta)
+
+
+def test_plain_list_layers_that_overlap():
+    """Layers given as a plain list of overlapping disks: a list scan pairs a
+    point with several layers in one pass, and a point that one of them
+    covers stays covered whatever the others say."""
+    layers = [DiagonalAffineChart((0.5,), (0.3,), 3.0), DiagonalAffineChart((0.6,), (0.3,), 3.0)]
+    fam = SuspendedCharts(cover_annulus(0.5, 8.0), layers, 2.0)
+    rng = np.random.default_rng(0)
+    pts = np.stack([np.exp(1j * rng.uniform(0, 2 * np.pi, 500)) * rng.uniform(0.4, 1.1, 500),
+                    0.5 + 0.25 * rng.standard_normal(500) * (1 + 1j)], axis=1)
+    want = brute_covered(fam, pts)
+    assert 0 < want.sum() < want.size
+    assert np.array_equal(fam.covers(pts, 1.0), want)
+    i, j = fam.locate(pts, 1.0)
+    assert list(zip(i.tolist(), j.tolist())) == containing_pairs(fam, pts, 1.0)

@@ -9,6 +9,7 @@ import atlascover.verify as verify_mod
 from atlascover.annulus import cover_annulus
 from atlascover.core import (
     DiagonalAffineChart,
+    DimensionMismatch,
     Disconnected,
     InsufficientPoints,
     NoContainingChart,
@@ -17,15 +18,17 @@ from atlascover.core import (
     RegionMismatch,
     UnknownBound,
     chart_contains,
+    family,
 )
 from atlascover.core import Covering
 from atlascover.levelset import (
+    MonomialLevelChart,
     cover_monomial_level_set,
     direct_branch_values,
     level_base_plan,
 )
 from atlascover.polydisc import cover_punctured_polydisc, level_lower_bound
-from atlascover.suspension import chart_arrays, chart_neighbors
+from atlascover.suspension import chart_arrays
 from atlascover.verify import (
     AnnulusRegion,
     LevelGraphRegion,
@@ -243,7 +246,7 @@ def _assert_neighbors_cover(charts, indices, base_of=lambda t: [t]):
     stride = len(charts) // len(base)
     for s in (1.0, 2.0):
         for i in indices:
-            got = set(chart_neighbors(charts, int(i), s))
+            got = set(family(charts).neighbors(int(i), s))
             assert i in got
             for t in _projections_meet(b, d, int(i) // stride, s):
                 assert set(base_of(t)) <= got, (i, t, s)
@@ -281,7 +284,7 @@ class TestNeighbors:
 
     def test_plain_list_yields_every_index(self):
         charts = list(cover_annulus(0.5, 2.0).charts)
-        got = chart_neighbors(charts, 3)
+        got = family(charts).neighbors(3)
         assert got.dtype == np.int64 and got.tolist() == list(range(len(charts)))
 
 
@@ -418,23 +421,18 @@ class TestBatchedChains:
 
     @pytest.mark.parametrize("name", ["annulus-1e-2", "polydisc-axis2", "level-21"])
     def test_the_bfs_builds_no_chart(self, name, monkeypatch):
-        """Charts are built only to find the endpoints' charts."""
+        """No chart is built, for the endpoints or in the search."""
         build, p, q = CHAIN_CASES[name]
         cov = build()
-        built, lookup = [], verify_mod._containing_charts
-        real_post_init = DiagonalAffineChart.__post_init__
+        built = []
+        for cls in (DiagonalAffineChart, MonomialLevelChart):
+            real_post_init = cls.__post_init__
 
-        def counting(self):
-            built.append(1)
-            real_post_init(self)
+            def counting(self, real=real_post_init):
+                built.append(1)
+                real(self)
 
-        def endpoints(*args):
-            out = lookup(*args)
-            built.clear()
-            return out
-
-        monkeypatch.setattr(DiagonalAffineChart, "__post_init__", counting)
-        monkeypatch.setattr(verify_mod, "_containing_charts", endpoints)
+            monkeypatch.setattr(cls, "__post_init__", counting)
         assert chain_between(cov, p, q).length > 2
         assert built == []
 
@@ -474,6 +472,39 @@ class TestBatchedChains:
                     assert _bits(w[r]) == _bits(ref), (dim, r)
                     assert _bits(intersection_witness(c1, c2)) == _bits(ref)
         assert min(stages.values()) >= 100, stages
+
+
+ENDPOINT_COVERINGS = {
+    "annulus": lambda: cover_annulus(1e-2, 2.0),
+    "polydisc": lambda: cover_punctured_polydisc(2, 0.75, 2.0)[0],
+    "polydisc-axis2": _polydisc_axis2,
+    "polydisc-axis1": lambda: cover_punctured_polydisc(2, 0.75, 2.0, {1})[0],
+    "polydisc-axis2-list": CHAIN_CASES["polydisc-axis2-list"][0],
+    "level-21": _level_21,
+    "level-211": lambda: cover_monomial_level_set((2, 1, 1), 0.5, 2.0),
+    "no-charts": lambda: cover_punctured_polydisc(2, 1.5, 2.0)[0],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ENDPOINT_COVERINGS)
+def test_malformed_endpoints_are_domain_errors(name):
+    """An endpoint of the wrong length, or two of different lengths, is a
+    `DimensionMismatch` naming the covering's dimension; a coordinate that is
+    nan or infinite lies in no chart, and no numpy warning is raised."""
+    cov = ENDPOINT_COVERINGS[name]()
+    n = cov.dim
+    good = (0.5,) * n
+    for p, q in (((0.5,) * (n + 1), good), (good, (0.5,) * (n + 1)), ((), ()),
+                 ((0.5,) * (n + 1),) * 2):
+        with pytest.raises(DimensionMismatch, match=f"for a covering of dim {n}$"):
+            chain_between(cov, p, q)
+    for bad in (math.nan, math.inf, complex(0, -math.inf), complex(math.inf, math.nan)):
+        for axis in range(n):
+            p = good[:axis] + (bad,) + good[axis + 1:]
+            for ends in ((p, good), (good, p)):
+                with pytest.raises(NoContainingChart):
+                    chain_between(cov, *ends)
 
 
 @pytest.mark.parametrize("alpha, c", [((2, 1), 0.04), ((2, 1, 1), 0.5)])
