@@ -24,7 +24,6 @@ from .core import (
     AtlasError,
     ChartFamily,
     Covering,
-    DiagonalAffineChart,
     InvalidDoublingFactor,
     PuncturedPlane,
 )
@@ -126,18 +125,11 @@ class RingDisks(ChartFamily):
     def __len__(self) -> int:
         return self.n_rings * self.n_angles
 
-    def _chart(self, i):
-        return DiagonalAffineChart(b=(self._disks[0][i],), d=(self._disks[1][i],),
-                                   gamma=self.zeta)
-
     def _recipe(self):
         return self.zeta, self.q, self.n_angles, self.n_rings
 
-    def disk(self, k: int, j: int):
-        i = k * self.n_angles + j % self.n_angles
-        return complex(self._disks[0][i]), float(self._disks[1][i])
-
     def chart_arrays(self):
+        # a slice view, not a gather of every index: the doubling certificate reads it
         return self.arrays_at(slice(None))
 
     def arrays_at(self, idx):

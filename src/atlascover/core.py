@@ -333,12 +333,14 @@ def chart_count(charts) -> int:
 class ChartFamily(Sequence):
     """A sequence of charts that also answers point-location queries.
 
-    Subclasses supply ``__len__``, ``dim``, ``gamma`` (the factor every chart
-    shares, read without building a chart), ``_chart(i)`` for 0 <= i < len
-    and ``_recipe()`` (what makes two families of the same type equal).  The
-    default queries treat the family as a list of diagonal affine charts and
-    scan it; structured families override them (``arrays_at`` too) by index.
-    `locate` and `contains` are built on ``passes`` and the row test ``_inside``.
+    An affine family supplies ``__len__``, ``dim``, ``gamma`` (the factor every
+    chart shares, read without building a chart), ``_recipe()`` (what makes two
+    families of the same type equal), ``arrays_at(idx)``, the one place it
+    states its (b, d) rows, and ``passes`` (the default offers every chart).
+    Charts, `chart_arrays`, `locate` and `contains` read those; ``covers``,
+    ``neighbors`` and ``doubling_factors`` have scanning defaults and are
+    optional faster kernels.  A family of other charts has no rows: it
+    supplies ``_chart(i)`` (and ``_inside``, the row test, to locate points).
     """
 
     def __getitem__(self, i):
@@ -378,41 +380,35 @@ class ChartFamily(Sequence):
                 f"points of shape {pts.shape} for charts of dim {self.dim}")
         return pts, np.broadcast_to(np.asarray(scale, dtype=float), pts.shape[:1]), tolerance(tol)
 
-    def chart_arrays(self) -> tuple:
-        """(b, d) arrays of shape (kappa, dim)."""
-        if not all(isinstance(c, DiagonalAffineChart) for c in self):
-            raise UnsupportedAmbient(AFFINE_ONLY)
-        b = np.array([c.b for c in self], dtype=complex)
-        d = np.array([c.d for c in self], dtype=complex)
-        if b.size == 0:
-            b, d = b.reshape(0, self.dim or 1), d.reshape(0, self.dim or 1)
-        return b, d
-
     def arrays_at(self, idx) -> tuple:
-        """(b, d) rows of the charts ``idx`` (int array), as `chart_arrays` has them."""
-        b, d = self.chart_arrays()
-        return b[idx], d[idx]
+        """(b, d) rows of shape (len(idx), dim) of the charts ``idx`` (int array)."""
+        raise UnsupportedAmbient(AFFINE_ONLY)
 
-    def iter_chart_arrays(self):
-        """(b, d) blocks in index order, for streaming scans."""
-        yield self.chart_arrays()
+    def _chart(self, i):
+        b, d = self.arrays_at(np.array([i]))
+        return DiagonalAffineChart(b=b[0], d=d[0], gamma=self.gamma)
+
+    def chart_arrays(self) -> tuple:
+        """(b, d) of shape (kappa, dim) read off `arrays_at`, refused before anything is
+        allocated for a family without rows or over `MATERIALIZE_BUDGET` charts."""
+        n = chart_count(self)
+        self.arrays_at(np.arange(0))
+        if n > MATERIALIZE_BUDGET:
+            raise AtlasError(f"{n} charts are too many to list as arrays")
+        return self.arrays_at(np.arange(n))
 
     def doubling_factors(self, axes, scale: float, betas=(), **sampling) -> tuple:
         """1-D boolean factors whose C-order outer product flags every chart:
         |b_i| > scale * |beta_k ... beta_1 d_i| on every axis in ``axes``, d
         multiplied by each of ``betas`` in turn as the suspensions above do.
-        Level sets read ``sampling``; this default streams (b, d) blocks."""
-        flags = np.empty(len(self), dtype=bool)
-        pos = 0
-        for b, d in self.iter_chart_arrays():
-            for beta in betas:
-                d = beta * d
-            ok = np.ones(b.shape[0], dtype=bool)
-            for i in axes:
-                ok &= np.abs(b[:, i]) > scale * np.abs(d[:, i])
-            flags[pos:pos + b.shape[0]] = ok
-            pos += b.shape[0]
-        return (flags,)
+        Level sets read ``sampling``; this default reads `chart_arrays`."""
+        b, d = self.chart_arrays()
+        for beta in betas:
+            d = beta * d
+        ok = np.ones(b.shape[0], dtype=bool)
+        for i in axes:
+            ok &= np.abs(b[:, i]) > scale * np.abs(d[:, i])
+        return (ok,)
 
     def _blocks(self, done: np.ndarray):
         """(points not done, lo, hi): scan blocks of at most 2^17 point-chart pairs."""
@@ -445,7 +441,8 @@ class ChartFamily(Sequence):
         1 + tol, as their windows test no tolerance) and `_inside` decides them."""
         pts, scale, t = self._points(pts, scale, tol)
         found = [np.zeros((0, 2), dtype=np.int64)]
-        for i, j in self.passes(pts, scale * (1.0 + t), np.zeros(pts.shape[0], dtype=bool)):
+        passes = self.passes(pts, scale * (1.0 + t), np.zeros(pts.shape[0], dtype=bool))
+        for i, j in _batches(passes):
             hit = self._inside(pts[i], j, scale[i], t)
             found.append(np.stack([i[hit], j[hit]], axis=1).astype(np.int64))
         pairs = np.unique(np.concatenate(found), axis=0)
@@ -459,8 +456,9 @@ class ChartFamily(Sequence):
             return covered
         b, d = self.chart_arrays()
         for idx, lo, hi in self._blocks(covered):
-            z = (pts[idx, None, :] - b[None, lo:hi]) / d[None, lo:hi]
-            n2 = (np.abs(z) ** 2).sum(axis=2)
+            with np.errstate(invalid="ignore", over="ignore"):  # a point that is not finite is outside
+                z = (pts[idx, None, :] - b[None, lo:hi]) / d[None, lo:hi]
+                n2 = (np.abs(z) ** 2).sum(axis=2)
             covered[idx[(n2 <= scale[idx, None] ** 2 * (1.0 + t)).any(axis=1)]] = True
         return covered
 
@@ -477,12 +475,27 @@ class ChartFamily(Sequence):
         return np.arange(len(self), dtype=np.int64)
 
 
+def _batches(passes, budget: int = 1 << 17):
+    """Successive (i, j) passes joined into one (2, pairs) array while they
+    hold at most ``budget`` pairs together; a larger pass comes alone."""
+    held, size = [], 0
+    for i, j in passes:
+        if held and size + i.size > budget:
+            yield np.concatenate(held, axis=1)
+            held, size = [], 0
+        held.append(np.stack([i, j]))
+        size += i.size
+    if held:
+        yield np.concatenate(held, axis=1)
+
+
 class ChartList(ChartFamily):
     """A plain sequence of charts seen as a family: a view, not a copy."""
 
     def __init__(self, charts: Sequence, dim: int | None = None):
         self.charts = charts
         self.dim = dim if dim is not None or not len(charts) else charts[0].dim
+        self._built = None      # ((b, d), chart ids, those charts) of the last build
 
     def __len__(self) -> int:
         return len(self.charts)
@@ -500,6 +513,28 @@ class ChartList(ChartFamily):
 
     def _recipe(self):
         return self.charts
+
+    def chart_arrays(self) -> tuple:
+        """Read-only (b, d) of the charts, built again only when the list holds other
+        charts: they are frozen and kept here, so equal ids mean equal rows."""
+        if self._built is None or self._built[1] != tuple(map(id, self.charts)):
+            self._built = self._build(), tuple(map(id, self.charts)), tuple(self.charts)
+        return self._built[0]
+
+    def _build(self) -> tuple:
+        """(b, d) from the chart objects, refused at the first one that is not affine."""
+        if not all(isinstance(c, DiagonalAffineChart) for c in self.charts):
+            raise UnsupportedAmbient(AFFINE_ONLY)
+        b = np.array([c.b for c in self.charts], dtype=complex)
+        d = np.array([c.d for c in self.charts], dtype=complex)
+        if b.size == 0:
+            b, d = b.reshape(0, self.dim or 1), d.reshape(0, self.dim or 1)
+        b.flags.writeable = d.flags.writeable = False
+        return b, d
+
+    def arrays_at(self, idx) -> tuple:
+        b, d = self.chart_arrays()
+        return b[idx], d[idx]
 
 
 def family(charts: Sequence, dim: int | None = None) -> ChartFamily:

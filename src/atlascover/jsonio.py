@@ -29,8 +29,9 @@ from .core import (
     MonomialLevelSet,
     PolydiscComplement,
     PuncturedPlane,
+    family,
 )
-from .levelset import LevelBranchCharts, MonomialLevelChart, cover_monomial_level_set
+from .levelset import LevelBranchCharts, cover_monomial_level_set
 from .polydisc import cover_punctured_polydisc
 from .real_acharts import (
     GraphCharts,
@@ -40,7 +41,6 @@ from .real_acharts import (
     graph_c3,
     graph_grid_size,
 )
-from .suspension import chart_arrays
 
 SCHEMA_VERSION = "2"        # written for a covering or atlas that has a recipe
 
@@ -86,22 +86,6 @@ def ambient_from_dict(d: dict):
     raise ValueError(f"unknown ambient kind {kind!r}")
 
 
-def chart_to_dict(chart) -> dict:
-    """One chart as stored in a covering file."""
-    if isinstance(chart, DiagonalAffineChart):
-        return {"kind": "diag_affine",
-                "b": [_c2j(v) for v in chart.b],
-                "d": [_c2j(v) for v in chart.d]}
-    if isinstance(chart, MonomialLevelChart):
-        return {"kind": "level_branch",
-                "b": [_c2j(v) for v in chart.base.b],
-                "d": [_c2j(v) for v in chart.base.d],
-                "branch": chart.branch,
-                "alpha": list(chart.alpha),
-                "c": _c2j(chart.c)}
-    raise TypeError(f"unknown chart {chart!r}")
-
-
 def _jsonable(v):
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
@@ -122,13 +106,13 @@ def _pairs(z: np.ndarray) -> np.ndarray:
 
 
 def _affine(charts):
-    """The diagonal affine charts under ``charts``: the base of a level family."""
-    return charts.base_cov.charts if isinstance(charts, LevelBranchCharts) else charts
+    """The family of diagonal affine charts under ``charts``: the base of a level family."""
+    return charts._base if isinstance(charts, LevelBranchCharts) else family(charts)
 
 
 def _charts_to_list(charts) -> list:
-    """`chart_to_dict` of every chart, built from the (b, d) arrays."""
-    rows = zip(*(_pairs(z).tolist() for z in chart_arrays(_affine(charts))))
+    """Every chart as a v1 file stores it, built from the (b, d) arrays."""
+    rows = zip(*(_pairs(z).tolist() for z in _affine(charts).chart_arrays()))
     if not isinstance(charts, LevelBranchCharts):
         return [{"kind": "diag_affine", "b": bi, "d": di} for bi, di in rows]
     alpha, c = list(charts.alpha), _c2j(charts.c)
@@ -249,7 +233,7 @@ def _rebuild(meta: dict, ambient, gamma: float, b: np.ndarray, d: np.ndarray):
         cov = _construction(meta, ambient, gamma, kappa)
     except (AtlasError, ArithmeticError, KeyError, TypeError, ValueError):
         return None
-    rb, rd = chart_arrays(_affine(cov.charts))
+    rb, rd = _affine(cov.charts).chart_arrays()
     return cov.charts if _same_bits(rb, b) and _same_bits(rd, d) else None
 
 

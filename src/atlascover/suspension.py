@@ -59,7 +59,8 @@ def layer_zeta(mu: float, beta: float) -> float:
 
 def suspend_chart(chart: DiagonalAffineChart,
                   params: SuspensionParams) -> DiagonalAffineChart:
-    """Suspend one chart: translation (b, a), scales (beta*d, lambda), factor gamma/beta."""
+    """Suspend one chart: translation (b, a), scales (beta*d, lambda), factor
+    gamma/beta; `SuspendedCharts.arrays_at` states the same map row by row."""
     if not params.beta < chart.gamma:
         raise InvalidBeta(
             f"beta={params.beta} must be smaller than the chart factor {chart.gamma}")
@@ -98,38 +99,19 @@ class SuspendedCharts(ChartFamily):
     def __len__(self) -> int:
         return len(self.layers) * len(self._inner)
 
-    def _chart(self, i):
-        j, t = divmod(i, len(self._inner))
-        a, lam = self._layer_table
-        return suspend_chart(
-            self._inner[t],
-            SuspensionParams(lam=float(lam[j]), a=complex(a[j]), beta=self.beta))
-
     def _recipe(self):
         return self.inner, self.layers, self.beta
 
-    # -- bulk access ------------------------------------------------------------
-
-    def chart_arrays(self):
-        blocks = list(self.iter_chart_arrays())
-        if not blocks:
-            return np.zeros((0, 1), complex), np.zeros((0, 1), complex)
-        return (np.concatenate([b for b, _ in blocks]),
-                np.concatenate([d for _, d in blocks]))
-
     def arrays_at(self, idx):
-        """Rows (inner b_t, a_j) and (beta d_t, lambda_j) of the charts (j, t)."""
+        """Rows (inner b_t, a_j) and (beta d_t, lambda_j) of the charts (j, t):
+        `suspend_chart` of inner chart t with the height and shift of layer disk j."""
         j, t = np.divmod(idx, len(self._inner))
         bi, di = self._inner.arrays_at(t)
         a, lam = self._layer_table
-        return (np.concatenate([bi, a[j, None]], axis=1),
-                np.concatenate([self.beta * di, lam[j, None].astype(complex)], axis=1))
-
-    def iter_chart_arrays(self):
-        """Yield (b, d) blocks, one layer at a time, for streaming scans."""
-        kappa_in = len(self._inner)
-        for j in range(len(self.layers)):
-            yield self.arrays_at(np.arange(j * kappa_in, (j + 1) * kappa_in))
+        b, d = np.empty((2, j.size, self.dim), dtype=complex)
+        b[:, :-1], b[:, -1] = bi, a[j]
+        d[:, :-1], d[:, -1] = self.beta * di, lam[j]
+        return b, d
 
     def doubling_factors(self, axes, scale: float, betas=(), **sampling) -> tuple:
         """The layer family's factors at ``(lam_factor,) + betas``, then the
@@ -199,8 +181,8 @@ def chart_arrays(charts) -> tuple:
 
 
 def iter_chart_arrays(charts):
-    """Stream (b, d) blocks without materializing lazy chart families."""
-    yield from family(charts).iter_chart_arrays()
+    """(b, d) of any chart sequence as one block (`chart_arrays`)."""
+    yield family(charts).chart_arrays()
 
 
 def covers_points(charts, pts, scale, tol: float | None = None) -> np.ndarray:

@@ -18,7 +18,7 @@ from atlascover.core import (
     chart_contains,
     tolerance,
 )
-from atlascover.levelset import LevelBranchCharts, level_residual
+from atlascover.levelset import LevelBranchCharts, MonomialLevelChart, level_residual
 from atlascover.real_acharts import (
     RealAChart,
     axis_scale_centers,
@@ -26,10 +26,7 @@ from atlascover.real_acharts import (
     choose_C3,
     offset_grid,
 )
-from atlascover.suspension import (
-    chart_arrays,
-    iter_chart_arrays,
-)
+from atlascover.suspension import chart_arrays
 from atlascover.verify import Chain
 
 
@@ -43,6 +40,22 @@ def brute_covered(charts, pts, scale=1.0, tol=1e-10):
         n2 = (np.abs((pts[:, None, :] - bb[None, :, :]) / dd[None, :, :]) ** 2).sum(axis=2)
         out |= (n2 <= scale * scale * (1.0 + tol)).any(axis=1)
     return out
+
+
+def chart_to_dict(chart):
+    """One chart as a v1 covering file stores it, read off the chart object
+    (the file writer reads the (b, d) arrays)."""
+    pair = lambda z: [complex(z).real, complex(z).imag]
+    if isinstance(chart, MonomialLevelChart):
+        return {"kind": "level_branch",
+                "b": [pair(v) for v in chart.base.b],
+                "d": [pair(v) for v in chart.base.d],
+                "branch": chart.branch,
+                "alpha": list(chart.alpha),
+                "c": pair(chart.c)}
+    return {"kind": "diag_affine",
+            "b": [pair(v) for v in chart.b],
+            "d": [pair(v) for v in chart.d]}
 
 
 def annulus_grid(delta, n_radii, n_angles):
@@ -213,18 +226,17 @@ def _axis_box_candidates(x):
     return combos
 
 
-def doubling_streamed(cov):
-    """Avoidance flag of every affine chart, streamed over the (b, d) blocks:
-    |b_i| > gamma |d_i| on every punctured axis (the reference answer)."""
+def doubling_streamed(cov, block=1 << 16):
+    """Avoidance flag of every affine chart, streamed over blocks of (b, d)
+    rows: |b_i| > gamma |d_i| on every punctured axis (the reference answer)."""
     axes = active_axis_indices(cov.ambient)
     flags = np.empty(cov.kappa, dtype=bool)
-    pos = 0
-    for b, d in iter_chart_arrays(cov.family):
+    for lo in range(0, cov.kappa, block):
+        b, d = cov.family.arrays_at(np.arange(lo, min(lo + block, cov.kappa)))
         ok = np.ones(b.shape[0], dtype=bool)
         for i in axes:
             ok &= np.abs(b[:, i]) > cov.gamma * np.abs(d[:, i])
-        flags[pos:pos + b.shape[0]] = ok
-        pos += b.shape[0]
+        flags[lo:lo + b.shape[0]] = ok
     return flags
 
 

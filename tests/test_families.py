@@ -1,13 +1,19 @@
 """The chart-family protocol, checked the same way on every kind of family."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from atlascover.annulus import cover_annulus
 from atlascover.core import (
+    AtlasError,
+    ChartFamily,
     ChartList,
     DiagonalAffineChart,
     DimensionMismatch,
+    UnsupportedAmbient,
     family,
 )
 from atlascover.levelset import cover_monomial_level_set
@@ -109,12 +115,17 @@ def test_contains_refuses_a_scale_outside_the_factor(name):
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_streamed_arrays_equal_the_full_arrays(name):
+    """`arrays_at` over blocks of 1000 charts, and `iter_chart_arrays`'s one
+    block, give `chart_arrays` bit for bit."""
     charts = _charts(name)
     b, d = chart_arrays(charts)
-    blocks = list(iter_chart_arrays(charts))
+    fam = family(charts)
+    blocks = [fam.arrays_at(np.arange(lo, min(lo + 1000, len(fam))))
+              for lo in range(0, len(fam), 1000)]
     bits = lambda z: np.ascontiguousarray(z).view(np.uint64)
-    assert np.array_equal(bits(np.concatenate([x for x, _ in blocks])), bits(b))
-    assert np.array_equal(bits(np.concatenate([y for _, y in blocks])), bits(d))
+    for got in (blocks, list(iter_chart_arrays(charts))):
+        assert np.array_equal(bits(np.concatenate([x for x, _ in got])), bits(b))
+        assert np.array_equal(bits(np.concatenate([y for _, y in got])), bits(d))
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -138,6 +149,69 @@ def test_plain_list_view_is_not_a_copy():
     assert family(view) is view
     charts.append(DiagonalAffineChart((-0.5j,), (0.25,), 2.0))
     assert len(view) == 2 and view == charts
+
+
+def test_list_arrays_are_built_once_per_locate(monkeypatch):
+    """A `locate` that decides its pairs in several calls of `_inside` builds
+    the list's (b, d) once; another list of charts builds them again."""
+    charts = list(cover_punctured_polydisc(2, 0.75, 2.0)[0].charts)[::5]
+    fam, pts = family(charts), _points(charts, count=40)
+    builds, calls = [], []
+    build, inside = ChartList._build, ChartList._inside
+    monkeypatch.setattr(ChartList, "_build", lambda self: builds.append(1) or build(self))
+    monkeypatch.setattr(ChartList, "_inside", lambda self, *a: calls.append(1) or inside(self, *a))
+    i, j = fam.locate(pts, 1.0)
+    assert len(calls) > 1 and len(builds) == 1 and i.size > 0
+    fam.locate(pts, 1.0)
+    assert len(builds) == 1
+    charts[0] = DiagonalAffineChart(charts[0].b, charts[0].d, charts[0].gamma)
+    fam.locate(pts, 1.0)
+    assert len(builds) == 2
+    with pytest.raises(ValueError):
+        fam.chart_arrays()[0][0, 0] = 0j
+
+
+def test_locate_decides_small_passes_together(monkeypatch):
+    """Two annulus endpoints meet the rings in dozens of small passes, and
+    one `_inside` call decides them all."""
+    rings = cover_annulus(1e-2, 2.0).charts
+    calls = []
+    inside = type(rings)._inside
+    monkeypatch.setattr(type(rings), "_inside", lambda self, *a: calls.append(1) or inside(self, *a))
+    i, j = rings.locate(np.array([0.5, 0.5j]), 1.0)
+    assert calls == [1] and set(i.tolist()) == {0, 1}
+    assert len(list(rings.passes(np.array([[0.5], [0.5j]]), np.ones(2), np.zeros(2, bool)))) > 2
+
+
+def test_list_scan_of_points_that_are_not_finite_is_quiet():
+    charts = list(cover_annulus(1e-2, 2.0).charts)
+    pts = _points(charts, count=200)
+    pts[7], pts[11] = np.inf, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = covers_points(charts, pts, 1.0)
+        i, _ = family(charts).locate(pts, 1.0)
+    want = np.zeros(pts.shape[0], dtype=bool)
+    want[i] = True
+    assert not got[7] and not got[11]
+    assert np.array_equal(got, want) and 0 < want.sum() < want.size
+
+
+@pytest.mark.parametrize("charts, error", [
+    (cover_punctured_polydisc(3, 0.3, 2.0)[0].charts, AtlasError),
+    (cover_monomial_level_set((2, 1, 1), 0.5).charts, UnsupportedAmbient),
+], ids=["kappa-3.7e9", "level-211"])
+def test_oversized_or_rowless_arrays_are_refused_unallocated(charts, error):
+    tracemalloc.start()
+    try:
+        for call in (charts.chart_arrays, lambda: chart_arrays(charts),
+                     lambda: ChartFamily.chart_arrays(charts)):
+            with pytest.raises(error):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20          # the layer tables, nothing of kappa's size
 
 
 # -- point shapes ---------------------------------------------------------------

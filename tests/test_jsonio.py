@@ -9,7 +9,6 @@ from atlascover.annulus import cover_annulus
 from atlascover.cli import main
 from atlascover.core import AtlasError, MalformedFile
 from atlascover.jsonio import (
-    chart_to_dict,
     covering_from_dict,
     covering_to_dict,
     dumps,
@@ -17,6 +16,8 @@ from atlascover.jsonio import (
 from atlascover.levelset import LevelBranchCharts, cover_monomial_level_set
 from atlascover.polydisc import cover_punctured_polydisc
 from atlascover.suspension import chart_arrays
+
+from oracles import chart_to_dict
 
 BUILDS = {
     "annulus-1e-2": lambda: cover_annulus(0.01, 2.0),

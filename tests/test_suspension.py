@@ -17,8 +17,10 @@ from atlascover.suspension import (
     layer_zeta,
     suspend_chart,
     suspend_covering,
+    suspend_trivial,
     vertical_radius,
 )
+from atlascover.polydisc import cover_punctured_polydisc
 
 from oracles import ball_points, brute_covered, containing_pairs
 
@@ -97,8 +99,9 @@ def test_layer_coverage_via_witness_point():
     layers = out.charts.layers
     lam_f = out.charts.lam_factor
     rng = np.random.default_rng(5)
+    a, r = layers.chart_arrays()
     for j in (0, len(layers) // 2, len(layers) - 1):
-        a_j, r_j = layers.disk(*divmod(j, layers.n_angles))
+        a_j, r_j = complex(a[j, 0]), float(r[j, 0].real)
         lam_j = r_j * lam_f
         for t in rng.integers(0, inner.kappa, 4):
             ch = out.charts[j * inner.kappa + int(t)]
@@ -138,3 +141,30 @@ def test_plain_list_layers_that_overlap():
     assert np.array_equal(fam.covers(pts, 1.0), want)
     i, j = fam.locate(pts, 1.0)
     assert list(zip(i.tolist(), j.tolist())) == containing_pairs(fam, pts, 1.0)
+
+
+def _suspended(fam, i):
+    """Chart i of a family, each suspension level built by `suspend_chart` from
+    the inner chart and the layer disk's center a_j and radius r_j."""
+    if not isinstance(fam, SuspendedCharts):
+        return fam[i]
+    j, t = divmod(i, len(fam.inner.family))
+    layer = fam.layers[j]
+    params = SuspensionParams(lam=layer.d[0].real * fam.lam_factor, a=layer.b[0], beta=fam.beta)
+    return suspend_chart(_suspended(fam.inner.family, t), params)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cover_punctured_polydisc(2, 0.75, 2.0)[0],
+    lambda: cover_punctured_polydisc(3, 0.9, 2.0)[0],
+    lambda: suspend_trivial(cover_annulus(0.1, 4.0), 2.0),
+], ids=["polydisc-n2", "polydisc-n3", "trivial"])
+def test_charts_are_the_suspension_map(build):
+    """The rows `arrays_at` states equal `suspend_chart` applied level by level,
+    bit for bit, factor included."""
+    fam = build().charts
+    idx = [0, len(fam) - 1, *np.random.default_rng(6).integers(0, len(fam), 200).tolist()]
+    bits = lambda z: np.asarray(z, dtype=complex).view(np.uint64).tolist()
+    for i in idx:
+        got, want = fam[i], _suspended(fam, i)
+        assert (bits(got.b), bits(got.d), got.gamma) == (bits(want.b), bits(want.d), want.gamma)
