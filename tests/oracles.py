@@ -229,10 +229,10 @@ def _axis_box_candidates(x):
 def doubling_streamed(cov, block=1 << 16):
     """Avoidance flag of every affine chart, streamed over blocks of (b, d)
     rows: |b_i| > gamma |d_i| on every punctured axis (the reference answer)."""
-    axes = active_axis_indices(cov.ambient)
+    axes, fam = active_axis_indices(cov.ambient), cov.family
     flags = np.empty(cov.kappa, dtype=bool)
     for lo in range(0, cov.kappa, block):
-        b, d = cov.family.arrays_at(np.arange(lo, min(lo + block, cov.kappa)))
+        b, d = fam.arrays_at(np.arange(lo, min(lo + block, cov.kappa)))
         ok = np.ones(b.shape[0], dtype=bool)
         for i in axes:
             ok &= np.abs(b[:, i]) > cov.gamma * np.abs(d[:, i])
