@@ -90,10 +90,10 @@ class RingDisks(ChartFamily):
     """Lazy family of the ring disks, outermost ring first, by angle.
 
     Disk (k, j) has center cf*q^k * exp(2 pi i j / n_angles) and radius
-    rf*q^k; the flat index is k * n_angles + j.  Point location goes through
-    the ring/angle grid (`passes`) instead of a linear scan.  Every accessor
-    reads one disk table, so single disks and the bulk arrays agree bit for
-    bit; a table over `MATERIALIZE_BUDGET` disks is refused before it exists.
+    rf*q^k; the flat index is k * n_angles + j.  `passes` and `neighbors`
+    read one ring and angle window, `_reach`.  Every accessor reads one disk
+    table, so single disks and the bulk arrays agree bit for bit; a table
+    over `MATERIALIZE_BUDGET` disks is refused before it exists.
     """
 
     dim = 1
@@ -138,35 +138,40 @@ class RingDisks(ChartFamily):
 
     # -- point location -----------------------------------------------------
 
-    def passes(self, pts: np.ndarray, scale: np.ndarray, done: np.ndarray):
-        """(point indices, disk indices) per ring and angle offset.
+    def _reach(self, scale: float):
+        """(lo, hi, steps) of disks at ``scale``, or None once sigma >= 1, when a
+        disk holds the origin and every ring and angle is in reach.
 
-        A point z is paired with the disks of the rings k0 + o and angles
-        j0 + o' around its anchor k0 = floor(log_q |z|), j0 = nearest angle.
-        A disk of ring k at scale s reaches radii cf*q^k * (1 -+ s*rf/cf),
-        which bounds the ring offsets o; the angle offsets are bounded by
-        asin(s*rf / lo) at the smallest such radius lo.  A point that is not
-        finite meets no disk.
-        """
-        smax = float(scale.max(initial=0.0))
-        if len(self) == 0 or smax <= 0.0:
+        A disk's radius is rf/cf of its center's modulus, so at scale s disk
+        (k, j) lies in the band cf*q^k * (1 -+ sigma), sigma = s*rf/cf, and in
+        the sector of half-angle asin(sigma) around its center.  lo and hi are
+        ring 0's band edges as logarithms to base 1/q (ring k's are k less);
+        steps is asin(sigma) in angle steps 2 pi / n_angles."""
+        sigma = scale * self.rf / self.cf
+        if not sigma < 1.0:
+            return None
+        lo, hi = (math.log(self.cf * (1.0 + e)) / -math.log(self.q) for e in (-sigma, sigma))
+        return lo, hi, math.asin(sigma) / (TWO_PI / self.n_angles)
+
+    def passes(self, pts: np.ndarray, scale: np.ndarray, done: np.ndarray):
+        """(point indices, disk indices) per ring and angle offset from each
+        point's anchor k0 = floor(log_q |z|), j0 = nearest angle, over the band
+        and sector of `_reach` at the largest scale; a non-finite z meets none."""
+        if len(self) == 0:
             return
         z, finite = pts[:, 0], np.isfinite(pts[:, 0])
         with np.errstate(invalid="ignore"):         # the anchors of those points are not read
             k0 = np.floor(np.log(np.maximum(np.abs(z), 1e-300)) / math.log(self.q)).astype(int)
             j0 = np.round(np.angle(z) / (TWO_PI / self.n_angles)).astype(int)
-        lo, hi = self.cf - smax * self.rf, self.cf + smax * self.rf
-        angle_offsets = range(self.n_angles)
-        if lo <= 0.0:
-            ring_offsets = range(-self.n_rings, self.n_rings + 1)
+        reach = self._reach(float(scale.max(initial=0.0)))
+        if reach is None:                           # every disk, counted from ring 0
+            k0[:] = 0
+            ring_offsets, angle_offsets = range(self.n_rings), range(self.n_angles)
         else:
-            lnq = -math.log(self.q)
-            ring_offsets = sorted(range(math.floor(math.log(lo) / lnq) - 1,
-                                        math.ceil(1.0 + math.log(hi) / lnq) + 2), key=abs)
-            if smax * self.rf / lo < 1.0:
-                w = math.ceil(math.asin(smax * self.rf / lo) / (TWO_PI / self.n_angles)) + 1
-                w = min(w, self.n_angles // 2 + 1)
-                angle_offsets = sorted(range(-w, w + 1), key=abs)
+            lo, hi, steps = reach
+            w = math.ceil(steps) + 1                # at most n_angles/4 + 2: asin < pi/2
+            ring_offsets = sorted(range(math.floor(lo) - 1, math.ceil(1.0 + hi) + 2), key=abs)
+            angle_offsets = sorted(range(-w, w + 1), key=abs)
         for do in ring_offsets:
             k = k0 + do
             idx = np.nonzero((k >= 0) & (k < self.n_rings) & finite & ~done)[0]
@@ -187,32 +192,19 @@ class RingDisks(ChartFamily):
         return covered
 
     def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
-        """Disk indices (``i`` included) whose disks at ``scale`` can meet disk ``i``'s.
-
-        Two disks meet only if their center radii differ by at most the sum
-        of their radii, which bounds the ring offset, and only if
-        2 sqrt(R R') sin(dtheta/2) <= r + r', which bounds the angle offset.
-        """
-        k, j = divmod(i, self.n_angles)
-        rs = self.rf * scale
-        if self.cf - rs <= 0.0:
-            ring_range = range(self.n_rings)
-        else:
-            span = math.log((self.cf + rs) / (self.cf - rs)) / -math.log(self.q)
-            w_ring = math.ceil(span) + 1
-            ring_range = range(max(0, k - w_ring), min(self.n_rings, k + w_ring + 1))
-        widths = []
-        for kk in ring_range:
-            rsum = rs * (self.q ** k + self.q ** kk)
-            geo = 2.0 * self.cf * math.sqrt(self.q ** (k + kk))
-            sin_half = min(1.0, rsum / geo)
-            widths.append(min(self.n_angles // 2 + 1, math.ceil(
-                2.0 * math.asin(sin_half) / (TWO_PI / self.n_angles)) + 1))
-        w = np.array(widths, dtype=np.int64)
-        size = np.minimum(2 * w + 1, self.n_angles)    # angle offsets -w.., each angle once
-        offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size + w, size)
-        return np.sort(np.repeat(np.arange(ring_range.start, ring_range.stop), size)
-                       * self.n_angles + (j + offset) % self.n_angles)
+        """Disk indices (``i`` included) whose disks at ``scale`` can meet disk
+        ``i``'s: disks that meet share a point, so their bands overlap (at most
+        hi - lo rings apart, `_reach`) and so do their sectors (at most
+        2 asin(sigma) apart)."""
+        k, j = divmod(self._index(i), self.n_angles)
+        reach = self._reach(scale)
+        if reach is None:
+            return np.arange(len(self), dtype=np.int64)
+        lo, hi, steps = reach
+        w, v = math.ceil(hi - lo) + 1, math.ceil(2.0 * steps) + 1
+        rings = np.arange(max(0, k - w), min(self.n_rings, k + w + 1), dtype=np.int64)
+        angles = np.unique((j + np.arange(-v, v + 1)) % self.n_angles)     # each angle once
+        return (rings[:, None] * self.n_angles + angles).ravel()
 
 
 def construction_constant(zeta: float,

@@ -344,14 +344,16 @@ class ChartFamily(Sequence):
     """
 
     def __getitem__(self, i):
-        n = chart_count(self)
         if isinstance(i, slice):
-            return [self._chart(j) for j in range(*i.indices(n))]
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
+            return [self._chart(j) for j in range(*i.indices(chart_count(self)))]
+        return self._chart(self._index(i))
+
+    def _index(self, i):
+        """``i`` as an index in [0, kappa), counted from the end if negative, as for a list."""
+        n = chart_count(self)
+        if not -n <= i < n:
             raise IndexError(i)
-        return self._chart(i)
+        return i % n
 
     def __add__(self, other):
         return list(self) + list(other)
@@ -370,15 +372,19 @@ class ChartFamily(Sequence):
         """A query checked: ``pts`` as an (N, dim) complex array, ``scale`` as
         one value per point and the resolved tolerance, on a family small
         enough to index (`chart_count`).  (N,) is N points when dim is 1,
-        (dim,) is one point; any other shape raises `DimensionMismatch`."""
+        (dim,) is one point; any other shape raises `DimensionMismatch`, and
+        a scale that is NaN or negative a `ValueError`."""
         chart_count(self)
+        scale = np.asarray(scale, dtype=float)
+        if not (scale >= 0.0).all():            # the minimum is the NaN or a negative one
+            raise ValueError(f"scale must be a number >= 0, got {scale.min()}")
         pts = np.asarray(pts, dtype=complex)
         if pts.ndim == 1:
             pts = pts[:, None] if self.dim in (1, None) else pts[None, :]
         if pts.ndim != 2 or self.dim not in (pts.shape[1], None):
             raise DimensionMismatch(
                 f"points of shape {pts.shape} for charts of dim {self.dim}")
-        return pts, np.broadcast_to(np.asarray(scale, dtype=float), pts.shape[:1]), tolerance(tol)
+        return pts, np.broadcast_to(scale, pts.shape[:1]), tolerance(tol)
 
     def arrays_at(self, idx) -> tuple:
         """(b, d) rows of shape (len(idx), dim) of the charts ``idx`` (int array)."""
@@ -472,6 +478,7 @@ class ChartFamily(Sequence):
     def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
         """Sorted int64 chart indices (``i`` included) whose images at ``scale``
         can meet chart ``i``'s: a superset of those that do."""
+        self._index(i)
         return np.arange(len(self), dtype=np.int64)
 
 
@@ -552,7 +559,8 @@ class Covering:
     All charts share the doubling factor ``gamma``; the complexity ``kappa``
     is the chart count.  ``charts`` is a plain list or a lazy `ChartFamily`
     (rings, suspension layers, level branches) that answers membership
-    queries through its index; `family(charts)` reads either one.
+    queries through its index.  ``family`` is the `family(charts)` view of
+    the ambient dimension, kept so a plain list's arrays are built once.
     """
 
     def __init__(self, ambient: Ambient, gamma: float, charts: Sequence,
@@ -563,7 +571,8 @@ class Covering:
         self.meta = dict(meta or {})
         if not self.gamma > 1.0:
             raise InvalidDoublingFactor(f"gamma must exceed 1, got {gamma}")
-        factor = family(charts).gamma
+        self.family = family(charts, self.dim)
+        factor = self.family.gamma
         if factor is not None and abs(factor - self.gamma) > 1e-12:
             raise ValueError("charts do not share the covering factor")
 
@@ -574,11 +583,6 @@ class Covering:
     @property
     def dim(self) -> int:
         return self.ambient.dim
-
-    @property
-    def family(self) -> ChartFamily:
-        """The charts as a `ChartFamily` of the ambient dimension, even when empty."""
-        return family(self.charts, self.dim)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Covering):

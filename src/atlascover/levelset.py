@@ -185,7 +185,7 @@ class LevelBranchCharts(ChartFamily):
     def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
         """Chart indices whose images at ``scale`` can meet chart ``i``'s: every
         branch over a base chart whose image can meet base chart ``i``'s."""
-        base = self._base.neighbors(i // self.alpha1, scale) * self.alpha1
+        base = self._base.neighbors(self._index(i) // self.alpha1, scale) * self.alpha1
         return (base[:, None] + np.arange(self.alpha1)).ravel()
 
     def _inside(self, pts, idx, scale, tol: float) -> np.ndarray:

@@ -166,7 +166,7 @@ class SuspendedCharts(ChartFamily):
         others the inner images at ``scale * beta``.
         """
         kappa_in = len(self._inner)
-        j, t = divmod(i, kappa_in)
+        j, t = divmod(self._index(i), kappa_in)
         outer = self.layers.neighbors(j, scale * self.lam_factor) * kappa_in
         return (outer[:, None] + self._inner.neighbors(t, scale * self.beta)).ravel()
 

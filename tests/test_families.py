@@ -11,6 +11,7 @@ from atlascover.core import (
     AtlasError,
     ChartFamily,
     ChartList,
+    Covering,
     DiagonalAffineChart,
     DimensionMismatch,
     UnsupportedAmbient,
@@ -114,6 +115,65 @@ def test_contains_refuses_a_scale_outside_the_factor(name):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
+def test_neighbors_checks_its_index(name):
+    """A negative index counts from the end and one past either end raises
+    `IndexError`, as `charts[i]` does."""
+    fam = family(_charts(name))
+    n = len(fam)
+    assert np.array_equal(fam.neighbors(-1), fam.neighbors(n - 1))
+    for i in (n, n + 7, -n - 1):
+        with pytest.raises(IndexError):
+            fam.neighbors(i)
+        with pytest.raises(IndexError):
+            fam[i]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cover_annulus(1e-2, 2.0).charts,
+    lambda: cover_punctured_polydisc(2, 0.75, 2.0)[0].charts,
+    lambda: list(cover_punctured_polydisc(2, 0.75, 2.0, {2})[0].charts),
+], ids=["rings", "suspension", "plain-list"])
+def test_a_nan_or_negative_scale_is_refused(build):
+    """`locate` and `covers` refuse a NaN or negative scale, scalar or per
+    point, with a `ValueError` naming it; at scale 0 they find the chart
+    centres, the images of the ball of radius 0."""
+    charts = build()
+    fam = family(charts)
+    pts = _points(charts, count=40)
+    mixed = np.ones(pts.shape[0])
+    mixed[3] = -0.5
+    for bad, shown in ((np.nan, "nan"), (-1.0, "-1.0"), (mixed, "-0.5")):
+        for query in (fam.locate, fam.covers):
+            with pytest.raises(ValueError, match=f"scale must be a number >= 0, got {shown}"):
+                query(pts, bad)
+    centres = fam.arrays_at(np.arange(3))[0]
+    i, j = fam.locate(centres, 0.0)
+    assert i.tolist() == j.tolist() == [0, 1, 2]
+    assert fam.covers(centres, np.zeros(3)).all() and not fam.covers(pts, 0.0).any()
+
+
+def test_rings_where_the_angle_window_narrows():
+    """At sigma = s*rf/cf of 0.625 and 0.975 `passes` narrows its angle offsets
+    to asin(sigma); `locate` and `covers` still give every containing disk.
+    Past sigma = 1 every disk is offered, so the points near the origin that
+    a disk then holds are found too."""
+    rings = cover_annulus(1e-2, 2.0).charts
+    pts = _points(rings, count=200, seed=5)
+    small = 1e-6 * np.exp(2j * np.pi * np.random.default_rng(6).random((20, 1)))
+    wide = [DiagonalAffineChart(c.b, c.d, 4.0) for c in rings]    # the oracle's charts accept scale 3.9
+    for scale in (2.5, 3.9):
+        assert scale * rings.rf / rings.cf in (0.625, 0.975)
+        i, j = rings.locate(pts[::4], scale, tol=TOL)
+        assert list(zip(i.tolist(), j.tolist())) == containing_pairs(wide, pts[::4], scale, tol=TOL)
+        assert np.array_equal(rings.covers(pts, scale, tol=TOL), brute_covered(rings, pts, scale, tol=TOL))
+    for scale in (4.5, 6.0):
+        both = np.concatenate([pts, small])
+        want = brute_covered(rings, both, scale, tol=TOL)
+        assert want[-20:].all()
+        assert np.array_equal(rings.covers(both, scale, tol=TOL), want)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
 def test_streamed_arrays_equal_the_full_arrays(name):
     """`arrays_at` over blocks of 1000 charts, and `iter_chart_arrays`'s one
     block, give `chart_arrays` bit for bit."""
@@ -169,6 +229,20 @@ def test_list_arrays_are_built_once_per_locate(monkeypatch):
     assert len(builds) == 2
     with pytest.raises(ValueError):
         fam.chart_arrays()[0][0, 0] = 0j
+
+
+def test_covering_keeps_one_family_view(monkeypatch):
+    """`Covering.family` is one view for the covering's life, so a plain list's
+    (b, d) arrays are built by the first query and read by the next."""
+    poly = cover_punctured_polydisc(2, 0.75, 2.0)[0]
+    cov = Covering(poly.ambient, poly.gamma, list(poly.charts)[::5])
+    assert cov.family is cov.family and cov.family.charts is cov.charts
+    builds = []
+    build = ChartList._build
+    monkeypatch.setattr(ChartList, "_build", lambda self: builds.append(1) or build(self))
+    p = cov.charts[5].b
+    assert cov.family.contains(5, p, 1.0) and builds == [1]
+    assert cov.family.contains(5, p, 1.0) and builds == [1]
 
 
 def test_locate_decides_small_passes_together(monkeypatch):

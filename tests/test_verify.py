@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import atlascover.verify as verify_mod
-from atlascover.annulus import cover_annulus
+from atlascover.annulus import RingDisks, WhitneyDiskParams, cover_annulus
 from atlascover.core import (
     DiagonalAffineChart,
     DimensionMismatch,
@@ -236,7 +236,9 @@ def _projections_meet(b, d, i, scale):
 
 
 def _assert_neighbors_cover(charts, indices, base_of=lambda t: [t]):
-    """``neighbors(i, s)`` contains every chart whose projections meet chart i's.
+    """``neighbors(i, s)`` is strictly increasing int64 in [0, kappa) and
+    contains every chart whose projections meet chart i's, at scales 0.5, 1
+    and 2, and on a ring family also where sigma = s*rf/cf is 0.9.
 
     ``base_of`` maps a projection index to the chart indices it stands for
     (the branches of a level family's base chart).
@@ -244,9 +246,15 @@ def _assert_neighbors_cover(charts, indices, base_of=lambda t: [t]):
     base = charts.base_cov.charts if hasattr(charts, "base_cov") else charts
     b, d = chart_arrays(base)
     stride = len(charts) // len(base)
-    for s in (1.0, 2.0):
+    scales = (0.5, 1.0, 2.0)
+    if isinstance(charts, RingDisks):
+        scales += (0.9 * charts.cf / charts.rf,)
+    for s in scales:
         for i in indices:
-            got = set(family(charts).neighbors(int(i), s))
+            got = family(charts).neighbors(int(i), s)
+            assert got.dtype == np.int64 and (np.diff(got) > 0).all()
+            assert 0 <= got[0] and got[-1] < len(charts)
+            got = set(got.tolist())
             assert i in got
             for t in _projections_meet(b, d, int(i) // stride, s):
                 assert set(base_of(t)) <= got, (i, t, s)
@@ -255,6 +263,11 @@ def _assert_neighbors_cover(charts, indices, base_of=lambda t: [t]):
 class TestNeighbors:
     def test_ring_disks(self):
         charts = cover_annulus(1e-2, 2.0).charts
+        _assert_neighbors_cover(charts, range(len(charts)))
+
+    def test_ring_disks_with_twice_the_angles(self):
+        params = WhitneyDiskParams(ring_ratio=0.875, disks_per_ring_factor=2.0)
+        charts = cover_annulus(1e-2, 2.0, params).charts
         _assert_neighbors_cover(charts, range(len(charts)))
 
     def test_ring_disks_at_a_scale_with_no_ring_bound(self):
