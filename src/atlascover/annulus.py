@@ -191,12 +191,12 @@ class RingDisks(ChartFamily):
             covered[idx[np.abs(pts[idx, 0] - a[j]) ** 2 <= rs * rs * (1.0 + t)]] = True
         return covered
 
-    def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
+    def _neighbors(self, i: int, scale: float) -> np.ndarray:
         """Disk indices (``i`` included) whose disks at ``scale`` can meet disk
         ``i``'s: disks that meet share a point, so their bands overlap (at most
         hi - lo rings apart, `_reach`) and so do their sectors (at most
         2 asin(sigma) apart)."""
-        k, j = divmod(self._index(i), self.n_angles)
+        k, j = divmod(i, self.n_angles)
         reach = self._reach(scale)
         if reach is None:
             return np.arange(len(self), dtype=np.int64)

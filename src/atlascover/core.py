@@ -368,6 +368,14 @@ class ChartFamily(Sequence):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
+    @staticmethod
+    def _scales(scale) -> np.ndarray:
+        """``scale`` as a float array; a NaN or negative value raises `ValueError`."""
+        scale = np.asarray(scale, dtype=float)
+        if not (scale >= 0.0).all():            # the minimum is the NaN or a negative one
+            raise ValueError(f"scale must be a number >= 0, got {scale.min()}")
+        return scale
+
     def _points(self, pts, scale, tol: float | None) -> tuple:
         """A query checked: ``pts`` as an (N, dim) complex array, ``scale`` as
         one value per point and the resolved tolerance, on a family small
@@ -375,9 +383,7 @@ class ChartFamily(Sequence):
         (dim,) is one point; any other shape raises `DimensionMismatch`, and
         a scale that is NaN or negative a `ValueError`."""
         chart_count(self)
-        scale = np.asarray(scale, dtype=float)
-        if not (scale >= 0.0).all():            # the minimum is the NaN or a negative one
-            raise ValueError(f"scale must be a number >= 0, got {scale.min()}")
+        scale = self._scales(scale)
         pts = np.asarray(pts, dtype=complex)
         if pts.ndim == 1:
             pts = pts[:, None] if self.dim in (1, None) else pts[None, :]
@@ -477,8 +483,10 @@ class ChartFamily(Sequence):
 
     def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
         """Sorted int64 chart indices (``i`` included) whose images at ``scale``
-        can meet chart ``i``'s: a superset of those that do."""
-        self._index(i)
+        can meet chart ``i``'s, a superset of those that do (`_neighbors`)."""
+        return self._neighbors(self._index(i), float(self._scales(scale)))
+
+    def _neighbors(self, i: int, scale: float) -> np.ndarray:
         return np.arange(len(self), dtype=np.int64)
 
 

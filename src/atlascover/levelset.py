@@ -182,10 +182,10 @@ class LevelBranchCharts(ChartFamily):
         for idx, t in self._base.passes(pts[:, 1:], scale, done):
             yield np.repeat(idx, a1), (t[:, None] * a1 + np.arange(a1)).ravel()
 
-    def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
+    def _neighbors(self, i: int, scale: float) -> np.ndarray:
         """Chart indices whose images at ``scale`` can meet chart ``i``'s: every
         branch over a base chart whose image can meet base chart ``i``'s."""
-        base = self._base.neighbors(self._index(i) // self.alpha1, scale) * self.alpha1
+        base = self._base._neighbors(i // self.alpha1, scale) * self.alpha1
         return (base[:, None] + np.arange(self.alpha1)).ravel()
 
     def _inside(self, pts, idx, scale, tol: float) -> np.ndarray:

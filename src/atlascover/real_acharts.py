@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import MATERIALIZE_BUDGET, AtlasError, ChartFamily, NotHolomorphic, tolerance
+from .core import (MATERIALIZE_BUDGET, AtlasError, ChartFamily, DimensionMismatch,
+                   NotHolomorphic, tolerance)
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ class AtlasFactors:
     ``boxes[box_of][i]`` and offset ``tuples[tuple_of][i]`` once the two index
     arrays are broadcast together and raveled.  A `GraphCharts` gives every
     (box, tuple) pair, box-major (``every_pair``); a plain list indexes its
-    charts' unique rows."""
+    charts' unique rows.  `is_key` looks up their chart keys (k, z0)."""
 
     def __init__(self, data, c3, boxes, box_of, tuples, tuple_of, every_pair):
         self.data, self.c3 = data, float(c3)
@@ -206,8 +207,39 @@ class AtlasFactors:
         self.every_pair = every_pair
 
     @cached_property
-    def keys(self) -> "_ChartKeys":
-        return _ChartKeys(self)
+    def keys(self) -> tuple:
+        """`_records` of the boxes' rows k = round(log2((2/3) / y)) and of the
+        offset tuples z0, or for a plain list of its charts' (k, z0) rows."""
+        y_values, y_of = np.unique(self.boxes, return_inverse=True)
+        k_of_y = np.fromiter((round(math.log2((2.0 / 3.0) / v)) for v in y_values),
+                             dtype=np.int64, count=len(y_values))
+        k = k_of_y[y_of].reshape(self.boxes.shape)
+        if self.every_pair:
+            return _records(k), _records(self.tuples)
+        return (_records(np.hstack([k[self.box_of], self.tuples[self.tuple_of].view(np.int64)])),)
+
+    def is_key(self, k: np.ndarray, z0: np.ndarray) -> np.ndarray:
+        """Whether each row pair of k (int64) and z0 (float), shape (N, m)
+        each, is a chart's key.  Bytes compare exactly here: k is an integer
+        and a queried z0 an odd integer, never -0.0 or NaN, so equal bytes are
+        equal values; only equality is read, so the byte order of the records
+        need not be the numeric one."""
+        if self.every_pair:
+            return _member(self.keys[0], k) & _member(self.keys[1], z0)
+        return _member(self.keys[0], np.hstack([k, z0.view(np.int64)]))
+
+
+def _records(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array as sorted `np.void` records of their bytes."""
+    rows = np.ascontiguousarray(rows)
+    return np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0])
+
+
+def _member(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether each row of ``rows`` is a record of ``table``, `_records` of rows as wide."""
+    rec = np.ascontiguousarray(rows).view(table.dtype)[:, 0]
+    at = np.minimum(np.searchsorted(table, rec), len(table) - 1)
+    return table[at] == rec
 
 
 def _factors(charts) -> AtlasFactors:
@@ -414,10 +446,11 @@ def graph_membership(charts, xs: np.ndarray,
     scales k, y = (2/3) 2^-k.  For each, u = 2 C3 (x/y - 1) names the unit
     box z0 = 2 floor(u/2) + 1 and w = u - z0.  A point is a member iff for
     some choice of scale per axis every |u_i| < C3 (1 + t) and
-    |w_i| <= 1 + t, and (k, z0) is the key of a chart; the last coordinate
-    then agrees identically, being the same monomial of the first m.  Chart
-    images lie in (0, inf)^m, so a row with a coordinate that is not a
-    positive finite number (or too small to invert) is not a member.
+    |w_i| <= 1 + t, and (k, z0) is a chart's key (`AtlasFactors.is_key`);
+    the last coordinate then agrees identically, being the same monomial of
+    the first m.  Chart images lie in (0, inf)^m, so a row with a coordinate
+    that is not a positive finite number (or too small to invert) is not a
+    member.  Points of another width than m raise `DimensionMismatch`.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     out = np.zeros(xs.shape[0], dtype=bool)
@@ -425,9 +458,8 @@ def graph_membership(charts, xs: np.ndarray,
         return out
     f = _factors(charts)
     if xs.shape[1] != f.data.m:
-        return out
-    t = tolerance(tol)
-    c3, keys = f.c3, f.keys
+        raise DimensionMismatch(f"points of width {xs.shape[1]} for an atlas of dim {f.data.m}")
+    t, c3 = tolerance(tol), f.c3
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lg = np.log2((2.0 / 3.0) / xs)
     rows = np.nonzero(np.isfinite(lg).all(axis=1))[0]
@@ -440,76 +472,9 @@ def graph_membership(charts, xs: np.ndarray,
     z0 = 2.0 * np.floor(u / 2.0) + 1.0
     ok = ((k >= 0) & (y / 2.0 < x) & (x < 3.0 * y / 2.0)
           & (np.abs(u) < c3 * (1.0 + t)) & (np.abs(u - z0) <= 1.0 + t))
-    rk = np.minimum(np.searchsorted(keys.k_values, k), len(keys.k_values) - 1)
-    rz = np.minimum(np.searchsorted(keys.z0_values, z0), len(keys.z0_values) - 1)
-    ok &= (keys.k_values[rk] == k) & (keys.z0_values[rz] == z0)
-    member = np.zeros(len(rows), dtype=bool)
     axes = np.arange(xs.shape[1])
     for slots in itertools.product(range(3), repeat=xs.shape[1]):
-        idx = np.nonzero(ok[:, axes, slots].all(axis=1) & ~member)[0]
+        idx = np.nonzero(ok[:, axes, slots].all(axis=1) & ~out[rows])[0]
         if idx.size:
-            member[idx] = keys.lookup(rk[idx[:, None], axes, slots],
-                                      rz[idx[:, None], axes, slots])
-    out[rows] = member
+            out[rows[idx]] = f.is_key(k[idx[:, None], axes, slots], z0[idx[:, None], axes, slots])
     return out
-
-
-class _ChartKeys:
-    """Exact-match tables of an atlas's chart keys (k, z0), where
-    k = round(log2((2/3) / y)) per axis.
-
-    A key is the pair (k row of its box, its offset tuple).  Each half is
-    found by per-axis prefix tables over the boxes or the tuples of the
-    factors (see `_row_lookup`), and the pair in a sorted table of the
-    charts' pairs unless the atlas holds every pair.
-    """
-
-    def __init__(self, f: AtlasFactors):
-        y_values, y_of = np.unique(f.boxes, return_inverse=True)
-        k_of_y = np.fromiter((round(math.log2((2.0 / 3.0) / v)) for v in y_values),
-                             dtype=np.int64, count=len(y_values))
-        self.k_values, k_of = np.unique(k_of_y[y_of], return_inverse=True)
-        self.z0_values, z0_of = np.unique(f.tuples, return_inverse=True)
-        self.box_levels, box_row = _row_tables(k_of.reshape(f.boxes.shape),
-                                               len(self.k_values))
-        self.tuple_levels, tuple_row = _row_tables(z0_of.reshape(f.tuples.shape),
-                                                   len(self.z0_values))
-        self.radix = len(f.tuples)
-        self.pairs = None
-        if not f.every_pair:
-            self.pairs = np.unique(box_row[f.box_of] * self.radix + tuple_row[f.tuple_of])
-
-    def lookup(self, k_ranks: np.ndarray, z0_ranks: np.ndarray) -> np.ndarray:
-        """Whether each row of per-axis ranks of k and z0, shape (N, m), is a chart key."""
-        hit, box_row = _row_lookup(self.box_levels, len(self.k_values), k_ranks)
-        tuple_hit, tuple_row = _row_lookup(self.tuple_levels, len(self.z0_values), z0_ranks)
-        hit &= tuple_hit
-        if self.pairs is not None:
-            code = box_row * self.radix + tuple_row
-            at = np.minimum(np.searchsorted(self.pairs, code), len(self.pairs) - 1)
-            hit &= self.pairs[at] == code
-        return hit
-
-
-def _row_tables(codes: np.ndarray, radix: int) -> tuple:
-    """Per-axis prefix tables of the rows of ``codes`` (values below ``radix``)
-    and each row's rank in the last table.  Table i ranks the distinct
-    prefixes of axes 0..i, so its entries stay below rows * radix."""
-    prefix = np.zeros(codes.shape[0], dtype=np.int64)
-    levels = []
-    for i in range(codes.shape[1]):
-        table, prefix = np.unique(prefix * radix + codes[:, i], return_inverse=True)
-        levels.append(table)
-    return levels, prefix
-
-
-def _row_lookup(levels: list, radix: int, codes: np.ndarray) -> tuple:
-    """Whether each row of ``codes``, shape (N, m), is a row of the tables,
-    and its rank in the last table where it is."""
-    hit = np.ones(codes.shape[0], dtype=bool)
-    prefix = np.zeros(codes.shape[0], dtype=np.int64)
-    for i, table in enumerate(levels):
-        key = prefix * radix + codes[:, i]
-        prefix = np.minimum(np.searchsorted(table, key), len(table) - 1)
-        hit &= table[prefix] == key
-    return hit, prefix

@@ -158,7 +158,7 @@ class SuspendedCharts(ChartFamily):
                 covered[sub[self._inner.covers(pts[sub, :-1], inner_scale, tol=t)]] = True
         return covered
 
-    def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
+    def _neighbors(self, i: int, scale: float) -> np.ndarray:
         """Chart indices (``i`` included) whose images at ``scale`` can meet chart ``i``'s.
 
         Two images meet only if their projections meet on every axis: on the
@@ -166,9 +166,9 @@ class SuspendedCharts(ChartFamily):
         others the inner images at ``scale * beta``.
         """
         kappa_in = len(self._inner)
-        j, t = divmod(self._index(i), kappa_in)
-        outer = self.layers.neighbors(j, scale * self.lam_factor) * kappa_in
-        return (outer[:, None] + self._inner.neighbors(t, scale * self.beta)).ravel()
+        j, t = divmod(i, kappa_in)
+        outer = self.layers._neighbors(j, scale * self.lam_factor) * kappa_in
+        return (outer[:, None] + self._inner._neighbors(t, scale * self.beta)).ravel()
 
 
 # ---------------------------------------------------------------------------

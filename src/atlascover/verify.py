@@ -21,6 +21,7 @@ from .core import (
     PuncturedPlane,
     RegionMismatch,
     UnknownBound,
+    UnsupportedAmbient,
     _abs,
     _complex,
     _in_ball,
@@ -361,9 +362,14 @@ def _branch_rows(alpha, c, rows, branches, wb, tol: float):
 
 def intersection_witness(c1, c2, tol: float | None = None):
     """A point in both unit-scale images, or None if they do not meet: one row
-    of `_witness_rows` (level-branch charts: of their bases, then `_branch_rows`)."""
-    t = tolerance(tol)
-    level = hasattr(c1, "base")
+    of `_witness_rows` (level-branch charts: of their bases, then `_branch_rows`).
+    Charts of two dims raise `DimensionMismatch`, of two kinds or level sets
+    `UnsupportedAmbient`."""
+    if c1.dim != c2.dim:
+        raise DimensionMismatch(f"charts of dim {c1.dim} and {c2.dim}")
+    t, level = tolerance(tol), hasattr(c1, "base")
+    if type(c1) is not type(c2) or level and (c1.alpha, c1.c) != (c2.alpha, c2.c):
+        raise UnsupportedAmbient("a witness needs two charts of one kind and one level set")
     a, b = (c1.base, c2.base) if level else (c1, c2)
     rows = [np.array([x], dtype=complex) for x in (a.b, a.d, b.b, b.d)]
     ok, w = _witness_rows(*rows, t)

@@ -13,9 +13,10 @@ from atlascover.jsonio import (
     write_covering,
 )
 from atlascover.annulus import cover_annulus
-from atlascover.levelset import cover_monomial_level_set
+from atlascover.levelset import cover_monomial_level_set, level_base_plan
 from atlascover.polydisc import cover_punctured_polydisc
 from atlascover.real_acharts import MonomialData, RealAChart, cover_monomial_graph
+from atlascover.verify import named_bound
 
 
 def test_cover_then_verify_roundtrip(tmp_path, capsys):
@@ -170,16 +171,24 @@ def test_chain_with_malformed_endpoints_exits_two(tmp_path, capsys, n, cover):
 
 
 def test_scaling_csv_columns(tmp_path):
+    """The annulus run, and the level-set run, whose kappa is alpha_1 times
+    the base plan's and whose bound is `named_bound("level_set")`."""
     out = tmp_path / "rows.csv"
-    assert main(["scaling", "--experiment", "annulus",
-                 "--grid", "0.1,0.01,0.001", "--zeta", "2",
-                 "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "param,kappa,paper_bound,ratio,log_inv_param"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.1
-    assert int(first[1]) == cover_annulus(0.1, 2.0).kappa
+    plan = level_base_plan((2, 1), 0.1, 2.0)
+    cases = [(["annulus", "--zeta", "2"], cover_annulus(0.1, 2.0).kappa,
+              named_bound("whitney_disks", {"zeta": 2.0, "delta": 0.1})),
+             (["levelset", "--alpha", "2,1"], 2 * plan.kappa_final,
+              named_bound("level_set", {"alpha1": 2, "n": 2, "gamma": 2.0, "eta": plan.eta}))]
+    for argv, kappa, bound in cases:
+        assert main(["scaling", "--experiment", *argv,
+                     "--grid", "0.1,0.01,0.001", "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "param,kappa,paper_bound,ratio,log_inv_param"
+        assert len(lines) == 4
+        first = lines[1].split(",")
+        assert float(first[0]) == 0.1
+        assert int(first[1]) == kappa
+        assert float(first[2]) == bound
 
 
 def test_polydisc_cli_writes_and_verifies(tmp_path, capsys):

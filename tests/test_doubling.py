@@ -13,6 +13,7 @@ from atlascover.core import (
     Covering,
     DiagonalAffineChart,
     PolydiscComplement,
+    PuncturedPlane,
 )
 from atlascover.levelset import cover_monomial_level_set
 from atlascover.polydisc import cover_punctured_polydisc
@@ -33,6 +34,17 @@ def _fat_layer_covering(fat_at):
     return Covering(PolydiscComplement(2, {1, 2}), 2.0, charts)
 
 
+def _fat_inner_covering(fat_at):
+    """Level 2 annulus disks, level 1 an annulus covering with a fat disk
+    inserted at index ``fat_at``: every layer block holds a failure, so
+    `failures` walks into the inner factor."""
+    inner = list(cover_annulus(0.5, 4.0).charts)
+    inner.insert(fat_at, DiagonalAffineChart((0.5,), (0.5,), 4.0))
+    charts = SuspendedCharts(Covering(PuncturedPlane(), 4.0, inner),
+                             cover_annulus(0.5, 4.0).charts, beta=2.0)
+    return Covering(PolydiscComplement(2, {1, 2}), 2.0, charts)
+
+
 AFFINE = dict(BUILDS, **{
     "polydisc-n2-axis1-small-eta": lambda: cover_punctured_polydisc(2, 0.05, 2.0, {1})[0],
     "polydisc-n3-axes12": lambda: cover_punctured_polydisc(3, 0.7, 2.0, {1, 2})[0],
@@ -41,6 +53,7 @@ AFFINE = dict(BUILDS, **{
     "polydisc-n2-1.5e-3": lambda: cover_punctured_polydisc(2, 1.5e-3, 2.0)[0],
     "fat-layer-first": lambda: _fat_layer_covering(0),
     "fat-layer-middle": lambda: _fat_layer_covering(17),
+    "fat-inner-chart": lambda: _fat_inner_covering(5),
     "list-every-third-fat": lambda: Covering(
         cover_annulus(0.1, 2.0).ambient, 2.0,
         [DiagonalAffineChart(c.b, (c.d[0] * (3 if i % 3 == 0 else 1),), 2.0)

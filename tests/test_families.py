@@ -128,6 +128,19 @@ def test_neighbors_checks_its_index(name):
             fam[i]
 
 
+@pytest.mark.parametrize("name", [*FAMILIES, "level-branches"])
+def test_neighbors_checks_its_scale(name):
+    """A NaN or negative scale raises `ValueError`, as in `locate`; scale 0
+    is allowed and chart ``i`` is among its own neighbours there."""
+    charts = (cover_monomial_level_set((2, 1), 0.04).charts if name == "level-branches"
+              else _charts(name))
+    fam = family(charts)
+    for bad, shown in ((np.nan, "nan"), (-1.0, "-1.0")):
+        with pytest.raises(ValueError, match=f"scale must be a number >= 0, got {shown}"):
+            fam.neighbors(20, bad)
+    assert 20 in fam.neighbors(20, 0.0)
+
+
 @pytest.mark.parametrize("build", [
     lambda: cover_annulus(1e-2, 2.0).charts,
     lambda: cover_punctured_polydisc(2, 0.75, 2.0)[0].charts,

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from atlascover.core import NotHolomorphic
+from atlascover.core import DimensionMismatch, NotHolomorphic
 from atlascover.real_acharts import (
     MonomialData,
     RealAChart,
@@ -268,3 +268,17 @@ def test_membership_outside_the_positive_orthant():
         warnings.simplefilter("error")
         got = graph_membership(charts, xs)
     assert got.tolist() == [False] * 6 + [True]
+
+
+def test_membership_refuses_points_of_another_width():
+    """The full graph point (x, a x^mu), or any width other than m, raises
+    `DimensionMismatch` on the family and on a plain list, as `locate` does."""
+    data = MonomialData(1.0, (0.5, -0.25))
+    charts = cover_monomial_graph(data, 0.01)
+    x = np.full((3, 2), 0.5)
+    full = np.concatenate([x, data.value(x)[:, None]], axis=1)
+    assert graph_membership(charts, x).all()
+    for atlas in (charts, charts[::3]):
+        for xs in (full, x[:, :1], full[0]):
+            with pytest.raises(DimensionMismatch, match="points of width"):
+                graph_membership(atlas, xs)

@@ -17,6 +17,7 @@ from atlascover.core import (
     PuncturedPlane,
     RegionMismatch,
     UnknownBound,
+    UnsupportedAmbient,
     chart_contains,
     family,
 )
@@ -147,6 +148,25 @@ class TestWitness:
         c1 = DiagonalAffineChart(b=(0.0,), d=(0.3,), gamma=2.0)
         c2 = DiagonalAffineChart(b=(1.5,), d=(0.3,), gamma=2.0)
         assert intersection_witness(c1, c2) is None
+
+    def test_level_charts_whose_bases_meet(self):
+        charts = cover_monomial_level_set((2, 1), 0.04).charts
+        w = intersection_witness(charts[0], charts[2])
+        assert w is not None
+        assert charts.contains(0, w, 1.0) and charts.contains(2, w, 1.0)
+
+    def test_pairs_it_cannot_decide_are_refused(self):
+        """Charts of two level sets, of two kinds or of two dims."""
+        level = cover_monomial_level_set((2, 1), 0.04).charts
+        other = cover_monomial_level_set((2, 1), 0.05).charts
+        plane = DiagonalAffineChart(b=(0.2, 0.9), d=(0.25, 0.25), gamma=2.0)
+        line = DiagonalAffineChart(b=(0.2,), d=(0.25,), gamma=2.0)
+        for c1, c2, error in ((level[0], other[0], UnsupportedAmbient),
+                              (level[0], plane, UnsupportedAmbient),
+                              (plane, level[0], UnsupportedAmbient),
+                              (line, plane, DimensionMismatch)):
+            with pytest.raises(error):
+                intersection_witness(c1, c2)
 
 
 class TestComplexity:
