@@ -297,6 +297,11 @@ def _in_ball(p, b, d, bound):
         return _rowsum(_abs(_quot(p - b, d), 2.0)) <= bound
 
 
+def _product_rows(axes) -> np.ndarray:
+    """The Cartesian product of 1-D arrays as rows, in `itertools.product` order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def avoidance_certificate(chart: DiagonalAffineChart, ambient: Ambient,
                           scale: float) -> bool:
     """Certify that the extended chart at ``scale`` avoids the deleted set.

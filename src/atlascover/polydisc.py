@@ -6,7 +6,7 @@ over a fresh annulus covering with beta = gamma, trading the factor
 gamma^(n-l+1) down to gamma^(n-l).  After n levels the covering has factor
 exactly gamma and kappa equal to the product of the per-level annulus counts.
 
-Axes that carry no puncture get a trivial single-layer level instead.
+An axis without a puncture is covered by the one-chart unit disk (`cover_axis`).
 """
 
 from __future__ import annotations
@@ -14,16 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .annulus import cover_annulus
 from .core import (
     Covering,
-    DiagonalAffineChart,
     EtaParams,
     GammaTooSmall,
     NotARegularValue,
     PolydiscComplement,
 )
-from .suspension import suspend_covering, suspend_trivial
+from .suspension import cover_axis, suspend_covering
 
 
 @dataclass(frozen=True)
@@ -33,8 +31,8 @@ class LevelPlan:
     level: int
     axis_active: bool
     mu: float            # factor of the covering being extended (gamma^n at level 1)
-    zeta: float          # factor of the level's layer disks (0 if trivial)
-    annulus_count: int   # N_l, number of layer disks (1 if trivial)
+    zeta: float          # factor of the level's layer disks (0 if unpunctured)
+    annulus_count: int   # N_l, number of layer disks (1 if unpunctured)
     kappa: int           # chart count after this level, a Python int
 
 
@@ -129,20 +127,11 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
         return cov, plan
 
     mu = gamma ** n
-    if 1 in axes:
-        cov = cover_annulus(eta, mu)
-    else:
-        chart = DiagonalAffineChart(b=(0j,), d=(1.0 + 0j,), gamma=mu)
-        cov = Covering(ambient=PolydiscComplement(n=1, active_axes=frozenset()),
-                       gamma=mu, charts=[chart],
-                       meta={"construction": "unpunctured_disc"})
+    cov = cover_axis(eta if 1 in axes else None, mu)
     levels = [_level_plan(1, 1 in axes, mu, cov.family, 1)]
     for l in range(2, n + 1):
         mu = cov.gamma
-        if l in axes:
-            cov = suspend_covering(cov, delta=eta, beta=gamma)
-        else:
-            cov = suspend_trivial(cov, beta=gamma)
+        cov = suspend_covering(cov, eta if l in axes else None, gamma)
         levels.append(_level_plan(l, l in axes, mu, cov.charts.layers, levels[-1].kappa))
 
     plan = PolydiscCoveringPlan(n=n, eta=float(eta), gamma=float(gamma),

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (MATERIALIZE_BUDGET, AtlasError, ChartFamily, DimensionMismatch,
-                   NotHolomorphic, tolerance)
+                   NotHolomorphic, _product_rows, tolerance)
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,9 @@ class RealAChart:
     def deviation_certificate(self) -> float:
         """Analytic upper bound for sup over the radius-3 polydisc of the
         max-coordinate deviation |psi~(z) - psi(0)|."""
-        s = 3.0 / self.c3
-        M = self.data.abs_degree
         affine = 3.0 * max(self.y) / (2.0 * self.c3)
         center_last = abs(float(self.center_value()[-1]))
-        graph = center_last * (math.exp(M * s / (1.0 - s)) - 1.0)
-        return max(affine, graph)
+        return max(affine, center_last * _graph_growth(self.data.abs_degree, self.c3))
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +129,18 @@ def axis_scale_centers(eps: float) -> list:
     return [(2.0 / 3.0) * 2.0 ** -k for k in range(K + 1)]
 
 
-def _product_rows(values, m: int) -> np.ndarray:
-    """Rows of values^m, shape (len(values)^m, m), in `itertools.product` order."""
-    axes = np.meshgrid(*([np.asarray(values, dtype=float)] * m), indexing="ij")
-    return np.stack(axes, axis=-1).reshape(-1, m)
-
-
 def box_min_ratio(mu) -> float:
     """min over the closed dyadic box of x^mu / y^mu = prod min((1/2)^mu_i, (3/2)^mu_i)."""
     r = 1.0
     for mi in mu:
         r *= min(0.5 ** mi, 1.5 ** mi)
     return r
+
+
+def _graph_growth(M: float, c3: float) -> float:
+    """exp(M s / (1 - s)) - 1, s = 3 / C3: the last coordinate's relative deviation bound."""
+    s = 3.0 / c3
+    return math.exp(M * s / (1.0 - s)) - 1.0
 
 
 def choose_C3(mu, value_bound: float) -> float:
@@ -162,8 +159,7 @@ def choose_C3(mu, value_bound: float) -> float:
     M = float(sum(abs(float(mi)) for mi in mu))
 
     def certified(c3: int) -> bool:
-        s = 3.0 / c3
-        return A * (math.exp(M * s / (1.0 - s)) - 1.0) <= 1.0
+        return A * _graph_growth(M, c3) <= 1.0
 
     fails, passes = 3, 4                # 3 stands for "below the range"
     while not certified(passes):
@@ -180,17 +176,21 @@ def graph_c3(data: MonomialData) -> float:
     return choose_C3(data.exponents, 3.0 ** data.abs_degree)
 
 
+def _offset_count(c3: float) -> int:
+    """V = 2 ceil(C3/2), the unit boxes that tile (-C3, C3) on one axis."""
+    return 2 * math.ceil(c3 / 2.0)
+
+
 def offset_grid(c3: float) -> np.ndarray:
-    """Odd-integer centers of the unit boxes tiling (-C3, C3): V = 2 ceil(C3/2) of them."""
-    half = math.ceil(c3 / 2.0)
-    return np.arange(1 - 2 * half, 2 * half, 2, dtype=float)
+    """Odd-integer centers of the `_offset_count` unit boxes tiling (-C3, C3)."""
+    return np.arange(1 - _offset_count(c3), _offset_count(c3), 2, dtype=float)
 
 
 def graph_grid_size(data: MonomialData, eps: float, c3: float) -> tuple:
     """((K+1)^m, V^m): the dyadic box centers and the offset tuples that
     `cover_monomial_graph` takes its charts from, counted without building
     either.  Its chart count is a multiple of V^m and at most the product."""
-    return len(axis_scale_centers(eps)) ** data.m, (2 * math.ceil(c3 / 2.0)) ** data.m
+    return len(axis_scale_centers(eps)) ** data.m, _offset_count(c3) ** data.m
 
 
 class AtlasFactors:
@@ -285,7 +285,7 @@ class GraphCharts(ChartFamily):
 
     @cached_property
     def factors(self) -> AtlasFactors:
-        tuples = _product_rows(self.offsets, self.m)
+        tuples = _product_rows([self.offsets] * self.m)
         return AtlasFactors(self.data, self.c3, self.boxes, np.arange(len(self.boxes))[:, None],
                             tuples, np.arange(len(tuples))[None, :], every_pair=True)
 
@@ -313,7 +313,7 @@ def cover_monomial_graph(data: MonomialData, eps: float) -> GraphCharts:
     if n_boxes * n_tuples > MATERIALIZE_BUDGET:
         raise AtlasError(f"{n_boxes} box centers times {n_tuples} offset tuples "
                          "are over the budget")
-    centers = _product_rows(axis_scale_centers(eps), data.m)
+    centers = _product_rows([np.asarray(axis_scale_centers(eps))] * data.m)
     keep = ~(data.value(centers) * box_min_ratio(data.exponents) >= 1.0)
     return GraphCharts(data, eps, c3, centers[keep], offset_grid(c3))
 
@@ -321,7 +321,7 @@ def cover_monomial_graph(data: MonomialData, eps: float) -> GraphCharts:
 def graph_count_bound(data: MonomialData, eps: float) -> float:
     """Recorded construction bound C(mu) * max(1, log(1/eps))^m on the chart count."""
     c3 = graph_c3(data)
-    per_axis = (2 * math.ceil(c3 / 2.0)) * (1.0 / math.log(2.0) + 2.0)
+    per_axis = _offset_count(c3) * (1.0 / math.log(2.0) + 2.0)
     return per_axis ** data.m * max(1.0, math.log(1.0 / eps)) ** data.m
 
 
@@ -391,8 +391,7 @@ def scan_points(m: int, grid: int, interior: int, seed: int = 0) -> np.ndarray:
     if grid < 2:
         raise ValueError("grid must be at least 2")
     angles = 2.0 * math.pi * np.arange(grid) / grid
-    axes = np.meshgrid(*([3.0 * np.exp(1j * angles)] * m), indexing="ij")
-    boundary = np.stack([ax.ravel() for ax in axes], axis=-1)
+    boundary = _product_rows([3.0 * np.exp(1j * angles)] * m)
     rng = np.random.default_rng(seed)
     radii = 3.0 * np.sqrt(rng.random((interior, m)))
     thetas = 2.0 * math.pi * rng.random((interior, m))

@@ -8,7 +8,7 @@ psi with factor gamma to
 a chart with factor theta = gamma / beta.  Layering suspensions over a
 Whitney-disk covering of an annulus covers G x (D_1 \\ D_delta): layer j uses
 the disk (a_j, r_j) with lambda_j = r_j (1 - 1/beta^2)^{-1/2}, so the layer
-covers G x D_{r_j}(a_j) exactly.
+covers G x D_{r_j}(a_j) exactly; the one layer (0, 1) of an unpunctured axis covers G x D_1.
 """
 
 from __future__ import annotations
@@ -147,15 +147,15 @@ class SuspendedCharts(ChartFamily):
             yield sub[k], outer[k] + tt
 
     def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
-        """Layer candidates from the layer family's passes, then the inner
-        family at the scale the exact split leaves for each point."""
+        """Layer candidates from the layer family's passes, then the inner family
+        at the scale the exact split leaves, at tolerance 0: the split applied it."""
         pts, scale, t = self._points(pts, scale, tol)
         covered = np.zeros(pts.shape[0], dtype=bool)
         for idx, j in self.layers.passes(pts[:, -1:], scale * self.lam_factor, covered):
             r, inner_scale = self._split(pts, scale, t, idx, j)
             sub = idx[r]
             if r.size:
-                covered[sub[self._inner.covers(pts[sub, :-1], inner_scale, tol=t)]] = True
+                covered[sub[self._inner.covers(pts[sub, :-1], inner_scale, tol=0.0)]] = True
         return covered
 
     def _neighbors(self, i: int, scale: float) -> np.ndarray:
@@ -211,10 +211,20 @@ def _extended_ambient(ambient, puncture_new_axis: bool) -> PolydiscComplement:
     return PolydiscComplement(n=n + 1, active_axes=active)
 
 
-def suspend_covering(cov: Covering, delta: float, beta: float) -> Covering:
-    """Cover G x (D_1 \\ D_delta) by layered suspensions of ``cov``.
+def cover_axis(delta: float | None, zeta: float) -> Covering:
+    """A zeta-covering of one axis: `cover_annulus` of D_1 \\ D_delta when the
+    axis is punctured, the one-chart unit disk (b=0, d=1) when ``delta`` is None."""
+    if delta is not None:
+        return cover_annulus(delta, zeta)
+    return Covering(ambient=PolydiscComplement(n=1, active_axes=frozenset()), gamma=zeta,
+                    charts=[DiagonalAffineChart(b=(0j,), d=(1.0,), gamma=zeta)],
+                    meta={"construction": "unpunctured_disc"})
 
-    Layer disks come from a zeta-covering of the annulus with
+
+def suspend_covering(cov: Covering, delta: float | None, beta: float) -> Covering:
+    """Cover G x (D_1 \\ D_delta) (G x D_1 if ``delta`` is None) by suspensions of ``cov``.
+
+    Layer disks come from a zeta-covering of the new axis (`cover_axis`) with
     zeta = (2 mu / beta)(1 - 1/beta^2)^{-1/2}; each disk (a_j, r_j) spawns one
     suspension of every inner chart with lambda_j = r_j (1 - 1/beta^2)^{-1/2}.
     The result has factor theta = mu / beta and kappa = N * kappa(cov).
@@ -224,41 +234,17 @@ def suspend_covering(cov: Covering, delta: float, beta: float) -> Covering:
         raise InvalidBeta(f"beta must lie in (1, {mu}), got {beta}")
     theta = mu / beta
     zeta = layer_zeta(mu, beta)
-    layer_cov = cover_annulus(delta, zeta)
+    layer_cov = cover_axis(delta, zeta)
     charts = SuspendedCharts(cov, layer_cov.charts, beta=beta)
-    ambient = _extended_ambient(cov.ambient, puncture_new_axis=True)
+    ambient = _extended_ambient(cov.ambient, puncture_new_axis=delta is not None)
     meta = {
         "construction": "suspension",
-        "delta": float(delta),
+        "delta": None if delta is None else float(delta),
         "beta": float(beta),
         "mu": float(mu),
         "theta": float(theta),
         "zeta": float(zeta),
         "n_layers": len(layer_cov.charts),
         "layer_meta": layer_cov.meta,
-    }
-    return Covering(ambient=ambient, gamma=theta, charts=charts, meta=meta)
-
-
-def suspend_trivial(cov: Covering, beta: float) -> Covering:
-    """Add an unpunctured axis: a single layer covering the whole unit disk.
-
-    The layer uses the disk (a=0, r=1), so lambda = (1 - 1/beta^2)^{-1/2} and
-    the suspended charts cover G x D_1 at unit scale; nothing has to be
-    avoided on the new axis.
-    """
-    mu = cov.gamma
-    if not 1.0 < beta < mu:
-        raise InvalidBeta(f"beta must lie in (1, {mu}), got {beta}")
-    theta = mu / beta
-    layer = DiagonalAffineChart(b=(0j,), d=(1.0,), gamma=layer_zeta(mu, beta))
-    charts = SuspendedCharts(cov, [layer], beta=beta)
-    ambient = _extended_ambient(cov.ambient, puncture_new_axis=False)
-    meta = {
-        "construction": "suspension_trivial",
-        "beta": float(beta),
-        "mu": float(mu),
-        "theta": float(theta),
-        "n_layers": 1,
     }
     return Covering(ambient=ambient, gamma=theta, charts=charts, meta=meta)

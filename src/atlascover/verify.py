@@ -26,6 +26,7 @@ from .core import (
     _complex,
     _in_ball,
     _norm,
+    _product_rows,
     _quot,
     _rowsum,
     active_axis_indices,
@@ -78,20 +79,10 @@ def _axis_grid(lo: float, side: int, log_spaced: bool) -> np.ndarray:
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 
-def _product_points(axis_arrays: list) -> np.ndarray:
-    grids = np.meshgrid(*axis_arrays, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
 def _polydisc_grid(eta: float, n: int, axes: frozenset, target: int) -> np.ndarray:
     side = max(2, math.ceil(target ** (1.0 / (2 * n))))
-    axis_arrays = []
-    for i in range(1, n + 1):
-        if i in axes:
-            axis_arrays.append(_axis_grid(eta, side, log_spaced=True))
-        else:
-            axis_arrays.append(_axis_grid(0.0, side, log_spaced=False))
-    return _product_points(axis_arrays)
+    return _product_rows([_axis_grid(eta, side, log_spaced=True) if i in axes
+                          else _axis_grid(0.0, side, log_spaced=False) for i in range(1, n + 1)])
 
 
 def _polydisc_random(eta: float, n: int, axes: frozenset, count: int,
@@ -396,6 +387,7 @@ def _pair_witnesses(fam, i, j, tol: float):
 
 
 PAIR_BLOCK = 1 << 16            # most chart pairs one `_witness_rows` call decides
+LAYER_PAIR_BUDGET = 1 << 24     # most chart pairs one BFS layer of `chain_between` gathers
 
 
 def chain_between(cov: Covering, p, q, seed: int = 0,
@@ -410,8 +402,9 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
     test decides them all (`_pair_witnesses`, in blocks of `PAIR_BLOCK`).  A
     chart's parent is its first pair that meets, and the chain ends at the
     first goal chart so reached: the chain and witnesses of a FIFO BFS that
-    tests one pair at a time.  ``seed`` is kept for compatibility; the
-    witnesses are exact and do not use it.
+    tests one pair at a time.  A layer whose neighbour lists hold more than
+    `LAYER_PAIR_BUDGET` pairs raises `AtlasError` as soon as they do.
+    ``seed`` is kept for compatibility; the witnesses are exact and do not use it.
     """
     t = tolerance(tol)
     fam, p, q, n = cov.family, tuple(p), tuple(q), cov.dim
@@ -428,7 +421,12 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
     layer = seen = starts                       # charts reached, in order
     found = None
     while layer.size and found is None:
-        nbrs = [fam.neighbors(int(i)) for i in layer]
+        nbrs, n_pairs = [], 0
+        for i in layer.tolist():
+            nbrs.append(fam.neighbors(i))
+            if (n_pairs := n_pairs + nbrs[-1].size) > LAYER_PAIR_BUDGET:
+                raise AtlasError(f"a BFS layer of {layer.size} charts has at least {n_pairs} "
+                                 f"neighbour pairs, over the budget of {LAYER_PAIR_BUDGET}")
         pi, pj = np.repeat(layer, [a.size for a in nbrs]), np.concatenate(nbrs)
         n_seen = seen.size
         for lo in range(0, pj.size, PAIR_BLOCK):

@@ -346,3 +346,20 @@ def test_list_scan_meets_every_chart():
     charts = [DiagonalAffineChart((complex(k),), (0.25,), 2.0) for k in range(3000)]
     assert covers_points(charts, np.arange(3000, dtype=complex), 1.0).all()
     assert not covers_points(charts, np.arange(3000) + 0.5j, 1.0).any()
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_covers_applies_the_tolerance_once(name):
+    """Points at squared preimage norm 1 + 1.5 t and 1 + 0.5 t of random
+    charts: `covers` holds exactly the points that `locate` finds, so a
+    suspension widens its charts by the tolerance once, not once per level."""
+    fam = family(_charts(name))
+    rng = np.random.default_rng(7)
+    b, d = fam.arrays_at(rng.integers(0, len(fam), 300))
+    u = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    pts = np.concatenate([b + d * u * np.sqrt(1.0 + k * TOL) for k in (1.5, 0.5)])
+    want = np.zeros(pts.shape[0], dtype=bool)
+    want[fam.locate(pts, 1.0, tol=TOL)[0]] = True
+    assert want[300:].all() and not want[:300].all()
+    assert np.array_equal(fam.covers(pts, 1.0, tol=TOL), want)

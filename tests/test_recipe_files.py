@@ -187,6 +187,19 @@ def test_coverings_too_large_to_list(tmp_path, capsys, dim, eta, kappa, max_peak
     assert "too many to list" in capsys.readouterr().err
 
 
+def test_chain_on_a_covering_too_large_to_search(tmp_path, capsys):
+    """The 554-byte n=3, eta=0.3 recipe: the first BFS layer is over the pair
+    budget, so `atlas chain` ends in a domain error with exit 2."""
+    path = tmp_path / "n3.json"
+    assert main(["cover", "polydisc", "--dim", "3", "--eta", "0.3", "--gamma", "2",
+                 "--out", str(path)]) == 0
+    assert path.stat().st_size == 554
+    capsys.readouterr()
+    assert main(["chain", "--covering", str(path), "--from=0.5,0,0.5,0,0.5,0",
+                 "--to=0,0.5,0.5,0,-0.5,0"]) == 2
+    assert capsys.readouterr().err.startswith("error: AtlasError: a BFS layer of 1004 charts")
+
+
 def test_ring_table_over_the_budget_is_refused_before_it_exists():
     tracemalloc.start()
     try:

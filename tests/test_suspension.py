@@ -17,7 +17,6 @@ from atlascover.suspension import (
     layer_zeta,
     suspend_chart,
     suspend_covering,
-    suspend_trivial,
     vertical_radius,
 )
 from atlascover.polydisc import cover_punctured_polydisc
@@ -72,6 +71,9 @@ def test_counting_is_exact():
     assert out.kappa == out.meta["n_layers"] * inner.kappa
     assert out.gamma == 2.0
     assert out.ambient == PolydiscComplement(n=2, active_axes={1, 2})
+    flat = suspend_covering(inner, None, 2.0)
+    assert flat.kappa == inner.kappa and flat.meta["n_layers"] == 1 and flat.gamma == 2.0
+    assert flat.ambient == PolydiscComplement(n=2, active_axes={1})
 
 
 def test_delta_one_empty():
@@ -157,11 +159,16 @@ def _suspended(fam, i):
 @pytest.mark.parametrize("build", [
     lambda: cover_punctured_polydisc(2, 0.75, 2.0)[0],
     lambda: cover_punctured_polydisc(3, 0.9, 2.0)[0],
-    lambda: suspend_trivial(cover_annulus(0.1, 4.0), 2.0),
-], ids=["polydisc-n2", "polydisc-n3", "trivial"])
+    lambda: suspend_covering(cover_annulus(0.1, 4.0), None, 2.0),
+    lambda: cover_punctured_polydisc(2, 0.75, 2.0, {1})[0],
+    lambda: cover_punctured_polydisc(2, 0.75, 2.0, {2})[0],
+    lambda: cover_punctured_polydisc(3, 0.9, 2.0, {1, 3})[0],
+], ids=["polydisc-n2", "polydisc-n3", "trivial", "polydisc-n2-axis1", "polydisc-n2-axis2",
+        "polydisc-n3-axes13"])
 def test_charts_are_the_suspension_map(build):
     """The rows `arrays_at` states equal `suspend_chart` applied level by level,
-    bit for bit, factor included."""
+    bit for bit, factor included; an unpunctured axis's unit disk too, at
+    level 1 or as the one layer of a level."""
     fam = build().charts
     idx = [0, len(fam) - 1, *np.random.default_rng(6).integers(0, len(fam), 200).tolist()]
     bits = lambda z: np.asarray(z, dtype=complex).view(np.uint64).tolist()

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 import atlascover.verify as verify_mod
 from atlascover.annulus import RingDisks, WhitneyDiskParams, cover_annulus
 from atlascover.core import (
+    AtlasError,
     DiagonalAffineChart,
     DimensionMismatch,
     Disconnected,
@@ -468,6 +471,22 @@ class TestBatchedChains:
             monkeypatch.setattr(cls, "__post_init__", counting)
         assert chain_between(cov, p, q).length > 2
         assert built == []
+
+    def test_a_layer_over_the_pair_budget_is_refused(self):
+        """n=3, eta=0.3 (kappa=3.7e9): each of the 1,004 start charts has about
+        9 M neighbours, so the first BFS layer is refused while its neighbour
+        lists are gathered, before they can fill the memory."""
+        cov = cover_punctured_polydisc(3, 0.3, 2.0)[0]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(AtlasError, match="neighbour pairs, over the budget of 16777216"):
+                chain_between(cov, (0.5, 0.5, 0.5), (0.5j, 0.5, -0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 2.0
+        assert peak < 256 << 20
 
     def test_kernel_equals_the_scalar_tests_row_by_row(self):
         """About 2,000 random chart pairs in dimensions 1 to 3 and the hand-made
