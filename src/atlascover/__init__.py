@@ -21,6 +21,7 @@ from .core import (
     InsufficientPoints,
     InvalidBeta,
     InvalidDoublingFactor,
+    InvalidTolerance,
     LevelOutsideRange,
     MalformedFile,
     MonomialLevelSet,

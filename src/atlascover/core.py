@@ -98,16 +98,30 @@ class MalformedFile(AtlasError):
     """A covering or atlas file that does not follow the schema."""
 
 
+class InvalidTolerance(AtlasError):
+    """A tolerance that is NaN, infinite, negative or not a number."""
+
+
 def tolerance(tol: float | None = None) -> float:
     """Resolve the relative tolerance for equality-flavored checks.
 
     Explicit argument wins; otherwise the ATLAS_TOL environment variable;
-    otherwise 1e-10.
+    otherwise 1e-10.  A value that is not a finite number >= 0 raises
+    `InvalidTolerance`, naming where it came from.
     """
-    if tol is not None:
-        return float(tol)
-    env = os.environ.get(TOL_ENV_VAR)
-    return float(env) if env else DEFAULT_TOL
+    source = "the tol argument"
+    if tol is None:
+        tol = os.environ.get(TOL_ENV_VAR)
+        if not tol:
+            return DEFAULT_TOL
+        source = f"{TOL_ENV_VAR}={tol!r}"
+    try:
+        value = float(tol)
+    except ValueError:
+        raise InvalidTolerance(f"{source} is not a number") from None
+    if not 0.0 <= value < float("inf"):
+        raise InvalidTolerance(f"a tolerance must be a finite number >= 0; {source} is {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +428,22 @@ class ChartFamily(Sequence):
             raise AtlasError(f"{n} charts are too many to list as arrays")
         return self.arrays_at(np.arange(n))
 
-    def doubling_factors(self, axes, scale: float, betas=(), **sampling) -> tuple:
-        """1-D boolean factors whose C-order outer product flags every chart:
-        |b_i| > scale * |beta_k ... beta_1 d_i| on every axis in ``axes``, d
-        multiplied by each of ``betas`` in turn as the suspensions above do.
-        Level sets read ``sampling``; this default reads `chart_arrays`."""
+    def level_rows(self, betas=()) -> tuple:
+        """Per level, outermost first: (first axis, b, d), the rows of the axes
+        the level sets, one row per chart of the level, d multiplied by each of
+        ``betas`` in turn as the suspensions above do.  Every chart is the
+        C-order product of one row per level.  This default is one level of
+        every axis, read off `chart_arrays`."""
         b, d = self.chart_arrays()
         for beta in betas:
             d = beta * d
-        ok = np.ones(b.shape[0], dtype=bool)
-        for i in axes:
-            ok &= np.abs(b[:, i]) > scale * np.abs(d[:, i])
-        return (ok,)
+        return ((0, b, d),)
+
+    def doubling_factors(self, axes, scale: float, **sampling) -> tuple:
+        """1-D boolean factors whose C-order outer product flags every chart:
+        |b_i| > scale * |d_i| on every axis in ``axes`` (`avoidance`).  Level
+        sets read ``sampling``; affine families are decided per level."""
+        return avoidance(self.level_rows(), axes, scale)
 
     def _blocks(self, done: np.ndarray):
         """(points not done, lo, hi): scan blocks of at most 2^17 point-chart pairs."""
@@ -493,6 +511,17 @@ class ChartFamily(Sequence):
 
     def _neighbors(self, i: int, scale: float) -> np.ndarray:
         return np.arange(len(self), dtype=np.int64)
+
+
+def avoidance(levels, axes, scale: float) -> tuple:
+    """Per level of `ChartFamily.level_rows`: whether each row has
+    |b_i| > scale * |d_i| on every axis i in ``axes`` that the level sets."""
+    flags = []
+    for first, b, d in levels:
+        tests = [np.abs(b[:, i - first]) > scale * np.abs(d[:, i - first])
+                 for i in axes if first <= i < first + b.shape[1]]
+        flags.append(reduce(np.logical_and, tests) if tests else np.ones(b.shape[0], dtype=bool))
+    return tuple(flags)
 
 
 def _batches(passes, budget: int = 1 << 17):

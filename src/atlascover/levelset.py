@@ -23,6 +23,8 @@ from functools import reduce
 import numpy as np
 
 from .core import (
+    MATERIALIZE_BUDGET,
+    AtlasError,
     BranchUndefined,
     ChartFamily,
     Covering,
@@ -34,10 +36,14 @@ from .core import (
     PolydiscComplement,
     _abs,
     _norm,
+    avoidance,
     avoidance_certificate,
+    chart_count,
     tolerance,
 )
 from .polydisc import PolydiscCoveringPlan, cover_punctured_polydisc, level_lower_bound
+
+RESIDUAL_ULPS = 32      # K: the units in the last place one rounded operation may cost
 
 
 @dataclass(frozen=True)
@@ -153,28 +159,85 @@ class LevelBranchCharts(ChartFamily):
     def _recipe(self):
         return self.base_cov, self.alpha, self.c
 
-    def doubling_factors(self, axes, scale: float, betas=(), *, samples_per_chart: int = 128,
+    def doubling_factors(self, axes, scale: float, *, samples_per_chart: int = 0,
                          seed: int = 0, tol: float | None = None) -> tuple:
-        """One factor: the base flags on every base axis, which the branches
-        need, and the residual |psi(x)^alpha - c| <= tol |c| at
-        ``samples_per_chart`` seeded points x of the unit ball, in one
-        blocked pass over the base (b, d) arrays and all branches."""
-        nb, s = self.dim - 1, samples_per_chart
+        """The base flags on every base axis, which the branches need, and the
+        residual |psi(x)^alpha - c| <= tol |c| on the unit ball.
+
+        By default the residual is decided by its a-priori rounding bound
+        (`_bound`).  If the largest bound over the charts whose base flags
+        pass is within tol |c|, the factors are the base's per-level flags and
+        an all-True factor of the alpha_1 branches, in O(sum N_l); otherwise
+        one factor flags every chart by its own bound (at most
+        `MATERIALIZE_BUDGET` charts).  ``samples_per_chart > 0`` runs the
+        sampled cross-check instead (`_sampled`), as one factor.
+        """
+        levels = self._base.level_rows()
+        flags = avoidance(levels, range(self.dim - 1), scale)
+        limit = tolerance(tol) * abs(self.c)
+        if samples_per_chart > 0:
+            base_ok = reduce(np.logical_and.outer, flags).ravel()
+            return (np.repeat(base_ok, self.alpha1)
+                    & self._sampled(samples_per_chart, seed, limit).ravel(),)
+        terms = self._residual_terms(levels)
+        if self._bound(sum(t[f].max(initial=0.0) for t, f in zip(terms, flags))) <= limit:
+            return flags + (np.ones(self.alpha1, dtype=bool),)
+        if chart_count(self) > MATERIALIZE_BUDGET:
+            raise AtlasError(f"{len(self)} chart flags are too many to list, and the "
+                             f"residual bound exceeds tol |c| = {limit!r}")
+        ok = reduce(np.logical_and.outer, flags) & (self._bound(reduce(np.add.outer, terms)) <= limit)
+        return (np.repeat(ok.ravel(), self.alpha1),)
+
+    def _residual_terms(self, levels) -> list:
+        """Per level of `level_rows`: each row's term sum_i alphabar_i T_i over
+        the base axes i it sets, T_i = |ln|b_i|| + pi + 2 (1 + q_i) / (1 - q_i),
+        q_i = |d_i| / |b_i| (inf once the ball reaches b_i + d_i x_i = 0)."""
+        abar = np.asarray(self.alpha[1:], dtype=float)
+        terms = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for first, b, d in levels:
+                q = np.abs(d) / np.abs(b)
+                t = np.where(q < 1.0, np.abs(np.log(np.abs(b))) + math.pi
+                             + 2.0 * (1.0 + q) / (1.0 - q), np.inf)
+                terms.append(t @ abar[first:first + b.shape[1]])
+        return terms
+
+    def _bound(self, term):
+        """The a-priori bound on |psi(x)^alpha - c| over the unit ball of a
+        chart whose rows sum to ``term`` (`_residual_terms`).
+
+        In exact arithmetic the residual is 0.  Rounded, each operation of
+        `level_points` and `_residual` errs by at most ``RESIDUAL_ULPS`` units
+        u = 2^-53 of the magnitude it handles, and an error e in the log of a
+        factor of the product becomes a relative error e of the product.  The
+        magnitudes are |Log c|; per axis |Log b_i| <= |ln|b_i|| + pi and the
+        condition (1 + q_i) / (1 - q_i) of log(1 + d_i x_i / b_i) and of
+        b_i + d_i x_i (each once), alphabar_i times; the branch angle
+        2 pi k / alpha_1 < 2 pi and exp, raised to the alpha_1-th power
+        ((2 pi + 1) alpha_1); the integer powers (sum alphabar) and the
+        n-fold product (n).  So the residual is at most
+        K u (|Log c| + sum_i alphabar_i T_i + (2 pi + 1) alpha_1 + sum alphabar + n) |c|.
+        """
+        fixed = (abs(np.log(self.c)) + (2.0 * math.pi + 1.0) * self.alpha1
+                 + sum(self.alpha[1:]) + self.dim)
+        return RESIDUAL_ULPS * 2.0 ** -53 * (fixed + term) * abs(self.c)
+
+    def _sampled(self, samples: int, seed: int, limit: float) -> np.ndarray:
+        """(base chart, branch) flags: |psi(x)^alpha - c| <= ``limit`` at
+        ``samples`` seeded points x of the unit ball."""
+        nb, s = self.dim - 1, samples
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((s, nb)) + 1j * rng.standard_normal((s, nb))
         x = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-300) \
             * rng.random((s, 1)) ** (1.0 / (2 * nb))
-        bound = tolerance(tol) * abs(self.c)
         b, d = self._base.chart_arrays()
         ok = np.empty((b.shape[0], self.alpha1), dtype=bool)
         step = max(1, (1 << 15) // max(1, s * self.alpha1))
         for lo in range(0, b.shape[0], step):
             pts = level_points(b[lo:lo + step, None], d[lo:lo + step, None], self.alpha,
                                self.c, x, range(self.alpha1))
-            ok[lo:lo + step] = (_residual(pts, self.alpha, self.c) <= bound).all(axis=1)
-        base_ok = reduce(np.logical_and.outer,
-                         self._base.doubling_factors(tuple(range(nb)), scale)).ravel()
-        return (np.repeat(base_ok, self.alpha1) & ok.ravel(),)
+            ok[lo:lo + step] = (_residual(pts, self.alpha, self.c) <= limit).all(axis=1)
+        return ok
 
     def passes(self, pts, scale, done):
         """The base family's passes on xbar, each base chart with its alpha_1 branches."""

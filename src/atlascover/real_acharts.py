@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -242,11 +243,24 @@ def _member(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return table[at] == rec
 
 
+_kept = None        # (those charts, their factors) of the last plain-list atlas
+
+
 def _factors(charts) -> AtlasFactors:
-    """The factors of a non-empty atlas: handed over by a `GraphCharts`,
-    found again with `np.unique` over the charts of a plain list."""
+    """The factors of a non-empty atlas: handed over by a `GraphCharts`, found
+    again with `np.unique` over the charts of a plain list.  A plain list has
+    no attribute to keep them on, so the last list's factors are kept here with
+    its charts, and derived again only when a list holds other chart objects:
+    charts are frozen, so the same objects mean the same rows."""
+    global _kept
     if isinstance(charts, GraphCharts):
         return charts.factors
+    if _kept is None or len(_kept[0]) != len(charts) or not all(map(operator.is_, _kept[0], charts)):
+        _kept = tuple(charts), _list_factors(charts)
+    return _kept[1]
+
+
+def _list_factors(charts) -> AtlasFactors:
     data, c3 = charts[0].data, charts[0].c3
     if any(c.data != data or c.c3 != c3 for c in charts):
         raise ValueError("charts of one atlas must share their monomial data and C3")

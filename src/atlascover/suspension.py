@@ -113,15 +113,15 @@ class SuspendedCharts(ChartFamily):
         d[:, :-1], d[:, -1] = self.beta * di, lam[j]
         return b, d
 
-    def doubling_factors(self, axes, scale: float, betas=(), **sampling) -> tuple:
-        """The layer family's factors at ``(lam_factor,) + betas``, then the
-        inner family's at ``(beta,) + betas``: chart (j, t) has d = (beta d_t,
-        lam_factor r_j), so it passes iff layer disk j and inner chart t do."""
+    def level_rows(self, betas=()) -> tuple:
+        """The layer family's levels at ``(lam_factor,) + betas`` on the last
+        axis, then the inner family's at ``(beta,) + betas``: chart (j, t) has
+        d = (beta d_t, lam_factor r_j), so its rows are layer disk j's and inner
+        chart t's."""
         last = self.dim - 1
-        return (self.layers.doubling_factors((0,) if last in axes else (), scale,
-                                             (self.lam_factor,) + betas)
-                + self._inner.doubling_factors(tuple(i for i in axes if i != last),
-                                               scale, (self.beta,) + betas))
+        return (tuple((last + first, b, d) for first, b, d in
+                      self.layers.level_rows((self.lam_factor,) + betas))
+                + self._inner.level_rows((self.beta,) + betas))
 
     # -- point location -----------------------------------------------------------
 

@@ -251,18 +251,22 @@ class DoublingReport:
         return reduce(np.logical_and.outer, self.factors).ravel()
 
 
-def certify_doubling(cov: Covering, samples_per_chart: int = 128,
+def certify_doubling(cov: Covering, samples_per_chart: int = 0,
                      seed: int = 0, tol: float | None = None) -> DoublingReport:
     """Per-chart avoidance certificates at the full factor gamma.
 
     Affine charts get the exact per-axis disk-separation test on every
     punctured axis, once per level (`ChartFamily.doubling_factors`).
-    Level-branch charts get the base chart's certificate plus a sampled
-    residual bound |psi(x)^alpha - c| <= tol * |c| at unit scale.
+    Level-branch charts get the base chart's certificate on every base axis
+    plus the residual |psi(x)^alpha - c| <= tol * |c| on the unit ball:
+    decided by default by an a-priori rounding bound from per-level maxima,
+    in O(sum N_l); with ``samples_per_chart > 0`` at that many seeded points
+    per chart instead, the cross-check
+    (`levelset.LevelBranchCharts.doubling_factors`).
     """
     return DoublingReport(cov.family.doubling_factors(
         active_axis_indices(cov.ambient), cov.gamma,
-        samples_per_chart=samples_per_chart, seed=seed, tol=tol))
+        samples_per_chart=samples_per_chart, seed=seed, tol=tolerance(tol)))
 
 
 # ---------------------------------------------------------------------------

@@ -222,3 +222,22 @@ def test_domain_error_exits_two(capsys):
     assert main(["cover", "levelset", "--alpha", "2,1", "--c", "0,0",
                  "--gamma", "2", "--out", "/tmp/never.json"]) == 2
     assert "NotARegularValue" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_malformed_tolerance_exits_two(tmp_path, capsys, monkeypatch, value):
+    """`ATLAS_TOL` that is NaN, negative or infinite ends every check that
+    reads the tolerance in one domain error line and exit code 2."""
+    path = str(tmp_path / "annulus.json")
+    assert main(["cover", "annulus", "--delta", "0.1", "--zeta", "2", "--out", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("ATLAS_TOL", value)
+    for argv in (["verify", "coverage", "--covering", path],
+                 ["verify", "doubling", "--covering", path],
+                 ["chain", "--covering", path, "--from", "0.5,0", "--to=-0.5,0"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: InvalidTolerance: a tolerance must be a finite number >= 0; "
+            f"ATLAS_TOL={value!r} is {float(value)}"]

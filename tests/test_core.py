@@ -7,6 +7,7 @@ from atlascover.core import (
     DimensionMismatch,
     EtaParams,
     InvalidDoublingFactor,
+    InvalidTolerance,
     MonomialLevelSet,
     PolydiscComplement,
     PuncturedPlane,
@@ -148,3 +149,17 @@ def test_tolerance_env_override(monkeypatch):
     assert tolerance(1e-6) == 1e-6
     monkeypatch.setenv("ATLAS_TOL", "1e-8")
     assert tolerance() == 1e-8
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, -1e-300])
+def test_malformed_tolerances_are_refused(monkeypatch, value):
+    """A NaN, infinite or negative tolerance is a domain error naming its source."""
+    with pytest.raises(InvalidTolerance, match="the tol argument"):
+        tolerance(value)
+    monkeypatch.setenv("ATLAS_TOL", repr(value))
+    with pytest.raises(InvalidTolerance, match=f"ATLAS_TOL='{value!r}'"):
+        tolerance()
+    assert tolerance(0.0) == 0.0
+    monkeypatch.setenv("ATLAS_TOL", "1e-8x")
+    with pytest.raises(InvalidTolerance, match="not a number"):
+        tolerance()

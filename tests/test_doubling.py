@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,15 +13,16 @@ from atlascover.core import (
     AtlasError,
     Covering,
     DiagonalAffineChart,
+    MonomialLevelSet,
     PolydiscComplement,
     PuncturedPlane,
 )
-from atlascover.levelset import cover_monomial_level_set
+from atlascover.levelset import LevelBranchCharts, cover_monomial_level_set, level_residual
 from atlascover.polydisc import cover_punctured_polydisc
 from atlascover.suspension import SuspendedCharts
 from atlascover.verify import certify_doubling
 
-from oracles import doubling_level_loop, doubling_streamed
+from oracles import ball_points, doubling_level_loop, doubling_streamed
 from test_jsonio import BUILDS
 
 
@@ -93,6 +95,92 @@ def test_level_flags_equal_the_chart_loop(name, tol):
     _same_report(certify_doubling(cov, samples_per_chart=32, seed=4, tol=tol), want)
     if tol is not None:
         assert 0 < want.sum() < want.size
+
+
+def _residual_bounds(cov):
+    """The a-priori residual bound of every base chart: the fixed part plus
+    its rows' terms, one row per level of the base."""
+    charts = cov.charts
+    terms = charts._residual_terms(charts._base.level_rows())
+    return charts._bound(reduce(np.add.outer, terms)).ravel()
+
+
+def _sampled_residuals(cov, base_idx, samples=128, seed=0):
+    """Per listed base chart: the largest `level_residual` over all its
+    branches at ``samples`` seeded points of the unit ball."""
+    charts = cov.charts
+    x = ball_points(cov.dim - 1, samples, seed)
+    return np.array([max(level_residual(charts[int(t) * charts.alpha1 + k], x).max()
+                         for k in range(charts.alpha1)) for t in base_idx])
+
+
+BOUNDED = dict(LEVEL, **{"level-211-half": lambda: cover_monomial_level_set((2, 1, 1), 0.5)})
+
+
+@pytest.mark.parametrize("name", BOUNDED)
+def test_the_residual_bound_holds_at_the_samples(name):
+    """Every chart's bound is at least its largest 128-sample residual (on
+    a seeded 2,000 base charts of the larger coverings) and far below the
+    default tolerance, so the default certificate passes."""
+    cov = BOUNDED[name]()
+    bound = _residual_bounds(cov)
+    idx = np.arange(bound.size)
+    if bound.size > 2000:
+        idx = np.sort(np.random.default_rng(3).choice(bound.size, 2000, replace=False))
+    assert (bound[idx] >= _sampled_residuals(cov, idx)).all()
+    assert bound.max() <= 1e-12 * abs(cov.charts.c)
+    assert certify_doubling(cov).passed
+
+
+@pytest.mark.parametrize("name", LEVEL)
+@pytest.mark.parametrize("tol", [None, 1e-15])
+def test_the_bound_implies_the_samples(name, tol):
+    """Where the sampled cross-check passes, the default flags equal it and
+    are factored by level; at tol 1e-15, below every chart's bound, the
+    default flags every chart as failing, in one factor."""
+    cov = LEVEL[name]()
+    sampled = certify_doubling(cov, samples_per_chart=128, tol=tol)
+    rep = certify_doubling(cov, tol=tol)
+    assert not (rep.per_chart & ~sampled.per_chart).any()
+    if tol is None:
+        assert sampled.passed and np.array_equal(rep.per_chart, sampled.per_chart)
+        assert len(rep.factors) == len(cov.charts._base.level_rows()) + 1
+        assert rep.factors[-1].size == cov.charts.alpha1 and rep.factors[-1].all()
+    else:
+        assert len(rep.factors) == 1 and rep.n_passed == 0
+
+
+def test_level_base_failures_are_not_masked():
+    """A level set over a base with one fat layer disk fails, by default, on
+    exactly the charts the sampled path fails, and names the layer level."""
+    base = _fat_layer_covering(17)
+    alpha, c = (2, 1, 1), 0.3
+    cov = Covering(MonomialLevelSet(alpha, c), base.gamma, LevelBranchCharts(base, alpha, c))
+    rep, sampled = certify_doubling(cov), certify_doubling(cov, samples_per_chart=16)
+    assert not sampled.passed
+    assert np.array_equal(rep.per_chart, sampled.per_chart)
+    assert rep.failures == sampled.failures
+    assert rep.level_failures == {3: 1, 2: 0, 1: 0}
+
+
+@pytest.mark.parametrize("alpha, kappa", [((2, 1, 1), 239_382), ((2, 1, 1, 1), 1_490_516_456)])
+def test_level_certificates_scale_with_the_levels(alpha, kappa):
+    cov = cover_monomial_level_set(alpha, 0.5)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rep = certify_doubling(cov)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.failures == ()
+    assert rep.n_charts == rep.n_passed == cov.kappa == kappa
+    assert elapsed < 1.0
+    assert peak < 16 * 2 ** 20
+    if kappa > 10 ** 8:
+        with pytest.raises(AtlasError, match="too many"):
+            certify_doubling(cov, tol=1e-15)
 
 
 def test_a_fat_layer_disk_is_named_by_its_level():

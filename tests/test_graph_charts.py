@@ -22,6 +22,7 @@ from atlascover.jsonio import (
 from atlascover.real_acharts import (
     GraphCharts,
     MonomialData,
+    _factors,
     RealAChart,
     choose_C3,
     cover_monomial_graph,
@@ -89,6 +90,24 @@ def test_membership_on_the_family_is_the_loop(name):
         got = graph_membership(fam, xs, tol)
         assert np.array_equal(got, graph_membership_loop(lst, xs, tol))
         assert np.array_equal(got, graph_membership(lst, xs, tol))
+
+
+def test_a_plain_list_keeps_its_factors():
+    """A plain-list atlas derives its factors once: later membership calls
+    reuse them and answer as the family does, and a list holding other
+    charts (a new list or one edited in place) derives them again."""
+    data, _, fam, lst = atlases("m3")
+    xs = 0.2 ** np.random.default_rng(8).random((10_000, 3))
+    want = graph_membership(fam, xs)
+    assert np.array_equal(graph_membership(lst, xs), want)
+    kept = _factors(lst)
+    assert _factors(lst) is kept and _factors(list(lst)) is kept
+    assert np.array_equal(graph_membership(lst, xs), want)
+    assert _factors(lst) is kept
+    edited = list(lst)
+    edited[0] = lst[1]
+    f = _factors(edited)
+    assert f is not kept and f.tuple_of[0] == f.tuple_of[1] == kept.tuple_of[1] != kept.tuple_of[0]
 
 
 def test_family_paths_build_no_chart_and_unique_no_chart_rows(tmp_path, monkeypatch):
