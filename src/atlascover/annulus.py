@@ -156,7 +156,8 @@ class RingDisks(ChartFamily):
     def passes(self, pts: np.ndarray, scale: np.ndarray, done: np.ndarray):
         """(point indices, disk indices) per ring and angle offset from each
         point's anchor k0 = floor(log_q |z|), j0 = nearest angle, over the band
-        and sector of `_reach` at the largest scale; a non-finite z meets none."""
+        and sector of `_reach` at the largest scale; a non-finite z meets none.
+        Each ring offset reads only the points still live: finite and not done."""
         if len(self) == 0:
             return
         z, finite = pts[:, 0], np.isfinite(pts[:, 0])
@@ -172,14 +173,18 @@ class RingDisks(ChartFamily):
             w = math.ceil(steps) + 1                # at most n_angles/4 + 2: asin < pi/2
             ring_offsets = sorted(range(math.floor(lo) - 1, math.ceil(1.0 + hi) + 2), key=abs)
             angle_offsets = sorted(range(-w, w + 1), key=abs)
+        live = np.nonzero(finite)[0]
         for do in ring_offsets:
-            k = k0 + do
-            idx = np.nonzero((k >= 0) & (k < self.n_rings) & finite & ~done)[0]
+            live = live[~done[live]]
+            if live.size == 0:
+                return
+            k = k0[live] + do
+            idx = live[(k >= 0) & (k < self.n_rings)]
             for da in angle_offsets:
                 idx = idx[~done[idx]]
                 if idx.size == 0:
                     break
-                yield idx, k[idx] * self.n_angles + (j0[idx] + da) % self.n_angles
+                yield idx, (k0[idx] + do) * self.n_angles + (j0[idx] + da) % self.n_angles
 
     def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
         """Which points lie in some disk scaled by ``scale`` (scalar or per point)."""

@@ -55,6 +55,26 @@ def _point_arg(text: str):
     return cpoint(complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
 
 
+NUMBER_LISTS = ("--from", "--to", "--c", "--mu")
+
+
+def _join_number_lists(argv: list) -> list:
+    """``--to -0.5,0`` as ``--to=-0.5,0``: argparse reads a value with a leading
+    minus as an option unless it is one plain number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in NUMBER_LISTS and arg.startswith("-"):
+            try:
+                _floats(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="atlas",
@@ -234,7 +254,7 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_number_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -79,8 +79,23 @@ def _axis_grid(lo: float, side: int, log_spaced: bool) -> np.ndarray:
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 
-def _polydisc_grid(eta: float, n: int, axes: frozenset, target: int) -> np.ndarray:
-    side = max(2, math.ceil(target ** (1.0 / (2 * n))))
+def _grid_side(n_samples: int, n: int) -> int:
+    """Points per axis of the grid whose side^(2n) points hold at least its
+    share, ``n_samples - n_samples // 2``, of an n-dim polydisc sample set."""
+    return max(2, math.ceil((n_samples - n_samples // 2) ** (1.0 / (2 * n))))
+
+
+def _sample_budget(n_samples: int, n: int, copies: int = 1, dim: int | None = None) -> None:
+    """Raise `AtlasError` if ``copies`` times the rows `region_samples` draws on
+    an n-dim polydisc (the grid's and ``n_samples // 2`` random ones), at
+    ``dim`` entries a row (default n), pass `MATERIALIZE_BUDGET`."""
+    rows, dim = copies * (_grid_side(n_samples, n) ** (2 * n) + n_samples // 2), dim or n
+    if rows * dim > MATERIALIZE_BUDGET:
+        raise AtlasError(f"{rows} samples x {dim} dims = {rows * dim} entries are over "
+                         f"the budget of {MATERIALIZE_BUDGET}")
+
+
+def _polydisc_grid(eta: float, n: int, axes: frozenset, side: int) -> np.ndarray:
     return _product_rows([_axis_grid(eta, side, log_spaced=True) if i in axes
                           else _axis_grid(0.0, side, log_spaced=False) for i in range(1, n + 1)])
 
@@ -100,18 +115,22 @@ def _polydisc_random(eta: float, n: int, axes: frozenset, count: int,
 
 
 def region_samples(region, n_samples: int, seed: int) -> np.ndarray:
-    """Deterministic grid plus seeded random points, about half and half."""
+    """Deterministic grid plus seeded random points, about half and half.
+
+    A sample set of more than `MATERIALIZE_BUDGET` entries (rows x dim) raises
+    `AtlasError` before any of it is drawn, a negative count `ValueError`."""
+    if n_samples < 0:
+        raise ValueError(f"the sample count must be >= 0, got {n_samples}")
     if isinstance(region, AnnulusRegion):
         return region_samples(PolydiscRegion(eta=region.delta, n=1), n_samples, seed)
     rng = np.random.default_rng(seed)
-    n_grid = n_samples - n_samples // 2
-    n_rand = n_samples // 2
     if isinstance(region, PolydiscRegion):
         if region.eta >= 1.0:
             return np.zeros((0, region.n), dtype=complex)
+        _sample_budget(n_samples, region.n)
         axes = region.axes()
-        grid = _polydisc_grid(region.eta, region.n, axes, n_grid)
-        rand = _polydisc_random(region.eta, region.n, axes, n_rand, rng)
+        grid = _polydisc_grid(region.eta, region.n, axes, _grid_side(n_samples, region.n))
+        rand = _polydisc_random(region.eta, region.n, axes, n_samples // 2, rng)
         return np.concatenate([grid, rand])
     if isinstance(region, LevelGraphRegion):
         from .levelset import direct_branch_values
@@ -119,6 +138,7 @@ def region_samples(region, n_samples: int, seed: int) -> np.ndarray:
         eta = level_base_plan(alpha, region.c).eta
         nb = len(alpha) - 1
         base_target = max(1, n_samples // alpha[0])
+        _sample_budget(base_target, nb, alpha[0], len(alpha))
         base = region_samples(PolydiscRegion(eta=eta, n=nb), base_target, seed)
         if base.size == 0:
             return np.zeros((0, len(alpha)), dtype=complex)
@@ -168,20 +188,27 @@ class CoverageReport:
         return self.samples_covered / self.samples_total
 
 
+POINT_BLOCK = 1 << 15           # most sample rows one `covers_points` call decides
+
+
 def check_coverage(cov: Covering, region, n_samples: int = 10000,
                    seed: int = 0, tol: float | None = None) -> CoverageReport:
     """Sample the region deterministically and test unit-scale membership.
 
     Points are located through the covering's structural index when present
-    (rings, suspension layers, level branches) and a blocked scan otherwise.
-    An empty region passes vacuously.
+    (rings, suspension layers, level branches) and a blocked scan otherwise,
+    `POINT_BLOCK` contiguous samples per call: each point's answer is its
+    own, and a block's working arrays stay in cache.  An empty region passes
+    vacuously.
     """
     _check_region(cov, region)
     pts = region_samples(region, n_samples, seed)
     if pts.shape[0] == 0:
         return CoverageReport(samples_total=0, samples_covered=0)
-    got = covers_points(cov.family, pts, 1.0, tol=tol)
-    uncovered = tuple(tuple(p) for p in pts[~got][:100])
+    t, fam = tolerance(tol), cov.family
+    got = np.concatenate([covers_points(fam, pts[lo:lo + POINT_BLOCK], 1.0, tol=t)
+                          for lo in range(0, pts.shape[0], POINT_BLOCK)])
+    uncovered = tuple(tuple(p) for p in pts[np.flatnonzero(~got)[:100]])
     return CoverageReport(samples_total=int(pts.shape[0]),
                           samples_covered=int(got.sum()),
                           uncovered=uncovered)

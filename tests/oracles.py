@@ -42,6 +42,35 @@ def brute_covered(charts, pts, scale=1.0, tol=1e-10):
     return out
 
 
+def ring_passes_full(rings, pts, scale, done):
+    """`RingDisks.passes` by one mask over all N points per ring offset, the
+    points in range, finite and not done: the pairs and order the live index
+    must reproduce."""
+    if len(rings) == 0:
+        return
+    z, finite = pts[:, 0], np.isfinite(pts[:, 0])
+    with np.errstate(invalid="ignore"):
+        k0 = np.floor(np.log(np.maximum(np.abs(z), 1e-300)) / math.log(rings.q)).astype(int)
+        j0 = np.round(np.angle(z) / (2.0 * math.pi / rings.n_angles)).astype(int)
+    reach = rings._reach(float(scale.max(initial=0.0)))
+    if reach is None:
+        k0[:] = 0
+        ring_offsets, angle_offsets = range(rings.n_rings), range(rings.n_angles)
+    else:
+        lo, hi, steps = reach
+        w = math.ceil(steps) + 1
+        ring_offsets = sorted(range(math.floor(lo) - 1, math.ceil(1.0 + hi) + 2), key=abs)
+        angle_offsets = sorted(range(-w, w + 1), key=abs)
+    for do in ring_offsets:
+        k = k0 + do
+        idx = np.nonzero((k >= 0) & (k < rings.n_rings) & finite & ~done)[0]
+        for da in angle_offsets:
+            idx = idx[~done[idx]]
+            if idx.size == 0:
+                break
+            yield idx, k[idx] * rings.n_angles + (j0[idx] + da) % rings.n_angles
+
+
 def chart_to_dict(chart):
     """One chart as a v1 covering file stores it, read off the chart object
     (the file writer reads the (b, d) arrays)."""

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from atlascover.jsonio import covering_to_dict, dumps
 from atlascover.suspension import chart_arrays, covers_points
 from atlascover.verify import linear_fit
 
-from oracles import annulus_grid, annulus_random, brute_covered
+from oracles import annulus_grid, annulus_random, brute_covered, ring_passes_full
 
 # regression constants, frozen after the first certified run
 KAPPA_1E3_ZETA4 = 2916
@@ -123,3 +124,25 @@ def test_near_one_delta_single_ring():
     assert cov.meta["n_rings"] == 1
     pts = annulus_grid(0.95, 40, 200)[:, None]
     assert brute_covered(cov.charts, pts).all()
+
+
+@pytest.mark.parametrize("scale", [1.0, "per-point", 5.0], ids=["unit", "per-point", "no-ring-bound"])
+def test_ring_passes_equal_the_full_mask_passes(scale):
+    """The passes keep a live index of the points still to settle; they yield
+    the pairs of one full mask per ring offset, the same arrays in the same
+    order, whether ``done`` stays unset or is set between yields."""
+    rings = cover_annulus(1e-2, 2.0).charts
+    rng = np.random.default_rng(8)
+    z = 1.2 * np.sqrt(rng.random(600)) * np.exp(2j * np.pi * rng.random(600))
+    z[::37], z[5::41], z[9::43], z[13] = np.nan, np.inf, complex(np.inf, np.nan), 0.0
+    pts = z[:, None]
+    s = 0.2 + rng.random(600) if scale == "per-point" else np.full(600, scale)
+    for settle in (None, slice(None, None, 3)):
+        got, want = [], []
+        for out, passes in ((got, rings.passes), (want, partial(ring_passes_full, rings))):
+            done = np.zeros(600, dtype=bool)
+            for idx, j in passes(pts, s, done):
+                out.append((idx.tolist(), j.tolist()))
+                if settle is not None:
+                    done[idx[settle]] = True
+        assert len(got) > 1 and got == want

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -141,6 +142,46 @@ def test_chain_cli(tmp_path, capsys):
     assert main(["chain", "--covering", str(out),
                  "--from=0.1,0", "--to=-0.1,0"]) == 0
     assert "length=" in capsys.readouterr().out
+
+
+def test_number_lists_with_a_leading_minus_take_the_space_form(tmp_path, capsys):
+    """`--to -0.5,0` means `--to=-0.5,0`, and so for `--from`, `--c` and
+    `--mu`: argparse alone reads such a value as an unknown option."""
+    cov = str(tmp_path / "a.json")
+    assert main(["cover", "annulus", "--delta", "0.1", "--zeta", "2", "--out", cov]) == 0
+    capsys.readouterr()
+    outs = []
+    for ends in (["--from", "-0.5,0", "--to", "0.5,0"], ["--from=-0.5,0", "--to=0.5,0"],
+                 ["--from", "0.5,0", "--to", "-0.5,0"], ["--from=0.5,0", "--to=-0.5,0"]):
+        assert main(["chain", "--covering", cov, *ends]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[2] == outs[3] and outs[0].startswith("length=")
+    for cover, flag, value in ((["levelset", "--alpha", "2,1"], "--c", "-0.04,0"),
+                               (["graph", "--eps", "0.1"], "--mu", "-1,2")):
+        space, joined = tmp_path / "space.json", tmp_path / "joined.json"
+        assert main(["cover", *cover, flag, value, "--out", str(space)]) == 0
+        assert main(["cover", *cover, f"{flag}={value}", "--out", str(joined)]) == 0
+        assert space.read_bytes() == joined.read_bytes()
+
+
+def test_an_oversized_sample_set_exits_two_before_it_is_drawn(tmp_path, capsys):
+    """Two billion samples of the n=3 polydisc would be a 96 GB array; a
+    negative count is a domain error too, not a traceback."""
+    path = str(tmp_path / "p3.json")
+    assert main(["cover", "polydisc", "--dim", "3", "--eta", "0.3", "--gamma", "2",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["verify", "coverage", "--covering", path, "--samples", "2000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: AtlasError: ") and "samples x 3 dims" in err
+    assert peak < 50 << 20
+    assert main(["verify", "coverage", "--covering", path, "--samples", "-5"]) == 2
+    assert capsys.readouterr().err == "error: ValueError: the sample count must be >= 0, got -5\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -72,6 +72,26 @@ def test_covers_matches_brute_force(name):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
+def test_points_that_are_not_finite_leave_the_rest_unchanged(name):
+    """With nan and inf coordinates mixed in, `locate` and `covers` still
+    equal the oracles, quietly, and no such point lies in a chart."""
+    charts = _charts(name)
+    fam = family(charts)
+    pts = _points(charts, count=300, seed=4)
+    pts[::7, 0], pts[3::11, -1], pts[5::13, 0] = np.nan, np.inf, complex(np.inf, np.nan)
+    bad = ~np.isfinite(pts).all(axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        i, j = fam.locate(pts, 1.0, tol=TOL)
+        got = fam.covers(pts, 1.0, tol=TOL)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = brute_covered(charts, pts, 1.0, tol=TOL)
+    assert list(zip(i.tolist(), j.tolist())) == containing_pairs(charts, pts, 1.0, tol=TOL)
+    assert np.array_equal(got, want)
+    assert not got[bad].any() and got[~bad].any()
+
+
+@pytest.mark.parametrize("name", FAMILIES)
 @pytest.mark.parametrize("scale", [1.0, 1.7, "per-point"])
 def test_candidates_contain_every_containing_chart(name, scale):
     """`locate` gives exactly the (point, chart) pairs that `chart_contains`

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from atlascover.annulus import RingDisks, cover_annulus
 from atlascover.cli import main
@@ -41,10 +41,14 @@ class TestEtaFromDelta:
         assert eta_from_delta(0.1, p) == pytest.approx(0.05, rel=1e-15, abs=0)
 
     @given(st.floats(1e-6, 0.9), st.floats(1e-6, 0.9))
+    @example(0.8999999999999999, 0.9)
     def test_monotone_in_delta(self, d1, d2):
+        """Monotone always, strictly once delta grows by more than rounding:
+        neighbouring doubles such as 0.8999999999999999 and 0.9 share an eta."""
         p = EtaParams(c_lower=0.5, C_unit=2.0, d=2, alpha0=3)
         lo, hi = sorted((d1, d2))
-        if lo < hi:
+        assert eta_from_delta(lo, p) <= eta_from_delta(hi, p)
+        if hi >= lo * (1 + 1e-12):
             assert eta_from_delta(lo, p) < eta_from_delta(hi, p)
 
 

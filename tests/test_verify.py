@@ -32,9 +32,10 @@ from atlascover.levelset import (
     level_base_plan,
 )
 from atlascover.polydisc import cover_punctured_polydisc, level_lower_bound
-from atlascover.suspension import chart_arrays
+from atlascover.suspension import chart_arrays, covers_points
 from atlascover.verify import (
     AnnulusRegion,
+    CoverageReport,
     LevelGraphRegion,
     PolydiscRegion,
     certify_doubling,
@@ -80,6 +81,74 @@ class TestCoverage:
         r1 = check_coverage(cov, AnnulusRegion(0.05), n_samples=4000, seed=42)
         r2 = check_coverage(cov, AnnulusRegion(0.05), n_samples=4000, seed=42)
         assert r1 == r2
+
+
+def _one_call_report(cov, region, n_samples, seed):
+    """The report of one `covers_points` call over every sample at once."""
+    pts = region_samples(region, n_samples, seed)
+    got = covers_points(cov.family, pts, 1.0)
+    return CoverageReport(samples_total=pts.shape[0], samples_covered=int(got.sum()),
+                          uncovered=tuple(tuple(p) for p in pts[~got][:100]))
+
+
+def _pruned_annulus():
+    """Every 7th disk left out: 400 of 3,021 samples uncovered, the first 100
+    of them spread over the first three 300-row blocks."""
+    cov = cover_annulus(0.1, 2.0)
+    return Covering(ambient=cov.ambient, gamma=cov.gamma,
+                    charts=[c for i, c in enumerate(cov.charts) if i % 7], meta=cov.meta)
+
+
+BLOCKED_COVERAGE = {
+    "annulus": (lambda: cover_annulus(1e-2, 2.0), AnnulusRegion(1e-2), 5000),
+    "polydisc": (lambda: cover_punctured_polydisc(2, 1e-2, 2.0)[0], PolydiscRegion(1e-2, 2), 3000),
+    "level-set": (lambda: cover_monomial_level_set((2, 1, 1), 0.5, 2.0),
+                  LevelGraphRegion((2, 1, 1), 0.5), 2000),
+    "pruned-list": (_pruned_annulus, AnnulusRegion(0.1), 3000),
+}
+
+
+class TestBlockedCoverage:
+    @pytest.mark.parametrize("name", BLOCKED_COVERAGE)
+    def test_blocks_give_the_one_call_report(self, name, monkeypatch):
+        """At 300 rows a block, several blocks and a ragged last one, the
+        report equals one `covers_points` call's, `uncovered` included."""
+        build, region, n = BLOCKED_COVERAGE[name]
+        cov = build()
+        want = _one_call_report(cov, region, n, 5)
+        assert want.samples_total % 300 and want.samples_total > 3 * 300
+        monkeypatch.setattr(verify_mod, "POINT_BLOCK", 300)
+        got = check_coverage(cov, region, n, 5)
+        assert got == want
+        if name == "pruned-list":
+            assert len(got.uncovered) == 100 and got.samples_total - got.samples_covered == 400
+
+    def test_peak_memory_at_200k_samples(self):
+        """n=3, eta=0.3: 217,649 samples (10 MB) are decided in blocks, under
+        a 32 MiB peak; in one call the working arrays peaked near 68 MiB."""
+        cov = cover_punctured_polydisc(3, 0.3, 2.0)[0]
+        tracemalloc.start()
+        try:
+            rep = check_coverage(cov, PolydiscRegion(0.3, 3), 200_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.samples_total == 217_649
+        assert peak < 32 << 20
+
+    @pytest.mark.parametrize("region, dim", [
+        (AnnulusRegion(1e-2), 1), (PolydiscRegion(0.3, 3), 3),
+        (PolydiscRegion(0.5, 2, frozenset({2})), 2), (LevelGraphRegion((2, 1, 1), 0.5), 3),
+        (LevelGraphRegion((3, 1), 0.04), 2)])
+    def test_sample_sets_over_the_budget_are_refused(self, region, dim, monkeypatch):
+        """The budget check counts the rows `region_samples` draws exactly: a
+        budget of their entries passes, one entry less refuses them."""
+        entries = region_samples(region, 1234, 0).size
+        monkeypatch.setattr(verify_mod, "MATERIALIZE_BUDGET", entries)
+        assert region_samples(region, 1234, 0).shape == (entries // dim, dim)
+        monkeypatch.setattr(verify_mod, "MATERIALIZE_BUDGET", entries - 1)
+        with pytest.raises(AtlasError, match=f"samples x {dim} dims = {entries} entries"):
+            region_samples(region, 1234, 0)
 
 
 class TestCertify:
