@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -75,6 +76,7 @@ def _join_number_lists(argv: list) -> list:
     return out
 
 
+@functools.cache                # built on the first `main` call, then shared
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="atlas",

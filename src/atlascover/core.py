@@ -229,6 +229,8 @@ class MonomialLevelSet:
         object.__setattr__(self, "c", complex(self.c))
         if not self.alpha or any(a < 1 for a in self.alpha):
             raise ValueError("all exponents must be >= 1")
+        if not np.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c}")
         if self.c == 0:
             raise NotARegularValue("0 is the singular value of a monomial")
 

@@ -285,29 +285,24 @@ class LevelBranchCharts(ChartFamily):
 
 
 def _level_base(alpha, c: complex, gamma: float):
-    """(alpha, c, (base covering, base plan)) of {x^alpha = c}: the base
-    covers the punctured polydisc Q_(n-1)^eta at the coordinate lower bound
-    eta = |c|^(1/alpha0)."""
-    alpha = tuple(int(a) for a in alpha)
-    if not alpha or any(a < 1 for a in alpha):
-        raise ValueError("all exponents must be >= 1")
-    if len(alpha) < 2:
+    """(ambient, (base covering, base plan)) of {x^alpha = c}: the ambient
+    checks alpha and c, and the base covers the punctured polydisc
+    Q_(n-1)^eta at the coordinate lower bound eta = |c|^(1/alpha0)."""
+    amb = MonomialLevelSet(alpha=alpha, c=c)
+    if amb.dim < 2:
         raise DimensionMismatch("the graph construction needs dimension >= 2")
-    c = complex(c)
-    if c == 0:
-        raise NotARegularValue("0 is the singular value of a monomial")
-    if abs(c) >= 1.0:
+    if abs(amb.c) >= 1.0:
         raise LevelOutsideRange(
-            f"|c| = {abs(c)} >= 1 leaves no room inside the unit polydisc")
-    eta = level_lower_bound(c, 1.0, min(alpha))
-    return alpha, c, cover_punctured_polydisc(len(alpha) - 1, eta, gamma)
+            f"|c| = {abs(amb.c)} >= 1 leaves no room inside the unit polydisc")
+    eta = level_lower_bound(amb.c, 1.0, min(amb.alpha))
+    return amb, cover_punctured_polydisc(amb.dim - 1, eta, gamma)
 
 
 def level_base_plan(alpha, c: complex, gamma: float = 2.0) -> PolydiscCoveringPlan:
     """Count-only mode: the plan of the base covering of {x^alpha = c}, read
     off its lazy build.  Every base chart spawns alpha_1 branches, so
     kappa = alpha_1 * kappa(base)."""
-    return _level_base(alpha, c, gamma)[2][1]
+    return _level_base(alpha, c, gamma)[1][1]
 
 
 def cover_monomial_level_set(alpha, c: complex, gamma: float = 2.0) -> Covering:
@@ -315,13 +310,12 @@ def cover_monomial_level_set(alpha, c: complex, gamma: float = 2.0) -> Covering:
 
     The base covering is the one `level_base_plan` reads.
     """
-    alpha, c, (base_cov, base_plan) = _level_base(alpha, c, gamma)
-    charts = LevelBranchCharts(base_cov, alpha, c)
-    ambient = MonomialLevelSet(alpha=alpha, c=c)
+    ambient, (base_cov, base_plan) = _level_base(alpha, c, gamma)
+    charts = LevelBranchCharts(base_cov, ambient.alpha, ambient.c)
     meta = {
         "construction": "monomial_level_graph",
         "eta": base_plan.eta,
-        "alpha1": alpha[0],
+        "alpha1": ambient.alpha[0],
         "base_kappa": base_cov.kappa,
         "base_plan": base_plan.to_dict(),
     }

@@ -38,10 +38,12 @@ class MonomialData:
         object.__setattr__(self, "coefficient", float(self.coefficient))
         object.__setattr__(self, "exponents",
                            tuple(float(m) for m in self.exponents))
-        if not self.coefficient > 0:
-            raise ValueError("coefficient must be positive")
+        if not (self.coefficient > 0 and math.isfinite(self.coefficient)):
+            raise ValueError(f"the coefficient must be finite and positive, got {self.coefficient}")
         if not self.exponents:
             raise ValueError("need at least one exponent")
+        if not all(map(math.isfinite, self.exponents)):
+            raise ValueError(f"the exponents mu must be finite, got {self.exponents}")
 
     @property
     def m(self) -> int:
@@ -399,11 +401,21 @@ def verify_achart(chart, grid: int = 24, interior: int = 1000,
                         certificate=cert)
 
 
+def _scan_budget(entries: int, what: str) -> None:
+    """Raise `AtlasError` naming ``what`` if a scan would hold more than
+    `MATERIALIZE_BUDGET` entries."""
+    if entries > MATERIALIZE_BUDGET:
+        raise AtlasError(f"{what} = {entries} entries are over the budget of "
+                         f"{MATERIALIZE_BUDGET}")
+
+
 def scan_points(m: int, grid: int, interior: int, seed: int = 0) -> np.ndarray:
     """Distinguished-boundary lattice plus seeded interior points of the
-    radius-3 polydisc (the scan set of every a-chart check)."""
+    radius-3 polydisc (the scan set of every a-chart check), counted before
+    it is built: more than `MATERIALIZE_BUDGET` entries raise `AtlasError`."""
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    _scan_budget((grid ** m + interior) * m, f"({grid}^{m} + {interior}) scan points x {m} axes")
     angles = 2.0 * math.pi * np.arange(grid) / grid
     boundary = _product_rows([3.0 * np.exp(1j * angles)] * m)
     rng = np.random.default_rng(seed)
@@ -420,7 +432,9 @@ def verify_achart_batch(charts, grid: int = 16, interior: int = 1000,
     With u_i = 1 + (z0_i + z_i) / (2 C3), Re u_i > 0 and y_i > 0, the last
     coordinate is a y^mu prod u_i^mu_i: its deviation is a y^mu D(z0) with
     D(z0) = max_z |prod u^mu(z) - prod u^mu(0)|, and the affine deviation
-    max_z max_i y_i |z_i| / (2 C3) depends on y alone.
+    max_z max_i y_i |z_i| / (2 C3) depends on y alone.  The scan set and
+    the (V, m, P) powers table are counted before either is built: more
+    than `MATERIALIZE_BUDGET` entries raise `AtlasError`.
     """
     if not len(charts):
         scan_points(1, grid, 0)             # the grid check of every atlas
@@ -428,8 +442,11 @@ def verify_achart_batch(charts, grid: int = 16, interior: int = 1000,
     f = _factors(charts)
     data, c3, tuples = f.data, f.c3, f.tuples
     mu = np.asarray(data.exponents)
-    z = np.vstack([scan_points(data.m, grid, interior, seed), np.zeros(data.m)])  # center last
     values = np.unique(tuples)
+    n_pts = grid ** data.m + interior + 1
+    _scan_budget(len(values) * data.m * n_pts,
+                 f"{len(values)} offsets x {data.m} axes x {n_pts} scan points")
+    z = np.vstack([scan_points(data.m, grid, interior, seed), np.zeros(data.m)])  # center last
     # u^mu per offset value, axis and point (the center is the last point)
     powers = (1.0 + (values[:, None, None] + z.T) / (2.0 * c3)) ** mu[:, None]  # (V, m, P)
     idx = np.searchsorted(values, tuples)                           # (T, m)

@@ -81,8 +81,9 @@ def _axis_grid(lo: float, side: int, log_spaced: bool) -> np.ndarray:
 
 def _grid_side(n_samples: int, n: int) -> int:
     """Points per axis of the grid whose side^(2n) points hold at least its
-    share, ``n_samples - n_samples // 2``, of an n-dim polydisc sample set."""
-    return max(2, math.ceil((n_samples - n_samples // 2) ** (1.0 / (2 * n))))
+    share, ``n_samples - n_samples // 2``, of an n-dim polydisc sample set;
+    0 when no samples are asked for."""
+    return max(2, math.ceil((n_samples - n_samples // 2) ** (1.0 / (2 * n)))) if n_samples else 0
 
 
 def _sample_budget(n_samples: int, n: int, copies: int = 1, dim: int | None = None) -> None:
@@ -115,7 +116,8 @@ def _polydisc_random(eta: float, n: int, axes: frozenset, count: int,
 
 
 def region_samples(region, n_samples: int, seed: int) -> np.ndarray:
-    """Deterministic grid plus seeded random points, about half and half.
+    """Deterministic grid plus seeded random points, about half and half; a
+    count of 0 draws none.
 
     A sample set of more than `MATERIALIZE_BUDGET` entries (rows x dim) raises
     `AtlasError` before any of it is drawn, a negative count `ValueError`."""
@@ -137,7 +139,7 @@ def region_samples(region, n_samples: int, seed: int) -> np.ndarray:
         alpha = tuple(region.alpha)
         eta = level_base_plan(alpha, region.c).eta
         nb = len(alpha) - 1
-        base_target = max(1, n_samples // alpha[0])
+        base_target = max(1, n_samples // alpha[0]) if n_samples else 0
         _sample_budget(base_target, nb, alpha[0], len(alpha))
         base = region_samples(PolydiscRegion(eta=eta, n=nb), base_target, seed)
         if base.size == 0:

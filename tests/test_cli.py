@@ -1,9 +1,16 @@
+import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import atlascover
+from atlascover import cli
 from atlascover.cli import main
 from atlascover.jsonio import (
     covering_from_dict,
@@ -282,3 +289,150 @@ def test_malformed_tolerance_exits_two(tmp_path, capsys, monkeypatch, value):
         assert err.splitlines() == [
             f"error: InvalidTolerance: a tolerance must be a finite number >= 0; "
             f"ATLAS_TOL={value!r} is {float(value)}"]
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    """The first `main` call builds the parser tree; later calls, whatever
+    their outcome, build no parser at all."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    counts = []
+    for argv in (["--version"], ["conquer"], ["cover", "annulus", "--delta", "0.1"],
+                 ["eta", "--delta", "0.1", "--c-lower", "0.5", "--c-unit", "2",
+                  "--d", "2", "--alpha0", "2"], ["--version"]):
+        main(argv)
+        counts.append(len(built))
+    assert counts[0] > 1 and counts == [counts[0]] * len(counts)
+
+
+def _calls(argvs, tmp_path, capsys):
+    """(exit code, stdout, stderr, bytes of every file written so far) per call."""
+    out = []
+    for argv in argvs:
+        code = main(argv)
+        files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+        out.append((code, *capsys.readouterr(), files))
+    return out
+
+
+def test_the_kept_parser_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    """Errors, `--version`, list defaults and good runs, mixed in one process,
+    print and exit as a newly built parser does: parsing leaves the parser
+    and its defaults as they were, and writes to the streams of the call."""
+    cov, rows, graph = (str(tmp_path / n) for n in ("a.json", "levels.csv", "graph.csv"))
+    argvs = [["cover", "annulus", "--delta", "0.1"], ["--version"],
+             ["scaling", "--experiment", "levelset", "--grid", "0.1,0.05,0.01", "--out", rows],
+             ["conquer"],
+             ["scaling", "--experiment", "graph", "--grid", "0.2,0.1,0.05", "--out", graph],
+             ["cover", "annulus", "--delta", "0.1", "--zeta", "2", "--out", cov],
+             ["verify", "coverage", "--covering", cov, "--samples", "500"],
+             ["verify", "doubling", "--covering", cov],
+             ["scaling", "--experiment", "levelset", "--grid", "0.1,0.05,0.01", "--out", rows],
+             ["--version"]]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = _calls(argvs, tmp_path, capsys)
+    for p in tmp_path.iterdir():
+        p.unlink()
+    kept = _calls(argvs, tmp_path, capsys)
+    assert [c[0] for c in kept] == [2, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+    assert kept[1][1].startswith("atlas ") and kept[0][2].startswith("usage: atlas cover annulus")
+    assert kept == fresh
+
+
+def test_a_new_process_exits_as_main_does(capsys):
+    """`python -m atlascover.cli` prints and exits as `main` does in process."""
+    src = str(Path(atlascover.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, code in ((["--version"], 0), (["conquer"], 2)):
+        proc = subprocess.run([sys.executable, "-m", "atlascover.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert main(argv) == proc.returncode == code
+        assert capsys.readouterr() == (proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize("cover", [
+    ["annulus", "--delta", "0.1", "--zeta", "2"],
+    ["polydisc", "--dim", "2", "--eta", "0.75", "--gamma", "2"],
+    ["levelset", "--alpha", "2,1", "--c", "0.04,0"],
+], ids=["annulus", "polydisc", "levelset"])
+def test_zero_samples_draw_none(tmp_path, capsys, cover):
+    """`--samples 0` checks no point: the empty region's vacuous pass."""
+    path = str(tmp_path / "cov.json")
+    assert main(["cover", *cover, "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", "coverage", "--covering", path, "--samples", "0"]) == 0
+    assert capsys.readouterr().out == "coverage 0/0 rate=1.000000 pass=True\n"
+
+
+@pytest.mark.parametrize("cover, message", [
+    (["graph", "--mu", "inf", "--eps", "0.1"],
+     "ValueError: the exponents mu must be finite, got (inf,)"),
+    (["graph", "--mu", "0.5,nan", "--eps", "0.1"],
+     "ValueError: the exponents mu must be finite, got (0.5, nan)"),
+    (["graph", "--mu", "0.5", "--coeff", "inf", "--eps", "0.1"],
+     "ValueError: the coefficient must be finite and positive, got inf"),
+    (["graph", "--mu", "0.5", "--coeff", "nan", "--eps", "0.1"],
+     "ValueError: the coefficient must be finite and positive, got nan"),
+    (["levelset", "--alpha", "2,1", "--c", "0.04,nan"],
+     "ValueError: c must be finite, got (0.04+nanj)"),
+    (["levelset", "--alpha", "2,1", "--c", "inf,0"],
+     "ValueError: c must be finite, got (inf+0j)"),
+], ids=["mu-inf", "mu-nan", "coeff-inf", "coeff-nan", "c-nan", "c-inf"])
+def test_non_finite_inputs_are_domain_errors(tmp_path, capsys, cover, message):
+    """Each is one error line naming the input, exit 2, and no file."""
+    out = tmp_path / "out.json"
+    assert main(["cover", *cover, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cover, key, value", [
+    (["graph", "--mu", "0.5,-0.25", "--eps", "0.01"], ("coefficient",), float("inf")),
+    (["graph", "--mu", "0.5,-0.25", "--eps", "0.01"], ("mu",), [0.5, float("nan")]),
+    (["levelset", "--alpha", "2,1", "--c", "0.04,0"], ("ambient", "c"), [0.04, float("nan")]),
+    (["levelset", "--alpha", "2,1", "--c", "0.04,0", "--materialize"], ("ambient", "c"),
+     [float("inf"), 0.0]),
+], ids=["coefficient", "mu", "c", "c-v1"])
+def test_files_with_non_finite_inputs_are_malformed(tmp_path, capsys, cover, key, value):
+    path = tmp_path / "f.json"
+    assert main(["cover", *cover, "--out", str(path)]) == 0
+    d = json.loads(path.read_text())
+    leaf = d
+    for k in key[:-1]:
+        leaf = leaf[k]
+    leaf[key[-1]] = value
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    argv = (["verify", "achart", "--charts", str(path)] if cover[0] == "graph"
+            else ["verify", "doubling", "--covering", str(path)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: MalformedFile: ")
+    assert "must be finite" in err
+
+
+def test_an_oversized_achart_scan_exits_two_before_it_is_built(tmp_path, capsys):
+    """`--grid 400` on the 2,744,000-chart m=3 atlas asks for a (400, 400, 400)
+    scan lattice and a 20 x 3 x 64,001,001 powers table; both are counted and
+    refused before either exists."""
+    path = str(tmp_path / "m3.json")
+    assert main(["cover", "graph", "--mu=0.5,-0.25,0.5", "--eps", "0.01", "--out", path]) == 0
+    assert capsys.readouterr().out == f"count=2744000 -> {path}\n"
+    tracemalloc.start()
+    try:
+        code = main(["verify", "achart", "--charts", path, "--grid", "400"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and err == ("error: AtlasError: 20 offsets x 3 axes x 64001001 scan points "
+                                 "= 3840060060 entries are over the budget of 100000000\n")
+    assert peak < 50 << 20

@@ -1,10 +1,12 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from atlascover.core import DimensionMismatch, NotHolomorphic
+from atlascover import real_acharts
+from atlascover.core import AtlasError, DimensionMismatch, NotHolomorphic
 from atlascover.real_acharts import (
     MonomialData,
     RealAChart,
@@ -210,6 +212,27 @@ def test_scan_points_shapes():
     pts = scan_points(2, 8, 50, seed=1)
     assert pts.shape == (64 + 50, 2)
     assert np.allclose(np.abs(pts[:64]), 3.0)
+
+
+def test_scans_over_the_budget_are_refused(monkeypatch):
+    """The scan set, (grid^m + interior) x m entries, and the batch scan's
+    (V, m, P) powers table are counted exactly before they are built: a
+    budget of their entries passes, one entry less refuses them."""
+    charts = cover_monomial_graph(MonomialData(1.0, (0.5, -0.25)), 0.01)
+    n_values = len(charts.offsets)
+    scan, table = (64 + 50) * 2, n_values * 2 * (64 + 50 + 1)
+    monkeypatch.setattr(real_acharts, "MATERIALIZE_BUDGET", scan)
+    assert scan_points(2, 8, 50).size == scan
+    monkeypatch.setattr(real_acharts, "MATERIALIZE_BUDGET", scan - 1)
+    with pytest.raises(AtlasError, match=re.escape(f"(8^2 + 50) scan points x 2 axes = {scan} ")):
+        scan_points(2, 8, 50)
+    monkeypatch.setattr(real_acharts, "MATERIALIZE_BUDGET", table)
+    want = verify_achart_batch(charts, grid=8, interior=50)
+    monkeypatch.setattr(real_acharts, "MATERIALIZE_BUDGET", table - 1)
+    with pytest.raises(AtlasError, match=f"{n_values} offsets x 2 axes x 115 scan points = {table} "):
+        verify_achart_batch(charts, grid=8, interior=50)
+    monkeypatch.undo()
+    assert np.array_equal(verify_achart_batch(charts, grid=8, interior=50), want)
 
 
 def _edge_points(charts, count, seed):

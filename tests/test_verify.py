@@ -142,13 +142,16 @@ class TestBlockedCoverage:
         (LevelGraphRegion((3, 1), 0.04), 2)])
     def test_sample_sets_over_the_budget_are_refused(self, region, dim, monkeypatch):
         """The budget check counts the rows `region_samples` draws exactly: a
-        budget of their entries passes, one entry less refuses them."""
+        budget of their entries passes, one entry less refuses them, and a
+        count of 0 draws no row and passes a budget of 0."""
         entries = region_samples(region, 1234, 0).size
         monkeypatch.setattr(verify_mod, "MATERIALIZE_BUDGET", entries)
         assert region_samples(region, 1234, 0).shape == (entries // dim, dim)
         monkeypatch.setattr(verify_mod, "MATERIALIZE_BUDGET", entries - 1)
         with pytest.raises(AtlasError, match=f"samples x {dim} dims = {entries} entries"):
             region_samples(region, 1234, 0)
+        monkeypatch.setattr(verify_mod, "MATERIALIZE_BUDGET", 0)
+        assert region_samples(region, 0, 0).shape == (0, dim)
 
 
 class TestCertify:
