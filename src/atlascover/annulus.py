@@ -230,6 +230,9 @@ def cover_annulus(delta: float, zeta: float,
     Charts are emitted outermost ring first, ordered by angle within a ring;
     delta >= 1 yields the empty covering.
     """
+    for name, value in (("delta", delta), ("zeta", zeta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not zeta > 1.0:
         raise InvalidDoublingFactor(f"zeta must exceed 1, got {zeta}")
     if not delta > 0.0:

@@ -351,6 +351,13 @@ def chart_count(charts) -> int:
     return n
 
 
+def check_budget(entries: int, what: str) -> None:
+    """Raise `AtlasError` naming ``what`` if it would hold more than
+    `MATERIALIZE_BUDGET` entries (read at call time)."""
+    if entries > MATERIALIZE_BUDGET:
+        raise AtlasError(f"{what} = {entries} entries are over the budget of {MATERIALIZE_BUDGET}")
+
+
 class ChartFamily(Sequence):
     """A sequence of charts that also answers point-location queries.
 
@@ -441,10 +448,10 @@ class ChartFamily(Sequence):
             d = beta * d
         return ((0, b, d),)
 
-    def doubling_factors(self, axes, scale: float, **sampling) -> tuple:
+    def doubling_factors(self, axes, scale: float, tol: float | None = None) -> tuple:
         """1-D boolean factors whose C-order outer product flags every chart:
-        |b_i| > scale * |d_i| on every axis in ``axes`` (`avoidance`).  Level
-        sets read ``sampling``; affine families are decided per level."""
+        |b_i| > scale * |d_i| on every axis in ``axes`` (`avoidance`), decided
+        per level.  Level sets also read ``tol``; affine families ignore it."""
         return avoidance(self.level_rows(), axes, scale)
 
     def _blocks(self, done: np.ndarray):
@@ -659,6 +666,9 @@ class EtaParams:
     alpha0: int
 
     def __post_init__(self):
+        for name in ("c_lower", "C_unit"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.c_lower > 0:
             raise ValueError("c_lower must be positive")
         if not self.C_unit >= 1:

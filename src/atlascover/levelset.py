@@ -108,13 +108,6 @@ def level_points(b, d, alpha, c, x, branches) -> np.ndarray:
         base[..., None, :], logs.shape + base.shape[-1:])], axis=-1)
 
 
-def _residual(pts: np.ndarray, alpha, c: complex) -> np.ndarray:
-    """|p^alpha - c| for points p on the last axis, as rows of a 2-D view: numpy
-    rounds a product over the last axis of a higher-rank array differently."""
-    rows = pts.reshape(-1, pts.shape[-1])
-    return np.abs(np.prod(rows ** np.asarray(alpha), axis=-1) - c).reshape(pts.shape[:-1])
-
-
 def evaluate_level_chart(ch: MonomialLevelChart, x, scale: float | None = None):
     """Evaluate the chart at a preimage point x with ||x|| <= scale <= gamma."""
     x = np.asarray(tuple(x) if not isinstance(x, np.ndarray) else x, dtype=complex)
@@ -130,7 +123,8 @@ def evaluate_level_chart(ch: MonomialLevelChart, x, scale: float | None = None):
 
 def level_residual(ch: MonomialLevelChart, x: np.ndarray) -> np.ndarray:
     """|psi(x)^alpha - c| at base preimage points x (vectorized)."""
-    return _residual(np.atleast_2d(ch.map_points(x)), ch.alpha, ch.c)
+    pts = np.atleast_2d(ch.map_points(x))
+    return np.abs(np.prod(pts ** np.asarray(ch.alpha), axis=-1) - ch.c)
 
 
 class LevelBranchCharts(ChartFamily):
@@ -159,26 +153,20 @@ class LevelBranchCharts(ChartFamily):
     def _recipe(self):
         return self.base_cov, self.alpha, self.c
 
-    def doubling_factors(self, axes, scale: float, *, samples_per_chart: int = 0,
-                         seed: int = 0, tol: float | None = None) -> tuple:
+    def doubling_factors(self, axes, scale: float, tol: float | None = None) -> tuple:
         """The base flags on every base axis, which the branches need, and the
-        residual |psi(x)^alpha - c| <= tol |c| on the unit ball.
+        residual |psi(x)^alpha - c| <= tol |c| on the unit ball, decided by
+        its a-priori rounding bound (`_bound`).
 
-        By default the residual is decided by its a-priori rounding bound
-        (`_bound`).  If the largest bound over the charts whose base flags
-        pass is within tol |c|, the factors are the base's per-level flags and
-        an all-True factor of the alpha_1 branches, in O(sum N_l); otherwise
-        one factor flags every chart by its own bound (at most
-        `MATERIALIZE_BUDGET` charts).  ``samples_per_chart > 0`` runs the
-        sampled cross-check instead (`_sampled`), as one factor.
+        If the largest bound over the charts whose base flags pass is within
+        tol |c|, the factors are the base's per-level flags and an all-True
+        factor of the alpha_1 branches, in O(sum N_l); otherwise one factor
+        flags every chart by its own bound (at most `MATERIALIZE_BUDGET`
+        charts).
         """
         levels = self._base.level_rows()
         flags = avoidance(levels, range(self.dim - 1), scale)
         limit = tolerance(tol) * abs(self.c)
-        if samples_per_chart > 0:
-            base_ok = reduce(np.logical_and.outer, flags).ravel()
-            return (np.repeat(base_ok, self.alpha1)
-                    & self._sampled(samples_per_chart, seed, limit).ravel(),)
         terms = self._residual_terms(levels)
         if self._bound(sum(t[f].max(initial=0.0) for t, f in zip(terms, flags))) <= limit:
             return flags + (np.ones(self.alpha1, dtype=bool),)
@@ -207,7 +195,7 @@ class LevelBranchCharts(ChartFamily):
         chart whose rows sum to ``term`` (`_residual_terms`).
 
         In exact arithmetic the residual is 0.  Rounded, each operation of
-        `level_points` and `_residual` errs by at most ``RESIDUAL_ULPS`` units
+        `level_points` and `level_residual` errs by at most ``RESIDUAL_ULPS`` units
         u = 2^-53 of the magnitude it handles, and an error e in the log of a
         factor of the product becomes a relative error e of the product.  The
         magnitudes are |Log c|; per axis |Log b_i| <= |ln|b_i|| + pi and the
@@ -221,23 +209,6 @@ class LevelBranchCharts(ChartFamily):
         fixed = (abs(np.log(self.c)) + (2.0 * math.pi + 1.0) * self.alpha1
                  + sum(self.alpha[1:]) + self.dim)
         return RESIDUAL_ULPS * 2.0 ** -53 * (fixed + term) * abs(self.c)
-
-    def _sampled(self, samples: int, seed: int, limit: float) -> np.ndarray:
-        """(base chart, branch) flags: |psi(x)^alpha - c| <= ``limit`` at
-        ``samples`` seeded points x of the unit ball."""
-        nb, s = self.dim - 1, samples
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((s, nb)) + 1j * rng.standard_normal((s, nb))
-        x = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-300) \
-            * rng.random((s, 1)) ** (1.0 / (2 * nb))
-        b, d = self._base.chart_arrays()
-        ok = np.empty((b.shape[0], self.alpha1), dtype=bool)
-        step = max(1, (1 << 15) // max(1, s * self.alpha1))
-        for lo in range(0, b.shape[0], step):
-            pts = level_points(b[lo:lo + step, None], d[lo:lo + step, None], self.alpha,
-                               self.c, x, range(self.alpha1))
-            ok[lo:lo + step] = (_residual(pts, self.alpha, self.c) <= limit).all(axis=1)
-        return ok
 
     def passes(self, pts, scale, done):
         """The base family's passes on xbar, each base chart with its alpha_1 branches."""

@@ -115,6 +115,9 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
     """
     if n < 1:
         raise ValueError("dimension must be positive")
+    for name, value in (("eta", eta), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not gamma >= 2.0:
         raise GammaTooSmall(f"the induction requires gamma >= 2, got {gamma}")
     axes = _normalize_axes(n, active_axes)
@@ -126,7 +129,10 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
                              "n": n, "plan": plan.to_dict()})
         return cov, plan
 
-    mu = gamma ** n
+    try:
+        mu = gamma ** n
+    except OverflowError:
+        raise ValueError(f"gamma^dim = {gamma}^{n} overflows a float") from None
     cov = cover_axis(eta if 1 in axes else None, mu)
     levels = [_level_plan(1, 1 in axes, mu, cov.family, 1)]
     for l in range(2, n + 1):
@@ -155,8 +161,8 @@ def eta_from_delta(delta: float, p: EtaParams) -> float:
     Shrinking the polydisc by this eta guarantees the removed neighborhood of
     the coordinate cross lies inside the delta-tube of the zero set.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     return (p.c_lower * delta ** p.d / p.C_unit) ** (1.0 / p.alpha0)
 
 

@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (MATERIALIZE_BUDGET, AtlasError, ChartFamily, DimensionMismatch,
-                   NotHolomorphic, _product_rows, tolerance)
+from .core import (ChartFamily, DimensionMismatch, NotHolomorphic, _product_rows,
+                   check_budget, tolerance)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def axis_scale_centers(eps: float) -> list:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    K = max(0, math.ceil(math.log2(1.0 / (3.0 * eps))))
+    K = max(0, math.ceil(-math.log2(3.0 * eps)))
     while (1.0 / 3.0) * 2.0 ** -K > eps:
         K += 1
     while K > 0 and (1.0 / 3.0) * 2.0 ** -(K - 1) <= eps:
@@ -326,9 +326,7 @@ def cover_monomial_graph(data: MonomialData, eps: float) -> GraphCharts:
         raise ValueError("eps must lie in (0, 1/2)")
     c3 = graph_c3(data)
     n_boxes, n_tuples = graph_grid_size(data, eps, c3)
-    if n_boxes * n_tuples > MATERIALIZE_BUDGET:
-        raise AtlasError(f"{n_boxes} box centers times {n_tuples} offset tuples "
-                         "are over the budget")
+    check_budget(n_boxes * n_tuples, f"{n_boxes} box centers x {n_tuples} offset tuples")
     centers = _product_rows([np.asarray(axis_scale_centers(eps))] * data.m)
     keep = ~(data.value(centers) * box_min_ratio(data.exponents) >= 1.0)
     return GraphCharts(data, eps, c3, centers[keep], offset_grid(c3))
@@ -401,21 +399,13 @@ def verify_achart(chart, grid: int = 24, interior: int = 1000,
                         certificate=cert)
 
 
-def _scan_budget(entries: int, what: str) -> None:
-    """Raise `AtlasError` naming ``what`` if a scan would hold more than
-    `MATERIALIZE_BUDGET` entries."""
-    if entries > MATERIALIZE_BUDGET:
-        raise AtlasError(f"{what} = {entries} entries are over the budget of "
-                         f"{MATERIALIZE_BUDGET}")
-
-
 def scan_points(m: int, grid: int, interior: int, seed: int = 0) -> np.ndarray:
     """Distinguished-boundary lattice plus seeded interior points of the
     radius-3 polydisc (the scan set of every a-chart check), counted before
     it is built: more than `MATERIALIZE_BUDGET` entries raise `AtlasError`."""
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    _scan_budget((grid ** m + interior) * m, f"({grid}^{m} + {interior}) scan points x {m} axes")
+    check_budget((grid ** m + interior) * m, f"({grid}^{m} + {interior}) scan points x {m} axes")
     angles = 2.0 * math.pi * np.arange(grid) / grid
     boundary = _product_rows([3.0 * np.exp(1j * angles)] * m)
     rng = np.random.default_rng(seed)
@@ -444,7 +434,7 @@ def verify_achart_batch(charts, grid: int = 16, interior: int = 1000,
     mu = np.asarray(data.exponents)
     values = np.unique(tuples)
     n_pts = grid ** data.m + interior + 1
-    _scan_budget(len(values) * data.m * n_pts,
+    check_budget(len(values) * data.m * n_pts,
                  f"{len(values)} offsets x {data.m} axes x {n_pts} scan points")
     z = np.vstack([scan_points(data.m, grid, interior, seed), np.zeros(data.m)])  # center last
     # u^mu per offset value, axis and point (the center is the last point)

@@ -30,6 +30,7 @@ from .core import (
     _quot,
     _rowsum,
     active_axis_indices,
+    check_budget,
     tolerance,
 )
 from .levelset import LevelBranchCharts, level_base_plan, level_points
@@ -91,9 +92,7 @@ def _sample_budget(n_samples: int, n: int, copies: int = 1, dim: int | None = No
     an n-dim polydisc (the grid's and ``n_samples // 2`` random ones), at
     ``dim`` entries a row (default n), pass `MATERIALIZE_BUDGET`."""
     rows, dim = copies * (_grid_side(n_samples, n) ** (2 * n) + n_samples // 2), dim or n
-    if rows * dim > MATERIALIZE_BUDGET:
-        raise AtlasError(f"{rows} samples x {dim} dims = {rows * dim} entries are over "
-                         f"the budget of {MATERIALIZE_BUDGET}")
+    check_budget(rows * dim, f"{rows} samples x {dim} dims")
 
 
 def _polydisc_grid(eta: float, n: int, axes: frozenset, side: int) -> np.ndarray:
@@ -280,22 +279,18 @@ class DoublingReport:
         return reduce(np.logical_and.outer, self.factors).ravel()
 
 
-def certify_doubling(cov: Covering, samples_per_chart: int = 0,
-                     seed: int = 0, tol: float | None = None) -> DoublingReport:
+def certify_doubling(cov: Covering, tol: float | None = None) -> DoublingReport:
     """Per-chart avoidance certificates at the full factor gamma.
 
     Affine charts get the exact per-axis disk-separation test on every
     punctured axis, once per level (`ChartFamily.doubling_factors`).
     Level-branch charts get the base chart's certificate on every base axis
-    plus the residual |psi(x)^alpha - c| <= tol * |c| on the unit ball:
-    decided by default by an a-priori rounding bound from per-level maxima,
-    in O(sum N_l); with ``samples_per_chart > 0`` at that many seeded points
-    per chart instead, the cross-check
-    (`levelset.LevelBranchCharts.doubling_factors`).
+    plus the residual |psi(x)^alpha - c| <= tol * |c| on the unit ball,
+    decided by an a-priori rounding bound from per-level maxima, in
+    O(sum N_l) (`levelset.LevelBranchCharts.doubling_factors`).
     """
     return DoublingReport(cov.family.doubling_factors(
-        active_axis_indices(cov.ambient), cov.gamma,
-        samples_per_chart=samples_per_chart, seed=seed, tol=tolerance(tol)))
+        active_axis_indices(cov.ambient), cov.gamma, tol=tolerance(tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +574,8 @@ def scaling_experiment(experiment: str, param_grid, fixed: dict | None = None):
     """
     fixed = dict(fixed or {})
     grid = [float(p) for p in param_grid]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"the parameter grid must be finite, got {grid}")
     if len(grid) < 3:
         raise InsufficientPoints("the parameter grid needs at least 3 entries")
     if any(a <= b for a, b in zip(grid, grid[1:])):

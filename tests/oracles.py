@@ -272,17 +272,17 @@ def doubling_streamed(cov, block=1 << 16):
 def doubling_level_loop(cov, samples_per_chart=128, seed=0, tol=None):
     """Flag of every level-branch chart, one chart at a time: the base
     chart's avoidance on every base axis and the sampled residual of
-    `level_residual` (the reference answer)."""
+    `level_residual` (the reference answer).  A chart whose base fails is
+    not built: its branch is not single-valued there."""
     t = tolerance(tol)
     charts = cov.charts
     dim = charts.base_cov.ambient.dim
     x = ball_points(dim, samples_per_chart, seed)
     flags = np.empty(cov.kappa, dtype=bool)
     for i in range(cov.kappa):
-        ch = charts[i]
-        base_ok = all(abs(ch.base.b[a]) > ch.base.gamma * abs(ch.base.d[a])
-                      for a in range(dim))
-        flags[i] = base_ok and bool((level_residual(ch, x) <= t * abs(charts.c)).all())
+        base = charts.base_cov.charts[i // charts.alpha1]
+        base_ok = all(abs(base.b[a]) > base.gamma * abs(base.d[a]) for a in range(dim))
+        flags[i] = base_ok and bool((level_residual(charts[i], x) <= t * abs(charts.c)).all())
     return flags
 
 

@@ -372,26 +372,54 @@ def test_zero_samples_draw_none(tmp_path, capsys, cover):
     assert capsys.readouterr().out == "coverage 0/0 rate=1.000000 pass=True\n"
 
 
-@pytest.mark.parametrize("cover, message", [
-    (["graph", "--mu", "inf", "--eps", "0.1"],
+@pytest.mark.parametrize("argv, message", [
+    (["cover", "graph", "--mu", "inf", "--eps", "0.1"],
      "ValueError: the exponents mu must be finite, got (inf,)"),
-    (["graph", "--mu", "0.5,nan", "--eps", "0.1"],
+    (["cover", "graph", "--mu", "0.5,nan", "--eps", "0.1"],
      "ValueError: the exponents mu must be finite, got (0.5, nan)"),
-    (["graph", "--mu", "0.5", "--coeff", "inf", "--eps", "0.1"],
+    (["cover", "graph", "--mu", "0.5", "--coeff", "inf", "--eps", "0.1"],
      "ValueError: the coefficient must be finite and positive, got inf"),
-    (["graph", "--mu", "0.5", "--coeff", "nan", "--eps", "0.1"],
+    (["cover", "graph", "--mu", "0.5", "--coeff", "nan", "--eps", "0.1"],
      "ValueError: the coefficient must be finite and positive, got nan"),
-    (["levelset", "--alpha", "2,1", "--c", "0.04,nan"],
+    (["cover", "levelset", "--alpha", "2,1", "--c", "0.04,nan"],
      "ValueError: c must be finite, got (0.04+nanj)"),
-    (["levelset", "--alpha", "2,1", "--c", "inf,0"],
+    (["cover", "levelset", "--alpha", "2,1", "--c", "inf,0"],
      "ValueError: c must be finite, got (inf+0j)"),
-], ids=["mu-inf", "mu-nan", "coeff-inf", "coeff-nan", "c-nan", "c-inf"])
-def test_non_finite_inputs_are_domain_errors(tmp_path, capsys, cover, message):
+    (["cover", "annulus", "--delta", "inf", "--zeta", "2"],
+     "ValueError: delta must be finite, got inf"),
+    (["cover", "annulus", "--delta", "0.1", "--zeta", "inf"],
+     "ValueError: zeta must be finite, got inf"),
+    (["cover", "polydisc", "--dim", "2", "--eta", "inf", "--gamma", "2"],
+     "ValueError: eta must be finite, got inf"),
+    (["cover", "polydisc", "--dim", "2", "--eta", "nan", "--gamma", "2"],
+     "ValueError: eta must be finite, got nan"),
+    (["cover", "polydisc", "--dim", "2", "--eta", "0.5", "--gamma", "inf"],
+     "ValueError: gamma must be finite, got inf"),
+    (["cover", "levelset", "--alpha", "2,1", "--c", "0.04,0", "--gamma", "inf"],
+     "ValueError: gamma must be finite, got inf"),
+    (["scaling", "--experiment", "annulus", "--grid", "0.1,nan,0.01"],
+     "ValueError: the parameter grid must be finite, got [0.1, nan, 0.01]"),
+], ids=["mu-inf", "mu-nan", "coeff-inf", "coeff-nan", "c-nan", "c-inf", "delta-inf",
+        "zeta-inf", "eta-inf", "eta-nan", "gamma-inf", "levelset-gamma-inf", "grid-nan"])
+def test_non_finite_inputs_are_domain_errors(tmp_path, capsys, argv, message):
     """Each is one error line naming the input, exit 2, and no file."""
     out = tmp_path / "out.json"
-    assert main(["cover", *cover, "--out", str(out)]) == 2
+    assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "polydisc", "--dim", "2000", "--eta", "0.5", "--gamma", "2", "--count-only"],
+    ["scaling", "--experiment", "polydisc", "--dim", "2000", "--grid", "0.5,0.4,0.3",
+     "--out", "never.csv"],
+], ids=["cover", "scaling"])
+def test_an_overflowing_factor_is_a_domain_error(tmp_path, capsys, monkeypatch, argv):
+    """gamma^dim past the largest float names both flags, exit 2, and no file."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: ValueError: gamma^dim = 2.0^2000 overflows a float\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("cover, key, value", [

@@ -127,7 +127,7 @@ def test_derivative_lower_bound_on_chart_points():
 
 def test_certify_doubling_level_charts():
     cov = cover_monomial_level_set((2, 1), 0.04)
-    rep = certify_doubling(cov, samples_per_chart=64)
+    rep = certify_doubling(cov)
     assert rep.passed
     assert rep.n_charts == cov.kappa
 

@@ -51,6 +51,20 @@ class TestEtaFromDelta:
         if hi >= lo * (1 + 1e-12):
             assert eta_from_delta(lo, p) < eta_from_delta(hi, p)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--delta", "inf", "delta must be finite and positive, got inf"),
+        ("--delta", "nan", "delta must be finite and positive, got nan"),
+        ("--c-lower", "nan", "c_lower must be finite, got nan"),
+        ("--c-unit", "inf", "C_unit must be finite, got inf"),
+    ])
+    def test_non_finite_inputs_are_domain_errors(self, capsys, flag, value, message):
+        """`atlas eta` used to print inf or 0.0 with exit 0 for an infinite
+        delta or C_unit."""
+        argv = ["eta", "--delta", "0.1", "--c-lower", "0.5", "--c-unit", "2",
+                "--d", "2", "--alpha0", "2"]
+        assert main([*argv, flag, value]) == 2
+        assert capsys.readouterr() == ("", f"error: ValueError: {message}\n")
+
 
 class TestLevelLowerBound:
     def test_square_root_case(self):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from atlascover import real_acharts
+from atlascover import core
 from atlascover.core import AtlasError, DimensionMismatch, NotHolomorphic
 from atlascover.real_acharts import (
     MonomialData,
@@ -43,6 +43,14 @@ class TestAxisCenters:
 
     def test_product_count(self):
         assert len(cover_unit_cube_scales(0.25, 2)) == 4
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-320, 1e-308, 1e-3, 1.0 / 6.0, 0.25, 1.0 / 3.0])
+    def test_least_index_down_to_subnormal_eps(self, eps):
+        """1/(3 eps) overflows below about 1.2e-309; K stays the least index
+        with (1/3) 2^-K <= eps."""
+        k = len(axis_scale_centers(eps)) - 1
+        assert (1.0 / 3.0) * 2.0 ** -k <= eps
+        assert k == 0 or (1.0 / 3.0) * 2.0 ** -(k - 1) > eps
 
 
 class TestChooseC3:
@@ -221,14 +229,14 @@ def test_scans_over_the_budget_are_refused(monkeypatch):
     charts = cover_monomial_graph(MonomialData(1.0, (0.5, -0.25)), 0.01)
     n_values = len(charts.offsets)
     scan, table = (64 + 50) * 2, n_values * 2 * (64 + 50 + 1)
-    monkeypatch.setattr(real_acharts, "MATERIALIZE_BUDGET", scan)
+    monkeypatch.setattr(core, "MATERIALIZE_BUDGET", scan)
     assert scan_points(2, 8, 50).size == scan
-    monkeypatch.setattr(real_acharts, "MATERIALIZE_BUDGET", scan - 1)
+    monkeypatch.setattr(core, "MATERIALIZE_BUDGET", scan - 1)
     with pytest.raises(AtlasError, match=re.escape(f"(8^2 + 50) scan points x 2 axes = {scan} ")):
         scan_points(2, 8, 50)
-    monkeypatch.setattr(real_acharts, "MATERIALIZE_BUDGET", table)
+    monkeypatch.setattr(core, "MATERIALIZE_BUDGET", table)
     want = verify_achart_batch(charts, grid=8, interior=50)
-    monkeypatch.setattr(real_acharts, "MATERIALIZE_BUDGET", table - 1)
+    monkeypatch.setattr(core, "MATERIALIZE_BUDGET", table - 1)
     with pytest.raises(AtlasError, match=f"{n_values} offsets x 2 axes x 115 scan points = {table} "):
         verify_achart_batch(charts, grid=8, interior=50)
     monkeypatch.undo()

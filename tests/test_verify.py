@@ -7,6 +7,7 @@ import types
 import numpy as np
 import pytest
 
+import atlascover.core as core
 import atlascover.verify as verify_mod
 from atlascover.annulus import RingDisks, WhitneyDiskParams, cover_annulus
 from atlascover.core import (
@@ -145,12 +146,12 @@ class TestBlockedCoverage:
         budget of their entries passes, one entry less refuses them, and a
         count of 0 draws no row and passes a budget of 0."""
         entries = region_samples(region, 1234, 0).size
-        monkeypatch.setattr(verify_mod, "MATERIALIZE_BUDGET", entries)
+        monkeypatch.setattr(core, "MATERIALIZE_BUDGET", entries)
         assert region_samples(region, 1234, 0).shape == (entries // dim, dim)
-        monkeypatch.setattr(verify_mod, "MATERIALIZE_BUDGET", entries - 1)
+        monkeypatch.setattr(core, "MATERIALIZE_BUDGET", entries - 1)
         with pytest.raises(AtlasError, match=f"samples x {dim} dims = {entries} entries"):
             region_samples(region, 1234, 0)
-        monkeypatch.setattr(verify_mod, "MATERIALIZE_BUDGET", 0)
+        monkeypatch.setattr(core, "MATERIALIZE_BUDGET", 0)
         assert region_samples(region, 0, 0).shape == (0, dim)
 
 
