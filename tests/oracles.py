@@ -286,6 +286,29 @@ def doubling_level_loop(cov, samples_per_chart=128, seed=0, tol=None):
     return flags
 
 
+def doubling_level_bound_loop(cov, tol=None):
+    """Flag of every level-branch chart by its own a-priori residual bound,
+    one chart at a time: the base chart's avoidance on every base axis and
+    `LevelBranchCharts._bound` of the chart's term sum_i alphabar_i T_i,
+    T_i = |ln|b_i|| + pi + 2 (1 + q_i) / (1 - q_i), q_i = |d_i| / |b_i|,
+    from its own built base chart (the reference for the level-major
+    outer products of `doubling_factors`)."""
+    t = tolerance(tol)
+    charts = cov.charts
+    dim = charts.base_cov.ambient.dim
+    flags = np.empty(cov.kappa, dtype=bool)
+    for i in range(cov.kappa):
+        base = charts.base_cov.charts[i // charts.alpha1]
+        base_ok = all(abs(base.b[a]) > base.gamma * abs(base.d[a]) for a in range(dim))
+        term = 0.0
+        for a, w in enumerate(charts.alpha[1:]):
+            q = abs(base.d[a]) / abs(base.b[a])
+            term += w * (abs(math.log(abs(base.b[a]))) + math.pi
+                         + 2.0 * (1.0 + q) / (1.0 - q) if q < 1.0 else math.inf)
+        flags[i] = base_ok and bool(charts._bound(term) <= t * abs(charts.c))
+    return flags
+
+
 def _segment_witness(c1, c2, tol):
     """Deterministic witness on the center segment.
 

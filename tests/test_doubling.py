@@ -22,7 +22,7 @@ from atlascover.polydisc import cover_punctured_polydisc
 from atlascover.suspension import SuspendedCharts
 from atlascover.verify import certify_doubling
 
-from oracles import ball_points, doubling_level_loop, doubling_streamed
+from oracles import ball_points, doubling_level_bound_loop, doubling_level_loop, doubling_streamed
 from test_jsonio import BUILDS
 
 
@@ -83,6 +83,19 @@ def test_factored_flags_equal_the_streamed_loop(name):
     cov = AFFINE[name]()
     assert cov.kappa <= 10 ** 7
     _same_report(certify_doubling(cov), doubling_streamed(cov))
+
+
+@pytest.mark.parametrize("name", LEVEL)
+@pytest.mark.parametrize("tol", [None, 1e-15])
+def test_level_flags_equal_the_chart_loop(name, tol):
+    """The flags equal each chart's own bound, evaluated chart by chart.  At
+    the default tol they come from the per-level factors; at 1e-15 from the
+    listed outer products, whose order must be the chart order."""
+    cov = LEVEL[name]()
+    want = doubling_level_bound_loop(cov, tol=tol)
+    rep = certify_doubling(cov, tol=tol)
+    _same_report(rep, want)
+    assert len(rep.factors) == (1 if tol is not None else len(cov.charts._base.level_rows()) + 1)
 
 
 @pytest.mark.parametrize("name", LEVEL)
