@@ -160,10 +160,7 @@ class RingDisks(ChartFamily):
         Each ring offset reads only the points still live: finite and not done."""
         if len(self) == 0:
             return
-        z, finite = pts[:, 0], np.isfinite(pts[:, 0])
-        with np.errstate(invalid="ignore"):         # the anchors of those points are not read
-            k0 = np.floor(np.log(np.maximum(np.abs(z), 1e-300)) / math.log(self.q)).astype(int)
-            j0 = np.round(np.angle(z) / (TWO_PI / self.n_angles)).astype(int)
+        k0, j0 = self._anchors(pts[:, 0])
         reach = self._reach(float(scale.max(initial=0.0)))
         if reach is None:                           # every disk, counted from ring 0
             k0[:] = 0
@@ -173,7 +170,7 @@ class RingDisks(ChartFamily):
             w = math.ceil(steps) + 1                # at most n_angles/4 + 2: asin < pi/2
             ring_offsets = sorted(range(math.floor(lo) - 1, math.ceil(1.0 + hi) + 2), key=abs)
             angle_offsets = sorted(range(-w, w + 1), key=abs)
-        live = np.nonzero(finite)[0]
+        live = np.nonzero(np.isfinite(pts[:, 0]))[0]
         for do in ring_offsets:
             live = live[~done[live]]
             if live.size == 0:
@@ -186,14 +183,36 @@ class RingDisks(ChartFamily):
                     break
                 yield idx, (k0[idx] + do) * self.n_angles + (j0[idx] + da) % self.n_angles
 
-    def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
-        """Which points lie in some disk scaled by ``scale`` (scalar or per point)."""
-        pts, scale, t = self._points(pts, scale, tol)
-        covered = np.zeros(pts.shape[0], dtype=bool)
+    def _anchors(self, z):
+        """Ring k0 = floor(log_q |z|) and nearest angle j0 of each z, not read where z is not finite."""
+        with np.errstate(invalid="ignore"):
+            return (np.floor(np.log(np.maximum(np.abs(z), 1e-300)) / math.log(self.q)).astype(int),
+                    np.round(np.angle(z) / (TWO_PI / self.n_angles)).astype(int))
+
+    def _anchor(self, pts):
+        """Disk (k0, j0) of `_anchors` as a flat index, k0 clipped to the rings:
+        any disk is a sound first guess, as `_hits` decides it exactly."""
+        if len(self) == 0:
+            return None
+        k0, j0 = self._anchors(pts[:, 0])
+        return np.clip(k0, 0, self.n_rings - 1) * self.n_angles + j0 % self.n_angles
+
+    def _hits(self, pts, scale, t: float, j):
+        """Row r: whether disk j[r] scaled by scale[r] holds pts[r], |z - a|^2 <= (r s)^2 (1 + t)."""
         a, r = self._disks
-        for idx, j in self.passes(pts, scale, covered):
-            rs = r[j] * scale[idx]
-            covered[idx[np.abs(pts[idx, 0] - a[j]) ** 2 <= rs * rs * (1.0 + t)]] = True
+        rs = r[j] * scale
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.abs(pts[:, 0] - a[j]) ** 2 <= rs * rs * (1.0 + t)
+
+    def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
+        """Which points lie in some disk scaled by ``scale`` (scalar or per point): each
+        point's anchor disk (`ChartFamily._anchored`), then `passes` for the rest."""
+        pts, scale, t = self._points(pts, scale, tol)
+        covered, rest = self._anchored(pts, scale, t)
+        pts, scale, done = pts[rest], scale[rest], covered[rest]
+        for idx, j in self.passes(pts, scale, done):
+            done[idx[self._hits(pts[idx], scale[idx], t, j)]] = True
+        covered[rest] = done
         return covered
 
     def _neighbors(self, i: int, scale: float) -> np.ndarray:

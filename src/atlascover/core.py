@@ -492,6 +492,18 @@ class ChartFamily(Sequence):
         pairs = np.unique(np.concatenate(found), axis=0)
         return pairs[:, 0], pairs[:, 1]
 
+    def _anchor(self, pts):
+        """Each point's anchor chart, in the form `_hits` reads, or None for none:
+        the default, so the passes of `covers` decide every point."""
+        return None
+
+    def _anchored(self, pts, scale, t: float) -> tuple:
+        """(covered, rest): whether each point lies in its anchor chart by `_hits`,
+        the row test of `covers`, decided on the whole block, and the points left open."""
+        j = self._anchor(pts)
+        covered = np.zeros(pts.shape[0], dtype=bool) if j is None else self._hits(pts, scale, t, j)
+        return covered, np.nonzero(~covered)[0]
+
     def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
         """Which points lie in some chart image at ``scale`` (scalar or per point)."""
         pts, scale, t = self._points(pts, scale, tol)

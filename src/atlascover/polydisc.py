@@ -21,7 +21,7 @@ from .core import (
     NotARegularValue,
     PolydiscComplement,
 )
-from .suspension import cover_axis, suspend_covering
+from .suspension import cover_axis, layer_zeta, suspend_covering
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,16 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
         mu = gamma ** n
     except OverflowError:
         raise ValueError(f"gamma^dim = {gamma}^{n} overflows a float") from None
+    def check_ring(level, zeta):        # a punctured level's ring ratio 1 - 1/(4 zeta) is below 1
+        if level in axes and not 1.0 - 1.0 / (4.0 * zeta) < 1.0:
+            raise ValueError(f"gamma^dim = {gamma}^{n} is too large: the ring ratio "
+                             f"1 - 1/(4 zeta) of level {level} rounds to 1")
+    check_ring(1, mu)
     cov = cover_axis(eta if 1 in axes else None, mu)
     levels = [_level_plan(1, 1 in axes, mu, cov.family, 1)]
     for l in range(2, n + 1):
         mu = cov.gamma
+        check_ring(l, layer_zeta(mu, gamma))
         cov = suspend_covering(cov, eta if l in axes else None, gamma)
         levels.append(_level_plan(l, l in axes, mu, cov.charts.layers, levels[-1].kappa))
 

@@ -125,15 +125,14 @@ class SuspendedCharts(ChartFamily):
 
     # -- point location -----------------------------------------------------------
 
-    def _split(self, pts, scale, t: float, idx, j):
-        """The rows r of the layer pairs (idx, j) with y^2 <= s^2 (1 + t) for
-        y = |(w - a_j) / lambda_j|, and their inner scales beta sqrt(s^2 (1 + t) - y^2)."""
+    def _split(self, w, s, t: float, j) -> tuple:
+        """Row r: whether y^2 <= s^2 (1 + t) for y = |(w - a_j) / lambda_j|, j = j[r],
+        and the inner scale beta sqrt(s^2 (1 + t) - y^2) (0 past the disk)."""
         a, lam = self._layer_table
         with np.errstate(invalid="ignore", over="ignore"):
-            y2 = np.abs((pts[idx, -1] - a[j]) / lam[j]) ** 2
-        s2 = scale[idx] ** 2 * (1.0 + t)
-        r = np.nonzero(y2 <= s2)[0]
-        return r, self.beta * np.sqrt(np.maximum(s2[r] - y2[r], 0.0))
+            y2 = np.abs((w - a[j]) / lam[j]) ** 2
+            s2 = s ** 2 * (1.0 + t)
+            return y2 <= s2, self.beta * np.sqrt(np.maximum(s2 - y2, 0.0))
 
     def passes(self, pts, scale, done):
         """The layer family's passes, all at once, then the inner family's passes
@@ -141,21 +140,37 @@ class SuspendedCharts(ChartFamily):
         makes, however many levels deep.  ``done`` is read once."""
         layer = self.layers.passes(pts[:, -1:], scale * self.lam_factor, done)
         idx, j = np.concatenate([np.zeros((2, 0), dtype=np.int64), *map(np.stack, layer)], axis=1)
-        r, inner_scale = self._split(pts, scale, 0.0, idx, j)
+        inside, inner_scale = self._split(pts[idx, -1], scale[idx], 0.0, j)
+        r = np.nonzero(inside)[0]
         sub, outer = idx[r], j[r] * len(self._inner)
-        for k, tt in self._inner.passes(pts[sub, :-1], inner_scale, done[sub]):
+        for k, tt in self._inner.passes(pts[sub, :-1], inner_scale[r], done[sub]):
             yield sub[k], outer[k] + tt
 
+    def _anchor(self, pts):
+        """(j, t): the layer anchor j of w and the inner anchor t of v, or None."""
+        j, t = self.layers._anchor(pts[:, -1:]), self._inner._anchor(pts[:, :-1])
+        return None if j is None or t is None else (j, t)
+
+    def _hits(self, pts, scale, t: float, anchor):
+        """Row r: the exact split of chart (j[r], t[r]), then the inner row test
+        at the scale it leaves, at tolerance 0: the split applied it."""
+        j, tt = anchor
+        inside, inner_scale = self._split(pts[:, -1], scale, t, j)
+        return inside & self._inner._hits(pts[:, :-1], inner_scale, 0.0, tt)
+
     def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
-        """Layer candidates from the layer family's passes, then the inner family
-        at the scale the exact split leaves, at tolerance 0: the split applied it."""
+        """Each point's anchor chart (`ChartFamily._anchored`); for the rest, layer
+        candidates from the layer family's passes, then the inner family at the
+        scale the exact split leaves, at tolerance 0: the split applied it."""
         pts, scale, t = self._points(pts, scale, tol)
-        covered = np.zeros(pts.shape[0], dtype=bool)
-        for idx, j in self.layers.passes(pts[:, -1:], scale * self.lam_factor, covered):
-            r, inner_scale = self._split(pts, scale, t, idx, j)
-            sub = idx[r]
+        covered, rest = self._anchored(pts, scale, t)
+        pts, scale, done = pts[rest], scale[rest], covered[rest]
+        for idx, j in self.layers.passes(pts[:, -1:], scale * self.lam_factor, done):
+            inside, inner_scale = self._split(pts[idx, -1], scale[idx], t, j)
+            r = np.nonzero(inside)[0]
             if r.size:
-                covered[sub[self._inner.covers(pts[sub, :-1], inner_scale, tol=0.0)]] = True
+                done[idx[r[self._inner.covers(pts[idx[r], :-1], inner_scale[r], tol=0.0)]]] = True
+        covered[rest] = done
         return covered
 
     def _neighbors(self, i: int, scale: float) -> np.ndarray:

@@ -26,7 +26,6 @@ from .core import (
     _complex,
     _in_ball,
     _norm,
-    _product_rows,
     _quot,
     _rowsum,
     active_axis_indices,
@@ -95,28 +94,9 @@ def _sample_budget(n_samples: int, n: int, copies: int = 1, dim: int | None = No
     check_budget(rows * dim, f"{rows} samples x {dim} dims")
 
 
-def _polydisc_grid(eta: float, n: int, axes: frozenset, side: int) -> np.ndarray:
-    return _product_rows([_axis_grid(eta, side, log_spaced=True) if i in axes
-                          else _axis_grid(0.0, side, log_spaced=False) for i in range(1, n + 1)])
-
-
-def _polydisc_random(eta: float, n: int, axes: frozenset, count: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    cols = []
-    for i in range(1, n + 1):
-        u = rng.random(count)
-        if i in axes:
-            radii = eta ** u                     # log-uniform in [eta, 1]
-        else:
-            radii = np.sqrt(u)                   # area-uniform in the disk
-        angles = 2.0 * math.pi * rng.random(count)
-        cols.append(radii * np.exp(1j * angles))
-    return np.stack(cols, axis=-1)
-
-
 def region_samples(region, n_samples: int, seed: int) -> np.ndarray:
-    """Deterministic grid plus seeded random points, about half and half; a
-    count of 0 draws none.
+    """Deterministic grid plus seeded random points, about half and half, drawn
+    into one array; a count of 0 draws none.
 
     A sample set of more than `MATERIALIZE_BUDGET` entries (rows x dim) raises
     `AtlasError` before any of it is drawn, a negative count `ValueError`."""
@@ -129,10 +109,17 @@ def region_samples(region, n_samples: int, seed: int) -> np.ndarray:
         if region.eta >= 1.0:
             return np.zeros((0, region.n), dtype=complex)
         _sample_budget(n_samples, region.n)
-        axes = region.axes()
-        grid = _polydisc_grid(region.eta, region.n, axes, _grid_side(n_samples, region.n))
-        rand = _polydisc_random(region.eta, region.n, axes, n_samples // 2, rng)
-        return np.concatenate([grid, rand])
+        n, eta, axes = region.n, region.eta, region.axes()
+        side, count = _grid_side(n_samples, n), n_samples // 2
+        g = side ** (2 * n)                 # the grid rows, in `itertools.product` order
+        out = np.empty((g + count, n), dtype=complex)
+        for i in range(n):                  # drawn in place, a column at a time
+            axis = _axis_grid(eta, side, True) if i + 1 in axes else _axis_grid(0.0, side, False)
+            out[:g].reshape((side * side,) * n + (n,))[..., i] = axis.reshape((-1,) + (1,) * (n - 1 - i))
+            u = rng.random(count)           # radii log-uniform in [eta, 1], or area-uniform in the disk
+            radii = eta ** u if i + 1 in axes else np.sqrt(u)
+            np.multiply(radii, np.exp(1j * (2.0 * math.pi * rng.random(count))), out=out[g:, i])
+        return out
     if isinstance(region, LevelGraphRegion):
         from .levelset import direct_branch_values
         alpha = tuple(region.alpha)
@@ -196,11 +183,11 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
                    seed: int = 0, tol: float | None = None) -> CoverageReport:
     """Sample the region deterministically and test unit-scale membership.
 
-    Points are located through the covering's structural index when present
-    (rings, suspension layers, level branches) and a blocked scan otherwise,
-    `POINT_BLOCK` contiguous samples per call: each point's answer is its
-    own, and a block's working arrays stay in cache.  An empty region passes
-    vacuously.
+    Points are located `POINT_BLOCK` contiguous samples per call, through the
+    covering's structural index when present (each point's anchor chart for
+    the whole block, then rings, suspension layers and level branches for the
+    rest) and a blocked scan otherwise: a point's answer is its own, and a
+    block's working arrays stay in cache.  An empty region passes vacuously.
     """
     _check_region(cov, region)
     pts = region_samples(region, n_samples, seed)
@@ -561,7 +548,7 @@ def fit_log_exponent(rows) -> FitResult:
     if len(rows) < 3:
         raise InsufficientPoints("need at least three nonempty rows")
     x = np.log([r.log_inv_param for r in rows])
-    y = np.log([r.kappa for r in rows])
+    y = [math.log(r.kappa) for r in rows]         # kappa may pass 2^63
     return linear_fit(x, y)
 
 

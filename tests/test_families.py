@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from atlascover.annulus import cover_annulus
+from atlascover.annulus import RingDisks, cover_annulus
 from atlascover.core import (
+    DEFAULT_TOL,
     AtlasError,
     ChartFamily,
     ChartList,
@@ -20,6 +21,7 @@ from atlascover.core import (
 from atlascover.levelset import cover_monomial_level_set
 from atlascover.polydisc import cover_punctured_polydisc
 from atlascover.suspension import (
+    SuspendedCharts,
     chart_arrays,
     chart_candidates,
     covers_points,
@@ -69,6 +71,75 @@ def test_covers_matches_brute_force(name):
         want = brute_covered(charts, pts, oracle_scale, tol=TOL)
         assert 0 < want.sum() < want.size
         assert np.array_equal(got, want)
+
+
+def _axis_families(fam):
+    """Per axis, the one-dimensional family that covers it: its ring disks, or
+    the one-disk list of an unpunctured axis; then the scale factor the images
+    of the whole family carry on the last axis."""
+    if isinstance(fam, SuspendedCharts):
+        return _axis_families(fam._inner)[0] + [family(fam.layers)], fam.lam_factor
+    return [fam], 1.0
+
+
+def _anchor_misses(name, tol, count=200, seed=8):
+    """Points where a point's anchor chart is likely to miss it: on each axis
+    |z| within 1e-12 of a ring radius q^k and half the angles half way between
+    two disk centres; points at squared preimage norm 1 + t/2 and 1 + 3t/2 of
+    random charts (t = tol, or 1e-10 at tol 0); points t outside the last
+    axis's outermost disks, so outside the union; and rows with nan and inf."""
+    rng = np.random.default_rng(seed)
+    fam = family(_charts("polydisc-all-axes" if name == "pruned-list" else name))
+    axes, factor = _axis_families(fam)
+    cols = []
+    for ax in axes:
+        if isinstance(ax, RingDisks):
+            radius = ax.q ** rng.integers(0, ax.n_rings + 1, count) * (1.0 + 1e-12 * rng.uniform(-1, 1, count))
+            half = 2.0 * np.pi * (rng.integers(0, ax.n_angles, count) + 0.5) / ax.n_angles
+            angle = np.where(rng.random(count) < 0.5, half, 2.0 * np.pi * rng.random(count))
+            cols.append(radius * np.exp(1j * angle))
+        else:
+            cols.append(np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count)))
+    rims = np.stack(cols, axis=1)
+    last = axes[-1]
+    a, r = (x[:, 0] for x in last.arrays_at(rng.integers(0, getattr(last, "n_angles", 1), count)))
+    way = np.where(a == 0, np.exp(2j * np.pi * rng.random(count)), a / np.where(a == 0, 1, np.abs(a)))
+    outside = rims.copy()
+    outside[:, -1] = way * (np.abs(a) + r.real * factor * (1.0 + (tol or 1e-10)))
+    b, d = fam.arrays_at(rng.integers(0, len(fam), count))
+    u = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    edge = [b + d * u * np.sqrt(1.0 + k * (tol or 1e-10)) for k in (0.5, 1.5)]
+    bad = rims[:30].copy()
+    bad[::3, 0], bad[1::3, -1], bad[2::3, 0] = np.nan, np.inf, complex(np.inf, np.nan)
+    return np.concatenate([rims, *edge, outside, bad]), outside
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, 1e-6], ids=["tol-0", "default", "tol-1e-6"])
+def test_covers_where_the_anchor_misses(name, tol, monkeypatch):
+    """`covers` equals the oracle on points where the anchor chart decides
+    little: near ring radii, at half angle steps, on either side of the
+    tolerance edge, just outside the union and not finite.  The windowed
+    passes receive exactly the points the anchor leaves open."""
+    charts = _charts(name)
+    fam = family(charts)
+    pts, outside = _anchor_misses(name, tol)
+    received = []
+    passes = RingDisks.passes
+    monkeypatch.setattr(RingDisks, "passes", lambda self, p, *a: received.append(p.shape[0])
+                        or passes(self, p, *a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fam.covers(pts, 1.0, tol=tol)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = brute_covered(charts, pts, 1.0, tol=tol)
+    assert np.array_equal(got, want)
+    assert 0 < want.sum() < want.size and not brute_covered(charts, outside, 1.0, tol=tol).any()
+    assert (sum(received) > 0) == (name != "pruned-list")
+    if fam._anchor(pts) is not None:        # the anchor decided some points, the passes the rest
+        rest = fam._anchored(pts, np.ones(pts.shape[0]), tol)[1]
+        assert 0 < received[0] == rest.size < pts.shape[0]
 
 
 @pytest.mark.parametrize("name", FAMILIES)

@@ -300,6 +300,12 @@ class TestScaling:
                                            for d in (1e-1, 1e-2, 1e-3)]
         assert all(r.paper_bound > 0 and r.ratio > 0 for r in rows)
 
+    def test_fit_takes_chart_counts_past_int64(self):
+        """kappa passes 2^63 at n=4, eta=1e-12; the fit still reads it."""
+        rows = scaling_experiment("polydisc", [1e-1, 1e-3, 1e-6, 1e-9, 1e-12], {"n": 4})
+        assert rows[-1].kappa > 2 ** 63
+        assert fit_log_exponent(rows).slope == pytest.approx(4.0, abs=0.05)
+
     def test_polydisc_count_only_rows(self):
         rows = scaling_experiment("polydisc", [0.3, 0.1, 0.03],
                                   {"n": 2, "gamma": 2.0})
@@ -662,3 +668,58 @@ def test_annulus_samples_are_the_n1_polydisc_samples(delta, seed):
     assert got.shape == want.shape == (0 if delta >= 1.0 else 1029, 1)
     assert got.tobytes() == want.tobytes()
     assert hashlib.sha256(got.tobytes()).hexdigest() == ANNULUS_SAMPLES[delta, seed]
+
+
+SAMPLE_REGIONS = {
+    "n2": PolydiscRegion(eta=1e-3, n=2),
+    "n3": PolydiscRegion(eta=0.3, n=3),
+    "n3-axes13": PolydiscRegion(eta=0.5, n=3, active_axes=frozenset({1, 3})),
+    "level-211": LevelGraphRegion((2, 1, 1), 0.5),
+}
+REGION_SAMPLES = {      # sha256 of the samples before they were drawn into one array
+    ("n2", 200000, 0): "3b8ed1e640ff010c88e33eca0448439d80354b55f860373acad9bfada3c55664",
+    ("n2", 200000, 5): "63c2bd6345dea2e764fdd624791a56fff5c192efa8f9a9d61f4419b30ce8bfd7",
+    ("n2", 1001, 0): "ea430918f51f93df7af5fd79376c2bb1e2cc0f2c44df7eb5628ef3e96fb83c69",
+    ("n2", 1001, 5): "a72b7a7c5b1b3afe5a2279e126f2236f1ba585dd8df0f0cb53e5961c067a4ea2",
+    ("n2", 3, 0): "d143a363822971fa8bed1f86d8ad0fb30f96852c6496226af092940e86a50aad",
+    ("n2", 3, 5): "f4c49f0ac311f6cca263b34ecba67bc867bdc557a71275717bfbb00725ab09a1",
+    ("n3", 200000, 0): "2495f3fa282d82139d6a9d120a4716a099a93287904cd07699f5c6957388958d",
+    ("n3", 200000, 5): "8ee4cf173bcaa889abacddbeb334c183dd34a2ac4e5fdb9fe71b306f73f1cceb",
+    ("n3", 1001, 0): "cfc4e9c20ad03095771a231f0dca11eaf93b652fc7b981e1733263c629c4112b",
+    ("n3", 1001, 5): "c84df5c24831cda1160731a7e0fd152a76862361fdc3a77bdf8fa1fa4295f872",
+    ("n3", 3, 0): "cc8077f1b8c4920b05cfa688fd2a2a4bcda4ad30da6f259c96b271872e63d885",
+    ("n3", 3, 5): "fad9af7f936dd8aa35995fcbcc15469709e955106b589a6a111e4166c09df3e1",
+    ("n3-axes13", 200000, 0): "2dcea6cd47460f19f48b8f3787079484c45c10bd3f1f2b535f0203c848ffb371",
+    ("n3-axes13", 200000, 5): "18020d00dc2b5e36cf07c17e13faaf68aa69e1a801ba3811da9a85de873cce7e",
+    ("n3-axes13", 1001, 0): "1ab20649ff72973d106e54ed591765085b35aaea00992203d7ded59619eee3fe",
+    ("n3-axes13", 1001, 5): "850d7de1b0e0506b3e64bf95a45b75e8bc5b4e48f726e7c5984705d5c6680747",
+    ("n3-axes13", 3, 0): "adae6e59ee57381710910ed92267fe2a930f7b07e3e492c9773b4e25109d685a",
+    ("n3-axes13", 3, 5): "944a13aa70a8ac20c7075cce21c54562388817af457ea4cb1adda36830a2da83",
+    ("level-211", 200000, 0): "840c1f1dc31fb8aab66d0af313e267abce0cc041679bb11a3378339ba5167ff9",
+    ("level-211", 200000, 5): "d378b25c4a6631592d2aa6b8d2c6f22f44c2183efd2650e9274c343dd9099311",
+    ("level-211", 1001, 0): "57b14e98877b94c7581d4e888cb59327763c816fce3d72ec669cd8ce0c3950c1",
+    ("level-211", 1001, 5): "0978c75553ea39a34106b1433e78e874e3288fb4261e9227992fe018e1ae2472",
+    ("level-211", 3, 0): "9ee7280834c55a02babb8c4556ebd5596d69b74c296e75bad2fe411bd452e64c",
+    ("level-211", 3, 5): "9ee7280834c55a02babb8c4556ebd5596d69b74c296e75bad2fe411bd452e64c",
+}
+
+
+@pytest.mark.parametrize("name, count, seed", REGION_SAMPLES)
+def test_region_samples_keep_their_bits(name, count, seed):
+    got = region_samples(SAMPLE_REGIONS[name], count, seed)
+    assert got.dtype == complex and got.flags.c_contiguous
+    assert hashlib.sha256(got.tobytes()).hexdigest() == REGION_SAMPLES[name, count, seed]
+
+
+@pytest.mark.parametrize("name, stacked_peak", [("n3", 19.9), ("n2", 12.5)])
+def test_region_samples_peak_memory(name, stacked_peak):
+    """Drawn in place, 200,000 samples peak below the 19.9 MiB (n=3) and
+    12.5 MiB (n=2) that stacked columns and a joined grid took."""
+    region_samples(SAMPLE_REGIONS[name], 200_000, 0)
+    tracemalloc.start()
+    try:
+        region_samples(SAMPLE_REGIONS[name], 200_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stacked_peak * 2 ** 20
