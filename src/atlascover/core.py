@@ -8,6 +8,12 @@ extendible by the same formula to the ``gamma``-times larger concentric ball.
 Keeping the linear part diagonal makes both the membership test (a weighted
 Euclidean ball preimage) and the puncture-avoidance certificate (per-axis
 disk separation) exact O(n) formulas.
+
+Tolerance policy: one relative tolerance t (`tolerance`) widens each membership
+test once.  The ball rule is s^2 (1 + t) on the squared preimage norm, in
+`ChartFamily._inside` (`locate`, `contains`) and in each family's `_hits`
+(`covers`); the windows of `passes` are taken at s (1 + t); a level chart
+matches x1 to its branch value g by |g - x1| <= sqrt(t) max(1, |g|).
 """
 
 from __future__ import annotations
@@ -365,10 +371,11 @@ class ChartFamily(Sequence):
     chart shares, read without building a chart), ``_recipe()`` (what makes two
     families of the same type equal), ``arrays_at(idx)``, the one place it
     states its (b, d) rows, and ``passes`` (the default offers every chart).
-    Charts, `chart_arrays`, `locate` and `contains` read those; ``covers``,
-    ``neighbors`` and ``doubling_factors`` have scanning defaults and are
-    optional faster kernels.  A family of other charts has no rows: it
-    supplies ``_chart(i)`` (and ``_inside``, the row test, to locate points).
+    Charts, `chart_arrays`, `locate`, `contains` and `covers` read those, and
+    `covers` the hooks ``_anchor``, ``_hits`` and ``_key``.  ``neighbors`` and
+    ``doubling_factors`` have scanning defaults and are optional faster
+    kernels.  A family of other charts has no rows: it supplies ``_chart(i)``
+    (and ``_inside`` and ``covers``, to locate points).
     """
 
     def __getitem__(self, i):
@@ -454,24 +461,19 @@ class ChartFamily(Sequence):
         per level.  Level sets also read ``tol``; affine families ignore it."""
         return avoidance(self.level_rows(), axes, scale)
 
-    def _blocks(self, done: np.ndarray):
-        """(points not done, lo, hi): scan blocks of at most 2^17 point-chart pairs."""
+    def passes(self, pts: np.ndarray, scale: np.ndarray, done: np.ndarray):
+        """(point indices, chart indices) pairs to test, pass by pass.  Every
+        point meets every chart that contains it at its ``scale`` in some pass,
+        unless the point is flagged in ``done`` (the caller may update it
+        between passes) before that pass.  This default offers every chart."""
         lo = 0
         while lo < len(self):
             idx = np.nonzero(~done)[0]
             if idx.size == 0:
                 return
             hi = min(len(self), lo + max(1, (1 << 17) // idx.size))
-            yield idx, lo, hi
-            lo = hi
-
-    def passes(self, pts: np.ndarray, scale: np.ndarray, done: np.ndarray):
-        """(point indices, chart indices) pairs to test, pass by pass.  Every
-        point meets every chart that contains it at its ``scale`` in some pass,
-        unless the point is flagged in ``done`` (the caller may update it
-        between passes) before that pass."""
-        for idx, lo, hi in self._blocks(done):
             yield np.repeat(idx, hi - lo), np.tile(np.arange(lo, hi), idx.size)
+            lo = hi
 
     def _inside(self, pts, idx, scale, tol: float) -> np.ndarray:
         """Row r: whether chart idx[r]'s image at scale[r] contains pts[r] (`chart_contains`)."""
@@ -493,33 +495,36 @@ class ChartFamily(Sequence):
         return pairs[:, 0], pairs[:, 1]
 
     def _anchor(self, pts):
-        """Each point's anchor chart, in the form `_hits` reads, or None for none:
-        the default, so the passes of `covers` decide every point."""
+        """Each point's anchor chart in the form `_hits` reads; None (the default) for none."""
         return None
 
-    def _anchored(self, pts, scale, t: float) -> tuple:
-        """(covered, rest): whether each point lies in its anchor chart by `_hits`,
-        the row test of `covers`, decided on the whole block, and the points left open."""
-        j = self._anchor(pts)
-        covered = np.zeros(pts.shape[0], dtype=bool) if j is None else self._hits(pts, scale, t, j)
-        return covered, np.nonzero(~covered)[0]
+    def _key(self, j):
+        """Chart indices from `passes` in the form `_hits` reads: the default is the index."""
+        return j
+
+    def _hits(self, pts, scale, t: float, j):
+        """Row r: whether chart j[r] at scale[r] holds pts[r] (the ball rule on `arrays_at` rows)."""
+        b, d = self.arrays_at(j)
+        with np.errstate(invalid="ignore", over="ignore"):  # a point that is not finite is outside
+            return (np.abs((pts - b) / d) ** 2).sum(axis=1) <= scale ** 2 * (1.0 + t)
 
     def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
-        """Which points lie in some chart image at ``scale`` (scalar or per point)."""
+        """Which points lie in some chart image at ``scale`` (scalar or per point):
+        each point's anchor chart (`_anchor`), then, for the points left open, the
+        pairs `passes` offer at the scale `locate` gives them, all decided by `_hits`."""
         pts, scale, t = self._points(pts, scale, tol)
-        covered = np.zeros(pts.shape[0], dtype=bool)
-        if len(self) == 0 or pts.shape[0] == 0:
-            return covered
-        b, d = self.chart_arrays()
-        for idx, lo, hi in self._blocks(covered):
-            with np.errstate(invalid="ignore", over="ignore"):  # a point that is not finite is outside
-                z = (pts[idx, None, :] - b[None, lo:hi]) / d[None, lo:hi]
-                n2 = (np.abs(z) ** 2).sum(axis=2)
-            covered[idx[(n2 <= scale[idx, None] ** 2 * (1.0 + t)).any(axis=1)]] = True
+        j = self._anchor(pts)
+        covered = np.zeros(pts.shape[0], dtype=bool) if j is None else self._hits(pts, scale, t, j)
+        rest = np.nonzero(~covered)[0]
+        pts, scale, done = pts[rest], scale[rest], covered[rest]
+        for i, j in self.passes(pts, scale * (1.0 + t), done):
+            done[i[self._hits(pts[i], scale[i], t, self._key(j))]] = True
+        covered[rest] = done
         return covered
 
     def contains(self, i: int, p, scale: float, tol: float | None = None) -> bool:
         """Whether chart ``i``'s image at ``scale`` contains ``p``: `_inside` on one row."""
+        i = self._index(i)
         if not 0 < scale <= self.gamma:
             raise ValueError(f"scale must lie in (0, gamma={self.gamma}], got {scale}")
         pts, scale, t = self._points(np.reshape(np.asarray(p, dtype=complex), (1, -1)), scale, tol)
@@ -604,7 +609,7 @@ class ChartList(ChartFamily):
 
     def arrays_at(self, idx) -> tuple:
         b, d = self.chart_arrays()
-        return b[idx], d[idx]
+        return b.take(idx, axis=0), d.take(idx, axis=0)     # several times faster than b[idx]
 
 
 def family(charts: Sequence, dim: int | None = None) -> ChartFamily:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .annulus import _angular_count
 from .core import (
     Covering,
     EtaParams,
@@ -133,10 +134,15 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
         mu = gamma ** n
     except OverflowError:
         raise ValueError(f"gamma^dim = {gamma}^{n} overflows a float") from None
-    def check_ring(level, zeta):        # a punctured level's ring ratio 1 - 1/(4 zeta) is below 1
-        if level in axes and not 1.0 - 1.0 / (4.0 * zeta) < 1.0:
+    def check_ring(level, zeta):        # `_angular_count` sizes a punctured level's rings
+        q = 1.0 - 1.0 / (4.0 * zeta)
+        try:
+            if level in axes:
+                _angular_count(q, zeta, 1.0)
+        except ValueError:              # raised whenever q rounds to 1, and just below
+            why = "rounds to 1" if q == 1.0 else "leaves a band that no ring of disks covers"
             raise ValueError(f"gamma^dim = {gamma}^{n} is too large: the ring ratio "
-                             f"1 - 1/(4 zeta) of level {level} rounds to 1")
+                             f"1 - 1/(4 zeta) of level {level} {why}") from None
     check_ring(1, mu)
     cov = cover_axis(eta if 1 in axes else None, mu)
     levels = [_level_plan(1, 1 in axes, mu, cov.family, 1)]

@@ -151,27 +151,17 @@ class SuspendedCharts(ChartFamily):
         j, t = self.layers._anchor(pts[:, -1:]), self._inner._anchor(pts[:, :-1])
         return None if j is None or t is None else (j, t)
 
+    def _key(self, j):
+        """Flat chart indices as (layer disk, inner key), the form `_hits` reads."""
+        j, t = np.divmod(j, len(self._inner))
+        return j, self._inner._key(t)
+
     def _hits(self, pts, scale, t: float, anchor):
         """Row r: the exact split of chart (j[r], t[r]), then the inner row test
         at the scale it leaves, at tolerance 0: the split applied it."""
         j, tt = anchor
         inside, inner_scale = self._split(pts[:, -1], scale, t, j)
         return inside & self._inner._hits(pts[:, :-1], inner_scale, 0.0, tt)
-
-    def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
-        """Each point's anchor chart (`ChartFamily._anchored`); for the rest, layer
-        candidates from the layer family's passes, then the inner family at the
-        scale the exact split leaves, at tolerance 0: the split applied it."""
-        pts, scale, t = self._points(pts, scale, tol)
-        covered, rest = self._anchored(pts, scale, t)
-        pts, scale, done = pts[rest], scale[rest], covered[rest]
-        for idx, j in self.layers.passes(pts[:, -1:], scale * self.lam_factor, done):
-            inside, inner_scale = self._split(pts[idx, -1], scale[idx], t, j)
-            r = np.nonzero(inside)[0]
-            if r.size:
-                done[idx[r[self._inner.covers(pts[idx[r], :-1], inner_scale[r], tol=0.0)]]] = True
-        covered[rest] = done
-        return covered
 
     def _neighbors(self, i: int, scale: float) -> np.ndarray:
         """Chart indices (``i`` included) whose images at ``scale`` can meet chart ``i``'s.

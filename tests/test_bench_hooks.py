@@ -14,6 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from atlascover import verify
+from atlascover.polydisc import cover_punctured_polydisc
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 _spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
 tracing = importlib.util.module_from_spec(_spec)
@@ -37,6 +40,18 @@ def test_method_hooks_resolve(mod, cls, attr, kind, _):
     assert callable(fn)
     if kind == "gen":
         assert inspect.isgeneratorfunction(fn)
+
+
+def test_coverage_calls_covers_points_once_per_block(monkeypatch):
+    """`suspension.covers_points.calls` reads one call per `POINT_BLOCK` samples
+    of `check_coverage`: no level of a suspension calls it again."""
+    calls = []
+    covers_points = verify.covers_points
+    monkeypatch.setattr(verify, "covers_points", lambda *a, **k: calls.append(1) or covers_points(*a, **k))
+    monkeypatch.setattr(verify, "POINT_BLOCK", 1000)
+    rep = verify.check_coverage(cover_punctured_polydisc(3, 0.5, 2.0)[0], verify.PolydiscRegion(0.5, 3), 3000, 5)
+    assert rep.passed and rep.samples_total > 3000
+    assert len(calls) == -(-rep.samples_total // 1000)
 
 
 def test_tracer_installs_and_restores():

@@ -402,9 +402,13 @@ def test_zero_samples_draw_none(tmp_path, capsys, cover):
     (["cover", "polydisc", "--dim", "1000", "--eta", "0.5", "--gamma", "2", "--count-only"],
      "ValueError: gamma^dim = 2.0^1000 is too large: the ring ratio 1 - 1/(4 zeta) "
      "of level 1 rounds to 1"),
+    (["cover", "polydisc", "--dim", "1000", "--eta", "0.5", "--gamma", "2", "--active-axes", "960",
+      "--count-only"],
+     "ValueError: gamma^dim = 2.0^1000 is too large: the ring ratio 1 - 1/(4 zeta) "
+     "of level 960 leaves a band that no ring of disks covers"),
 ], ids=["mu-inf", "mu-nan", "coeff-inf", "coeff-nan", "c-nan", "c-inf", "delta-inf",
         "zeta-inf", "eta-inf", "eta-nan", "gamma-inf", "levelset-gamma-inf", "grid-nan",
-        "ring-ratio-rounds-to-1"])
+        "ring-ratio-rounds-to-1", "ring-ratio-too-close-to-1"])
 def test_non_finite_inputs_are_domain_errors(tmp_path, capsys, argv, message):
     """Each is one error line naming the input, exit 2, and no file."""
     out = tmp_path / "out.json"

@@ -1,5 +1,6 @@
 """The chart-family protocol, checked the same way on every kind of family."""
 
+import hashlib
 import tracemalloc
 import warnings
 
@@ -18,7 +19,7 @@ from atlascover.core import (
     UnsupportedAmbient,
     family,
 )
-from atlascover.levelset import cover_monomial_level_set
+from atlascover.levelset import cover_monomial_level_set, direct_branch_values
 from atlascover.polydisc import cover_punctured_polydisc
 from atlascover.suspension import (
     SuspendedCharts,
@@ -137,9 +138,60 @@ def test_covers_where_the_anchor_misses(name, tol, monkeypatch):
     assert np.array_equal(got, want)
     assert 0 < want.sum() < want.size and not brute_covered(charts, outside, 1.0, tol=tol).any()
     assert (sum(received) > 0) == (name != "pruned-list")
-    if fam._anchor(pts) is not None:        # the anchor decided some points, the passes the rest
-        rest = fam._anchored(pts, np.ones(pts.shape[0]), tol)[1]
-        assert 0 < received[0] == rest.size < pts.shape[0]
+    j = fam._anchor(pts)
+    if j is not None:                       # the anchor decided some points, the passes the rest
+        rest = ~fam._hits(pts, np.ones(pts.shape[0]), tol, j)
+        assert 0 < received[0] == rest.sum() < pts.shape[0]
+
+
+# SHA-256 over the bytes of every `covers` result of `test_covers_bits_are_pinned`,
+# computed before the affine families shared one `covers`.
+COVERS_PINS = {
+    "rings": "c698c04356077d63f366376ebbaadc1fb4f19087a861153bbd3976376752b34a",
+    "polydisc-all-axes": "3935a1a33669f235b5e224a13b3320739bce81f920e1a8a5d234b555124c281b",
+    "polydisc-unpunctured-axis1": "7cf46db82fc8f66e49d4fc40f46918672130ff66630c0bc1a006465e7fb8db6b",
+    "polydisc-unpunctured-axis2": "c16b746d582fa2b8e7dcb66588b77bfe79d61f35a8e7c3d061040e266965bc2d",
+    "polydisc-n3-unpunctured-axis2": "0d93ff057901fb4114ee739123578407f35584f5a644b50731b702f1cf74b08e",
+    "level-set-base": "9a4b18218adfd92f3ffd1efedf2a5f462517d0067dd6e520100c6b3d2a82ce3f",
+    "pruned-list": "ce7d8d26dcbb4464d89b1dc132b98f15738b9b16e82d6fed76b7b8284ba10ea6",
+    "level-set": "a1109cdb75766821071d3f79b5575e0f0beb41f79bef603817a00ad3d28b6de3",
+    "empty": "ec7dd12fff2b8b2fda972dbe361988d2876318a0d954b41c0145f3927f081057",
+}
+PIN_POINTS = {"level-set": "level-set-base", "empty": "polydisc-all-axes"}
+
+
+def _family_of(name):
+    """The family of a `FAMILIES` entry, of the level set, or with no charts (eta >= 1)."""
+    if name == "level-set":
+        return cover_monomial_level_set((2, 1), 0.04).charts
+    if name == "empty":
+        return cover_punctured_polydisc(2, 1.5, 2.0)[0].family
+    return family(_charts(name))
+
+
+@pytest.mark.parametrize("name", COVERS_PINS)
+def test_covers_bits_are_pinned(name):
+    """`covers` at scales 0.5, 1, 1.7 and per point and at tolerances 0, the
+    default and 1e-6, on the points of `_points` and `_anchor_misses` (not
+    finite rows included), gives the pinned bits.  The level set's x1 is a
+    branch root at xbar, or the first root moved by 1e-4; the empty family
+    (eta >= 1) reads the two-dimensional points; the plain list, which offers
+    every chart to every point, every eighth point."""
+    fam, source = _family_of(name), PIN_POINTS.get(name, name)
+    digest = hashlib.sha256()
+    for tol in (0.0, DEFAULT_TOL, 1e-6):
+        for pts in (_points(_charts(source)), _anchor_misses(source, tol)[0]):
+            if name == "level-set":
+                with np.errstate(all="ignore"):
+                    g = direct_branch_values((2, 1), 0.04, pts)
+                k = np.arange(pts.shape[0])
+                x1 = np.where(k % 3 == 2, g[:, 0] * (1.0 + 1e-4), g[k, k % 2])
+                pts = np.concatenate([x1[:, None], pts], axis=1)
+            pts = pts[::8] if name == "pruned-list" else pts
+            per_point = 0.5 + np.random.default_rng(1).random(pts.shape[0])
+            for scale in (0.5, 1.0, 1.7, per_point):
+                digest.update(fam.covers(pts, scale, tol=tol).tobytes())
+    assert digest.hexdigest() == COVERS_PINS[name]
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -191,8 +243,13 @@ def test_candidates_contain_every_containing_chart(name, scale):
     (family([], dim=2), np.full((3, 2), 0.5 + 0j)),
 ])
 def test_locate_without_charts_or_points(fam, pts):
-    i, j = fam.locate(pts, 1.0)
+    """No pairs, and `covers` answers False for every point, quietly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        i, j = fam.locate(pts, 1.0)
+        got = fam.covers(pts, 1.0)
     assert i.dtype == j.dtype == np.int64 and i.shape == j.shape == (0,)
+    assert got.dtype == bool and got.shape == pts.shape[:1] and not got.any()
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -205,16 +262,22 @@ def test_contains_refuses_a_scale_outside_the_factor(name):
             fam.contains(0, p, scale)
 
 
-@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("name", [*FAMILIES, "empty"])
 def test_neighbors_checks_its_index(name):
-    """A negative index counts from the end and one past either end raises
-    `IndexError`, as `charts[i]` does."""
-    fam = family(_charts(name))
+    """In `neighbors` and `contains` a negative index counts from the end and
+    one past either end raises `IndexError`, as `charts[i]` does; a family
+    with no charts has no index."""
+    fam = _family_of(name)
     n = len(fam)
-    assert np.array_equal(fam.neighbors(-1), fam.neighbors(n - 1))
+    p = np.full(fam.dim, 0.5 + 0j)
+    if n:
+        assert np.array_equal(fam.neighbors(-1), fam.neighbors(n - 1))
+        assert fam.contains(-1, p, 1.0) == fam.contains(n - 1, p, 1.0)
     for i in (n, n + 7, -n - 1):
         with pytest.raises(IndexError):
             fam.neighbors(i)
+        with pytest.raises(IndexError):
+            fam.contains(i, p, 1.0)
         with pytest.raises(IndexError):
             fam[i]
 

@@ -116,9 +116,11 @@ def test_gamma_too_small():
 
 def test_a_ring_ratio_that_rounds_to_one_names_dim_and_gamma():
     """At dim 1000 every level but the last few has a ring factor near 2^1000,
-    so 1 - 1/(4 zeta) rounds to 1 there: a punctured such level is refused
-    naming gamma^dim and the level; unpunctured, it needs no rings."""
-    for axes, level in ((None, 1), ({2, 1000}, 2)):
+    so 1 - 1/(4 zeta) rounds to 1 there; at level 960 (zeta near 2^42) it is
+    below 1 but too close to it for any ring of disks to cover the band.  A
+    punctured such level is refused naming gamma^dim and the level;
+    unpunctured, it needs no rings."""
+    for axes, level in ((None, 1), ({2, 1000}, 2), ({960}, 960)):
         with pytest.raises(ValueError, match=rf"gamma\^dim = 2.0\^1000 is too large: .* of level {level} "):
             cover_punctured_polydisc(1000, 0.5, 2.0, axes)
     assert cover_punctured_polydisc(1000, 0.5, 2.0, {1000})[1].kappa_final == 403

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from atlascover import core
-from atlascover.core import AtlasError, DimensionMismatch, NotHolomorphic
+from atlascover.core import AtlasError, DimensionMismatch, NotHolomorphic, UnsupportedAmbient
 from atlascover.real_acharts import (
     MonomialData,
     RealAChart,
@@ -299,6 +299,15 @@ def test_membership_outside_the_positive_orthant():
         warnings.simplefilter("error")
         got = graph_membership(charts, xs)
     assert got.tolist() == [False] * 6 + [True]
+
+
+def test_affine_queries_refuse_a_charts():
+    """An a-chart has no (b, d) rows: `covers`, like `locate`, raises
+    `UnsupportedAmbient` rather than reading its (y, z0) as (b, d)."""
+    charts = cover_monomial_graph(MonomialData(1.0, (0.5,)), 0.1)
+    for query in (charts.covers, charts.locate):
+        with pytest.raises(UnsupportedAmbient):
+            query([[0.5]], 1.0)
 
 
 def test_membership_refuses_points_of_another_width():
