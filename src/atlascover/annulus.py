@@ -33,28 +33,20 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class WhitneyDiskParams:
-    """Tuning knobs for the ring construction.
-
-    ``ring_ratio`` is the radius shrink factor q between consecutive rings;
-    ``disks_per_ring_factor`` multiplies the minimal angular count (values
-    below 1 have no effect: the minimal count is a coverage floor).
-    """
+    """``ring_ratio``: the radius shrink factor q between consecutive rings."""
 
     ring_ratio: float
-    disks_per_ring_factor: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.ring_ratio < 1.0:
             raise ValueError("ring_ratio must lie in (0, 1)")
-        if not self.disks_per_ring_factor > 0:
-            raise ValueError("disks_per_ring_factor must be positive")
 
 
 def default_params(zeta: float) -> WhitneyDiskParams:
     return WhitneyDiskParams(ring_ratio=1.0 - 1.0 / (4.0 * zeta))
 
 
-def _angular_count(q: float, zeta: float, factor: float) -> int:
+def _angular_count(q: float, zeta: float) -> int:
     """Minimal disks per ring so the band [q*rho, rho] is fully covered.
 
     For the worst point midway between adjacent centers at band radius rho
@@ -70,8 +62,7 @@ def _angular_count(q: float, zeta: float, factor: float) -> int:
             raise ValueError(
                 "ring_ratio too small: a single disk cannot span the band")
         half = min(half, math.acos(max(-1.0, c)))
-    n_min = math.ceil(math.pi / half)
-    return max(n_min, math.ceil(n_min * factor))
+    return math.ceil(math.pi / half)
 
 
 def _ring_count(delta: float, q: float) -> int:
@@ -157,10 +148,11 @@ class RingDisks(ChartFamily):
         """(point indices, disk indices) per ring and angle offset from each
         point's anchor k0 = floor(log_q |z|), j0 = nearest angle, over the band
         and sector of `_reach` at the largest scale; a non-finite z meets none.
-        Each ring offset reads only the points still live: finite and not done."""
-        if len(self) == 0:
+        ``done`` is not read: only the default list scan skips settled points."""
+        live = np.nonzero(np.isfinite(pts[:, 0]))[0]
+        if len(self) == 0 or live.size == 0:
             return
-        k0, j0 = self._anchors(pts[:, 0])
+        k0, j0 = self._anchors(pts[live, 0])
         reach = self._reach(float(scale.max(initial=0.0)))
         if reach is None:                           # every disk, counted from ring 0
             k0[:] = 0
@@ -170,18 +162,12 @@ class RingDisks(ChartFamily):
             w = math.ceil(steps) + 1                # at most n_angles/4 + 2: asin < pi/2
             ring_offsets = sorted(range(math.floor(lo) - 1, math.ceil(1.0 + hi) + 2), key=abs)
             angle_offsets = sorted(range(-w, w + 1), key=abs)
-        live = np.nonzero(np.isfinite(pts[:, 0]))[0]
         for do in ring_offsets:
-            live = live[~done[live]]
-            if live.size == 0:
-                return
-            k = k0[live] + do
-            idx = live[(k >= 0) & (k < self.n_rings)]
-            for da in angle_offsets:
-                idx = idx[~done[idx]]
-                if idx.size == 0:
-                    break
-                yield idx, (k0[idx] + do) * self.n_angles + (j0[idx] + da) % self.n_angles
+            k = k0 + do
+            ok = (k >= 0) & (k < self.n_rings)
+            idx, ring, j = live[ok], k[ok] * self.n_angles, j0[ok]
+            for da in angle_offsets if idx.size else ():
+                yield idx, ring + (j + da) % self.n_angles
 
     def _anchors(self, z):
         """Ring k0 = floor(log_q |z|) and nearest angle j0 of each z, not read where z is not finite."""
@@ -229,7 +215,7 @@ def construction_constant(zeta: float,
         raise InvalidDoublingFactor(f"zeta must exceed 1, got {zeta}")
     params = params or default_params(zeta)
     q = params.ring_ratio
-    n = _angular_count(q, zeta, params.disks_per_ring_factor)
+    n = _angular_count(q, zeta)
     return n * max(1.0, 1.0 / -math.log(q))
 
 
@@ -249,7 +235,7 @@ def cover_annulus(delta: float, zeta: float,
         raise ValueError(f"delta must be positive, got {delta}")
     params = params or default_params(zeta)
     q = params.ring_ratio
-    n_angles = _angular_count(q, zeta, params.disks_per_ring_factor)
+    n_angles = _angular_count(q, zeta)
     n_rings = _ring_count(delta, q)
     disks = RingDisks(zeta, q, n_angles, n_rings)
     meta = {

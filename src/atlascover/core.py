@@ -391,10 +391,10 @@ class ChartFamily(Sequence):
         return i % n
 
     def __add__(self, other):
-        return list(self) + list(other)
+        return _listed(self) + _listed(other)
 
     def __radd__(self, other):
-        return list(other) + list(self)
+        return _listed(other) + _listed(self)
 
     def __eq__(self, other):
         if type(other) is type(self):
@@ -464,8 +464,8 @@ class ChartFamily(Sequence):
     def passes(self, pts: np.ndarray, scale: np.ndarray, done: np.ndarray):
         """(point indices, chart indices) pairs to test, pass by pass.  Every
         point meets every chart that contains it at its ``scale`` in some pass,
-        unless the point is flagged in ``done`` (the caller may update it
-        between passes) before that pass.  This default offers every chart."""
+        unless a family skips it once flagged in ``done`` (the caller may update
+        it between passes).  This default does, offering every chart; rings do not."""
         lo = 0
         while lo < len(self):
             idx = np.nonzero(~done)[0]
@@ -489,7 +489,7 @@ class ChartFamily(Sequence):
         found = [np.zeros((0, 2), dtype=np.int64)]
         passes = self.passes(pts, scale * (1.0 + t), np.zeros(pts.shape[0], dtype=bool))
         for i, j in _batches(passes):
-            hit = self._inside(pts[i], j, scale[i], t)
+            hit = self._inside(pts.take(i, axis=0), j, scale.take(i), t)
             found.append(np.stack([i[hit], j[hit]], axis=1).astype(np.int64))
         pairs = np.unique(np.concatenate(found), axis=0)
         return pairs[:, 0], pairs[:, 1]
@@ -516,9 +516,9 @@ class ChartFamily(Sequence):
         j = self._anchor(pts)
         covered = np.zeros(pts.shape[0], dtype=bool) if j is None else self._hits(pts, scale, t, j)
         rest = np.nonzero(~covered)[0]
-        pts, scale, done = pts[rest], scale[rest], covered[rest]
-        for i, j in self.passes(pts, scale * (1.0 + t), done):
-            done[i[self._hits(pts[i], scale[i], t, self._key(j))]] = True
+        pts, scale, done = pts.take(rest, axis=0), scale.take(rest), covered[rest]
+        for i, j in self.passes(pts, scale * (1.0 + t), done):     # take: faster than pts[i]
+            done[i[self._hits(pts.take(i, axis=0), scale.take(i), t, self._key(j))]] = True
         covered[rest] = done
         return covered
 
@@ -537,6 +537,14 @@ class ChartFamily(Sequence):
 
     def _neighbors(self, i: int, scale: float) -> np.ndarray:
         return np.arange(len(self), dtype=np.int64)
+
+
+def _listed(charts) -> list:
+    """``list(charts)``; a chart family over `MATERIALIZE_BUDGET` charts is
+    refused (`check_budget`) before any chart is built."""
+    if isinstance(charts, ChartFamily):
+        check_budget(chart_count(charts), f"the {type(charts).__name__} charts listed by +")
+    return list(charts)
 
 
 def avoidance(levels, axes, scale: float) -> tuple:

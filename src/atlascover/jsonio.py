@@ -297,7 +297,7 @@ def _achart_header(version: str, data: MonomialData, eps: float, c3, count: int)
 def achart_atlas_to_dict(charts, data: MonomialData, eps: float) -> dict:
     """Schema 1: every chart's (y, z0), read off the arrays of a `GraphCharts`."""
     if isinstance(charts, GraphCharts):
-        rows = zip(*(a.tolist() for a in charts.chart_arrays()))
+        rows = zip(*(a.tolist() for a in charts.graph_arrays()))
         c3 = charts.c3 if len(charts) else None
     else:
         rows = ((list(c.y), list(c.z0)) for c in charts)
@@ -349,7 +349,7 @@ def _rebuild_graph(data: MonomialData, eps, c3, rows: list):
     shape = (len(rows), data.m)
     y = _float_array([r["y"] for r in rows], shape)
     z0 = _float_array([r["z0"] for r in rows], shape)
-    same = all(_same_bits(a, b) for a, b in zip(charts.chart_arrays(), (y, z0)))
+    same = all(_same_bits(a, b) for a, b in zip(charts.graph_arrays(), (y, z0)))
     return charts if same else None
 
 

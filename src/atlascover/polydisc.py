@@ -138,7 +138,7 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
         q = 1.0 - 1.0 / (4.0 * zeta)
         try:
             if level in axes:
-                _angular_count(q, zeta, 1.0)
+                _angular_count(q, zeta)
         except ValueError:              # raised whenever q rounds to 1, and just below
             why = "rounds to 1" if q == 1.0 else "leaves a band that no ring of disks covers"
             raise ValueError(f"gamma^dim = {gamma}^{n} is too large: the ring ratio "

@@ -79,7 +79,7 @@ class RealAChart:
             raise ValueError("box centers must lie in (0, 1)^m")
         if not self.c3 > 3.0:
             raise ValueError("C3 must exceed 3 for the radius-3 extension")
-        if any(abs(v) > self.c3 for v in self.z0):
+        if not all(abs(v) <= self.c3 for v in self.z0):     # a NaN offset fails too
             raise ValueError("offsets must satisfy |z0_i| <= C3")
 
     @property
@@ -305,8 +305,9 @@ class GraphCharts(ChartFamily):
         return AtlasFactors(self.data, self.c3, self.boxes, np.arange(len(self.boxes))[:, None],
                             tuples, np.arange(len(tuples))[None, :], every_pair=True)
 
-    def chart_arrays(self) -> tuple:
-        """(y, z0) of every chart, shape (len, m) each."""
+    def graph_arrays(self) -> tuple:
+        """(y, z0) of every chart, shape (len, m) each; not (b, d) rows, so the
+        inherited `chart_arrays` and `level_rows` raise `UnsupportedAmbient`."""
         f = self.factors
         y, z0 = np.broadcast_arrays(self.boxes[f.box_of], f.tuples[f.tuple_of])
         return y.reshape(-1, self.m), z0.reshape(-1, self.m)

@@ -137,7 +137,7 @@ class SuspendedCharts(ChartFamily):
     def passes(self, pts, scale, done):
         """The layer family's passes, all at once, then the inner family's passes
         at the scale the exact split leaves: as many passes as the inner family
-        makes, however many levels deep.  ``done`` is read once."""
+        makes, however many levels deep; ``done`` is read before the first yield."""
         layer = self.layers.passes(pts[:, -1:], scale * self.lam_factor, done)
         idx, j = np.concatenate([np.zeros((2, 0), dtype=np.int64), *map(np.stack, layer)], axis=1)
         inside, inner_scale = self._split(pts[idx, -1], scale[idx], 0.0, j)

@@ -114,9 +114,6 @@ def test_custom_params_validation():
         cover_annulus(0.5, 2.0, WhitneyDiskParams(ring_ratio=0.05))
     with pytest.raises(ValueError):
         WhitneyDiskParams(ring_ratio=1.2)
-    more = cover_annulus(0.5, 2.0, WhitneyDiskParams(ring_ratio=0.875,
-                                                     disks_per_ring_factor=2.0))
-    assert more.kappa >= 2 * cover_annulus(0.5, 2.0).kappa - more.meta["n_rings"]
 
 
 def test_near_one_delta_single_ring():
@@ -128,21 +125,22 @@ def test_near_one_delta_single_ring():
 
 @pytest.mark.parametrize("scale", [1.0, "per-point", 5.0], ids=["unit", "per-point", "no-ring-bound"])
 def test_ring_passes_equal_the_full_mask_passes(scale):
-    """The passes keep a live index of the points still to settle; they yield
-    the pairs of one full mask per ring offset, the same arrays in the same
-    order, whether ``done`` stays unset or is set between yields."""
+    """The passes yield the pairs of one full mask per ring offset, the same
+    arrays in the same order, and the same pairs again when ``done`` is set
+    between yields: ring windows do not read it."""
     rings = cover_annulus(1e-2, 2.0).charts
     rng = np.random.default_rng(8)
     z = 1.2 * np.sqrt(rng.random(600)) * np.exp(2j * np.pi * rng.random(600))
     z[::37], z[5::41], z[9::43], z[13] = np.nan, np.inf, complex(np.inf, np.nan), 0.0
     pts = z[:, None]
     s = 0.2 + rng.random(600) if scale == "per-point" else np.full(600, scale)
-    for settle in (None, slice(None, None, 3)):
-        got, want = [], []
-        for out, passes in ((got, rings.passes), (want, partial(ring_passes_full, rings))):
-            done = np.zeros(600, dtype=bool)
-            for idx, j in passes(pts, s, done):
-                out.append((idx.tolist(), j.tolist()))
-                if settle is not None:
-                    done[idx[settle]] = True
-        assert len(got) > 1 and got == want
+    got, want, settled = [], [], []
+    for out, passes, settle in ((got, rings.passes, None),
+                                (want, partial(ring_passes_full, rings), None),
+                                (settled, rings.passes, slice(None, None, 3))):
+        done = np.zeros(600, dtype=bool)
+        for idx, j in passes(pts, s, done):
+            out.append((idx.tolist(), j.tolist()))
+            if settle is not None:
+                done[idx[settle]] = True
+    assert len(got) > 1 and got == want == settled

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from atlascover import core
 from atlascover.annulus import RingDisks, cover_annulus
 from atlascover.core import (
     DEFAULT_TOL,
@@ -453,6 +454,19 @@ def test_oversized_or_rowless_arrays_are_refused_unallocated(charts, error):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20          # the layer tables, nothing of kappa's size
+
+
+def test_adding_a_family_over_the_budget_builds_no_chart(monkeypatch):
+    """``family + list``, ``list + family`` and ``family + family`` refuse a
+    family over `MATERIALIZE_BUDGET` charts before any chart is built."""
+    rings = cover_annulus(1e-2, 2.0).charts
+    huge = cover_punctured_polydisc(3, 0.3, 2.0)[0].charts
+    monkeypatch.setattr(core, "MATERIALIZE_BUDGET", len(rings) - 1)
+    monkeypatch.setattr(ChartFamily, "_chart", lambda self, i: pytest.fail("a chart was built"))
+    for fam in (rings, huge):
+        for add in (lambda: fam + [], lambda: [] + fam, lambda: fam + fam):
+            with pytest.raises(AtlasError, match=r"charts listed by \+"):
+                add()
 
 
 # -- point shapes ---------------------------------------------------------------

@@ -58,7 +58,7 @@ def bits(a, m):
 def test_family_equals_the_list_chart_by_chart(name):
     data, _, fam, lst = atlases(name)
     assert isinstance(fam, GraphCharts) and len(fam) == len(lst)
-    y, z0 = fam.chart_arrays()
+    y, z0 = fam.graph_arrays()
     assert np.array_equal(bits(y, data.m), bits([c.y for c in lst], data.m))
     assert np.array_equal(bits(z0, data.m), bits([c.z0 for c in lst], data.m))
     assert all(c.c3 == fam.c3 for c in lst)

@@ -1,0 +1,120 @@
+"""Each public input check raises its own error type and message."""
+
+import math
+import re
+
+import pytest
+
+from atlascover.core import (
+    Covering,
+    DiagonalAffineChart,
+    DimensionMismatch,
+    EtaParams,
+    InsufficientPoints,
+    InvalidDoublingFactor,
+    MonomialLevelSet,
+    NotARegularValue,
+    PolydiscComplement,
+    PuncturedPlane,
+    RegionMismatch,
+    UnsupportedAmbient,
+    avoidance_certificate,
+    chart_contains,
+)
+from atlascover.levelset import MonomialLevelChart, cover_monomial_level_set, evaluate_level_chart
+from atlascover.polydisc import cover_punctured_polydisc, level_lower_bound
+from atlascover.real_acharts import (
+    MonomialData,
+    RealAChart,
+    axis_scale_centers,
+    choose_C3,
+    cover_monomial_graph,
+    verify_achart,
+)
+from atlascover.suspension import SuspensionParams
+from atlascover.verify import LevelGraphRegion, check_coverage, linear_fit, region_samples
+
+DISK = DiagonalAffineChart(b=(0.5,), d=(0.1,), gamma=2.0)
+LEVEL = MonomialLevelChart(DISK, 0, (2, 1), 0.5)
+DATA = MonomialData(1.0, (0.5,))
+
+CHECKS = {
+    "polydisc-dim-0": (lambda: PolydiscComplement(0),
+                       DimensionMismatch, "dimension must be positive"),
+    "polydisc-axis-3": (lambda: PolydiscComplement(2, {3}),
+                        ValueError, "active axes must lie in 1..2"),
+    "level-set-exponent-0": (lambda: MonomialLevelSet((0, 1), 0.5),
+                             ValueError, "all exponents must be >= 1"),
+    "covering-gamma-1": (lambda: Covering(PuncturedPlane(), 1.0, []),
+                         InvalidDoublingFactor, "gamma must exceed 1, got 1.0"),
+    "covering-other-factor": (lambda: Covering(PuncturedPlane(), 3.0, [DISK]),
+                              ValueError, "charts do not share the covering factor"),
+    "eta-c-lower-0": (lambda: EtaParams(c_lower=0.0, C_unit=1.0, d=1, alpha0=1),
+                      ValueError, "c_lower must be positive"),
+    "eta-c-unit-half": (lambda: EtaParams(c_lower=0.1, C_unit=0.5, d=1, alpha0=1),
+                        ValueError, "C_unit must be >= 1"),
+    "avoidance-above-gamma": (lambda: avoidance_certificate(DISK, PuncturedPlane(), 3.0),
+                              ValueError, "scale 3.0 exceeds the chart factor 2.0"),
+    "avoidance-other-dim": (lambda: avoidance_certificate(DISK, PolydiscComplement(2), 1.0),
+                            DimensionMismatch, "ambient dim 2 != chart dim 1"),
+    "contains-level-chart": (lambda: chart_contains(LEVEL, (0.5, 0.5), 1.0),
+                             UnsupportedAmbient, "chart arrays need diagonal affine charts"),
+    "level-chart-branch": (lambda: MonomialLevelChart(DISK, 2, (2, 1), 0.5),
+                           ValueError, "branch must lie in [0, 2)"),
+    "level-chart-alpha-length": (lambda: MonomialLevelChart(DISK, 0, (2, 1, 1), 0.5),
+                                 DimensionMismatch, "alpha has 3 entries for a base of dim 1"),
+    "level-chart-c-0": (lambda: MonomialLevelChart(DISK, 0, (2, 1), 0.0),
+                        NotARegularValue, "0 is the singular value of a monomial"),
+    "evaluate-other-dim": (lambda: evaluate_level_chart(LEVEL, (0.1, 0.1)),
+                           DimensionMismatch, "point dim 2 != base dim 1"),
+    "evaluate-above-gamma": (lambda: evaluate_level_chart(LEVEL, (0.1,), 3.0),
+                             ValueError, "scale 3.0 exceeds the chart factor 2.0"),
+    "level-set-dim-1": (lambda: cover_monomial_level_set((2,), 0.5),
+                        DimensionMismatch, "the graph construction needs dimension >= 2"),
+    "polydisc-no-axes": (lambda: cover_punctured_polydisc(2, 0.5, 2.0, active_axes=set()),
+                         ValueError, "at least one axis must be punctured"),
+    "polydisc-axes-3": (lambda: cover_punctured_polydisc(2, 0.5, 2.0, active_axes={3}),
+                        ValueError, "active axes must lie in 1..2"),
+    "polydisc-n-0": (lambda: cover_punctured_polydisc(0, 0.5, 2.0),
+                     ValueError, "dimension must be positive"),
+    "lower-bound-c-unit": (lambda: level_lower_bound(0.5, 0.5, 1),
+                           ValueError, "C_unit must be >= 1"),
+    "lower-bound-alpha0": (lambda: level_lower_bound(0.5, 1.0, 0),
+                           ValueError, "alpha0 must be a positive integer"),
+    "achart-y": (lambda: RealAChart((1.5,), (1.0,), 4.0, DATA),
+                 ValueError, "box centers must lie in (0, 1)^m"),
+    "achart-c3": (lambda: RealAChart((0.5,), (1.0,), 3.0, DATA),
+                  ValueError, "C3 must exceed 3 for the radius-3 extension"),
+    "achart-z0": (lambda: RealAChart((0.5,), (5.0,), 4.0, DATA),
+                  ValueError, "offsets must satisfy |z0_i| <= C3"),
+    "achart-z0-nan": (lambda: RealAChart((0.5,), (math.nan,), 4.0, DATA),
+                      ValueError, "offsets must satisfy |z0_i| <= C3"),
+    "achart-length": (lambda: RealAChart((0.5, 0.5), (1.0,), 4.0, DATA),
+                      ValueError, "y and z0 must match the exponent dimension"),
+    "monomial-no-exponent": (lambda: MonomialData(1.0, ()),
+                             ValueError, "need at least one exponent"),
+    "scale-centers-eps-1": (lambda: axis_scale_centers(1.0),
+                            ValueError, "eps must lie in (0, 1)"),
+    "c3-value-bound": (lambda: choose_C3((1.0,), 0.5),
+                       ValueError, "value_bound must be >= 1"),
+    "graph-eps": (lambda: cover_monomial_graph(DATA, 0.6),
+                  ValueError, "eps must lie in (0, 1/2)"),
+    "verify-callable-without-m": (lambda: verify_achart(lambda z: z),
+                                  ValueError, "callable charts need an .m attribute"),
+    "suspension-lambda-0": (lambda: SuspensionParams(lam=0.0, a=0j, beta=2.0),
+                            ValueError, "lambda must be positive"),
+    "unknown-region": (lambda: region_samples("disk", 10, 0),
+                       RegionMismatch, "unknown region 'disk'"),
+    "coverage-other-level": (lambda: check_coverage(cover_monomial_level_set((2, 1), 0.5),
+                                                    LevelGraphRegion((2, 1), 0.25), 10),
+                             RegionMismatch, "level-set parameters do not match the ambient"),
+    "fit-one-point": (lambda: linear_fit([1.0], [2.0]),
+                      InsufficientPoints, "need at least two points to fit a line"),
+}
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_input_check_raises_its_error(name):
+    call, error, message = CHECKS[name]
+    with pytest.raises(error, match=re.escape(message)):
+        call()

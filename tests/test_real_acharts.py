@@ -310,6 +310,19 @@ def test_affine_queries_refuse_a_charts():
             query([[0.5]], 1.0)
 
 
+def test_a_charts_have_no_affine_rows():
+    """`chart_arrays`, `level_rows` and `doubling_factors` raise
+    `UnsupportedAmbient` on an a-chart family rather than reading its (y, z0)
+    as (b, d); the file writer reads `graph_arrays`."""
+    charts = cover_monomial_graph(MonomialData(1.0, (0.5,)), 0.1)
+    for query in (charts.chart_arrays, charts.level_rows,
+                  lambda: charts.doubling_factors((0,), 1.0)):
+        with pytest.raises(UnsupportedAmbient):
+            query()
+    y, z0 = charts.graph_arrays()
+    assert y.shape == z0.shape == (len(charts), 1)
+
+
 def test_membership_refuses_points_of_another_width():
     """The full graph point (x, a x^mu), or any width other than m, raises
     `DimensionMismatch` on the family and on a plain list, as `locate` does."""

@@ -368,8 +368,8 @@ class TestNeighbors:
         _assert_neighbors_cover(charts, range(len(charts)))
 
     def test_ring_disks_with_twice_the_angles(self):
-        params = WhitneyDiskParams(ring_ratio=0.875, disks_per_ring_factor=2.0)
-        charts = cover_annulus(1e-2, 2.0, params).charts
+        meta = cover_annulus(1e-2, 2.0, WhitneyDiskParams(ring_ratio=0.875)).meta
+        charts = RingDisks(2.0, 0.875, 2 * meta["n_angles"], meta["n_rings"])
         _assert_neighbors_cover(charts, range(len(charts)))
 
     def test_ring_disks_at_a_scale_with_no_ring_bound(self):
