@@ -177,31 +177,25 @@ def _region_for(cov):
 
 def _run(args) -> int:
     if args.command == "cover":
-        if args.what == "annulus":
-            cov = cover_annulus(args.delta, args.zeta)
-            write_covering(cov, args.out, args.materialize)
-            print(f"kappa={cov.kappa} -> {args.out}")
-            return 0
-        if args.what == "polydisc":
-            axes = frozenset(args.active_axes) if args.active_axes else None
-            cov, plan = cover_punctured_polydisc(args.dim, args.eta, args.gamma,
-                                                 active_axes=axes)
-            print(json.dumps(plan.to_dict(), separators=(",", ":")))
-            if args.out and not args.count_only:
-                write_covering(cov, args.out, args.materialize)
-                print(f"kappa={cov.kappa} -> {args.out}")
-            return 0
-        if args.what == "levelset":
-            cov = cover_monomial_level_set(tuple(args.alpha), args.c, args.gamma)
-            write_covering(cov, args.out, args.materialize)
-            print(f"kappa={cov.kappa} -> {args.out}")
-            return 0
         if args.what == "graph":
             data = MonomialData(coefficient=args.coeff, exponents=tuple(args.mu))
             charts = cover_monomial_graph(data, args.eps)
             write_achart_atlas(charts, data, args.eps, args.out, args.materialize)
             print(f"count={len(charts)} -> {args.out}")
             return 0
+        if args.what == "annulus":
+            cov = cover_annulus(args.delta, args.zeta)
+        elif args.what == "levelset":
+            cov = cover_monomial_level_set(tuple(args.alpha), args.c, args.gamma)
+        else:
+            cov, plan = cover_punctured_polydisc(args.dim, args.eta, args.gamma,
+                                                 args.active_axes or None)
+            print(json.dumps(plan.to_dict(), separators=(",", ":")))
+            if not args.out or args.count_only:
+                return 0
+        write_covering(cov, args.out, args.materialize)
+        print(f"kappa={cov.kappa} -> {args.out}")
+        return 0
 
     if args.command == "eta":
         params = EtaParams(c_lower=args.c_lower, C_unit=args.c_unit,

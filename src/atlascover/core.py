@@ -18,6 +18,7 @@ matches x1 to its branch value g by |g - x1| <= sqrt(t) max(1, |g|).
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 from collections.abc import Sequence
@@ -30,6 +31,7 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 TOL_ENV_VAR = "ATLAS_TOL"
 MATERIALIZE_BUDGET = 10 ** 8    # most charts, or chart flags, ever listed at once
+PASS_PAIRS = 1 << 17            # most (point, chart) pairs offered or decided at once
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +374,10 @@ class ChartFamily(Sequence):
     families of the same type equal), ``arrays_at(idx)``, the one place it
     states its (b, d) rows, and ``passes`` (the default offers every chart).
     Charts, `chart_arrays`, `locate`, `contains` and `covers` read those, and
-    `covers` the hooks ``_anchor``, ``_hits`` and ``_key``.  ``neighbors`` and
-    ``doubling_factors`` have scanning defaults and are optional faster
-    kernels.  A family of other charts has no rows: it supplies ``_chart(i)``
-    (and ``_inside`` and ``covers``, to locate points).
+    `covers` the hooks ``_anchor``, ``_hits`` and ``_key``.  ``neighbors``,
+    ``level_rows`` and ``doubling_factors`` have defaults and are optional
+    faster kernels.  A family of other charts has no rows: it supplies
+    ``_chart(i)`` (and ``_inside`` and ``covers``, to locate points).
     """
 
     def __getitem__(self, i):
@@ -444,16 +446,12 @@ class ChartFamily(Sequence):
             raise AtlasError(f"{n} charts are too many to list as arrays")
         return self.arrays_at(np.arange(n))
 
-    def level_rows(self, betas=()) -> tuple:
-        """Per level, outermost first: (first axis, b, d), the rows of the axes
-        the level sets, one row per chart of the level, d multiplied by each of
-        ``betas`` in turn as the suspensions above do.  Every chart is the
-        C-order product of one row per level.  This default is one level of
-        every axis, read off `chart_arrays`."""
-        b, d = self.chart_arrays()
-        for beta in betas:
-            d = beta * d
-        return ((0, b, d),)
+    def level_rows(self) -> tuple:
+        """Per level, outermost first: (first axis, b, d), one row per chart of the
+        level on the axes it sets, d as this family's charts hold it (a family that
+        wraps others scales the rows it reads).  Every chart is the C-order product
+        of one row per level.  The default is one level of every axis (`chart_arrays`)."""
+        return ((0, *self.chart_arrays()),)
 
     def doubling_factors(self, axes, scale: float, tol: float | None = None) -> tuple:
         """1-D boolean factors whose C-order outer product flags every chart:
@@ -471,7 +469,7 @@ class ChartFamily(Sequence):
             idx = np.nonzero(~done)[0]
             if idx.size == 0:
                 return
-            hi = min(len(self), lo + max(1, (1 << 17) // idx.size))
+            hi = min(len(self), lo + max(1, PASS_PAIRS // idx.size))
             yield np.repeat(idx, hi - lo), np.tile(np.arange(lo, hi), idx.size)
             lo = hi
 
@@ -558,12 +556,12 @@ def avoidance(levels, axes, scale: float) -> tuple:
     return tuple(flags)
 
 
-def _batches(passes, budget: int = 1 << 17):
+def _batches(passes):
     """Successive (i, j) passes joined into one (2, pairs) array while they
-    hold at most ``budget`` pairs together; a larger pass comes alone."""
+    hold at most `PASS_PAIRS` pairs together; a larger pass comes alone."""
     held, size = [], 0
     for i, j in passes:
-        if held and size + i.size > budget:
+        if held and size + i.size > PASS_PAIRS:
             yield np.concatenate(held, axis=1)
             held, size = [], 0
         held.append(np.stack([i, j]))
@@ -578,7 +576,7 @@ class ChartList(ChartFamily):
     def __init__(self, charts: Sequence, dim: int | None = None):
         self.charts = charts
         self.dim = dim if dim is not None or not len(charts) else charts[0].dim
-        self._built = None      # ((b, d), chart ids, those charts) of the last build
+        self._built = None      # ((b, d), those charts) of the last build
 
     def __len__(self) -> int:
         return len(self.charts)
@@ -599,9 +597,11 @@ class ChartList(ChartFamily):
 
     def chart_arrays(self) -> tuple:
         """Read-only (b, d) of the charts, built again only when the list holds other
-        charts: they are frozen and kept here, so equal ids mean equal rows."""
-        if self._built is None or self._built[1] != tuple(map(id, self.charts)):
-            self._built = self._build(), tuple(map(id, self.charts)), tuple(self.charts)
+        charts: they are frozen and kept here, so the same objects mean the same rows."""
+        kept = self._built
+        if (kept is None or len(kept[1]) != len(self.charts)
+                or not all(map(operator.is_, kept[1], self.charts))):
+            self._built = self._build(), tuple(self.charts)
         return self._built[0]
 
     def _build(self) -> tuple:

@@ -6,10 +6,12 @@ file reproduces the covering field for field.
 
 Schema 2 stores a covering's recipe alone when its charts are the lazy family
 that ``meta["construction"]`` builds, and an a-chart atlas's when it is the
-`GraphCharts` that ``cover_monomial_graph`` builds; reading rebuilds it and
-checks kappa and meta (count and c3).  Others, and any under ``materialize``,
-list every chart (schema 1); their reader keeps the rebuilt construction only
-if it reproduces every chart bit for bit.  Malformed files raise `MalformedFile`.
+`GraphCharts` that ``cover_monomial_graph`` builds.  Reading calls that
+construction on the inputs the file stores (an annulus: `cover_annulus`) and
+checks kappa and every meta key (an atlas: count and c3).  Others, and any
+under ``materialize``, list every chart (schema 1); their reader keeps the
+rebuilt construction only if it reproduces every chart bit for bit.
+Malformed files raise `MalformedFile`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .annulus import RingDisks
+from .annulus import WhitneyDiskParams, cover_annulus
 from .core import (
     MATERIALIZE_BUDGET,
     AtlasError,
@@ -203,14 +205,14 @@ def _stored_arrays(charts: list, ambient):
 
 
 def _construction(meta: dict, ambient, gamma: float, kappa) -> Covering:
-    """The covering that the construction named in ``meta`` builds on ``ambient``,
-    checked to have ``kappa`` charts and factor ``gamma``.  Building lists no
-    chart, and `RingDisks` refuses a ring table over the budget."""
+    """The covering that the construction named in ``meta`` builds on ``ambient``
+    from the inputs ``meta`` stores, checked to have ``kappa`` charts and factor
+    ``gamma``.  Building lists no chart, and `RingDisks` refuses a ring table
+    over the budget."""
     kind = meta.get("construction")
     if kind == "whitney_rings" and isinstance(ambient, PuncturedPlane):
-        rings = RingDisks(float(meta["zeta"]), float(meta["ring_ratio"]),
-                          int(meta["n_angles"]), int(meta["n_rings"]))
-        cov = Covering(ambient, rings.zeta, rings, meta)
+        cov = cover_annulus(float(meta["delta"]), float(meta["zeta"]),
+                            WhitneyDiskParams(float(meta["ring_ratio"])))
     elif kind == "punctured_polydisc" and isinstance(ambient, PolydiscComplement):
         cov = cover_punctured_polydisc(ambient.n, float(meta["eta"]),
                                        float(meta.get("gamma", gamma)), ambient.active_axes)[0]

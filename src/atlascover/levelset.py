@@ -32,7 +32,6 @@ from .core import (
     DimensionMismatch,
     LevelOutsideRange,
     MonomialLevelSet,
-    NotARegularValue,
     PolydiscComplement,
     _abs,
     _norm,
@@ -60,15 +59,12 @@ class MonomialLevelChart:
     c: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
-        object.__setattr__(self, "c", complex(self.c))
-        if any(a < 1 for a in self.alpha):
-            raise ValueError("all exponents must be >= 1")
         if len(self.alpha) != self.base.dim + 1:
             raise DimensionMismatch(
                 f"alpha has {len(self.alpha)} entries for a base of dim {self.base.dim}")
-        if self.c == 0:
-            raise NotARegularValue("0 is the singular value of a monomial")
+        level = MonomialLevelSet(self.alpha, self.c)      # checks alpha and c
+        object.__setattr__(self, "alpha", level.alpha)
+        object.__setattr__(self, "c", level.c)
         if not 0 <= self.branch < self.alpha[0]:
             raise ValueError(f"branch must lie in [0, {self.alpha[0]})")
         ambient = PolydiscComplement(self.base.dim, range(1, self.base.dim + 1))

@@ -59,23 +59,8 @@ class PolydiscCoveringPlan:
         return self.levels[-1].kappa if self.levels else 0
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "eta": self.eta,
-            "gamma": self.gamma,
-            "levels": [
-                {
-                    "level": lv.level,
-                    "axis_active": lv.axis_active,
-                    "mu": lv.mu,
-                    "zeta": lv.zeta,
-                    "annulus_count": lv.annulus_count,
-                    "kappa": lv.kappa,
-                }
-                for lv in self.levels
-            ],
-            "kappa": self.kappa_final,
-        }
+        return {**vars(self), "levels": [dict(vars(lv)) for lv in self.levels],
+                "kappa": self.kappa_final}
 
 
 def _normalize_axes(n: int, active_axes) -> frozenset:
@@ -84,9 +69,7 @@ def _normalize_axes(n: int, active_axes) -> frozenset:
     axes = frozenset(int(i) for i in active_axes)
     if not axes:
         raise ValueError("at least one axis must be punctured")
-    if not all(1 <= i <= n for i in axes):
-        raise ValueError(f"active axes must lie in 1..{n}")
-    return axes
+    return axes                 # `PolydiscComplement` checks their range
 
 
 def polydisc_plan(n: int, eta: float, gamma: float,

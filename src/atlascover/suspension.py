@@ -113,15 +113,14 @@ class SuspendedCharts(ChartFamily):
         d[:, :-1], d[:, -1] = self.beta * di, lam[j]
         return b, d
 
-    def level_rows(self, betas=()) -> tuple:
-        """The layer family's levels at ``(lam_factor,) + betas`` on the last
-        axis, then the inner family's at ``(beta,) + betas``: chart (j, t) has
-        d = (beta d_t, lam_factor r_j), so its rows are layer disk j's and inner
-        chart t's."""
+    def level_rows(self) -> tuple:
+        """The layer family's levels on the last axis, d times lam_factor, then the
+        inner family's, d times beta: chart (j, t) has d = (beta d_t, lam_factor r_j),
+        so its rows are layer disk j's and inner chart t's."""
         last = self.dim - 1
-        return (tuple((last + first, b, d) for first, b, d in
-                      self.layers.level_rows((self.lam_factor,) + betas))
-                + self._inner.level_rows((self.beta,) + betas))
+        return (tuple((last + first, b, self.lam_factor * d)
+                      for first, b, d in self.layers.level_rows())
+                + tuple((first, b, self.beta * d) for first, b, d in self._inner.level_rows()))
 
     # -- point location -----------------------------------------------------------
 
@@ -137,9 +136,12 @@ class SuspendedCharts(ChartFamily):
     def passes(self, pts, scale, done):
         """The layer family's passes, all at once, then the inner family's passes
         at the scale the exact split leaves: as many passes as the inner family
-        makes, however many levels deep; ``done`` is read before the first yield."""
+        makes, however many levels deep, and none when the layer passes offer no
+        pair; ``done`` is read before the first yield."""
         layer = self.layers.passes(pts[:, -1:], scale * self.lam_factor, done)
         idx, j = np.concatenate([np.zeros((2, 0), dtype=np.int64), *map(np.stack, layer)], axis=1)
+        if not idx.size:
+            return
         inside, inner_scale = self._split(pts[idx, -1], scale[idx], 0.0, j)
         r = np.nonzero(inside)[0]
         sub, outer = idx[r], j[r] * len(self._inner)

@@ -399,6 +399,19 @@ def test_list_arrays_are_built_once_per_locate(monkeypatch):
         fam.chart_arrays()[0][0, 0] = 0j
 
 
+def test_covers_settled_by_the_anchor_pass_splits_once_per_level(monkeypatch):
+    """Points at chart centres are settled by their anchor charts, so the
+    passes after the anchor pass offer no pair and split nothing: `_split`
+    runs once per suspension level, for the anchor pass."""
+    charts = cover_punctured_polydisc(3, 0.3, 2.0)[0].charts
+    calls = []
+    split = SuspendedCharts._split
+    monkeypatch.setattr(SuspendedCharts, "_split", lambda self, *a: calls.append(1) or split(self, *a))
+    pts = charts.arrays_at(np.arange(0, len(charts), len(charts) // 999))[0]
+    assert charts.covers(pts, 1.0).all()
+    assert len(calls) == 2
+
+
 def test_covering_keeps_one_family_view(monkeypatch):
     """`Covering.family` is one view for the covering's life, so a plain list's
     (b, d) arrays are built by the first query and read by the next."""

@@ -3,8 +3,10 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
+from atlascover.annulus import construction_constant
 from atlascover.core import (
     Covering,
     DiagonalAffineChart,
@@ -12,8 +14,10 @@ from atlascover.core import (
     EtaParams,
     InsufficientPoints,
     InvalidDoublingFactor,
+    MalformedFile,
     MonomialLevelSet,
     NotARegularValue,
+    NotHolomorphic,
     PolydiscComplement,
     PuncturedPlane,
     RegionMismatch,
@@ -21,6 +25,7 @@ from atlascover.core import (
     avoidance_certificate,
     chart_contains,
 )
+from atlascover.jsonio import covering_from_dict
 from atlascover.levelset import MonomialLevelChart, cover_monomial_level_set, evaluate_level_chart
 from atlascover.polydisc import cover_punctured_polydisc, level_lower_bound
 from atlascover.real_acharts import (
@@ -30,13 +35,23 @@ from atlascover.real_acharts import (
     choose_C3,
     cover_monomial_graph,
     verify_achart,
+    verify_achart_batch,
 )
 from atlascover.suspension import SuspensionParams
-from atlascover.verify import LevelGraphRegion, check_coverage, linear_fit, region_samples
+from atlascover.verify import (
+    LevelGraphRegion,
+    check_coverage,
+    linear_fit,
+    named_bound,
+    region_samples,
+)
 
 DISK = DiagonalAffineChart(b=(0.5,), d=(0.1,), gamma=2.0)
 LEVEL = MonomialLevelChart(DISK, 0, (2, 1), 0.5)
 DATA = MonomialData(1.0, (0.5,))
+TWO_COORDINATE_ROWS = {     # a v1 covering of the plane whose one chart has two coordinates
+    "schema_version": "1", "ambient": {"kind": "punctured_plane"}, "gamma": 2.0, "kappa": 1,
+    "charts": [{"kind": "diag_affine", "b": [[0.5, 0.0]] * 2, "d": [[0.1, 0.0]] * 2}]}
 
 CHECKS = {
     "polydisc-dim-0": (lambda: PolydiscComplement(0),
@@ -65,6 +80,14 @@ CHECKS = {
                                  DimensionMismatch, "alpha has 3 entries for a base of dim 1"),
     "level-chart-c-0": (lambda: MonomialLevelChart(DISK, 0, (2, 1), 0.0),
                         NotARegularValue, "0 is the singular value of a monomial"),
+    "level-chart-c-nan": (lambda: MonomialLevelChart(DISK, 0, (2, 1), math.nan),
+                          ValueError, "c must be finite, got (nan+0j)"),
+    "level-chart-exponent-0": (lambda: MonomialLevelChart(DISK, 0, (0, 1), 0.5),
+                               ValueError, "all exponents must be >= 1"),
+    "v1-rows-of-other-dim": (lambda: covering_from_dict(TWO_COORDINATE_ROWS), MalformedFile,
+                             "expected data of shape (1, 1, 2), got (1, 2, 2)"),
+    "construction-constant-zeta-1": (lambda: construction_constant(1.0),
+                                     InvalidDoublingFactor, "zeta must exceed 1, got 1.0"),
     "evaluate-other-dim": (lambda: evaluate_level_chart(LEVEL, (0.1, 0.1)),
                            DimensionMismatch, "point dim 2 != base dim 1"),
     "evaluate-above-gamma": (lambda: evaluate_level_chart(LEVEL, (0.1,), 3.0),
@@ -101,6 +124,12 @@ CHECKS = {
                   ValueError, "eps must lie in (0, 1/2)"),
     "verify-callable-without-m": (lambda: verify_achart(lambda z: z),
                                   ValueError, "callable charts need an .m attribute"),
+    "verify-batch-overflow": (lambda: np.errstate(all="ignore")(verify_achart_batch)(
+                                  [RealAChart((0.5,), (1.0,), 4.0, MonomialData(1.0, (2000.0,)))]),
+                              NotHolomorphic, "extension evaluation produced non-finite values"),
+    "complement-bound-delta-negative": (
+        lambda: named_bound("complement", {"C1": 1.0, "c1": 1.0, "delta": -1.0, "n": 2}),
+        ValueError, "math domain error"),
     "suspension-lambda-0": (lambda: SuspensionParams(lam=0.0, a=0j, beta=2.0),
                             ValueError, "lambda must be positive"),
     "unknown-region": (lambda: region_samples("disk", 10, 0),

@@ -114,6 +114,11 @@ def _negative_counts(d):
     return d
 
 
+def _three_angles(d):
+    d["meta"]["n_angles"], d["kappa"] = 3, 3 * d["meta"]["n_rings"]
+    return d
+
+
 def _huge_rings(d):
     d["meta"]["n_rings"] = 10 ** 12
     d["kappa"] = d["meta"]["n_angles"] * 10 ** 12
@@ -134,9 +139,12 @@ def _huge_rings(d):
     ("annulus-1e-2", _set("ring_ratio", 1.5, meta=True)),
     ("annulus-1e-2", _negative_counts),
     ("annulus-1e-2", _huge_rings),
+    ("annulus-1e-2", _three_angles),
+    ("annulus-1e-2", _set("delta", 0.5, meta=True)),
 ], ids=["unknown_construction", "wrong_kappa", "wrong_ring_kappa", "no_eta", "no_plan",
         "no_base_plan", "no_n_rings", "nan_eta", "unknown_schema", "v2_with_charts",
-        "ring_ratio_above_one", "negative_counts", "huge_ring_table"])
+        "ring_ratio_above_one", "negative_counts", "huge_ring_table", "three_angles",
+        "other_delta"])
 def test_malformed_recipe_exits_two(tmp_path, capsys, name, edit):
     d = edit(_v2(name))
     tracemalloc.start()
