@@ -67,7 +67,6 @@ from .suspension import (
     SuspensionParams,
     layer_zeta,
     suspend_chart,
-    suspend_covering,
     vertical_radius,
 )
 from .verify import (

@@ -42,8 +42,9 @@ class WhitneyDiskParams:
             raise ValueError("ring_ratio must lie in (0, 1)")
 
 
-def default_params(zeta: float) -> WhitneyDiskParams:
-    return WhitneyDiskParams(ring_ratio=1.0 - 1.0 / (4.0 * zeta))
+def ring_ratio(zeta: float) -> float:
+    """The default ring ratio q = 1 - 1/(4 zeta)."""
+    return 1.0 - 1.0 / (4.0 * zeta)
 
 
 def _angular_count(q: float, zeta: float) -> int:
@@ -213,19 +214,15 @@ def construction_constant(zeta: float,
     """A(zeta) with kappa <= A(zeta) * (log(1/delta) + 1) for every delta."""
     if not zeta > 1.0:
         raise InvalidDoublingFactor(f"zeta must exceed 1, got {zeta}")
-    params = params or default_params(zeta)
-    q = params.ring_ratio
-    n = _angular_count(q, zeta)
-    return n * max(1.0, 1.0 / -math.log(q))
+    q = (params or WhitneyDiskParams(ring_ratio(zeta))).ring_ratio
+    return _angular_count(q, zeta) * max(1.0, 1.0 / -math.log(q))
 
 
-def cover_annulus(delta: float, zeta: float,
-                  params: WhitneyDiskParams | None = None) -> Covering:
-    """Build a zeta-doubling covering of {delta <= |z| <= 1} in C \\ {0}.
-
-    Charts are emitted outermost ring first, ordered by angle within a ring;
-    delta >= 1 yields the empty covering.
-    """
+def ring_disks(delta: float, zeta: float, params: WhitneyDiskParams | None = None) -> RingDisks:
+    """The zeta-doubling ring disks of {delta <= |z| <= 1}, outermost ring first,
+    by angle within a ring, sized once: the inputs checked, the ring ratio q of
+    ``params`` (default `ring_ratio`), `_angular_count` and `_ring_count`;
+    delta >= 1 yields no ring."""
     for name, value in (("delta", delta), ("zeta", zeta)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -233,18 +230,22 @@ def cover_annulus(delta: float, zeta: float,
         raise InvalidDoublingFactor(f"zeta must exceed 1, got {zeta}")
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    params = params or default_params(zeta)
-    q = params.ring_ratio
-    n_angles = _angular_count(q, zeta)
-    n_rings = _ring_count(delta, q)
-    disks = RingDisks(zeta, q, n_angles, n_rings)
+    q = (params or WhitneyDiskParams(ring_ratio(zeta))).ring_ratio
+    return RingDisks(zeta, q, _angular_count(q, zeta), _ring_count(delta, q))
+
+
+def cover_annulus(delta: float, zeta: float,
+                  params: WhitneyDiskParams | None = None) -> Covering:
+    """Build a zeta-doubling covering of {delta <= |z| <= 1} in C \\ {0}: the
+    `ring_disks` family and its sizing as meta."""
+    disks = ring_disks(delta, zeta, params)
     meta = {
         "construction": "whitney_rings",
         "delta": float(delta),
         "zeta": float(zeta),
-        "ring_ratio": q,
-        "n_angles": n_angles,
-        "n_rings": n_rings,
+        "ring_ratio": disks.q,
+        "n_angles": disks.n_angles,
+        "n_rings": disks.n_rings,
         "construction_constant": construction_constant(zeta, params),
     }
     return Covering(ambient=PuncturedPlane(), gamma=zeta, charts=disks, meta=meta)

@@ -1,10 +1,11 @@
 """Coverings of the punctured polydisc Q_n^eta = {eta <= |x_i| <= 1 for all i}.
 
-The construction is inductive in the dimension: level 1 is a Whitney-disk
-covering of the annulus with factor gamma^n, and level l+1 suspends level l
-over a fresh annulus covering with beta = gamma, trading the factor
-gamma^(n-l+1) down to gamma^(n-l).  After n levels the covering has factor
-exactly gamma and kappa equal to the product of the per-level annulus counts.
+The construction is inductive in the dimension, one chart family per level:
+level 1 is the family of the first axis (`cover_axis`) with factor gamma^n,
+and level l+1 the `SuspendedCharts` of level l over the family of axis l+1
+with beta = gamma, trading the factor gamma^(n-l+1) down to gamma^(n-l).
+After n levels the family has factor exactly gamma and kappa equal to the
+product of the per-level annulus counts; only it is wrapped in a `Covering`.
 
 An axis without a puncture is covered by the one-chart unit disk (`cover_axis`).
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .annulus import _angular_count
+from .annulus import ring_ratio
 from .core import (
     Covering,
     EtaParams,
@@ -22,7 +23,7 @@ from .core import (
     NotARegularValue,
     PolydiscComplement,
 )
-from .suspension import cover_axis, layer_zeta, suspend_covering
+from .suspension import SuspendedCharts, cover_axis, layer_zeta
 
 
 @dataclass(frozen=True)
@@ -78,30 +79,25 @@ def polydisc_plan(n: int, eta: float, gamma: float,
     return cover_punctured_polydisc(n, eta, gamma, active_axes)[1]
 
 
-def _level_plan(level: int, active: bool, mu: float, layers, below: int) -> LevelPlan:
-    """The plan of a level just built from ``layers`` over ``below`` charts."""
-    count = len(layers)
-    return LevelPlan(level=level, axis_active=active, mu=mu,
-                     zeta=layers.gamma if active else 0.0,
-                     annulus_count=count, kappa=below * count)
-
-
 def cover_punctured_polydisc(n: int, eta: float, gamma: float,
                              active_axes=None):
     """Build a gamma-doubling covering of Q_n^eta in C^n minus the punctured axes.
 
-    Returns (covering, plan).  Level 1 covers the first axis with factor
-    gamma^n; each later level suspends with beta = gamma.  eta >= 1 yields the
-    empty covering.  Chart storage is lazy: kappa grows like the product of
-    the per-level counts, but construction cost does not, and no chart or
-    ring table is built.  The plan records each level as it is built: the
-    factor mu it extends, its layer family's factor and count, and kappa.
+    Returns (covering, plan).  Level 1 is the family of the first axis, with
+    factor gamma^n; each later level suspends the one below with beta = gamma.
+    eta >= 1 yields the empty covering.  Chart storage is lazy: kappa grows
+    like the product of the per-level counts, but construction cost does not,
+    and no chart or ring table is built.  The plan records each level as it is
+    built: the factor mu it extends, its layer family's factor and count, and
+    kappa.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
     for name, value in (("eta", eta), ("gamma", gamma)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if not eta > 0.0:
+        raise ValueError(f"eta must be positive, got {eta}")
     if not gamma >= 2.0:
         raise GammaTooSmall(f"the induction requires gamma >= 2, got {gamma}")
     axes = _normalize_axes(n, active_axes)
@@ -117,23 +113,24 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
         mu = gamma ** n
     except OverflowError:
         raise ValueError(f"gamma^dim = {gamma}^{n} overflows a float") from None
-    def check_ring(level, zeta):        # `_angular_count` sizes a punctured level's rings
-        q = 1.0 - 1.0 / (4.0 * zeta)
+
+    def axis(level, zeta):              # a punctured level's rings, sized once
         try:
-            if level in axes:
-                _angular_count(q, zeta)
-        except ValueError:              # raised whenever q rounds to 1, and just below
-            why = "rounds to 1" if q == 1.0 else "leaves a band that no ring of disks covers"
+            return cover_axis(eta if level in axes else None, zeta)
+        except ValueError:              # only the ring sizing: q rounds to 1, or just below
+            why = ("rounds to 1" if ring_ratio(zeta) == 1.0
+                   else "leaves a band that no ring of disks covers")
             raise ValueError(f"gamma^dim = {gamma}^{n} is too large: the ring ratio "
                              f"1 - 1/(4 zeta) of level {level} {why}") from None
-    check_ring(1, mu)
-    cov = cover_axis(eta if 1 in axes else None, mu)
-    levels = [_level_plan(1, 1 in axes, mu, cov.family, 1)]
-    for l in range(2, n + 1):
-        mu = cov.gamma
-        check_ring(l, layer_zeta(mu, gamma))
-        cov = suspend_covering(cov, eta if l in axes else None, gamma)
-        levels.append(_level_plan(l, l in axes, mu, cov.charts.layers, levels[-1].kappa))
+    fam, kappa, levels = None, 1, []
+    for l in range(1, n + 1):           # mu: the factor of the family level l extends
+        layers = axis(l, mu if fam is None else layer_zeta(mu, gamma))
+        fam = layers if fam is None else SuspendedCharts(fam, layers, gamma)
+        kappa *= len(layers)
+        levels.append(LevelPlan(level=l, axis_active=l in axes, mu=mu,
+                                zeta=layers.gamma if l in axes else 0.0,
+                                annulus_count=len(layers), kappa=kappa))
+        mu = fam.gamma
 
     plan = PolydiscCoveringPlan(n=n, eta=float(eta), gamma=float(gamma),
                                 levels=tuple(levels))
@@ -144,7 +141,7 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
         "n": n,
         "plan": plan.to_dict(),
     }
-    cov = Covering(ambient=ambient, gamma=cov.gamma, charts=cov.charts, meta=meta)
+    cov = Covering(ambient=ambient, gamma=fam.gamma, charts=fam, meta=meta)
     if abs(cov.gamma - gamma) > 1e-9:
         raise AssertionError("factor bookkeeping broke: final factor != gamma")
     return cov, plan

@@ -438,15 +438,16 @@ def verify_achart_batch(charts, grid: int = 16, interior: int = 1000,
     check_budget(len(values) * data.m * n_pts,
                  f"{len(values)} offsets x {data.m} axes x {n_pts} scan points")
     z = np.vstack([scan_points(data.m, grid, interior, seed), np.zeros(data.m)])  # center last
-    # u^mu per offset value, axis and point (the center is the last point)
-    powers = (1.0 + (values[:, None, None] + z.T) / (2.0 * c3)) ** mu[:, None]  # (V, m, P)
     idx = np.searchsorted(values, tuples)                           # (T, m)
     spread = np.empty(len(tuples))
     step = max(1, (1 << 18) // len(z))
-    for lo in range(0, len(tuples), step):
-        k = idx[lo:lo + step]
-        prod = np.prod(powers[k, np.arange(data.m)], axis=1)        # (t, P)
-        spread[lo:lo + step] = np.abs(prod - prod[:, -1:]).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation is refused below
+        # u^mu per offset value, axis and point (the center is the last point)
+        powers = (1.0 + (values[:, None, None] + z.T) / (2.0 * c3)) ** mu[:, None]  # (V, m, P)
+        for lo in range(0, len(tuples), step):
+            k = idx[lo:lo + step]
+            prod = np.prod(powers[k, np.arange(data.m)], axis=1)    # (t, P)
+            spread[lo:lo + step] = np.abs(prod - prod[:, -1:]).max(axis=1)
     affine = (f.boxes * np.abs(z).max(axis=0)).max(axis=1) / (2.0 * c3)
     graph = data.coefficient * np.prod(f.boxes ** mu, axis=1)
     dev = np.maximum(affine[f.box_of], graph[f.box_of] * spread[f.tuple_of]).reshape(-1)

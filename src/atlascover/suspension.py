@@ -5,10 +5,12 @@ psi with factor gamma to
 
     (x, y) |-> (psi~(beta x), lambda y + a),
 
-a chart with factor theta = gamma / beta.  Layering suspensions over a
-Whitney-disk covering of an annulus covers G x (D_1 \\ D_delta): layer j uses
-the disk (a_j, r_j) with lambda_j = r_j (1 - 1/beta^2)^{-1/2}, so the layer
-covers G x D_{r_j}(a_j) exactly; the one layer (0, 1) of an unpunctured axis covers G x D_1.
+a chart with factor theta = gamma / beta.  `SuspendedCharts` layers the
+suspensions of an inner chart family over the chart family of one axis
+(`cover_axis`): layer j uses the disk (a_j, r_j) with
+lambda_j = r_j (1 - 1/beta^2)^{-1/2}, so it covers G x D_{r_j}(a_j) exactly.
+Over the ring disks of an annulus that is G x (D_1 \\ D_delta); the one layer
+(0, 1) of an unpunctured axis covers G x D_1.
 """
 
 from __future__ import annotations
@@ -19,14 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .annulus import cover_annulus
+from .annulus import ring_disks
 from .core import (
     ChartFamily,
-    Covering,
     DiagonalAffineChart,
     InvalidBeta,
-    PolydiscComplement,
-    PuncturedPlane,
     UnsupportedAmbient,
     family,
 )
@@ -77,18 +76,22 @@ class SuspendedCharts(ChartFamily):
     Chart j * kappa_inner + t is the suspension of inner chart t over layer
     disk j.  Membership splits exactly: with y = |(w - a_j) / lambda_j|, the
     point (v, w) lies in chart (j, t) at scale s iff the inner preimage norm
-    of v is at most beta * sqrt(s^2 - y^2).  The layer disks are any
-    one-dimensional chart family.
+    of v is at most beta * sqrt(s^2 - y^2).  The inner charts are any affine
+    chart family, beta in (1, its factor), and the layer disks any of dim 1.
     """
 
-    def __init__(self, inner: Covering, layers, beta: float):
-        self.inner = inner
+    def __init__(self, inner, layers, beta: float):
+        self.inner = family(inner)
         self.layers = family(layers)
         self.beta = float(beta)
-        self.lam_factor = 1.0 / math.sqrt(1.0 - 1.0 / (beta * beta))
-        self._inner = inner.family
-        self.dim = inner.dim + 1
-        self.gamma = inner.gamma / self.beta
+        mu = self.inner.gamma
+        if not 1.0 < self.beta < mu:
+            raise InvalidBeta(f"beta must lie in (1, {mu}), got {beta}")
+        if type(self.inner).arrays_at is ChartFamily.arrays_at:
+            raise UnsupportedAmbient("suspension is defined over affine chart families only")
+        self.lam_factor = 1.0 / math.sqrt(1.0 - 1.0 / (self.beta * self.beta))
+        self.dim = self.inner.dim + 1
+        self.gamma = mu / self.beta
 
     @cached_property
     def _layer_table(self) -> tuple:
@@ -97,7 +100,7 @@ class SuspendedCharts(ChartFamily):
         return a[:, 0], r[:, 0].real * self.lam_factor
 
     def __len__(self) -> int:
-        return len(self.layers) * len(self._inner)
+        return len(self.layers) * len(self.inner)
 
     def _recipe(self):
         return self.inner, self.layers, self.beta
@@ -105,8 +108,8 @@ class SuspendedCharts(ChartFamily):
     def arrays_at(self, idx):
         """Rows (inner b_t, a_j) and (beta d_t, lambda_j) of the charts (j, t):
         `suspend_chart` of inner chart t with the height and shift of layer disk j."""
-        j, t = np.divmod(idx, len(self._inner))
-        bi, di = self._inner.arrays_at(t)
+        j, t = np.divmod(idx, len(self.inner))
+        bi, di = self.inner.arrays_at(t)
         a, lam = self._layer_table
         b, d = np.empty((2, j.size, self.dim), dtype=complex)
         b[:, :-1], b[:, -1] = bi, a[j]
@@ -120,7 +123,7 @@ class SuspendedCharts(ChartFamily):
         last = self.dim - 1
         return (tuple((last + first, b, self.lam_factor * d)
                       for first, b, d in self.layers.level_rows())
-                + tuple((first, b, self.beta * d) for first, b, d in self._inner.level_rows()))
+                + tuple((first, b, self.beta * d) for first, b, d in self.inner.level_rows()))
 
     # -- point location -----------------------------------------------------------
 
@@ -144,26 +147,26 @@ class SuspendedCharts(ChartFamily):
             return
         inside, inner_scale = self._split(pts[idx, -1], scale[idx], 0.0, j)
         r = np.nonzero(inside)[0]
-        sub, outer = idx[r], j[r] * len(self._inner)
-        for k, tt in self._inner.passes(pts[sub, :-1], inner_scale[r], done[sub]):
+        sub, outer = idx[r], j[r] * len(self.inner)
+        for k, tt in self.inner.passes(pts[sub, :-1], inner_scale[r], done[sub]):
             yield sub[k], outer[k] + tt
 
     def _anchor(self, pts):
         """(j, t): the layer anchor j of w and the inner anchor t of v, or None."""
-        j, t = self.layers._anchor(pts[:, -1:]), self._inner._anchor(pts[:, :-1])
+        j, t = self.layers._anchor(pts[:, -1:]), self.inner._anchor(pts[:, :-1])
         return None if j is None or t is None else (j, t)
 
     def _key(self, j):
         """Flat chart indices as (layer disk, inner key), the form `_hits` reads."""
-        j, t = np.divmod(j, len(self._inner))
-        return j, self._inner._key(t)
+        j, t = np.divmod(j, len(self.inner))
+        return j, self.inner._key(t)
 
     def _hits(self, pts, scale, t: float, anchor):
         """Row r: the exact split of chart (j[r], t[r]), then the inner row test
         at the scale it leaves, at tolerance 0: the split applied it."""
         j, tt = anchor
         inside, inner_scale = self._split(pts[:, -1], scale, t, j)
-        return inside & self._inner._hits(pts[:, :-1], inner_scale, 0.0, tt)
+        return inside & self.inner._hits(pts[:, :-1], inner_scale, 0.0, tt)
 
     def _neighbors(self, i: int, scale: float) -> np.ndarray:
         """Chart indices (``i`` included) whose images at ``scale`` can meet chart ``i``'s.
@@ -172,10 +175,10 @@ class SuspendedCharts(ChartFamily):
         last axis these are the layer disks at ``scale * lam_factor``, on the
         others the inner images at ``scale * beta``.
         """
-        kappa_in = len(self._inner)
+        kappa_in = len(self.inner)
         j, t = divmod(i, kappa_in)
         outer = self.layers._neighbors(j, scale * self.lam_factor) * kappa_in
-        return (outer[:, None] + self._inner._neighbors(t, scale * self.beta)).ravel()
+        return (outer[:, None] + self.inner._neighbors(t, scale * self.beta)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -202,56 +205,10 @@ def chart_candidates(charts, p, scale: float, tol: float | None = None):
     yield from family(charts).locate(np.reshape(p, (1, -1)), scale, tol=tol)[1].tolist()
 
 
-# ---------------------------------------------------------------------------
-# the covering-level operators
-# ---------------------------------------------------------------------------
-
-def _extended_ambient(ambient, puncture_new_axis: bool) -> PolydiscComplement:
-    if isinstance(ambient, PuncturedPlane):
-        n, active = 1, frozenset({1})
-    elif isinstance(ambient, PolydiscComplement):
-        n, active = ambient.n, frozenset(ambient.active_axes)
-    else:
-        raise UnsupportedAmbient("suspension is defined over affine coverings only")
-    if puncture_new_axis:
-        active = active | {n + 1}
-    return PolydiscComplement(n=n + 1, active_axes=active)
-
-
-def cover_axis(delta: float | None, zeta: float) -> Covering:
-    """A zeta-covering of one axis: `cover_annulus` of D_1 \\ D_delta when the
-    axis is punctured, the one-chart unit disk (b=0, d=1) when ``delta`` is None."""
+def cover_axis(delta: float | None, zeta: float) -> ChartFamily:
+    """The zeta-doubling chart family of one axis: the ring disks of
+    D_1 \\ D_delta (`ring_disks`) when the axis is punctured, the one-disk list
+    (b=0, d=1) when ``delta`` is None."""
     if delta is not None:
-        return cover_annulus(delta, zeta)
-    return Covering(ambient=PolydiscComplement(n=1, active_axes=frozenset()), gamma=zeta,
-                    charts=[DiagonalAffineChart(b=(0j,), d=(1.0,), gamma=zeta)],
-                    meta={"construction": "unpunctured_disc"})
-
-
-def suspend_covering(cov: Covering, delta: float | None, beta: float) -> Covering:
-    """Cover G x (D_1 \\ D_delta) (G x D_1 if ``delta`` is None) by suspensions of ``cov``.
-
-    Layer disks come from a zeta-covering of the new axis (`cover_axis`) with
-    zeta = (2 mu / beta)(1 - 1/beta^2)^{-1/2}; each disk (a_j, r_j) spawns one
-    suspension of every inner chart with lambda_j = r_j (1 - 1/beta^2)^{-1/2}.
-    The result has factor theta = mu / beta and kappa = N * kappa(cov).
-    """
-    mu = cov.gamma
-    if not 1.0 < beta < mu:
-        raise InvalidBeta(f"beta must lie in (1, {mu}), got {beta}")
-    theta = mu / beta
-    zeta = layer_zeta(mu, beta)
-    layer_cov = cover_axis(delta, zeta)
-    charts = SuspendedCharts(cov, layer_cov.charts, beta=beta)
-    ambient = _extended_ambient(cov.ambient, puncture_new_axis=delta is not None)
-    meta = {
-        "construction": "suspension",
-        "delta": None if delta is None else float(delta),
-        "beta": float(beta),
-        "mu": float(mu),
-        "theta": float(theta),
-        "zeta": float(zeta),
-        "n_layers": len(layer_cov.charts),
-        "layer_meta": layer_cov.meta,
-    }
-    return Covering(ambient=ambient, gamma=theta, charts=charts, meta=meta)
+        return ring_disks(delta, zeta)
+    return family([DiagonalAffineChart(b=(0j,), d=(1.0,), gamma=zeta)])

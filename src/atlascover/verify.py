@@ -492,8 +492,12 @@ def named_bound(formula: str, params: dict) -> float:
         return float(params["alpha1"]) * polydisc_bound(
             int(params["n"]) - 1, float(params["gamma"]), float(params["eta"]))
     if formula == "complement":
-        return float(params["C1"]) * math.log(
-            float(params["c1"]) / float(params["delta"])) ** int(params["n"])
+        c1, delta = float(params["c1"]), float(params["delta"])
+        if not delta > 0.0:
+            raise ValueError(f"delta must be positive, got {delta}")
+        if not c1 / delta > 0.0:
+            raise ValueError(f"c1/delta must be positive, got {c1 / delta}")
+        return float(params["C1"]) * math.log(c1 / delta) ** int(params["n"])
     raise UnknownBound(f"no reference bound named {formula!r}")
 
 

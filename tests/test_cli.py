@@ -128,6 +128,24 @@ def test_verify_achart_reports_failure(tmp_path, capsys):
     assert capsys.readouterr().out == "acharts 4 max_deviation=17.2863619901 pass=False\n"
 
 
+def test_an_overflowing_achart_extension_is_one_error_line(tmp_path):
+    """An atlas whose extension overflows (mu=(2000,), C3=4), checked in a new
+    process that prints warnings: exit 2 and the one `NotHolomorphic` line,
+    no numpy `RuntimeWarning` before it."""
+    data = MonomialData(1.0, (2000.0,))
+    path = tmp_path / "overflow.json"
+    write_achart_atlas([RealAChart((0.5,), (1.0,), 4.0, data)], data, 0.1, path)
+    src = str(Path(atlascover.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "atlascover.cli", "verify", "achart",
+                           "--charts", str(path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "error: NotHolomorphic: extension evaluation produced non-finite values"]
+
+
 def test_verify_achart_grid_one_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "graph.json"
     assert main(["cover", "graph", "--mu", "1", "--eps", "0.1", "--out", str(out)]) == 0
@@ -393,6 +411,8 @@ def test_zero_samples_draw_none(tmp_path, capsys, cover):
      "ValueError: eta must be finite, got inf"),
     (["cover", "polydisc", "--dim", "2", "--eta", "nan", "--gamma", "2"],
      "ValueError: eta must be finite, got nan"),
+    (["cover", "polydisc", "--dim", "2", "--eta", "0", "--gamma", "2"],
+     "ValueError: eta must be positive, got 0.0"),
     (["cover", "polydisc", "--dim", "2", "--eta", "0.5", "--gamma", "inf"],
      "ValueError: gamma must be finite, got inf"),
     (["cover", "levelset", "--alpha", "2,1", "--c", "0.04,0", "--gamma", "inf"],
@@ -407,7 +427,7 @@ def test_zero_samples_draw_none(tmp_path, capsys, cover):
      "ValueError: gamma^dim = 2.0^1000 is too large: the ring ratio 1 - 1/(4 zeta) "
      "of level 960 leaves a band that no ring of disks covers"),
 ], ids=["mu-inf", "mu-nan", "coeff-inf", "coeff-nan", "c-nan", "c-inf", "delta-inf",
-        "zeta-inf", "eta-inf", "eta-nan", "gamma-inf", "levelset-gamma-inf", "grid-nan",
+        "zeta-inf", "eta-inf", "eta-nan", "eta-0", "gamma-inf", "levelset-gamma-inf", "grid-nan",
         "ring-ratio-rounds-to-1", "ring-ratio-too-close-to-1"])
 def test_non_finite_inputs_are_domain_errors(tmp_path, capsys, argv, message):
     """Each is one error line naming the input, exit 2, and no file."""

@@ -15,7 +15,6 @@ from atlascover.core import (
     DiagonalAffineChart,
     MonomialLevelSet,
     PolydiscComplement,
-    PuncturedPlane,
 )
 from atlascover.levelset import LevelBranchCharts, cover_monomial_level_set, level_residual
 from atlascover.polydisc import cover_punctured_polydisc
@@ -29,7 +28,7 @@ from test_jsonio import BUILDS
 def _fat_layer_covering(fat_at, delta=0.5):
     """Level 1 an annulus covering, level 2 the annulus disks of ``layers``
     with a fat disk (|a| <= gamma * lambda) inserted at index ``fat_at``."""
-    inner = cover_annulus(delta, 4.0)
+    inner = cover_annulus(delta, 4.0).charts
     layers = list(cover_annulus(delta, 4.0).charts)
     layers.insert(fat_at, DiagonalAffineChart((0.5,), (0.5,), 4.0))
     charts = SuspendedCharts(inner, layers, beta=2.0)
@@ -42,8 +41,7 @@ def _fat_inner_covering(fat_at):
     `failures` walks into the inner factor."""
     inner = list(cover_annulus(0.5, 4.0).charts)
     inner.insert(fat_at, DiagonalAffineChart((0.5,), (0.5,), 4.0))
-    charts = SuspendedCharts(Covering(PuncturedPlane(), 4.0, inner),
-                             cover_annulus(0.5, 4.0).charts, beta=2.0)
+    charts = SuspendedCharts(inner, cover_annulus(0.5, 4.0).charts, beta=2.0)
     return Covering(PolydiscComplement(2, {1, 2}), 2.0, charts)
 
 
@@ -191,7 +189,7 @@ def test_a_fat_layer_disk_is_named_by_its_level():
     cov = _fat_layer_covering(17)
     rep = certify_doubling(cov)
     assert rep.level_failures == {1: 0, 2: 1}
-    kappa_in = len(cov.charts.inner.charts)
+    kappa_in = len(cov.charts.inner)
     assert rep.failures == tuple(range(17 * kappa_in, 17 * kappa_in + 100))
     assert rep.n_passed == rep.n_charts - kappa_in
 

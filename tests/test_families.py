@@ -80,7 +80,7 @@ def _axis_families(fam):
     the one-disk list of an unpunctured axis; then the scale factor the images
     of the whole family carry on the last axis."""
     if isinstance(fam, SuspendedCharts):
-        return _axis_families(fam._inner)[0] + [family(fam.layers)], fam.lam_factor
+        return _axis_families(fam.inner)[0] + [family(fam.layers)], fam.lam_factor
     return [fam], 1.0
 
 

@@ -3,7 +3,6 @@
 import math
 import re
 
-import numpy as np
 import pytest
 
 from atlascover.annulus import construction_constant
@@ -13,6 +12,7 @@ from atlascover.core import (
     DimensionMismatch,
     EtaParams,
     InsufficientPoints,
+    InvalidBeta,
     InvalidDoublingFactor,
     MalformedFile,
     MonomialLevelSet,
@@ -37,7 +37,7 @@ from atlascover.real_acharts import (
     verify_achart,
     verify_achart_batch,
 )
-from atlascover.suspension import SuspensionParams
+from atlascover.suspension import SuspendedCharts, SuspensionParams, cover_axis
 from atlascover.verify import (
     LevelGraphRegion,
     check_coverage,
@@ -49,6 +49,7 @@ from atlascover.verify import (
 DISK = DiagonalAffineChart(b=(0.5,), d=(0.1,), gamma=2.0)
 LEVEL = MonomialLevelChart(DISK, 0, (2, 1), 0.5)
 DATA = MonomialData(1.0, (0.5,))
+RINGS = cover_axis(0.5, 4.0)        # the ring disks of an annulus, factor 4
 TWO_COORDINATE_ROWS = {     # a v1 covering of the plane whose one chart has two coordinates
     "schema_version": "1", "ambient": {"kind": "punctured_plane"}, "gamma": 2.0, "kappa": 1,
     "charts": [{"kind": "diag_affine", "b": [[0.5, 0.0]] * 2, "d": [[0.1, 0.0]] * 2}]}
@@ -100,6 +101,8 @@ CHECKS = {
                         ValueError, "active axes must lie in 1..2"),
     "polydisc-n-0": (lambda: cover_punctured_polydisc(0, 0.5, 2.0),
                      ValueError, "dimension must be positive"),
+    "polydisc-eta-0": (lambda: cover_punctured_polydisc(2, 0.0, 2.0),
+                       ValueError, "eta must be positive, got 0.0"),
     "lower-bound-c-unit": (lambda: level_lower_bound(0.5, 0.5, 1),
                            ValueError, "C_unit must be >= 1"),
     "lower-bound-alpha0": (lambda: level_lower_bound(0.5, 1.0, 0),
@@ -124,14 +127,26 @@ CHECKS = {
                   ValueError, "eps must lie in (0, 1/2)"),
     "verify-callable-without-m": (lambda: verify_achart(lambda z: z),
                                   ValueError, "callable charts need an .m attribute"),
-    "verify-batch-overflow": (lambda: np.errstate(all="ignore")(verify_achart_batch)(
+    "verify-batch-overflow": (lambda: verify_achart_batch(
                                   [RealAChart((0.5,), (1.0,), 4.0, MonomialData(1.0, (2000.0,)))]),
                               NotHolomorphic, "extension evaluation produced non-finite values"),
     "complement-bound-delta-negative": (
         lambda: named_bound("complement", {"C1": 1.0, "c1": 1.0, "delta": -1.0, "n": 2}),
-        ValueError, "math domain error"),
+        ValueError, "delta must be positive, got -1.0"),
+    "complement-bound-delta-0": (
+        lambda: named_bound("complement", {"C1": 1.0, "c1": 1.0, "delta": 0.0, "n": 2}),
+        ValueError, "delta must be positive, got 0.0"),
+    "complement-bound-c1-negative": (
+        lambda: named_bound("complement", {"C1": 1.0, "c1": -1.0, "delta": 0.5, "n": 2}),
+        ValueError, "c1/delta must be positive, got -2.0"),
     "suspension-lambda-0": (lambda: SuspensionParams(lam=0.0, a=0j, beta=2.0),
                             ValueError, "lambda must be positive"),
+    "suspended-beta-half": (lambda: SuspendedCharts(RINGS, RINGS, 0.5),
+                            InvalidBeta, "beta must lie in (1, 4.0), got 0.5"),
+    "suspended-beta-1": (lambda: SuspendedCharts(RINGS, RINGS, 1.0),
+                         InvalidBeta, "beta must lie in (1, 4.0), got 1.0"),
+    "suspended-beta-inner-gamma": (lambda: SuspendedCharts(RINGS, RINGS, 4.0),
+                                   InvalidBeta, "beta must lie in (1, 4.0), got 4.0"),
     "unknown-region": (lambda: region_samples("disk", 10, 0),
                        RegionMismatch, "unknown region 'disk'"),
     "coverage-other-level": (lambda: check_coverage(cover_monomial_level_set((2, 1), 0.5),

@@ -11,12 +11,14 @@ from atlascover.annulus import RingDisks, cover_annulus
 from atlascover.cli import main
 from atlascover.core import (
     AtlasError,
+    Covering,
     EtaParams,
     GammaTooSmall,
     NotARegularValue,
     PolydiscComplement,
     avoidance_certificate,
 )
+from atlascover.levelset import cover_monomial_level_set
 from atlascover.polydisc import (
     cover_punctured_polydisc,
     eta_from_delta,
@@ -24,7 +26,7 @@ from atlascover.polydisc import (
     polydisc_bound,
     polydisc_plan,
 )
-from atlascover.suspension import SuspendedCharts, covers_points, suspend_covering
+from atlascover.suspension import SuspendedCharts, cover_axis, covers_points, layer_zeta
 from atlascover.jsonio import ambient_to_dict, dumps
 from atlascover.verify import PolydiscRegion, certify_doubling, chain_between, check_coverage
 
@@ -101,12 +103,25 @@ def test_recurrence_exact():
 def test_factor_bookkeeping_through_levels():
     # intermediate level l carries factor gamma^(n-l+1)
     n, gamma, eta = 3, 2.0, 0.4
-    cov = cover_annulus(eta, gamma ** n)
-    assert cov.gamma == gamma ** n
+    fam = cover_annulus(eta, gamma ** n).charts
+    assert fam.gamma == gamma ** n
     for l in range(2, n + 1):
-        cov = suspend_covering(cov, delta=eta, beta=gamma)
-        assert cov.gamma == pytest.approx(gamma ** (n - l + 1), rel=1e-12)
-    assert cov.gamma == pytest.approx(gamma, rel=1e-12)
+        fam = SuspendedCharts(fam, cover_axis(eta, layer_zeta(fam.gamma, gamma)), gamma)
+        assert fam.gamma == pytest.approx(gamma ** (n - l + 1), rel=1e-12)
+    assert fam.gamma == pytest.approx(gamma, rel=1e-12)
+
+
+def test_one_covering_per_build(monkeypatch):
+    """Each level is a chart family: an n=4 build, and a level set over an
+    n=2 base, make one `Covering` each for the whole, none per level."""
+    built = []
+    init = Covering.__init__
+    monkeypatch.setattr(Covering, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    cov, plan = cover_punctured_polydisc(4, 1e-3, 2.0)
+    assert len(built) == 1 and plan.kappa_final == cov.kappa
+    cover_monomial_level_set((2, 1, 1), 0.5, 2.0)
+    assert len(built) == 3
 
 
 def test_gamma_too_small():
@@ -194,18 +209,18 @@ def test_plan_matches_construction():
     assert cov.meta["plan"] == plan.to_dict()
 
 
-def built_levels(cov) -> list:
+def built_levels(fam) -> list:
     """(level, mu, zeta, count, kappa) of every level, read off the built
-    coverings: mu is the factor of the covering a level extends, zeta its
+    families: mu is the factor of the family a level extends, zeta its
     layer disks' factor (0 for a one-disk layer), count its layer disks."""
     out = []
-    while isinstance(cov.charts, SuspendedCharts):
-        layers, inner = cov.charts.layers, cov.charts.inner
+    while isinstance(fam, SuspendedCharts):
+        layers, inner = fam.layers, fam.inner
         zeta = layers.zeta if isinstance(layers, RingDisks) else 0.0
-        out.append((inner.gamma, zeta, len(layers), cov.charts.__len__()))
-        cov = inner
-    zeta = cov.charts.zeta if isinstance(cov.charts, RingDisks) else 0.0
-    out.append((cov.gamma, zeta, len(cov.charts), len(cov.charts)))
+        out.append((inner.gamma, zeta, len(layers), len(fam)))
+        fam = inner
+    zeta = fam.zeta if isinstance(fam, RingDisks) else 0.0
+    out.append((fam.gamma, zeta, len(fam), len(fam)))
     return [(l, *row) for l, row in enumerate(reversed(out), 1)]
 
 
@@ -220,7 +235,7 @@ def test_plan_is_read_off_the_build(n, axes, gamma):
     eta = 0.2 if gamma > 3.0 else 0.05
     cov, plan = cover_punctured_polydisc(n, eta, gamma, active_axes=axes)
     got = [(lv.level, lv.mu, lv.zeta, lv.annulus_count, lv.kappa) for lv in plan.levels]
-    assert got == built_levels(cov)
+    assert got == built_levels(cov.charts)
     assert [lv.axis_active for lv in plan.levels] == \
         [l in (axes or range(1, n + 1)) for l in range(1, n + 1)]
     assert plan.to_dict() == cov.meta["plan"]

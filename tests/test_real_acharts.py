@@ -121,6 +121,16 @@ def test_verify_achart_singularity_raises():
         verify_achart(ch, grid=16, interior=10)
 
 
+def test_an_overflowing_extension_raises_without_a_warning():
+    """mu=(2000,) with C3=4 overflows u^mu: the batch raises `NotHolomorphic`
+    and lets no numpy `RuntimeWarning` out before it."""
+    chart = RealAChart((0.5,), (1.0,), 4.0, MonomialData(1.0, (2000.0,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHolomorphic, match="non-finite values"):
+            verify_achart_batch([chart])
+
+
 def test_graph_exactness_on_real_points():
     data = MonomialData(1.0, (0.5, -0.25))
     charts = cover_monomial_graph(data, 0.05)
