@@ -147,13 +147,13 @@ class RingDisks(ChartFamily):
 
     def passes(self, pts: np.ndarray, scale: np.ndarray, done: np.ndarray):
         """(point indices, disk indices) per ring and angle offset from each
-        point's anchor k0 = floor(log_q |z|), j0 = nearest angle, over the band
-        and sector of `_reach` at the largest scale; a non-finite z meets none.
-        ``done`` is not read: only the default list scan skips settled points."""
+        point's anchor (`_anchors`), over the band and sector of `_reach` at the
+        largest scale; a non-finite z meets none.  ``done`` is not read: only
+        the default list scan skips settled points."""
         live = np.nonzero(np.isfinite(pts[:, 0]))[0]
         if len(self) == 0 or live.size == 0:
             return
-        k0, j0 = self._anchors(pts[live, 0])
+        k0, j0 = (x.astype(np.int64) for x in self._anchors(pts[live, 0]))
         reach = self._reach(float(scale.max(initial=0.0)))
         if reach is None:                           # every disk, counted from ring 0
             k0[:] = 0
@@ -171,42 +171,76 @@ class RingDisks(ChartFamily):
                 yield idx, ring + (j + da) % self.n_angles
 
     def _anchors(self, z):
-        """Ring k0 = floor(log_q |z|) and nearest angle j0 of each z, not read where z is not finite."""
-        with np.errstate(invalid="ignore"):
-            return (np.floor(np.log(np.maximum(np.abs(z), 1e-300)) / math.log(self.q)).astype(int),
-                    np.round(np.angle(z) / (TWO_PI / self.n_angles)).astype(int))
+        """Each z's ring k0 = floor(log_q |z|), clipped to the rings, and nearest
+        angle j0 in [0, n_angles), as floats; a NaN z gets (0, 0).
+
+        log |z| is log(re^2 + im^2) / 2, read off np.abs only where re^2 + im^2
+        leaves [e^-708, e^708] and so under- or overflows; j0 is rounded from
+        [-n_angles/2, n_angles/2] and wrapped in float.  Any disk is a sound
+        anchor for `covers`; the windows of `passes` have one ring and one angle
+        of slack on each side for a k0 or j0 one off at a rounding edge, and a
+        clipped k0 only moves a window towards the rings that can hold z.  Each
+        step writes in place: fresh arrays cost as much again on 2^15 points."""
+        re, im = z.real, z.imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = re * re
+            k += im * im
+            np.log(k, out=k)
+            r = np.nonzero(np.abs(k) >= 708.0)[0]
+            k[r] = 2.0 * np.log(np.abs(z[r]))
+            k *= 0.5 / math.log(self.q)
+            np.floor(k, out=k)
+            j = np.arctan2(im, re)
+            j *= self.n_angles / TWO_PI
+            np.rint(j, out=j)
+        j += self.n_angles * (j < 0.0)
+        np.fmax(k, 0.0, out=k)                     # NaN to ring 0, then the last ring at most
+        np.fmin(k, self.n_rings - 1.0, out=k)
+        return k, np.fmax(j, 0.0, out=j)           # a NaN z has a NaN angle too
 
     def _anchor(self, pts):
-        """Disk (k0, j0) of `_anchors` as a flat index, k0 clipped to the rings:
-        any disk is a sound first guess, as `_hits` decides it exactly."""
+        """Disk (k0, j0) of `_anchors` as a flat index, or None with no disk."""
         if len(self) == 0:
             return None
-        k0, j0 = self._anchors(pts[:, 0])
-        return np.clip(k0, 0, self.n_rings - 1) * self.n_angles + j0 % self.n_angles
+        k, j = self._anchors(pts[:, 0])
+        return (k * self.n_angles + j).astype(np.int64)
 
     def _hits(self, pts, scale, t: float, j):
         """Row r: whether disk j[r] scaled by scale[r] holds pts[r], |z - a|^2 <= (r s)^2 (1 + t)."""
         a, r = self._disks
         rs = r[j] * scale
+        rs *= rs
+        rs *= 1.0 + t
         with np.errstate(invalid="ignore", over="ignore"):
-            return np.abs(pts[:, 0] - a[j]) ** 2 <= rs * rs * (1.0 + t)
+            y = np.abs(pts[:, 0] - a[j])
+            y *= y
+            return y <= rs
 
     covers = ChartFamily.covers             # bound here too: the benchmark tracer times its calls
 
-    def _neighbors(self, i: int, scale: float) -> np.ndarray:
-        """Disk indices (``i`` included) whose disks at ``scale`` can meet disk
-        ``i``'s: disks that meet share a point, so their bands overlap (at most
-        hi - lo rings apart, `_reach`) and so do their sectors (at most
-        2 asin(sigma) apart)."""
-        k, j = divmod(i, self.n_angles)
+    def _neighbors(self, idx, scale: float) -> tuple:
+        """Disk ``i``'s neighbours, for each i in ``idx``: disks that meet share a
+        point, so their bands overlap (at most hi - lo rings apart, `_reach`) and
+        so do their sectors (at most 2 asin(sigma) apart).  So they are rings
+        k -+ w, clipped, times angles j -+ v mod n_angles, sorted, or every
+        angle once 2v + 1 reaches n_angles; the counts are rings times angles."""
         reach = self._reach(scale)
         if reach is None:
-            return np.arange(len(self), dtype=np.int64)
+            return ChartFamily._neighbors(self, idx, scale)
         lo, hi, steps = reach
+        n = self.n_angles
         w, v = math.ceil(hi - lo) + 1, math.ceil(2.0 * steps) + 1
-        rings = np.arange(max(0, k - w), min(self.n_rings, k + w + 1), dtype=np.int64)
-        angles = np.unique((j + np.arange(-v, v + 1)) % self.n_angles)     # each angle once
-        return (rings[:, None] * self.n_angles + angles).ravel()
+        width = min(2 * v + 1, n)           # angles j - v, ..., counted mod n once each
+        k, j = np.divmod(idx, n)
+        first = np.maximum(k - w, 0)
+        rings = np.minimum(k + w + 1, self.n_rings) - first
+
+        def lists():
+            angles = np.sort((j[:, None] + np.arange(-v, width - v)) % n, axis=1)
+            row = np.repeat(np.arange(idx.size), rings)         # each listed ring's chart
+            ring = first[row] + np.arange(row.size) - (np.cumsum(rings) - rings)[row]
+            return (ring[:, None] * n + angles[row]).ravel()
+        return rings * width, lists
 
 
 def construction_constant(zeta: float,
@@ -215,7 +249,12 @@ def construction_constant(zeta: float,
     if not zeta > 1.0:
         raise InvalidDoublingFactor(f"zeta must exceed 1, got {zeta}")
     q = (params or WhitneyDiskParams(ring_ratio(zeta))).ring_ratio
-    return _angular_count(q, zeta) * max(1.0, 1.0 / -math.log(q))
+    return _constant(q, _angular_count(q, zeta))
+
+
+def _constant(q: float, n_angles: int) -> float:
+    """`construction_constant` of disks sized by ``q`` and ``n_angles``."""
+    return n_angles * max(1.0, 1.0 / -math.log(q))
 
 
 def ring_disks(delta: float, zeta: float, params: WhitneyDiskParams | None = None) -> RingDisks:
@@ -246,6 +285,6 @@ def cover_annulus(delta: float, zeta: float,
         "ring_ratio": disks.q,
         "n_angles": disks.n_angles,
         "n_rings": disks.n_rings,
-        "construction_constant": construction_constant(zeta, params),
+        "construction_constant": _constant(disks.q, disks.n_angles),
     }
     return Covering(ambient=PuncturedPlane(), gamma=zeta, charts=disks, meta=meta)

@@ -374,10 +374,11 @@ class ChartFamily(Sequence):
     families of the same type equal), ``arrays_at(idx)``, the one place it
     states its (b, d) rows, and ``passes`` (the default offers every chart).
     Charts, `chart_arrays`, `locate`, `contains` and `covers` read those, and
-    `covers` the hooks ``_anchor``, ``_hits`` and ``_key``.  ``neighbors``,
-    ``level_rows`` and ``doubling_factors`` have defaults and are optional
-    faster kernels.  A family of other charts has no rows: it supplies
-    ``_chart(i)`` (and ``_inside`` and ``covers``, to locate points).
+    `covers` the hooks ``_anchor``, ``_hits`` and ``_key``.  ``_neighbors``
+    (read by `neighbors` and the chain search), ``level_rows`` and
+    ``doubling_factors`` have defaults and are optional faster kernels.  A
+    family of other charts has no rows: it supplies ``_chart(i)`` (and
+    ``_inside`` and ``covers``, to locate points).
     """
 
     def __getitem__(self, i):
@@ -530,11 +531,16 @@ class ChartFamily(Sequence):
 
     def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
         """Sorted int64 chart indices (``i`` included) whose images at ``scale``
-        can meet chart ``i``'s, a superset of those that do (`_neighbors`)."""
-        return self._neighbors(self._index(i), float(self._scales(scale)))
+        can meet chart ``i``'s, a superset of those that do: `_neighbors` of ``[i]``."""
+        return self._neighbors(np.array([self._index(i)]), float(self._scales(scale)))[1]()
 
-    def _neighbors(self, i: int, scale: float) -> np.ndarray:
-        return np.arange(len(self), dtype=np.int64)
+    def _neighbors(self, idx, scale: float) -> tuple:
+        """(counts, lists) for the charts ``idx`` (int64): ``counts[r]`` is the length
+        of chart idx[r]'s sorted neighbour list, and ``lists()`` builds the lists,
+        chart by chart, joined in order.  The counts come first, so a caller can
+        refuse a layer before any list exists.  This default lists every chart."""
+        n = len(self)
+        return np.full(idx.size, n, dtype=np.int64), lambda: np.tile(np.arange(n, dtype=np.int64), idx.size)
 
 
 def _listed(charts) -> list:

@@ -212,11 +212,12 @@ class LevelBranchCharts(ChartFamily):
         for idx, t in self._base.passes(pts[:, 1:], scale, done):
             yield np.repeat(idx, a1), (t[:, None] * a1 + np.arange(a1)).ravel()
 
-    def _neighbors(self, i: int, scale: float) -> np.ndarray:
-        """Chart indices whose images at ``scale`` can meet chart ``i``'s: every
-        branch over a base chart whose image can meet base chart ``i``'s."""
-        base = self._base._neighbors(i // self.alpha1, scale) * self.alpha1
-        return (base[:, None] + np.arange(self.alpha1)).ravel()
+    def _neighbors(self, idx, scale: float) -> tuple:
+        """Chart ``i``'s neighbours, for each i in ``idx``: every branch over a base
+        chart whose image can meet base chart i's."""
+        a1 = self.alpha1
+        counts, base = self._base._neighbors(idx // a1, scale)
+        return counts * a1, lambda: (base()[:, None] * a1 + np.arange(a1)).ravel()
 
     def _inside(self, pts, idx, scale, tol: float) -> np.ndarray:
         """Row by row: the base preimage x of xbar has norm at most scale sqrt(1 + tol),

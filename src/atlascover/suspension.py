@@ -23,7 +23,9 @@ import numpy as np
 
 from .annulus import ring_disks
 from .core import (
+    AtlasError,
     ChartFamily,
+    ChartList,
     DiagonalAffineChart,
     InvalidBeta,
     UnsupportedAmbient,
@@ -84,20 +86,25 @@ class SuspendedCharts(ChartFamily):
         self.inner = family(inner)
         self.layers = family(layers)
         self.beta = float(beta)
+        if type(self.inner).arrays_at is ChartFamily.arrays_at:
+            raise UnsupportedAmbient("suspension is defined over affine chart families only")
+        if isinstance(self.inner, ChartList):  # its factor and its rows are its charts'
+            if not len(self.inner):
+                raise AtlasError("the inner family is empty: it has no factor to bound beta")
+            self.inner.chart_arrays()
         mu = self.inner.gamma
         if not 1.0 < self.beta < mu:
             raise InvalidBeta(f"beta must lie in (1, {mu}), got {beta}")
-        if type(self.inner).arrays_at is ChartFamily.arrays_at:
-            raise UnsupportedAmbient("suspension is defined over affine chart families only")
         self.lam_factor = 1.0 / math.sqrt(1.0 - 1.0 / (self.beta * self.beta))
         self.dim = self.inner.dim + 1
         self.gamma = mu / self.beta
 
     @cached_property
     def _layer_table(self) -> tuple:
-        """Centers a_j and heights lambda_j = r_j * lam_factor of the layer disks."""
+        """Centers a_j, heights lambda_j = r_j * lam_factor and 1 / lambda_j of the layer disks."""
         a, r = self.layers.chart_arrays()
-        return a[:, 0], r[:, 0].real * self.lam_factor
+        lam = r[:, 0].real * self.lam_factor
+        return a[:, 0], lam, 1.0 / lam
 
     def __len__(self) -> int:
         return len(self.layers) * len(self.inner)
@@ -110,7 +117,7 @@ class SuspendedCharts(ChartFamily):
         `suspend_chart` of inner chart t with the height and shift of layer disk j."""
         j, t = np.divmod(idx, len(self.inner))
         bi, di = self.inner.arrays_at(t)
-        a, lam = self._layer_table
+        a, lam, _ = self._layer_table
         b, d = np.empty((2, j.size, self.dim), dtype=complex)
         b[:, :-1], b[:, -1] = bi, a[j]
         d[:, :-1], d[:, -1] = self.beta * di, lam[j]
@@ -129,12 +136,24 @@ class SuspendedCharts(ChartFamily):
 
     def _split(self, w, s, t: float, j) -> tuple:
         """Row r: whether y^2 <= s^2 (1 + t) for y = |(w - a_j) / lambda_j|, j = j[r],
-        and the inner scale beta sqrt(s^2 (1 + t) - y^2) (0 past the disk)."""
-        a, lam = self._layer_table
+        and the inner scale beta sqrt(s^2 (1 + t) - y^2) (0 past the disk).
+
+        numpy divides a complex by a real as a multiplication by its reciprocal,
+        so (w - a_j) * (1 / lambda_j) is that quotient bit for bit (lambda_j > 0);
+        np.abs stays, as hypot or re^2 + im^2 can differ from it in the last bit.
+        The steps write in place, as `RingDisks._anchors` does."""
+        a, _, inv = self._layer_table
         with np.errstate(invalid="ignore", over="ignore"):
-            y2 = np.abs((w - a[j]) / lam[j]) ** 2
+            y = w - a[j]
+            y *= inv[j]
+            y2 = np.abs(y)
+            y2 *= y2
             s2 = s ** 2 * (1.0 + t)
-            return y2 <= s2, self.beta * np.sqrt(np.maximum(s2 - y2, 0.0))
+            inner = s2 - y2
+            np.maximum(inner, 0.0, out=inner)
+            np.sqrt(inner, out=inner)
+            inner *= self.beta
+            return y2 <= s2, inner
 
     def passes(self, pts, scale, done):
         """The layer family's passes, all at once, then the inner family's passes
@@ -168,17 +187,23 @@ class SuspendedCharts(ChartFamily):
         inside, inner_scale = self._split(pts[:, -1], scale, t, j)
         return inside & self.inner._hits(pts[:, :-1], inner_scale, 0.0, tt)
 
-    def _neighbors(self, i: int, scale: float) -> np.ndarray:
-        """Chart indices (``i`` included) whose images at ``scale`` can meet chart ``i``'s.
+    def _neighbors(self, idx, scale: float) -> tuple:
+        """Chart (j, t)'s neighbours, for each chart in ``idx``: two images meet
+        only if their projections meet on every axis, the layer disks at
+        ``scale * lam_factor`` and the inner images at ``scale * beta``.  So
+        they are the ragged outer product, layer-major, of the layer family's
+        lists and the inner family's, and the counts are their products."""
+        n_in = len(self.inner)
+        j, t = np.divmod(idx, n_in)
+        cj, outer = self.layers._neighbors(j, scale * self.lam_factor)
+        ct, inner = self.inner._neighbors(t, scale * self.beta)
 
-        Two images meet only if their projections meet on every axis: on the
-        last axis these are the layer disks at ``scale * lam_factor``, on the
-        others the inner images at ``scale * beta``.
-        """
-        kappa_in = len(self.inner)
-        j, t = divmod(i, kappa_in)
-        outer = self.layers._neighbors(j, scale * self.lam_factor) * kappa_in
-        return (outer[:, None] + self.inner._neighbors(t, scale * self.beta)).ravel()
+        def lists():
+            reps = np.repeat(ct, cj)            # each layer neighbour's inner count
+            skip = np.repeat(np.cumsum(ct) - ct, cj) - (np.cumsum(reps) - reps)
+            pos = np.repeat(skip, reps) + np.arange(reps.sum())
+            return np.repeat(outer() * n_in, reps) + inner()[pos]
+        return cj * ct, lists
 
 
 # ---------------------------------------------------------------------------

@@ -411,14 +411,15 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
 
     One `ChartFamily.locate` call finds the charts that contain p and q.
     The BFS runs a layer at a time.  A layer's pairs (i, j) are its charts i
-    in queue order, each with its neighbours j (`ChartFamily.neighbors`) in index
-    order, less the charts already reached.  Their (b, d) rows are gathered
-    without building a chart (`ChartFamily.arrays_at`) and one batched exact
+    in queue order, each with its neighbours j in index order, less the charts
+    already reached: one `ChartFamily._neighbors` call counts and lists them.
+    Their (b, d) rows are gathered without building a chart (`ChartFamily.arrays_at`) and one batched exact
     test decides them all (`_pair_witnesses`, in blocks of `PAIR_BLOCK`).  A
     chart's parent is its first pair that meets, and the chain ends at the
     first goal chart so reached: the chain and witnesses of a FIFO BFS that
     tests one pair at a time.  A layer whose neighbour lists hold more than
-    `LAYER_PAIR_BUDGET` pairs raises `AtlasError` as soon as they do.
+    `LAYER_PAIR_BUDGET` pairs raises `AtlasError` from their counts, before
+    any list exists.
     ``seed`` is kept for compatibility; the witnesses are exact and do not use it.
     """
     t = tolerance(tol)
@@ -436,13 +437,12 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
     layer = seen = starts                       # charts reached, in order
     found = None
     while layer.size and found is None:
-        nbrs, n_pairs = [], 0
-        for i in layer.tolist():
-            nbrs.append(fam.neighbors(i))
-            if (n_pairs := n_pairs + nbrs[-1].size) > LAYER_PAIR_BUDGET:
-                raise AtlasError(f"a BFS layer of {layer.size} charts has at least {n_pairs} "
-                                 f"neighbour pairs, over the budget of {LAYER_PAIR_BUDGET}")
-        pi, pj = np.repeat(layer, [a.size for a in nbrs]), np.concatenate(nbrs)
+        counts, lists = fam._neighbors(layer, 1.0)
+        # each count capped past the budget: the sum cannot overflow, and is exact within it
+        if (n_pairs := int(np.minimum(counts, LAYER_PAIR_BUDGET + 1).sum())) > LAYER_PAIR_BUDGET:
+            raise AtlasError(f"a BFS layer of {layer.size} charts has at least {n_pairs} "
+                             f"neighbour pairs, over the budget of {LAYER_PAIR_BUDGET}")
+        pi, pj = np.repeat(layer, counts), lists()
         n_seen = seen.size
         for lo in range(0, pj.size, PAIR_BLOCK):
             i, j = pi[lo:lo + PAIR_BLOCK], pj[lo:lo + PAIR_BLOCK]

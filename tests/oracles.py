@@ -11,6 +11,7 @@ from collections import deque
 
 import numpy as np
 
+from atlascover.annulus import RingDisks
 from atlascover.core import (
     Disconnected,
     NoContainingChart,
@@ -26,7 +27,7 @@ from atlascover.real_acharts import (
     choose_C3,
     offset_grid,
 )
-from atlascover.suspension import chart_arrays
+from atlascover.suspension import SuspendedCharts, chart_arrays
 from atlascover.verify import Chain
 
 
@@ -45,13 +46,13 @@ def brute_covered(charts, pts, scale=1.0, tol=1e-10):
 def ring_passes_full(rings, pts, scale, done):
     """`RingDisks.passes` by one mask over all N points per ring offset, the
     points in range, finite and not done: the pairs and order the live index
-    must reproduce."""
+    must reproduce.  The anchors are the family's own (`RingDisks._anchors`);
+    that every window they centre is sound is checked against
+    `containing_pairs`."""
     if len(rings) == 0:
         return
     z, finite = pts[:, 0], np.isfinite(pts[:, 0])
-    with np.errstate(invalid="ignore"):
-        k0 = np.floor(np.log(np.maximum(np.abs(z), 1e-300)) / math.log(rings.q)).astype(int)
-        j0 = np.round(np.angle(z) / (2.0 * math.pi / rings.n_angles)).astype(int)
+    k0, j0 = (x.astype(int) for x in rings._anchors(z))
     reach = rings._reach(float(scale.max(initial=0.0)))
     if reach is None:
         k0[:] = 0
@@ -69,6 +70,32 @@ def ring_passes_full(rings, pts, scale, done):
             if idx.size == 0:
                 break
             yield idx, k[idx] * rings.n_angles + (j0[idx] + da) % rings.n_angles
+
+
+def neighbor_list(fam, i, scale):
+    """Chart ``i``'s neighbour list at ``scale``, built for that one chart: the
+    reference the batched `ChartFamily._neighbors` lists must equal.  Rings take
+    rings k -+ w (clipped) times the distinct angles j -+ v, or every disk once
+    sigma >= 1; a suspension the outer sum of its layer and inner lists; a
+    level family every branch over its base list; anything else every chart."""
+    if isinstance(fam, RingDisks):
+        reach = fam._reach(scale)
+        if reach is None:
+            return np.arange(len(fam), dtype=np.int64)
+        lo, hi, steps = reach
+        k, j = divmod(i, fam.n_angles)
+        w, v = math.ceil(hi - lo) + 1, math.ceil(2.0 * steps) + 1
+        rings = np.arange(max(0, k - w), min(fam.n_rings, k + w + 1), dtype=np.int64)
+        angles = np.unique((j + np.arange(-v, v + 1)) % fam.n_angles)
+        return (rings[:, None] * fam.n_angles + angles).ravel()
+    if isinstance(fam, SuspendedCharts):
+        j, t = divmod(i, len(fam.inner))
+        outer = neighbor_list(fam.layers, j, scale * fam.lam_factor) * len(fam.inner)
+        return (outer[:, None] + neighbor_list(fam.inner, t, scale * fam.beta)).ravel()
+    if isinstance(fam, LevelBranchCharts):
+        base = neighbor_list(fam.base_cov.family, i // fam.alpha1, scale) * fam.alpha1
+        return (base[:, None] + np.arange(fam.alpha1)).ravel()
+    return np.arange(len(fam), dtype=np.int64)
 
 
 def chart_to_dict(chart):
@@ -140,13 +167,13 @@ def containing_pairs(charts, pts, scale=1.0, tol=None):
     scales = np.broadcast_to(np.asarray(scale, dtype=float), pts.shape[:1])
     level = isinstance(charts, LevelBranchCharts)
     b, d = chart_arrays(charts.base_cov.charts if level else charts)
-    w = 1.0 / np.abs(d) ** 2
     a1 = charts.alpha1 if level else 1
     out = []
     for r, (p, s) in enumerate(zip(pts, scales)):
         near, n2 = np.arange(b.shape[0]), np.zeros(b.shape[0])
         for k, x in enumerate(p[1:] if level else p):     # the sum so far, axis by axis
-            n2 = n2 + np.abs(x - b[near, k]) ** 2 * w[near, k]
+            with np.errstate(invalid="ignore"):     # no |d|^2: it underflows first
+                n2 = n2 + np.abs((x - b[near, k]) / d[near, k]) ** 2
             keep = n2 <= s * s * (1.0 + t) * (1.0 + 1e-6)
             near, n2 = near[keep], n2[keep]
         for i in near.tolist():

@@ -4,17 +4,26 @@ from functools import partial
 import numpy as np
 import pytest
 
+from atlascover import annulus
 from atlascover.annulus import (
     WhitneyDiskParams,
     construction_constant,
     cover_annulus,
+    ring_disks,
 )
 from atlascover.core import InvalidDoublingFactor, PuncturedPlane, avoidance_certificate
 from atlascover.jsonio import covering_to_dict, dumps
+from atlascover.polydisc import cover_punctured_polydisc
 from atlascover.suspension import chart_arrays, covers_points
 from atlascover.verify import linear_fit
 
-from oracles import annulus_grid, annulus_random, brute_covered, ring_passes_full
+from oracles import (
+    annulus_grid,
+    annulus_random,
+    brute_covered,
+    containing_pairs,
+    ring_passes_full,
+)
 
 # regression constants, frozen after the first certified run
 KAPPA_1E3_ZETA4 = 2916
@@ -69,6 +78,61 @@ def test_locator_agrees_with_brute_force():
     got = covers_points(cov.charts, z, 1.0)
     want = brute_covered(cov.charts, z[:, None])
     assert (got == want).all()
+
+
+def _edge_points(rings, scale, ring_range=None):
+    """z on the edges where the anchor and the windows of `passes` round: ring
+    radii q^k and band radii cf q^k (1 -+ sigma), rings beyond both ends too,
+    at the disk centre angles, half-way between them (where the nearest angle
+    changes), asin(sigma) off them (the sector edges) and at -+pi; then rows
+    that are not finite, and 0."""
+    sigma = scale * rings.rf / rings.cf
+    k = np.arange(-1, rings.n_rings + 1) if ring_range is None else np.asarray(ring_range)
+    rho = rings.q ** k.astype(float)
+    radii = np.concatenate([rho, rings.cf * rho * (1.0 - sigma), rings.cf * rho * (1.0 + sigma)])
+    step = 2.0 * math.pi / rings.n_angles
+    j = np.arange(rings.n_angles) * step
+    angles = np.concatenate([j, j + 0.5 * step, j + math.asin(sigma), j - math.asin(sigma),
+                             [math.pi, -math.pi]])
+    z = (radii[:, None] * np.exp(1j * angles)).ravel()
+    return np.concatenate([z, [np.nan, np.inf, complex(np.inf, np.nan), complex(1.0, np.nan),
+                               complex(-np.inf, 0.5), 0.0]])
+
+
+@pytest.mark.parametrize("case", ["annulus", "deep-rings", "suspension"])
+def test_locate_on_the_window_edges_equals_the_oracle(case):
+    """`locate` equals `oracles.containing_pairs`, and `covers` holds exactly
+    the points it finds, on the rounding edges of `_edge_points`: the anchor
+    formula moves no window off a disk that holds the point.  The deep ring
+    family reaches |z| ~ 1e-168, where re^2 + im^2 underflows; the suspension
+    puts the edges on its last axis, at the scale its layer disks see.  Its
+    `covers` is not compared: `RingDisks._hits` squares radii that underflow
+    there, and holds z = 0."""
+    if case == "suspension":
+        fam = cover_punctured_polydisc(2, 0.75, 2.0)[0].family
+        w = _edge_points(fam.layers, fam.lam_factor)
+        v = np.random.default_rng(4).choice(_edge_points(fam.inner, fam.beta), w.size)
+        pts = np.stack([v, w], axis=1)[::7]
+    else:
+        fam = cover_annulus(1e-2, 2.0).charts if case == "annulus" else ring_disks(1e-200, 2.0)
+        pts = _edge_points(fam, 1.0, None if case == "annulus" else range(2900, 2904))[:, None]
+    for scale in (1.0, 1.7):
+        i, j = fam.locate(pts, scale)
+        assert list(zip(i.tolist(), j.tolist())) == containing_pairs(fam, pts, scale)
+        assert i.size > 0
+        if case != "deep-rings":
+            assert np.array_equal(fam.covers(pts, scale), np.isin(np.arange(pts.shape[0]), i))
+
+
+def test_cover_annulus_sizes_its_rings_once(monkeypatch):
+    """The meta's construction constant is read off the built disks: one
+    angular count per annulus."""
+    calls = []
+    count = annulus._angular_count
+    monkeypatch.setattr(annulus, "_angular_count", lambda *a: calls.append(1) or count(*a))
+    cov = cover_annulus(1e-3, 4.0)
+    assert len(calls) == 1
+    assert cov.meta["construction_constant"] == construction_constant(4.0)
 
 
 def test_kappa_regression_and_construction_constant():

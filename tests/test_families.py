@@ -30,7 +30,7 @@ from atlascover.suspension import (
     iter_chart_arrays,
 )
 
-from oracles import brute_covered, containing_pairs
+from oracles import brute_covered, containing_pairs, neighbor_list
 
 FAMILIES = {
     "rings": lambda: cover_annulus(1e-2, 2.0).charts,
@@ -294,6 +294,30 @@ def test_neighbors_checks_its_scale(name):
         with pytest.raises(ValueError, match=f"scale must be a number >= 0, got {shown}"):
             fam.neighbors(20, bad)
     assert 20 in fam.neighbors(20, 0.0)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 3.8, 5.0], ids=["half", "unit", "all-angles", "sigma-1"])
+@pytest.mark.parametrize("name", [*FAMILIES, "level-set", "empty"])
+def test_batched_neighbor_lists_equal_the_per_chart_lists(name, scale):
+    """`_neighbors` of a layer (both ends, a repeat and random charts, in no
+    order) counts and lists, chart by chart, the lists `oracles.neighbor_list`
+    builds one chart at a time, and `neighbors(i, scale)` is the list of [i].
+    At scale 3.8 an annulus ring window holds every angle; at 5 (sigma >= 1)
+    it holds every disk."""
+    fam = _family_of(name)
+    n = len(fam)
+    idx = np.concatenate([[n - 1, 0, n - 1], np.random.default_rng(2).integers(0, n, 9)] if n
+                         else [[]]).astype(np.int64)
+    want = [neighbor_list(fam, i, scale) for i in idx.tolist()]
+    counts, lists = fam._neighbors(idx, scale)
+    assert counts.dtype == np.int64 and counts.tolist() == [w.size for w in want]
+    got = lists()
+    assert got.dtype == np.int64 and np.array_equal(got, np.concatenate([[], *want]))
+    for i, w in zip(idx[:3].tolist(), want):
+        assert np.array_equal(fam.neighbors(i, scale), w)
+    if name == "rings" and scale > 1.0:
+        assert all(w.size % fam.n_angles == 0 and np.unique(w % fam.n_angles).size == fam.n_angles
+                   for w in want)
 
 
 @pytest.mark.parametrize("build", [

@@ -7,6 +7,7 @@ import pytest
 
 from atlascover.annulus import construction_constant
 from atlascover.core import (
+    AtlasError,
     Covering,
     DiagonalAffineChart,
     DimensionMismatch,
@@ -147,6 +148,12 @@ CHECKS = {
                          InvalidBeta, "beta must lie in (1, 4.0), got 1.0"),
     "suspended-beta-inner-gamma": (lambda: SuspendedCharts(RINGS, RINGS, 4.0),
                                    InvalidBeta, "beta must lie in (1, 4.0), got 4.0"),
+    "suspended-empty-inner": (lambda: SuspendedCharts([], cover_axis(None, 2.0), 1.5),
+                              AtlasError, "the inner family is empty"),
+    "suspended-rowless-list": (
+        lambda: SuspendedCharts(list(cover_monomial_level_set((1, 1), 0.25, 4.0).charts),
+                                cover_axis(None, 2.0), 1.5),
+        UnsupportedAmbient, "chart arrays need diagonal affine charts"),
     "unknown-region": (lambda: region_samples("disk", 10, 0),
                        RegionMismatch, "unknown region 'disk'"),
     "coverage-other-level": (lambda: check_coverage(cover_monomial_level_set((2, 1), 0.5),

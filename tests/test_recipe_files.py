@@ -208,6 +208,25 @@ def test_chain_on_a_covering_too_large_to_search(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: AtlasError: a BFS layer of 1004 charts")
 
 
+def test_a_refused_chain_builds_no_neighbour_list(tmp_path, capsys):
+    """The same refusal comes from the layer's neighbour counts alone: no list
+    of the 1004 start charts' ~8.4e9 neighbours is built, and the chain command
+    stays under a 50 MB `tracemalloc` peak."""
+    path = tmp_path / "n3.json"
+    assert main(["cover", "polydisc", "--dim", "3", "--eta", "0.3", "--gamma", "2",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["chain", "--covering", str(path), "--from=0.5,0,0.5,0,0.5,0",
+                     "--to=0,0.5,0.5,0,-0.5,0"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err.startswith("error: AtlasError: a BFS layer of 1004 charts")
+    assert peak < 50 << 20
+
+
 def test_ring_table_over_the_budget_is_refused_before_it_exists():
     tracemalloc.start()
     try:

@@ -517,8 +517,41 @@ CHAIN_CASES = {
     "crossed-ellipses": (_staircase, (-0.9, 0.0), (3.6, 3.6 + 0.04j)),
 }
 
+# SHA-256 of repr((chart_indices, witnesses)) of each case's chain: the
+# annulus and kappa=186 polydisc chains of the bench's lazy-large workload,
+# the endpoints of its file-flows annulus chain, a level set and a plain list
+CHAIN_PINS = {
+    "annulus-1e-2": "6ae64645672483157b701fe7e21ae4320e29e146bc5de9dd390f85d7acfb62fb",
+    "annulus-1e-2-quarter": "298d4aff882e48cbe53438a0ac868626a5e304bbea330ccfe4255917a61a0188",
+    "annulus-1e-3": "599c379ed0334f4e93c3796fd433b3312a089d42c418d405ba95dd4ca53bb6c3",
+    "polydisc-axis2": "2726e70c2678a1ef8ac531b853f81cb183b73167a302049b45a5b456a45fb470",
+    "polydisc-axis2-list": "2726e70c2678a1ef8ac531b853f81cb183b73167a302049b45a5b456a45fb470",
+    "level-21": "5288d5496bbcc263211918a250d070ada51d50e7778d580b1dea7cc7c45ddd36",
+    "crossed-ellipses": "5d4e5eab79938bdd86861f2ce9221225b9fbca58a8a689cec9d234c6afff172d",
+}
+
 
 class TestBatchedChains:
+    @pytest.mark.parametrize("name", CHAIN_CASES)
+    def test_chain_bits_are_pinned(self, name):
+        build, p, q = CHAIN_CASES[name]
+        chain = chain_between(build(), p, q)
+        digest = hashlib.sha256(repr((chain.chart_indices, chain.witnesses)).encode()).hexdigest()
+        assert digest == CHAIN_PINS[name]
+
+    @pytest.mark.parametrize("name", ["annulus-1e-2", "polydisc-axis2", "polydisc-axis2-list",
+                                      "level-21"])
+    def test_neighbour_lists_are_asked_once_per_bfs_layer(self, name, monkeypatch):
+        """One `_neighbors` call lists a whole BFS layer: a chain of L charts
+        expands L - 1 layers, so the search asks L - 1 times."""
+        build, p, q = CHAIN_CASES[name]
+        cov = build()
+        calls = []
+        top = type(cov.family)
+        real = top._neighbors
+        monkeypatch.setattr(top, "_neighbors", lambda self, *a: calls.append(1) or real(self, *a))
+        chain = chain_between(cov, p, q)
+        assert chain.length > 2 and len(calls) == chain.length - 1
     @pytest.mark.parametrize("name", CHAIN_CASES)
     def test_chain_equals_the_fifo_oracle(self, name):
         build, p, q = CHAIN_CASES[name]
