@@ -29,6 +29,7 @@ from .core import (
 )
 
 TWO_PI = 2.0 * math.pi
+TINY = np.finfo(float).tiny     # the least normal float: a square below it has lost bits
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,11 @@ class RingDisks(ChartFamily):
         return (k * self.n_angles + j).astype(np.int64)
 
     def _hits(self, pts, scale, t: float, j):
-        """Row r: whether disk j[r] scaled by scale[r] holds pts[r], |z - a|^2 <= (r s)^2 (1 + t)."""
+        """Row r: whether disk j[r] scaled by scale[r] holds pts[r], |z - a|^2 <= (r s)^2 (1 + t).
+        A row whose |z - a|^2 underflows (|z - a| below ~1e-154) is decided by
+        `locate`'s rule, |(z - a)/r|^2 <= s^2 (1 + t), instead.  Where only
+        (r s)^2 underflows, s = 0 included, z lies farther than r s from a
+        and both rules leave the row out."""
         a, r = self._disks
         rs = r[j] * scale
         rs *= rs
@@ -214,7 +219,11 @@ class RingDisks(ChartFamily):
         with np.errstate(invalid="ignore", over="ignore"):
             y = np.abs(pts[:, 0] - a[j])
             y *= y
-            return y <= rs
+            held = y <= rs
+            deep = np.nonzero(y < TINY)[0]
+        if deep.size:
+            held[deep] = self._inside(pts[deep], j[deep], scale[deep], t)
+        return held
 
     covers = ChartFamily.covers             # bound here too: the benchmark tracer times its calls
 

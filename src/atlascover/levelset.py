@@ -290,8 +290,10 @@ def cover_monomial_level_set(alpha, c: complex, gamma: float = 2.0) -> Covering:
     return Covering(ambient=ambient, gamma=float(gamma), charts=charts, meta=meta)
 
 
-def direct_branch_values(alpha, c: complex, xbar: np.ndarray) -> np.ndarray:
-    """All alpha_1 roots of g^alpha_1 = c / xbar^alphabar, shape (N, alpha_1).
+def direct_branch_values(alpha, c: complex, xbar: np.ndarray,
+                         branches=slice(None)) -> np.ndarray:
+    """All alpha_1 roots of g^alpha_1 = c / xbar^alphabar, shape (N, alpha_1),
+    or the ``branches`` columns of it (a slice), each with the same bits.
 
     Straight root extraction, independent of any chart: the coverage oracle
     for the graph.
@@ -301,6 +303,6 @@ def direct_branch_values(alpha, c: complex, xbar: np.ndarray) -> np.ndarray:
     abar = np.asarray(alpha[1:], dtype=float)
     a1 = alpha[0]
     rhs = complex(c) / np.prod(xbar ** abar, axis=-1)
-    k = np.arange(a1)
+    k = np.arange(a1)[branches]
     root = np.exp(np.log(rhs)[:, None] / a1 + 2j * math.pi * k[None, :] / a1)
     return root

@@ -32,7 +32,7 @@ from .core import (
     check_budget,
     tolerance,
 )
-from .levelset import LevelBranchCharts, level_base_plan, level_points
+from .levelset import LevelBranchCharts, direct_branch_values, level_base_plan, level_points
 from .polydisc import polydisc_bound, polydisc_plan
 from .suspension import covers_points
 
@@ -87,54 +87,125 @@ def _grid_side(n_samples: int, n: int) -> int:
 
 
 def _sample_budget(n_samples: int, n: int, copies: int = 1, dim: int | None = None) -> None:
-    """Raise `AtlasError` if ``copies`` times the rows `region_samples` draws on
-    an n-dim polydisc (the grid's and ``n_samples // 2`` random ones), at
-    ``dim`` entries a row (default n), pass `MATERIALIZE_BUDGET`."""
+    """Raise `AtlasError` if ``copies`` times the rows of an n-dim polydisc
+    sample set (the grid's and ``n_samples // 2`` random ones), at ``dim``
+    entries a row (default n), pass `MATERIALIZE_BUDGET`: a bound on the work
+    of drawing them, as `check_coverage` holds one block of rows at a time."""
     rows, dim = copies * (_grid_side(n_samples, n) ** (2 * n) + n_samples // 2), dim or n
     check_budget(rows * dim, f"{rows} samples x {dim} dims")
 
 
-def region_samples(region, n_samples: int, seed: int) -> np.ndarray:
-    """Deterministic grid plus seeded random points, about half and half, drawn
-    into one array; a count of 0 draws none.
+def _no_rows(dim: int) -> tuple:
+    """`sample_rows` of an empty sample set of ``dim`` columns."""
+    return 0, lambda lo, hi: np.zeros((0, dim), dtype=complex)
 
-    A sample set of more than `MATERIALIZE_BUDGET` entries (rows x dim) raises
-    `AtlasError` before any of it is drawn, a negative count `ValueError`."""
+
+def sample_rows(region, n_samples: int, seed: int) -> tuple:
+    """(N, rows): the number of rows of the region's sample set and
+    ``rows(lo, hi)``, which draws rows [lo, hi) of it into a fresh C-contiguous
+    array, the same bits whatever the range.  A set of more than
+    `MATERIALIZE_BUDGET` entries (rows x dim) raises `AtlasError`, a negative
+    count `ValueError`, both before any row is drawn; a count of 0 has none.
+
+    A polydisc's rows are its grid, in `itertools.product` order, then
+    ``n_samples // 2`` random ones; a level set's are branch-major, row
+    k N_b + b the k-th root over base row b."""
     if n_samples < 0:
         raise ValueError(f"the sample count must be >= 0, got {n_samples}")
     if isinstance(region, AnnulusRegion):
-        return region_samples(PolydiscRegion(eta=region.delta, n=1), n_samples, seed)
-    rng = np.random.default_rng(seed)
+        region = PolydiscRegion(eta=region.delta, n=1)
+    bits = np.random.PCG64(seed)
     if isinstance(region, PolydiscRegion):
-        if region.eta >= 1.0:
-            return np.zeros((0, region.n), dtype=complex)
-        _sample_budget(n_samples, region.n)
-        n, eta, axes = region.n, region.eta, region.axes()
-        side, count = _grid_side(n_samples, n), n_samples // 2
-        g = side ** (2 * n)                 # the grid rows, in `itertools.product` order
-        out = np.empty((g + count, n), dtype=complex)
-        for i in range(n):                  # drawn in place, a column at a time
-            axis = _axis_grid(eta, side, True) if i + 1 in axes else _axis_grid(0.0, side, False)
-            out[:g].reshape((side * side,) * n + (n,))[..., i] = axis.reshape((-1,) + (1,) * (n - 1 - i))
-            u = rng.random(count)           # radii log-uniform in [eta, 1], or area-uniform in the disk
-            radii = eta ** u if i + 1 in axes else np.sqrt(u)
-            np.multiply(radii, np.exp(1j * (2.0 * math.pi * rng.random(count))), out=out[g:, i])
-        return out
+        if region.eta < 1.0:
+            _sample_budget(n_samples, region.n)
+        return _polydisc_rows(region, n_samples, bits)
     if isinstance(region, LevelGraphRegion):
-        from .levelset import direct_branch_values
-        alpha = tuple(region.alpha)
-        eta = level_base_plan(alpha, region.c).eta
-        nb = len(alpha) - 1
+        alpha, c = tuple(region.alpha), region.c
+        eta, nb = level_base_plan(alpha, c).eta, len(alpha) - 1
         base_target = max(1, n_samples // alpha[0]) if n_samples else 0
         _sample_budget(base_target, nb, alpha[0], len(alpha))
-        base = region_samples(PolydiscRegion(eta=eta, n=nb), base_target, seed)
-        if base.size == 0:
-            return np.zeros((0, len(alpha)), dtype=complex)
-        roots = direct_branch_values(alpha, region.c, base)  # (N, alpha_1)
-        pts = [np.concatenate([roots[:, k:k + 1], base], axis=1)
-               for k in range(alpha[0])]
-        return np.concatenate(pts)
+        n_base, base = _polydisc_rows(PolydiscRegion(eta=eta, n=nb), base_target, bits)
+        if n_base == 0:
+            return _no_rows(len(alpha))
+
+        def rows(lo, hi):
+            out = np.empty((hi - lo, len(alpha)), dtype=complex)
+            for k in range(lo // n_base, -(-hi // n_base)):     # the branches the range meets
+                a, b = max(lo - k * n_base, 0), min(hi - k * n_base, n_base)
+                pts = base(a, b)                                # and root k over them
+                seg = out[k * n_base + a - lo:k * n_base + b - lo]
+                seg[:, :1], seg[:, 1:] = direct_branch_values(alpha, c, pts, slice(k, k + 1)), pts
+            return out
+        return alpha[0] * n_base, rows
     raise RegionMismatch(f"unknown region {region!r}")
+
+
+def _polydisc_rows(region: PolydiscRegion, n_samples: int, bits) -> tuple:
+    """`sample_rows` of a polydisc, drawn from the seeded PCG64 ``bits``.  Grid
+    row r holds, on axis i, point (r // S^(n-1-i)) % S of that axis's
+    S = side^2 grid points.  Random row r of axis i takes its radius from draw
+    2i count + r and its angle from draw (2i+1) count + r: the order in which
+    ``count`` draws a column were taken from one generator.  A range sets the
+    seeded state and advances it to its first draw (one 64-bit output per
+    double), so it costs its own rows only."""
+    n, eta, axes = region.n, region.eta, region.axes()
+    if eta >= 1.0:
+        return _no_rows(n)
+    side, count = _grid_side(n_samples, n), n_samples // 2
+    cells = side * side
+    g = cells ** n
+    grids = [_axis_grid(eta, side, True) if i + 1 in axes else _axis_grid(0.0, side, False)
+             for i in range(n)]
+    start, gen = bits.state, np.random.Generator(bits)
+
+    def uniform(first, out):        # draws [first, first + out.size) of the seeded stream
+        bits.state = start
+        bits.advance(first)
+        gen.random(out=out)
+
+    def rows(lo, hi):
+        out = np.empty((hi - lo, n), dtype=complex)
+        m = max(min(hi, g) - lo, 0)                 # the grid rows of the range
+        first, size = max(lo - g, 0), hi - lo - m
+        # one set of scratch arrays for every axis: fewer heap blocks for the
+        # allocator to hand back to the system, and fault in again, per range
+        u, angles, turn = np.empty(size), np.empty(size), np.empty(size, dtype=complex)
+        for i in range(n):
+            if m:
+                out[:m, i] = _grid_column(grids[i], cells ** (n - 1 - i), lo, lo + m)
+            if size:                # radii log-uniform in [eta, 1], or area-uniform in the disk
+                uniform(2 * i * count + first, u)
+                radii = np.power(eta, u, out=u) if i + 1 in axes else np.sqrt(u, out=u)
+                uniform((2 * i + 1) * count + first, angles)
+                angles *= 2.0 * math.pi
+                np.exp(np.multiply(1j, angles, out=turn), out=turn)
+                np.multiply(radii, turn, out=out[m:, i])
+        return out
+    return g + count, rows
+
+
+def _grid_column(points, d: int, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of the grid column whose row r holds points[(r // d) % S],
+    S = points.size, without a division per row: for d = 1 a slice of one
+    period, or of whole periods (`np.tile`, under two periods more than the
+    range), else runs of d equal rows (`np.repeat`)."""
+    if d == 1:
+        off = lo % points.size
+        end = off + hi - lo
+        return points[off:end] if end <= points.size else \
+            np.tile(points, -(-end // points.size))[off:end]
+    first, last = lo // d, (hi - 1) // d
+    counts = np.full(last - first + 1, d)
+    counts[0] -= lo - first * d
+    counts[-1] -= (last + 1) * d - hi
+    return np.repeat(points[np.arange(first, last + 1) % points.size], counts)
+
+
+def region_samples(region, n_samples: int, seed: int) -> np.ndarray:
+    """Every row of `sample_rows`, in one array: a deterministic grid plus
+    seeded random points, about half and half; a count of 0 draws none."""
+    total, rows = sample_rows(region, n_samples, seed)
+    return rows(0, total)
 
 
 def _check_region(cov: Covering, region) -> None:
@@ -183,23 +254,27 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
                    seed: int = 0, tol: float | None = None) -> CoverageReport:
     """Sample the region deterministically and test unit-scale membership.
 
-    Points are located `POINT_BLOCK` contiguous samples per call, through the
-    covering's structural index when present (each point's anchor chart for
-    the whole block, then rings, suspension layers and level branches for the
-    rest) and a blocked scan otherwise: a point's answer is its own, and a
-    block's working arrays stay in cache.  An empty region passes vacuously.
+    The samples are drawn and located `POINT_BLOCK` contiguous rows at a time
+    (`sample_rows`), so only one block is ever held: one `covers_points` call
+    a block, through the covering's structural index when present (each
+    point's anchor chart for the whole block, then rings, suspension layers
+    and level branches for the rest) and a blocked scan otherwise.  A point's
+    answer is its own, so the counts and the first 100 uncovered samples are
+    those of one call over every sample.  An empty region passes vacuously.
     """
     _check_region(cov, region)
-    pts = region_samples(region, n_samples, seed)
-    if pts.shape[0] == 0:
+    total, rows = sample_rows(region, n_samples, seed)
+    if total == 0:
         return CoverageReport(samples_total=0, samples_covered=0)
     t, fam = tolerance(tol), cov.family
-    got = np.concatenate([covers_points(fam, pts[lo:lo + POINT_BLOCK], 1.0, tol=t)
-                          for lo in range(0, pts.shape[0], POINT_BLOCK)])
-    uncovered = tuple(tuple(p) for p in pts[np.flatnonzero(~got)[:100]])
-    return CoverageReport(samples_total=int(pts.shape[0]),
-                          samples_covered=int(got.sum()),
-                          uncovered=uncovered)
+    covered, uncovered = 0, []
+    for lo in range(0, total, POINT_BLOCK):
+        pts = rows(lo, min(lo + POINT_BLOCK, total))
+        got = covers_points(fam, pts, 1.0, tol=t)
+        covered += int(np.count_nonzero(got))
+        uncovered.extend(map(tuple, pts[np.flatnonzero(~got)[:100 - len(uncovered)]]))
+    return CoverageReport(samples_total=total, samples_covered=covered,
+                          uncovered=tuple(uncovered))
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,9 @@ def test_locate_on_the_window_edges_equals_the_oracle(case):
     """`locate` equals `oracles.containing_pairs`, and `covers` holds exactly
     the points it finds, on the rounding edges of `_edge_points`: the anchor
     formula moves no window off a disk that holds the point.  The deep ring
-    family reaches |z| ~ 1e-168, where re^2 + im^2 underflows; the suspension
-    puts the edges on its last axis, at the scale its layer disks see.  Its
-    `covers` is not compared: `RingDisks._hits` squares radii that underflow
-    there, and holds z = 0."""
+    family reaches |z| ~ 1e-168, where re^2 + im^2 and the squares of
+    `RingDisks._hits` underflow, and no disk holds z = 0; the suspension puts
+    the edges on its last axis, at the scale its layer disks see."""
     if case == "suspension":
         fam = cover_punctured_polydisc(2, 0.75, 2.0)[0].family
         w = _edge_points(fam.layers, fam.lam_factor)
@@ -120,8 +119,24 @@ def test_locate_on_the_window_edges_equals_the_oracle(case):
         i, j = fam.locate(pts, scale)
         assert list(zip(i.tolist(), j.tolist())) == containing_pairs(fam, pts, scale)
         assert i.size > 0
-        if case != "deep-rings":
-            assert np.array_equal(fam.covers(pts, scale), np.isin(np.arange(pts.shape[0]), i))
+        assert np.array_equal(fam.covers(pts, scale), np.isin(np.arange(pts.shape[0]), i))
+        if case == "deep-rings":    # |0 - a|^2 and (r s)^2 underflow to 0 on the inner disks
+            assert fam.locate([[0j]], scale)[0].size == 0
+            assert fam.covers([[0j]], scale).tolist() == [False]
+
+
+def test_ring_rows_at_scale_zero_follow_the_locate_rule():
+    """At scale 0 (a suspension row past its layer disk) `RingDisks._hits`
+    holds a row iff `locate`'s rule `_inside` does, on the largest and the
+    deepest disk: z = a, or |z - a| small enough that both rules see 0, and
+    not a z 1e-170 from the deepest centre, whose |z - a|^2 underflows
+    while |z - a|/r is about 4e30."""
+    fam = ring_disks(1e-200, 2.0)
+    a, r = fam._disks
+    j = np.repeat([np.argmax(r), np.argmin(r)], 4)
+    pts = (a[j] + np.tile([0.0, 1e-170, 1e-100, 0.1], 2))[:, None]
+    zero = np.zeros(j.size)
+    assert np.array_equal(fam._hits(pts, zero, 0.0, j), fam._inside(pts, j, zero, 0.0))
 
 
 def test_cover_annulus_sizes_its_rings_once(monkeypatch):

@@ -140,6 +140,20 @@ def test_direct_roots_satisfy_equation():
             assert abs(g ** 3 * xb ** 2 - 0.07) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [(2, 1, 1), (3, 2), (5, 1, 3)])
+def test_one_branch_has_the_bits_of_all_branches(alpha):
+    """`direct_branch_values` over a slice of branches is those columns of
+    the full call, bit for bit, down to under- and overflowing rows."""
+    rng = np.random.default_rng(5)
+    shape = (2000, len(alpha) - 1)
+    xbar = 10.0 ** rng.uniform(-300, 300, shape) * np.exp(1j * rng.uniform(0, 7, shape))
+    with np.errstate(all="ignore"):
+        full = direct_branch_values(alpha, 0.3 + 0.1j, xbar)
+        for k in range(alpha[0]):
+            col = direct_branch_values(alpha, 0.3 + 0.1j, xbar, slice(k, k + 1))
+            assert col.tobytes() == np.ascontiguousarray(full[:, k:k + 1]).tobytes()
+
+
 def test_plain_list_of_level_charts_is_a_domain_error():
     """Only `LevelBranchCharts` carries level charts; a plain list of them
     ends in an `AtlasError` naming it, not an `AttributeError`."""

@@ -47,6 +47,7 @@ from atlascover.verify import (
     intersection_witness,
     linear_fit,
     region_samples,
+    sample_rows,
     scaling_experiment,
 )
 
@@ -100,12 +101,24 @@ def _pruned_annulus():
                     charts=[c for i, c in enumerate(cov.charts) if i % 7], meta=cov.meta)
 
 
+def _coverage_peak(cov, region, n_samples):
+    """(report, tracemalloc peak) of one `check_coverage` call at seed 0."""
+    tracemalloc.start()
+    try:
+        rep = check_coverage(cov, region, n_samples, 0)
+        return rep, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 BLOCKED_COVERAGE = {
     "annulus": (lambda: cover_annulus(1e-2, 2.0), AnnulusRegion(1e-2), 5000),
     "polydisc": (lambda: cover_punctured_polydisc(2, 1e-2, 2.0)[0], PolydiscRegion(1e-2, 2), 3000),
     "level-set": (lambda: cover_monomial_level_set((2, 1, 1), 0.5, 2.0),
                   LevelGraphRegion((2, 1, 1), 0.5), 2000),
     "pruned-list": (_pruned_annulus, AnnulusRegion(0.1), 3000),
+    "n3-axes13": (lambda: cover_punctured_polydisc(3, 0.5, 2.0, active_axes=(1, 3))[0],
+                  PolydiscRegion(0.5, 3, frozenset({1, 3})), 3000),
 }
 
 
@@ -125,17 +138,26 @@ class TestBlockedCoverage:
             assert len(got.uncovered) == 100 and got.samples_total - got.samples_covered == 400
 
     def test_peak_memory_at_200k_samples(self):
-        """n=3, eta=0.3: 217,649 samples (10 MB) are decided in blocks, under
-        a 32 MiB peak; in one call the working arrays peaked near 68 MiB."""
-        cov = cover_punctured_polydisc(3, 0.3, 2.0)[0]
-        tracemalloc.start()
-        try:
-            rep = check_coverage(cov, PolydiscRegion(0.3, 3), 200_000, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        """n=3, eta=0.3: 217,649 samples (10 MB) are drawn and decided a block
+        at a time, under an 8 MiB peak; drawn whole, they peaked at 14.5 MiB,
+        and in one call the working arrays near 68 MiB."""
+        rep, peak = _coverage_peak(cover_punctured_polydisc(3, 0.3, 2.0)[0],
+                                   PolydiscRegion(0.3, 3), 200_000)
         assert rep.passed and rep.samples_total == 217_649
-        assert peak < 32 << 20
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("build, region, count, total", [
+        (lambda: cover_punctured_polydisc(3, 0.3, 2.0)[0], PolydiscRegion(0.3, 3),
+         2_000_000, 2_000_000),
+        (lambda: cover_monomial_level_set((2, 1, 1), 0.5, 2.0), LevelGraphRegion((2, 1, 1), 0.5),
+         200_000, 201_250)], ids=["n3-2M", "level-211-200k"])
+    def test_peak_memory_does_not_grow_with_the_samples(self, build, region, count, total):
+        """One block of samples is held at a time: 2,000,000 samples at n=3
+        and 201,250 level-set samples peak under 8 MiB too, where the whole
+        sample set peaked at 137 and 24.6 MiB."""
+        rep, peak = _coverage_peak(build(), region, count)
+        assert rep.passed and rep.samples_total == total
+        assert peak < 8 << 20
 
     @pytest.mark.parametrize("region, dim", [
         (AnnulusRegion(1e-2), 1), (PolydiscRegion(0.3, 3), 3),
@@ -742,6 +764,31 @@ def test_region_samples_keep_their_bits(name, count, seed):
     got = region_samples(SAMPLE_REGIONS[name], count, seed)
     assert got.dtype == complex and got.flags.c_contiguous
     assert hashlib.sha256(got.tobytes()).hexdigest() == REGION_SAMPLES[name, count, seed]
+
+
+@pytest.mark.parametrize("name", SAMPLE_REGIONS)
+@pytest.mark.parametrize("size", [1, 7, 300, verify_mod.POINT_BLOCK])
+def test_sample_ranges_join_to_the_sample_set(name, size):
+    """`sample_rows` ranges of any size, joined, are `region_samples` bit for
+    bit: 1,001 samples at 1, 7 and 300 rows a range, 200,000 at `POINT_BLOCK`."""
+    count = 200_000 if size == verify_mod.POINT_BLOCK else 1001
+    total, rows = sample_rows(SAMPLE_REGIONS[name], count, 5)
+    parts = [rows(lo, min(lo + size, total)) for lo in range(0, total, size)]
+    assert all(p.dtype == complex and p.flags.c_contiguous for p in parts)
+    assert np.concatenate(parts).tobytes() == region_samples(SAMPLE_REGIONS[name], count, 5).tobytes()
+
+
+@pytest.mark.parametrize("name, edge", [
+    ("n3", 7 ** 6), ("n3-axes13", 7 ** 6), ("level-211", 100_625), ("level-211", 100_625 + 15 ** 4)],
+    ids=["n3-grid", "n3-axes13-grid", "level-211-branch", "level-211-base-grid"])
+def test_a_range_across_an_edge_is_those_rows(name, edge):
+    """200,000 samples: a range across the grid/random edge of a polydisc, the
+    edge between the two branches of the level set (100,625 base rows), and
+    the base's grid/random edge (15^4 grid rows) inside the second branch."""
+    want = region_samples(SAMPLE_REGIONS[name], 200_000, 0)
+    total, rows = sample_rows(SAMPLE_REGIONS[name], 200_000, 0)
+    assert total == want.shape[0]
+    assert rows(edge - 5, edge + 6).tobytes() == want[edge - 5:edge + 6].tobytes()
 
 
 @pytest.mark.parametrize("name, stacked_peak", [("n3", 19.9), ("n2", 12.5)])
