@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -90,7 +91,7 @@ def _sample_budget(n_samples: int, n: int, copies: int = 1, dim: int | None = No
     """Raise `AtlasError` if ``copies`` times the rows of an n-dim polydisc
     sample set (the grid's and ``n_samples // 2`` random ones), at ``dim``
     entries a row (default n), pass `MATERIALIZE_BUDGET`: a bound on the work
-    of drawing them, as `check_coverage` holds one block of rows at a time."""
+    of drawing them, as `check_coverage` holds at most 2 `POINT_BLOCK` rows at a time."""
     rows, dim = copies * (_grid_side(n_samples, n) ** (2 * n) + n_samples // 2), dim or n
     check_budget(rows * dim, f"{rows} samples x {dim} dims")
 
@@ -114,17 +115,16 @@ def sample_rows(region, n_samples: int, seed: int) -> tuple:
         raise ValueError(f"the sample count must be >= 0, got {n_samples}")
     if isinstance(region, AnnulusRegion):
         region = PolydiscRegion(eta=region.delta, n=1)
-    bits = np.random.PCG64(seed)
     if isinstance(region, PolydiscRegion):
         if region.eta < 1.0:
             _sample_budget(n_samples, region.n)
-        return _polydisc_rows(region, n_samples, bits)
+        return _polydisc_rows(region, n_samples, seed)
     if isinstance(region, LevelGraphRegion):
         alpha, c = tuple(region.alpha), region.c
         eta, nb = level_base_plan(alpha, c).eta, len(alpha) - 1
         base_target = max(1, n_samples // alpha[0]) if n_samples else 0
         _sample_budget(base_target, nb, alpha[0], len(alpha))
-        n_base, base = _polydisc_rows(PolydiscRegion(eta=eta, n=nb), base_target, bits)
+        n_base, base = _polydisc_rows(PolydiscRegion(eta=eta, n=nb), base_target, seed)
         if n_base == 0:
             return _no_rows(len(alpha))
 
@@ -140,14 +140,15 @@ def sample_rows(region, n_samples: int, seed: int) -> tuple:
     raise RegionMismatch(f"unknown region {region!r}")
 
 
-def _polydisc_rows(region: PolydiscRegion, n_samples: int, bits) -> tuple:
-    """`sample_rows` of a polydisc, drawn from the seeded PCG64 ``bits``.  Grid
-    row r holds, on axis i, point (r // S^(n-1-i)) % S of that axis's
+def _polydisc_rows(region: PolydiscRegion, n_samples: int, seed: int) -> tuple:
+    """`sample_rows` of a polydisc, drawn from a PCG64 seeded with ``seed``.
+    Grid row r holds, on axis i, point (r // S^(n-1-i)) % S of that axis's
     S = side^2 grid points.  Random row r of axis i takes its radius from draw
     2i count + r and its angle from draw (2i+1) count + r: the order in which
     ``count`` draws a column were taken from one generator.  A range sets the
     seeded state and advances it to its first draw (one 64-bit output per
-    double), so it costs its own rows only."""
+    double), so it costs its own rows only.  Each range has a PCG64 of its
+    own, so ranges may be drawn on several threads at once."""
     n, eta, axes = region.n, region.eta, region.axes()
     if eta >= 1.0:
         return _no_rows(n)
@@ -156,14 +157,16 @@ def _polydisc_rows(region: PolydiscRegion, n_samples: int, bits) -> tuple:
     g = cells ** n
     grids = [_axis_grid(eta, side, True) if i + 1 in axes else _axis_grid(0.0, side, False)
              for i in range(n)]
-    start, gen = bits.state, np.random.Generator(bits)
-
-    def uniform(first, out):        # draws [first, first + out.size) of the seeded stream
-        bits.state = start
-        bits.advance(first)
-        gen.random(out=out)
 
     def rows(lo, hi):
+        bits = np.random.PCG64(seed)
+        start, gen = bits.state, np.random.Generator(bits)
+
+        def uniform(first, out):    # draws [first, first + out.size) of the seeded stream
+            bits.state = start
+            bits.advance(first)
+            gen.random(out=out)
+
         out = np.empty((hi - lo, n), dtype=complex)
         m = max(min(hi, g) - lo, 0)                 # the grid rows of the range
         first, size = max(lo - g, 0), hi - lo - m
@@ -247,32 +250,64 @@ class CoverageReport:
         return self.samples_covered / self.samples_total
 
 
-POINT_BLOCK = 1 << 15           # most sample rows one `covers_points` call decides
+POINT_BLOCK = 1 << 14           # rows of one range of a pooled check: two in flight hold 2^15
+
+
+def _coverage_threads() -> int:
+    """Threads of a pooled `check_coverage`: two, or fewer if fewer CPUs are usable."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(2, cpus or 1)
 
 
 def check_coverage(cov: Covering, region, n_samples: int = 10000,
                    seed: int = 0, tol: float | None = None) -> CoverageReport:
     """Sample the region deterministically and test unit-scale membership.
 
-    The samples are drawn and located `POINT_BLOCK` contiguous rows at a time
-    (`sample_rows`), so only one block is ever held: one `covers_points` call
-    a block, through the covering's structural index when present (each
-    point's anchor chart for the whole block, then rings, suspension layers
-    and level branches for the rest) and a blocked scan otherwise.  A point's
-    answer is its own, so the counts and the first 100 uncovered samples are
-    those of one call over every sample.  An empty region passes vacuously.
+    A set of at most 2 `POINT_BLOCK` samples is drawn and decided by one
+    `covers_points` call on the calling thread.  A larger one is split into
+    ranges of `POINT_BLOCK` contiguous rows (`sample_rows`), which a pool of
+    `_coverage_threads` threads, made for this call, draws and decides, a
+    range per thread at a time: so at most 2 `POINT_BLOCK` samples are held
+    at once either way.  The draw and `covers_points` are numpy work that
+    releases the GIL, so two threads overlap.  Each range gives its covered
+    count and first 100 uncovered samples, folded here in row order.
+    `covers_points` goes through the covering's structural index when present
+    (each point's anchor chart for the whole block, then rings, suspension
+    layers and level branches for the rest) and a blocked scan otherwise.  A
+    point's answer is its own, so the report is that of one call over every
+    sample, whatever the threads.  An exception from a range, or from a
+    signal handler while this call waits, is raised here once the queued
+    ranges are cancelled and the pool's threads have ended.  An empty region
+    passes vacuously.
     """
     _check_region(cov, region)
     total, rows = sample_rows(region, n_samples, seed)
     if total == 0:
         return CoverageReport(samples_total=0, samples_covered=0)
     t, fam = tolerance(tol), cov.family
-    covered, uncovered = 0, []
-    for lo in range(0, total, POINT_BLOCK):
-        pts = rows(lo, min(lo + POINT_BLOCK, total))
+
+    def decide(lo, hi):             # (covered, first 100 uncovered) of rows [lo, hi)
+        pts = rows(lo, hi)
         got = covers_points(fam, pts, 1.0, tol=t)
-        covered += int(np.count_nonzero(got))
-        uncovered.extend(map(tuple, pts[np.flatnonzero(~got)[:100 - len(uncovered)]]))
+        return int(np.count_nonzero(got)), pts[np.flatnonzero(~got)[:100]]
+
+    if total <= 2 * POINT_BLOCK:
+        return _fold(total, [decide(0, total)])
+    from concurrent.futures import ThreadPoolExecutor        # about 5 ms to import
+    pool = ThreadPoolExecutor(_coverage_threads())
+    try:
+        starts = range(0, total, POINT_BLOCK)
+        return _fold(total, pool.map(decide, starts, [*starts[1:], total]))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _fold(total: int, parts) -> CoverageReport:
+    """The report of ``total`` samples from its ranges' (covered, uncovered) parts, in row order."""
+    covered, uncovered = 0, []
+    for n, miss in parts:
+        covered += n
+        uncovered.extend(map(tuple, miss[:100 - len(uncovered)]))
     return CoverageReport(samples_total=total, samples_covered=covered,
                           uncovered=tuple(uncovered))
 

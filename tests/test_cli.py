@@ -376,6 +376,22 @@ def test_a_new_process_exits_as_main_does(capsys):
         assert capsys.readouterr() == (proc.stdout, proc.stderr)
 
 
+def test_import_and_version_leave_the_thread_pool_unimported():
+    """`concurrent.futures` (about 5 ms to import) is loaded only by a pooled
+    coverage check: a new process that imports the package and runs
+    `atlas --version` has not imported it."""
+    src = str(Path(atlascover.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, atlascover\n"
+            "from atlascover.cli import main\n"
+            "assert main(['--version']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("cover", [
     ["annulus", "--delta", "0.1", "--zeta", "2"],
     ["polydisc", "--dim", "2", "--eta", "0.75", "--gamma", "2"],

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import signal
+import sys
+import threading
 import time
 import tracemalloc
 import types
@@ -175,6 +178,104 @@ class TestBlockedCoverage:
             region_samples(region, 1234, 0)
         monkeypatch.setattr(core, "MATERIALIZE_BUDGET", 0)
         assert region_samples(region, 0, 0).shape == (0, dim)
+
+
+def _counting(calls, fail_at=None, exc=ValueError):
+    """A `covers_points` that records each call's thread, and raises ``exc``
+    on call ``fail_at`` and sleeps 10 ms on every later call, so queued blocks
+    are still queued when the error reaches the caller."""
+    lock = threading.Lock()
+
+    def counted(*args, **kwargs):
+        with lock:
+            calls.append(threading.get_ident())
+            k = len(calls)
+        if k == fail_at:
+            raise exc(f"block {k} failed")
+        if fail_at is not None and k > fail_at:
+            time.sleep(0.01)
+        return covers_points(*args, **kwargs)
+    return counted
+
+
+class TestPooledCoverage:
+    @pytest.mark.parametrize("build, region, count, block, n_calls", [
+        (lambda: cover_punctured_polydisc(3, 0.3, 2.0)[0], PolydiscRegion(0.3, 3), 31_000, None, 1),
+        (lambda: cover_annulus(0.1, 2.0), AnnulusRegion(0.1), 20_000, 10_000, 1),
+        (lambda: cover_annulus(0.1, 2.0), AnnulusRegion(0.1), 20_000, 9_999, 3)],
+        ids=["n3-31125-rows", "two-blocks", "past-two-blocks"])
+    def test_only_a_set_past_two_blocks_starts_threads(self, build, region, count, block,
+                                                       n_calls, monkeypatch):
+        """31,125 rows (at most 2 `POINT_BLOCK`) and 20,000 rows at 10,000 a
+        block are one `covers_points` call on the calling thread, and start
+        no thread; at 9,999 a block they are three calls on pool threads, all
+        ended when the check returns."""
+        cov, calls, started = build(), [], []
+        monkeypatch.setattr(verify_mod, "covers_points", _counting(calls))
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda th: started.append(th) or start(th))
+        if block is not None:
+            monkeypatch.setattr(verify_mod, "POINT_BLOCK", block)
+        rep = check_coverage(cov, region, count, 0)
+        assert rep.passed and len(calls) == n_calls
+        if n_calls == 1:
+            assert calls == [threading.get_ident()] and not started
+        else:
+            assert threading.get_ident() not in calls and 1 <= len(started) <= 2
+            assert not any(th.is_alive() for th in started)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_report_does_not_depend_on_the_threads(self, threads, monkeypatch):
+        """The pruned annulus at 300 rows a block, on a pool of one thread or
+        two: the one-call report, its 100 uncovered samples of 400 included."""
+        cov, region, n = BLOCKED_COVERAGE["pruned-list"]
+        cov = cov()
+        want = _one_call_report(cov, region, n, 5)
+        calls = []
+        monkeypatch.setattr(verify_mod, "covers_points", _counting(calls))
+        monkeypatch.setattr(verify_mod, "POINT_BLOCK", 300)
+        monkeypatch.setattr(verify_mod, "_coverage_threads", lambda: threads)
+        got = check_coverage(cov, region, n, 5)
+        assert got == want and want.samples_total - want.samples_covered == 400
+        assert len(calls) == 11 and len(set(calls)) <= threads
+        assert threading.get_ident() not in calls
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_an_error_in_a_block_ends_the_check_and_its_threads(self, exc, monkeypatch):
+        """`covers_points` raising on the 3rd of 31 blocks: `check_coverage`
+        raises that error, the blocks still queued are never decided, and no
+        pool thread is left once it returns."""
+        cov, calls = _pruned_annulus(), []
+        monkeypatch.setattr(verify_mod, "covers_points", _counting(calls, fail_at=3, exc=exc))
+        monkeypatch.setattr(verify_mod, "POINT_BLOCK", 100)
+        before = threading.active_count()
+        with pytest.raises(exc, match="^block 3 failed$"):
+            check_coverage(cov, AnnulusRegion(0.1), 3000, 5)
+        assert threading.active_count() == before
+        assert 3 <= len(calls) < 31
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs a POSIX interval timer")
+    def test_an_alarm_during_a_pooled_check_leaves_no_thread(self):
+        """An exception from a SIGALRM handler, as a wall-clock budget raises,
+        ends a 2,000,000-sample check on the calling thread; the pool's
+        threads have ended when it leaves `check_coverage`."""
+        class Budget(Exception):
+            pass
+
+        def alarm(signum, frame):
+            raise Budget()
+
+        cov, region = cover_punctured_polydisc(3, 0.3, 2.0)[0], PolydiscRegion(0.3, 3)
+        before = threading.active_count()
+        saved = signal.signal(signal.SIGALRM, alarm)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+            with pytest.raises(Budget):
+                check_coverage(cov, region, 2_000_000, 0)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, saved)
+        assert threading.active_count() == before
 
 
 class TestCertify:
@@ -767,15 +868,45 @@ def test_region_samples_keep_their_bits(name, count, seed):
 
 
 @pytest.mark.parametrize("name", SAMPLE_REGIONS)
-@pytest.mark.parametrize("size", [1, 7, 300, verify_mod.POINT_BLOCK])
+@pytest.mark.parametrize("size", [1, 7, 300, verify_mod.POINT_BLOCK, 2 * verify_mod.POINT_BLOCK])
 def test_sample_ranges_join_to_the_sample_set(name, size):
     """`sample_rows` ranges of any size, joined, are `region_samples` bit for
-    bit: 1,001 samples at 1, 7 and 300 rows a range, 200,000 at `POINT_BLOCK`."""
-    count = 200_000 if size == verify_mod.POINT_BLOCK else 1001
+    bit: 1,001 samples at 1, 7 and 300 rows a range, 200,000 at `POINT_BLOCK`
+    (a pooled check's range) and twice that (the most one check draws at once)."""
+    count = 200_000 if size >= verify_mod.POINT_BLOCK else 1001
     total, rows = sample_rows(SAMPLE_REGIONS[name], count, 5)
     parts = [rows(lo, min(lo + size, total)) for lo in range(0, total, size)]
     assert all(p.dtype == complex and p.flags.c_contiguous for p in parts)
     assert np.concatenate(parts).tobytes() == region_samples(SAMPLE_REGIONS[name], count, 5).tobytes()
+
+
+@pytest.mark.parametrize("name", SAMPLE_REGIONS)
+def test_ranges_drawn_on_four_threads_join_to_the_sample_set(name):
+    """Four threads draw interleaved 97-row ranges of 20,000 samples at once,
+    switching every microsecond: joined, they are `region_samples` byte for
+    byte, so no range reads another's place in the random stream."""
+    total, rows = sample_rows(SAMPLE_REGIONS[name], 20_000, 5)
+    starts = range(0, total, 97)
+    parts, gate = {}, threading.Barrier(4)
+
+    def draw(k):
+        gate.wait(timeout=60)
+        for lo in starts[k::4]:
+            parts[lo] = rows(lo, min(lo + 97, total))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and len(parts) == len(starts)
+    joined = np.concatenate([parts[lo] for lo in starts])
+    assert joined.tobytes() == region_samples(SAMPLE_REGIONS[name], 20_000, 5).tobytes()
 
 
 @pytest.mark.parametrize("name, edge", [
