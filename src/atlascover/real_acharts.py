@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -313,6 +314,11 @@ class GraphCharts(ChartFamily):
         return y.reshape(-1, self.m), z0.reshape(-1, self.m)
 
 
+def _check_graph_eps(eps: float) -> None:
+    if not 0.0 < eps < 0.5:     # a NaN eps fails too
+        raise ValueError("eps must lie in (0, 1/2)")
+
+
 def cover_monomial_graph(data: MonomialData, eps: float) -> GraphCharts:
     """Charts covering the graph of a * x^mu over {x in (eps,1)^m : a x^mu < 1}.
 
@@ -323,8 +329,7 @@ def cover_monomial_graph(data: MonomialData, eps: float) -> GraphCharts:
     A family whose box centers times offset tuples exceed `MATERIALIZE_BUDGET`
     is refused before either is built.
     """
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
+    _check_graph_eps(eps)
     c3 = graph_c3(data)
     n_boxes, n_tuples = graph_grid_size(data, eps, c3)
     check_budget(n_boxes * n_tuples, f"{n_boxes} box centers x {n_tuples} offset tuples")
@@ -334,7 +339,9 @@ def cover_monomial_graph(data: MonomialData, eps: float) -> GraphCharts:
 
 
 def graph_count_bound(data: MonomialData, eps: float) -> float:
-    """Recorded construction bound C(mu) * max(1, log(1/eps))^m on the chart count."""
+    """Recorded construction bound C(mu) * max(1, log(1/eps))^m on the chart
+    count of `cover_monomial_graph`, for the eps it accepts."""
+    _check_graph_eps(eps)
     c3 = graph_c3(data)
     per_axis = _offset_count(c3) * (1.0 / math.log(2.0) + 2.0)
     return per_axis ** data.m * max(1.0, math.log(1.0 / eps)) ** data.m
@@ -400,12 +407,23 @@ def verify_achart(chart, grid: int = 24, interior: int = 1000,
                         certificate=cert)
 
 
+def _check_scan(grid: int, interior: int, m: int = 1) -> None:
+    """Refuse a scan-set size that is not an integer at least its least value:
+    a grid >= 2 angles a ring, interior >= 0 points, m >= 1 axes."""
+    for name, value, least in (("grid", grid, 2), ("interior", interior, 0), ("m", m, 1)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def scan_points(m: int, grid: int, interior: int, seed: int = 0) -> np.ndarray:
     """Distinguished-boundary lattice plus seeded interior points of the
     radius-3 polydisc (the scan set of every a-chart check), counted before
-    it is built: more than `MATERIALIZE_BUDGET` entries raise `AtlasError`."""
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+    it is built: more than `MATERIALIZE_BUDGET` entries raise `AtlasError`.
+    The lattice is the product of one ring of `grid` values 3 e^(2 pi i s/grid)
+    per axis, in `itertools.product` order: the last axis runs fastest."""
+    _check_scan(grid, interior, m)
     check_budget((grid ** m + interior) * m, f"({grid}^{m} + {interior}) scan points x {m} axes")
     angles = 2.0 * math.pi * np.arange(grid) / grid
     boundary = _product_rows([3.0 * np.exp(1j * angles)] * m)
@@ -423,34 +441,48 @@ def verify_achart_batch(charts, grid: int = 16, interior: int = 1000,
     With u_i = 1 + (z0_i + z_i) / (2 C3), Re u_i > 0 and y_i > 0, the last
     coordinate is a y^mu prod u_i^mu_i: its deviation is a y^mu D(z0) with
     D(z0) = max_z |prod u^mu(z) - prod u^mu(0)|, and the affine deviation
-    max_z max_i y_i |z_i| / (2 C3) depends on y alone.  The scan set and
-    the (V, m, P) powers table are counted before either is built: more
-    than `MATERIALIZE_BUDGET` entries raise `AtlasError`.
+    max_z max_i y_i |z_i| / (2 C3) depends on y alone.  On the lattice z_i
+    takes only the `grid` ring values, so u_i^mu_i is taken per ring value,
+    and a tuple's lattice products are the outer product of its axes' rows,
+    multiplied left to right as `np.prod` does.  The scan set, and offsets x
+    axes x scan points as a bound on the scan's work (as `_sample_budget`
+    bounds `check_coverage`'s), are counted first: more than
+    `MATERIALIZE_BUDGET` entries raise `AtlasError`.
     """
+    _check_scan(grid, interior)     # before the budget below, and for an empty atlas too
     if not len(charts):
-        scan_points(1, grid, 0)             # the grid check of every atlas
         return np.zeros(0)
     f = _factors(charts)
     data, c3, tuples = f.data, f.c3, f.tuples
-    mu = np.asarray(data.exponents)
+    m, mu = data.m, np.asarray(data.exponents)
     values = np.unique(tuples)
-    n_pts = grid ** data.m + interior + 1
-    check_budget(len(values) * data.m * n_pts,
-                 f"{len(values)} offsets x {data.m} axes x {n_pts} scan points")
-    z = np.vstack([scan_points(data.m, grid, interior, seed), np.zeros(data.m)])  # center last
-    idx = np.searchsorted(values, tuples)                           # (T, m)
+    n_pts = grid ** m + interior + 1
+    check_budget(len(values) * m * n_pts, f"{len(values)} offsets x {m} axes x {n_pts} scan points")
+    z = scan_points(m, grid, interior, seed)    # its first `grid` rows run the last axis's ring
+    ring, rest = z[:grid, -1], np.vstack([z[grid ** m:], np.zeros(m)])    # interior, center last
+    idx = np.searchsorted(values, tuples)                                  # (T, m)
     spread = np.empty(len(tuples))
-    step = max(1, (1 << 18) // len(z))
+    step = max(1, (1 << 15) // n_pts)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation is refused below
-        # u^mu per offset value, axis and point (the center is the last point)
-        powers = (1.0 + (values[:, None, None] + z.T) / (2.0 * c3)) ** mu[:, None]  # (V, m, P)
+        # u^mu per offset value, axis and ring value (V, m, grid) or rest point (V, m, I + 1)
+        ring_pow, rest_pow = ((1.0 + (values[:, None, None] + w) / (2.0 * c3)) ** mu[:, None]
+                              for w in (ring, rest.T))
         for lo in range(0, len(tuples), step):
             k = idx[lo:lo + step]
-            prod = np.prod(powers[k, np.arange(data.m)], axis=1)    # (t, P)
-            spread[lo:lo + step] = np.abs(prod - prod[:, -1:]).max(axis=1)
-    affine = (f.boxes * np.abs(z).max(axis=0)).max(axis=1) / (2.0 * c3)
-    graph = data.coefficient * np.prod(f.boxes ** mu, axis=1)
-    dev = np.maximum(affine[f.box_of], graph[f.box_of] * spread[f.tuple_of]).reshape(-1)
+            lattice, rest_prod = ring_pow[k[:, 0], 0], rest_pow[k[:, 0], 0]
+            for i in range(1, m):
+                # the running product stays the left operand (`out=`: numpy may run
+                # `prod * temporary` in place with the two swapped), since a fused
+                # complex multiply can round a swapped pair differently in the last bit
+                lattice = lattice[:, :, None] * ring_pow[k[:, i], i][:, None, :]
+                lattice = lattice.reshape(len(k), -1)
+                np.multiply(rest_prod, rest_pow[k[:, i], i], out=rest_prod)
+            center = rest_prod[:, -1:]
+            spread[lo:lo + step] = np.maximum(np.abs(lattice - center).max(axis=1),
+                                              np.abs(rest_prod - center).max(axis=1))
+        affine = (f.boxes * np.abs(z).max(axis=0)).max(axis=1) / (2.0 * c3)
+        graph = data.coefficient * np.prod(f.boxes ** mu, axis=1)
+        dev = np.maximum(affine[f.box_of], graph[f.box_of] * spread[f.tuple_of]).reshape(-1)
     if not np.isfinite(dev).all():
         raise NotHolomorphic("extension evaluation produced non-finite values")
     return dev

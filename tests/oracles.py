@@ -15,6 +15,7 @@ from atlascover.annulus import RingDisks
 from atlascover.core import (
     Disconnected,
     NoContainingChart,
+    NotHolomorphic,
     active_axis_indices,
     chart_contains,
     tolerance,
@@ -22,10 +23,12 @@ from atlascover.core import (
 from atlascover.levelset import LevelBranchCharts, MonomialLevelChart, level_residual
 from atlascover.real_acharts import (
     RealAChart,
+    _factors,
     axis_scale_centers,
     box_min_ratio,
     choose_C3,
     offset_grid,
+    scan_points,
 )
 from atlascover.suspension import SuspendedCharts, chart_arrays
 from atlascover.verify import Chain
@@ -233,6 +236,37 @@ def cover_monomial_graph_list(data, eps):
         for z0 in grids:
             charts.append(RealAChart(y=y, z0=z0, c3=c3, data=data))
     return charts
+
+
+def achart_scan_reference(charts, grid=16, interior=1000, seed=0):
+    """`real_acharts.verify_achart_batch` as it was first factored: a (V, m, P)
+    table of u^mu per offset value, axis and scan point, gathered (t, m, P) for
+    each block of offset tuples and reduced by `np.prod`.  The reference whose
+    bits the lattice scan keeps."""
+    if not len(charts):
+        scan_points(1, grid, 0)
+        return np.zeros(0)
+    f = _factors(charts)
+    data, c3, tuples = f.data, f.c3, f.tuples
+    mu = np.asarray(data.exponents)
+    values = np.unique(tuples)
+    z = np.vstack([scan_points(data.m, grid, interior, seed), np.zeros(data.m)])  # center last
+    idx = np.searchsorted(values, tuples)                           # (T, m)
+    spread = np.empty(len(tuples))
+    step = max(1, (1 << 18) // len(z))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation is refused below
+        # u^mu per offset value, axis and point (the center is the last point)
+        powers = (1.0 + (values[:, None, None] + z.T) / (2.0 * c3)) ** mu[:, None]  # (V, m, P)
+        for lo in range(0, len(tuples), step):
+            k = idx[lo:lo + step]
+            prod = np.prod(powers[k, np.arange(data.m)], axis=1)    # (t, P)
+            spread[lo:lo + step] = np.abs(prod - prod[:, -1:]).max(axis=1)
+    affine = (f.boxes * np.abs(z).max(axis=0)).max(axis=1) / (2.0 * c3)
+    graph = data.coefficient * np.prod(f.boxes ** mu, axis=1)
+    dev = np.maximum(affine[f.box_of], graph[f.box_of] * spread[f.tuple_of]).reshape(-1)
+    if not np.isfinite(dev).all():
+        raise NotHolomorphic("extension evaluation produced non-finite values")
+    return dev
 
 
 def graph_membership_loop(charts, xs, tol=None):

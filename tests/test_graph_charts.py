@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from atlascover.cli import main
-from atlascover.core import AtlasError, MalformedFile
+from atlascover.core import AtlasError, MalformedFile, NotHolomorphic
 from atlascover.jsonio import (
     achart_atlas_from_dict,
     achart_atlas_to_dict,
@@ -31,7 +31,12 @@ from atlascover.real_acharts import (
     verify_achart_batch,
 )
 
-from oracles import choose_C3_loop, cover_monomial_graph_list, graph_membership_loop
+from oracles import (
+    achart_scan_reference,
+    choose_C3_loop,
+    cover_monomial_graph_list,
+    graph_membership_loop,
+)
 from test_real_acharts import _edge_points
 
 CASES = {
@@ -145,6 +150,51 @@ def test_adding_families_gives_lists():
     two = cover_monomial_graph(MonomialData(1.6, (1.0,)), 0.05)
     assert type(one + two) is list and len(one + two) == len(one) + len(two)
     assert (one[:1] + two)[1:] == list(two) and type([] + one) is list
+
+
+def _scan_atlas(name, kind):
+    """A `CASES` atlas as the family or the plain list, or the m=1 atlas of
+    `cover graph --mu 1 --eps 1e-6` ("eps-1e-6")."""
+    if name == "eps-1e-6":
+        return cover_monomial_graph(MonomialData(1.0, (1.0,)), 1e-6)
+    return atlases(name)[2 if kind == "family" else 3]
+
+
+SCAN_PINS = (       # (atlas, family or list, grid, interior, seed)
+    [("m2", "family", 16, 1000, 0), ("eps-1e-6", "family", 16, 1000, 0)]
+    + [(name, kind, 8, 100, 2) for name in CASES for kind in ("family", "list")]
+    + [("m3", "family", grid, 1000, 0) for grid in (2, 3, 4, 16)]
+    + [(name, "family", 16, 0, 0) for name in ("m1", "m2", "m3")])
+
+
+class TestLatticeScan:
+    @pytest.mark.parametrize("name, kind, grid, interior, seed", SCAN_PINS,
+                             ids=["-".join(map(str, pin)) for pin in SCAN_PINS])
+    def test_the_scan_keeps_the_bits_of_the_powers_table(self, name, kind, grid, interior, seed):
+        """Per-axis ring powers and outer-product lattice rows give every
+        deviation the bits of the (V, m, P) table gathered and reduced by
+        `np.prod` (`oracles.achart_scan_reference`)."""
+        atlas = _scan_atlas(name, kind)
+        got = verify_achart_batch(atlas, grid, interior, seed)
+        want = achart_scan_reference(atlas, grid, interior, seed)
+        assert got.shape == want.shape == (len(atlas),)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_an_overflowing_chart_is_refused_by_both(self):
+        chart = RealAChart((0.5,), (1.0,), 4.0, MonomialData(1.0, (2000.0,)))
+        for scan in (verify_achart_batch, achart_scan_reference):
+            with pytest.raises(NotHolomorphic, match="non-finite values"):
+                scan([chart])
+
+    @pytest.mark.parametrize("name, bound", [("m3", 10 << 20), ("m2", 3 << 20)])
+    def test_peak_memory_of_the_grid_16_scan(self, name, bound):
+        """The 216,000-chart m=3 scan peaks under 10 MiB and the 4,500-chart
+        m=2 one under 3 MiB; with the (V, m, P) table and (t, m, P) gathers
+        they peaked at 27.9 and 6.2 MiB."""
+        fam = atlases(name)[2]
+        devs, peak = _peak(lambda: verify_achart_batch(fam, grid=16))
+        assert len(devs) == len(fam) and (devs <= 1.0).all()
+        assert peak < bound
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ from atlascover.real_acharts import (
     axis_scale_centers,
     choose_C3,
     cover_monomial_graph,
+    graph_count_bound,
+    scan_points,
     verify_achart,
     verify_achart_batch,
 )
@@ -50,6 +52,7 @@ from atlascover.verify import (
 DISK = DiagonalAffineChart(b=(0.5,), d=(0.1,), gamma=2.0)
 LEVEL = MonomialLevelChart(DISK, 0, (2, 1), 0.5)
 DATA = MonomialData(1.0, (0.5,))
+ACHART = RealAChart((0.5,), (1.0,), 4.0, DATA)
 RINGS = cover_axis(0.5, 4.0)        # the ring disks of an annulus, factor 4
 TWO_COORDINATE_ROWS = {     # a v1 covering of the plane whose one chart has two coordinates
     "schema_version": "1", "ambient": {"kind": "punctured_plane"}, "gamma": 2.0, "kappa": 1,
@@ -126,6 +129,32 @@ CHECKS = {
                        ValueError, "value_bound must be >= 1"),
     "graph-eps": (lambda: cover_monomial_graph(DATA, 0.6),
                   ValueError, "eps must lie in (0, 1/2)"),
+    "count-bound-eps-0": (lambda: graph_count_bound(DATA, 0.0),
+                          ValueError, "eps must lie in (0, 1/2)"),
+    "count-bound-eps-negative": (lambda: graph_count_bound(DATA, -1.0),
+                                 ValueError, "eps must lie in (0, 1/2)"),
+    "count-bound-eps-nan": (lambda: graph_count_bound(DATA, math.nan),
+                            ValueError, "eps must lie in (0, 1/2)"),
+    "count-bound-eps-0.7": (lambda: graph_count_bound(DATA, 0.7),
+                            ValueError, "eps must lie in (0, 1/2)"),
+    "scan-grid-1": (lambda: scan_points(2, 1, 10),
+                    ValueError, "grid must be at least 2, got 1"),
+    "scan-grid-fraction": (lambda: scan_points(2, 16.5, 10),
+                           ValueError, "grid must be an integer, got 16.5"),
+    "scan-interior-negative": (lambda: scan_points(2, 4, -1),
+                               ValueError, "interior must be at least 0, got -1"),
+    "scan-interior-fraction": (lambda: scan_points(2, 4, 2.5),
+                               ValueError, "interior must be an integer, got 2.5"),
+    "scan-m-0": (lambda: scan_points(0, 4, 10),
+                 ValueError, "m must be at least 1, got 0"),
+    "verify-grid-fraction": (lambda: verify_achart(ACHART, grid=16.5),
+                             ValueError, "grid must be an integer, got 16.5"),
+    "verify-batch-grid-fraction": (lambda: verify_achart_batch([ACHART], grid=16.5),
+                                   ValueError, "grid must be an integer, got 16.5"),
+    "verify-batch-interior-negative": (lambda: verify_achart_batch([ACHART], interior=-1),
+                                       ValueError, "interior must be at least 0, got -1"),
+    "verify-empty-batch-grid-fraction": (lambda: verify_achart_batch([], grid=16.5),
+                                         ValueError, "grid must be an integer, got 16.5"),
     "verify-callable-without-m": (lambda: verify_achart(lambda z: z),
                                   ValueError, "callable charts need an .m attribute"),
     "verify-batch-overflow": (lambda: verify_achart_batch(
