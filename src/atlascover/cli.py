@@ -163,16 +163,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _region_for(cov):
-    amb = cov.ambient
-    if isinstance(amb, PuncturedPlane):
-        return AnnulusRegion(delta=float(cov.meta["delta"]))
-    if isinstance(amb, PolydiscComplement):
-        return PolydiscRegion(eta=float(cov.meta["eta"]), n=amb.n,
-                              active_axes=frozenset(amb.active_axes))
-    if isinstance(amb, MonomialLevelSet):
-        return LevelGraphRegion(alpha=amb.alpha, c=amb.c)
-    raise AtlasError(f"no sample region for ambient {amb!r}")
+# ambient kind: the region `verify coverage` samples for a covering of that ambient
+_REGIONS = {
+    PuncturedPlane.kind: lambda cov: AnnulusRegion(delta=float(cov.meta["delta"])),
+    PolydiscComplement.kind: lambda cov: PolydiscRegion(
+        eta=float(cov.meta["eta"]), n=cov.ambient.n, active_axes=frozenset(cov.ambient.active_axes)),
+    MonomialLevelSet.kind: lambda cov: LevelGraphRegion(alpha=cov.ambient.alpha, c=cov.ambient.c),
+}
 
 
 def _run(args) -> int:
@@ -206,7 +203,7 @@ def _run(args) -> int:
     if args.command == "verify":
         if args.what == "coverage":
             cov = read_covering(args.covering)
-            report = check_coverage(cov, _region_for(cov),
+            report = check_coverage(cov, _REGIONS[cov.ambient.kind](cov),
                                     n_samples=args.samples, seed=args.seed)
             print(f"coverage {report.samples_covered}/{report.samples_total} "
                   f"rate={report.rate:.6f} pass={report.passed}")

@@ -14,17 +14,22 @@ test once.  The ball rule is s^2 (1 + t) on the squared preimage norm, in
 `ChartFamily._inside` (`locate`, `contains`) and in each family's `_hits`
 (`covers`); the windows of `passes` are taken at s (1 + t); a level chart
 matches x1 to its branch value g by |g - x1| <= sqrt(t) max(1, |g|).
+
+Ambient regions state their ``kind``, ``dim``, the 0-based ``punctured_axes``
+whose hyperplanes the deleted set lies on, the ``chart_kind`` of their charts
+with ``branches`` per affine chart, and their file form ``to_dict()``, which
+the reader `AMBIENTS` holds under the kind turns back into the ambient.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Union
 
 import numpy as np
 
@@ -196,9 +201,14 @@ class DiagonalAffineChart:
 class PuncturedPlane:
     """C minus the origin."""
 
-    @property
-    def dim(self) -> int:
-        return 1
+    kind = "punctured_plane"
+    chart_kind = "diag_affine"
+    dim = 1
+    branches = 1
+    punctured_axes = (0,)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -212,6 +222,9 @@ class PolydiscComplement:
 
     n: int
     active_axes: frozenset = field(default_factory=frozenset)
+    kind = "polydisc_complement"
+    chart_kind = "diag_affine"
+    branches = 1
 
     def __post_init__(self):
         object.__setattr__(self, "active_axes", frozenset(int(i) for i in self.active_axes))
@@ -224,6 +237,13 @@ class PolydiscComplement:
     def dim(self) -> int:
         return self.n
 
+    @property
+    def punctured_axes(self) -> tuple:
+        return tuple(sorted(i - 1 for i in self.active_axes))
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "n": self.n, "active_axes": sorted(self.active_axes)}
+
 
 @dataclass(frozen=True)
 class MonomialLevelSet:
@@ -231,6 +251,9 @@ class MonomialLevelSet:
 
     alpha: tuple
     c: complex
+    kind = "monomial_level_set"
+    chart_kind = "level_branch"
+    punctured_axes = ()     # x^alpha = c != 0 meets no coordinate hyperplane
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
@@ -246,17 +269,32 @@ class MonomialLevelSet:
     def dim(self) -> int:
         return len(self.alpha)
 
+    @property
+    def branches(self) -> int:
+        return self.alpha[0]
 
-Ambient = Union[PuncturedPlane, PolydiscComplement, MonomialLevelSet]
+    @property
+    def base(self) -> PolydiscComplement:
+        return PolydiscComplement(self.dim - 1, range(1, self.dim))
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "alpha": list(self.alpha), "c": [self.c.real, self.c.imag]}
 
 
-def active_axis_indices(ambient: Ambient) -> tuple:
-    """0-based indices of the punctured axes governed by ``ambient``."""
-    if isinstance(ambient, PuncturedPlane):
-        return (0,)
-    if isinstance(ambient, PolydiscComplement):
-        return tuple(sorted(i - 1 for i in ambient.active_axes))
-    return ()           # x^alpha = c != 0 meets no coordinate hyperplane
+AMBIENTS = {        # kind: the reader of the ambient's `to_dict` form
+    PuncturedPlane.kind: lambda d: PuncturedPlane(),
+    PolydiscComplement.kind: lambda d: PolydiscComplement(d["n"], frozenset(d["active_axes"])),
+    MonomialLevelSet.kind: lambda d: MonomialLevelSet(
+        alpha=tuple(d["alpha"]), c=complex(d["c"][0], d["c"][1])),
+}
+
+
+def ambient_from_dict(d: dict):
+    """The ambient whose `to_dict` is ``d``, read by the reader its kind names."""
+    read = AMBIENTS.get(str(d["kind"]))     # str: a file may hold a list
+    if read is None:
+        raise ValueError(f"unknown ambient kind {d['kind']!r}")
+    return read(d)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +364,7 @@ def _product_rows(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def avoidance_certificate(chart: DiagonalAffineChart, ambient: Ambient,
+def avoidance_certificate(chart: DiagonalAffineChart, ambient,
                           scale: float) -> bool:
     """Certify that the extended chart at ``scale`` avoids the deleted set.
 
@@ -336,14 +374,71 @@ def avoidance_certificate(chart: DiagonalAffineChart, ambient: Ambient,
     """
     if scale > chart.gamma:
         raise ValueError(f"scale {scale} exceeds the chart factor {chart.gamma}")
-    if not isinstance(ambient, (PuncturedPlane, PolydiscComplement)):
+    if ambient.chart_kind != "diag_affine":
         raise UnsupportedAmbient(
             "level-set charts are certified in the levelset module")
     if ambient.dim != chart.dim:
         raise DimensionMismatch(
             f"ambient dim {ambient.dim} != chart dim {chart.dim}")
-    return all(abs(chart.b[i]) > scale * abs(chart.d[i])
-               for i in active_axis_indices(ambient))
+    return all(abs(chart.b[i]) > scale * abs(chart.d[i]) for i in ambient.punctured_axes)
+
+
+def _witness_rows(b1, d1, b2, d2, tol: float):
+    """(ok, w): whether the unit images of charts (b1[r], d1[r]) and
+    (b2[r], d2[r]) meet, and a point w[r] of both, for all rows r at once.
+
+    Each test runs on the rows the last left open: the center segment, whose
+    minimax point is where the preimage norms t n1 and (1-t) n2 cross
+    (complete for disks); rejection where the projections miss on some axis;
+    then `_bisect`.  Each step rounds as the one-pair formula in Python floats.
+    """
+    root = math.sqrt(1.0 + tol)
+    n1, n2 = _norm((b2 - b1) / d1), _norm((b1 - b2) / d2)
+    same = n1 + n2 == 0.0                   # coincident centers
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = same | (n1 * n2 / (n1 + n2) <= root)
+        w = np.where(same[:, None], b1, b1 + (n2 / (n1 + n2))[:, None] * (b2 - b1))
+    miss = (_abs(b1 - b2) > (_abs(d1) + _abs(d2)) * root).any(axis=1)
+    r = np.nonzero(~ok & ~miss)[0]
+    if r.size:
+        ok[r], w[r] = _bisect(b1[r], d1[r], b2[r], d2[r], 1.0 + tol)
+    return ok, w
+
+
+def _bisect(b1, d1, b2, d2, bound: float):
+    """The Lagrange stage.  The squared preimage norms f_c(p) = sum_i w_i
+    |p_i - b_i|^2 (w = 1/|d|^2) are separable: s f1 + (1-s) f2 is least at the
+    weighted mean p(s) of the centers, and the minimax point is p(s*) where
+    f1 = f2, which bisection on the sign of f1 - f2 finds.  A value of
+    s f1 + (1-s) f2 above ``bound`` = 1 + tol bounds the minimax from below:
+    the images are disjoint and the row drops out.  The point must lie in both."""
+    ok, live = np.ones(len(b1), dtype=bool), np.arange(len(b1))
+    w1, w2 = 1.0 / _abs(d1, 2.0), 1.0 / _abs(d2, 2.0)
+    lo, hi = np.zeros(len(b1)), np.ones(len(b1))
+
+    def point(s):           # Python's float * complex is (x + 0j) * z, to the zeros' signs
+        u, v = s[:, None] * w1, (1.0 - s)[:, None] * w2
+        re = u * b1.real - 0.0 * b1.imag + (v * b2.real - 0.0 * b2.imag)
+        im = u * b1.imag + 0.0 * b1.real + (v * b2.imag + 0.0 * b2.real)
+        return _quot(_complex(re, im), _complex(u + v, 0.0))
+
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        p = point(s)
+        f1, f2 = _rowsum(w1 * _abs(p - b1, 2.0)), _rowsum(w2 * _abs(p - b2, 2.0))
+        out = s * f1 + (1.0 - s) * f2 > bound
+        lo, hi = np.where(f1 > f2, s, lo), np.where(f1 > f2, hi, s)
+        if out.any():
+            ok[live[out]] = False
+            live, lo, hi, b1, d1, b2, d2, w1, w2 = (
+                x[~out] for x in (live, lo, hi, b1, d1, b2, d2, w1, w2))
+            if not live.size:
+                break
+    p = point(0.5 * (lo + hi))
+    ok[live] = _in_ball(p, b1, d1, bound) & _in_ball(p, b2, d2, bound)
+    w = np.empty((len(ok), b1.shape[1]), dtype=complex)
+    w[live] = p
+    return ok, w
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +470,10 @@ class ChartFamily(Sequence):
     states its (b, d) rows, and ``passes`` (the default offers every chart).
     Charts, `chart_arrays`, `locate`, `contains` and `covers` read those, and
     `covers` the hooks ``_anchor``, ``_hits`` and ``_key``.  ``_neighbors``
-    (read by `neighbors` and the chain search), ``level_rows`` and
+    and ``_pair_witnesses`` (read by the chain search), ``level_rows`` and
     ``doubling_factors`` have defaults and are optional faster kernels.  A
     family of other charts has no rows: it supplies ``_chart(i)`` (and
-    ``_inside`` and ``covers``, to locate points).
+    ``_inside`` and ``covers``, to locate points) and its affine ``base``.
     """
 
     def __getitem__(self, i):
@@ -433,6 +528,11 @@ class ChartFamily(Sequence):
     def arrays_at(self, idx) -> tuple:
         """(b, d) rows of shape (len(idx), dim) of the charts ``idx`` (int array)."""
         raise UnsupportedAmbient(AFFINE_ONLY)
+
+    @property
+    def base(self) -> ChartFamily:
+        """The affine family whose rows a chart file stores: this one by default."""
+        return self
 
     def _chart(self, i):
         b, d = self.arrays_at(np.array([i]))
@@ -533,6 +633,10 @@ class ChartFamily(Sequence):
         """Sorted int64 chart indices (``i`` included) whose images at ``scale``
         can meet chart ``i``'s, a superset of those that do: `_neighbors` of ``[i]``."""
         return self._neighbors(np.array([self._index(i)]), float(self._scales(scale)))[1]()
+
+    def _pair_witnesses(self, i, j, tol: float) -> tuple:
+        """(ok, w): `_witness_rows` of the charts i[r] and j[r], on their `arrays_at` rows."""
+        return _witness_rows(*self.arrays_at(i), *self.arrays_at(j), tol)
 
     def _neighbors(self, idx, scale: float) -> tuple:
         """(counts, lists) for the charts ``idx`` (int64): ``counts[r]`` is the length
@@ -645,8 +749,7 @@ class Covering:
     the ambient dimension, kept so a plain list's arrays are built once.
     """
 
-    def __init__(self, ambient: Ambient, gamma: float, charts: Sequence,
-                 meta: dict | None = None):
+    def __init__(self, ambient, gamma: float, charts: Sequence, meta: dict | None = None):
         self.ambient = ambient
         self.gamma = float(gamma)
         self.charts = charts

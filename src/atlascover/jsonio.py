@@ -31,7 +31,7 @@ from .core import (
     MonomialLevelSet,
     PolydiscComplement,
     PuncturedPlane,
-    family,
+    ambient_from_dict,
 )
 from .levelset import LevelBranchCharts, cover_monomial_level_set
 from .polydisc import cover_punctured_polydisc
@@ -56,50 +56,9 @@ def _reading(what: str):
         raise MalformedFile(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
-def _c2j(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _j2c(v) -> complex:
-    return complex(v[0], v[1])
-
-
-def ambient_to_dict(ambient) -> dict:
-    if isinstance(ambient, PuncturedPlane):
-        return {"kind": "punctured_plane"}
-    if isinstance(ambient, PolydiscComplement):
-        return {"kind": "polydisc_complement", "n": ambient.n,
-                "active_axes": sorted(ambient.active_axes)}
-    if isinstance(ambient, MonomialLevelSet):
-        return {"kind": "monomial_level_set", "alpha": list(ambient.alpha),
-                "c": _c2j(ambient.c)}
-    raise TypeError(f"unknown ambient {ambient!r}")
-
-
-def ambient_from_dict(d: dict):
-    kind = d["kind"]
-    if kind == "punctured_plane":
-        return PuncturedPlane()
-    if kind == "polydisc_complement":
-        return PolydiscComplement(n=d["n"], active_axes=frozenset(d["active_axes"]))
-    if kind == "monomial_level_set":
-        return MonomialLevelSet(alpha=tuple(d["alpha"]), c=_j2c(d["c"]))
-    raise ValueError(f"unknown ambient kind {kind!r}")
-
-
 def _jsonable(v):
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
-    return v
+    """``v`` as its JSON text reads back: tuples as lists, numpy scalars as Python numbers."""
+    return json.loads(json.dumps(v, default=np.generic.item))
 
 
 def _pairs(z: np.ndarray) -> np.ndarray:
@@ -107,34 +66,26 @@ def _pairs(z: np.ndarray) -> np.ndarray:
     return np.stack([z.real, z.imag], axis=-1)
 
 
-def _affine(charts):
-    """The family of diagonal affine charts under ``charts``: the base of a level family."""
-    return charts._base if isinstance(charts, LevelBranchCharts) else family(charts)
+def _charts_to_list(cov: Covering) -> list:
+    """Every chart as a v1 file stores it: per branch of each affine chart under them
+    (`ChartFamily.base`), its (b, d) and that branch's fields."""
+    amb = cov.ambient
+    kind, fields = amb.chart_kind, _STORED[amb.chart_kind]["fields"]
+    branches = [fields(amb, k) for k in range(amb.branches)]
+    rows = zip(*(_pairs(z).tolist() for z in cov.family.base.chart_arrays()))
+    return [{"kind": kind, "b": bi, "d": di, **f} for bi, di in rows for f in branches]
 
 
-def _charts_to_list(charts) -> list:
-    """Every chart as a v1 file stores it, built from the (b, d) arrays."""
-    rows = zip(*(_pairs(z).tolist() for z in _affine(charts).chart_arrays()))
-    if not isinstance(charts, LevelBranchCharts):
-        return [{"kind": "diag_affine", "b": bi, "d": di} for bi, di in rows]
-    alpha, c = list(charts.alpha), _c2j(charts.c)
-    return [{"kind": "level_branch", "b": bi, "d": di, "branch": k,
-             "alpha": alpha, "c": c}
-            for bi, di in rows for k in range(charts.alpha1)]
+def _header(version: str, cov: Covering) -> dict:
+    return {"schema_version": version, "ambient": cov.ambient.to_dict(),
+            "gamma": cov.gamma, "kappa": cov.kappa}
 
 
 def covering_to_dict(cov: Covering) -> dict:
     """Schema 1: every chart, refused above `MATERIALIZE_BUDGET` before any is built."""
     if cov.kappa > MATERIALIZE_BUDGET:
         raise AtlasError(f"{cov.kappa} charts are too many to list; write the recipe")
-    return {
-        "schema_version": "1",
-        "ambient": ambient_to_dict(cov.ambient),
-        "gamma": cov.gamma,
-        "kappa": cov.kappa,
-        "charts": _charts_to_list(cov.charts),
-        "meta": _jsonable(cov.meta),
-    }
+    return {**_header("1", cov), "charts": _charts_to_list(cov), "meta": _jsonable(cov.meta)}
 
 
 def recipe_to_dict(cov: Covering) -> dict | None:
@@ -146,11 +97,10 @@ def recipe_to_dict(cov: Covering) -> dict | None:
         built = _construction(cov.meta, cov.ambient, cov.gamma, cov.kappa)
     except (AtlasError, ArithmeticError, KeyError, TypeError, ValueError):
         return None
-    if not (type(_affine(built.charts)) is type(_affine(cov.charts))
+    if not (type(built.family.base) is type(cov.family.base)
             and built == cov and _jsonable(built.meta) == meta):
         return None
-    return {"schema_version": SCHEMA_VERSION, "ambient": ambient_to_dict(cov.ambient),
-            "gamma": cov.gamma, "kappa": cov.kappa, "meta": meta}
+    return {**_header(SCHEMA_VERSION, cov), "meta": meta}
 
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
@@ -171,37 +121,62 @@ def _complex_array(rows: list, shape: tuple) -> np.ndarray:
     return _float_array(rows, shape + (2,)).view(complex)[..., 0]
 
 
-def _stored_arrays(charts: list, ambient):
-    """(b, d) of the stored charts as complex arrays of shape (kappa, dim).
-
-    Level-set charts are checked to be stored base-major, the branches
-    0..alpha_1-1 of one base chart in a row, with the ambient's alpha and c;
-    only the base charts' arrays are returned.
-    """
-    level = isinstance(ambient, MonomialLevelSet)
-    kind = "level_branch" if level else "diag_affine"
+def _rows(charts: list, ambient, dim: int) -> tuple:
+    """(b, d) of stored charts of the ambient's `chart_kind`, of shape (len(charts), dim)."""
+    kind = ambient.chart_kind
     if any(ch["kind"] != kind for ch in charts):
         raise MalformedFile(f"every chart of this ambient must be {kind!r}")
-    k = len(charts)
-    shape = (k, ambient.dim - 1 if level else ambient.dim)
-    b = _complex_array([ch["b"] for ch in charts], shape)
-    d = _complex_array([ch["d"] for ch in charts], shape)
-    if not level:
-        return b, d
-    a1 = ambient.alpha[0]
-    grouped = (k // a1, a1, shape[1])
+    shape = (len(charts), dim)
+    return (_complex_array([ch["b"] for ch in charts], shape),
+            _complex_array([ch["d"] for ch in charts], shape))
+
+
+def _level_rows(charts: list, ambient) -> tuple:
+    """(b, d) of the base charts of a level set's stored charts, checked to be
+    stored base-major, the branches 0..alpha_1-1 of one base chart in a row,
+    with the ambient's alpha and c."""
+    b, d = _rows(charts, ambient, ambient.dim - 1)
+    k, a1 = len(charts), ambient.branches
+    grouped = (k // a1, a1, b.shape[1])
     if k and not (k % a1 == 0
                   and np.array_equal([ch["branch"] for ch in charts], np.arange(k) % a1)
                   and np.array_equal([ch["alpha"] for ch in charts],
                                      np.broadcast_to(ambient.alpha, (k, ambient.dim)))
                   and _same_bits(_complex_array([ch["c"] for ch in charts], (k,)),
                                  np.full(k, ambient.c))
-                  and _same_bits(b.reshape(grouped), np.repeat(b[::a1, None], a1, axis=1))
-                  and _same_bits(d.reshape(grouped), np.repeat(d[::a1, None], a1, axis=1))):
+                  and all(_same_bits(x.reshape(grouped), np.repeat(x[::a1, None], a1, axis=1))
+                          for x in (b, d))):
         raise MalformedFile(
             "level charts must be stored base-major with branches 0..alpha_1-1 "
             "of equal base data and the ambient's alpha and c")
     return b[::a1], d[::a1]
+
+
+# chart kind: how a schema-1 file stores such charts: "rows", the checked (b, d) of the affine
+# charts under them; "fields", the rest of a chart of branch k; "charts", the charts over those
+_STORED = {
+    "diag_affine": {"rows": lambda charts, ambient: _rows(charts, ambient, ambient.dim),
+                    "fields": lambda ambient, k: {},
+                    "charts": lambda ambient, gamma, listed: listed},
+    "level_branch": {"rows": _level_rows,
+                     "fields": lambda ambient, k: {"branch": k, "alpha": list(ambient.alpha),
+                                                   "c": [ambient.c.real, ambient.c.imag]},
+                     "charts": lambda ambient, gamma, listed: LevelBranchCharts(
+                         Covering(ambient.base, gamma, listed), ambient.alpha, ambient.c)},
+}
+
+
+# construction name: (the kind of ambient it builds on, its build from meta, ambient and gamma)
+_CONSTRUCTIONS = {
+    "whitney_rings": (PuncturedPlane.kind, lambda meta, ambient, gamma: cover_annulus(
+        float(meta["delta"]), float(meta["zeta"]), WhitneyDiskParams(float(meta["ring_ratio"])))),
+    "punctured_polydisc": (PolydiscComplement.kind, lambda meta, ambient, gamma:
+                           cover_punctured_polydisc(ambient.n, float(meta["eta"]),
+                                                    float(meta.get("gamma", gamma)),
+                                                    ambient.active_axes)[0]),
+    "monomial_level_graph": (MonomialLevelSet.kind, lambda meta, ambient, gamma:
+                             cover_monomial_level_set(ambient.alpha, ambient.c, gamma)),
+}
 
 
 def _construction(meta: dict, ambient, gamma: float, kappa) -> Covering:
@@ -210,16 +185,10 @@ def _construction(meta: dict, ambient, gamma: float, kappa) -> Covering:
     ``gamma``.  Building lists no chart, and `RingDisks` refuses a ring table
     over the budget."""
     kind = meta.get("construction")
-    if kind == "whitney_rings" and isinstance(ambient, PuncturedPlane):
-        cov = cover_annulus(float(meta["delta"]), float(meta["zeta"]),
-                            WhitneyDiskParams(float(meta["ring_ratio"])))
-    elif kind == "punctured_polydisc" and isinstance(ambient, PolydiscComplement):
-        cov = cover_punctured_polydisc(ambient.n, float(meta["eta"]),
-                                       float(meta.get("gamma", gamma)), ambient.active_axes)[0]
-    elif kind == "monomial_level_graph" and isinstance(ambient, MonomialLevelSet):
-        cov = cover_monomial_level_set(ambient.alpha, ambient.c, gamma)
-    else:
+    needs, build = _CONSTRUCTIONS.get(str(kind), (None, None))  # str: a file may hold a list
+    if needs != ambient.kind:
         raise MalformedFile(f"no construction {kind!r} for {ambient!r}")
+    cov = build(meta, ambient, gamma)
     if cov.kappa != kappa:
         raise MalformedFile(f"the recipe builds {cov.kappa} charts, not kappa={kappa}")
     if cov.gamma != gamma:
@@ -228,14 +197,12 @@ def _construction(meta: dict, ambient, gamma: float, kappa) -> Covering:
 
 
 def _rebuild(meta: dict, ambient, gamma: float, b: np.ndarray, d: np.ndarray):
-    """The charts of the construction ``meta`` names if they reproduce (b, d)
-    bit for bit, else None."""
-    kappa = b.shape[0] * (ambient.alpha[0] if isinstance(ambient, MonomialLevelSet) else 1)
+    """The construction's charts if they reproduce (b, d) bit for bit, else None."""
     try:
-        cov = _construction(meta, ambient, gamma, kappa)
+        cov = _construction(meta, ambient, gamma, b.shape[0] * ambient.branches)
     except (AtlasError, ArithmeticError, KeyError, TypeError, ValueError):
         return None
-    rb, rd = _affine(cov.charts).chart_arrays()
+    rb, rd = cov.family.base.chart_arrays()
     return cov.charts if _same_bits(rb, b) and _same_bits(rd, d) else None
 
 
@@ -254,14 +221,11 @@ def covering_from_dict(d: dict) -> Covering:
             return cov
         if version != "1":
             raise MalformedFile(f"unknown covering schema_version {version!r}")
-        b, dd = _stored_arrays(list(d["charts"]), ambient)
+        b, dd = _STORED[ambient.chart_kind]["rows"](list(d["charts"]), ambient)
         charts = _rebuild(meta, ambient, gamma, b, dd)
         if charts is None:
-            charts = [DiagonalAffineChart(b=x, d=y, gamma=gamma)
-                      for x, y in zip(b.tolist(), dd.tolist())]
-            if isinstance(ambient, MonomialLevelSet):
-                base = PolydiscComplement(ambient.dim - 1, range(1, ambient.dim))
-                charts = LevelBranchCharts(Covering(base, gamma, charts), ambient.alpha, ambient.c)
+            charts = _STORED[ambient.chart_kind]["charts"](ambient, gamma, [
+                DiagonalAffineChart(b=x, d=y, gamma=gamma) for x, y in zip(b.tolist(), dd.tolist())])
         cov = Covering(ambient=ambient, gamma=gamma, charts=charts, meta=meta)
         if cov.kappa != d.get("kappa", cov.kappa):
             raise MalformedFile("kappa field disagrees with the chart list")

@@ -32,7 +32,6 @@ from .core import (
     DimensionMismatch,
     LevelOutsideRange,
     MonomialLevelSet,
-    PolydiscComplement,
     _abs,
     _norm,
     avoidance,
@@ -67,8 +66,7 @@ class MonomialLevelChart:
         object.__setattr__(self, "c", level.c)
         if not 0 <= self.branch < self.alpha[0]:
             raise ValueError(f"branch must lie in [0, {self.alpha[0]})")
-        ambient = PolydiscComplement(self.base.dim, range(1, self.base.dim + 1))
-        if not avoidance_certificate(self.base, ambient, self.base.gamma):
+        if not avoidance_certificate(self.base, level.base, self.base.gamma):
             raise BranchUndefined(
                 "base chart touches a coordinate hyperplane on its doubled ball; "
                 "the root branch is not single-valued there")
@@ -140,6 +138,10 @@ class LevelBranchCharts(ChartFamily):
     @property
     def gamma(self) -> float | None:
         return self._base.gamma
+
+    @property
+    def base(self) -> ChartFamily:
+        return self._base
 
     def _chart(self, i):
         t, k = divmod(i, self.alpha1)
@@ -219,6 +221,18 @@ class LevelBranchCharts(ChartFamily):
         counts, base = self._base._neighbors(idx // a1, scale)
         return counts * a1, lambda: (base()[:, None] * a1 + np.arange(a1)).ravel()
 
+    def _pair_witnesses(self, i, j, tol: float) -> tuple:
+        """The base family's witnesses of the distinct base pairs, then `_branch_rows`."""
+        base = self._base
+        (ti, ki), (tj, kj) = np.divmod(i, self.alpha1), np.divmod(j, self.alpha1)
+        pairs, inv = np.unique(np.stack([ti, tj], axis=1), axis=0, return_inverse=True)
+        okb, wb = base._pair_witnesses(pairs[:, 0], pairs[:, 1], tol)
+        ok, w = okb[inv], np.empty((i.size, self.dim), dtype=complex)
+        r = np.nonzero(ok)[0]
+        rows = (*base.arrays_at(ti[r]), *base.arrays_at(tj[r]))
+        ok[r], w[r] = _branch_rows(self.alpha, self.c, rows, (ki[r], kj[r]), wb[inv[r]], tol)
+        return ok, w
+
     def _inside(self, pts, idx, scale, tol: float) -> np.ndarray:
         """Row by row: the base preimage x of xbar has norm at most scale sqrt(1 + tol),
         and the branch value g at x matches x1: |g - x1| <= sqrt(tol) max(1, |g|)."""
@@ -250,6 +264,18 @@ class LevelBranchCharts(ChartFamily):
             near = np.abs(g - pts[rows, :1]) <= t ** 0.5 * np.maximum(1.0, np.abs(g))
             out[rows] = near.any(axis=1)
         return out
+
+
+def _branch_rows(alpha, c, rows, branches, wb, tol: float):
+    """(ok, w) for level-branch pairs whose base charts ``rows`` = (b1, d1, b2,
+    d2) meet at ``wb``: the branch values g at wb agree by the rule of
+    `LevelBranchCharts._inside`, and w = (g1, wb).  Two roots of one equation
+    agree on all of the convex base overlap or nowhere: the test is exact."""
+    g1, g2 = (level_points(b, d, alpha, c, (wb - b) / d,
+                           range(alpha[0]))[np.arange(len(wb)), k, 0]
+              for b, d, k in ((*rows[:2], branches[0]), (*rows[2:], branches[1])))
+    ok = _abs(g1 - g2) <= tol ** 0.5 * np.maximum(1.0, _abs(g1))
+    return ok, np.concatenate([g1[:, None], wb], axis=1)
 
 
 def _level_base(alpha, c: complex, gamma: float):

@@ -102,14 +102,13 @@ class RealAChart:
         last = self.data.coefficient * np.prod(coords ** mu, axis=-1)
         return np.concatenate([coords, last[..., None]], axis=-1)
 
-    def center_value(self) -> np.ndarray:
-        return self.extend_points(np.zeros(self.m))
+    __call__ = extend_points        # the callable form `verify_achart` scans
 
     def deviation_certificate(self) -> float:
         """Analytic upper bound for sup over the radius-3 polydisc of the
         max-coordinate deviation |psi~(z) - psi(0)|."""
         affine = 3.0 * max(self.y) / (2.0 * self.c3)
-        center_last = abs(float(self.center_value()[-1]))
+        center_last = abs(float(self(np.zeros(self.m))[-1]))
         return max(affine, center_last * _graph_growth(self.data.abs_degree, self.c3))
 
 
@@ -380,26 +379,21 @@ def verify_achart(chart, grid: int = 24, interior: int = 1000,
                   seed: int = 0) -> AChartReport:
     """Scan the radius-3 extension for the max-coordinate deviation from psi(0).
 
-    ``chart`` is a RealAChart or any callable mapping a batch of complex
-    points of the radius-3 polydisc (shape (N, m)) to coordinate batches.
+    ``chart`` is any callable mapping a batch of complex points of the
+    radius-3 polydisc (shape (N, m)) to coordinate batches, with the domain
+    dimension as ``.m``: a RealAChart is one (its `extend_points`).
     The scan covers the distinguished boundary {|z_i| = 3} on a grid^m
     lattice (where each coordinate's modulus attains its supremum, up to grid
     resolution) plus seeded interior points.  Pass iff the deviation is at
     most 1 + 1e-9.  The analytic certificate is attached when available.
     """
-    if isinstance(chart, RealAChart):
-        fn = chart.extend_points
-        m = chart.m
-        cert = chart.deviation_certificate()
-    else:
-        fn = chart
-        m = getattr(chart, "m", None)
-        if m is None:
-            raise ValueError("callable charts need an .m attribute for the domain dim")
-        cert = getattr(chart, "deviation_certificate", lambda: None)()
+    m = getattr(chart, "m", None)
+    if m is None:
+        raise ValueError("callable charts need an .m attribute for the domain dim")
+    cert = getattr(chart, "deviation_certificate", lambda: None)()
     pts = scan_points(m, grid, interior, seed)
-    values = np.asarray(fn(pts))
-    center = np.asarray(fn(np.zeros((1, m), dtype=complex)))[0]
+    values = np.asarray(chart(pts))
+    center = np.asarray(chart(np.zeros((1, m), dtype=complex)))[0]
     if not np.isfinite(values).all() or not np.isfinite(center).all():
         raise NotHolomorphic("extension evaluation produced non-finite values")
     dev = float(np.abs(values - center).max())
@@ -482,7 +476,8 @@ def verify_achart_batch(charts, grid: int = 16, interior: int = 1000,
                                               np.abs(rest_prod - center).max(axis=1))
         affine = (f.boxes * np.abs(z).max(axis=0)).max(axis=1) / (2.0 * c3)
         graph = data.coefficient * np.prod(f.boxes ** mu, axis=1)
-        dev = np.maximum(affine[f.box_of], graph[f.box_of] * spread[f.tuple_of]).reshape(-1)
+        dev = graph[f.box_of] * spread[f.tuple_of]                # the one chart-count array
+        dev = np.maximum(affine[f.box_of], dev, out=dev).reshape(-1)
     if not np.isfinite(dev).all():
         raise NotHolomorphic("extension evaluation produced non-finite values")
     return dev

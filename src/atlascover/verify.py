@@ -1,4 +1,9 @@
-"""Covering-level certification, coverage sampling, chains, and scaling fits."""
+"""Covering-level certification, coverage sampling, chains, and scaling fits.
+
+Sample regions state the ``ambient_kind`` they lie in and implement
+``fits(ambient)``, which raises `RegionMismatch` unless the ambient is theirs,
+and ``rows(n_samples, seed)``, their seeded sample set as `sample_rows` gives it.
+"""
 
 from __future__ import annotations
 
@@ -23,17 +28,11 @@ from .core import (
     RegionMismatch,
     UnknownBound,
     UnsupportedAmbient,
-    _abs,
-    _complex,
-    _in_ball,
-    _norm,
-    _quot,
-    _rowsum,
-    active_axis_indices,
+    _witness_rows,
     check_budget,
     tolerance,
 )
-from .levelset import LevelBranchCharts, direct_branch_values, level_base_plan, level_points
+from .levelset import _branch_rows, direct_branch_values, level_base_plan
 from .polydisc import polydisc_bound, polydisc_plan
 from .suspension import covers_points
 
@@ -41,11 +40,23 @@ from .suspension import covers_points
 # sample regions
 # ---------------------------------------------------------------------------
 
+def _fit_kind(region, ambient) -> None:
+    """Raise `RegionMismatch` unless ``region`` is a region of ``ambient``'s kind."""
+    if getattr(region, "ambient_kind", None) != ambient.kind:
+        raise RegionMismatch(
+            f"region {type(region).__name__} does not fit ambient {type(ambient).__name__}")
+
+
 @dataclass(frozen=True)
 class AnnulusRegion:
     """{delta <= |z| <= 1} in the punctured plane."""
 
     delta: float
+    ambient_kind = PuncturedPlane.kind
+    fits = _fit_kind        # the plane has no parameters to match
+
+    def rows(self, n_samples: int, seed: int) -> tuple:
+        return PolydiscRegion(eta=self.delta, n=1).rows(n_samples, seed)
 
 
 @dataclass(frozen=True)
@@ -55,11 +66,68 @@ class PolydiscRegion:
     eta: float
     n: int
     active_axes: frozenset | None = None
+    ambient_kind = PolydiscComplement.kind
 
     def axes(self) -> frozenset:
         if self.active_axes is None:
             return frozenset(range(1, self.n + 1))
         return frozenset(self.active_axes)
+
+    def fits(self, ambient) -> None:
+        _fit_kind(self, ambient)
+        if self.n != ambient.n or self.axes() != frozenset(ambient.active_axes):
+            raise RegionMismatch(
+                f"region ({self.n}, {sorted(self.axes())}) does not match "
+                f"ambient ({ambient.n}, {sorted(ambient.active_axes)})")
+
+    def rows(self, n_samples: int, seed: int) -> tuple:
+        """The grid, in `itertools.product` order, then ``n_samples // 2``
+        random rows, drawn from a PCG64 seeded with ``seed``.  Grid row r
+        holds, on axis i, point (r // S^(n-1-i)) % S of that axis's S = side^2
+        grid points.  Random row r of axis i takes its radius from draw
+        2i count + r and its angle from draw (2i+1) count + r: the order in
+        which ``count`` draws a column were taken from one generator.  A range
+        sets the seeded state and advances it to its first draw (one 64-bit
+        output per double), so it costs its own rows only.  Each range has a
+        PCG64 of its own, so ranges may be drawn on several threads at once."""
+        n, eta, axes = self.n, self.eta, self.axes()
+        if eta < 1.0:
+            _sample_budget(n_samples, n)
+        if eta >= 1.0:
+            return _no_rows(n)
+        side, count = _grid_side(n_samples, n), n_samples // 2
+        cells = side * side
+        g = cells ** n
+        grids = [_axis_grid(eta, side, True) if i + 1 in axes else _axis_grid(0.0, side, False)
+                 for i in range(n)]
+
+        def rows(lo, hi):
+            bits = np.random.PCG64(seed)
+            start, gen = bits.state, np.random.Generator(bits)
+
+            def uniform(first, out):    # draws [first, first + out.size) of the seeded stream
+                bits.state = start
+                bits.advance(first)
+                gen.random(out=out)
+
+            out = np.empty((hi - lo, n), dtype=complex)
+            m = max(min(hi, g) - lo, 0)                 # the grid rows of the range
+            first, size = max(lo - g, 0), hi - lo - m
+            # one set of scratch arrays for every axis: fewer heap blocks for the
+            # allocator to hand back to the system, and fault in again, per range
+            u, angles, turn = np.empty(size), np.empty(size), np.empty(size, dtype=complex)
+            for i in range(n):
+                if m:
+                    out[:m, i] = _grid_column(grids[i], cells ** (n - 1 - i), lo, lo + m)
+                if size:                # radii log-uniform in [eta, 1], or area-uniform in the disk
+                    uniform(2 * i * count + first, u)
+                    radii = np.power(eta, u, out=u) if i + 1 in axes else np.sqrt(u, out=u)
+                    uniform((2 * i + 1) * count + first, angles)
+                    angles *= 2.0 * math.pi
+                    np.exp(np.multiply(1j, angles, out=turn), out=turn)
+                    np.multiply(radii, turn, out=out[m:, i])
+            return out
+        return g + count, rows
 
 
 @dataclass(frozen=True)
@@ -68,6 +136,32 @@ class LevelGraphRegion:
 
     alpha: tuple
     c: complex
+    ambient_kind = MonomialLevelSet.kind
+
+    def fits(self, ambient) -> None:
+        _fit_kind(self, ambient)
+        if tuple(self.alpha) != ambient.alpha or complex(self.c) != ambient.c:
+            raise RegionMismatch("level-set parameters do not match the ambient")
+
+    def rows(self, n_samples: int, seed: int) -> tuple:
+        """Branch-major: row k N_b + b is the k-th root over base polydisc row b."""
+        alpha, c = tuple(self.alpha), self.c
+        eta, nb = level_base_plan(alpha, c).eta, len(alpha) - 1
+        base_target = max(1, n_samples // alpha[0]) if n_samples else 0
+        _sample_budget(base_target, nb, alpha[0], len(alpha))
+        n_base, base = PolydiscRegion(eta=eta, n=nb).rows(base_target, seed)
+        if n_base == 0:
+            return _no_rows(len(alpha))
+
+        def rows(lo, hi):
+            out = np.empty((hi - lo, len(alpha)), dtype=complex)
+            for k in range(lo // n_base, -(-hi // n_base)):     # the branches the range meets
+                a, b = max(lo - k * n_base, 0), min(hi - k * n_base, n_base)
+                pts = base(a, b)                                # and root k over them
+                seg = out[k * n_base + a - lo:k * n_base + b - lo]
+                seg[:, :1], seg[:, 1:] = direct_branch_values(alpha, c, pts, slice(k, k + 1)), pts
+            return out
+        return alpha[0] * n_base, rows
 
 
 def _axis_grid(lo: float, side: int, log_spaced: bool) -> np.ndarray:
@@ -104,87 +198,16 @@ def _no_rows(dim: int) -> tuple:
 def sample_rows(region, n_samples: int, seed: int) -> tuple:
     """(N, rows): the number of rows of the region's sample set and
     ``rows(lo, hi)``, which draws rows [lo, hi) of it into a fresh C-contiguous
-    array, the same bits whatever the range.  A set of more than
-    `MATERIALIZE_BUDGET` entries (rows x dim) raises `AtlasError`, a negative
-    count `ValueError`, both before any row is drawn; a count of 0 has none.
-
-    A polydisc's rows are its grid, in `itertools.product` order, then
-    ``n_samples // 2`` random ones; a level set's are branch-major, row
-    k N_b + b the k-th root over base row b."""
+    array, the same bits whatever the range: the region's own ``rows``.  A set
+    of more than `MATERIALIZE_BUDGET` entries (rows x dim) raises `AtlasError`,
+    a negative count `ValueError`, both before any row is drawn, and an object
+    with no ``rows`` `RegionMismatch`; a count of 0 has none."""
     if n_samples < 0:
         raise ValueError(f"the sample count must be >= 0, got {n_samples}")
-    if isinstance(region, AnnulusRegion):
-        region = PolydiscRegion(eta=region.delta, n=1)
-    if isinstance(region, PolydiscRegion):
-        if region.eta < 1.0:
-            _sample_budget(n_samples, region.n)
-        return _polydisc_rows(region, n_samples, seed)
-    if isinstance(region, LevelGraphRegion):
-        alpha, c = tuple(region.alpha), region.c
-        eta, nb = level_base_plan(alpha, c).eta, len(alpha) - 1
-        base_target = max(1, n_samples // alpha[0]) if n_samples else 0
-        _sample_budget(base_target, nb, alpha[0], len(alpha))
-        n_base, base = _polydisc_rows(PolydiscRegion(eta=eta, n=nb), base_target, seed)
-        if n_base == 0:
-            return _no_rows(len(alpha))
-
-        def rows(lo, hi):
-            out = np.empty((hi - lo, len(alpha)), dtype=complex)
-            for k in range(lo // n_base, -(-hi // n_base)):     # the branches the range meets
-                a, b = max(lo - k * n_base, 0), min(hi - k * n_base, n_base)
-                pts = base(a, b)                                # and root k over them
-                seg = out[k * n_base + a - lo:k * n_base + b - lo]
-                seg[:, :1], seg[:, 1:] = direct_branch_values(alpha, c, pts, slice(k, k + 1)), pts
-            return out
-        return alpha[0] * n_base, rows
-    raise RegionMismatch(f"unknown region {region!r}")
-
-
-def _polydisc_rows(region: PolydiscRegion, n_samples: int, seed: int) -> tuple:
-    """`sample_rows` of a polydisc, drawn from a PCG64 seeded with ``seed``.
-    Grid row r holds, on axis i, point (r // S^(n-1-i)) % S of that axis's
-    S = side^2 grid points.  Random row r of axis i takes its radius from draw
-    2i count + r and its angle from draw (2i+1) count + r: the order in which
-    ``count`` draws a column were taken from one generator.  A range sets the
-    seeded state and advances it to its first draw (one 64-bit output per
-    double), so it costs its own rows only.  Each range has a PCG64 of its
-    own, so ranges may be drawn on several threads at once."""
-    n, eta, axes = region.n, region.eta, region.axes()
-    if eta >= 1.0:
-        return _no_rows(n)
-    side, count = _grid_side(n_samples, n), n_samples // 2
-    cells = side * side
-    g = cells ** n
-    grids = [_axis_grid(eta, side, True) if i + 1 in axes else _axis_grid(0.0, side, False)
-             for i in range(n)]
-
-    def rows(lo, hi):
-        bits = np.random.PCG64(seed)
-        start, gen = bits.state, np.random.Generator(bits)
-
-        def uniform(first, out):    # draws [first, first + out.size) of the seeded stream
-            bits.state = start
-            bits.advance(first)
-            gen.random(out=out)
-
-        out = np.empty((hi - lo, n), dtype=complex)
-        m = max(min(hi, g) - lo, 0)                 # the grid rows of the range
-        first, size = max(lo - g, 0), hi - lo - m
-        # one set of scratch arrays for every axis: fewer heap blocks for the
-        # allocator to hand back to the system, and fault in again, per range
-        u, angles, turn = np.empty(size), np.empty(size), np.empty(size, dtype=complex)
-        for i in range(n):
-            if m:
-                out[:m, i] = _grid_column(grids[i], cells ** (n - 1 - i), lo, lo + m)
-            if size:                # radii log-uniform in [eta, 1], or area-uniform in the disk
-                uniform(2 * i * count + first, u)
-                radii = np.power(eta, u, out=u) if i + 1 in axes else np.sqrt(u, out=u)
-                uniform((2 * i + 1) * count + first, angles)
-                angles *= 2.0 * math.pi
-                np.exp(np.multiply(1j, angles, out=turn), out=turn)
-                np.multiply(radii, turn, out=out[m:, i])
-        return out
-    return g + count, rows
+    rows = getattr(region, "rows", None)
+    if rows is None:
+        raise RegionMismatch(f"unknown region {region!r}")
+    return rows(n_samples, seed)
 
 
 def _grid_column(points, d: int, lo: int, hi: int) -> np.ndarray:
@@ -209,24 +232,6 @@ def region_samples(region, n_samples: int, seed: int) -> np.ndarray:
     seeded random points, about half and half; a count of 0 draws none."""
     total, rows = sample_rows(region, n_samples, seed)
     return rows(0, total)
-
-
-def _check_region(cov: Covering, region) -> None:
-    amb = cov.ambient
-    if isinstance(region, AnnulusRegion) and isinstance(amb, PuncturedPlane):
-        return
-    if isinstance(region, PolydiscRegion) and isinstance(amb, PolydiscComplement):
-        if region.n == amb.n and region.axes() == frozenset(amb.active_axes):
-            return
-        raise RegionMismatch(
-            f"region ({region.n}, {sorted(region.axes())}) does not match "
-            f"ambient ({amb.n}, {sorted(amb.active_axes)})")
-    if isinstance(region, LevelGraphRegion) and isinstance(amb, MonomialLevelSet):
-        if tuple(region.alpha) == amb.alpha and complex(region.c) == amb.c:
-            return
-        raise RegionMismatch("level-set parameters do not match the ambient")
-    raise RegionMismatch(
-        f"region {type(region).__name__} does not fit ambient {type(amb).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +266,8 @@ def _coverage_threads() -> int:
 
 def check_coverage(cov: Covering, region, n_samples: int = 10000,
                    seed: int = 0, tol: float | None = None) -> CoverageReport:
-    """Sample the region deterministically and test unit-scale membership.
+    """Sample the region, which must fit the covering's ambient (`fits`),
+    deterministically and test unit-scale membership.
 
     A set of at most 2 `POINT_BLOCK` samples is drawn and decided by one
     `covers_points` call on the calling thread.  A larger one is split into
@@ -270,17 +276,15 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
     range per thread at a time: so at most 2 `POINT_BLOCK` samples are held
     at once either way.  The draw and `covers_points` are numpy work that
     releases the GIL, so two threads overlap.  Each range gives its covered
-    count and first 100 uncovered samples, folded here in row order.
-    `covers_points` goes through the covering's structural index when present
-    (each point's anchor chart for the whole block, then rings, suspension
-    layers and level branches for the rest) and a blocked scan otherwise.  A
+    count and first 100 uncovered samples, folded here in row order.  A
     point's answer is its own, so the report is that of one call over every
     sample, whatever the threads.  An exception from a range, or from a
     signal handler while this call waits, is raised here once the queued
     ranges are cancelled and the pool's threads have ended.  An empty region
     passes vacuously.
     """
-    _check_region(cov, region)
+    _fit_kind(region, cov.ambient)
+    region.fits(cov.ambient)
     total, rows = sample_rows(region, n_samples, seed)
     if total == 0:
         return CoverageReport(samples_total=0, samples_covered=0)
@@ -377,17 +381,12 @@ class DoublingReport:
 
 
 def certify_doubling(cov: Covering, tol: float | None = None) -> DoublingReport:
-    """Per-chart avoidance certificates at the full factor gamma.
-
-    Affine charts get the exact per-axis disk-separation test on every
-    punctured axis, once per level (`ChartFamily.doubling_factors`).
-    Level-branch charts get the base chart's certificate on every base axis
-    plus the residual |psi(x)^alpha - c| <= tol * |c| on the unit ball,
-    decided by an a-priori rounding bound from per-level maxima, in
-    O(sum N_l) (`levelset.LevelBranchCharts.doubling_factors`).
-    """
+    """Per-chart avoidance certificates at the full factor gamma, decided by
+    the family per level (`ChartFamily.doubling_factors`) on the ambient's
+    `punctured_axes`: the exact disk-separation test, and for level-branch
+    charts the residual bound too."""
     return DoublingReport(cov.family.doubling_factors(
-        active_axis_indices(cov.ambient), cov.gamma, tol=tolerance(tol)))
+        cov.ambient.punctured_axes, cov.gamma, tol=tolerance(tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,76 +403,6 @@ class Chain:
     @property
     def length(self) -> int:
         return len(self.chart_indices)
-
-
-def _witness_rows(b1, d1, b2, d2, tol: float):
-    """(ok, w): whether the unit images of charts (b1[r], d1[r]) and
-    (b2[r], d2[r]) meet, and a point w[r] of both, for all rows r at once.
-
-    Each test runs on the rows the last left open: the center segment, whose
-    minimax point is where the preimage norms t n1 and (1-t) n2 cross
-    (complete for disks); rejection where the projections miss on some axis;
-    then `_bisect`.  Each step rounds as the one-pair formula in Python floats.
-    """
-    root = math.sqrt(1.0 + tol)
-    n1, n2 = _norm((b2 - b1) / d1), _norm((b1 - b2) / d2)
-    same = n1 + n2 == 0.0                   # coincident centers
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = same | (n1 * n2 / (n1 + n2) <= root)
-        w = np.where(same[:, None], b1, b1 + (n2 / (n1 + n2))[:, None] * (b2 - b1))
-    miss = (_abs(b1 - b2) > (_abs(d1) + _abs(d2)) * root).any(axis=1)
-    r = np.nonzero(~ok & ~miss)[0]
-    if r.size:
-        ok[r], w[r] = _bisect(b1[r], d1[r], b2[r], d2[r], 1.0 + tol)
-    return ok, w
-
-
-def _bisect(b1, d1, b2, d2, bound: float):
-    """The Lagrange stage.  The squared preimage norms f_c(p) = sum_i w_i
-    |p_i - b_i|^2 (w = 1/|d|^2) are separable: s f1 + (1-s) f2 is least at the
-    weighted mean p(s) of the centers, and the minimax point is p(s*) where
-    f1 = f2, which bisection on the sign of f1 - f2 finds.  A value of
-    s f1 + (1-s) f2 above ``bound`` = 1 + tol bounds the minimax from below:
-    the images are disjoint and the row drops out.  The point must lie in both."""
-    ok, live = np.ones(len(b1), dtype=bool), np.arange(len(b1))
-    w1, w2 = 1.0 / _abs(d1, 2.0), 1.0 / _abs(d2, 2.0)
-    lo, hi = np.zeros(len(b1)), np.ones(len(b1))
-
-    def point(s):           # Python's float * complex is (x + 0j) * z, to the zeros' signs
-        u, v = s[:, None] * w1, (1.0 - s)[:, None] * w2
-        re = u * b1.real - 0.0 * b1.imag + (v * b2.real - 0.0 * b2.imag)
-        im = u * b1.imag + 0.0 * b1.real + (v * b2.imag + 0.0 * b2.real)
-        return _quot(_complex(re, im), _complex(u + v, 0.0))
-
-    for _ in range(60):
-        s = 0.5 * (lo + hi)
-        p = point(s)
-        f1, f2 = _rowsum(w1 * _abs(p - b1, 2.0)), _rowsum(w2 * _abs(p - b2, 2.0))
-        out = s * f1 + (1.0 - s) * f2 > bound
-        lo, hi = np.where(f1 > f2, s, lo), np.where(f1 > f2, hi, s)
-        if out.any():
-            ok[live[out]] = False
-            live, lo, hi, b1, d1, b2, d2, w1, w2 = (
-                x[~out] for x in (live, lo, hi, b1, d1, b2, d2, w1, w2))
-            if not live.size:
-                break
-    p = point(0.5 * (lo + hi))
-    ok[live] = _in_ball(p, b1, d1, bound) & _in_ball(p, b2, d2, bound)
-    w = np.empty((len(ok), b1.shape[1]), dtype=complex)
-    w[live] = p
-    return ok, w
-
-
-def _branch_rows(alpha, c, rows, branches, wb, tol: float):
-    """(ok, w) for level-branch pairs whose base charts ``rows`` = (b1, d1, b2,
-    d2) meet at ``wb``: the branch values g at wb agree by the rule of
-    `LevelBranchCharts._inside`, and w = (g1, wb).  Two roots of one equation
-    agree on all of the convex base overlap or nowhere: the test is exact."""
-    g1, g2 = (level_points(b, d, alpha, c, (wb - b) / d,
-                           range(alpha[0]))[np.arange(len(wb)), k, 0]
-              for b, d, k in ((*rows[:2], branches[0]), (*rows[2:], branches[1])))
-    ok = _abs(g1 - g2) <= tol ** 0.5 * np.maximum(1.0, _abs(g1))
-    return ok, np.concatenate([g1[:, None], wb], axis=1)
 
 
 def intersection_witness(c1, c2, tol: float | None = None):
@@ -494,23 +423,6 @@ def intersection_witness(c1, c2, tol: float | None = None):
     return tuple(w[0].tolist()) if ok[0] else None
 
 
-def _pair_witnesses(fam, i, j, tol: float):
-    """(ok, w) for the chart pairs (i[r], j[r]): one `_witness_rows` call on
-    their gathered (b, d) rows, or for level-branch charts on their distinct
-    base-chart pairs, then `_branch_rows` where those meet."""
-    if not isinstance(fam, LevelBranchCharts):
-        return _witness_rows(*fam.arrays_at(i), *fam.arrays_at(j), tol)
-    base = fam.base_cov.family
-    (ti, ki), (tj, kj) = np.divmod(i, fam.alpha1), np.divmod(j, fam.alpha1)
-    pairs, inv = np.unique(np.stack([ti, tj], axis=1), axis=0, return_inverse=True)
-    okb, wb = _witness_rows(*base.arrays_at(pairs[:, 0]), *base.arrays_at(pairs[:, 1]), tol)
-    ok, w = okb[inv], np.empty((i.size, fam.dim), dtype=complex)
-    r = np.nonzero(ok)[0]
-    ok[r], w[r] = _branch_rows(fam.alpha, fam.c, (*base.arrays_at(ti[r]), *base.arrays_at(tj[r])),
-                               (ki[r], kj[r]), wb[inv[r]], tol)
-    return ok, w
-
-
 PAIR_BLOCK = 1 << 16            # most chart pairs one `_witness_rows` call decides
 LAYER_PAIR_BUDGET = 1 << 24     # most chart pairs one BFS layer of `chain_between` gathers
 
@@ -524,7 +436,7 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
     in queue order, each with its neighbours j in index order, less the charts
     already reached: one `ChartFamily._neighbors` call counts and lists them.
     Their (b, d) rows are gathered without building a chart (`ChartFamily.arrays_at`) and one batched exact
-    test decides them all (`_pair_witnesses`, in blocks of `PAIR_BLOCK`).  A
+    test decides them all (`ChartFamily._pair_witnesses`, in blocks of `PAIR_BLOCK`).  A
     chart's parent is its first pair that meets, and the chain ends at the
     first goal chart so reached: the chain and witnesses of a FIFO BFS that
     tests one pair at a time.  A layer whose neighbour lists hold more than
@@ -558,7 +470,7 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
             i, j = pi[lo:lo + PAIR_BLOCK], pj[lo:lo + PAIR_BLOCK]
             keep = ~np.isin(j, seen)
             i, j = i[keep], j[keep]
-            ok, w = _pair_witnesses(fam, i, j, t)
+            ok, w = fam._pair_witnesses(i, j, t)
             r = np.nonzero(ok)[0]
             r = r[np.sort(np.unique(j[r], return_index=True)[1])]   # each chart's first
             hit = np.nonzero(np.isin(j[r], goals))[0]

@@ -16,7 +16,6 @@ from atlascover.core import (
     Disconnected,
     NoContainingChart,
     NotHolomorphic,
-    active_axis_indices,
     chart_contains,
     tolerance,
 )
@@ -319,7 +318,7 @@ def _axis_box_candidates(x):
 def doubling_streamed(cov, block=1 << 16):
     """Avoidance flag of every affine chart, streamed over blocks of (b, d)
     rows: |b_i| > gamma |d_i| on every punctured axis (the reference answer)."""
-    axes, fam = active_axis_indices(cov.ambient), cov.family
+    axes, fam = cov.ambient.punctured_axes, cov.family
     flags = np.empty(cov.kappa, dtype=bool)
     for lo in range(0, cov.kappa, block):
         b, d = fam.arrays_at(np.arange(lo, min(lo + block, cov.kappa)))

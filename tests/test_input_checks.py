@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from atlascover.annulus import construction_constant
+from atlascover.annulus import construction_constant, cover_annulus
 from atlascover.core import (
     AtlasError,
     Covering,
@@ -43,6 +43,7 @@ from atlascover.real_acharts import (
 from atlascover.suspension import SuspendedCharts, SuspensionParams, cover_axis
 from atlascover.verify import (
     LevelGraphRegion,
+    PolydiscRegion,
     check_coverage,
     linear_fit,
     named_bound,
@@ -185,6 +186,13 @@ CHECKS = {
         UnsupportedAmbient, "chart arrays need diagonal affine charts"),
     "unknown-region": (lambda: region_samples("disk", 10, 0),
                        RegionMismatch, "unknown region 'disk'"),
+    "coverage-region-other-ambient": (
+        lambda: check_coverage(cover_annulus(0.5, 2.0), PolydiscRegion(eta=0.5, n=1), 10),
+        RegionMismatch, "region PolydiscRegion does not fit ambient PuncturedPlane"),
+    "coverage-polydisc-other-axes": (
+        lambda: check_coverage(cover_punctured_polydisc(2, 0.75, 2.0)[0],
+                               PolydiscRegion(eta=0.75, n=2, active_axes=frozenset({2})), 10),
+        RegionMismatch, "region (2, [2]) does not match ambient (2, [1, 2])"),
     "coverage-other-level": (lambda: check_coverage(cover_monomial_level_set((2, 1), 0.5),
                                                     LevelGraphRegion((2, 1), 0.25), 10),
                              RegionMismatch, "level-set parameters do not match the ambient"),

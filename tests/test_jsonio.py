@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from atlascover.annulus import cover_annulus
-from atlascover.cli import main
-from atlascover.core import AtlasError, MalformedFile
+from atlascover.cli import _REGIONS, main
+from atlascover.core import AtlasError, MalformedFile, ambient_from_dict
 from atlascover.jsonio import (
     covering_from_dict,
     covering_to_dict,
@@ -16,6 +16,7 @@ from atlascover.jsonio import (
 from atlascover.levelset import LevelBranchCharts, cover_monomial_level_set
 from atlascover.polydisc import cover_punctured_polydisc
 from atlascover.suspension import chart_arrays
+from atlascover.verify import check_coverage
 
 from oracles import chart_to_dict
 
@@ -32,6 +33,31 @@ BUILDS = {
     "level-21": lambda: cover_monomial_level_set((2, 1), 0.04),
     "level-211": lambda: cover_monomial_level_set((2, 1, 1), 0.9),
     "level-31-complex": lambda: cover_monomial_level_set((3, 1), 0.3 + 0.2j),
+}
+
+
+AMBIENT_FILES = {      # name: (ambient file form, region `verify coverage` samples, covered, total)
+    "annulus-1e-2": ('{"kind":"punctured_plane"}', "AnnulusRegion(delta=0.01)", 319, 319),
+    "annulus-zeta4": ('{"kind":"punctured_plane"}', "AnnulusRegion(delta=0.05)", 319, 319),
+    "annulus-empty": ('{"kind":"punctured_plane"}', "AnnulusRegion(delta=2.0)", 0, 0),
+    "polydisc-n2": ('{"kind":"polydisc_complement","n":2,"active_axes":[1,2]}',
+                    "PolydiscRegion(eta=0.75, n=2, active_axes=frozenset({1, 2}))", 406, 406),
+    "polydisc-n2-axis2": ('{"kind":"polydisc_complement","n":2,"active_axes":[2]}',
+                          "PolydiscRegion(eta=0.5, n=2, active_axes=frozenset({2}))", 406, 406),
+    "polydisc-n2-axis1": ('{"kind":"polydisc_complement","n":2,"active_axes":[1]}',
+                          "PolydiscRegion(eta=0.75, n=2, active_axes=frozenset({1}))", 406, 406),
+    "polydisc-n3-axes13": ('{"kind":"polydisc_complement","n":3,"active_axes":[1,3]}',
+                           "PolydiscRegion(eta=0.9, n=3, active_axes=frozenset({1, 3}))", 879, 879),
+    "polydisc-n3-axis2": ('{"kind":"polydisc_complement","n":3,"active_axes":[2]}',
+                          "PolydiscRegion(eta=0.5, n=3, active_axes=frozenset({2}))", 879, 879),
+    "polydisc-empty": ('{"kind":"polydisc_complement","n":2,"active_axes":[1,2]}',
+                       "PolydiscRegion(eta=1.5, n=2, active_axes=frozenset({1, 2}))", 0, 0),
+    "level-21": ('{"kind":"monomial_level_set","alpha":[2,1],"c":[0.04,0.0]}',
+                 "LevelGraphRegion(alpha=(2, 1), c=(0.04+0j))", 312, 312),
+    "level-211": ('{"kind":"monomial_level_set","alpha":[2,1,1],"c":[0.9,0.0]}',
+                  "LevelGraphRegion(alpha=(2, 1, 1), c=(0.9+0j))", 312, 312),
+    "level-31-complex": ('{"kind":"monomial_level_set","alpha":[3,1],"c":[0.3,0.2]}',
+                         "LevelGraphRegion(alpha=(3, 1), c=(0.3+0.2j))", 342, 342),
 }
 
 
@@ -90,6 +116,22 @@ def test_reload_keeps_structure(name):
     assert back == cov
     assert back.meta == d["meta"]
     assert same_json(covering_to_dict(back), d)
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_ambient_file_form_and_cli_region(name):
+    """The ambient's file text (pinned) reads back equal, and the region `atlas
+    verify coverage` samples for the covering has its pinned repr, fits the
+    ambient and gives the pinned report (300 samples, seed 3)."""
+    cov = build(name)
+    form, region, covered, total = AMBIENT_FILES[name]
+    assert dumps(cov.ambient.to_dict()) == form + "\n"
+    assert ambient_from_dict(json.loads(form)) == cov.ambient
+    got = _REGIONS[cov.ambient.kind](cov)
+    assert repr(got) == region
+    got.fits(cov.ambient)
+    report = check_coverage(cov, got, 300, 3)
+    assert (report.samples_covered, report.samples_total, report.uncovered) == (covered, total, ())
 
 
 def _nudge(x: float) -> float:

@@ -27,7 +27,7 @@ from atlascover.polydisc import (
     polydisc_plan,
 )
 from atlascover.suspension import SuspendedCharts, cover_axis, covers_points, layer_zeta
-from atlascover.jsonio import ambient_to_dict, dumps
+from atlascover.jsonio import dumps
 from atlascover.verify import PolydiscRegion, certify_doubling, chain_between, check_coverage
 
 from oracles import brute_covered, polydisc_random
@@ -320,7 +320,7 @@ def test_chain_beyond_an_index_is_a_domain_error(tmp_path, capsys):
     p, q = (0.5, 0.5, 0.5, 0.5), (0.5j, 0.5, 0.5, 0.5)
     with pytest.raises(AtlasError, match="more than an index can address"):
         chain_between(cov, p, q)
-    recipe = {"schema_version": "2", "ambient": ambient_to_dict(cov.ambient),
+    recipe = {"schema_version": "2", "ambient": cov.ambient.to_dict(),
               "gamma": cov.gamma, "kappa": 65_171_733_770_154_375_000,
               "meta": json.loads(dumps(cov.meta))}
     path = tmp_path / "big.json"

@@ -141,10 +141,13 @@ def _huge_rings(d):
     ("annulus-1e-2", _huge_rings),
     ("annulus-1e-2", _three_angles),
     ("annulus-1e-2", _set("delta", 0.5, meta=True)),
+    ("polydisc-n2", _set("ambient", {"kind": "torus"})),
+    ("annulus-1e-2", _set("ambient", {"kind": "polydisc_complement", "n": 1, "active_axes": [1]})),
+    ("level-21", _set("ambient", {"kind": "punctured_plane"})),
 ], ids=["unknown_construction", "wrong_kappa", "wrong_ring_kappa", "no_eta", "no_plan",
         "no_base_plan", "no_n_rings", "nan_eta", "unknown_schema", "v2_with_charts",
         "ring_ratio_above_one", "negative_counts", "huge_ring_table", "three_angles",
-        "other_delta"])
+        "other_delta", "unknown_ambient_kind", "rings_on_polydisc", "level_graph_on_plane"])
 def test_malformed_recipe_exits_two(tmp_path, capsys, name, edit):
     d = edit(_v2(name))
     tracemalloc.start()

@@ -552,13 +552,13 @@ class TestStructuredChains:
         """Every BFS layer is decided by one batched kernel call, so a chain
         of length L takes at most L calls; no chart pair is tested alone."""
         calls = []
-        real = verify_mod._witness_rows
+        real = core._witness_rows
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(verify_mod, "_witness_rows", counted)
+        monkeypatch.setattr(core, "_witness_rows", counted)
         monkeypatch.setattr(verify_mod, "intersection_witness", None)
         cov, _ = cover_punctured_polydisc(2, 0.75, 2.0, active_axes={2})
         chain = chain_between(cov, (0.1, 0.9), (0.1, 0.9j))
