@@ -26,6 +26,7 @@ from .core import (
     Covering,
     InvalidDoublingFactor,
     PuncturedPlane,
+    check_positive,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -271,13 +272,11 @@ def ring_disks(delta: float, zeta: float, params: WhitneyDiskParams | None = Non
     by angle within a ring, sized once: the inputs checked, the ring ratio q of
     ``params`` (default `ring_ratio`), `_angular_count` and `_ring_count`;
     delta >= 1 yields no ring."""
-    for name, value in (("delta", delta), ("zeta", zeta)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    check_positive("delta", delta)
+    if not math.isfinite(zeta):
+        raise ValueError(f"zeta must be finite, got {zeta}")
     if not zeta > 1.0:
         raise InvalidDoublingFactor(f"zeta must exceed 1, got {zeta}")
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
     q = (params or WhitneyDiskParams(ring_ratio(zeta))).ring_ratio
     return RingDisks(zeta, q, _angular_count(q, zeta), _ring_count(delta, q))
 

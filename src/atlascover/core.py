@@ -10,10 +10,11 @@ Euclidean ball preimage) and the puncture-avoidance certificate (per-axis
 disk separation) exact O(n) formulas.
 
 Tolerance policy: one relative tolerance t (`tolerance`) widens each membership
-test once.  The ball rule is s^2 (1 + t) on the squared preimage norm, in
-`ChartFamily._inside` (`locate`, `contains`) and in each family's `_hits`
-(`covers`); the windows of `passes` are taken at s (1 + t); a level chart
-matches x1 to its branch value g by |g - x1| <= sqrt(t) max(1, |g|).
+test once.  The ball rule sum_i |(p_i - b_i)/d_i|^2 <= s^2 (1 + t) is one numpy
+expression, `_in_ball`, in `chart_contains`, `locate`, `contains`, the default
+`covers` and the chain witnesses (rings and suspensions have their own `_hits`);
+`passes` windows are at s (1 + t); a level chart matches x1 to its branch value
+g by |g - x1| <= sqrt(t) max(1, |g|).
 
 Ambient regions state their ``kind``, ``dim``, the 0-based ``punctured_axes``
 whose hyperplanes the deleted set lies on, the ``chart_kind`` of their charts
@@ -135,6 +136,14 @@ def tolerance(tol: float | None = None) -> float:
     if not 0.0 <= value < float("inf"):
         raise InvalidTolerance(f"a tolerance must be a finite number >= 0; {source} is {value}")
     return value
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise `ValueError` naming ``name`` unless ``value`` is a finite positive number."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +312,8 @@ def ambient_from_dict(d: dict):
 
 def chart_contains(chart: DiagonalAffineChart, p, scale: float,
                    tol: float | None = None) -> bool:
-    """Whether ``p`` lies in the image of the ball of radius ``scale``.
-
-    Exact test: sum_i |(p_i - b_i)/d_i|^2 <= scale^2, with a relative
-    tolerance on the right-hand side for boundary points.
-    """
+    """Whether ``p`` lies in the image of the ball of radius ``scale``:
+    `_in_ball` on one row, sum_i |(p_i - b_i)/d_i|^2 <= scale^2 (1 + t)."""
     if not isinstance(chart, DiagonalAffineChart):
         raise UnsupportedAmbient(AFFINE_ONLY)
     p = tuple(p)
@@ -315,48 +321,20 @@ def chart_contains(chart: DiagonalAffineChart, p, scale: float,
         raise DimensionMismatch(f"point dim {len(p)} != chart dim {chart.dim}")
     if not 0 < scale <= chart.gamma:
         raise ValueError(f"scale must lie in (0, gamma={chart.gamma}], got {scale}")
-    t = tolerance(tol)
-    s2 = sum(abs((pi - bi) / di) ** 2
-             for pi, bi, di in zip(p, chart.b, chart.d))
-    return s2 <= scale * scale * (1.0 + t)
+    rows = (np.array([x], dtype=complex) for x in (p, chart.b, chart.d))
+    return bool(_in_ball(*rows, scale, tolerance(tol))[0])
 
 
-def _abs(z, power: float = 1.0):
-    """``abs(z) ** power`` as Python rounds it (libm ``hypot`` and ``pow``)."""
-    h = np.hypot(z.real, z.imag)
-    return h if power == 1.0 else np.float_power(h, power)
+def _ball_norms(pts, b, d) -> np.ndarray:
+    """Row r: the squared preimage norm sum_i |(pts_ri - b_ri) / d_ri|^2."""
+    return (np.abs((pts - b) / d) ** 2).sum(axis=1)
 
 
-def _complex(re, im):
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _quot(a, b):
-    """Python's complex ``a / b`` (Smith's scaling), not numpy's division."""
-    big = np.abs(b.real) >= np.abs(b.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(big, b.imag / b.real, b.real / b.imag)
-        den = np.where(big, b.real + b.imag * ratio, b.real * ratio + b.imag)
-        return _complex(np.where(big, a.real + a.imag * ratio, a.real * ratio + a.imag) / den,
-                        np.where(big, a.imag - a.real * ratio, a.imag * ratio - a.real) / den)
-
-
-def _rowsum(x):
-    """Left-to-right sums over the last axis, as Python's ``sum`` adds floats."""
-    return reduce(np.add, np.moveaxis(x, -1, 0))
-
-
-def _norm(z):
-    """Row norms as `np.linalg.norm` rounds one row: BLAS dots of the real and imaginary parts."""
-    return np.sqrt(sum((x[:, None, :] @ x[:, :, None])[:, 0, 0] for x in (z.real, z.imag)))
-
-
-def _in_ball(p, b, d, bound):
-    """`chart_contains` row by row: sum_i |(p_i - b_i) / d_i|^2 <= bound."""
-    with np.errstate(over="ignore"):            # a sum that overflows is outside
-        return _rowsum(_abs(_quot(p - b, d), 2.0)) <= bound
+def _in_ball(pts, b, d, scale, t: float) -> np.ndarray:
+    """The ball rule, row r: chart (b[r], d[r]) at scale[r] holds pts[r], `_ball_norms`
+    <= scale^2 (1 + t), whatever the other rows; a point that is not finite is outside."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _ball_norms(pts, b, d) <= scale ** 2 * (1.0 + t)
 
 
 def _product_rows(axes) -> np.ndarray:
@@ -390,43 +368,41 @@ def _witness_rows(b1, d1, b2, d2, tol: float):
     Each test runs on the rows the last left open: the center segment, whose
     minimax point is where the preimage norms t n1 and (1-t) n2 cross
     (complete for disks); rejection where the projections miss on some axis;
-    then `_bisect`.  Each step rounds as the one-pair formula in Python floats.
+    then `_bisect`.  All is element-wise numpy: a row's bits are its own.
     """
     root = math.sqrt(1.0 + tol)
-    n1, n2 = _norm((b2 - b1) / d1), _norm((b1 - b2) / d2)
+    n1, n2 = np.sqrt(_ball_norms(b2, b1, d1)), np.sqrt(_ball_norms(b1, b2, d2))
     same = n1 + n2 == 0.0                   # coincident centers
     with np.errstate(divide="ignore", invalid="ignore"):
         ok = same | (n1 * n2 / (n1 + n2) <= root)
         w = np.where(same[:, None], b1, b1 + (n2 / (n1 + n2))[:, None] * (b2 - b1))
-    miss = (_abs(b1 - b2) > (_abs(d1) + _abs(d2)) * root).any(axis=1)
+    miss = (np.abs(b1 - b2) > (np.abs(d1) + np.abs(d2)) * root).any(axis=1)
     r = np.nonzero(~ok & ~miss)[0]
     if r.size:
-        ok[r], w[r] = _bisect(b1[r], d1[r], b2[r], d2[r], 1.0 + tol)
+        ok[r], w[r] = _bisect(b1[r], d1[r], b2[r], d2[r], tol)
     return ok, w
 
 
-def _bisect(b1, d1, b2, d2, bound: float):
+def _bisect(b1, d1, b2, d2, tol: float):
     """The Lagrange stage.  The squared preimage norms f_c(p) = sum_i w_i
     |p_i - b_i|^2 (w = 1/|d|^2) are separable: s f1 + (1-s) f2 is least at the
     weighted mean p(s) of the centers, and the minimax point is p(s*) where
     f1 = f2, which bisection on the sign of f1 - f2 finds.  A value of
-    s f1 + (1-s) f2 above ``bound`` = 1 + tol bounds the minimax from below:
-    the images are disjoint and the row drops out.  The point must lie in both."""
+    s f1 + (1-s) f2 above 1 + tol bounds the minimax from below: the images
+    are disjoint and the row drops out.  The point must lie in both (`_in_ball`)."""
     ok, live = np.ones(len(b1), dtype=bool), np.arange(len(b1))
-    w1, w2 = 1.0 / _abs(d1, 2.0), 1.0 / _abs(d2, 2.0)
+    w1, w2 = 1.0 / np.abs(d1) ** 2, 1.0 / np.abs(d2) ** 2
     lo, hi = np.zeros(len(b1)), np.ones(len(b1))
 
-    def point(s):           # Python's float * complex is (x + 0j) * z, to the zeros' signs
+    def point(s):
         u, v = s[:, None] * w1, (1.0 - s)[:, None] * w2
-        re = u * b1.real - 0.0 * b1.imag + (v * b2.real - 0.0 * b2.imag)
-        im = u * b1.imag + 0.0 * b1.real + (v * b2.imag + 0.0 * b2.real)
-        return _quot(_complex(re, im), _complex(u + v, 0.0))
+        return (u * b1 + v * b2) / (u + v)
 
     for _ in range(60):
         s = 0.5 * (lo + hi)
         p = point(s)
-        f1, f2 = _rowsum(w1 * _abs(p - b1, 2.0)), _rowsum(w2 * _abs(p - b2, 2.0))
-        out = s * f1 + (1.0 - s) * f2 > bound
+        f1, f2 = (w1 * np.abs(p - b1) ** 2).sum(axis=1), (w2 * np.abs(p - b2) ** 2).sum(axis=1)
+        out = s * f1 + (1.0 - s) * f2 > 1.0 + tol
         lo, hi = np.where(f1 > f2, s, lo), np.where(f1 > f2, hi, s)
         if out.any():
             ok[live[out]] = False
@@ -435,7 +411,7 @@ def _bisect(b1, d1, b2, d2, bound: float):
             if not live.size:
                 break
     p = point(0.5 * (lo + hi))
-    ok[live] = _in_ball(p, b1, d1, bound) & _in_ball(p, b2, d2, bound)
+    ok[live] = _in_ball(p, b1, d1, 1.0, tol) & _in_ball(p, b2, d2, 1.0, tol)
     w = np.empty((len(ok), b1.shape[1]), dtype=complex)
     w[live] = p
     return ok, w
@@ -575,9 +551,8 @@ class ChartFamily(Sequence):
             lo = hi
 
     def _inside(self, pts, idx, scale, tol: float) -> np.ndarray:
-        """Row r: whether chart idx[r]'s image at scale[r] contains pts[r] (`chart_contains`)."""
-        b, d = self.arrays_at(idx)
-        return _in_ball(pts, b, d, scale * scale * (1.0 + tol))
+        """Row r: whether chart idx[r]'s image at scale[r] holds pts[r]: `_in_ball` on `arrays_at` rows."""
+        return _in_ball(pts, *self.arrays_at(idx), scale, tol)
 
     def locate(self, pts, scale, tol: float | None = None) -> tuple:
         """(point indices, chart indices): every pair whose chart image at
@@ -602,10 +577,8 @@ class ChartFamily(Sequence):
         return j
 
     def _hits(self, pts, scale, t: float, j):
-        """Row r: whether chart j[r] at scale[r] holds pts[r] (the ball rule on `arrays_at` rows)."""
-        b, d = self.arrays_at(j)
-        with np.errstate(invalid="ignore", over="ignore"):  # a point that is not finite is outside
-            return (np.abs((pts - b) / d) ** 2).sum(axis=1) <= scale ** 2 * (1.0 + t)
+        """Row r: whether chart j[r] at scale[r] holds pts[r]: `_inside`, as the default keys are indices."""
+        return self._inside(pts, j, scale, t)
 
     def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
         """Which points lie in some chart image at ``scale`` (scalar or per point):
@@ -800,11 +773,9 @@ class EtaParams:
     alpha0: int
 
     def __post_init__(self):
-        for name in ("c_lower", "C_unit"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.c_lower > 0:
-            raise ValueError("c_lower must be positive")
+        check_positive("c_lower", self.c_lower)
+        if not np.isfinite(self.C_unit):
+            raise ValueError(f"C_unit must be finite, got {self.C_unit}")
         if not self.C_unit >= 1:
             raise ValueError("C_unit must be >= 1")
         if self.c_lower > self.C_unit:

@@ -32,8 +32,7 @@ from .core import (
     DimensionMismatch,
     LevelOutsideRange,
     MonomialLevelSet,
-    _abs,
-    _norm,
+    _in_ball,
     avoidance,
     avoidance_certificate,
     chart_count,
@@ -234,16 +233,15 @@ class LevelBranchCharts(ChartFamily):
         return ok, w
 
     def _inside(self, pts, idx, scale, tol: float) -> np.ndarray:
-        """Row by row: the base preimage x of xbar has norm at most scale sqrt(1 + tol),
-        and the branch value g at x matches x1: |g - x1| <= sqrt(tol) max(1, |g|)."""
+        """Row by row: the base chart holds xbar by the ball rule (`_in_ball`),
+        and the branch value g at its preimage matches x1 (`_root_match`)."""
         base, k = np.divmod(idx, self.alpha1)
         b, d = self._base.arrays_at(base)
-        x = (pts[:, 1:] - b) / d
-        ok = _norm(x) <= scale * math.sqrt(1.0 + tol)
+        ok = _in_ball(pts[:, 1:], b, d, scale, tol)
         r = np.nonzero(ok)[0]
-        g = level_points(b[r], d[r], self.alpha, self.c, x[r], range(self.alpha1))
-        g = g[np.arange(r.size), k[r], 0]
-        ok[r] = _abs(g - pts[r, 0]) <= tol ** 0.5 * np.maximum(1.0, _abs(g))
+        x = (pts[r, 1:] - b[r]) / d[r]
+        g = level_points(b[r], d[r], self.alpha, self.c, x, range(self.alpha1))
+        ok[r] = _root_match(g[np.arange(r.size), k[r], 0], pts[r, 0], tol)
         return ok
 
     contains = ChartFamily.contains         # bound here too: the benchmark tracer counts its calls
@@ -253,17 +251,21 @@ class LevelBranchCharts(ChartFamily):
 
         Every base chart carries all alpha_1 branches, and their values at
         xbar are the alpha_1 roots g of g^alpha_1 = c / xbar^alphabar, so p
-        is covered iff the base covers xbar and |g - x1| <= sqrt(t) max(1, |g|)
-        for one of them (the rule of `_inside`).
+        is covered iff the base covers xbar and one of them matches x1
+        (`_root_match`, the rule of `_inside`).
         """
         pts, _, t = self._points(pts, scale, tol)
         out = self._base.covers(pts[:, 1:], scale, tol=t)
         rows = np.nonzero(out)[0]
         if rows.size:
             g = direct_branch_values(self.alpha, self.c, pts[rows, 1:])
-            near = np.abs(g - pts[rows, :1]) <= t ** 0.5 * np.maximum(1.0, np.abs(g))
-            out[rows] = near.any(axis=1)
+            out[rows] = _root_match(g, pts[rows, :1], t).any(axis=1)
         return out
+
+
+def _root_match(g, x1, t: float) -> np.ndarray:
+    """Whether branch values g match first coordinates x1: |g - x1| <= sqrt(t) max(1, |g|)."""
+    return np.abs(g - x1) <= t ** 0.5 * np.maximum(1.0, np.abs(g))
 
 
 def _branch_rows(alpha, c, rows, branches, wb, tol: float):
@@ -274,8 +276,7 @@ def _branch_rows(alpha, c, rows, branches, wb, tol: float):
     g1, g2 = (level_points(b, d, alpha, c, (wb - b) / d,
                            range(alpha[0]))[np.arange(len(wb)), k, 0]
               for b, d, k in ((*rows[:2], branches[0]), (*rows[2:], branches[1])))
-    ok = _abs(g1 - g2) <= tol ** 0.5 * np.maximum(1.0, _abs(g1))
-    return ok, np.concatenate([g1[:, None], wb], axis=1)
+    return _root_match(g1, g2, tol), np.concatenate([g1[:, None], wb], axis=1)
 
 
 def _level_base(alpha, c: complex, gamma: float):

@@ -22,6 +22,7 @@ from .core import (
     GammaTooSmall,
     NotARegularValue,
     PolydiscComplement,
+    check_positive,
 )
 from .suspension import SuspendedCharts, cover_axis, layer_zeta
 
@@ -93,11 +94,9 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
     """
     if n < 1:
         raise ValueError("dimension must be positive")
-    for name, value in (("eta", eta), ("gamma", gamma)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    check_positive("eta", eta)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if not gamma >= 2.0:
         raise GammaTooSmall(f"the induction requires gamma >= 2, got {gamma}")
     axes = _normalize_axes(n, active_axes)

@@ -30,6 +30,7 @@ from .core import (
     UnsupportedAmbient,
     _witness_rows,
     check_budget,
+    check_positive,
     tolerance,
 )
 from .levelset import _branch_rows, direct_branch_values, level_base_plan
@@ -49,11 +50,14 @@ def _fit_kind(region, ambient) -> None:
 
 @dataclass(frozen=True)
 class AnnulusRegion:
-    """{delta <= |z| <= 1} in the punctured plane."""
+    """{delta <= |z| <= 1} in the punctured plane; empty if delta >= 1."""
 
     delta: float
     ambient_kind = PuncturedPlane.kind
     fits = _fit_kind        # the plane has no parameters to match
+
+    def __post_init__(self):
+        check_positive("delta", self.delta)
 
     def rows(self, n_samples: int, seed: int) -> tuple:
         return PolydiscRegion(eta=self.delta, n=1).rows(n_samples, seed)
@@ -61,12 +65,15 @@ class AnnulusRegion:
 
 @dataclass(frozen=True)
 class PolydiscRegion:
-    """{eta <= |x_i| <= 1 on active axes, |x_i| <= 1 elsewhere} in C^n."""
+    """{eta <= |x_i| <= 1 on active axes, |x_i| <= 1 elsewhere} in C^n; empty if eta >= 1."""
 
     eta: float
     n: int
     active_axes: frozenset | None = None
     ambient_kind = PolydiscComplement.kind
+
+    def __post_init__(self):
+        check_positive("eta", self.eta)
 
     def axes(self) -> frozenset:
         if self.active_axes is None:
@@ -91,10 +98,9 @@ class PolydiscRegion:
         output per double), so it costs its own rows only.  Each range has a
         PCG64 of its own, so ranges may be drawn on several threads at once."""
         n, eta, axes = self.n, self.eta, self.axes()
-        if eta < 1.0:
-            _sample_budget(n_samples, n)
         if eta >= 1.0:
             return _no_rows(n)
+        _sample_budget(n_samples, n)
         side, count = _grid_side(n_samples, n), n_samples // 2
         cells = side * side
         g = cells ** n
@@ -515,8 +521,7 @@ def named_bound(formula: str, params: dict) -> float:
             int(params["n"]) - 1, float(params["gamma"]), float(params["eta"]))
     if formula == "complement":
         c1, delta = float(params["c1"]), float(params["delta"])
-        if not delta > 0.0:
-            raise ValueError(f"delta must be positive, got {delta}")
+        check_positive("delta", delta)
         if not c1 / delta > 0.0:
             raise ValueError(f"c1/delta must be positive, got {c1 / delta}")
         return float(params["C1"]) * math.log(c1 / delta) ** int(params["n"])

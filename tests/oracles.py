@@ -378,8 +378,8 @@ def _segment_witness(c1, c2, tol):
     """
     b1 = np.asarray(c1.b)
     b2 = np.asarray(c2.b)
-    n1 = float(np.linalg.norm((b2 - b1) / np.asarray(c1.d)))
-    n2 = float(np.linalg.norm((b1 - b2) / np.asarray(c2.d)))
+    n1 = math.sqrt((np.abs((b2 - b1) / np.asarray(c1.d)) ** 2).sum())
+    n2 = math.sqrt((np.abs((b1 - b2) / np.asarray(c2.d)) ** 2).sum())
     if n1 + n2 == 0.0:
         return tuple(b1)
     tstar = n2 / (n1 + n2)
@@ -392,34 +392,34 @@ def _segment_witness(c1, c2, tol):
 def _lagrange_witness(c1, c2, tol):
     """Exact witness for two diagonal charts, or None when the images miss:
     the projection test, then a 60-step bisection on the sign of f1 - f2
-    along the weighted means p(s) of the two centers, in Python floats."""
+    along the weighted means p(s) of the two centers, in numpy arithmetic
+    on the one pair's coordinate arrays."""
     bound = 1.0 + tol
     root = math.sqrt(bound)
-    if any(abs(x - y) > (abs(u) + abs(v)) * root
-           for x, y, u, v in zip(c1.b, c2.b, c1.d, c2.d)):
+    b1, d1, b2, d2 = (np.asarray(x, dtype=complex) for x in (c1.b, c1.d, c2.b, c2.d))
+    if (np.abs(b1 - b2) > (np.abs(d1) + np.abs(d2)) * root).any():
         return None                         # the projections miss on some axis
-    w1 = [1.0 / abs(u) ** 2 for u in c1.d]
-    w2 = [1.0 / abs(v) ** 2 for v in c2.d]
+    w1, w2 = 1.0 / np.abs(d1) ** 2, 1.0 / np.abs(d2) ** 2
 
     def point(s):
-        return tuple((s * u * x + (1.0 - s) * v * y) / (s * u + (1.0 - s) * v)
-                     for x, y, u, v in zip(c1.b, c2.b, w1, w2))
+        u, v = s * w1, (1.0 - s) * w2
+        return (u * b1 + v * b2) / (u + v)
 
     def norm2(p, b, w):
-        return sum(wi * abs(pi - bi) ** 2 for pi, bi, wi in zip(p, b, w))
+        return float((w * np.abs(p - b) ** 2).sum())
 
     lo, hi = 0.0, 1.0
     for _ in range(60):
         s = 0.5 * (lo + hi)
         p = point(s)
-        f1, f2 = norm2(p, c1.b, w1), norm2(p, c2.b, w2)
+        f1, f2 = norm2(p, b1, w1), norm2(p, b2, w2)
         if s * f1 + (1.0 - s) * f2 > bound:
             return None
         if f1 > f2:
             lo = s
         else:
             hi = s
-    p = point(0.5 * (lo + hi))
+    p = tuple(point(0.5 * (lo + hi)).tolist())
     if chart_contains(c1, p, 1.0, tol=tol) and chart_contains(c2, p, 1.0, tol=tol):
         return p
     return None
@@ -429,15 +429,15 @@ def _branch_witness(c1, c2, wb, tol):
     """The witness of two level-branch charts over the base witness ``wb``."""
     g1 = complex(c1.first_coordinate(c1.base.preimage(wb)))
     g2 = complex(c2.first_coordinate(c2.base.preimage(wb)))
-    if abs(g1 - g2) <= tol ** 0.5 * max(1.0, abs(g1)):
+    if np.abs(g1 - g2) <= tol ** 0.5 * np.maximum(1.0, np.abs(g1)):
         return (g1,) + tuple(wb)
     return None
 
 
 def scalar_witness(c1, c2, tol=None):
-    """`verify.intersection_witness` one chart pair at a time in Python
-    floats: the center segment, then `_lagrange_witness`; level-branch
-    charts through their bases and `_branch_witness`."""
+    """`verify.intersection_witness` one chart pair at a time: the center
+    segment, then `_lagrange_witness`; level-branch charts through their
+    bases and `_branch_witness`."""
     t = tolerance(tol)
     if hasattr(c1, "base"):
         wb = scalar_witness(c1.base, c2.base, tol=t)

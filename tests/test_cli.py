@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -282,6 +283,22 @@ def test_coverage_failure_exits_one(tmp_path):
     write_covering(pruned, path)
     assert main(["verify", "coverage", "--covering", str(path),
                  "--samples", "8000", "--seed", "0"]) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta, message", [(math.nan, "delta must be finite, got nan"),
+                                            (-0.5, "delta must be positive, got -0.5")])
+def test_coverage_of_a_file_whose_delta_is_not_positive_exits_two(tmp_path, capsys, delta, message):
+    """A schema-1 annulus file whose `meta.delta` is NaN or negative names
+    the bad delta before any sample is drawn, where it once sampled an
+    undefined region and reported a coverage failure."""
+    d = covering_to_dict(cover_annulus(0.1, 2.0))
+    assert d["schema_version"] == "1"
+    d["meta"]["delta"] = delta
+    path = tmp_path / "bad-delta.json"
+    path.write_text(json.dumps(d))
+    assert main(["verify", "coverage", "--covering", str(path), "--samples", "1000"]) == 2
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
 
 
 def test_domain_error_exits_two(capsys):

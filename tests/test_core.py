@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from atlascover.core import (
+    ChartList,
     DiagonalAffineChart,
     DimensionMismatch,
     EtaParams,
@@ -12,6 +13,7 @@ from atlascover.core import (
     PolydiscComplement,
     PuncturedPlane,
     UnsupportedAmbient,
+    _in_ball,
     avoidance_certificate,
     chart_contains,
     cpoint,
@@ -49,6 +51,52 @@ class TestChartContains:
         ch = disk(0.0, 1.0)
         with pytest.raises(ValueError):
             chart_contains(ch, (0.5,), 3.0)
+
+
+def _rule_rows(dim: int, rng) -> tuple:
+    """(pts, b, d, scale), 3,300 rows of ``dim`` coordinates: random rows
+    within 0.1 % of the ball's boundary; 300 of them again, each at a scale
+    whose bound s^2 (1 + t), t = 1e-10, is a few ulps from its squared norm;
+    then 180 rows of unit charts whose first coordinate steps by ulps over
+    sqrt(s^2 (1 + t)).  So every row set has rows just inside and just outside."""
+    n = 3000
+    b = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    d = rng.uniform(0.05, 2.0, (n, dim)) * np.exp(2j * np.pi * rng.random((n, dim)))
+    scale = rng.uniform(0.05, 1.9, n)
+    x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    x *= (scale * rng.uniform(0.999, 1.001, n) / np.linalg.norm(x, axis=1))[:, None]
+    pts = b + d * x
+    norms = (np.abs((pts[:300] - b[:300]) / d[:300]) ** 2).sum(axis=1)
+    near = np.sqrt(norms / (1.0 + 1e-10))
+    near += (np.arange(300) % 5 - 2) * np.spacing(near)           # -2 to 2 ulps
+    r = np.sqrt(np.repeat(rng.uniform(0.05, 1.9, 20), 9) ** 2 * (1.0 + 1e-10))
+    unit_scale = np.sqrt(r ** 2 / (1.0 + 1e-10))
+    r += (np.arange(180) % 9 - 4) * np.spacing(r)                  # -4 to 4 ulps
+    unit = np.zeros((180, dim), dtype=complex)
+    unit[:, 0] = r
+    ones = np.ones((180, dim), dtype=complex)
+    return (np.vstack([pts, pts[:300], unit]), np.vstack([b, b[:300], 0.0 * ones]),
+            np.vstack([d, d[:300], ones]), np.concatenate([scale, near, unit_scale]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_ball_rule_answers_a_row_alone_as_in_a_block(dim):
+    """The one ball rule decides each row as it decides it alone: the
+    N-row `_in_ball` equals one-row calls, `chart_contains`,
+    `ChartList.contains` and the default `_hits` on every row, on random rows
+    near the boundary and on rows a few ulps inside and outside it."""
+    pts, b, d, scale = _rule_rows(dim, np.random.default_rng(dim))
+    block = _in_ball(pts, b, d, scale, 1e-10)
+    for edge in (block[:3000], block[3000:3300], block[3300:]):
+        assert edge.any() and not edge.all()
+    charts = [DiagonalAffineChart(b=tuple(bi), d=tuple(di), gamma=2.0) for bi, di in zip(b, d)]
+    fam = ChartList(charts)
+    assert np.array_equal(fam._hits(pts, scale, 1e-10, np.arange(len(charts))), block)
+    for r, (p, s) in enumerate(zip(pts, scale)):
+        alone = _in_ball(pts[r:r + 1], b[r:r + 1], d[r:r + 1], scale[r:r + 1], 1e-10)
+        assert alone.tolist() == [block[r]], r
+        assert chart_contains(charts[r], tuple(p), s, tol=1e-10) == block[r], r
+        assert fam.contains(r, p, s, tol=1e-10) == block[r], r
 
 
 class TestAvoidance:

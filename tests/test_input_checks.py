@@ -42,6 +42,7 @@ from atlascover.real_acharts import (
 )
 from atlascover.suspension import SuspendedCharts, SuspensionParams, cover_axis
 from atlascover.verify import (
+    AnnulusRegion,
     LevelGraphRegion,
     PolydiscRegion,
     check_coverage,
@@ -167,6 +168,9 @@ CHECKS = {
     "complement-bound-delta-0": (
         lambda: named_bound("complement", {"C1": 1.0, "c1": 1.0, "delta": 0.0, "n": 2}),
         ValueError, "delta must be positive, got 0.0"),
+    "complement-bound-delta-inf": (
+        lambda: named_bound("complement", {"C1": 1.0, "c1": 1.0, "delta": math.inf, "n": 2}),
+        ValueError, "delta must be finite, got inf"),
     "complement-bound-c1-negative": (
         lambda: named_bound("complement", {"C1": 1.0, "c1": -1.0, "delta": 0.5, "n": 2}),
         ValueError, "c1/delta must be positive, got -2.0"),
@@ -196,6 +200,10 @@ CHECKS = {
     "coverage-other-level": (lambda: check_coverage(cover_monomial_level_set((2, 1), 0.5),
                                                     LevelGraphRegion((2, 1), 0.25), 10),
                              RegionMismatch, "level-set parameters do not match the ambient"),
+    "polydisc-region-eta-nan": (lambda: region_samples(PolydiscRegion(math.nan, 2), 10 ** 12, 0),
+                                ValueError, "eta must be finite, got nan"),
+    "annulus-region-delta-negative": (lambda: region_samples(AnnulusRegion(-0.5), 100, 0),
+                                      ValueError, "delta must be positive, got -0.5"),
     "fit-one-point": (lambda: linear_fit([1.0], [2.0]),
                       InsufficientPoints, "need at least two points to fit a line"),
 }

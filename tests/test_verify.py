@@ -644,13 +644,25 @@ CHAIN_CASES = {
 # annulus and kappa=186 polydisc chains of the bench's lazy-large workload,
 # the endpoints of its file-flows annulus chain, a level set and a plain list
 CHAIN_PINS = {
-    "annulus-1e-2": "6ae64645672483157b701fe7e21ae4320e29e146bc5de9dd390f85d7acfb62fb",
+    "annulus-1e-2": "bd51c516fd99b4090593262192be2a2d46ceeb06840e9354606d235c8a49f3b1",
     "annulus-1e-2-quarter": "298d4aff882e48cbe53438a0ac868626a5e304bbea330ccfe4255917a61a0188",
-    "annulus-1e-3": "599c379ed0334f4e93c3796fd433b3312a089d42c418d405ba95dd4ca53bb6c3",
+    "annulus-1e-3": "8dfcbd66d33759056e3f67d898461684818a57f1ff303ae3a43a30aec1f23f1a",
     "polydisc-axis2": "2726e70c2678a1ef8ac531b853f81cb183b73167a302049b45a5b456a45fb470",
     "polydisc-axis2-list": "2726e70c2678a1ef8ac531b853f81cb183b73167a302049b45a5b456a45fb470",
-    "level-21": "5288d5496bbcc263211918a250d070ada51d50e7778d580b1dea7cc7c45ddd36",
-    "crossed-ellipses": "5d4e5eab79938bdd86861f2ce9221225b9fbca58a8a689cec9d234c6afff172d",
+    "level-21": "1175d0621b17bdab8c5f3d56f43b88639c8f71be53e15fe471caad806214a6dc",
+    "crossed-ellipses": "eb9bd59ff9200cb9b75a1b00fad53b4f1ee0a07407f27448b7c76edb4ff4eb80",
+}
+
+# The chart indices of each case's chain, pinned apart from the witness bits:
+# a change to the witness arithmetic may move those bits, never these indices.
+CHAIN_INDEX_PINS = {
+    "annulus-1e-2": (448, 435, 422, 409, 410, 425, 440, 455),
+    "annulus-1e-2-quarter": (42, 29, 44, 59),
+    "annulus-1e-3": (700, 687, 674, 661, 662, 677, 692, 707),
+    "polydisc-axis2": tuple(range(9)),
+    "polydisc-axis2-list": tuple(range(9)),
+    "level-21": (616, 532, 448, 364, 280, 196, 170, 144, 118, 92, 66, 40, 14),
+    "crossed-ellipses": (0, 1, 2, 3, 4),
 }
 
 
@@ -661,6 +673,11 @@ class TestBatchedChains:
         chain = chain_between(build(), p, q)
         digest = hashlib.sha256(repr((chain.chart_indices, chain.witnesses)).encode()).hexdigest()
         assert digest == CHAIN_PINS[name]
+
+    @pytest.mark.parametrize("name", CHAIN_CASES)
+    def test_chain_indices_are_pinned(self, name):
+        build, p, q = CHAIN_CASES[name]
+        assert chain_between(build(), p, q).chart_indices == CHAIN_INDEX_PINS[name]
 
     @pytest.mark.parametrize("name", ["annulus-1e-2", "polydisc-axis2", "polydisc-axis2-list",
                                       "level-21"])
