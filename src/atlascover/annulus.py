@@ -26,6 +26,7 @@ from .core import (
     Covering,
     InvalidDoublingFactor,
     PuncturedPlane,
+    _in_ball,
     check_positive,
 )
 
@@ -210,7 +211,7 @@ class RingDisks(ChartFamily):
     def _hits(self, pts, scale, t: float, j):
         """Row r: whether disk j[r] scaled by scale[r] holds pts[r], |z - a|^2 <= (r s)^2 (1 + t).
         A row whose |z - a|^2 underflows (|z - a| below ~1e-154) is decided by
-        `locate`'s rule, |(z - a)/r|^2 <= s^2 (1 + t), instead.  Where only
+        the ball rule `_in_ball`, |(z - a)/r|^2 <= s^2 (1 + t), instead.  Where only
         (r s)^2 underflows, s = 0 included, z lies farther than r s from a
         and both rules leave the row out."""
         a, r = self._disks
@@ -223,7 +224,7 @@ class RingDisks(ChartFamily):
             held = y <= rs
             deep = np.nonzero(y < TINY)[0]
         if deep.size:
-            held[deep] = self._inside(pts[deep], j[deep], scale[deep], t)
+            held[deep] = _in_ball(pts[deep], *self.arrays_at(j[deep]), scale[deep], t)
         return held
 
     covers = ChartFamily.covers             # bound here too: the benchmark tracer times its calls

@@ -11,10 +11,10 @@ disk separation) exact O(n) formulas.
 
 Tolerance policy: one relative tolerance t (`tolerance`) widens each membership
 test once.  The ball rule sum_i |(p_i - b_i)/d_i|^2 <= s^2 (1 + t) is one numpy
-expression, `_in_ball`, in `chart_contains`, `locate`, `contains`, the default
-`covers` and the chain witnesses (rings and suspensions have their own `_hits`);
-`passes` windows are at s (1 + t); a level chart matches x1 to its branch value
-g by |g - x1| <= sqrt(t) max(1, |g|).
+expression, `_in_ball`, in `chart_contains`, the chain witnesses and the default
+`_hits`, the row test of `locate`, `contains` and `covers` (rings and
+suspensions have their own); `passes` windows are at s (1 + t); a level chart
+matches x1 to its branch value g by |g - x1| <= sqrt(t) max(1, |g|).
 
 Ambient regions state their ``kind``, ``dim``, the 0-based ``punctured_axes``
 whose hyperplanes the deleted set lies on, the ``chart_kind`` of their charts
@@ -445,11 +445,11 @@ class ChartFamily(Sequence):
     families of the same type equal), ``arrays_at(idx)``, the one place it
     states its (b, d) rows, and ``passes`` (the default offers every chart).
     Charts, `chart_arrays`, `locate`, `contains` and `covers` read those, and
-    `covers` the hooks ``_anchor``, ``_hits`` and ``_key``.  ``_neighbors``
-    and ``_pair_witnesses`` (read by the chain search), ``level_rows`` and
-    ``doubling_factors`` have defaults and are optional faster kernels.  A
-    family of other charts has no rows: it supplies ``_chart(i)`` (and
-    ``_inside`` and ``covers``, to locate points) and its affine ``base``.
+    one row test decides the pairs of the last three: ``_hits`` on the keys of
+    ``_key`` (`covers` tries ``_anchor`` first).  ``_neighbors`` and
+    ``_pair_witnesses`` (chain search), ``level_rows`` and ``doubling_factors``
+    have defaults and are optional faster kernels.  A family of other charts
+    has no rows: it supplies ``_chart(i)``, ``_hits`` and its affine ``base``.
     """
 
     def __getitem__(self, i):
@@ -550,20 +550,16 @@ class ChartFamily(Sequence):
             yield np.repeat(idx, hi - lo), np.tile(np.arange(lo, hi), idx.size)
             lo = hi
 
-    def _inside(self, pts, idx, scale, tol: float) -> np.ndarray:
-        """Row r: whether chart idx[r]'s image at scale[r] holds pts[r]: `_in_ball` on `arrays_at` rows."""
-        return _in_ball(pts, *self.arrays_at(idx), scale, tol)
-
     def locate(self, pts, scale, tol: float | None = None) -> tuple:
         """(point indices, chart indices): every pair whose chart image at
         ``scale`` (scalar or per point) contains the point, as sorted int64
         arrays; no chart is built.  `passes` offer the pairs (at the scale times
-        1 + tol, as their windows test no tolerance) and `_inside` decides them."""
+        1 + tol, as their windows test no tolerance) and `_hits` decides them."""
         pts, scale, t = self._points(pts, scale, tol)
         found = [np.zeros((0, 2), dtype=np.int64)]
         passes = self.passes(pts, scale * (1.0 + t), np.zeros(pts.shape[0], dtype=bool))
         for i, j in _batches(passes):
-            hit = self._inside(pts.take(i, axis=0), j, scale.take(i), t)
+            hit = self._hits(pts.take(i, axis=0), scale.take(i), t, self._key(j))
             found.append(np.stack([i[hit], j[hit]], axis=1).astype(np.int64))
         pairs = np.unique(np.concatenate(found), axis=0)
         return pairs[:, 0], pairs[:, 1]
@@ -577,8 +573,8 @@ class ChartFamily(Sequence):
         return j
 
     def _hits(self, pts, scale, t: float, j):
-        """Row r: whether chart j[r] at scale[r] holds pts[r]: `_inside`, as the default keys are indices."""
-        return self._inside(pts, j, scale, t)
+        """Row r: whether chart j[r] (a `_key`) at scale[r] holds pts[r]: `_in_ball` on `arrays_at` rows."""
+        return _in_ball(pts, *self.arrays_at(j), scale, t)
 
     def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
         """Which points lie in some chart image at ``scale`` (scalar or per point):
@@ -595,12 +591,12 @@ class ChartFamily(Sequence):
         return covered
 
     def contains(self, i: int, p, scale: float, tol: float | None = None) -> bool:
-        """Whether chart ``i``'s image at ``scale`` contains ``p``: `_inside` on one row."""
+        """Whether chart ``i``'s image at ``scale`` contains ``p``: `_hits` on one row."""
         i = self._index(i)
         if not 0 < scale <= self.gamma:
             raise ValueError(f"scale must lie in (0, gamma={self.gamma}], got {scale}")
         pts, scale, t = self._points(np.reshape(np.asarray(p, dtype=complex), (1, -1)), scale, tol)
-        return bool(self._inside(pts, np.array([i]), scale, t)[0])
+        return bool(self._hits(pts, scale, t, self._key(np.array([i])))[0])
 
     def neighbors(self, i: int, scale: float = 1.0) -> np.ndarray:
         """Sorted int64 chart indices (``i`` included) whose images at ``scale``

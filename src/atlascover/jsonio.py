@@ -261,13 +261,17 @@ def _achart_header(version: str, data: MonomialData, eps: float, c3, count: int)
 
 
 def achart_atlas_to_dict(charts, data: MonomialData, eps: float) -> dict:
-    """Schema 1: every chart's (y, z0), read off the arrays of a `GraphCharts`."""
+    """Schema 1: every chart's (y, z0), read off the arrays of a `GraphCharts`.  The header
+    states C3 and the data once: charts of two C3 values, or not of ``data``, raise `ValueError`."""
     if isinstance(charts, GraphCharts):
         rows = zip(*(a.tolist() for a in charts.graph_arrays()))
-        c3 = charts.c3 if len(charts) else None
+        held = {(charts.data, charts.c3)}
     else:
         rows = ((list(c.y), list(c.z0)) for c in charts)
-        c3 = charts[0].c3 if charts else None
+        held = {(c.data, c.c3) for c in charts}
+    c3 = charts[0].c3 if len(charts) else None
+    if len(charts) and held != {(data, c3)}:
+        raise ValueError(f"charts of one atlas must share its monomial data {data} and one C3")
     d = _achart_header("1", data, eps, c3, len(charts))
     d["charts"] = [{"y": y, "z0": z0} for y, z0 in rows]
     return d

@@ -32,7 +32,6 @@ from .core import (
     DimensionMismatch,
     LevelOutsideRange,
     MonomialLevelSet,
-    _in_ball,
     avoidance,
     avoidance_certificate,
     chart_count,
@@ -93,9 +92,7 @@ def level_points(b, d, alpha, c, x, branches) -> np.ndarray:
     coordinates last; the branches index a new axis before the last."""
     abar = np.asarray(alpha[1:], dtype=float)
     s = (abar * (np.log(b) + np.log(1.0 + d * x / b))).sum(axis=-1)
-    a1 = alpha[0]
-    # Python scalars: numpy's complex division can differ from Python's in the last bit
-    logs = ((np.log(c) - s) / a1)[..., None] + np.array([2j * math.pi * k / a1 for k in branches])
+    logs = ((np.log(c) - s) / alpha[0])[..., None] + 2j * math.pi * np.asarray(branches) / alpha[0]
     base = b + d * x
     return np.concatenate([np.exp(logs)[..., None], np.broadcast_to(
         base[..., None, :], logs.shape + base.shape[-1:])], axis=-1)
@@ -232,16 +229,15 @@ class LevelBranchCharts(ChartFamily):
         ok[r], w[r] = _branch_rows(self.alpha, self.c, rows, (ki[r], kj[r]), wb[inv[r]], tol)
         return ok, w
 
-    def _inside(self, pts, idx, scale, tol: float) -> np.ndarray:
-        """Row by row: the base chart holds xbar by the ball rule (`_in_ball`),
-        and the branch value g at its preimage matches x1 (`_root_match`)."""
-        base, k = np.divmod(idx, self.alpha1)
-        b, d = self._base.arrays_at(base)
-        ok = _in_ball(pts[:, 1:], b, d, scale, tol)
+    def _hits(self, pts, scale, t: float, j) -> np.ndarray:
+        """Row by row: the base chart holds xbar by the base family's `_hits` (as in
+        its `covers`), and the branch value g at its preimage matches x1 (`_root_match`)."""
+        base, k = np.divmod(j, self.alpha1)
+        ok = self._base._hits(pts[:, 1:], scale, t, self._base._key(base))
         r = np.nonzero(ok)[0]
-        x = (pts[r, 1:] - b[r]) / d[r]
-        g = level_points(b[r], d[r], self.alpha, self.c, x, range(self.alpha1))
-        ok[r] = _root_match(g[np.arange(r.size), k[r], 0], pts[r, 0], tol)
+        b, d = self._base.arrays_at(base[r])
+        g = level_points(b, d, self.alpha, self.c, (pts[r, 1:] - b) / d, range(self.alpha1))
+        ok[r] = _root_match(g[np.arange(r.size), k[r], 0], pts[r, 0], t)
         return ok
 
     contains = ChartFamily.contains         # bound here too: the benchmark tracer counts its calls
@@ -252,7 +248,7 @@ class LevelBranchCharts(ChartFamily):
         Every base chart carries all alpha_1 branches, and their values at
         xbar are the alpha_1 roots g of g^alpha_1 = c / xbar^alphabar, so p
         is covered iff the base covers xbar and one of them matches x1
-        (`_root_match`, the rule of `_inside`).
+        (`_root_match`, the rule of `_hits`).
         """
         pts, _, t = self._points(pts, scale, tol)
         out = self._base.covers(pts[:, 1:], scale, tol=t)
@@ -271,7 +267,7 @@ def _root_match(g, x1, t: float) -> np.ndarray:
 def _branch_rows(alpha, c, rows, branches, wb, tol: float):
     """(ok, w) for level-branch pairs whose base charts ``rows`` = (b1, d1, b2,
     d2) meet at ``wb``: the branch values g at wb agree by the rule of
-    `LevelBranchCharts._inside`, and w = (g1, wb).  Two roots of one equation
+    `LevelBranchCharts._hits`, and w = (g1, wb).  Two roots of one equation
     agree on all of the convex base overlap or nowhere: the test is exact."""
     g1, g2 = (level_points(b, d, alpha, c, (wb - b) / d,
                            range(alpha[0]))[np.arange(len(wb)), k, 0]

@@ -257,9 +257,10 @@ def _factors(charts) -> AtlasFactors:
     global _kept
     if isinstance(charts, GraphCharts):
         return charts.factors
-    if _kept is None or len(_kept[0]) != len(charts) or not all(map(operator.is_, _kept[0], charts)):
-        _kept = tuple(charts), _list_factors(charts)
-    return _kept[1]
+    kept = _kept            # read once: another thread's call may replace it meanwhile
+    if kept is None or len(kept[0]) != len(charts) or not all(map(operator.is_, kept[0], charts)):
+        kept = _kept = tuple(charts), _list_factors(charts)
+    return kept[1]
 
 
 def _list_factors(charts) -> AtlasFactors:

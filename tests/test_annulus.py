@@ -11,7 +11,7 @@ from atlascover.annulus import (
     cover_annulus,
     ring_disks,
 )
-from atlascover.core import InvalidDoublingFactor, PuncturedPlane, avoidance_certificate
+from atlascover.core import InvalidDoublingFactor, PuncturedPlane, _in_ball, avoidance_certificate
 from atlascover.jsonio import covering_to_dict, dumps
 from atlascover.polydisc import cover_punctured_polydisc
 from atlascover.suspension import chart_arrays, covers_points
@@ -127,16 +127,16 @@ def test_locate_on_the_window_edges_equals_the_oracle(case):
 
 def test_ring_rows_at_scale_zero_follow_the_locate_rule():
     """At scale 0 (a suspension row past its layer disk) `RingDisks._hits`
-    holds a row iff `locate`'s rule `_inside` does, on the largest and the
-    deepest disk: z = a, or |z - a| small enough that both rules see 0, and
-    not a z 1e-170 from the deepest centre, whose |z - a|^2 underflows
-    while |z - a|/r is about 4e30."""
+    holds a row iff the ball rule `_in_ball` on the disk rows does, on the
+    largest and the deepest disk: z = a, or |z - a| small enough that both
+    rules see 0, and not a z 1e-170 from the deepest centre, whose
+    |z - a|^2 underflows while |z - a|/r is about 4e30."""
     fam = ring_disks(1e-200, 2.0)
     a, r = fam._disks
     j = np.repeat([np.argmax(r), np.argmin(r)], 4)
     pts = (a[j] + np.tile([0.0, 1e-170, 1e-100, 0.1], 2))[:, None]
     zero = np.zeros(j.size)
-    assert np.array_equal(fam._hits(pts, zero, 0.0, j), fam._inside(pts, j, zero, 0.0))
+    assert np.array_equal(fam._hits(pts, zero, 0.0, j), _in_ball(pts, *fam.arrays_at(j), zero, 0.0))
 
 
 def test_cover_annulus_sizes_its_rings_once(monkeypatch):

@@ -145,6 +145,33 @@ def test_covers_where_the_anchor_misses(name, tol, monkeypatch):
         assert 0 < received[0] == rest.sum() < pts.shape[0]
 
 
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, 1e-6], ids=["tol-0", "default", "tol-1e-6"])
+def test_one_row_test_decides_covers_locate_and_contains(name, tol):
+    """`covers` holds exactly the points that `locate` finds, and `contains(c, p)`
+    holds exactly where (p, c) is a `locate` pair: one row test, `_hits`,
+    decides all three.  The points lie at squared preimage norm 1 + t of
+    random charts (t = tol), where the ring and suspension rules and the ball
+    rule can part in the last bit, or are the `_anchor_misses` points; the
+    pairs checked with `contains` are each edge point's own chart and random
+    `locate` pairs.  The plain list, which offers every chart to every point,
+    takes 300 edge points and every fourth other point."""
+    fam, step = family(_charts(name)), 4 if name == "pruned-list" else 1
+    rng = np.random.default_rng(12)
+    own = rng.integers(0, len(fam), 1200 // step)
+    b, d = fam.arrays_at(own)
+    u = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    pts = np.concatenate([b + d * u * np.sqrt(1.0 + tol), _anchor_misses(name, tol)[0][::step]])
+    i, j = fam.locate(pts, 1.0, tol=tol)
+    assert np.array_equal(fam.covers(pts, 1.0, tol=tol), np.isin(np.arange(pts.shape[0]), i))
+    pairs = set(zip(i.tolist(), j.tolist()))
+    sample = [*enumerate(own[:300].tolist()), *rng.permutation(sorted(pairs))[:100].tolist()]
+    got = [fam.contains(c, pts[r], 1.0, tol=tol) for r, c in sample]
+    assert got == [pair in pairs for pair in map(tuple, sample)]
+    assert 0 < sum(got[:300]) < 300
+
+
 # SHA-256 over the bytes of every `covers` result of `test_covers_bits_are_pinned`,
 # computed before the affine families shared one `covers`.
 COVERS_PINS = {
@@ -404,14 +431,14 @@ def test_plain_list_view_is_not_a_copy():
 
 
 def test_list_arrays_are_built_once_per_locate(monkeypatch):
-    """A `locate` that decides its pairs in several calls of `_inside` builds
+    """A `locate` that decides its pairs in several calls of `_hits` builds
     the list's (b, d) once; another list of charts builds them again."""
     charts = list(cover_punctured_polydisc(2, 0.75, 2.0)[0].charts)[::5]
     fam, pts = family(charts), _points(charts, count=40)
     builds, calls = [], []
-    build, inside = ChartList._build, ChartList._inside
+    build, hits = ChartList._build, ChartList._hits
     monkeypatch.setattr(ChartList, "_build", lambda self: builds.append(1) or build(self))
-    monkeypatch.setattr(ChartList, "_inside", lambda self, *a: calls.append(1) or inside(self, *a))
+    monkeypatch.setattr(ChartList, "_hits", lambda self, *a: calls.append(1) or hits(self, *a))
     i, j = fam.locate(pts, 1.0)
     assert len(calls) > 1 and len(builds) == 1 and i.size > 0
     fam.locate(pts, 1.0)
@@ -452,11 +479,11 @@ def test_covering_keeps_one_family_view(monkeypatch):
 
 def test_locate_decides_small_passes_together(monkeypatch):
     """Two annulus endpoints meet the rings in dozens of small passes, and
-    one `_inside` call decides them all."""
+    one `_hits` call decides them all."""
     rings = cover_annulus(1e-2, 2.0).charts
     calls = []
-    inside = type(rings)._inside
-    monkeypatch.setattr(type(rings), "_inside", lambda self, *a: calls.append(1) or inside(self, *a))
+    hits = type(rings)._hits
+    monkeypatch.setattr(type(rings), "_hits", lambda self, *a: calls.append(1) or hits(self, *a))
     i, j = rings.locate(np.array([0.5, 0.5j]), 1.0)
     assert calls == [1] and set(i.tolist()) == {0, 1}
     assert len(list(rings.passes(np.array([[0.5], [0.5j]]), np.ones(2), np.zeros(2, bool)))) > 2

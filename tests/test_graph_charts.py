@@ -9,6 +9,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from atlascover import cli
 from atlascover.cli import main
 from atlascover.core import AtlasError, MalformedFile, NotHolomorphic
 from atlascover.jsonio import (
@@ -377,6 +378,26 @@ def test_small_v1_files_naming_large_families_read_as_lists(tmp_path, capsys):
     write_achart_atlas(bad, hand, 0.1, path)
     assert main(["verify", "achart", "--charts", str(path)]) == 1
     assert capsys.readouterr().out.endswith("pass=False\n")
+
+
+@pytest.mark.parametrize("case", ["two-c3", "other-data"])
+def test_an_atlas_the_list_file_would_rewrite_is_refused(tmp_path, monkeypatch, capsys, case):
+    """A schema-1 header states C3 and the monomial data once, so charts with
+    C3 4 and 6, or the x^1 family filed as x^2, raise `ValueError` before a
+    file is written (they would read back as other charts); the CLI exits 2."""
+    x1 = MonomialData(1.0, (1.0,))
+    if case == "two-c3":
+        charts, mu = [RealAChart((0.5,), (1.0,), c3, x1) for c3 in (4.0, 6.0)], "1"
+    else:
+        charts, mu = cover_monomial_graph(x1, 0.05), "2"
+    path = tmp_path / "atlas.json"
+    with pytest.raises(ValueError):
+        write_achart_atlas(charts, MonomialData(1.0, (float(mu),)), 0.05, path)
+    assert not path.exists()
+    monkeypatch.setattr(cli, "cover_monomial_graph", lambda data, eps: charts)
+    assert main(["cover", "graph", "--mu", mu, "--eps", "0.05", "--out", str(path)]) == 2
+    assert not path.exists()
+    assert capsys.readouterr().err.startswith("error: ValueError")
 
 
 def test_graph_scaling_csv_bytes(tmp_path):

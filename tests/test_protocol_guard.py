@@ -7,7 +7,11 @@ new ambient adds a type, not a branch in every module.
 It also guards the one ball rule: no library module defines the helpers that
 once emulated CPython's complex division, libm ``hypot``/``pow`` and
 left-to-right ``sum`` in numpy, or reaches for numpy's ``hypot`` or
-``float_power``, so membership and the chain witnesses stay plain numpy."""
+``float_power``, so membership and the chain witnesses stay plain numpy.
+
+And it guards the one row test: no library module defines or reads a chart
+family hook named ``_inside``, as a family's `_hits` decides `locate`,
+`contains` and `covers` alike."""
 
 import ast
 from pathlib import Path
@@ -20,6 +24,7 @@ PROTOCOL_TYPES = {"PuncturedPlane", "PolydiscComplement", "MonomialLevelSet",
 FAMILY_BLIND = {"verify.py": {"LevelBranchCharts"}, "jsonio.py": {"LevelBranchCharts"}}
 EMULATION_HELPERS = {"_abs", "_complex", "_quot", "_rowsum", "_norm"}
 EMULATION_CALLS = {"hypot", "float_power"}
+RETIRED_HOOKS = {"_inside"}
 
 
 def isinstance_tests(source: str, banned: set) -> list:
@@ -89,3 +94,40 @@ def test_emulation_guard_finds_each_spelling():
     assert emulation_spellings(source) == [
         (1, "_abs"), (2, "_complex"), (3, "_quot"), (4, "_rowsum"), (5, "_norm"),
         (5, "np.hypot"), (6, "numpy.float_power"), (7, "hypot")]
+
+
+def hook_spellings(source: str) -> list:
+    """(line, name) of each definition of a `RETIRED_HOOKS` name (a ``def`` or
+    an assignment), each attribute of that name read or set, and each string
+    of it alone (as ``getattr`` reads it)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if isinstance(name, str) and name in RETIRED_HOOKS:
+            hits.append((node.lineno, name))
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_second_row_test(path):
+    assert hook_spellings(path.read_text()) == []
+
+
+def test_hook_guard_finds_each_spelling():
+    source = ("class F:\n"
+              "    def _inside(self, pts): pass\n"
+              "    _inside = _hits\n"
+              "ok = fam._inside(pts, idx, s, t)\n"
+              "ok = getattr(fam, '_inside')(pts)\n"
+              "ok = fam._hits(pts)  # `_inside` named in a comment\n"
+              "doc = 'the rule of `_inside`'\n")
+    assert hook_spellings(source) == [(2, "_inside"), (3, "_inside"), (4, "_inside"), (5, "_inside")]

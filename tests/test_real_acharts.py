@@ -1,11 +1,12 @@
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from atlascover import core
+from atlascover import core, real_acharts
 from atlascover.core import AtlasError, DimensionMismatch, NotHolomorphic, UnsupportedAmbient
 from atlascover.real_acharts import (
     MonomialData,
@@ -297,6 +298,22 @@ def test_membership_with_hand_made_offsets():
     assert np.array_equal(got, graph_membership_loop(charts, xs))
     u = 10.0 * (xs[:, 0] / (2.0 / 3.0) - 1.0)
     assert not got[(u > -1.0) & (u < 0.0)].any()     # z0 = -1 is missing
+
+
+def test_list_factors_are_their_own_when_the_cache_is_swapped(monkeypatch):
+    """A plain list is answered from its own factors even if another list's
+    call replaces the kept factors while this list's charts are compared
+    with the kept charts (as another thread may)."""
+    one = list(cover_monomial_graph(MonomialData(1.0, (1.0,)), 0.05))
+    two = list(cover_monomial_graph(MonomialData(0.7, (0.5,)), 0.05))
+    xs = _edge_points(one, 600, 6)
+    want = graph_membership_loop(one, xs)
+    assert not np.array_equal(want, graph_membership_loop(two, xs))
+    swap = tuple(two), real_acharts._list_factors(two)
+    monkeypatch.setattr(real_acharts, "_kept", (tuple(one), real_acharts._list_factors(one)))
+    monkeypatch.setattr(real_acharts, "operator", SimpleNamespace(
+        is_=lambda a, b: setattr(real_acharts, "_kept", swap) or a is b))
+    assert np.array_equal(graph_membership(one, xs), want)
 
 
 def test_membership_outside_the_positive_orthant():
