@@ -25,6 +25,7 @@ the reader `AMBIENTS` holds under the kind turns back into the ambient.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import sys
@@ -290,11 +291,28 @@ class MonomialLevelSet:
         return {"kind": self.kind, "alpha": list(self.alpha), "c": [self.c.real, self.c.imag]}
 
 
+def json_number(v, integral: bool = False):
+    """A JSON number read from a file as a float, or with ``integral`` a JSON
+    integer as an int; a bool, a string or a float count raises `TypeError`."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral if integral else numbers.Real):
+        raise TypeError(f"expected {'an integer' if integral else 'a number'}, got {v!r}")
+    return int(v) if integral else float(v)
+
+
+def json_numbers(v, integral: bool = False) -> tuple:
+    """A JSON list of numbers read from a file (`json_number` each)."""
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(f"expected a list of numbers, got {v!r}")
+    return tuple(json_number(x, integral) for x in v)
+
+
 AMBIENTS = {        # kind: the reader of the ambient's `to_dict` form
     PuncturedPlane.kind: lambda d: PuncturedPlane(),
-    PolydiscComplement.kind: lambda d: PolydiscComplement(d["n"], frozenset(d["active_axes"])),
+    PolydiscComplement.kind: lambda d: PolydiscComplement(
+        json_number(d["n"], integral=True), json_numbers(d["active_axes"], integral=True)),
     MonomialLevelSet.kind: lambda d: MonomialLevelSet(
-        alpha=tuple(d["alpha"]), c=complex(d["c"][0], d["c"][1])),
+        alpha=json_numbers(d["alpha"], integral=True),
+        c=complex(json_number(d["c"][0]), json_number(d["c"][1]))),
 }
 
 

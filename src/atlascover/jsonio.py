@@ -10,8 +10,9 @@ that ``meta["construction"]`` builds, and an a-chart atlas's when it is the
 construction on the inputs the file stores (an annulus: `cover_annulus`) and
 checks kappa and every meta key (an atlas: count and c3).  Others, and any
 under ``materialize``, list every chart (schema 1); their reader keeps the
-rebuilt construction only if it reproduces every chart bit for bit.
-Malformed files raise `MalformedFile`.
+rebuilt construction only if it reproduces every chart bit for bit (else an
+atlas is the `GraphCharts.listed` family of its rows).  Malformed files, and
+header values of another JSON type, raise `MalformedFile`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .core import (
     PolydiscComplement,
     PuncturedPlane,
     ambient_from_dict,
+    json_number,
+    json_numbers,
 )
 from .levelset import LevelBranchCharts, cover_monomial_level_set
 from .polydisc import cover_punctured_polydisc
@@ -209,13 +212,13 @@ def _rebuild(meta: dict, ambient, gamma: float, b: np.ndarray, d: np.ndarray):
 def covering_from_dict(d: dict) -> Covering:
     with _reading("covering"):
         version = d["schema_version"]
-        gamma = float(d["gamma"])
+        gamma = json_number(d["gamma"])
         ambient = ambient_from_dict(d["ambient"])
         meta = dict(d.get("meta") or {})
         if version == SCHEMA_VERSION:
             if "charts" in d:
                 raise MalformedFile("a schema-2 covering stores its recipe, not charts")
-            cov = _construction(meta, ambient, gamma, d["kappa"])
+            cov = _construction(meta, ambient, gamma, json_number(d["kappa"], integral=True))
             if _jsonable(cov.meta) != meta:
                 raise MalformedFile("meta disagrees with the one its construction builds")
             return cov
@@ -227,7 +230,7 @@ def covering_from_dict(d: dict) -> Covering:
             charts = _STORED[ambient.chart_kind]["charts"](ambient, gamma, [
                 DiagonalAffineChart(b=x, d=y, gamma=gamma) for x, y in zip(b.tolist(), dd.tolist())])
         cov = Covering(ambient=ambient, gamma=gamma, charts=charts, meta=meta)
-        if cov.kappa != d.get("kappa", cov.kappa):
+        if cov.kappa != json_number(d.get("kappa", cov.kappa), integral=True):
             raise MalformedFile("kappa field disagrees with the chart list")
     return cov
 
@@ -261,18 +264,13 @@ def _achart_header(version: str, data: MonomialData, eps: float, c3, count: int)
 
 
 def achart_atlas_to_dict(charts, data: MonomialData, eps: float) -> dict:
-    """Schema 1: every chart's (y, z0), read off the arrays of a `GraphCharts`.  The header
-    states C3 and the data once: charts of two C3 values, or not of ``data``, raise `ValueError`."""
-    if isinstance(charts, GraphCharts):
-        rows = zip(*(a.tolist() for a in charts.graph_arrays()))
-        held = {(charts.data, charts.c3)}
-    else:
-        rows = ((list(c.y), list(c.z0)) for c in charts)
-        held = {(c.data, c.c3) for c in charts}
-    c3 = charts[0].c3 if len(charts) else None
-    if len(charts) and held != {(data, c3)}:
+    """Schema 1: every chart's (y, z0), read off the family's arrays.  The header states
+    C3 and the data once: charts of two C3 values, or not of ``data``, raise `ValueError`."""
+    charts = GraphCharts.listed(charts, data)
+    if len(charts) and charts.data != data:
         raise ValueError(f"charts of one atlas must share its monomial data {data} and one C3")
-    d = _achart_header("1", data, eps, c3, len(charts))
+    d = _achart_header("1", data, eps, charts.c3 if len(charts) else None, len(charts))
+    rows = zip(*(a.tolist() for a in charts.graph_arrays()))
     d["charts"] = [{"y": y, "z0": z0} for y, z0 in rows]
     return d
 
@@ -280,14 +278,9 @@ def achart_atlas_to_dict(charts, data: MonomialData, eps: float) -> dict:
 def achart_recipe_to_dict(charts, data: MonomialData, eps: float) -> dict | None:
     """Schema 2: the recipe alone, or None when ``charts`` are not the family
     that ``cover_monomial_graph(data, eps)`` builds (compared by recipe)."""
-    if not (isinstance(charts, GraphCharts) and charts.data == data
-            and charts.eps == float(eps)):
-        return None
-    try:
-        built = cover_monomial_graph(data, eps)
-    except (AtlasError, ArithmeticError, TypeError, ValueError):
-        return None
-    if built != charts:
+    charts = GraphCharts.listed(charts, data)
+    built = _graph_of_size(data, eps, charts.c3, len(charts)) if charts.eps == float(eps) else None
+    if built is None or built != charts:
         return None
     return _achart_header(SCHEMA_VERSION, data, eps, built.c3, len(built))
 
@@ -310,52 +303,43 @@ def _graph_of_size(data: MonomialData, eps, c3, count):
     return charts if len(charts) == count else None
 
 
-def _rebuild_graph(data: MonomialData, eps, c3, rows: list):
-    """``cover_monomial_graph(data, eps)`` if it reproduces the stored charts
-    (C3 and the (y, z0) arrays) bit for bit, else None."""
-    charts = _graph_of_size(data, eps, c3, len(rows))
-    if charts is None:
-        return None
-    shape = (len(rows), data.m)
-    y = _float_array([r["y"] for r in rows], shape)
-    z0 = _float_array([r["z0"] for r in rows], shape)
-    same = all(_same_bits(a, b) for a, b in zip(charts.graph_arrays(), (y, z0)))
-    return charts if same else None
-
-
 def achart_atlas_from_dict(d: dict):
-    """(charts, data, eps) of an atlas file.  Schema 2 rebuilds the family and
-    checks ``count`` and ``c3``; schema 1 is that family when its charts
-    reproduce it, else a list of `RealAChart` (an empty one for no charts)."""
+    """(charts, data, eps) of an atlas file, the charts a `GraphCharts`.  Schema 2
+    rebuilds the family and checks ``count`` and ``c3``; schema 1 is that family
+    when its charts reproduce it, else the `GraphCharts.listed` form of its rows."""
     with _reading("a-chart atlas"):
         version = d["schema_version"]
         if d["kind"] != "real_achart_atlas":
             raise MalformedFile(f"not an a-chart atlas: kind {d['kind']!r}")
-        data = MonomialData(coefficient=d["coefficient"], exponents=tuple(d["mu"]))
-        eps = d["eps"]
+        data = MonomialData(json_number(d["coefficient"]), json_numbers(d["mu"]))
+        eps, count = json_number(d["eps"]), json_number(d["count"], integral=True)
+        c3 = None if d["c3"] is None else json_number(d["c3"])
         if version == SCHEMA_VERSION:
             if "charts" in d:
                 raise MalformedFile("a schema-2 atlas stores its recipe, not charts")
-            charts = _graph_of_size(data, eps, d["c3"], d["count"])
+            charts = _graph_of_size(data, eps, c3, count)
             if charts is None:
-                raise MalformedFile(f"the recipe builds no family of count={d['count']} "
-                                    f"charts with c3={d['c3']} within the budget")
+                raise MalformedFile(f"the recipe builds no family of count={count} "
+                                    f"charts with c3={c3} within the budget")
             return charts, data, eps
         if version != "1":
             raise MalformedFile(f"unknown atlas schema_version {version!r}")
         rows = list(d["charts"])
-        if d["count"] != len(rows):
-            raise MalformedFile(f"count={d['count']} but {len(rows)} chart rows")
-        charts = _rebuild_graph(data, eps, d["c3"], rows) if rows else None
-        if charts is None:
-            charts = [RealAChart(y=tuple(c["y"]), z0=tuple(c["z0"]), c3=d["c3"], data=data)
-                      for c in rows]
+        if count != len(rows):
+            raise MalformedFile(f"count={count} but {len(rows)} chart rows")
+        charts = _graph_of_size(data, eps, c3, count) if rows else None
+        if charts is None or not all(     # the stored rows must be the family's bit for bit
+                _same_bits(a, _float_array([c[key] for c in rows], a.shape))
+                for a, key in zip(charts.graph_arrays(), ("y", "z0"))):
+            charts = GraphCharts.listed([RealAChart(y=tuple(c["y"]), z0=tuple(c["z0"]), c3=c3,
+                                                    data=data) for c in rows], data)
         return charts, data, eps
 
 
 def write_achart_atlas(charts, data, eps, path, materialize: bool = False) -> None:
     """Write the atlas as its recipe (schema 2) when it has one; otherwise,
     or with ``materialize``, as its chart list (schema 1)."""
+    charts = GraphCharts.listed(charts, data)
     d = None if materialize else achart_recipe_to_dict(charts, data, eps)
     text = dumps(d or achart_atlas_to_dict(charts, data, eps))
     with open(path, "w") as fh:

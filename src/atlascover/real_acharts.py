@@ -10,7 +10,8 @@ over (eps, 1)^m is covered by charts of the form
 
 one per (dyadic box center y, odd-integer offset z0 in (-C3, C3)^m).  The
 count is O(log(1/eps)^m): per axis O(log 1/eps) dyadic scales times the
-constant C3 tiling.
+constant C3 tiling.  Every atlas is a `GraphCharts`, built as that product
+or listed from charts; the scan and the membership lookup read its fields.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -196,42 +196,6 @@ def graph_grid_size(data: MonomialData, eps: float, c3: float) -> tuple:
     return len(axis_scale_centers(eps)) ** data.m, _offset_count(c3) ** data.m
 
 
-class AtlasFactors:
-    """An a-chart atlas as (kept boxes, offset tuples): chart i has center
-    ``boxes[box_of][i]`` and offset ``tuples[tuple_of][i]`` once the two index
-    arrays are broadcast together and raveled.  A `GraphCharts` gives every
-    (box, tuple) pair, box-major (``every_pair``); a plain list indexes its
-    charts' unique rows.  `is_key` looks up their chart keys (k, z0)."""
-
-    def __init__(self, data, c3, boxes, box_of, tuples, tuple_of, every_pair):
-        self.data, self.c3 = data, float(c3)
-        self.boxes, self.box_of = boxes, box_of
-        self.tuples, self.tuple_of = tuples, tuple_of
-        self.every_pair = every_pair
-
-    @cached_property
-    def keys(self) -> tuple:
-        """`_records` of the boxes' rows k = round(log2((2/3) / y)) and of the
-        offset tuples z0, or for a plain list of its charts' (k, z0) rows."""
-        y_values, y_of = np.unique(self.boxes, return_inverse=True)
-        k_of_y = np.fromiter((round(math.log2((2.0 / 3.0) / v)) for v in y_values),
-                             dtype=np.int64, count=len(y_values))
-        k = k_of_y[y_of].reshape(self.boxes.shape)
-        if self.every_pair:
-            return _records(k), _records(self.tuples)
-        return (_records(np.hstack([k[self.box_of], self.tuples[self.tuple_of].view(np.int64)])),)
-
-    def is_key(self, k: np.ndarray, z0: np.ndarray) -> np.ndarray:
-        """Whether each row pair of k (int64) and z0 (float), shape (N, m)
-        each, is a chart's key.  Bytes compare exactly here: k is an integer
-        and a queried z0 an odd integer, never -0.0 or NaN, so equal bytes are
-        equal values; only equality is read, so the byte order of the records
-        need not be the numeric one."""
-        if self.every_pair:
-            return _member(self.keys[0], k) & _member(self.keys[1], z0)
-        return _member(self.keys[0], np.hstack([k, z0.view(np.int64)]))
-
-
 def _records(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a 2-D array as sorted `np.void` records of their bytes."""
     rows = np.ascontiguousarray(rows)
@@ -245,53 +209,60 @@ def _member(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return table[at] == rec
 
 
-_kept = None        # (those charts, their factors) of the last plain-list atlas
-
-
-def _factors(charts) -> AtlasFactors:
-    """The factors of a non-empty atlas: handed over by a `GraphCharts`, found
-    again with `np.unique` over the charts of a plain list.  A plain list has
-    no attribute to keep them on, so the last list's factors are kept here with
-    its charts, and derived again only when a list holds other chart objects:
-    charts are frozen, so the same objects mean the same rows."""
-    global _kept
-    if isinstance(charts, GraphCharts):
-        return charts.factors
-    kept = _kept            # read once: another thread's call may replace it meanwhile
-    if kept is None or len(kept[0]) != len(charts) or not all(map(operator.is_, kept[0], charts)):
-        kept = _kept = tuple(charts), _list_factors(charts)
-    return kept[1]
-
-
-def _list_factors(charts) -> AtlasFactors:
-    data, c3 = charts[0].data, charts[0].c3
-    if any(c.data != data or c.c3 != c3 for c in charts):
-        raise ValueError("charts of one atlas must share their monomial data and C3")
-    boxes, box_of = np.unique([c.y for c in charts], axis=0, return_inverse=True)
-    tuples, tuple_of = np.unique([c.z0 for c in charts], axis=0, return_inverse=True)
-    return AtlasFactors(data, c3, boxes, box_of.reshape(-1), tuples, tuple_of.reshape(-1),
-                        every_pair=False)
-
-
 class GraphCharts(ChartFamily):
-    """The a-charts of `cover_monomial_graph`: every kept dyadic box center
-    times every offset tuple of the 1-D grid, box-major, the tuples in
-    `itertools.product` order.  It stores the K centers and the V offsets,
-    not K * V^m charts: a chart is built only when one is indexed, and the
-    scan, the membership lookup and the file writer read the factors."""
+    """An a-chart atlas: chart i has center ``boxes[box_of][i]`` and offset
+    ``tuples[tuple_of][i]`` once the two indexed arrays are broadcast together
+    and raveled, and every chart shares ``data`` and ``c3``.
 
-    def __init__(self, data: MonomialData, eps: float, c3: float, boxes, offsets):
-        self.data = data
-        self.eps = float(eps)
-        self.c3 = float(c3)
+    `cover_monomial_graph` builds the product: every kept dyadic box center
+    times every offset tuple of the 1-D grid ``offsets``, box-major, the
+    tuples in `itertools.product` order (its indices are ``[:, None]`` and
+    ``[None, :]``).  It stores the K centers and the V offsets: its tuple
+    table is made when first read, a chart is built only when one is indexed,
+    and `len` builds nothing.  `listed` indexes the unique rows of a list of
+    `RealAChart` (``offsets`` and ``eps`` None).  The scan, the membership
+    lookup and the file writer read these fields."""
+
+    def __init__(self, data: MonomialData, c3, boxes, offsets=None, eps=None):
+        self.data, self.c3, self.offsets, self.eps = data, c3, offsets, eps
         self.boxes = np.asarray(boxes, dtype=float).reshape(-1, data.m)
-        self.offsets = np.asarray(offsets, dtype=float)
         self.m = self.dim = data.m
+        self.box_of, self.tuple_of = np.s_[:, None], np.s_[None, :]
+
+    @classmethod
+    def listed(cls, charts, data: MonomialData | None = None) -> GraphCharts:
+        """``charts`` as one family: a `GraphCharts` as it is, a list of
+        `RealAChart` by the `np.unique` of the bits of its rows, so each reads
+        back as held (``data`` is an empty list's).  Charts of mixed monomial
+        data or C3 raise `ValueError`."""
+        if isinstance(charts, GraphCharts):
+            return charts
+        data, c3 = (charts[0].data, charts[0].c3) if len(charts) else (data, None)
+        if any(c.data != data or c.c3 != c3 for c in charts):
+            raise ValueError("charts of one atlas must share their monomial data and C3")
+        (boxes, box_of), (tuples, tuple_of) = (
+            np.unique(np.asarray(rows, dtype=float).reshape(-1, data.m).view(np.int64),
+                      axis=0, return_inverse=True)
+            for rows in ([c.y for c in charts], [c.z0 for c in charts]))
+        family = cls(data, c3, boxes.view(float))
+        # index arrays in place of the product's, and the rows shadow its derived `tuples`
+        family.box_of, family.tuples, family.tuple_of = (
+            box_of.reshape(-1), tuples.view(float), tuple_of.reshape(-1))
+        return family
+
+    @cached_property
+    def tuples(self) -> np.ndarray:
+        return _product_rows([self.offsets] * self.m)
 
     def __len__(self) -> int:
+        if self.offsets is None:
+            return len(self.box_of)
         return len(self.boxes) * len(self.offsets) ** self.m
 
     def _chart(self, i):
+        if self.offsets is None:
+            return RealAChart(self.boxes[self.box_of[i]], self.tuples[self.tuple_of[i]],
+                              self.c3, self.data)
         box, t = divmod(i, len(self.offsets) ** self.m)
         z0 = self.offsets[list(np.unravel_index(t, (len(self.offsets),) * self.m))]
         return RealAChart(y=self.boxes[box], z0=z0, c3=self.c3, data=self.data)
@@ -300,18 +271,42 @@ class GraphCharts(ChartFamily):
         return (self.data, self.c3, self.boxes.shape, self.boxes.tobytes(),
                 self.offsets.tobytes())
 
-    @cached_property
-    def factors(self) -> AtlasFactors:
-        tuples = _product_rows([self.offsets] * self.m)
-        return AtlasFactors(self.data, self.c3, self.boxes, np.arange(len(self.boxes))[:, None],
-                            tuples, np.arange(len(tuples))[None, :], every_pair=True)
+    def __eq__(self, other):
+        """Equal to an atlas of the same charts, whatever the form: two products
+        compare their recipes, a listed family its data, C3 and (y, z0) rows."""
+        if type(other) is type(self) and (self.offsets is None or other.offsets is None):
+            return len(self) == len(other) and (not len(self) or (
+                (self.data, self.c3) == (other.data, other.c3)
+                and all(map(np.array_equal, self.graph_arrays(), other.graph_arrays()))))
+        return super().__eq__(other)
 
     def graph_arrays(self) -> tuple:
         """(y, z0) of every chart, shape (len, m) each; not (b, d) rows, so the
         inherited `chart_arrays` and `level_rows` raise `UnsupportedAmbient`."""
-        f = self.factors
-        y, z0 = np.broadcast_arrays(self.boxes[f.box_of], f.tuples[f.tuple_of])
+        y, z0 = np.broadcast_arrays(self.boxes[self.box_of], self.tuples[self.tuple_of])
         return y.reshape(-1, self.m), z0.reshape(-1, self.m)
+
+    @cached_property
+    def keys(self) -> tuple:
+        """`_records` of the boxes' rows k = round(log2((2/3) / y)) and of the
+        offset tuples z0 for a product, or of the charts' (k, z0) rows."""
+        y_values, y_of = np.unique(self.boxes, return_inverse=True)
+        k_of_y = np.fromiter((round(math.log2((2.0 / 3.0) / v)) for v in y_values),
+                             dtype=np.int64, count=len(y_values))
+        k = k_of_y[y_of].reshape(self.boxes.shape)
+        if self.offsets is not None:
+            return _records(k), _records(self.tuples)
+        return (_records(np.hstack([k[self.box_of], self.tuples[self.tuple_of].view(np.int64)])),)
+
+    def is_key(self, k: np.ndarray, z0: np.ndarray) -> np.ndarray:
+        """Whether each row pair of k (int64) and z0 (float), shape (N, m)
+        each, is a chart's key.  Bytes compare exactly here: k is an integer
+        and a queried z0 an odd integer, never -0.0 or NaN, so equal bytes are
+        equal values; only equality is read, so the byte order of the records
+        need not be the numeric one."""
+        if self.offsets is not None:
+            return _member(self.keys[0], k) & _member(self.keys[1], z0)
+        return _member(self.keys[0], np.hstack([k, z0.view(np.int64)]))
 
 
 def _check_graph_eps(eps: float) -> None:
@@ -335,7 +330,7 @@ def cover_monomial_graph(data: MonomialData, eps: float) -> GraphCharts:
     check_budget(n_boxes * n_tuples, f"{n_boxes} box centers x {n_tuples} offset tuples")
     centers = _product_rows([np.asarray(axis_scale_centers(eps))] * data.m)
     keep = ~(data.value(centers) * box_min_ratio(data.exponents) >= 1.0)
-    return GraphCharts(data, eps, c3, centers[keep], offset_grid(c3))
+    return GraphCharts(data, c3, centers[keep], offset_grid(c3), float(eps))
 
 
 def graph_count_bound(data: MonomialData, eps: float) -> float:
@@ -447,7 +442,7 @@ def verify_achart_batch(charts, grid: int = 16, interior: int = 1000,
     _check_scan(grid, interior)     # before the budget below, and for an empty atlas too
     if not len(charts):
         return np.zeros(0)
-    f = _factors(charts)
+    f = GraphCharts.listed(charts)
     data, c3, tuples = f.data, f.c3, f.tuples
     m, mu = data.m, np.asarray(data.exponents)
     values = np.unique(tuples)
@@ -496,7 +491,7 @@ def graph_membership(charts, xs: np.ndarray,
     scales k, y = (2/3) 2^-k.  For each, u = 2 C3 (x/y - 1) names the unit
     box z0 = 2 floor(u/2) + 1 and w = u - z0.  A point is a member iff for
     some choice of scale per axis every |u_i| < C3 (1 + t) and
-    |w_i| <= 1 + t, and (k, z0) is a chart's key (`AtlasFactors.is_key`);
+    |w_i| <= 1 + t, and (k, z0) is a chart's key (`GraphCharts.is_key`);
     the last coordinate then agrees identically, being the same monomial of
     the first m.  Chart images lie in (0, inf)^m, so a row with a coordinate
     that is not a positive finite number (or too small to invert) is not a
@@ -506,7 +501,7 @@ def graph_membership(charts, xs: np.ndarray,
     out = np.zeros(xs.shape[0], dtype=bool)
     if not len(charts):
         return out
-    f = _factors(charts)
+    f = GraphCharts.listed(charts)
     if xs.shape[1] != f.data.m:
         raise DimensionMismatch(f"points of width {xs.shape[1]} for an atlas of dim {f.data.m}")
     t, c3 = tolerance(tol), f.c3

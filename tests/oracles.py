@@ -21,8 +21,8 @@ from atlascover.core import (
 )
 from atlascover.levelset import LevelBranchCharts, MonomialLevelChart, level_residual
 from atlascover.real_acharts import (
+    GraphCharts,
     RealAChart,
-    _factors,
     axis_scale_centers,
     box_min_ratio,
     choose_C3,
@@ -245,7 +245,7 @@ def achart_scan_reference(charts, grid=16, interior=1000, seed=0):
     if not len(charts):
         scan_points(1, grid, 0)
         return np.zeros(0)
-    f = _factors(charts)
+    f = GraphCharts.listed(charts)
     data, c3, tuples = f.data, f.c3, f.tuples
     mu = np.asarray(data.exponents)
     values = np.unique(tuples)

@@ -23,7 +23,6 @@ from atlascover.jsonio import (
 from atlascover.real_acharts import (
     GraphCharts,
     MonomialData,
-    _factors,
     RealAChart,
     choose_C3,
     cover_monomial_graph,
@@ -96,24 +95,6 @@ def test_membership_on_the_family_is_the_loop(name):
         got = graph_membership(fam, xs, tol)
         assert np.array_equal(got, graph_membership_loop(lst, xs, tol))
         assert np.array_equal(got, graph_membership(lst, xs, tol))
-
-
-def test_a_plain_list_keeps_its_factors():
-    """A plain-list atlas derives its factors once: later membership calls
-    reuse them and answer as the family does, and a list holding other
-    charts (a new list or one edited in place) derives them again."""
-    data, _, fam, lst = atlases("m3")
-    xs = 0.2 ** np.random.default_rng(8).random((10_000, 3))
-    want = graph_membership(fam, xs)
-    assert np.array_equal(graph_membership(lst, xs), want)
-    kept = _factors(lst)
-    assert _factors(lst) is kept and _factors(list(lst)) is kept
-    assert np.array_equal(graph_membership(lst, xs), want)
-    assert _factors(lst) is kept
-    edited = list(lst)
-    edited[0] = lst[1]
-    f = _factors(edited)
-    assert f is not kept and f.tuple_of[0] == f.tuple_of[1] == kept.tuple_of[1] != kept.tuple_of[0]
 
 
 def test_family_paths_build_no_chart_and_unique_no_chart_rows(tmp_path, monkeypatch):
@@ -272,9 +253,40 @@ def test_malformed_recipe_exits_two(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("error: MalformedFile")
 
 
-def test_v1_files_that_are_not_the_family_read_as_lists(tmp_path, capsys):
+def _typed_files():
+    """The schema-2 file of x y^2 at eps = 0.3 (C3 251, 254,016 charts) and
+    the schema-1 file of `_hand_made`, to spell their values in other types."""
+    data = MonomialData(1.0, (1.0, 2.0))
+    v2 = achart_recipe_to_dict(cover_monomial_graph(data, 0.3), data, 0.3)
+    return {"v2": json.loads(dumps(v2)), "v1": _small_v1_files()[0]}
+
+
+TYPED = [("v2", "mu", "12"), ("v2", "mu", [True, 2]), ("v2", "coefficient", True),
+         ("v2", "count", 254016.0), ("v2", "c3", "251"), ("v2", "eps", "0.3"),
+         ("v1", "mu", ["16"]), ("v1", "coefficient", True),
+         ("v1", "count", 4.0), ("v1", "c3", "3.5"), ("v1", "eps", "0.1")]
+
+
+@pytest.mark.parametrize("form, key, value", TYPED, ids=["-".join(map(str, t)) for t in TYPED])
+def test_values_of_another_json_type_are_malformed(tmp_path, capsys, form, key, value):
+    """Each header value is a JSON number of its kind (``mu`` a list of them,
+    ``count`` an integer): a string, a bool or a float count that spells the
+    right value is `MalformedFile` (exit 2), never read as that value."""
+    d = _typed_files()[form]
+    assert achart_atlas_from_dict(d)[1].m >= 1
+    d[key] = value
+    with pytest.raises(MalformedFile):
+        achart_atlas_from_dict(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert main(["verify", "achart", "--charts", str(path), "--grid", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: MalformedFile")
+
+
+def test_v1_files_that_are_not_the_family_read_as_listed_families(tmp_path, capsys):
     """A v1 file with a chart deleted, or one value moved by an ulp, is not
-    the rebuilt family: it reads as the list it stores, which still verifies."""
+    the rebuilt family: it reads as the listed family of the charts it
+    stores, which still verifies."""
     data, eps, fam, lst = atlases("m2")
     d = achart_atlas_to_dict(fam, data, eps)
     assert d == achart_atlas_to_dict(lst, data, eps)
@@ -285,13 +297,42 @@ def test_v1_files_that_are_not_the_family_read_as_lists(tmp_path, capsys):
     moved["charts"][3]["y"][0] = float(np.nextafter(moved["charts"][3]["y"][0], 1.0))
     for edited, count in ((pruned, 4499), (moved, 4500)):
         charts, _, _ = achart_atlas_from_dict(edited)
-        assert type(charts) is list and len(charts) == count
+        assert type(charts) is GraphCharts and charts.eps is None and len(charts) == count
     assert achart_atlas_from_dict(pruned)[0] == lst[:17] + lst[18:]
     path = tmp_path / "pruned.json"
     path.write_text(dumps(pruned))
     capsys.readouterr()
     assert main(["verify", "achart", "--charts", str(path), "--grid", "16"]) == 0
     assert capsys.readouterr().out == "acharts 4499 max_deviation=0.292178230811 pass=True\n"
+
+
+def test_every_atlas_read_path_gives_a_family():
+    """Schema 2, a schema-1 file of the built family, a pruned one, one with a
+    value moved by an ulp, the empty file and the small hand-made files all
+    read as a `GraphCharts`; the built family only where it is reproduced.
+    The listed and the built forms of the same charts compare equal."""
+    data, eps, fam, lst = atlases("m2")
+    v1 = json.loads(dumps(achart_atlas_to_dict(fam, data, eps)))
+    pruned, moved = json.loads(dumps(v1)), json.loads(dumps(v1))
+    del pruned["charts"][17]
+    pruned["count"] = 4499
+    moved["charts"][3]["y"][0] = float(np.nextafter(moved["charts"][3]["y"][0], 1.0))
+    files = [(json.loads(dumps(achart_recipe_to_dict(fam, data, eps))), fam),
+             (v1, fam), (pruned, None), (moved, None),
+             (json.loads(dumps(achart_atlas_to_dict([], data, eps))), None)]
+    for d, built in files:
+        charts, _, _ = achart_atlas_from_dict(d)
+        assert type(charts) is GraphCharts and len(charts) == d["count"]
+        assert charts.eps == (eps if built is not None else None)
+        assert built is None or charts == built
+    for d in _small_v1_files():
+        (back, _, _), peak = _peak(lambda: achart_atlas_from_dict(d))
+        assert type(back) is GraphCharts and peak < 1 << 20
+    listed = GraphCharts.listed(lst)
+    assert listed.eps is None and len(listed) == len(fam)
+    assert listed == fam and fam == listed and listed == lst and lst == listed
+    assert GraphCharts.listed(lst[::-1]) != fam and fam != GraphCharts.listed(lst[1:])
+    assert achart_atlas_from_dict(pruned)[0] == GraphCharts.listed(lst[:17] + lst[18:])
 
 
 def test_v1_count_must_match_the_rows(tmp_path, capsys):
@@ -363,19 +404,30 @@ def test_oversized_recipe_files_are_malformed_unbuilt(tmp_path, capsys, mu, eps,
     assert capsys.readouterr().err.startswith("error: MalformedFile")
 
 
-def test_small_v1_files_naming_large_families_read_as_lists(tmp_path, capsys):
+def _hand_made():
+    """Four hand-made charts of C3 3.5 under x^16, whose family has C3 about 2e9."""
+    hand = MonomialData(1.0, (16.0,))
+    return [RealAChart(y=(0.9,), z0=(z,), c3=3.5, data=hand) for z in (-3.0, -1.0, 1.0, 3.0)]
+
+
+def _small_v1_files():
+    """The schema-1 files of `_hand_made` (eps 0.1) and of four charts of the m=3
+    atlas filed under eps = 1e-4: small files that name large families."""
+    return [json.loads(dumps(achart_atlas_to_dict(charts, charts[0].data, eps)))
+            for charts, eps in ((_hand_made(), 0.1), (atlases("m3")[3][:4], 1e-4))]
+
+
+def test_small_v1_files_naming_large_families_read_as_listed_families(tmp_path, capsys):
     """Four hand-made charts under x^16 (C3 about 2e9), and four charts of the
     m=3 atlas filed under eps = 1e-4 (2,197 boxes times 27,000 tuples), are
-    read as the lists they store without building the family they name."""
-    hand = MonomialData(1.0, (16.0,))
-    bad = [RealAChart(y=(0.9,), z0=(z,), c3=3.5, data=hand) for z in (-3.0, -1.0, 1.0, 3.0)]
-    data, _, _, lst = atlases("m3")
-    for charts, atlas_data, eps in ((bad, hand, 0.1), (lst[:4], data, 1e-4)):
-        d = json.loads(dumps(achart_atlas_to_dict(charts, atlas_data, eps)))
+    read as the listed families of the charts they store without building
+    the family they name."""
+    bad = _hand_made()
+    for charts, d in zip((bad, atlases("m3")[3][:4]), _small_v1_files()):
         (back, _, _), peak = _peak(lambda: achart_atlas_from_dict(d))
-        assert type(back) is list and back == charts and peak < 1 << 20
+        assert type(back) is GraphCharts and back == charts and peak < 1 << 20
     path = tmp_path / "bad.json"
-    write_achart_atlas(bad, hand, 0.1, path)
+    write_achart_atlas(bad, bad[0].data, 0.1, path)
     assert main(["verify", "achart", "--charts", str(path)]) == 1
     assert capsys.readouterr().out.endswith("pass=False\n")
 

@@ -11,7 +11,11 @@ left-to-right ``sum`` in numpy, or reaches for numpy's ``hypot`` or
 
 And it guards the one row test: no library module defines or reads a chart
 family hook named ``_inside``, as a family's `_hits` decides `locate`,
-`contains` and `covers` alike."""
+`contains` and `covers` alike.
+
+And the one a-chart atlas type: every atlas is a `GraphCharts`, and a plain
+list of charts becomes one in `GraphCharts.listed` alone, the one place that
+tests for the type; no library module keeps state in a module global."""
 
 import ast
 from pathlib import Path
@@ -27,17 +31,23 @@ EMULATION_CALLS = {"hypot", "float_power"}
 RETIRED_HOOKS = {"_inside"}
 
 
-def isinstance_tests(source: str, banned: set) -> list:
+def isinstance_tests(source: str, banned: set, where: bool = False) -> list:
     """(line, names) of each ``isinstance(x, T)`` call whose class argument
-    (a name, an attribute or a tuple of them) names a type in ``banned``."""
+    (a name, an attribute or a tuple of them) names a type in ``banned``, in
+    line order; with ``where``, the name of the innermost function around the
+    call instead of its line (None at module level)."""
+    nodes, scope = list(ast.walk(ast.parse(source))), {}
+    for node in nodes:      # breadth first, so an inner function's name is set last
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope.update((child, node.name) for child in ast.walk(node))
     hits = []
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance" and len(node.args) == 2):
+    for node in sorted((n for n in nodes if isinstance(n, ast.Call)), key=lambda n: n.lineno):
+        if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                and len(node.args) == 2):
             names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.args[1])
                      if isinstance(n, (ast.Name, ast.Attribute))}
             if names & banned:
-                hits.append((node.lineno, sorted(names & banned)))
+                hits.append((scope.get(node) if where else node.lineno, sorted(names & banned)))
     return hits
 
 
@@ -131,3 +141,34 @@ def test_hook_guard_finds_each_spelling():
               "ok = fam._hits(pts)  # `_inside` named in a comment\n"
               "doc = 'the rule of `_inside`'\n")
     assert hook_spellings(source) == [(2, "_inside"), (3, "_inside"), (4, "_inside"), (5, "_inside")]
+
+
+def globals_declared(source: str) -> list:
+    """(line, names) of each ``global`` statement."""
+    return [(node.lineno, node.names) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Global)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_global_state(path):
+    assert globals_declared(path.read_text()) == []
+
+
+def test_one_place_tells_an_atlas_from_a_list():
+    hits = [(path.name, *hit) for path in sorted(SRC.glob("*.py"))
+            for hit in isinstance_tests(path.read_text(), {"GraphCharts"}, where=True)]
+    assert hits == [("real_acharts.py", "listed", ["GraphCharts"])]
+
+
+def test_atlas_guards_find_each_spelling():
+    source = ("_kept = None\n"
+              "def _factors(charts):\n"
+              "    global _kept\n"
+              "    if isinstance(charts, GraphCharts):\n"
+              "        return charts\n"
+              "    def inner(c):\n"
+              "        return isinstance(c, (list, real_acharts.GraphCharts))\n"
+              "ok = isinstance(x, GraphCharts)\n")
+    assert globals_declared(source) == [(3, ["_kept"])]
+    assert isinstance_tests(source, {"GraphCharts"}, where=True) == [
+        ("_factors", ["GraphCharts"]), ("inner", ["GraphCharts"]), (None, ["GraphCharts"])]

@@ -1,12 +1,13 @@
 import math
 import re
+import threading
 import warnings
-from types import SimpleNamespace
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from atlascover import core, real_acharts
+from atlascover import core
 from atlascover.core import AtlasError, DimensionMismatch, NotHolomorphic, UnsupportedAmbient
 from atlascover.real_acharts import (
     MonomialData,
@@ -23,7 +24,7 @@ from atlascover.real_acharts import (
     verify_achart_batch,
 )
 
-from oracles import cover_unit_cube_scales, graph_membership_loop
+from oracles import achart_scan_reference, cover_unit_cube_scales, graph_membership_loop
 
 
 class TestAxisCenters:
@@ -300,20 +301,29 @@ def test_membership_with_hand_made_offsets():
     assert not got[(u > -1.0) & (u < 0.0)].any()     # z0 = -1 is missing
 
 
-def test_list_factors_are_their_own_when_the_cache_is_swapped(monkeypatch):
-    """A plain list is answered from its own factors even if another list's
-    call replaces the kept factors while this list's charts are compared
-    with the kept charts (as another thread may)."""
-    one = list(cover_monomial_graph(MonomialData(1.0, (1.0,)), 0.05))
-    two = list(cover_monomial_graph(MonomialData(0.7, (0.5,)), 0.05))
-    xs = _edge_points(one, 600, 6)
-    want = graph_membership_loop(one, xs)
-    assert not np.array_equal(want, graph_membership_loop(two, xs))
-    swap = tuple(two), real_acharts._list_factors(two)
-    monkeypatch.setattr(real_acharts, "_kept", (tuple(one), real_acharts._list_factors(one)))
-    monkeypatch.setattr(real_acharts, "operator", SimpleNamespace(
-        is_=lambda a, b: setattr(real_acharts, "_kept", swap) or a is b))
-    assert np.array_equal(graph_membership(one, xs), want)
+def test_two_threads_on_two_plain_lists_get_their_own_answers():
+    """Two threads that scan and look points up in two different plain lists
+    at once each get the answers of the oracles for their own list: a list's
+    rows are derived again on every call, and nothing is shared between calls."""
+    lists = [list(cover_monomial_graph(MonomialData(1.0, (1.0,)), 0.05)),
+             list(cover_monomial_graph(MonomialData(0.7, (0.5,)), 0.05))]
+    xs = _edge_points(lists[0], 600, 6)
+    want = [(graph_membership_loop(lst, xs), achart_scan_reference(lst, 8, 50)) for lst in lists]
+    assert not np.array_equal(want[0][0], want[1][0])
+    start = threading.Barrier(2)
+
+    def run(k):
+        start.wait()
+        for _ in range(20):
+            member = graph_membership(lists[k], xs)
+            devs = verify_achart_batch(lists[k], 8, 50)
+            if not (np.array_equal(member, want[k][0])
+                    and np.array_equal(devs.view(np.uint64), want[k][1].view(np.uint64))):
+                return False
+        return True
+
+    with ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(run, range(2))) == [True, True]
 
 
 def test_membership_outside_the_positive_orthant():

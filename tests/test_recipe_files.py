@@ -166,6 +166,39 @@ def test_malformed_recipe_exits_two(tmp_path, capsys, name, edit):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def _ambient_key(key, value):
+    def edit(d):
+        d["ambient"][key] = value
+        return d
+    return edit
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("level-21", _ambient_key("alpha", "21")),
+    ("level-21", _ambient_key("alpha", [2.0, 1])),
+    ("level-21", _ambient_key("c", [True, 0.0])),
+    ("polydisc-n2", _ambient_key("active_axes", "12")),
+    ("polydisc-n2", _ambient_key("n", True)),
+    ("polydisc-n2", _set("gamma", "2.0")),
+    ("polydisc-n2", _set("gamma", True)),
+    ("polydisc-n2", _set("kappa", 25110.0)),
+], ids=["alpha_string", "alpha_float", "c_bool", "active_axes_string", "n_bool",
+        "gamma_string", "gamma_bool", "kappa_float"])
+@pytest.mark.parametrize("version", ["1", "2"])
+def test_values_of_another_json_type_are_malformed(tmp_path, capsys, name, edit, version):
+    """A file states each number as a JSON number of its kind: a string, a
+    bool, or a float where an integer is due is `MalformedFile` (exit 2),
+    never read as the number it spells."""
+    cov = build(name)
+    d = edit(json.loads(dumps(covering_to_dict(cov) if version == "1" else recipe_to_dict(cov))))
+    with pytest.raises(MalformedFile):
+        covering_from_dict(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert main(["verify", "doubling", "--covering", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: MalformedFile")
+
+
 def test_recipe_keys_are_checked_as_malformed():
     d = _v2()
     d["meta"]["plan"]["levels"][0]["annulus_count"] += 1
