@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import os
 import sys
 from collections.abc import Sequence
@@ -482,12 +481,6 @@ class ChartFamily(Sequence):
             raise IndexError(i)
         return i % n
 
-    def __add__(self, other):
-        return _listed(self) + _listed(other)
-
-    def __radd__(self, other):
-        return _listed(other) + _listed(self)
-
     def __eq__(self, other):
         if type(other) is type(self):
             return self._recipe() == other._recipe()
@@ -634,14 +627,6 @@ class ChartFamily(Sequence):
         return np.full(idx.size, n, dtype=np.int64), lambda: np.tile(np.arange(n, dtype=np.int64), idx.size)
 
 
-def _listed(charts) -> list:
-    """``list(charts)``; a chart family over `MATERIALIZE_BUDGET` charts is
-    refused (`check_budget`) before any chart is built."""
-    if isinstance(charts, ChartFamily):
-        check_budget(chart_count(charts), f"the {type(charts).__name__} charts listed by +")
-    return list(charts)
-
-
 def avoidance(levels, axes, scale: float) -> tuple:
     """Per level of `ChartFamily.level_rows`: whether each row has
     |b_i| > scale * |d_i| on every axis i in ``axes`` that the level sets."""
@@ -668,58 +653,53 @@ def _batches(passes):
 
 
 class ChartList(ChartFamily):
-    """A plain sequence of charts seen as a family: a view, not a copy."""
+    """Plain-list charts as rows: read-only (b, d) of shape (kappa, dim) and the
+    factor gamma they share (None when there are none), built once by `family`
+    or `chart_rows`."""
 
-    def __init__(self, charts: Sequence, dim: int | None = None):
-        self.charts = charts
-        self.dim = dim if dim is not None or not len(charts) else charts[0].dim
-        self._built = None      # ((b, d), those charts) of the last build
+    def __init__(self, b: np.ndarray, d: np.ndarray, gamma: float | None, dim: int | None):
+        b.flags.writeable = d.flags.writeable = False
+        self.b, self.d, self.gamma, self.dim = b, d, gamma, dim
 
     def __len__(self) -> int:
-        return len(self.charts)
-
-    @property
-    def gamma(self) -> float | None:
-        """Chart 0's factor; None for an empty list."""
-        return self.charts[0].gamma if len(self.charts) else None
-
-    def __iter__(self):
-        return iter(self.charts)
-
-    def _chart(self, i):
-        return self.charts[i]
+        return self.b.shape[0]
 
     def _recipe(self):
-        return self.charts
+        return self.gamma, self.b.tolist(), self.d.tolist()
 
     def chart_arrays(self) -> tuple:
-        """Read-only (b, d) of the charts, built again only when the list holds other
-        charts: they are frozen and kept here, so the same objects mean the same rows."""
-        kept = self._built
-        if (kept is None or len(kept[1]) != len(self.charts)
-                or not all(map(operator.is_, kept[1], self.charts))):
-            self._built = self._build(), tuple(self.charts)
-        return self._built[0]
-
-    def _build(self) -> tuple:
-        """(b, d) from the chart objects, refused at the first one that is not affine."""
-        if not all(isinstance(c, DiagonalAffineChart) for c in self.charts):
-            raise UnsupportedAmbient(AFFINE_ONLY)
-        b = np.array([c.b for c in self.charts], dtype=complex)
-        d = np.array([c.d for c in self.charts], dtype=complex)
-        if b.size == 0:
-            b, d = b.reshape(0, self.dim or 1), d.reshape(0, self.dim or 1)
-        b.flags.writeable = d.flags.writeable = False
-        return b, d
+        return self.b, self.d
 
     def arrays_at(self, idx) -> tuple:
-        b, d = self.chart_arrays()
-        return b.take(idx, axis=0), d.take(idx, axis=0)     # several times faster than b[idx]
+        return self.b.take(idx, axis=0), self.d.take(idx, axis=0)     # several times faster than b[idx]
+
+
+def chart_rows(b: np.ndarray, d: np.ndarray, gamma: float) -> ChartFamily:
+    """The family of the charts (b[r], d[r]) of factor ``gamma``, complex arrays of
+    shape (kappa, dim); a zero scale raises `ValueError`, as in `DiagonalAffineChart`."""
+    if (d == 0).any():
+        raise ValueError("zero scale would make the chart non-univalent")
+    return ChartList(b, d, float(gamma) if len(b) else None, b.shape[1])
 
 
 def family(charts: Sequence, dim: int | None = None) -> ChartFamily:
-    """``charts`` itself if it is a chart family, else a `ChartList` view of it."""
-    return charts if isinstance(charts, ChartFamily) else ChartList(charts, dim)
+    """``charts`` itself if it is a chart family, else the `chart_rows` of its
+    charts, built once: `DiagonalAffineChart`s of one dim and one factor, or
+    none (of dim ``dim``)."""
+    if isinstance(charts, ChartFamily):
+        return charts
+    if not all(isinstance(c, DiagonalAffineChart) for c in charts):
+        raise UnsupportedAmbient(AFFINE_ONLY)
+    dims, factors = {c.dim for c in charts}, {c.gamma for c in charts}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"charts of dims {sorted(dims)} in one list")
+    if len(factors) > 1:
+        raise ValueError(f"charts of factors {sorted(factors)} in one list")
+    if not len(charts):
+        return ChartList(*np.zeros((2, 0, dim or 1), dtype=complex), None, dim)
+    b = np.array([c.b for c in charts], dtype=complex)
+    d = np.array([c.d for c in charts], dtype=complex)
+    return ChartList(b, d, factors.pop(), dims.pop())
 
 
 # ---------------------------------------------------------------------------
@@ -730,21 +710,22 @@ class Covering:
     """A finite (possibly lazily materialized) family of charts of one kind.
 
     All charts share the doubling factor ``gamma``; the complexity ``kappa``
-    is the chart count.  ``charts`` is a plain list or a lazy `ChartFamily`
-    (rings, suspension layers, level branches) that answers membership
-    queries through its index.  ``family`` is the `family(charts)` view of
-    the ambient dimension, kept so a plain list's arrays are built once.
+    is the chart count.  ``charts`` is a `ChartFamily` of the ambient's dim:
+    a lazy one (rings, suspension layers, level branches) as given, a plain
+    list as its `family` rows, built here once, so a list changed later does
+    not change the covering.
     """
 
     def __init__(self, ambient, gamma: float, charts: Sequence, meta: dict | None = None):
         self.ambient = ambient
         self.gamma = float(gamma)
-        self.charts = charts
         self.meta = dict(meta or {})
         if not self.gamma > 1.0:
             raise InvalidDoublingFactor(f"gamma must exceed 1, got {gamma}")
-        self.family = family(charts, self.dim)
-        factor = self.family.gamma
+        self.charts = family(charts, self.dim)
+        if self.charts.dim != self.dim:
+            raise DimensionMismatch(f"charts of dim {self.charts.dim} for an ambient of dim {self.dim}")
+        factor = self.charts.gamma
         if factor is not None and abs(factor - self.gamma) > 1e-12:
             raise ValueError("charts do not share the covering factor")
 

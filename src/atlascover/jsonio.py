@@ -10,9 +10,10 @@ that ``meta["construction"]`` builds, and an a-chart atlas's when it is the
 construction on the inputs the file stores (an annulus: `cover_annulus`) and
 checks kappa and every meta key (an atlas: count and c3).  Others, and any
 under ``materialize``, list every chart (schema 1); their reader keeps the
-rebuilt construction only if it reproduces every chart bit for bit (else an
-atlas is the `GraphCharts.listed` family of its rows).  Malformed files, and
-header values of another JSON type, raise `MalformedFile`.
+rebuilt construction only if it reproduces every chart bit for bit, and a
+covering's its meta too (else the family of the stored rows: `chart_rows`, or
+an atlas's `GraphCharts.listed`).  Malformed files, and header values or row
+entries of another JSON type, raise `MalformedFile`.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from .core import (
     MATERIALIZE_BUDGET,
     AtlasError,
     Covering,
-    DiagonalAffineChart,
     MalformedFile,
     MonomialLevelSet,
     PolydiscComplement,
     PuncturedPlane,
     ambient_from_dict,
+    chart_rows,
     json_number,
     json_numbers,
 )
@@ -75,7 +76,7 @@ def _charts_to_list(cov: Covering) -> list:
     amb = cov.ambient
     kind, fields = amb.chart_kind, _STORED[amb.chart_kind]["fields"]
     branches = [fields(amb, k) for k in range(amb.branches)]
-    rows = zip(*(_pairs(z).tolist() for z in cov.family.base.chart_arrays()))
+    rows = zip(*(_pairs(z).tolist() for z in cov.charts.base.chart_arrays()))
     return [{"kind": kind, "b": bi, "d": di, **f} for bi, di in rows for f in branches]
 
 
@@ -100,7 +101,7 @@ def recipe_to_dict(cov: Covering) -> dict | None:
         built = _construction(cov.meta, cov.ambient, cov.gamma, cov.kappa)
     except (AtlasError, ArithmeticError, KeyError, TypeError, ValueError):
         return None
-    if not (type(built.family.base) is type(cov.family.base)
+    if not (type(built.charts.base) is type(cov.charts.base)
             and built == cov and _jsonable(built.meta) == meta):
         return None
     return {**_header(SCHEMA_VERSION, cov), "meta": meta}
@@ -112,11 +113,14 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 def _float_array(rows: list, shape: tuple) -> np.ndarray:
-    """Stored numbers as a float array of ``shape``, bit for bit."""
-    arr = np.array(rows, dtype=float) if rows else np.zeros(shape)
+    """Stored numbers as a float array of ``shape``, bit for bit; an entry that
+    is not a JSON number (a string, a bool) raises `TypeError`."""
+    arr = np.array(rows, dtype=object) if rows else np.zeros(shape)
     if arr.shape != shape:
         raise MalformedFile(f"expected data of shape {shape}, got {arr.shape}")
-    return arr
+    if not set(map(type, arr.ravel().tolist())) <= {float, int}:
+        raise TypeError(f"expected numbers in data of shape {shape}")
+    return arr.astype(float)
 
 
 def _complex_array(rows: list, shape: tuple) -> np.ndarray:
@@ -156,26 +160,28 @@ def _level_rows(charts: list, ambient) -> tuple:
 
 
 # chart kind: how a schema-1 file stores such charts: "rows", the checked (b, d) of the affine
-# charts under them; "fields", the rest of a chart of branch k; "charts", the charts over those
+# charts under them; "fields", the rest of a chart of branch k; "charts", the charts over the
+# family of those rows
 _STORED = {
     "diag_affine": {"rows": lambda charts, ambient: _rows(charts, ambient, ambient.dim),
                     "fields": lambda ambient, k: {},
-                    "charts": lambda ambient, gamma, listed: listed},
+                    "charts": lambda ambient, gamma, rows: rows},
     "level_branch": {"rows": _level_rows,
                      "fields": lambda ambient, k: {"branch": k, "alpha": list(ambient.alpha),
                                                    "c": [ambient.c.real, ambient.c.imag]},
-                     "charts": lambda ambient, gamma, listed: LevelBranchCharts(
-                         Covering(ambient.base, gamma, listed), ambient.alpha, ambient.c)},
+                     "charts": lambda ambient, gamma, rows: LevelBranchCharts(
+                         Covering(ambient.base, gamma, rows), ambient.alpha, ambient.c)},
 }
 
 
 # construction name: (the kind of ambient it builds on, its build from meta, ambient and gamma)
 _CONSTRUCTIONS = {
     "whitney_rings": (PuncturedPlane.kind, lambda meta, ambient, gamma: cover_annulus(
-        float(meta["delta"]), float(meta["zeta"]), WhitneyDiskParams(float(meta["ring_ratio"])))),
+        json_number(meta["delta"]), json_number(meta["zeta"]),
+        WhitneyDiskParams(json_number(meta["ring_ratio"])))),
     "punctured_polydisc": (PolydiscComplement.kind, lambda meta, ambient, gamma:
-                           cover_punctured_polydisc(ambient.n, float(meta["eta"]),
-                                                    float(meta.get("gamma", gamma)),
+                           cover_punctured_polydisc(ambient.n, json_number(meta["eta"]),
+                                                    json_number(meta.get("gamma", gamma)),
                                                     ambient.active_axes)[0]),
     "monomial_level_graph": (MonomialLevelSet.kind, lambda meta, ambient, gamma:
                              cover_monomial_level_set(ambient.alpha, ambient.c, gamma)),
@@ -200,13 +206,15 @@ def _construction(meta: dict, ambient, gamma: float, kappa) -> Covering:
 
 
 def _rebuild(meta: dict, ambient, gamma: float, b: np.ndarray, d: np.ndarray):
-    """The construction's charts if they reproduce (b, d) bit for bit, else None."""
+    """The construction's charts if they reproduce (b, d) bit for bit and its
+    meta is ``meta``, else None."""
     try:
         cov = _construction(meta, ambient, gamma, b.shape[0] * ambient.branches)
     except (AtlasError, ArithmeticError, KeyError, TypeError, ValueError):
         return None
-    rb, rd = cov.family.base.chart_arrays()
-    return cov.charts if _same_bits(rb, b) and _same_bits(rd, d) else None
+    rb, rd = cov.charts.base.chart_arrays()
+    same = _same_bits(rb, b) and _same_bits(rd, d) and _jsonable(cov.meta) == meta
+    return cov.charts if same else None
 
 
 def covering_from_dict(d: dict) -> Covering:
@@ -227,8 +235,7 @@ def covering_from_dict(d: dict) -> Covering:
         b, dd = _STORED[ambient.chart_kind]["rows"](list(d["charts"]), ambient)
         charts = _rebuild(meta, ambient, gamma, b, dd)
         if charts is None:
-            charts = _STORED[ambient.chart_kind]["charts"](ambient, gamma, [
-                DiagonalAffineChart(b=x, d=y, gamma=gamma) for x, y in zip(b.tolist(), dd.tolist())])
+            charts = _STORED[ambient.chart_kind]["charts"](ambient, gamma, chart_rows(b, dd, gamma))
         cov = Covering(ambient=ambient, gamma=gamma, charts=charts, meta=meta)
         if cov.kappa != json_number(d.get("kappa", cov.kappa), integral=True):
             raise MalformedFile("kappa field disagrees with the chart list")
@@ -327,12 +334,12 @@ def achart_atlas_from_dict(d: dict):
         rows = list(d["charts"])
         if count != len(rows):
             raise MalformedFile(f"count={count} but {len(rows)} chart rows")
+        y, z0 = (_float_array([c[key] for c in rows], (count, data.m)) for key in ("y", "z0"))
         charts = _graph_of_size(data, eps, c3, count) if rows else None
         if charts is None or not all(     # the stored rows must be the family's bit for bit
-                _same_bits(a, _float_array([c[key] for c in rows], a.shape))
-                for a, key in zip(charts.graph_arrays(), ("y", "z0"))):
-            charts = GraphCharts.listed([RealAChart(y=tuple(c["y"]), z0=tuple(c["z0"]), c3=c3,
-                                                    data=data) for c in rows], data)
+                _same_bits(a, b) for a, b in zip(charts.graph_arrays(), (y, z0))):
+            charts = GraphCharts.listed([RealAChart(y=yi, z0=zi, c3=c3, data=data)
+                                         for yi, zi in zip(y.tolist(), z0.tolist())], data)
         return charts, data, eps
 
 

@@ -125,7 +125,7 @@ class LevelBranchCharts(ChartFamily):
         self.alpha = tuple(int(a) for a in alpha)
         self.c = complex(c)
         self.alpha1 = self.alpha[0]
-        self._base = base_cov.family
+        self._base = base_cov.charts
         self.dim = len(self.alpha)
 
     def __len__(self) -> int:

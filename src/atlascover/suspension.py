@@ -25,7 +25,6 @@ from .annulus import ring_disks
 from .core import (
     AtlasError,
     ChartFamily,
-    ChartList,
     DiagonalAffineChart,
     InvalidBeta,
     UnsupportedAmbient,
@@ -88,11 +87,9 @@ class SuspendedCharts(ChartFamily):
         self.beta = float(beta)
         if type(self.inner).arrays_at is ChartFamily.arrays_at:
             raise UnsupportedAmbient("suspension is defined over affine chart families only")
-        if isinstance(self.inner, ChartList):  # its factor and its rows are its charts'
-            if not len(self.inner):
-                raise AtlasError("the inner family is empty: it has no factor to bound beta")
-            self.inner.chart_arrays()
         mu = self.inner.gamma
+        if mu is None:
+            raise AtlasError("the inner family is empty: it has no factor to bound beta")
         if not 1.0 < self.beta < mu:
             raise InvalidBeta(f"beta must lie in (1, {mu}), got {beta}")
         self.lam_factor = 1.0 / math.sqrt(1.0 - 1.0 / (self.beta * self.beta))

@@ -294,7 +294,7 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
     total, rows = sample_rows(region, n_samples, seed)
     if total == 0:
         return CoverageReport(samples_total=0, samples_covered=0)
-    t, fam = tolerance(tol), cov.family
+    t, fam = tolerance(tol), cov.charts
 
     def decide(lo, hi):             # (covered, first 100 uncovered) of rows [lo, hi)
         pts = rows(lo, hi)
@@ -391,7 +391,7 @@ def certify_doubling(cov: Covering, tol: float | None = None) -> DoublingReport:
     the family per level (`ChartFamily.doubling_factors`) on the ambient's
     `punctured_axes`: the exact disk-separation test, and for level-branch
     charts the residual bound too."""
-    return DoublingReport(cov.family.doubling_factors(
+    return DoublingReport(cov.charts.doubling_factors(
         cov.ambient.punctured_axes, cov.gamma, tol=tolerance(tol)))
 
 
@@ -451,7 +451,7 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
     ``seed`` is kept for compatibility; the witnesses are exact and do not use it.
     """
     t = tolerance(tol)
-    fam, p, q, n = cov.family, tuple(p), tuple(q), cov.dim
+    fam, p, q, n = cov.charts, tuple(p), tuple(q), cov.dim
     if not len(p) == len(q) == n:
         raise DimensionMismatch(f"endpoints of dim {len(p)}, {len(q)} for a covering of dim {n}")
     end, charts = fam.locate(np.array([p, q], dtype=complex), 1.0, tol=t)

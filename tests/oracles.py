@@ -95,7 +95,7 @@ def neighbor_list(fam, i, scale):
         outer = neighbor_list(fam.layers, j, scale * fam.lam_factor) * len(fam.inner)
         return (outer[:, None] + neighbor_list(fam.inner, t, scale * fam.beta)).ravel()
     if isinstance(fam, LevelBranchCharts):
-        base = neighbor_list(fam.base_cov.family, i // fam.alpha1, scale) * fam.alpha1
+        base = neighbor_list(fam.base_cov.charts, i // fam.alpha1, scale) * fam.alpha1
         return (base[:, None] + np.arange(fam.alpha1)).ravel()
     return np.arange(len(fam), dtype=np.int64)
 
@@ -318,7 +318,7 @@ def _axis_box_candidates(x):
 def doubling_streamed(cov, block=1 << 16):
     """Avoidance flag of every affine chart, streamed over blocks of (b, d)
     rows: |b_i| > gamma |d_i| on every punctured axis (the reference answer)."""
-    axes, fam = cov.ambient.punctured_axes, cov.family
+    axes, fam = cov.ambient.punctured_axes, cov.charts
     flags = np.empty(cov.kappa, dtype=bool)
     for lo in range(0, cov.kappa, block):
         b, d = fam.arrays_at(np.arange(lo, min(lo + block, cov.kappa)))
@@ -451,7 +451,7 @@ def chain_bfs_loop(cov, p, q, tol=None):
     time by `scalar_witness`, building each chart, from the endpoints'
     `containing_pairs` (the reference chain)."""
     t = tolerance(tol)
-    charts = cov.family
+    charts = cov.charts
     pairs = containing_pairs(charts, np.array([p, q], dtype=complex), 1.0, tol=t)
     starts, goals = [c for r, c in pairs if r == 0], {c for r, c in pairs if r == 1}
     if not starts or not goals:

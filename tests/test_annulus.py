@@ -108,7 +108,7 @@ def test_locate_on_the_window_edges_equals_the_oracle(case):
     `RingDisks._hits` underflow, and no disk holds z = 0; the suspension puts
     the edges on its last axis, at the scale its layer disks see."""
     if case == "suspension":
-        fam = cover_punctured_polydisc(2, 0.75, 2.0)[0].family
+        fam = cover_punctured_polydisc(2, 0.75, 2.0)[0].charts
         w = _edge_points(fam.layers, fam.lam_factor)
         v = np.random.default_rng(4).choice(_edge_points(fam.inner, fam.beta), w.size)
         pts = np.stack([v, w], axis=1)[::7]

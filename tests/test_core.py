@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from atlascover.core import (
-    ChartList,
     DiagonalAffineChart,
     DimensionMismatch,
     EtaParams,
@@ -17,6 +16,7 @@ from atlascover.core import (
     avoidance_certificate,
     chart_contains,
     cpoint,
+    family,
     tolerance,
 )
 
@@ -83,14 +83,14 @@ def _rule_rows(dim: int, rng) -> tuple:
 def test_the_ball_rule_answers_a_row_alone_as_in_a_block(dim):
     """The one ball rule decides each row as it decides it alone: the
     N-row `_in_ball` equals one-row calls, `chart_contains`,
-    `ChartList.contains` and the default `_hits` on every row, on random rows
+    the list family's `contains` and the default `_hits` on every row, on random rows
     near the boundary and on rows a few ulps inside and outside it."""
     pts, b, d, scale = _rule_rows(dim, np.random.default_rng(dim))
     block = _in_ball(pts, b, d, scale, 1e-10)
     for edge in (block[:3000], block[3000:3300], block[3300:]):
         assert edge.any() and not edge.all()
     charts = [DiagonalAffineChart(b=tuple(bi), d=tuple(di), gamma=2.0) for bi, di in zip(b, d)]
-    fam = ChartList(charts)
+    fam = family(charts)
     assert np.array_equal(fam._hits(pts, scale, 1e-10, np.arange(len(charts))), block)
     for r, (p, s) in enumerate(zip(pts, scale)):
         alone = _in_ball(pts[r:r + 1], b[r:r + 1], d[r:r + 1], scale[r:r + 1], 1e-10)

@@ -7,16 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from atlascover import core
 from atlascover.annulus import RingDisks, cover_annulus
 from atlascover.core import (
     DEFAULT_TOL,
     AtlasError,
     ChartFamily,
-    ChartList,
     Covering,
     DiagonalAffineChart,
     DimensionMismatch,
+    PuncturedPlane,
     UnsupportedAmbient,
     family,
 )
@@ -193,7 +192,7 @@ def _family_of(name):
     if name == "level-set":
         return cover_monomial_level_set((2, 1), 0.04).charts
     if name == "empty":
-        return cover_punctured_polydisc(2, 1.5, 2.0)[0].family
+        return cover_punctured_polydisc(2, 1.5, 2.0)[0].charts
     return family(_charts(name))
 
 
@@ -265,7 +264,7 @@ def test_candidates_contain_every_containing_chart(name, scale):
 
 
 @pytest.mark.parametrize("fam, pts", [
-    (cover_punctured_polydisc(2, 1.5, 2.0)[0].family, np.full((3, 2), 0.5 + 0j)),
+    (cover_punctured_polydisc(2, 1.5, 2.0)[0].charts, np.full((3, 2), 0.5 + 0j)),
     (cover_annulus(1e-2, 2.0).charts, np.zeros((0, 1), dtype=complex)),
     (cover_monomial_level_set((2, 1), 0.04).charts, np.zeros((0, 2), dtype=complex)),
     (family([], dim=2), np.full((3, 2), 0.5 + 0j)),
@@ -421,31 +420,33 @@ def test_arrays_at_equals_the_charts(name):
     assert np.array_equal(bits(d), bits([charts[i].d for i in idx]))
 
 
-def test_plain_list_view_is_not_a_copy():
+def test_plain_list_rows_are_built_once_at_construction():
+    """`family` of a list builds its read-only rows once, and a `Covering` of a
+    list holds that family: changing the list afterwards changes neither."""
     charts = [DiagonalAffineChart((0.5j,), (0.25,), 2.0)]
-    view = family(charts)
-    assert isinstance(view, ChartList) and view.charts is charts
-    assert family(view) is view
+    fam, cov = family(charts), Covering(PuncturedPlane(), 2.0, charts)
+    assert family(fam) is fam and fam.chart_arrays()[0] is fam.chart_arrays()[0]
+    assert cov.charts == fam and cov.charts.chart_arrays()[0] is cov.charts.chart_arrays()[0]
     charts.append(DiagonalAffineChart((-0.5j,), (0.25,), 2.0))
-    assert len(view) == 2 and view == charts
+    charts[0] = DiagonalAffineChart((0.25j,), (0.5,), 2.0)
+    for got in (fam, cov.charts):
+        assert len(got) == 1 and list(got) == [DiagonalAffineChart((0.5j,), (0.25,), 2.0)]
+        assert got.contains(0, (0.5j,), 1.0) and not got.contains(0, (0.25j,), 0.5)
+        with pytest.raises(ValueError):
+            got.chart_arrays()[1][0, 0] = 0j
 
 
 def test_list_arrays_are_built_once_per_locate(monkeypatch):
-    """A `locate` that decides its pairs in several calls of `_hits` builds
-    the list's (b, d) once; another list of charts builds them again."""
+    """A `locate` that decides its pairs in several calls of `_hits` reads
+    the list's (b, d), built once by `family`, in every call."""
     charts = list(cover_punctured_polydisc(2, 0.75, 2.0)[0].charts)[::5]
     fam, pts = family(charts), _points(charts, count=40)
-    builds, calls = [], []
-    build, hits = ChartList._build, ChartList._hits
-    monkeypatch.setattr(ChartList, "_build", lambda self: builds.append(1) or build(self))
-    monkeypatch.setattr(ChartList, "_hits", lambda self, *a: calls.append(1) or hits(self, *a))
+    rows, calls = fam.chart_arrays(), []
+    hits = type(fam)._hits
+    monkeypatch.setattr(type(fam), "_hits", lambda self, *a: calls.append(1) or hits(self, *a))
     i, j = fam.locate(pts, 1.0)
-    assert len(calls) > 1 and len(builds) == 1 and i.size > 0
-    fam.locate(pts, 1.0)
-    assert len(builds) == 1
-    charts[0] = DiagonalAffineChart(charts[0].b, charts[0].d, charts[0].gamma)
-    fam.locate(pts, 1.0)
-    assert len(builds) == 2
+    assert len(calls) > 1 and i.size > 0
+    assert all(x is y for x, y in zip(fam.chart_arrays(), rows))
     with pytest.raises(ValueError):
         fam.chart_arrays()[0][0, 0] = 0j
 
@@ -461,20 +462,6 @@ def test_covers_settled_by_the_anchor_pass_splits_once_per_level(monkeypatch):
     pts = charts.arrays_at(np.arange(0, len(charts), len(charts) // 999))[0]
     assert charts.covers(pts, 1.0).all()
     assert len(calls) == 2
-
-
-def test_covering_keeps_one_family_view(monkeypatch):
-    """`Covering.family` is one view for the covering's life, so a plain list's
-    (b, d) arrays are built by the first query and read by the next."""
-    poly = cover_punctured_polydisc(2, 0.75, 2.0)[0]
-    cov = Covering(poly.ambient, poly.gamma, list(poly.charts)[::5])
-    assert cov.family is cov.family and cov.family.charts is cov.charts
-    builds = []
-    build = ChartList._build
-    monkeypatch.setattr(ChartList, "_build", lambda self: builds.append(1) or build(self))
-    p = cov.charts[5].b
-    assert cov.family.contains(5, p, 1.0) and builds == [1]
-    assert cov.family.contains(5, p, 1.0) and builds == [1]
 
 
 def test_locate_decides_small_passes_together(monkeypatch):
@@ -520,19 +507,6 @@ def test_oversized_or_rowless_arrays_are_refused_unallocated(charts, error):
     assert peak < 1 << 20          # the layer tables, nothing of kappa's size
 
 
-def test_adding_a_family_over_the_budget_builds_no_chart(monkeypatch):
-    """``family + list``, ``list + family`` and ``family + family`` refuse a
-    family over `MATERIALIZE_BUDGET` charts before any chart is built."""
-    rings = cover_annulus(1e-2, 2.0).charts
-    huge = cover_punctured_polydisc(3, 0.3, 2.0)[0].charts
-    monkeypatch.setattr(core, "MATERIALIZE_BUDGET", len(rings) - 1)
-    monkeypatch.setattr(ChartFamily, "_chart", lambda self, i: pytest.fail("a chart was built"))
-    for fam in (rings, huge):
-        for add in (lambda: fam + [], lambda: [] + fam, lambda: fam + fam):
-            with pytest.raises(AtlasError, match=r"charts listed by \+"):
-                add()
-
-
 # -- point shapes ---------------------------------------------------------------
 
 ONE_DIM = [
@@ -543,7 +517,7 @@ TWO_DIM = [
     lambda: cover_punctured_polydisc(2, 0.75, 2.0, {2})[0].charts,
     lambda: [DiagonalAffineChart((0.5, 0.5), (0.25, 0.25), 2.0)],
     lambda: cover_monomial_level_set((2, 1), 0.04).charts,
-    lambda: cover_punctured_polydisc(2, 1.5, 2.0)[0].family,     # no charts
+    lambda: cover_punctured_polydisc(2, 1.5, 2.0)[0].charts,     # no charts
 ]
 
 

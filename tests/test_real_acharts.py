@@ -177,10 +177,10 @@ def test_batch_rejects_mixed_atlases():
     one = cover_monomial_graph(MonomialData(1.0, (1.0,)), 0.05)
     two = cover_monomial_graph(MonomialData(1.6, (1.0,)), 0.05)
     with pytest.raises(ValueError, match="share"):
-        verify_achart_batch(one + two)
+        verify_achart_batch([*one, *two])
     wider = [RealAChart(y=c.y, z0=c.z0, c3=c.c3 + 1.0, data=c.data) for c in one]
     with pytest.raises(ValueError, match="share"):
-        verify_achart_batch(one[:3] + wider[:3])
+        verify_achart_batch([*one[:3], *wider[:3]])
 
 
 def test_grid_below_two_is_rejected():

@@ -91,7 +91,7 @@ class TestCoverage:
 def _one_call_report(cov, region, n_samples, seed):
     """The report of one `covers_points` call over every sample at once."""
     pts = region_samples(region, n_samples, seed)
-    got = covers_points(cov.family, pts, 1.0)
+    got = covers_points(cov.charts, pts, 1.0)
     return CoverageReport(samples_total=pts.shape[0], samples_covered=int(got.sum()),
                           uncovered=tuple(tuple(p) for p in pts[~got][:100]))
 
@@ -687,7 +687,7 @@ class TestBatchedChains:
         build, p, q = CHAIN_CASES[name]
         cov = build()
         calls = []
-        top = type(cov.family)
+        top = type(cov.charts)
         real = top._neighbors
         monkeypatch.setattr(top, "_neighbors", lambda self, *a: calls.append(1) or real(self, *a))
         chain = chain_between(cov, p, q)
@@ -699,7 +699,7 @@ class TestBatchedChains:
         got, ref = chain_between(cov, p, q), chain_bfs_loop(cov, p, q)
         assert got.chart_indices == ref.chart_indices
         assert [_bits(w) for w in got.witnesses] == [_bits(w) for w in ref.witnesses]
-        fam = cov.family
+        fam = cov.charts
         for (i, j), w in zip(zip(got.chart_indices, got.chart_indices[1:]), got.witnesses):
             assert fam.contains(i, w, 1.0, tol=1e-10) and fam.contains(j, w, 1.0, tol=1e-10)
         if name == "crossed-ellipses":
