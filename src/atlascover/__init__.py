@@ -42,7 +42,6 @@ from .levelset import (
     MonomialLevelChart,
     cover_monomial_level_set,
     direct_branch_values,
-    evaluate_level_chart,
     level_residual,
 )
 from .polydisc import (
@@ -60,19 +59,12 @@ from .real_acharts import (
     choose_C3,
     cover_monomial_graph,
     graph_membership,
-    shrink_for_tube,
     verify_achart,
 )
-from .suspension import (
-    SuspensionParams,
-    layer_zeta,
-    suspend_chart,
-    vertical_radius,
-)
+from .suspension import layer_zeta
 from .verify import (
     AnnulusRegion,
     Chain,
-    ComplexityReport,
     CoverageReport,
     DoublingReport,
     FitResult,
@@ -82,7 +74,6 @@ from .verify import (
     certify_doubling,
     chain_between,
     check_coverage,
-    complexity_report,
     fit_log_exponent,
     intersection_witness,
     linear_fit,

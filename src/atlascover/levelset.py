@@ -37,7 +37,7 @@ from .core import (
     chart_count,
     tolerance,
 )
-from .polydisc import PolydiscCoveringPlan, cover_punctured_polydisc, level_lower_bound
+from .polydisc import cover_punctured_polydisc, level_lower_bound
 
 RESIDUAL_ULPS = 32      # K: the units in the last place one rounded operation may cost
 
@@ -82,9 +82,6 @@ class MonomialLevelChart:
         return level_points(np.asarray(self.base.b), np.asarray(self.base.d), self.alpha,
                             self.c, np.asarray(x, dtype=complex), (self.branch,))[..., 0, :]
 
-    def first_coordinate(self, x: np.ndarray) -> np.ndarray:
-        return self.map_points(x)[..., 0]
-
 
 def level_points(b, d, alpha, c, x, branches) -> np.ndarray:
     """The chart map (g_k(phi(x)), phi(x)) of the listed branches k over base
@@ -96,19 +93,6 @@ def level_points(b, d, alpha, c, x, branches) -> np.ndarray:
     base = b + d * x
     return np.concatenate([np.exp(logs)[..., None], np.broadcast_to(
         base[..., None, :], logs.shape + base.shape[-1:])], axis=-1)
-
-
-def evaluate_level_chart(ch: MonomialLevelChart, x, scale: float | None = None):
-    """Evaluate the chart at a preimage point x with ||x|| <= scale <= gamma."""
-    x = np.asarray(tuple(x) if not isinstance(x, np.ndarray) else x, dtype=complex)
-    if x.shape[-1] != ch.base.dim:
-        raise DimensionMismatch(
-            f"point dim {x.shape[-1]} != base dim {ch.base.dim}")
-    s = ch.gamma if scale is None else float(scale)
-    if s > ch.gamma:
-        raise ValueError(f"scale {s} exceeds the chart factor {ch.gamma}")
-    pt = ch.map_points(x)
-    return tuple(complex(v) for v in np.atleast_2d(pt)[0]) if pt.ndim == 1 else pt
 
 
 def level_residual(ch: MonomialLevelChart, x: np.ndarray) -> np.ndarray:
@@ -129,7 +113,7 @@ class LevelBranchCharts(ChartFamily):
         self.dim = len(self.alpha)
 
     def __len__(self) -> int:
-        return self.alpha1 * len(self._base)
+        return self.alpha1 * self._base.__len__()  # not len(): past 2^63 `chart_count` refuses it
 
     @property
     def gamma(self) -> float | None:
@@ -275,39 +259,31 @@ def _branch_rows(alpha, c, rows, branches, wb, tol: float):
     return _root_match(g1, g2, tol), np.concatenate([g1[:, None], wb], axis=1)
 
 
-def _level_base(alpha, c: complex, gamma: float):
-    """(ambient, (base covering, base plan)) of {x^alpha = c}: the ambient
-    checks alpha and c, and the base covers the punctured polydisc
-    Q_(n-1)^eta at the coordinate lower bound eta = |c|^(1/alpha0)."""
+def level_eta(alpha, c: complex) -> tuple:
+    """(ambient, eta) of {x^alpha = c}: the ambient checks alpha and c, and
+    eta = |c|^(1/min alpha) (`level_lower_bound`) is the coordinate lower bound
+    of the punctured polydisc Q_(n-1)^eta that the base charts cover."""
     amb = MonomialLevelSet(alpha=alpha, c=c)
     if amb.dim < 2:
         raise DimensionMismatch("the graph construction needs dimension >= 2")
     if abs(amb.c) >= 1.0:
         raise LevelOutsideRange(
             f"|c| = {abs(amb.c)} >= 1 leaves no room inside the unit polydisc")
-    eta = level_lower_bound(amb.c, 1.0, min(amb.alpha))
-    return amb, cover_punctured_polydisc(amb.dim - 1, eta, gamma)
-
-
-def level_base_plan(alpha, c: complex, gamma: float = 2.0) -> PolydiscCoveringPlan:
-    """Count-only mode: the plan of the base covering of {x^alpha = c}, read
-    off its lazy build.  Every base chart spawns alpha_1 branches, so
-    kappa = alpha_1 * kappa(base)."""
-    return _level_base(alpha, c, gamma)[1][1]
+    return amb, level_lower_bound(amb.c, 1.0, min(amb.alpha))
 
 
 def cover_monomial_level_set(alpha, c: complex, gamma: float = 2.0) -> Covering:
-    """Cover {x^alpha = c} over the punctured polydisc by branch charts.
-
-    The base covering is the one `level_base_plan` reads.
-    """
-    ambient, (base_cov, base_plan) = _level_base(alpha, c, gamma)
+    """Cover {x^alpha = c} over the punctured polydisc by branch charts: every
+    chart of the base covering of Q_(n-1)^eta (`level_eta`) with its alpha_1
+    branches, so kappa = alpha_1 * kappa(base)."""
+    ambient, eta = level_eta(alpha, c)
+    base_cov, base_plan = cover_punctured_polydisc(ambient.dim - 1, eta, gamma)
     charts = LevelBranchCharts(base_cov, ambient.alpha, ambient.c)
     meta = {
         "construction": "monomial_level_graph",
-        "eta": base_plan.eta,
+        "eta": eta,
         "alpha1": ambient.alpha[0],
-        "base_kappa": base_cov.kappa,
+        "base_kappa": base_plan.kappa_final,
         "base_plan": base_plan.to_dict(),
     }
     return Covering(ambient=ambient, gamma=float(gamma), charts=charts, meta=meta)

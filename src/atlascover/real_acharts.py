@@ -342,19 +342,6 @@ def graph_count_bound(data: MonomialData, eps: float) -> float:
     return per_axis ** data.m * max(1.0, math.log(1.0 / eps)) ** data.m
 
 
-def shrink_for_tube(delta: float, lipschitz: float) -> float:
-    """Cube shrinkage eps = delta / c for maps with Lipschitz constant c >= 1.
-
-    Covering the graph over (eps, 1)^m then captures everything at distance
-    more than delta from the image of the cube boundary.
-    """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    if not lipschitz >= 1.0:
-        raise ValueError("the Lipschitz constant must be >= 1")
-    return delta / lipschitz
-
-
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------

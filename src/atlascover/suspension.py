@@ -16,7 +16,6 @@ Over the ring disks of an annulus that is G x (D_1 \\ D_delta); the one layer
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,43 +31,9 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class SuspensionParams:
-    """Height lambda > 0, vertical shift a, thickening 1 < beta < gamma."""
-
-    lam: float
-    a: complex
-    beta: float
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
-        if not self.beta > 1:
-            raise InvalidBeta(f"beta must exceed 1, got {self.beta}")
-
-
-def vertical_radius(lam: float, beta: float) -> float:
-    """Radius nu of the vertical disk covered at unit scale by one layer."""
-    return lam * math.sqrt(1.0 - 1.0 / (beta * beta))
-
-
 def layer_zeta(mu: float, beta: float) -> float:
     """Doubling factor required of layer disks: (2 mu / beta)(1 - 1/beta^2)^{-1/2}."""
     return (2.0 * mu / beta) / math.sqrt(1.0 - 1.0 / (beta * beta))
-
-
-def suspend_chart(chart: DiagonalAffineChart,
-                  params: SuspensionParams) -> DiagonalAffineChart:
-    """Suspend one chart: translation (b, a), scales (beta*d, lambda), factor
-    gamma/beta; `SuspendedCharts.arrays_at` states the same map row by row."""
-    if not params.beta < chart.gamma:
-        raise InvalidBeta(
-            f"beta={params.beta} must be smaller than the chart factor {chart.gamma}")
-    return DiagonalAffineChart(
-        b=chart.b + (params.a,),
-        d=tuple(params.beta * di for di in chart.d) + (complex(params.lam),),
-        gamma=chart.gamma / params.beta,
-    )
 
 
 class SuspendedCharts(ChartFamily):
@@ -104,14 +69,15 @@ class SuspendedCharts(ChartFamily):
         return a[:, 0], lam, 1.0 / lam
 
     def __len__(self) -> int:
-        return len(self.layers) * len(self.inner)
+        return self.layers.__len__() * self.inner.__len__()  # not len(): past 2^63 `chart_count` refuses it
 
     def _recipe(self):
         return self.inner, self.layers, self.beta
 
     def arrays_at(self, idx):
-        """Rows (inner b_t, a_j) and (beta d_t, lambda_j) of the charts (j, t):
-        `suspend_chart` of inner chart t with the height and shift of layer disk j."""
+        """Rows (inner b_t, a_j) and (beta d_t, lambda_j) of the charts (j, t): the
+        suspension (x, y) |-> (psi_t(beta x), lambda_j y + a_j) of inner chart t over
+        layer disk j, with lambda_j = r_j lam_factor and factor gamma / beta."""
         j, t = np.divmod(idx, len(self.inner))
         bi, di = self.inner.arrays_at(t)
         a, lam, _ = self._layer_table

@@ -33,7 +33,7 @@ from .core import (
     check_positive,
     tolerance,
 )
-from .levelset import _branch_rows, direct_branch_values, level_base_plan
+from .levelset import _branch_rows, direct_branch_values, level_eta
 from .polydisc import polydisc_bound, polydisc_plan
 from .suspension import covers_points
 
@@ -152,7 +152,7 @@ class LevelGraphRegion:
     def rows(self, n_samples: int, seed: int) -> tuple:
         """Branch-major: row k N_b + b is the k-th root over base polydisc row b."""
         alpha, c = tuple(self.alpha), self.c
-        eta, nb = level_base_plan(alpha, c).eta, len(alpha) - 1
+        eta, nb = level_eta(alpha, c)[1], len(alpha) - 1
         base_target = max(1, n_samples // alpha[0]) if n_samples else 0
         _sample_budget(base_target, nb, alpha[0], len(alpha))
         n_base, base = PolydiscRegion(eta=eta, n=nb).rows(base_target, seed)
@@ -498,15 +498,8 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# complexity reports and scaling experiments
+# reference bounds and scaling experiments
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    kappa: int
-    bound: float
-    ratio: float
-
 
 def named_bound(formula: str, params: dict) -> float:
     """Evaluate a named reference bound at the given parameters."""
@@ -526,13 +519,6 @@ def named_bound(formula: str, params: dict) -> float:
             raise ValueError(f"c1/delta must be positive, got {c1 / delta}")
         return float(params["C1"]) * math.log(c1 / delta) ** int(params["n"])
     raise UnknownBound(f"no reference bound named {formula!r}")
-
-
-def complexity_report(cov: Covering, formula: str, **params) -> ComplexityReport:
-    bound = named_bound(formula, params)
-    kappa = cov.kappa
-    ratio = 0.0 if kappa == 0 else kappa / bound
-    return ComplexityReport(kappa=kappa, bound=bound, ratio=ratio)
 
 
 @dataclass(frozen=True)
@@ -613,10 +599,10 @@ def scaling_experiment(experiment: str, param_grid, fixed: dict | None = None):
         elif experiment == "levelset":
             alpha = tuple(int(a) for a in fixed.get("alpha", (2, 1)))
             gamma = float(fixed.get("gamma", 2.0))
-            plan = level_base_plan(alpha, p, gamma)
-            kappa = alpha[0] * plan.kappa_final
+            eta = level_eta(alpha, p)[1]
+            kappa = alpha[0] * polydisc_plan(len(alpha) - 1, eta, gamma).kappa_final
             bound = named_bound("level_set", {"alpha1": alpha[0], "n": len(alpha),
-                                              "gamma": gamma, "eta": plan.eta})
+                                              "gamma": gamma, "eta": eta})
         elif experiment == "graph":
             from .real_acharts import MonomialData, cover_monomial_graph, graph_count_bound
             mu = tuple(float(m) for m in fixed.get("mu", (1.0,)))

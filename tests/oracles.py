@@ -8,12 +8,15 @@ per-level factoring and its batched witness kernel.
 
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from atlascover.annulus import RingDisks
 from atlascover.core import (
+    DiagonalAffineChart,
     Disconnected,
+    InvalidBeta,
     NoContainingChart,
     NotHolomorphic,
     chart_contains,
@@ -100,6 +103,35 @@ def neighbor_list(fam, i, scale):
     return np.arange(len(fam), dtype=np.int64)
 
 
+@dataclass(frozen=True)
+class SuspensionParams:
+    """Height lambda > 0, vertical shift a, thickening 1 < beta < gamma."""
+
+    lam: float
+    a: complex
+    beta: float
+
+    def __post_init__(self):
+        if not self.lam > 0:
+            raise ValueError("lambda must be positive")
+        if not self.beta > 1:
+            raise InvalidBeta(f"beta must exceed 1, got {self.beta}")
+
+
+def suspend_chart(chart: DiagonalAffineChart,
+                  params: SuspensionParams) -> DiagonalAffineChart:
+    """Suspend one chart: translation (b, a), scales (beta*d, lambda), factor
+    gamma/beta; the reference for the rows `SuspendedCharts.arrays_at` states."""
+    if not params.beta < chart.gamma:
+        raise InvalidBeta(
+            f"beta={params.beta} must be smaller than the chart factor {chart.gamma}")
+    return DiagonalAffineChart(
+        b=chart.b + (params.a,),
+        d=tuple(params.beta * di for di in chart.d) + (complex(params.lam),),
+        gamma=chart.gamma / params.beta,
+    )
+
+
 def chart_to_dict(chart):
     """One chart as a v1 covering file stores it, read off the chart object
     (the file writer reads the (b, d) arrays)."""
@@ -153,7 +185,7 @@ def level_contains(charts, i, p, scale, tol=None):
     x = ch.base.preimage(np.asarray(p[1:], dtype=complex))
     if float(np.linalg.norm(x)) > scale * math.sqrt(1.0 + t):
         return False
-    g = complex(ch.first_coordinate(x))
+    g = complex(ch.map_points(x)[..., 0])
     return abs(g - complex(p[0])) <= t ** 0.5 * max(1.0, abs(g))
 
 
@@ -427,8 +459,8 @@ def _lagrange_witness(c1, c2, tol):
 
 def _branch_witness(c1, c2, wb, tol):
     """The witness of two level-branch charts over the base witness ``wb``."""
-    g1 = complex(c1.first_coordinate(c1.base.preimage(wb)))
-    g2 = complex(c2.first_coordinate(c2.base.preimage(wb)))
+    g1 = complex(c1.map_points(c1.base.preimage(wb))[..., 0])
+    g2 = complex(c2.map_points(c2.base.preimage(wb))[..., 0])
     if np.abs(g1 - g2) <= tol ** 0.5 * np.maximum(1.0, np.abs(g1)):
         return (g1,) + tuple(wb)
     return None

@@ -15,6 +15,9 @@ import atlascover as ac
 from atlascover.jsonio import covering_from_dict, covering_to_dict, dumps
 from atlascover.real_acharts import scan_points, verify_achart_batch
 from atlascover.suspension import chart_arrays
+from atlascover.verify import named_bound
+
+from oracles import SuspensionParams, suspend_chart
 
 
 def _report(name, ok, detail=""):
@@ -81,15 +84,15 @@ def test_criterion_2_polydisc():
 
 def test_criterion_3_reference_bound_and_eta():
     cov, _ = ac.cover_punctured_polydisc(2, 0.1, 2.0)
-    rep = ac.complexity_report(cov, "polydisc", n=2, gamma=2.0, eta=0.1)
+    bound = named_bound("polydisc", {"n": 2, "gamma": 2.0, "eta": 0.1})
     # (9*2^2)^2 * log(36/0.1)^2, frozen from independent arithmetic
-    assert rep.bound == pytest.approx(44901.501987093696, rel=1e-12)
-    assert f"{rep.bound:.6g}" == "44901.5"
+    assert bound == pytest.approx(44901.501987093696, rel=1e-12)
+    assert f"{bound:.6g}" == "44901.5"
     params = ac.EtaParams(c_lower=0.5, C_unit=2.0, d=2, alpha0=2)
     eta = ac.eta_from_delta(0.1, params)
     assert eta == pytest.approx(0.05, rel=1e-15, abs=0)
     _report("criterion 3 (bound instantiation)", True,
-            f"bound={rep.bound:.6g} eta={eta!r}")
+            f"bound={bound:.6g} ratio={cov.kappa / bound:.3g} eta={eta!r}")
 
 
 def test_criterion_4_level_sets():
@@ -160,10 +163,11 @@ def test_criterion_5_real_acharts():
 
 
 def test_criterion_6_suspension_formulas():
-    assert abs(ac.suspend_chart(
+    assert abs(suspend_chart(
         ac.DiagonalAffineChart(b=(0.0,), d=(1.0,), gamma=4.0),
-        ac.SuspensionParams(lam=1.0, a=0.0, beta=2.0)).gamma - 2.0) <= 1e-12
-    assert abs(ac.vertical_radius(2.0, 2.0) - math.sqrt(3.0)) <= 1e-12
+        SuspensionParams(lam=1.0, a=0.0, beta=2.0)).gamma - 2.0) <= 1e-12
+    level = ac.cover_punctured_polydisc(2, 0.5, 2.0)[0].charts     # beta = 2
+    assert abs(2.0 / level.lam_factor - math.sqrt(3.0)) <= 1e-12     # nu at lambda = 2
     assert abs(ac.layer_zeta(4.0, 2.0) - 8.0 / math.sqrt(3.0)) <= 1e-12
     _report("criterion 6 (suspension formulas)", True,
             "theta=gamma/beta, nu=lambda*sqrt(1-1/beta^2), "

@@ -22,8 +22,8 @@ from atlascover.jsonio import (
     write_covering,
 )
 from atlascover.annulus import cover_annulus
-from atlascover.levelset import cover_monomial_level_set, level_base_plan
-from atlascover.polydisc import cover_punctured_polydisc
+from atlascover.levelset import cover_monomial_level_set
+from atlascover.polydisc import cover_punctured_polydisc, level_lower_bound
 from atlascover.real_acharts import MonomialData, RealAChart, cover_monomial_graph
 from atlascover.verify import named_bound
 
@@ -238,14 +238,14 @@ def test_chain_with_malformed_endpoints_exits_two(tmp_path, capsys, n, cover):
 
 
 def test_scaling_csv_columns(tmp_path):
-    """The annulus run, and the level-set run, whose kappa is alpha_1 times
-    the base plan's and whose bound is `named_bound("level_set")`."""
+    """The annulus run, and the level-set run, whose kappa is the covering's
+    and whose bound is `named_bound("level_set")` at eta = |c|^(1/min alpha)."""
     out = tmp_path / "rows.csv"
-    plan = level_base_plan((2, 1), 0.1, 2.0)
+    eta = level_lower_bound(0.1, 1.0, 1)
     cases = [(["annulus", "--zeta", "2"], cover_annulus(0.1, 2.0).kappa,
               named_bound("whitney_disks", {"zeta": 2.0, "delta": 0.1})),
-             (["levelset", "--alpha", "2,1"], 2 * plan.kappa_final,
-              named_bound("level_set", {"alpha1": 2, "n": 2, "gamma": 2.0, "eta": plan.eta}))]
+             (["levelset", "--alpha", "2,1"], cover_monomial_level_set((2, 1), 0.1, 2.0).kappa,
+              named_bound("level_set", {"alpha1": 2, "n": 2, "gamma": 2.0, "eta": eta}))]
     for argv, kappa, bound in cases:
         assert main(["scaling", "--experiment", *argv,
                      "--grid", "0.1,0.01,0.001", "--out", str(out)]) == 0

@@ -26,8 +26,9 @@ from atlascover.core import (
     avoidance_certificate,
     chart_contains,
 )
+from atlascover.cli import main
 from atlascover.jsonio import covering_from_dict
-from atlascover.levelset import MonomialLevelChart, cover_monomial_level_set, evaluate_level_chart
+from atlascover.levelset import MonomialLevelChart, cover_monomial_level_set
 from atlascover.polydisc import cover_punctured_polydisc, level_lower_bound
 from atlascover.real_acharts import (
     MonomialData,
@@ -40,7 +41,7 @@ from atlascover.real_acharts import (
     verify_achart,
     verify_achart_batch,
 )
-from atlascover.suspension import SuspendedCharts, SuspensionParams, cover_axis
+from atlascover.suspension import SuspendedCharts, cover_axis
 from atlascover.verify import (
     AnnulusRegion,
     LevelGraphRegion,
@@ -109,10 +110,6 @@ CHECKS = {
                             "TypeError: expected numbers in data of shape (1, 1, 2)"),
     "construction-constant-zeta-1": (lambda: construction_constant(1.0),
                                      InvalidDoublingFactor, "zeta must exceed 1, got 1.0"),
-    "evaluate-other-dim": (lambda: evaluate_level_chart(LEVEL, (0.1, 0.1)),
-                           DimensionMismatch, "point dim 2 != base dim 1"),
-    "evaluate-above-gamma": (lambda: evaluate_level_chart(LEVEL, (0.1,), 3.0),
-                             ValueError, "scale 3.0 exceeds the chart factor 2.0"),
     "level-set-dim-1": (lambda: cover_monomial_level_set((2,), 0.5),
                         DimensionMismatch, "the graph construction needs dimension >= 2"),
     "polydisc-no-axes": (lambda: cover_punctured_polydisc(2, 0.5, 2.0, active_axes=set()),
@@ -188,8 +185,6 @@ CHECKS = {
     "complement-bound-c1-negative": (
         lambda: named_bound("complement", {"C1": 1.0, "c1": -1.0, "delta": 0.5, "n": 2}),
         ValueError, "c1/delta must be positive, got -2.0"),
-    "suspension-lambda-0": (lambda: SuspensionParams(lam=0.0, a=0j, beta=2.0),
-                            ValueError, "lambda must be positive"),
     "suspended-beta-half": (lambda: SuspendedCharts(RINGS, RINGS, 0.5),
                             InvalidBeta, "beta must lie in (1, 4.0), got 0.5"),
     "suspended-beta-1": (lambda: SuspendedCharts(RINGS, RINGS, 1.0),
@@ -228,3 +223,18 @@ def test_input_check_raises_its_error(name):
     call, error, message = CHECKS[name]
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("argv, kappa", [
+    (["cover", "polydisc", "--dim", "5", "--eta", "1e-3", "--gamma", "2"], 165401018815031520444000),
+    (["cover", "levelset", "--alpha", "2,1,1,1,1,1", "--c", "0.001,0"], 330802037630063040888000),
+], ids=["polydisc-n5", "levelset-n6"])
+def test_cli_refuses_more_charts_than_an_index(argv, kappa, tmp_path, capsys):
+    """A covering whose inner levels already pass 2^63 charts (the n=5 base
+    has 1.65e23) ends in `AtlasError` and exit 2 when it is written, with no
+    file and no traceback."""
+    out = tmp_path / "f.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: AtlasError: kappa={kappa} charts are more than an index can address\n"
+    assert not out.exists()

@@ -15,7 +15,6 @@ from atlascover.levelset import (
     MonomialLevelChart,
     cover_monomial_level_set,
     direct_branch_values,
-    evaluate_level_chart,
     level_residual,
 )
 from atlascover.core import Covering, UnsupportedAmbient
@@ -35,14 +34,14 @@ BASE = DiagonalAffineChart(b=(0.5,), d=(0.05,), gamma=2.0)
 
 def test_linear_alpha_is_exact_division():
     ch = MonomialLevelChart(base=BASE, branch=0, alpha=(1, 1), c=0.25)
-    assert evaluate_level_chart(ch, (0,)) == (0.5 + 0j, 0.5 + 0j)
+    assert ch.map_points(np.zeros(1)).tolist() == [0.5 + 0j, 0.5 + 0j]
 
 
 def test_square_root_branches():
     values = []
     for k in (0, 1):
         ch = MonomialLevelChart(base=BASE, branch=k, alpha=(2, 1), c=0.25)
-        g = evaluate_level_chart(ch, (0,))[0]
+        g = complex(ch.map_points(np.zeros(1))[0])
         values.append(g)
         # residual cross-check: the point really lies on the hypersurface
         assert abs(g * g * 0.5 - 0.25) <= 1e-12
@@ -99,7 +98,7 @@ def test_branch_distinctness_at_center():
     omega_gap = abs(1.0 - np.exp(2j * np.pi / alpha[0]))
     floor = abs(c) ** (1.0 / alpha[0]) * omega_gap
     for t in (0, 17, 101):
-        vals = [complex(cov.charts[t * alpha[0] + k].first_coordinate(np.zeros(1)))
+        vals = [complex(cov.charts[t * alpha[0] + k].map_points(np.zeros(1))[..., 0])
                 for k in range(alpha[0])]
         for i in range(alpha[0]):
             for j in range(i + 1, alpha[0]):

@@ -19,7 +19,10 @@ tests for the type; no library module keeps state in a module global.
 
 And the one plain-list family: a list of charts becomes a `ChartList` of rows
 in ``core`` alone (`family`, `chart_rows`), no module reads a ``.family``
-view beside ``Covering.charts``, and families do not concatenate with ``+``."""
+view beside ``Covering.charts``, and families do not concatenate with ``+``.
+
+And the library keeps only what it runs: no module defines or imports the
+single-chart helpers and the base-plan reader that nothing in it called."""
 
 import ast
 from pathlib import Path
@@ -223,3 +226,47 @@ def test_plain_list_guard_finds_each_spelling():
         (7, "__add__"), (8, "__radd__")]
     assert plain_list_spellings(source, in_core=True) == [
         (4, ".family"), (7, "__add__"), (8, "__radd__")]
+
+
+RETIRED_API = {"SuspensionParams", "suspend_chart", "vertical_radius", "shrink_for_tube",
+               "complexity_report", "ComplexityReport", "evaluate_level_chart",
+               "first_coordinate", "level_base_plan"}
+
+
+def api_spellings(source: str) -> list:
+    """(line, name) of each definition of a `RETIRED_API` name (a ``def``, a
+    ``class`` or an assignment) and each import of it."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names = [node.id]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [part for a in node.names for part in (a.name.split(".")[-1], a.asname)]
+        else:
+            continue
+        hits += [(node.lineno, n) for n in names if n in RETIRED_API]
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_retired_api(path):
+    assert api_spellings(path.read_text()) == []
+
+
+def test_retired_api_guard_finds_each_spelling():
+    source = ("from .suspension import SuspensionParams, layer_zeta\n"
+              "from .levelset import level_base_plan as plan\n"
+              "import atlascover.verify.complexity_report\n"
+              "class ComplexityReport: pass\n"
+              "def shrink_for_tube(delta, c): pass\n"
+              "vertical_radius = lambda lam, beta: lam\n"
+              "class Chart:\n"
+              "    def first_coordinate(self, x): pass\n"
+              "g = chart.map_points(x)[..., 0]  # was `first_coordinate`\n"
+              "doc = 'evaluate_level_chart'\n")
+    assert api_spellings(source) == [
+        (1, "SuspensionParams"), (2, "level_base_plan"), (3, "complexity_report"),
+        (4, "ComplexityReport"), (5, "shrink_for_tube"), (6, "vertical_radius"),
+        (8, "first_coordinate")]

@@ -19,7 +19,6 @@ from atlascover.real_acharts import (
     graph_membership,
     offset_grid,
     scan_points,
-    shrink_for_tube,
     verify_achart,
     verify_achart_batch,
 )
@@ -208,24 +207,6 @@ def test_empty_when_domain_missed():
     # coefficient so large that no dyadic box meets {a x^mu < 1}
     data = MonomialData(1e9, (1.0,))
     assert cover_monomial_graph(data, 0.3) == []
-
-
-class TestShrink:
-    def test_identity_lipschitz(self):
-        assert shrink_for_tube(0.1, 1.0) == 0.1
-
-    def test_worked_instance(self):
-        assert shrink_for_tube(0.1, 4.0) == 0.025
-
-    def test_monotonicity(self):
-        assert shrink_for_tube(0.2, 2.0) > shrink_for_tube(0.1, 2.0)
-        assert shrink_for_tube(0.1, 4.0) < shrink_for_tube(0.1, 2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            shrink_for_tube(0.0, 1.0)
-        with pytest.raises(ValueError):
-            shrink_for_tube(0.1, 0.5)
 
 
 def test_scan_points_shapes():

@@ -11,18 +11,10 @@ from atlascover.core import (
     UnsupportedAmbient,
     chart_contains,
 )
-from atlascover.suspension import (
-    SuspendedCharts,
-    SuspensionParams,
-    chart_arrays,
-    cover_axis,
-    layer_zeta,
-    suspend_chart,
-    vertical_radius,
-)
+from atlascover.suspension import SuspendedCharts, chart_arrays, cover_axis, layer_zeta
 from atlascover.polydisc import cover_punctured_polydisc
 
-from oracles import ball_points, brute_covered, containing_pairs
+from oracles import SuspensionParams, ball_points, brute_covered, containing_pairs, suspend_chart
 
 
 def _suspend(inner, delta, beta):
@@ -43,10 +35,6 @@ def test_factor_formula():
     psi = DiagonalAffineChart(b=(0.1,), d=(0.5,), gamma=4.0)
     out = suspend_chart(psi, SuspensionParams(lam=0.3, a=1j, beta=2.0))
     assert abs(out.gamma - 4.0 / 2.0) <= 1e-12
-
-
-def test_vertical_radius_formula():
-    assert abs(vertical_radius(2.0, 2.0) - math.sqrt(3.0)) <= 1e-12
 
 
 def test_layer_zeta_formula():

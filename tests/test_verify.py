@@ -33,22 +33,22 @@ from atlascover.levelset import (
     MonomialLevelChart,
     cover_monomial_level_set,
     direct_branch_values,
-    level_base_plan,
 )
-from atlascover.polydisc import cover_punctured_polydisc, level_lower_bound
+from atlascover.polydisc import cover_punctured_polydisc, level_lower_bound, polydisc_plan
 from atlascover.suspension import chart_arrays, covers_points
 from atlascover.verify import (
     AnnulusRegion,
     CoverageReport,
     LevelGraphRegion,
     PolydiscRegion,
+    ScalingRow,
     certify_doubling,
     chain_between,
     check_coverage,
-    complexity_report,
     fit_log_exponent,
     intersection_witness,
     linear_fit,
+    named_bound,
     region_samples,
     sample_rows,
     scaling_experiment,
@@ -370,27 +370,23 @@ class TestWitness:
 
 class TestComplexity:
     def test_annulus_instance(self):
-        cov = cover_annulus(0.1, 2.0)
-        rep = complexity_report(cov, "polydisc", n=1, gamma=2.0, eta=0.1)
-        assert rep.bound == pytest.approx(18.0 * math.log(180.0), rel=1e-12)
-        assert rep.ratio == cov.kappa / rep.bound
+        bound = named_bound("polydisc", {"n": 1, "gamma": 2.0, "eta": 0.1})
+        assert bound == pytest.approx(18.0 * math.log(180.0), rel=1e-12)
 
     def test_empty_ratio_zero(self):
         cov = cover_annulus(1.0, 2.0)
-        rep = complexity_report(cov, "polydisc", n=1, gamma=2.0, eta=1.0)
-        assert rep.ratio == 0.0
+        bound = named_bound("polydisc", {"n": 1, "gamma": 2.0, "eta": 1.0})
+        assert ScalingRow(param=1.0, kappa=cov.kappa, paper_bound=bound, log_inv_param=0.0).ratio == 0.0
 
     def test_unknown_bound(self):
-        cov = cover_annulus(0.5, 2.0)
         with pytest.raises(UnknownBound):
-            complexity_report(cov, "mystery", n=1)
+            named_bound("mystery", {})
 
     def test_ratio_stability_one_dim(self):
         ratios = []
         for eta in (1e-1, 1e-2, 1e-3, 1e-4):
             cov = cover_annulus(eta, 2.0)
-            rep = complexity_report(cov, "polydisc", n=1, gamma=2.0, eta=eta)
-            ratios.append(rep.ratio)
+            ratios.append(cov.kappa / named_bound("polydisc", {"n": 1, "gamma": 2.0, "eta": eta}))
         assert max(ratios) / min(ratios) < 2.0
 
 
@@ -428,6 +424,18 @@ class TestScaling:
         rows = scaling_experiment("polydisc", [1e-1, 1e-3, 1e-6, 1e-9, 1e-12], {"n": 4})
         assert rows[-1].kappa > 2 ** 63
         assert fit_log_exponent(rows).slope == pytest.approx(4.0, abs=0.05)
+
+    def test_level_set_rows_past_int64_stay_count_only(self):
+        """At alpha = (2, 1, 1, 1, 1, 1) the base is 5-dim and kappa passes 2^63:
+        each row is alpha_1 times the base plan's count at the eta formula, a
+        Python int, although the covering itself cannot be indexed."""
+        alpha, grid = (2, 1, 1, 1, 1, 1), [1e-1, 1e-2, 1e-3]
+        rows = scaling_experiment("levelset", grid, {"alpha": alpha})
+        assert [r.kappa for r in rows] == [
+            2 * polydisc_plan(5, level_lower_bound(c, 1.0, 1), 2.0).kappa_final for c in grid]
+        assert all(type(r.kappa) is int for r in rows) and rows[-1].kappa > 2 ** 63
+        with pytest.raises(AtlasError, match="more than an index can address"):
+            cover_monomial_level_set(alpha, grid[-1]).kappa
 
     def test_polydisc_count_only_rows(self):
         rows = scaling_experiment("polydisc", [0.3, 0.1, 0.03],
@@ -815,7 +823,7 @@ def test_malformed_endpoints_are_domain_errors(name):
 def test_level_region_samples_use_the_base_plan_eta(alpha, c):
     """The samples equal those drawn from the original eta formula, bit for bit."""
     eta = level_lower_bound(c, 1.0, min(alpha))
-    assert level_base_plan(alpha, c).eta == eta
+    assert cover_monomial_level_set(alpha, c).meta["eta"] == eta
     n = 2_000
     base = region_samples(PolydiscRegion(eta=eta, n=len(alpha) - 1),
                           n // alpha[0], 3)
