@@ -20,13 +20,12 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    MATERIALIZE_BUDGET,
-    AtlasError,
     ChartFamily,
     Covering,
     InvalidDoublingFactor,
     PuncturedPlane,
     _in_ball,
+    check_budget,
     check_positive,
 )
 
@@ -45,9 +44,10 @@ class WhitneyDiskParams:
             raise ValueError("ring_ratio must lie in (0, 1)")
 
 
-def ring_ratio(zeta: float) -> float:
-    """The default ring ratio q = 1 - 1/(4 zeta)."""
-    return 1.0 - 1.0 / (4.0 * zeta)
+def _disk_radii(q: float, zeta: float) -> tuple:
+    """(cf, rf): a ring's disk-center radius and disk radius over its ring radius."""
+    cf = (1.0 + q) / 2.0
+    return cf, cf / (2.0 * zeta)
 
 
 def _angular_count(q: float, zeta: float) -> int:
@@ -55,16 +55,17 @@ def _angular_count(q: float, zeta: float) -> int:
 
     For the worst point midway between adjacent centers at band radius rho
     in {q, 1} (relative to the ring scale), containment in the nearest disk
-    reads rho^2 + m^2 - 2 rho m cos(dtheta/2) <= r^2.
+    reads rho^2 + m^2 - 2 rho m cos(dtheta/2) <= r^2.  No such angle exists
+    when |rho - m| >= r (q too small), or when it rounds to 0 (q too close to 1).
     """
-    cf = (1.0 + q) / 2.0
-    rf = cf / (2.0 * zeta)
+    cf, rf = _disk_radii(q, zeta)
     half = math.inf
     for rho in (1.0, q):
         c = (rho * rho + cf * cf - rf * rf) / (2.0 * rho * cf)
         if c >= 1.0:
-            raise ValueError(
-                "ring_ratio too small: a single disk cannot span the band")
+            why = ("is too small: a single disk cannot span the band" if abs(rho - cf) >= rf
+                   else "is too close to 1: the angle a disk spans rounds to 0")
+            raise ValueError(f"the ring ratio {q!r} of zeta = {zeta} {why}")
         half = min(half, math.acos(max(-1.0, c)))
     return math.ceil(math.pi / half)
 
@@ -88,7 +89,7 @@ class RingDisks(ChartFamily):
     rf*q^k; the flat index is k * n_angles + j.  `passes` and `neighbors`
     read one ring and angle window, `_reach`.  Every accessor reads one disk
     table, so single disks and the bulk arrays agree bit for bit; a table
-    over `MATERIALIZE_BUDGET` disks is refused before it exists.
+    over the budget (`check_budget`) is refused before it exists.
     """
 
     dim = 1
@@ -100,11 +101,9 @@ class RingDisks(ChartFamily):
         self.n_rings = int(n_rings)
         if not (0.0 < self.q < 1.0 and min(self.n_angles, self.n_rings) >= 0):
             raise ValueError("ring ratio outside (0, 1) or a negative ring or angle count")
-        if self.n_rings * self.n_angles > MATERIALIZE_BUDGET:
-            raise AtlasError(f"a ring table of {self.n_rings * self.n_angles} disks "
-                             "is over the budget")
-        self.cf = (1.0 + self.q) / 2.0              # center radius / ring radius
-        self.rf = self.cf / (2.0 * self.zeta)       # disk radius / ring radius
+        self.kappa = self.n_rings * self.n_angles
+        check_budget(self.kappa, f"a ring table of {self.n_rings} rings x {self.n_angles} angles")
+        self.cf, self.rf = _disk_radii(self.q, self.zeta)
 
     @cached_property
     def _disks(self) -> tuple:
@@ -117,11 +116,14 @@ class RingDisks(ChartFamily):
         return (self.cf * rho[:, None] * unit[None, :]).ravel(), \
             np.repeat(self.rf * rho, self.n_angles)
 
-    def __len__(self) -> int:
-        return self.n_rings * self.n_angles
-
     def _recipe(self):
         return self.zeta, self.q, self.n_angles, self.n_rings
+
+    @property
+    def construction_constant(self) -> float:
+        """A = n_angles max(1, 1 / ln(1/q)): kappa <= A (log(1/delta) + 1) for these
+        disks over any delta, as kappa = n_angles ceil(ln(1/delta) / ln(1/q))."""
+        return self.n_angles * max(1.0, 1.0 / -math.log(self.q))
 
     def chart_arrays(self):
         # a slice view, not a gather of every index: the doubling certificate reads it
@@ -256,29 +258,25 @@ class RingDisks(ChartFamily):
 
 def construction_constant(zeta: float,
                           params: WhitneyDiskParams | None = None) -> float:
-    """A(zeta) with kappa <= A(zeta) * (log(1/delta) + 1) for every delta."""
-    if not zeta > 1.0:
-        raise InvalidDoublingFactor(f"zeta must exceed 1, got {zeta}")
-    q = (params or WhitneyDiskParams(ring_ratio(zeta))).ring_ratio
-    return _constant(q, _angular_count(q, zeta))
-
-
-def _constant(q: float, n_angles: int) -> float:
-    """`construction_constant` of disks sized by ``q`` and ``n_angles``."""
-    return n_angles * max(1.0, 1.0 / -math.log(q))
+    """A(zeta) with kappa <= A(zeta) * (log(1/delta) + 1) for every delta: the
+    constant of the disks `ring_disks` sizes (delta = 1 needs no ring)."""
+    return ring_disks(1.0, zeta, params).construction_constant
 
 
 def ring_disks(delta: float, zeta: float, params: WhitneyDiskParams | None = None) -> RingDisks:
     """The zeta-doubling ring disks of {delta <= |z| <= 1}, outermost ring first,
     by angle within a ring, sized once: the inputs checked, the ring ratio q of
-    ``params`` (default `ring_ratio`), `_angular_count` and `_ring_count`;
-    delta >= 1 yields no ring."""
+    ``params`` (default 1 - 1/(4 zeta)), `_angular_count` and `_ring_count`;
+    delta >= 1 yields no ring.  A q that no ring of disks fits raises
+    `ValueError` naming zeta and why."""
     check_positive("delta", delta)
     if not math.isfinite(zeta):
         raise ValueError(f"zeta must be finite, got {zeta}")
     if not zeta > 1.0:
         raise InvalidDoublingFactor(f"zeta must exceed 1, got {zeta}")
-    q = (params or WhitneyDiskParams(ring_ratio(zeta))).ring_ratio
+    q = 1.0 - 1.0 / (4.0 * zeta) if params is None else params.ring_ratio
+    if q == 1.0:
+        raise ValueError(f"the ring ratio 1 - 1/(4 zeta) of zeta = {zeta} rounds to 1")
     return RingDisks(zeta, q, _angular_count(q, zeta), _ring_count(delta, q))
 
 
@@ -294,6 +292,6 @@ def cover_annulus(delta: float, zeta: float,
         "ring_ratio": disks.q,
         "n_angles": disks.n_angles,
         "n_rings": disks.n_rings,
-        "construction_constant": _constant(disks.q, disks.n_angles),
+        "construction_constant": disks.construction_constant,
     }
     return Covering(ambient=PuncturedPlane(), gamma=zeta, charts=disks, meta=meta)

@@ -438,15 +438,6 @@ def _bisect(b1, d1, b2, d2, tol: float):
 # chart families
 # ---------------------------------------------------------------------------
 
-def chart_count(charts) -> int:
-    """``len(charts)``, or an `AtlasError` when it is too large to index
-    (``len()`` itself refuses 2^63 and above with an `OverflowError`)."""
-    n = charts.__len__()
-    if n > sys.maxsize:
-        raise AtlasError(f"kappa={n} charts are more than an index can address")
-    return n
-
-
 def check_budget(entries: int, what: str) -> None:
     """Raise `AtlasError` naming ``what`` if it would hold more than
     `MATERIALIZE_BUDGET` entries (read at call time)."""
@@ -457,7 +448,8 @@ def check_budget(entries: int, what: str) -> None:
 class ChartFamily(Sequence):
     """A sequence of charts that also answers point-location queries.
 
-    An affine family supplies ``__len__``, ``dim``, ``gamma`` (the factor every
+    An affine family supplies ``kappa`` (its exact chart count, an int of any
+    size; ``len()`` is its index-safe view), ``dim``, ``gamma`` (the factor every
     chart shares, read without building a chart), ``_recipe()`` (what makes two
     families of the same type equal), ``arrays_at(idx)``, the one place it
     states its (b, d) rows, and ``passes`` (the default offers every chart).
@@ -469,14 +461,21 @@ class ChartFamily(Sequence):
     has no rows: it supplies ``_chart(i)``, ``_hits`` and its affine ``base``.
     """
 
+    def __len__(self) -> int:
+        """``kappa``, or an `AtlasError` when it is too large to index (builtin
+        ``len()`` refuses 2^63 and above with an `OverflowError`)."""
+        if self.kappa > sys.maxsize:
+            raise AtlasError(f"kappa={self.kappa} charts are more than an index can address")
+        return self.kappa
+
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self._chart(j) for j in range(*i.indices(chart_count(self)))]
+            return [self._chart(j) for j in range(*i.indices(len(self)))]
         return self._chart(self._index(i))
 
     def _index(self, i):
         """``i`` as an index in [0, kappa), counted from the end if negative, as for a list."""
-        n = chart_count(self)
+        n = len(self)
         if not -n <= i < n:
             raise IndexError(i)
         return i % n
@@ -499,10 +498,10 @@ class ChartFamily(Sequence):
     def _points(self, pts, scale, tol: float | None) -> tuple:
         """A query checked: ``pts`` as an (N, dim) complex array, ``scale`` as
         one value per point and the resolved tolerance, on a family small
-        enough to index (`chart_count`).  (N,) is N points when dim is 1,
+        enough to index (``len()``).  (N,) is N points when dim is 1,
         (dim,) is one point; any other shape raises `DimensionMismatch`, and
         a scale that is NaN or negative a `ValueError`."""
-        chart_count(self)
+        len(self)
         scale = self._scales(scale)
         pts = np.asarray(pts, dtype=complex)
         if pts.ndim == 1:
@@ -528,10 +527,9 @@ class ChartFamily(Sequence):
     def chart_arrays(self) -> tuple:
         """(b, d) of shape (kappa, dim) read off `arrays_at`, refused before anything is
         allocated for a family without rows or over `MATERIALIZE_BUDGET` charts."""
-        n = chart_count(self)
+        n = len(self)
         self.arrays_at(np.arange(0))
-        if n > MATERIALIZE_BUDGET:
-            raise AtlasError(f"{n} charts are too many to list as arrays")
+        check_budget(n, "chart rows")
         return self.arrays_at(np.arange(n))
 
     def level_rows(self) -> tuple:
@@ -660,9 +658,7 @@ class ChartList(ChartFamily):
     def __init__(self, b: np.ndarray, d: np.ndarray, gamma: float | None, dim: int | None):
         b.flags.writeable = d.flags.writeable = False
         self.b, self.d, self.gamma, self.dim = b, d, gamma, dim
-
-    def __len__(self) -> int:
-        return self.b.shape[0]
+        self.kappa = b.shape[0]
 
     def _recipe(self):
         return self.gamma, self.b.tolist(), self.d.tolist()
@@ -731,7 +727,7 @@ class Covering:
 
     @property
     def kappa(self) -> int:
-        return chart_count(self.charts)
+        return len(self.charts)
 
     @property
     def dim(self) -> int:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .annulus import WhitneyDiskParams, cover_annulus
 from .core import (
-    MATERIALIZE_BUDGET,
     AtlasError,
     Covering,
     MalformedFile,
@@ -34,6 +33,7 @@ from .core import (
     PuncturedPlane,
     ambient_from_dict,
     chart_rows,
+    check_budget,
     json_number,
     json_numbers,
 )
@@ -86,9 +86,8 @@ def _header(version: str, cov: Covering) -> dict:
 
 
 def covering_to_dict(cov: Covering) -> dict:
-    """Schema 1: every chart, refused above `MATERIALIZE_BUDGET` before any is built."""
-    if cov.kappa > MATERIALIZE_BUDGET:
-        raise AtlasError(f"{cov.kappa} charts are too many to list; write the recipe")
+    """Schema 1: every chart, refused over the budget (`check_budget`) before any is built."""
+    check_budget(cov.kappa, "listed charts")
     return {**_header("1", cov), "charts": _charts_to_list(cov), "meta": _jsonable(cov.meta)}
 
 
@@ -246,13 +245,18 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
+def _write(path, d: dict) -> None:
+    """Write ``d`` as its `dumps` text, built before the file is opened: a
+    refusal, here or in building ``d``, leaves no file."""
+    text = dumps(d)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def write_covering(cov: Covering, path, materialize: bool = False) -> None:
     """Write ``cov`` as its recipe (schema 2) when it has one; otherwise, or
     with ``materialize``, as its chart list (schema 1)."""
-    d = None if materialize else recipe_to_dict(cov)
-    text = dumps(d or covering_to_dict(cov))    # built first: no partial file on failure
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write(path, (None if materialize else recipe_to_dict(cov)) or covering_to_dict(cov))
 
 
 def read_covering(path) -> Covering:
@@ -347,10 +351,8 @@ def write_achart_atlas(charts, data, eps, path, materialize: bool = False) -> No
     """Write the atlas as its recipe (schema 2) when it has one; otherwise,
     or with ``materialize``, as its chart list (schema 1)."""
     charts = GraphCharts.listed(charts, data)
-    d = None if materialize else achart_recipe_to_dict(charts, data, eps)
-    text = dumps(d or achart_atlas_to_dict(charts, data, eps))
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write(path, (None if materialize else achart_recipe_to_dict(charts, data, eps))
+           or achart_atlas_to_dict(charts, data, eps))
 
 
 def read_achart_atlas(path):

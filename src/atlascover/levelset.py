@@ -23,8 +23,6 @@ from functools import reduce
 import numpy as np
 
 from .core import (
-    MATERIALIZE_BUDGET,
-    AtlasError,
     BranchUndefined,
     ChartFamily,
     Covering,
@@ -34,7 +32,7 @@ from .core import (
     MonomialLevelSet,
     avoidance,
     avoidance_certificate,
-    chart_count,
+    check_budget,
     tolerance,
 )
 from .polydisc import cover_punctured_polydisc, level_lower_bound
@@ -111,9 +109,7 @@ class LevelBranchCharts(ChartFamily):
         self.alpha1 = self.alpha[0]
         self._base = base_cov.charts
         self.dim = len(self.alpha)
-
-    def __len__(self) -> int:
-        return self.alpha1 * self._base.__len__()  # not len(): past 2^63 `chart_count` refuses it
+        self.kappa = self.alpha1 * self._base.kappa
 
     @property
     def gamma(self) -> float | None:
@@ -139,8 +135,7 @@ class LevelBranchCharts(ChartFamily):
         If the largest bound over the charts whose base flags pass is within
         tol |c|, the factors are the base's per-level flags and an all-True
         factor of the alpha_1 branches, in O(sum N_l); otherwise one factor
-        flags every chart by its own bound (at most `MATERIALIZE_BUDGET`
-        charts).
+        flags every chart by its own bound (within `check_budget`).
         """
         levels = self._base.level_rows()
         flags = avoidance(levels, range(self.dim - 1), scale)
@@ -148,9 +143,7 @@ class LevelBranchCharts(ChartFamily):
         terms = self._residual_terms(levels)
         if self._bound(sum(t[f].max(initial=0.0) for t, f in zip(terms, flags))) <= limit:
             return flags + (np.ones(self.alpha1, dtype=bool),)
-        if chart_count(self) > MATERIALIZE_BUDGET:
-            raise AtlasError(f"{len(self)} chart flags are too many to list, and the "
-                             f"residual bound exceeds tol |c| = {limit!r}")
+        check_budget(self.kappa, f"chart flags past the residual bound (tol |c| is {limit!r})")
         ok = reduce(np.logical_and.outer, flags) & (self._bound(reduce(np.add.outer, terms)) <= limit)
         return (np.repeat(ok.ravel(), self.alpha1),)
 

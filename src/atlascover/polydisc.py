@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .annulus import ring_ratio
 from .core import (
     Covering,
     EtaParams,
@@ -47,14 +46,6 @@ class PolydiscCoveringPlan:
     eta: float
     gamma: float
     levels: tuple = field(default_factory=tuple)
-
-    @property
-    def per_level_zeta(self) -> list:
-        return [lv.zeta for lv in self.levels]
-
-    @property
-    def per_level_count(self) -> list:
-        return [lv.annulus_count for lv in self.levels]
 
     @property
     def kappa_final(self) -> int:
@@ -116,19 +107,16 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
     def axis(level, zeta):              # a punctured level's rings, sized once
         try:
             return cover_axis(eta if level in axes else None, zeta)
-        except ValueError:              # only the ring sizing: q rounds to 1, or just below
-            why = ("rounds to 1" if ring_ratio(zeta) == 1.0
-                   else "leaves a band that no ring of disks covers")
-            raise ValueError(f"gamma^dim = {gamma}^{n} is too large: the ring ratio "
-                             f"1 - 1/(4 zeta) of level {level} {why}") from None
-    fam, kappa, levels = None, 1, []
+        except ValueError as exc:       # only the ring sizing, which names zeta and why
+            raise ValueError(f"gamma^dim = {gamma}^{n} is too large: the rings of level {level} "
+                             f"cannot be sized, as {exc}") from None
+    fam, levels = None, []
     for l in range(1, n + 1):           # mu: the factor of the family level l extends
         layers = axis(l, mu if fam is None else layer_zeta(mu, gamma))
         fam = layers if fam is None else SuspendedCharts(fam, layers, gamma)
-        kappa *= len(layers)
         levels.append(LevelPlan(level=l, axis_active=l in axes, mu=mu,
                                 zeta=layers.gamma if l in axes else 0.0,
-                                annulus_count=len(layers), kappa=kappa))
+                                annulus_count=layers.kappa, kappa=fam.kappa))
         mu = fam.gamma
 
     plan = PolydiscCoveringPlan(n=n, eta=float(eta), gamma=float(gamma),

@@ -219,7 +219,7 @@ class GraphCharts(ChartFamily):
     tuples in `itertools.product` order (its indices are ``[:, None]`` and
     ``[None, :]``).  It stores the K centers and the V offsets: its tuple
     table is made when first read, a chart is built only when one is indexed,
-    and `len` builds nothing.  `listed` indexes the unique rows of a list of
+    and `kappa` builds nothing.  `listed` indexes the unique rows of a list of
     `RealAChart` (``offsets`` and ``eps`` None).  The scan, the membership
     lookup and the file writer read these fields."""
 
@@ -254,7 +254,8 @@ class GraphCharts(ChartFamily):
     def tuples(self) -> np.ndarray:
         return _product_rows([self.offsets] * self.m)
 
-    def __len__(self) -> int:
+    @property
+    def kappa(self) -> int:
         if self.offsets is None:
             return len(self.box_of)
         return len(self.boxes) * len(self.offsets) ** self.m
@@ -321,8 +322,8 @@ def cover_monomial_graph(data: MonomialData, eps: float) -> GraphCharts:
     a x^mu is below 1); keeping boxes by intersection rather than by their
     center value is what makes the union of chart images catch every graph
     point.  Center values over kept boxes stay below 3^M, which sizes C3.
-    A family whose box centers times offset tuples exceed `MATERIALIZE_BUDGET`
-    is refused before either is built.
+    A family whose box centers times offset tuples are over the budget
+    (`check_budget`) is refused before either is built.
     """
     _check_graph_eps(eps)
     c3 = graph_c3(data)
@@ -397,7 +398,7 @@ def _check_scan(grid: int, interior: int, m: int = 1) -> None:
 def scan_points(m: int, grid: int, interior: int, seed: int = 0) -> np.ndarray:
     """Distinguished-boundary lattice plus seeded interior points of the
     radius-3 polydisc (the scan set of every a-chart check), counted before
-    it is built: more than `MATERIALIZE_BUDGET` entries raise `AtlasError`.
+    it is built: entries over the budget (`check_budget`) raise `AtlasError`.
     The lattice is the product of one ring of `grid` values 3 e^(2 pi i s/grid)
     per axis, in `itertools.product` order: the last axis runs fastest."""
     _check_scan(grid, interior, m)
@@ -423,8 +424,8 @@ def verify_achart_batch(charts, grid: int = 16, interior: int = 1000,
     and a tuple's lattice products are the outer product of its axes' rows,
     multiplied left to right as `np.prod` does.  The scan set, and offsets x
     axes x scan points as a bound on the scan's work (as `_sample_budget`
-    bounds `check_coverage`'s), are counted first: more than
-    `MATERIALIZE_BUDGET` entries raise `AtlasError`.
+    bounds `check_coverage`'s), are counted first: entries over the budget
+    (`check_budget`) raise `AtlasError`.
     """
     _check_scan(grid, interior)     # before the budget below, and for an empty atlas too
     if not len(charts):

@@ -60,6 +60,7 @@ class SuspendedCharts(ChartFamily):
         self.lam_factor = 1.0 / math.sqrt(1.0 - 1.0 / (self.beta * self.beta))
         self.dim = self.inner.dim + 1
         self.gamma = mu / self.beta
+        self.kappa = self.layers.kappa * self.inner.kappa
 
     @cached_property
     def _layer_table(self) -> tuple:
@@ -67,9 +68,6 @@ class SuspendedCharts(ChartFamily):
         a, r = self.layers.chart_arrays()
         lam = r[:, 0].real * self.lam_factor
         return a[:, 0], lam, 1.0 / lam
-
-    def __len__(self) -> int:
-        return self.layers.__len__() * self.inner.__len__()  # not len(): past 2^63 `chart_count` refuses it
 
     def _recipe(self):
         return self.inner, self.layers, self.beta

@@ -15,7 +15,6 @@ from functools import reduce
 import numpy as np
 
 from .core import (
-    MATERIALIZE_BUDGET,
     AtlasError,
     Covering,
     DimensionMismatch,
@@ -190,7 +189,7 @@ def _grid_side(n_samples: int, n: int) -> int:
 def _sample_budget(n_samples: int, n: int, copies: int = 1, dim: int | None = None) -> None:
     """Raise `AtlasError` if ``copies`` times the rows of an n-dim polydisc
     sample set (the grid's and ``n_samples // 2`` random ones), at ``dim``
-    entries a row (default n), pass `MATERIALIZE_BUDGET`: a bound on the work
+    entries a row (default n), pass the budget (`check_budget`): a bound on the work
     of drawing them, as `check_coverage` holds at most 2 `POINT_BLOCK` rows at a time."""
     rows, dim = copies * (_grid_side(n_samples, n) ** (2 * n) + n_samples // 2), dim or n
     check_budget(rows * dim, f"{rows} samples x {dim} dims")
@@ -204,8 +203,8 @@ def _no_rows(dim: int) -> tuple:
 def sample_rows(region, n_samples: int, seed: int) -> tuple:
     """(N, rows): the number of rows of the region's sample set and
     ``rows(lo, hi)``, which draws rows [lo, hi) of it into a fresh C-contiguous
-    array, the same bits whatever the range: the region's own ``rows``.  A set
-    of more than `MATERIALIZE_BUDGET` entries (rows x dim) raises `AtlasError`,
+    array, the same bits whatever the range: the region's own ``rows``.  A set of
+    entries (rows x dim) over the budget (`check_budget`) raises `AtlasError`,
     a negative count `ValueError`, both before any row is drawn, and an object
     with no ``rows`` `RegionMismatch`; a count of 0 has none."""
     if n_samples < 0:
@@ -379,10 +378,8 @@ class DoublingReport:
 
     @property
     def per_chart(self) -> np.ndarray:
-        """The flag of every chart, materialized (at most `MATERIALIZE_BUDGET`)."""
-        if self.n_charts > MATERIALIZE_BUDGET:
-            raise AtlasError(f"{self.n_charts} chart flags are too many to "
-                             "materialize; read the report's factors")
+        """The flag of every chart, materialized (within `check_budget`)."""
+        check_budget(self.n_charts, "per-chart flags")
         return reduce(np.logical_and.outer, self.factors).ravel()
 
 

@@ -453,12 +453,13 @@ def test_zero_samples_draw_none(tmp_path, capsys, cover):
     (["scaling", "--experiment", "annulus", "--grid", "0.1,nan,0.01"],
      "ValueError: the parameter grid must be finite, got [0.1, nan, 0.01]"),
     (["cover", "polydisc", "--dim", "1000", "--eta", "0.5", "--gamma", "2", "--count-only"],
-     "ValueError: gamma^dim = 2.0^1000 is too large: the ring ratio 1 - 1/(4 zeta) "
-     "of level 1 rounds to 1"),
+     "ValueError: gamma^dim = 2.0^1000 is too large: the rings of level 1 cannot be sized, "
+     "as the ring ratio 1 - 1/(4 zeta) of zeta = 1.0715086071862673e+301 rounds to 1"),
     (["cover", "polydisc", "--dim", "1000", "--eta", "0.5", "--gamma", "2", "--active-axes", "960",
       "--count-only"],
-     "ValueError: gamma^dim = 2.0^1000 is too large: the ring ratio 1 - 1/(4 zeta) "
-     "of level 960 leaves a band that no ring of disks covers"),
+     "ValueError: gamma^dim = 2.0^1000 is too large: the rings of level 960 cannot be sized, "
+     "as the ring ratio 0.9999999999999508 of zeta = 5078426674188.778 is too close to 1: "
+     "the angle a disk spans rounds to 0"),
 ], ids=["mu-inf", "mu-nan", "coeff-inf", "coeff-nan", "c-nan", "c-inf", "delta-inf",
         "zeta-inf", "eta-inf", "eta-nan", "eta-0", "gamma-inf", "levelset-gamma-inf", "grid-nan",
         "ring-ratio-rounds-to-1", "ring-ratio-too-close-to-1"])

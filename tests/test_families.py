@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from atlascover import core
 from atlascover.annulus import RingDisks, cover_annulus
 from atlascover.core import (
     DEFAULT_TOL,
@@ -19,6 +20,7 @@ from atlascover.core import (
     UnsupportedAmbient,
     family,
 )
+from atlascover.jsonio import covering_to_dict
 from atlascover.levelset import cover_monomial_level_set, direct_branch_values
 from atlascover.polydisc import cover_punctured_polydisc
 from atlascover.suspension import (
@@ -28,6 +30,7 @@ from atlascover.suspension import (
     covers_points,
     iter_chart_arrays,
 )
+from atlascover.verify import certify_doubling
 
 from oracles import brute_covered, containing_pairs, neighbor_list
 
@@ -505,6 +508,55 @@ def test_oversized_or_rowless_arrays_are_refused_unallocated(charts, error):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20          # the layer tables, nothing of kappa's size
+
+
+def _per_chart_flags():
+    rep = certify_doubling(cover_punctured_polydisc(2, 0.5, 2.0)[0])
+    return rep.n_charts, lambda: rep.per_chart
+
+
+def _chart_rows():
+    fam = cover_punctured_polydisc(2, 0.5, 2.0)[0].charts
+    return fam.kappa, fam.chart_arrays
+
+
+def _listed_charts():
+    cov = cover_annulus(0.5, 2.0)
+    return cov.kappa, lambda: covering_to_dict(cov)
+
+
+def _level_flags():
+    cov = cover_monomial_level_set((2, 1), 0.5)     # tol 0: every chart's own residual flag
+    return cov.kappa, lambda: certify_doubling(cov, tol=0.0)
+
+
+# site: () -> (the entries it lists, the call that lists them)
+BUDGET_SITES = {
+    "ring-table": lambda: (120, lambda: RingDisks(2.0, 0.875, 12, 10)),
+    "chart-rows": _chart_rows,
+    "listed-charts": _listed_charts,
+    "level-flags": _level_flags,
+    "per-chart-flags": _per_chart_flags,
+}
+
+
+@pytest.mark.parametrize("site", BUDGET_SITES)
+def test_every_budget_site_reads_the_budget_at_call_time(site, monkeypatch):
+    """Each refusal over the budget goes through `core.check_budget`: the
+    budget patched on `core` to the count passes the call, one less refuses it."""
+    count, call = BUDGET_SITES[site]()
+    assert count > 1
+    monkeypatch.setattr(core, "MATERIALIZE_BUDGET", count)
+    call()
+    monkeypatch.setattr(core, "MATERIALIZE_BUDGET", count - 1)
+    with pytest.raises(AtlasError, match=f" = {count} entries are over the budget of {count - 1}$"):
+        call()
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_len_is_the_stated_kappa(name):
+    fam = family(_charts(name))
+    assert type(fam.kappa) is int and len(fam) == fam.kappa == len(list(fam))
 
 
 # -- point shapes ---------------------------------------------------------------

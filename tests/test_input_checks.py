@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from atlascover.annulus import construction_constant, cover_annulus
+from atlascover.annulus import WhitneyDiskParams, construction_constant, cover_annulus
 from atlascover.core import (
     AtlasError,
     Covering,
@@ -110,6 +110,17 @@ CHECKS = {
                             "TypeError: expected numbers in data of shape (1, 1, 2)"),
     "construction-constant-zeta-1": (lambda: construction_constant(1.0),
                                      InvalidDoublingFactor, "zeta must exceed 1, got 1.0"),
+    "annulus-ratio-rounds-to-1": (lambda: cover_annulus(1e-3, 1e300), ValueError,
+                                  "the ring ratio 1 - 1/(4 zeta) of zeta = 1e+300 rounds to 1"),
+    "annulus-ratio-too-close-to-1": (lambda: cover_annulus(1e-3, 2.0 ** 45), ValueError,
+                                     "the ring ratio 0.9999999999999929 of zeta = 35184372088832.0 "
+                                     "is too close to 1: the angle a disk spans rounds to 0"),
+    "annulus-ratio-too-small": (lambda: cover_annulus(0.5, 2.0, WhitneyDiskParams(0.05)), ValueError,
+                                "the ring ratio 0.05 of zeta = 2.0 is too small: "
+                                "a single disk cannot span the band"),
+    "construction-constant-ratio-rounds-to-1": (lambda: construction_constant(1e300), ValueError,
+                                                "the ring ratio 1 - 1/(4 zeta) of zeta = 1e+300 "
+                                                "rounds to 1"),
     "level-set-dim-1": (lambda: cover_monomial_level_set((2,), 0.5),
                         DimensionMismatch, "the graph construction needs dimension >= 2"),
     "polydisc-no-axes": (lambda: cover_punctured_polydisc(2, 0.5, 2.0, active_axes=set()),

@@ -88,7 +88,7 @@ def test_dimension_one_reduces_to_annulus():
     ann = cover_annulus(0.07, 2.0)
     assert list(cov.charts) == list(ann.charts)
     assert plan.kappa_final == ann.kappa
-    assert plan.per_level_zeta == [2.0]
+    assert [lv.zeta for lv in plan.levels] == [2.0]
 
 
 def test_recurrence_exact():
@@ -193,8 +193,8 @@ def test_paper_bound_ratio_finite():
 
 def test_inactive_axis_gets_trivial_level():
     cov, plan = cover_punctured_polydisc(2, 0.3, 2.0, active_axes={2})
-    assert plan.per_level_count[0] == 1
-    assert cov.kappa == plan.per_level_count[1]
+    assert plan.levels[0].annulus_count == 1
+    assert cov.kappa == plan.levels[1].annulus_count
     assert cov.ambient == PolydiscComplement(n=2, active_axes={2})
     rep = check_coverage(cov, PolydiscRegion(eta=0.3, n=2, active_axes=frozenset({2})),
                          n_samples=4000, seed=4)
@@ -204,8 +204,8 @@ def test_inactive_axis_gets_trivial_level():
 
 def test_plan_matches_construction():
     cov, plan = cover_punctured_polydisc(2, 0.15, 2.0)
-    assert plan.per_level_zeta[0] == 4.0
-    assert plan.per_level_zeta[1] == pytest.approx(8.0 / math.sqrt(3.0), rel=1e-12)
+    assert plan.levels[0].zeta == 4.0
+    assert plan.levels[1].zeta == pytest.approx(8.0 / math.sqrt(3.0), rel=1e-12)
     assert cov.meta["plan"] == plan.to_dict()
 
 
@@ -280,7 +280,7 @@ def test_lazy_build_allocates_no_ring_table():
     finally:
         tracemalloc.stop()
     assert peak < 64 << 10
-    assert sum(plan.per_level_count) == 126_810
+    assert sum(lv.annulus_count for lv in plan.levels) == 126_810
     assert cov.kappa == plan.kappa_final == 168_773_782_806_090_000
 
 
@@ -310,6 +310,20 @@ def test_kappa_beyond_an_index_in_memory_is_a_domain_error():
                  lambda: check_coverage(cov, region, n_samples=100)):
         with pytest.raises(AtlasError, match="more than an index can address"):
             call()
+
+
+def test_len_past_two_to_the_63_is_a_domain_error():
+    """The n=5, eta=1e-3 family counts its 1.65e23 charts exactly as ``kappa``,
+    every level as its plan records; builtin ``len()`` of it raises `AtlasError`,
+    not Python's `OverflowError`."""
+    cov, plan = cover_punctured_polydisc(5, 1e-3, 2.0)
+    assert cov.charts.kappa == polydisc_plan(5, 1e-3, 2.0).kappa_final == 165401018815031520444000
+    fam = cov.charts
+    for level in reversed(plan.levels):
+        assert fam.kappa == level.kappa
+        fam = getattr(fam, "inner", None)
+    with pytest.raises(AtlasError, match="kappa=165401018815031520444000 charts are more than an index"):
+        len(cov.charts)
 
 
 def test_chain_beyond_an_index_is_a_domain_error(tmp_path, capsys):

@@ -22,7 +22,12 @@ in ``core`` alone (`family`, `chart_rows`), no module reads a ``.family``
 view beside ``Covering.charts``, and families do not concatenate with ``+``.
 
 And the library keeps only what it runs: no module defines or imports the
-single-chart helpers and the base-plan reader that nothing in it called."""
+single-chart helpers and the base-plan reader that nothing in it called.
+
+And one count and one budget: a chart family states its count once, as
+``kappa``, and no subclass of `ChartFamily` defines ``__len__`` (its index-safe
+view, defined once there); no module but ``core`` names ``MATERIALIZE_BUDGET``,
+so every refusal over it goes through `check_budget`, which reads it at call time."""
 
 import ast
 from pathlib import Path
@@ -270,3 +275,77 @@ def test_retired_api_guard_finds_each_spelling():
         (1, "SuspensionParams"), (2, "level_base_plan"), (3, "complexity_report"),
         (4, "ComplexityReport"), (5, "shrink_for_tube"), (6, "vertical_radius"),
         (8, "first_coordinate")]
+
+
+def family_len_definitions(source: str) -> list:
+    """(line, class) of each ``__len__`` defined or assigned in a class that
+    derives from `ChartFamily`: one that names it as a base (a name or an
+    attribute), or a class of ``source`` that does, defined before it."""
+    families, hits = {"ChartFamily"}, []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases}
+        if not bases & families:
+            continue
+        families.add(node.name)
+        for item in node.body:
+            names = ([item.name] if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else [t.id for t in getattr(item, "targets", []) if isinstance(t, ast.Name)])
+            hits += [(item.lineno, node.name) for n in names if n == "__len__"]
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_families_state_kappa_not_len(path):
+    assert family_len_definitions(path.read_text()) == []
+
+
+def test_family_len_guard_finds_each_spelling():
+    source = ("class ChartFamily(Sequence):\n"
+              "    def __len__(self): return self.kappa\n"
+              "class Rings(ChartFamily):\n"
+              "    def __len__(self): return self.n_rings * self.n_angles\n"
+              "class Deep(Rings):\n"
+              "    __len__ = lambda self: 2\n"
+              "class Listed(core.ChartFamily, Mixin):\n"
+              "    async def __len__(self): pass\n"
+              "class Plain:\n"
+              "    def __len__(self): return 0\n"
+              "class Counted(ChartFamily):\n"
+              "    kappa = 3  # not `__len__`\n")
+    assert family_len_definitions(source) == [(4, "Rings"), (6, "Deep"), (8, "Listed")]
+
+
+BUDGET = "MATERIALIZE_BUDGET"
+
+
+def budget_spellings(source: str) -> list:
+    """(line, spelling) of each ``MATERIALIZE_BUDGET`` named: a name read or
+    bound, an attribute, an import, or a string of it alone (as ``getattr``
+    reads it)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        named = (node.id if isinstance(node, ast.Name) else node.attr
+                 if isinstance(node, ast.Attribute) else node.name
+                 if isinstance(node, ast.alias) else node.value
+                 if isinstance(node, ast.Constant) else None)
+        if named == BUDGET:
+            hits.append((node.lineno, type(node).__name__))
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "core.py"}), ids=lambda p: p.name)
+def test_only_core_names_the_budget(path):
+    assert budget_spellings(path.read_text()) == []
+
+
+def test_budget_guard_finds_each_spelling():
+    source = ("from .core import MATERIALIZE_BUDGET, check_budget\n"
+              "if n > core.MATERIALIZE_BUDGET: pass\n"
+              "limit = getattr(core, 'MATERIALIZE_BUDGET')\n"
+              "MATERIALIZE_BUDGET = 10\n"
+              "check_budget(n, 'rows')  # over `MATERIALIZE_BUDGET`\n"
+              "doc = 'refused over the MATERIALIZE_BUDGET'\n")
+    assert budget_spellings(source) == [
+        (1, "alias"), (2, "Attribute"), (3, "Constant"), (4, "Name")]

@@ -228,7 +228,7 @@ def test_coverings_too_large_to_list(tmp_path, capsys, dim, eta, kappa, max_peak
         tracemalloc.stop()
     assert peak < max_peak
     assert not path.exists()
-    assert "too many to list" in capsys.readouterr().err
+    assert f"listed charts = {kappa} entries are over the budget" in capsys.readouterr().err
 
 
 def test_chain_on_a_covering_too_large_to_search(tmp_path, capsys):
