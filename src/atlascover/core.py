@@ -342,9 +342,20 @@ def chart_contains(chart: DiagonalAffineChart, p, scale: float,
     return bool(_in_ball(*rows, scale, tolerance(tol))[0])
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` bit for bit.  Below 8 columns numpy adds each row's
+    entries left to right, as these column adds do without its per-row cost."""
+    if not 0 < a.shape[1] < 8:
+        return a.sum(axis=1)
+    s = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        s += a[:, j]
+    return s
+
+
 def _ball_norms(pts, b, d) -> np.ndarray:
     """Row r: the squared preimage norm sum_i |(pts_ri - b_ri) / d_ri|^2."""
-    return (np.abs((pts - b) / d) ** 2).sum(axis=1)
+    return _row_sums(np.abs((pts - b) / d) ** 2)
 
 
 def _in_ball(pts, b, d, scale, t: float) -> np.ndarray:
@@ -418,7 +429,7 @@ def _bisect(b1, d1, b2, d2, tol: float):
     for _ in range(60):
         s = 0.5 * (lo + hi)
         p = point(s)
-        f1, f2 = (w1 * np.abs(p - b1) ** 2).sum(axis=1), (w2 * np.abs(p - b2) ** 2).sum(axis=1)
+        f1, f2 = _row_sums(w1 * np.abs(p - b1) ** 2), _row_sums(w2 * np.abs(p - b2) ** 2)
         out = s * f1 + (1.0 - s) * f2 > 1.0 + tol
         lo, hi = np.where(f1 > f2, s, lo), np.where(f1 > f2, hi, s)
         if out.any():

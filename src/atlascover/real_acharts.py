@@ -16,7 +16,6 @@ or listed from charts; the scan and the membership lookup read its fields.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -196,17 +195,99 @@ def graph_grid_size(data: MonomialData, eps: float, c3: float) -> tuple:
     return len(axis_scale_centers(eps)) ** data.m, _offset_count(c3) ** data.m
 
 
-def _records(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D array as sorted `np.void` records of their bytes."""
-    rows = np.ascontiguousarray(rows)
-    return np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0])
+def _ranks(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The index of each value in the sorted distinct ``table``, -1 where absent."""
+    at = np.minimum(np.searchsorted(table, values), len(table) - 1)
+    return np.where(table[at] == values, at, -1)
 
 
-def _member(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Whether each row of ``rows`` is a record of ``table``, `_records` of rows as wide."""
-    rec = np.ascontiguousarray(rows).view(table.dtype)[:, 0]
-    at = np.minimum(np.searchsorted(table, rec), len(table) - 1)
-    return table[at] == rec
+ABSENT = -(1 << 62)    # the column of a value no key holds: every code it joins is negative
+
+
+class _GraphKeys:
+    """The chart keys (k, z0) of a `GraphCharts` as integer tables, built once.
+
+    On an axis, k enters as k - kmin (kmin the least key k) and z0 as its rank
+    among the atlas's distinct offset values.  That rank is one gather from a
+    table over the odd integers from the least to the greatest odd value, when
+    they number at most 4 a value (plus 64), and a sorted search only for a
+    value that table does not hold.  A product's key rows are its boxes' k
+    rows, and a z0 need only be one of its offsets, so no offset tuple is
+    built; a listed atlas's rows join each axis's k and z0 rank.
+
+    A row folds into one int64 axis by axis, code * size + column.  Where the
+    code space would pass 2^62 the rows' partial codes are first replaced by
+    their ranks among their distinct values, so no code overflows for any m.
+    The folded rows are a bool grid over the code space when it holds at most
+    max(8 n, 2^20) entries for n rows, and otherwise sorted codes."""
+
+    def __init__(self, f: GraphCharts):
+        y_values, y_of = np.unique(f.boxes, return_inverse=True)
+        k_of_y = np.fromiter((round(math.log2((2.0 / 3.0) / v)) for v in y_values),
+                             dtype=np.int64, count=len(y_values))
+        k = k_of_y[y_of].reshape(f.boxes.shape)
+        self.listed = f.offsets is None
+        self.values = np.unique(f.tuples if self.listed else f.offsets)
+        with np.errstate(invalid="ignore"):
+            odd = self.values[np.mod(self.values, 2.0) == 1.0]
+        span = (odd[-1] - odd[0]) / 2.0 + 1.0 if len(odd) else 0.0
+        odd = odd if span <= 4 * len(self.values) + 64 else odd[:0]
+        self.odd_lo, span = (odd[0], int(span)) if len(odd) else (1.0, 0)
+        check_budget(span + 1, f"an offset table of {span} odd integers")
+        self.odd_rank = np.full(span + 1, -1, dtype=np.int64)      # the last entry stays -1
+        self.odd_rank[((odd - self.odd_lo) / 2.0).astype(np.int64)] = np.searchsorted(self.values, odd)
+        self.loose = len(odd) < len(self.values)
+        self.kmin = np.int64(k.min() if k.size else 0)
+        self.ksize = int(k.max() - self.kmin + 1) if k.size else 0
+        self.zsize = len(self.values) if self.listed else 1
+        if self.listed:
+            check_budget(f.kappa * f.m, f"{f.kappa} key rows x {f.m} axes")
+            zr = np.searchsorted(self.values, f.tuples)
+            cols = (k[f.box_of] - self.kmin) * self.zsize + zr[f.tuple_of]
+        else:
+            cols = k - self.kmin
+        self.size = self.ksize * self.zsize
+        codes, space, self.ranked = np.zeros(len(cols), dtype=np.int64), 1, []
+        for i in range(f.m):
+            self.ranked.append(np.unique(codes) if space * self.size > 1 << 62 else None)
+            if self.ranked[i] is not None:
+                codes, space = np.searchsorted(self.ranked[i], codes), len(self.ranked[i])
+            codes, space = codes * self.size + cols[:, i], space * self.size
+        if space <= max(8 * len(codes), 1 << 20):
+            check_budget(space, f"a key grid of {space} codes")
+            self.grid, self.codes = np.zeros(space, dtype=bool), None
+            self.grid[codes] = True
+        else:
+            self.grid, self.codes = None, np.unique(codes)
+
+    def columns(self, k: np.ndarray, z0: np.ndarray) -> np.ndarray:
+        """The key-row column of each (k, z0) pair (arrays of one shape), or
+        `ABSENT` where no key holds that k with that z0 on an axis."""
+        if not len(self.values):
+            return np.full(z0.shape, ABSENT, dtype=np.int64)
+        with np.errstate(invalid="ignore"):
+            j = (z0 - self.odd_lo) / 2.0
+            j = np.where((j >= 0) & (j < len(self.odd_rank)), j, -1)    # a NaN is outside
+        zr = self.odd_rank[j.astype(np.int64)]
+        zr = np.where(self.values[zr] == z0, zr, -1)     # a non-integer j took its floor
+        if self.loose:
+            zr[zr < 0] = _ranks(self.values, z0[zr < 0])
+        kc = k - self.kmin
+        col = kc * self.zsize + zr if self.listed else kc
+        return np.where((kc >= 0) & (kc < self.ksize) & (zr >= 0), col, ABSENT)
+
+    def members(self, col: np.ndarray) -> np.ndarray:
+        """The points p for which some choice of slot s per axis i makes the
+        columns col[i, s, p] a key row: each point's partial codes are expanded
+        by the slots of one axis at a time, and only valid ones are kept."""
+        pts, codes = np.arange(col.shape[2]), np.zeros(col.shape[2], dtype=np.int64)
+        for i, ranked in enumerate(self.ranked):
+            if ranked is not None:
+                codes = _ranks(ranked, codes)
+            codes = (codes * self.size + col[i][:, pts]).ravel()
+            at = np.flatnonzero(codes >= 0)
+            pts, codes = pts[at % len(pts)], codes[at]
+        return pts[self.grid[codes] if self.codes is None else _ranks(self.codes, codes) >= 0]
 
 
 class GraphCharts(ChartFamily):
@@ -220,8 +301,9 @@ class GraphCharts(ChartFamily):
     ``[None, :]``).  It stores the K centers and the V offsets: its tuple
     table is made when first read, a chart is built only when one is indexed,
     and `kappa` builds nothing.  `listed` indexes the unique rows of a list of
-    `RealAChart` (``offsets`` and ``eps`` None).  The scan, the membership
-    lookup and the file writer read these fields."""
+    `RealAChart` (``offsets`` and ``eps`` None).  The scan and the file writer
+    read these fields; the membership lookup reads the integer tables
+    `_GraphKeys` makes of them once, and never the product's tuple table."""
 
     def __init__(self, data: MonomialData, c3, boxes, offsets=None, eps=None):
         self.data, self.c3, self.offsets, self.eps = data, c3, offsets, eps
@@ -233,10 +315,12 @@ class GraphCharts(ChartFamily):
     def listed(cls, charts, data: MonomialData | None = None) -> GraphCharts:
         """``charts`` as one family: a `GraphCharts` as it is, a list of
         `RealAChart` by the `np.unique` of the bits of its rows, so each reads
-        back as held (``data`` is an empty list's).  Charts of mixed monomial
-        data or C3 raise `ValueError`."""
+        back as held (``data`` is an empty list's, and it needs one).  Charts
+        of mixed monomial data or C3 raise `ValueError`."""
         if isinstance(charts, GraphCharts):
             return charts
+        if not len(charts) and data is None:
+            raise ValueError("the monomial data is missing: an empty atlas takes it as `data`")
         data, c3 = (charts[0].data, charts[0].c3) if len(charts) else (data, None)
         if any(c.data != data or c.c3 != c3 for c in charts):
             raise ValueError("charts of one atlas must share their monomial data and C3")
@@ -288,26 +372,16 @@ class GraphCharts(ChartFamily):
         return y.reshape(-1, self.m), z0.reshape(-1, self.m)
 
     @cached_property
-    def keys(self) -> tuple:
-        """`_records` of the boxes' rows k = round(log2((2/3) / y)) and of the
-        offset tuples z0 for a product, or of the charts' (k, z0) rows."""
-        y_values, y_of = np.unique(self.boxes, return_inverse=True)
-        k_of_y = np.fromiter((round(math.log2((2.0 / 3.0) / v)) for v in y_values),
-                             dtype=np.int64, count=len(y_values))
-        k = k_of_y[y_of].reshape(self.boxes.shape)
-        if self.offsets is not None:
-            return _records(k), _records(self.tuples)
-        return (_records(np.hstack([k[self.box_of], self.tuples[self.tuple_of].view(np.int64)])),)
+    def _keys(self) -> _GraphKeys:
+        return _GraphKeys(self)
 
     def is_key(self, k: np.ndarray, z0: np.ndarray) -> np.ndarray:
         """Whether each row pair of k (int64) and z0 (float), shape (N, m)
-        each, is a chart's key.  Bytes compare exactly here: k is an integer
-        and a queried z0 an odd integer, never -0.0 or NaN, so equal bytes are
-        equal values; only equality is read, so the byte order of the records
-        need not be the numeric one."""
-        if self.offsets is not None:
-            return _member(self.keys[0], k) & _member(self.keys[1], z0)
-        return _member(self.keys[0], np.hstack([k, z0.view(np.int64)]))
+        each, is a chart's key: k = round(log2((2/3) / y)) of its box center
+        and its z0, compared as numbers."""
+        out = np.zeros(len(k), dtype=bool)
+        out[self._keys.members(self._keys.columns(k, z0).T[:, None, :])] = True
+        return out
 
 
 def _check_graph_eps(eps: float) -> None:
@@ -481,11 +555,20 @@ def graph_membership(charts, xs: np.ndarray,
     some choice of scale per axis every |u_i| < C3 (1 + t) and
     |w_i| <= 1 + t, and (k, z0) is a chart's key (`GraphCharts.is_key`);
     the last coordinate then agrees identically, being the same monomial of
-    the first m.  Chart images lie in (0, inf)^m, so a row with a coordinate
-    that is not a positive finite number (or too small to invert) is not a
-    member.  Points of another width than m raise `DimensionMismatch`.
+    the first m.  All choices are decided in one pass: each point's partial
+    keys are expanded by the valid scales of one axis at a time, and the
+    candidates are looked up at once.  Chart images lie in (0, inf)^m, so a
+    row with a coordinate that is not a positive finite number (or too small
+    to invert) is not a member.  Points of another width than m, or an array
+    of more than 2 dims, raise `DimensionMismatch`; complex points raise
+    `ValueError`.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xs = np.asarray(xs)
+    if np.iscomplexobj(xs):
+        raise ValueError("graph points must be real, got a complex array")
+    xs = np.atleast_2d(xs.astype(float, copy=False))
+    if xs.ndim > 2:
+        raise DimensionMismatch(f"points must be an (N, m) array, got shape {xs.shape}")
     out = np.zeros(xs.shape[0], dtype=bool)
     if not len(charts):
         return out
@@ -494,20 +577,30 @@ def graph_membership(charts, xs: np.ndarray,
         raise DimensionMismatch(f"points of width {xs.shape[1]} for an atlas of dim {f.data.m}")
     t, c3 = tolerance(tol), f.c3
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lg = np.log2((2.0 / 3.0) / xs)
-    rows = np.nonzero(np.isfinite(lg).all(axis=1))[0]
-    # (point, axis, scale slot) arrays for the scales base - 1, base, base + 1
-    x = xs[rows, :, None]
-    k = np.floor(lg[rows]).astype(np.int64)[:, :, None] + np.arange(-1, 2)
+        lg = np.log2((2.0 / 3.0) / xs.T)
+    rows = np.nonzero(np.isfinite(lg).all(axis=0))[0]
+    if len(rows) < len(xs):
+        xs, lg = xs[rows], lg[:, rows]
+    # (axis, scale slot, point) arrays for the scales base - 1, base, base + 1;
+    # updated in place where that keeps the bits, since fresh arrays this size
+    # cost page faults on every call
+    x = xs.T[:, None, :]
+    k = np.floor(lg).astype(np.int32)[:, None, :] + np.arange(-1, 2, dtype=np.int32)[:, None]
     y = np.ldexp(2.0 / 3.0, -k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = 2.0 * c3 * (x / y - 1.0)
-    z0 = 2.0 * np.floor(u / 2.0) + 1.0
-    ok = ((k >= 0) & (y / 2.0 < x) & (x < 3.0 * y / 2.0)
-          & (np.abs(u) < c3 * (1.0 + t)) & (np.abs(u - z0) <= 1.0 + t))
-    axes = np.arange(xs.shape[1])
-    for slots in itertools.product(range(3), repeat=xs.shape[1]):
-        idx = np.nonzero(ok[:, axes, slots].all(axis=1) & ~out[rows])[0]
-        if idx.size:
-            out[rows[idx]] = f.is_key(k[idx[:, None], axes, slots], z0[idx[:, None], axes, slots])
+        u = np.divide(x, y)
+        u -= 1.0
+        u *= 2.0 * c3
+    ok = (k >= 0) & (y / 2.0 < x) & (x < 3.0 * y / 2.0) & (np.abs(u) < c3 * (1.0 + t))
+    del y
+    z0 = np.floor(u / 2.0)
+    z0 *= 2.0
+    z0 += 1.0
+    u -= z0
+    ok &= np.abs(u, out=u) <= 1.0 + t
+    del u
+    at = np.flatnonzero(ok)
+    col = np.full(k.shape, ABSENT, dtype=np.int64)
+    col.reshape(-1)[at] = f._keys.columns(k.reshape(-1)[at], z0.reshape(-1)[at])
+    out[rows[f._keys.members(col)]] = True
     return out

@@ -13,6 +13,7 @@ from atlascover.core import (
     PuncturedPlane,
     UnsupportedAmbient,
     _in_ball,
+    _row_sums,
     avoidance_certificate,
     chart_contains,
     cpoint,
@@ -211,3 +212,13 @@ def test_malformed_tolerances_are_refused(monkeypatch, value):
     monkeypatch.setenv("ATLAS_TOL", "1e-8x")
     with pytest.raises(InvalidTolerance, match="not a number"):
         tolerance()
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_row_sums_keep_the_bits_of_sum(dim):
+    """The column adds of `_row_sums` give `.sum(axis=1)` bit for bit, on C-
+    and Fortran-ordered rows of wide dynamic range, squares among them."""
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((4000, dim)) * 10.0 ** rng.integers(-8, 8, (4000, dim))
+    for rows in (a, np.asfortranarray(a), np.abs(a) ** 2, a[:0]):
+        assert np.array_equal(_row_sums(rows).view(np.uint64), rows.sum(axis=1).view(np.uint64))

@@ -10,6 +10,7 @@ import pytest
 from atlascover import core
 from atlascover.core import AtlasError, DimensionMismatch, NotHolomorphic, UnsupportedAmbient
 from atlascover.real_acharts import (
+    GraphCharts,
     MonomialData,
     RealAChart,
     axis_scale_centers,
@@ -252,7 +253,8 @@ def _edge_points(charts, count, seed):
 
 @pytest.mark.parametrize("mu, coeff, eps", [((1.0,), 1.0, 1e-3),
                                             ((0.5, -0.25), 1.0, 0.01),
-                                            ((0.5, -0.25, 0.25), 0.9, 0.3)])
+                                            ((0.5, -0.25, 0.25), 0.9, 0.3),
+                                            ((0.1, -0.1, 0.1, 0.05), 1.0, 0.3)])
 def test_membership_matches_the_per_point_loop(mu, coeff, eps):
     """The array lookup gives the loop's answers bit for bit, on the full and
     a pruned atlas, on domain points and on the exact box edges."""
@@ -280,6 +282,96 @@ def test_membership_with_hand_made_offsets():
     assert np.array_equal(got, graph_membership_loop(charts, xs))
     u = 10.0 * (xs[:, 0] / (2.0 / 3.0) - 1.0)
     assert not got[(u > -1.0) & (u < 0.0)].any()     # z0 = -1 is missing
+
+
+def _chart_points(charts, count, seed, spread=1.2):
+    """Seeded points x = y (1 + (z0 + w) / (2 C3)) of random charts, w uniform
+    in (-spread, spread) per axis, so some fall outside their chart."""
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(0, len(charts), count)
+    y = np.array([charts[i].y for i in pick])
+    z0 = np.array([charts[i].z0 for i in pick])
+    w = rng.uniform(-spread, spread, y.shape)
+    return y * (1.0 + (z0 + w) / (2.0 * charts[0].c3))
+
+
+def test_listed_keys_past_two_to_the_63():
+    """A listed m=5 atlas whose per-axis (k, z0) values span 501 scales times
+    20 offsets, a code space of (501 * 20)^5 > 2^63: the lookup and `is_key`
+    answer as the loop and the key dict do."""
+    data = MonomialData(1.0, (1.0,) * 5)
+    rng = np.random.default_rng(8)
+    ks, odd = np.array([0, 1, 250, 499, 500]), np.arange(-19.0, 20.0, 2.0)
+    k = rng.choice(ks, (300, 5))
+    z0 = rng.choice(odd, (300, 5))
+    k[0], z0[0], z0[1] = 500, -19.0, 19.0
+    charts = [RealAChart(y=tuple((2.0 / 3.0) * 2.0 ** -ki), z0=tuple(zi), c3=20.0, data=data)
+              for ki, zi in zip(k, z0)]
+    assert ((int(k.max() - k.min()) + 1) * len(np.unique(z0))) ** 5 > 2 ** 63
+    xs = _chart_points(charts, 3000, 9)
+    for tol in (None, 1e-6):
+        got = graph_membership(charts, xs, tol)
+        assert np.array_equal(got, graph_membership_loop(charts, xs, tol))
+        assert got.any() and not got.all()
+    fam = GraphCharts.listed(charts)
+    keys = {(tuple(ki), tuple(zi)) for ki, zi in zip(k, z0)}
+    qk, qz = k.copy(), z0.copy()
+    qk[::2, 1] = rng.choice(ks, 150)
+    qz[1::3, 4] = rng.choice(odd, 100)
+    want = [(tuple(a), tuple(b)) in keys for a, b in zip(qk, qz)]
+    assert np.array_equal(fam.is_key(qk, qz), want) and not all(want)
+    assert fam.is_key(k, z0).all()
+
+
+@pytest.mark.parametrize("offsets, c3", [([-5.0, -1.0, 3.0, 5.0], 6.0),
+                                         ([-5.0, -1.0, 0.5, 3.0, 5.0], 6.0),
+                                         ([1.0 - 2e6, -3.0, 1.0], 2e6)])
+def test_membership_with_hand_made_product_offsets(offsets, c3):
+    """A product `GraphCharts` built by hand with offsets that are not the odd
+    grid (gaps, a value that is not an odd integer, odd values too far apart
+    for a table) answers as the loop on its charts."""
+    data = MonomialData(1.0, (0.5, -0.25))
+    y = [(2.0 / 3.0) * 2.0 ** -k for k in (0, 1, 3)]
+    boxes = [(a, b) for a in y for b in y if (a, b) != (y[1], y[2])]
+    fam = GraphCharts(data, c3, boxes, np.array(offsets))
+    lst = list(fam)
+    xs = np.concatenate([_chart_points(lst, 2000, 10), _edge_points(lst[:8], 400, 11)
+                         if c3 < 100 else np.empty((0, 2))])
+    for tol in (None, 1e-6):
+        got = graph_membership(fam, xs, tol)
+        assert np.array_equal(got, graph_membership_loop(lst, xs, tol))
+        assert got.any() and not got.all()
+
+
+def test_membership_builds_no_offset_tuples():
+    """The lookup on a built atlas reads its boxes and 1-D offsets only: the
+    V^m offset tuples are never made."""
+    fam = cover_monomial_graph(MonomialData(1.0, (0.5, -0.75, 0.25)), 0.2)
+    assert graph_membership(fam, np.full((4, 3), 0.5)).all()
+    assert "tuples" not in fam.__dict__
+
+
+def test_membership_refuses_arrays_of_more_dims_and_complex_points():
+    """A points array of more than 2 dims raises `DimensionMismatch`, a
+    complex one `ValueError` with no `ComplexWarning`, on the family and on a
+    plain list alike."""
+    charts = cover_monomial_graph(MonomialData(1.0, (0.5, -0.25)), 0.01)
+    for atlas in (charts, charts[::3]):
+        with pytest.raises(DimensionMismatch, match="an .N, m. array"):
+            graph_membership(atlas, np.full((2, 2, 2), 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="complex"):
+                graph_membership(atlas, [[0.5 + 0.1j, 0.5]])
+    with pytest.raises(DimensionMismatch):
+        graph_membership([], np.full((2, 2, 2), 0.5))
+
+
+def test_an_empty_list_needs_its_monomial_data():
+    with pytest.raises(ValueError, match="monomial data is missing"):
+        GraphCharts.listed([])
+    data = MonomialData(1.0, (0.5,))
+    assert len(GraphCharts.listed([], data)) == 0
 
 
 def test_two_threads_on_two_plain_lists_get_their_own_answers():
