@@ -215,7 +215,7 @@ class RingDisks(ChartFamily):
         A row whose |z - a|^2 underflows (|z - a| below ~1e-154) is decided by
         the ball rule `_in_ball`, |(z - a)/r|^2 <= s^2 (1 + t), instead.  Where only
         (r s)^2 underflows, s = 0 included, z lies farther than r s from a
-        and both rules leave the row out."""
+        and both rules leave the row out.  A scale column (M, 1) answers (M, rows)."""
         a, r = self._disks
         rs = r[j] * scale
         rs *= rs
@@ -226,7 +226,8 @@ class RingDisks(ChartFamily):
             held = y <= rs
             deep = np.nonzero(y < TINY)[0]
         if deep.size:
-            held[deep] = _in_ball(pts[deep], *self.arrays_at(j[deep]), scale[deep], t)
+            held[..., deep] = _in_ball(pts[deep], *self.arrays_at(j[deep]),
+                                       np.broadcast_to(scale, held.shape)[..., deep], t)
         return held
 
     covers = ChartFamily.covers             # bound here too: the benchmark tracer times its calls

@@ -365,9 +365,15 @@ def _in_ball(pts, b, d, scale, t: float) -> np.ndarray:
         return _ball_norms(pts, b, d) <= scale ** 2 * (1.0 + t)
 
 
-def _product_rows(axes) -> np.ndarray:
-    """The Cartesian product of 1-D arrays as rows, in `itertools.product` order."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+def _product_rows(axes, out=None) -> np.ndarray:
+    """The Cartesian product of 1-D arrays as rows, in `itertools.product` order,
+    written column by column into ``out`` (C-contiguous) if given."""
+    if out is None:
+        out = np.empty((math.prod(map(len, axes)), len(axes)), dtype=np.result_type(*axes))
+    cells = out.reshape(*map(len, axes), len(axes))
+    for i, x in enumerate(axes):
+        cells[..., i] = np.reshape(x, [-1 if k == i else 1 for k in range(len(axes))])
+    return out
 
 
 def avoidance_certificate(chart: DiagonalAffineChart, ambient,
@@ -595,6 +601,16 @@ class ChartFamily(Sequence):
     def _hits(self, pts, scale, t: float, j):
         """Row r: whether chart j[r] (a `_key`) at scale[r] holds pts[r]: `_in_ball` on `arrays_at` rows."""
         return _in_ball(pts, *self.arrays_at(j), scale, t)
+
+    def _grid_hits(self, axes, scale, t: float) -> np.ndarray:
+        """The anchor pass over a product grid: [m, r] is `_hits` of row r of the
+        `_product_rows` of ``axes`` at scale[m] on its `_anchor`, the scales taken
+        as a column (`_hits` broadcasts them); with no anchor, all False."""
+        rows = _product_rows(axes)
+        j = self._anchor(rows)
+        if j is None:
+            return np.zeros((scale.size, rows.shape[0]), dtype=bool)
+        return self._hits(rows, scale[:, None], t, j)
 
     def covers(self, pts, scale, tol: float | None = None) -> np.ndarray:
         """Which points lie in some chart image at ``scale`` (scalar or per point):

@@ -148,6 +148,20 @@ class SuspendedCharts(ChartFamily):
         inside, inner_scale = self._split(pts[:, -1], scale, t, j)
         return inside & self.inner._hits(pts[:, :-1], inner_scale, 0.0, tt)
 
+    def _grid_hits(self, axes, scale, t: float) -> np.ndarray:
+        """`ChartFamily._grid_hits` by factors: the layer anchor of each point of the
+        last axis and the exact split at each (scale, point), then the inner family's
+        grid pass over the other axes at the M x L scales the split leaves, at
+        tolerance 0 as in `_hits`; row r of the product is (inner row, layer point)."""
+        w = axes[-1]
+        j = self.layers._anchor(w[:, None])
+        if j is None:
+            return np.zeros((scale.size, math.prod(map(len, axes))), dtype=bool)
+        inside, inner_scale = self._split(w, scale[:, None], t, j)
+        hits = self.inner._grid_hits(axes[:-1], inner_scale.ravel(), 0.0)
+        hits = hits.reshape(*inside.shape, -1) & inside[..., None]
+        return hits.transpose(0, 2, 1).reshape(scale.size, -1)
+
     def _neighbors(self, idx, scale: float) -> tuple:
         """Chart (j, t)'s neighbours, for each chart in ``idx``: two images meet
         only if their projections meet on every axis, the layer disks at

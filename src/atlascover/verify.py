@@ -2,7 +2,9 @@
 
 Sample regions state the ``ambient_kind`` they lie in and implement
 ``fits(ambient)``, which raises `RegionMismatch` unless the ambient is theirs,
-and ``rows(n_samples, seed)``, their seeded sample set as `sample_rows` gives it.
+``rows(n_samples, seed)``, their seeded sample set as `sample_rows` gives it,
+and ``grid(n_samples)``, the per-axis factors of the product grid its first
+rows are, or () for a set with none.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .core import (
     RegionMismatch,
     UnknownBound,
     UnsupportedAmbient,
+    _product_rows,
     _witness_rows,
     check_budget,
     check_positive,
@@ -58,6 +61,9 @@ class AnnulusRegion:
     def __post_init__(self):
         check_positive("delta", self.delta)
 
+    def grid(self, n_samples: int) -> tuple:
+        return PolydiscRegion(eta=self.delta, n=1).grid(n_samples)
+
     def rows(self, n_samples: int, seed: int) -> tuple:
         return PolydiscRegion(eta=self.delta, n=1).rows(n_samples, seed)
 
@@ -86,25 +92,31 @@ class PolydiscRegion:
                 f"region ({self.n}, {sorted(self.axes())}) does not match "
                 f"ambient ({ambient.n}, {sorted(ambient.active_axes)})")
 
+    def grid(self, n_samples: int) -> tuple:
+        """Grid rows [0, g) of `rows` as factors: per axis, `_axis_grid`'s radii (log-spaced
+        on active axes) and turns, whose S = side^2 points make the C-order product, row r
+        holding point (r // S^(n-1-i)) % S on axis i; () if empty or no sample is asked for."""
+        if self.eta >= 1.0 or not n_samples:
+            return ()
+        side, axes = _grid_side(n_samples, self.n), self.axes()
+        return tuple(_axis_grid(self.eta, side, True) if i + 1 in axes
+                     else _axis_grid(0.0, side, False) for i in range(self.n))
+
     def rows(self, n_samples: int, seed: int) -> tuple:
-        """The grid, in `itertools.product` order, then ``n_samples // 2``
-        random rows, drawn from a PCG64 seeded with ``seed``.  Grid row r
-        holds, on axis i, point (r // S^(n-1-i)) % S of that axis's S = side^2
-        grid points.  Random row r of axis i takes its radius from draw
-        2i count + r and its angle from draw (2i+1) count + r: the order in
-        which ``count`` draws a column were taken from one generator.  A range
-        sets the seeded state and advances it to its first draw (one 64-bit
-        output per double), so it costs its own rows only.  Each range has a
-        PCG64 of its own, so ranges may be drawn on several threads at once."""
+        """The `grid`, written slab by slab (`_slabs`), then ``n_samples // 2``
+        random rows, drawn from a PCG64 seeded with ``seed``.  Random row r
+        of axis i takes its radius from draw 2i count + r and its angle from
+        draw (2i+1) count + r: the order in which ``count`` draws a column were
+        taken from one generator.  A range sets the seeded state and advances
+        it to its first draw (one 64-bit output per double), so it costs its
+        own rows only.  Each range has a PCG64 of its own, so ranges may be
+        drawn on several threads at once."""
         n, eta, axes = self.n, self.eta, self.axes()
         if eta >= 1.0:
             return _no_rows(n)
         _sample_budget(n_samples, n)
-        side, count = _grid_side(n_samples, n), n_samples // 2
-        cells = side * side
-        g = cells ** n
-        grids = [_axis_grid(eta, side, True) if i + 1 in axes else _axis_grid(0.0, side, False)
-                 for i in range(n)]
+        grid, count = self.grid(n_samples), n_samples // 2
+        g = _grid_rows(grid)
 
         def rows(lo, hi):
             bits = np.random.PCG64(seed)
@@ -117,20 +129,19 @@ class PolydiscRegion:
 
             out = np.empty((hi - lo, n), dtype=complex)
             m = max(min(hi, g) - lo, 0)                 # the grid rows of the range
+            for a, b, slab in _slabs(grid, lo, lo + m, m):
+                _product_rows(_slab_points(grid, slab), out[a - lo:b - lo])
             first, size = max(lo - g, 0), hi - lo - m
             # one set of scratch arrays for every axis: fewer heap blocks for the
             # allocator to hand back to the system, and fault in again, per range
             u, angles, turn = np.empty(size), np.empty(size), np.empty(size, dtype=complex)
-            for i in range(n):
-                if m:
-                    out[:m, i] = _grid_column(grids[i], cells ** (n - 1 - i), lo, lo + m)
-                if size:                # radii log-uniform in [eta, 1], or area-uniform in the disk
-                    uniform(2 * i * count + first, u)
-                    radii = np.power(eta, u, out=u) if i + 1 in axes else np.sqrt(u, out=u)
-                    uniform((2 * i + 1) * count + first, angles)
-                    angles *= 2.0 * math.pi
-                    np.exp(np.multiply(1j, angles, out=turn), out=turn)
-                    np.multiply(radii, turn, out=out[m:, i])
+            for i in range(n if size else 0):   # radii log-uniform in [eta, 1], or area-uniform
+                uniform(2 * i * count + first, u)
+                radii = np.power(eta, u, out=u) if i + 1 in axes else np.sqrt(u, out=u)
+                uniform((2 * i + 1) * count + first, angles)
+                angles *= 2.0 * math.pi
+                np.exp(np.multiply(1j, angles, out=turn), out=turn)
+                np.multiply(radii, turn, out=out[m:, i])
             return out
         return g + count, rows
 
@@ -147,6 +158,10 @@ class LevelGraphRegion:
         _fit_kind(self, ambient)
         if tuple(self.alpha) != ambient.alpha or complex(self.c) != ambient.c:
             raise RegionMismatch("level-set parameters do not match the ambient")
+
+    def grid(self, n_samples: int) -> tuple:
+        """(): the graph points are no product of axis grids."""
+        return ()
 
     def rows(self, n_samples: int, seed: int) -> tuple:
         """Branch-major: row k N_b + b is the k-th root over base polydisc row b."""
@@ -169,14 +184,48 @@ class LevelGraphRegion:
         return alpha[0] * n_base, rows
 
 
-def _axis_grid(lo: float, side: int, log_spaced: bool) -> np.ndarray:
-    """side^2 complex points: ``side`` radii in [lo, 1] times ``side`` angles."""
-    if log_spaced:
-        radii = lo ** np.linspace(1.0, 0.0, side)
-    else:
-        radii = np.linspace(lo, 1.0, side)
-    angles = 2.0 * math.pi * np.arange(side) / side
-    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+@lru_cache(maxsize=16)
+def _axis_grid(lo: float, side: int, log_spaced: bool) -> tuple:
+    """(radii, turns): ``side`` radii in [lo, 1] and the ``side`` unit turns exp(2 pi i k
+    / side), an axis's side^2 grid points as factors; read-only, as checks share them."""
+    radii = lo ** np.linspace(1.0, 0.0, side) if log_spaced else np.linspace(lo, 1.0, side)
+    turns = np.exp(1j * (2.0 * math.pi * np.arange(side) / side))
+    radii.flags.writeable = turns.flags.writeable = False
+    return radii, turns
+
+
+def _grid_rows(grid) -> int:
+    """The rows of the product of the axis grids of `PolydiscRegion.grid`: 0 for none."""
+    return math.prod(r.size * t.size for r, t in grid) if grid else 0
+
+
+def _slab_points(grid, slab) -> list:
+    """Per axis, points [a, b) of its grid for the slab's index range (a, b) (`_slabs`):
+    point p is radii[p // side] turns[p % side], from the radii the range meets only."""
+    out = []
+    for (radii, turns), (a, b) in zip(grid, slab):
+        first = a // turns.size
+        points = (radii[first:-(-b // turns.size), None] * turns).ravel()
+        out.append(points[a - first * turns.size:b - first * turns.size])
+    return out
+
+
+def _slabs(grid, lo: int, hi: int, block: int):
+    """Rows [lo, hi) of the product of the axis grids in row order, as (first row,
+    end row, slab) of at most ``block`` rows: a slab is an index range (a, b) per
+    axis, one index on a prefix of axes, a range on the coarsest axis its first
+    row starts that fits, then every index of the later axes."""
+    sizes = [r.size * t.size for r, t in grid]
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    r = lo
+    while r < hi:
+        room = min(block, hi - r)
+        k = next(k for k, st in enumerate(strides) if st <= room and r % st == 0)
+        idx = [r // st % size for st, size in zip(strides[:k + 1], sizes)]
+        c = min(room // strides[k], sizes[k] - idx[k])
+        yield r, r + c * strides[k], (*((i, i + 1) for i in idx[:k]), (idx[k], idx[k] + c),
+                                      *((0, size) for size in sizes[k + 1:]))
+        r += c * strides[k]
 
 
 def _grid_side(n_samples: int, n: int) -> int:
@@ -213,23 +262,6 @@ def sample_rows(region, n_samples: int, seed: int) -> tuple:
     if rows is None:
         raise RegionMismatch(f"unknown region {region!r}")
     return rows(n_samples, seed)
-
-
-def _grid_column(points, d: int, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of the grid column whose row r holds points[(r // d) % S],
-    S = points.size, without a division per row: for d = 1 a slice of one
-    period, or of whole periods (`np.tile`, under two periods more than the
-    range), else runs of d equal rows (`np.repeat`)."""
-    if d == 1:
-        off = lo % points.size
-        end = off + hi - lo
-        return points[off:end] if end <= points.size else \
-            np.tile(points, -(-end // points.size))[off:end]
-    first, last = lo // d, (hi - 1) // d
-    counts = np.full(last - first + 1, d)
-    counts[0] -= lo - first * d
-    counts[-1] -= (last + 1) * d - hi
-    return np.repeat(points[np.arange(first, last + 1) % points.size], counts)
 
 
 def region_samples(region, n_samples: int, seed: int) -> np.ndarray:
@@ -274,39 +306,56 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
     """Sample the region, which must fit the covering's ambient (`fits`),
     deterministically and test unit-scale membership.
 
-    A set of at most 2 `POINT_BLOCK` samples is drawn and decided by one
-    `covers_points` call on the calling thread.  A larger one is split into
-    ranges of `POINT_BLOCK` contiguous rows (`sample_rows`), which a pool of
-    `_coverage_threads` threads, made for this call, draws and decides, a
-    range per thread at a time: so at most 2 `POINT_BLOCK` samples are held
-    at once either way.  The draw and `covers_points` are numpy work that
-    releases the GIL, so two threads overlap.  Each range gives its covered
-    count and first 100 uncovered samples, folded here in row order.  A
-    point's answer is its own, so the report is that of one call over every
-    sample, whatever the threads.  An exception from a range, or from a
-    signal handler while this call waits, is raised here once the queued
-    ranges are cancelled and the pool's threads have ended.  An empty region
-    passes vacuously.
+    The grid half of a polydisc or annulus set (`PolydiscRegion.grid`) is cut
+    into slabs of at most `POINT_BLOCK` rows (`_slabs`), whose anchor pass
+    (`ChartFamily._grid_hits`) takes each anchor and layer split once per axis
+    point.  The rows it leaves open, rebuilt from their axis indices, and the
+    random rows go through `covers_points`; a level-set region (no grid) and a
+    chart list (no anchor) keep that row path.  At most 2 `POINT_BLOCK` samples
+    are decided on the calling thread, in one `covers_points` call; more are
+    split into slabs and `POINT_BLOCK` random rows (`sample_rows`) that a pool of
+    `_coverage_threads` threads, made for this call, decides one per thread at a
+    time, so at most 2 `POINT_BLOCK` rows are held at once, and the GIL-free numpy
+    work overlaps.  The parts' counts and first 100 uncovered samples fold in row
+    order: one call's report over every sample, whatever the threads.  An error in
+    a part, or from a signal handler while this call waits, is raised once the
+    queued parts are cancelled and the threads have ended.  An empty region passes.
     """
     _fit_kind(region, cov.ambient)
     region.fits(cov.ambient)
     total, rows = sample_rows(region, n_samples, seed)
     if total == 0:
         return CoverageReport(samples_total=0, samples_covered=0)
-    t, fam = tolerance(tol), cov.charts
+    t, fam, grid = tolerance(tol), cov.charts, region.grid(n_samples)
+    g, one = _grid_rows(grid), np.ones(1)
+    len(fam)                        # a family too large to index is refused, as `covers` does
 
-    def decide(lo, hi):             # (covered, first 100 uncovered) of rows [lo, hi)
-        pts = rows(lo, hi)
+    def decide(slabs, lo, hi):      # (covered, first 100 uncovered) of the slabs, then rows [lo, hi)
+        covered, parts = 0, []
+        for slab in slabs:
+            axes = _slab_points(grid, slab)
+            left = np.flatnonzero(~fam._grid_hits(axes, one, t)[0])
+            covered += math.prod(x.size for x in axes) - left.size
+            if left.size:
+                left = np.unravel_index(left, [x.size for x in axes])
+                parts.append(np.stack([x[i] for x, i in zip(axes, left)], axis=1))
+        if hi > lo:
+            parts.append(rows(lo, hi))
+        if not parts:
+            return covered, ()
+        pts = parts[0] if len(parts) == 1 else np.concatenate(parts)
         got = covers_points(fam, pts, 1.0, tol=t)
-        return int(np.count_nonzero(got)), pts[np.flatnonzero(~got)[:100]]
+        return covered + int(np.count_nonzero(got)), pts[np.flatnonzero(~got)[:100]]
 
+    slabs = [slab for _, _, slab in _slabs(grid, 0, g, POINT_BLOCK)]
     if total <= 2 * POINT_BLOCK:
-        return _fold(total, [decide(0, total)])
+        return _fold(total, [decide(slabs, g, total)])
     from concurrent.futures import ThreadPoolExecutor        # about 5 ms to import
     pool = ThreadPoolExecutor(_coverage_threads())
+    parts = [([slab], g, g) for slab in slabs] + [
+        ([], lo, min(lo + POINT_BLOCK, total)) for lo in range(g, total, POINT_BLOCK)]
     try:
-        starts = range(0, total, POINT_BLOCK)
-        return _fold(total, pool.map(decide, starts, [*starts[1:], total]))
+        return _fold(total, pool.map(lambda part: decide(*part), parts))
     finally:
         pool.shutdown(cancel_futures=True)
 

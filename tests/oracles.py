@@ -32,8 +32,8 @@ from atlascover.real_acharts import (
     offset_grid,
     scan_points,
 )
-from atlascover.suspension import SuspendedCharts, chart_arrays
-from atlascover.verify import Chain
+from atlascover.suspension import SuspendedCharts, chart_arrays, covers_points
+from atlascover.verify import Chain, CoverageReport, region_samples
 
 
 def brute_covered(charts, pts, scale=1.0, tol=1e-10):
@@ -46,6 +46,15 @@ def brute_covered(charts, pts, scale=1.0, tol=1e-10):
         n2 = (np.abs((pts[:, None, :] - bb[None, :, :]) / dd[None, :, :]) ** 2).sum(axis=2)
         out |= (n2 <= scale * scale * (1.0 + tol)).any(axis=1)
     return out
+
+
+def coverage_by_rows(cov, region, n, seed=0, tol=None):
+    """The `CoverageReport` of every sample of `region_samples` decided row by
+    row in one `covers_points` call: no grid factoring, no slabs, no threads."""
+    pts = region_samples(region, n, seed)
+    got = covers_points(cov.charts, pts, 1.0, tol=tol)
+    return CoverageReport(samples_total=pts.shape[0], samples_covered=int(got.sum()),
+                          uncovered=tuple(map(tuple, pts[~got][:100])))
 
 
 def ring_passes_full(rings, pts, scale, done):

@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+import atlascover.verify as verify_mod
 from atlascover import core
-from atlascover.annulus import RingDisks, cover_annulus
+from atlascover.annulus import TINY, RingDisks, cover_annulus
 from atlascover.core import (
     DEFAULT_TOL,
     AtlasError,
@@ -16,8 +17,10 @@ from atlascover.core import (
     Covering,
     DiagonalAffineChart,
     DimensionMismatch,
+    PolydiscComplement,
     PuncturedPlane,
     UnsupportedAmbient,
+    _product_rows,
     family,
 )
 from atlascover.jsonio import covering_to_dict
@@ -30,9 +33,9 @@ from atlascover.suspension import (
     covers_points,
     iter_chart_arrays,
 )
-from atlascover.verify import certify_doubling
+from atlascover.verify import AnnulusRegion, PolydiscRegion, certify_doubling, check_coverage
 
-from oracles import brute_covered, containing_pairs, neighbor_list
+from oracles import brute_covered, containing_pairs, coverage_by_rows, neighbor_list
 
 FAMILIES = {
     "rings": lambda: cover_annulus(1e-2, 2.0).charts,
@@ -45,6 +48,16 @@ FAMILIES = {
 }
 
 TOL = 1e-10
+
+REGIONS = {     # the region of each family's covering: the annulus or polydisc it covers
+    "rings": AnnulusRegion(1e-2),
+    "polydisc-all-axes": PolydiscRegion(0.75, 2),
+    "polydisc-unpunctured-axis1": PolydiscRegion(0.75, 2, frozenset({2})),
+    "polydisc-unpunctured-axis2": PolydiscRegion(0.75, 2, frozenset({1})),
+    "polydisc-n3-unpunctured-axis2": PolydiscRegion(0.9, 3, frozenset({1, 3})),
+    "level-set-base": PolydiscRegion(0.04, 1),
+    "pruned-list": PolydiscRegion(0.75, 2),
+}
 
 
 def _charts(name):
@@ -465,6 +478,71 @@ def test_covers_settled_by_the_anchor_pass_splits_once_per_level(monkeypatch):
     pts = charts.arrays_at(np.arange(0, len(charts), len(charts) // 999))[0]
     assert charts.covers(pts, 1.0).all()
     assert len(calls) == 2
+
+
+def _covering(name, region):
+    """The covering of FAMILIES[name] in the ambient of ``region``."""
+    fam = family(_charts(name))
+    ambient = PuncturedPlane() if isinstance(region, AnnulusRegion) else \
+        PolydiscComplement(n=region.n, active_axes=region.axes())
+    return Covering(ambient=ambient, gamma=fam.gamma, charts=fam)
+
+
+def test_every_family_has_a_region():
+    assert REGIONS.keys() == FAMILIES.keys()
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("tol", [0.0, None, 1e-6], ids=["tol-0", "default", "tol-1e-6"])
+@pytest.mark.parametrize("shrink", [1.0, 0.8], ids=["own-eta", "smaller-eta"])
+@pytest.mark.parametrize("block", [None, 20], ids=["one-call", "slabs-of-20"])
+def test_check_coverage_is_the_row_by_row_report(name, tol, shrink, block, monkeypatch):
+    """`check_coverage` gives the `coverage_by_rows` report, its counts and
+    first 100 uncovered rows: on every family, the unpunctured axes' one-disk
+    lists with no anchor included; at each tolerance; in one call, and at 20
+    rows a block, where the n >= 2 grids (5^4 and 3^6 rows) are cut into slabs
+    that range over the second axis; and on a region with a smaller eta than
+    the covering, whose grid rows the anchor pass leaves to the windowed
+    passes and to ``uncovered``."""
+    region = REGIONS[name]
+    cov = _covering(name, region)
+    if shrink != 1.0:
+        region = type(region)(*(x * shrink if isinstance(x, float) else x
+                                for x in vars(region).values()))
+    if block is not None:
+        monkeypatch.setattr(verify_mod, "POINT_BLOCK", block)
+    want = coverage_by_rows(cov, region, 1000, 5, tol)
+    assert check_coverage(cov, region, 1000, 5, tol) == want
+    grid = region.grid(1000)
+    if block is not None and len(grid) > 1:
+        assert any(slab[1] != (0, grid[1][0].size ** 2)
+                   for _, _, slab in verify_mod._slabs(grid, 0, verify_mod._grid_rows(grid), block))
+    if shrink != 1.0:
+        g = verify_mod._grid_rows(grid)
+        assert not covers_points(cov.charts, verify_mod.region_samples(region, 1000, 5)[:g], 1.0,
+                                 tol=tol).all()
+
+
+@pytest.mark.parametrize("suspended", [False, True], ids=["rings", "suspension"])
+def test_grid_hits_on_a_disk_centre_take_the_ball_rule(suspended):
+    """Grid points on a ring-disk centre, where |z - a|^2 is 0, below `TINY`,
+    and the ring row test takes the ball rule for them: the factored
+    `_grid_hits` equals the row path `_hits(rows, scale, t, _anchor(rows))`
+    at each scale, for the rings and for a suspension whose inner rings meet
+    those points at every layer point."""
+    fam = cover_punctured_polydisc(2, 1e-2, 2.0)[0].charts if suspended else cover_annulus(1e-2, 2.0).charts
+    rings = fam.inner if suspended else fam
+    a = rings.arrays_at(np.array([3, 40, 77]))[0][:, 0]
+    axes = [np.concatenate([a, a * 1.01, [0.3 + 0.2j, 0.9]])]
+    if suspended:
+        axes.append(np.concatenate([fam.layers.arrays_at(np.array([0, 9]))[0][:, 0], [0.5j]]))
+    rows = _product_rows(axes)
+    centres = rings.arrays_at(rings._anchor(rows[:, :1]))[0][:, 0]
+    assert (np.abs(rows[:, 0] - centres) ** 2 < TINY).sum() == 3 * rows.shape[0] // axes[0].size
+    scale, t = np.array([0.0, 0.5, 1.0, 1.7]), 1e-10
+    want = np.stack([fam._hits(rows, np.full(rows.shape[0], s), t, fam._anchor(rows)) for s in scale])
+    got = fam._grid_hits(axes, scale, t)
+    assert got.shape == want.shape and np.array_equal(got, want) and want.any()
 
 
 def test_locate_decides_small_passes_together(monkeypatch):

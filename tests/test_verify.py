@@ -54,7 +54,7 @@ from atlascover.verify import (
     scaling_experiment,
 )
 
-from oracles import _lagrange_witness, _segment_witness, chain_bfs_loop
+from oracles import _lagrange_witness, _segment_witness, chain_bfs_loop, coverage_by_rows
 
 
 class TestCoverage:
@@ -86,14 +86,6 @@ class TestCoverage:
         r1 = check_coverage(cov, AnnulusRegion(0.05), n_samples=4000, seed=42)
         r2 = check_coverage(cov, AnnulusRegion(0.05), n_samples=4000, seed=42)
         assert r1 == r2
-
-
-def _one_call_report(cov, region, n_samples, seed):
-    """The report of one `covers_points` call over every sample at once."""
-    pts = region_samples(region, n_samples, seed)
-    got = covers_points(cov.charts, pts, 1.0)
-    return CoverageReport(samples_total=pts.shape[0], samples_covered=int(got.sum()),
-                          uncovered=tuple(tuple(p) for p in pts[~got][:100]))
 
 
 def _pruned_annulus():
@@ -132,7 +124,7 @@ class TestBlockedCoverage:
         report equals one `covers_points` call's, `uncovered` included."""
         build, region, n = BLOCKED_COVERAGE[name]
         cov = build()
-        want = _one_call_report(cov, region, n, 5)
+        want = coverage_by_rows(cov, region, n, 5)
         assert want.samples_total % 300 and want.samples_total > 3 * 300
         monkeypatch.setattr(verify_mod, "POINT_BLOCK", 300)
         got = check_coverage(cov, region, n, 5)
@@ -148,6 +140,14 @@ class TestBlockedCoverage:
                                    PolydiscRegion(0.3, 3), 200_000)
         assert rep.passed and rep.samples_total == 217_649
         assert peak < 8 << 20
+
+    def test_the_annulus_grid_is_not_held_whole(self):
+        """2,000,000 annulus samples: the 10^6 grid points of its one axis are
+        built a slab at a time from 1,000 radii and 1,000 turns, under a 5 MiB
+        peak; held whole, that grid alone was 16 MB (an 18.8 MiB peak)."""
+        rep, peak = _coverage_peak(cover_annulus(1e-2, 2.0), AnnulusRegion(1e-2), 2_000_000)
+        assert rep.passed and rep.samples_total == 2_000_000
+        assert peak < 5 << 20
 
     @pytest.mark.parametrize("build, region, count, total", [
         (lambda: cover_punctured_polydisc(3, 0.3, 2.0)[0], PolydiscRegion(0.3, 3),
@@ -202,14 +202,15 @@ class TestPooledCoverage:
     @pytest.mark.parametrize("build, region, count, block, n_calls", [
         (lambda: cover_punctured_polydisc(3, 0.3, 2.0)[0], PolydiscRegion(0.3, 3), 31_000, None, 1),
         (lambda: cover_annulus(0.1, 2.0), AnnulusRegion(0.1), 20_000, 10_000, 1),
-        (lambda: cover_annulus(0.1, 2.0), AnnulusRegion(0.1), 20_000, 9_999, 3)],
+        (lambda: cover_annulus(0.1, 2.0), AnnulusRegion(0.1), 20_000, 9_999, 2)],
         ids=["n3-31125-rows", "two-blocks", "past-two-blocks"])
     def test_only_a_set_past_two_blocks_starts_threads(self, build, region, count, block,
                                                        n_calls, monkeypatch):
         """31,125 rows (at most 2 `POINT_BLOCK`) and 20,000 rows at 10,000 a
         block are one `covers_points` call on the calling thread, and start
-        no thread; at 9,999 a block they are three calls on pool threads, all
-        ended when the check returns."""
+        no thread; at 9,999 a block they are two calls on pool threads, one per
+        range of the 10,000 random rows (the anchor pass settles both slabs of
+        the 10,000 grid rows), all ended when the check returns."""
         cov, calls, started = build(), [], []
         monkeypatch.setattr(verify_mod, "covers_points", _counting(calls))
         start = threading.Thread.start
@@ -230,7 +231,7 @@ class TestPooledCoverage:
         two: the one-call report, its 100 uncovered samples of 400 included."""
         cov, region, n = BLOCKED_COVERAGE["pruned-list"]
         cov = cov()
-        want = _one_call_report(cov, region, n, 5)
+        want = coverage_by_rows(cov, region, n, 5)
         calls = []
         monkeypatch.setattr(verify_mod, "covers_points", _counting(calls))
         monkeypatch.setattr(verify_mod, "POINT_BLOCK", 300)
