@@ -86,7 +86,7 @@ class RingDisks(ChartFamily):
     """Lazy family of the ring disks, outermost ring first, by angle.
 
     Disk (k, j) has center cf*q^k * exp(2 pi i j / n_angles) and radius
-    rf*q^k; the flat index is k * n_angles + j.  `passes` and `neighbors`
+    rf*q^k; its `radices` are (n_rings, n_angles).  `passes` and `neighbors`
     read one ring and angle window, `_reach`.  Every accessor reads one disk
     table, so single disks and the bulk arrays agree bit for bit; a table
     over the budget (`check_budget`) is refused before it exists.
@@ -97,11 +97,9 @@ class RingDisks(ChartFamily):
     def __init__(self, zeta: float, q: float, n_angles: int, n_rings: int):
         self.zeta = self.gamma = float(zeta)
         self.q = float(q)
-        self.n_angles = int(n_angles)
-        self.n_rings = int(n_rings)
+        self.radices = (self.n_rings, self.n_angles) = (int(n_rings), int(n_angles))
         if not (0.0 < self.q < 1.0 and min(self.n_angles, self.n_rings) >= 0):
             raise ValueError("ring ratio outside (0, 1) or a negative ring or angle count")
-        self.kappa = self.n_rings * self.n_angles
         check_budget(self.kappa, f"a ring table of {self.n_rings} rings x {self.n_angles} angles")
         self.cf, self.rf = _disk_radii(self.q, self.zeta)
 
@@ -158,7 +156,7 @@ class RingDisks(ChartFamily):
         live = np.nonzero(np.isfinite(pts[:, 0]))[0]
         if len(self) == 0 or live.size == 0:
             return
-        k0, j0 = (x.astype(np.int64) for x in self._anchors(pts[live, 0]))
+        k0, j0 = np.array(self._anchors(pts[live, 0]), dtype=np.int64)
         reach = self._reach(float(scale.max(initial=0.0)))
         if reach is None:                           # every disk, counted from ring 0
             k0[:] = 0
@@ -171,9 +169,9 @@ class RingDisks(ChartFamily):
         for do in ring_offsets:
             k = k0 + do
             ok = (k >= 0) & (k < self.n_rings)
-            idx, ring, j = live[ok], k[ok] * self.n_angles, j0[ok]
+            idx, ring, j = live[ok], k[ok], j0[ok]
             for da in angle_offsets if idx.size else ():
-                yield idx, ring + (j + da) % self.n_angles
+                yield idx, np.ravel_multi_index((ring, (j + da) % self.n_angles), self.radices)
 
     def _anchors(self, z):
         """Each z's ring k0 = floor(log_q |z|), clipped to the rings, and nearest
@@ -207,8 +205,7 @@ class RingDisks(ChartFamily):
         """Disk (k0, j0) of `_anchors` as a flat index, or None with no disk."""
         if len(self) == 0:
             return None
-        k, j = self._anchors(pts[:, 0])
-        return (k * self.n_angles + j).astype(np.int64)
+        return np.ravel_multi_index(np.array(self._anchors(pts[:, 0]), dtype=np.int64), self.radices)
 
     def _hits(self, pts, scale, t: float, j):
         """Row r: whether disk j[r] scaled by scale[r] holds pts[r], |z - a|^2 <= (r s)^2 (1 + t).
@@ -245,7 +242,7 @@ class RingDisks(ChartFamily):
         n = self.n_angles
         w, v = math.ceil(hi - lo) + 1, math.ceil(2.0 * steps) + 1
         width = min(2 * v + 1, n)           # angles j - v, ..., counted mod n once each
-        k, j = np.divmod(idx, n)
+        k, j = np.unravel_index(idx, self.radices)
         first = np.maximum(k - w, 0)
         rings = np.minimum(k + w + 1, self.n_rings) - first
 
@@ -253,7 +250,7 @@ class RingDisks(ChartFamily):
             angles = np.sort((j[:, None] + np.arange(-v, width - v)) % n, axis=1)
             row = np.repeat(np.arange(idx.size), rings)         # each listed ring's chart
             ring = first[row] + np.arange(row.size) - (np.cumsum(rings) - rings)[row]
-            return (ring[:, None] * n + angles[row]).ravel()
+            return np.ravel_multi_index((ring[:, None], angles[row]), self.radices).ravel()
         return rings * width, lists
 
 

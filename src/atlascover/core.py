@@ -465,18 +465,22 @@ def check_budget(entries: int, what: str) -> None:
 class ChartFamily(Sequence):
     """A sequence of charts that also answers point-location queries.
 
-    An affine family supplies ``kappa`` (its exact chart count, an int of any
-    size; ``len()`` is its index-safe view), ``dim``, ``gamma`` (the factor every
-    chart shares, read without building a chart), ``_recipe()`` (what makes two
-    families of the same type equal), ``arrays_at(idx)``, the one place it
-    states its (b, d) rows, and ``passes`` (the default offers every chart).
-    Charts, `chart_arrays`, `locate`, `contains` and `covers` read those, and
+    An affine family supplies ``radices`` (its factor sizes, outermost first: chart i
+    is their C-order mixed-radix number, and ``kappa`` their product), ``dim``,
+    ``gamma`` (the factor every chart shares, read without building a chart),
+    ``_recipe()`` (what makes two families of the same type equal), ``arrays_at(idx)``,
+    the one place it states its (b, d) rows, and ``passes`` (the default offers every
+    chart).  Charts, `chart_arrays`, `locate`, `contains` and `covers` read those, and
     one row test decides the pairs of the last three: ``_hits`` on the keys of
     ``_key`` (`covers` tries ``_anchor`` first).  ``_neighbors`` and
     ``_pair_witnesses`` (chain search), ``level_rows`` and ``doubling_factors``
     have defaults and are optional faster kernels.  A family of other charts
     has no rows: it supplies ``_chart(i)``, ``_hits`` and its affine ``base``.
     """
+
+    @property
+    def kappa(self) -> int:
+        return math.prod(self.radices)
 
     def __len__(self) -> int:
         """``kappa``, or an `AtlasError` when it is too large to index (builtin
@@ -684,8 +688,7 @@ class ChartList(ChartFamily):
 
     def __init__(self, b: np.ndarray, d: np.ndarray, gamma: float | None, dim: int | None):
         b.flags.writeable = d.flags.writeable = False
-        self.b, self.d, self.gamma, self.dim = b, d, gamma, dim
-        self.kappa = b.shape[0]
+        self.b, self.d, self.gamma, self.dim, self.radices = b, d, gamma, dim, b.shape[:1]
 
     def _recipe(self):
         return self.gamma, self.b.tolist(), self.d.tolist()

@@ -109,7 +109,7 @@ class LevelBranchCharts(ChartFamily):
         self.alpha1 = self.alpha[0]
         self._base = base_cov.charts
         self.dim = len(self.alpha)
-        self.kappa = self.alpha1 * self._base.kappa
+        self.radices = (self._base.kappa, self.alpha1)
 
     @property
     def gamma(self) -> float | None:
@@ -120,8 +120,8 @@ class LevelBranchCharts(ChartFamily):
         return self._base
 
     def _chart(self, i):
-        t, k = divmod(i, self.alpha1)
-        return MonomialLevelChart(base=self._base[t], branch=k,
+        t, k = np.unravel_index(i, self.radices)
+        return MonomialLevelChart(base=self._base[t], branch=int(k),
                                   alpha=self.alpha, c=self.c)
 
     def _recipe(self):
@@ -183,33 +183,32 @@ class LevelBranchCharts(ChartFamily):
 
     def passes(self, pts, scale, done):
         """The base family's passes on xbar, each base chart with its alpha_1 branches."""
-        a1 = self.alpha1
         for idx, t in self._base.passes(pts[:, 1:], scale, done):
-            yield np.repeat(idx, a1), (t[:, None] * a1 + np.arange(a1)).ravel()
+            yield np.repeat(idx, self.alpha1), np.ravel_multi_index(
+                (t[:, None], np.arange(self.alpha1)), self.radices).ravel()
 
     def _neighbors(self, idx, scale: float) -> tuple:
         """Chart ``i``'s neighbours, for each i in ``idx``: every branch over a base
         chart whose image can meet base chart i's."""
-        a1 = self.alpha1
-        counts, base = self._base._neighbors(idx // a1, scale)
-        return counts * a1, lambda: (base()[:, None] * a1 + np.arange(a1)).ravel()
+        counts, base = self._base._neighbors(np.unravel_index(idx, self.radices)[0], scale)
+        return counts * self.alpha1, lambda: np.ravel_multi_index(
+            (base()[:, None], np.arange(self.alpha1)), self.radices).ravel()
 
     def _pair_witnesses(self, i, j, tol: float) -> tuple:
         """The base family's witnesses of the distinct base pairs, then `_branch_rows`."""
-        base = self._base
-        (ti, ki), (tj, kj) = np.divmod(i, self.alpha1), np.divmod(j, self.alpha1)
+        (ti, ki), (tj, kj) = np.unravel_index(i, self.radices), np.unravel_index(j, self.radices)
         pairs, inv = np.unique(np.stack([ti, tj], axis=1), axis=0, return_inverse=True)
-        okb, wb = base._pair_witnesses(pairs[:, 0], pairs[:, 1], tol)
+        okb, wb = self._base._pair_witnesses(pairs[:, 0], pairs[:, 1], tol)
         ok, w = okb[inv], np.empty((i.size, self.dim), dtype=complex)
         r = np.nonzero(ok)[0]
-        rows = (*base.arrays_at(ti[r]), *base.arrays_at(tj[r]))
+        rows = (*self._base.arrays_at(ti[r]), *self._base.arrays_at(tj[r]))
         ok[r], w[r] = _branch_rows(self.alpha, self.c, rows, (ki[r], kj[r]), wb[inv[r]], tol)
         return ok, w
 
     def _hits(self, pts, scale, t: float, j) -> np.ndarray:
         """Row by row: the base chart holds xbar by the base family's `_hits` (as in
         its `covers`), and the branch value g at its preimage matches x1 (`_root_match`)."""
-        base, k = np.divmod(j, self.alpha1)
+        base, k = np.unravel_index(j, self.radices)
         ok = self._base._hits(pts[:, 1:], scale, t, self._base._key(base))
         r = np.nonzero(ok)[0]
         b, d = self._base.arrays_at(base[r])

@@ -300,7 +300,7 @@ class GraphCharts(ChartFamily):
     tuples in `itertools.product` order (its indices are ``[:, None]`` and
     ``[None, :]``).  It stores the K centers and the V offsets: its tuple
     table is made when first read, a chart is built only when one is indexed,
-    and `kappa` builds nothing.  `listed` indexes the unique rows of a list of
+    and `radices` builds nothing.  `listed` indexes the unique rows of a list of
     `RealAChart` (``offsets`` and ``eps`` None).  The scan and the file writer
     read these fields; the membership lookup reads the integer tables
     `_GraphKeys` makes of them once, and never the product's tuple table."""
@@ -339,18 +339,17 @@ class GraphCharts(ChartFamily):
         return _product_rows([self.offsets] * self.m)
 
     @property
-    def kappa(self) -> int:
+    def radices(self) -> tuple:
         if self.offsets is None:
-            return len(self.box_of)
-        return len(self.boxes) * len(self.offsets) ** self.m
+            return (len(self.box_of),)
+        return (len(self.boxes),) + (len(self.offsets),) * self.m
 
     def _chart(self, i):
         if self.offsets is None:
             return RealAChart(self.boxes[self.box_of[i]], self.tuples[self.tuple_of[i]],
                               self.c3, self.data)
-        box, t = divmod(i, len(self.offsets) ** self.m)
-        z0 = self.offsets[list(np.unravel_index(t, (len(self.offsets),) * self.m))]
-        return RealAChart(y=self.boxes[box], z0=z0, c3=self.c3, data=self.data)
+        box, *t = np.unravel_index(i, self.radices)
+        return RealAChart(y=self.boxes[box], z0=self.offsets[t], c3=self.c3, data=self.data)
 
     def _recipe(self):
         return (self.data, self.c3, self.boxes.shape, self.boxes.tobytes(),

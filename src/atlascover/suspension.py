@@ -39,7 +39,7 @@ def layer_zeta(mu: float, beta: float) -> float:
 class SuspendedCharts(ChartFamily):
     """Lazy chart family of a layered suspension, ordered (layer, inner chart).
 
-    Chart j * kappa_inner + t is the suspension of inner chart t over layer
+    Chart (j, t) of `radices` is the suspension of inner chart t over layer
     disk j.  Membership splits exactly: with y = |(w - a_j) / lambda_j|, the
     point (v, w) lies in chart (j, t) at scale s iff the inner preimage norm
     of v is at most beta * sqrt(s^2 - y^2).  The inner charts are any affine
@@ -60,7 +60,7 @@ class SuspendedCharts(ChartFamily):
         self.lam_factor = 1.0 / math.sqrt(1.0 - 1.0 / (self.beta * self.beta))
         self.dim = self.inner.dim + 1
         self.gamma = mu / self.beta
-        self.kappa = self.layers.kappa * self.inner.kappa
+        self.radices = (self.layers.kappa, self.inner.kappa)
 
     @cached_property
     def _layer_table(self) -> tuple:
@@ -76,7 +76,7 @@ class SuspendedCharts(ChartFamily):
         """Rows (inner b_t, a_j) and (beta d_t, lambda_j) of the charts (j, t): the
         suspension (x, y) |-> (psi_t(beta x), lambda_j y + a_j) of inner chart t over
         layer disk j, with lambda_j = r_j lam_factor and factor gamma / beta."""
-        j, t = np.divmod(idx, len(self.inner))
+        j, t = np.unravel_index(idx, self.radices)
         bi, di = self.inner.arrays_at(t)
         a, lam, _ = self._layer_table
         b, d = np.empty((2, j.size, self.dim), dtype=complex)
@@ -127,9 +127,9 @@ class SuspendedCharts(ChartFamily):
             return
         inside, inner_scale = self._split(pts[idx, -1], scale[idx], 0.0, j)
         r = np.nonzero(inside)[0]
-        sub, outer = idx[r], j[r] * len(self.inner)
+        sub, outer = idx[r], j[r]
         for k, tt in self.inner.passes(pts[sub, :-1], inner_scale[r], done[sub]):
-            yield sub[k], outer[k] + tt
+            yield sub[k], np.ravel_multi_index((outer[k], tt), self.radices)
 
     def _anchor(self, pts):
         """(j, t): the layer anchor j of w and the inner anchor t of v, or None."""
@@ -138,7 +138,7 @@ class SuspendedCharts(ChartFamily):
 
     def _key(self, j):
         """Flat chart indices as (layer disk, inner key), the form `_hits` reads."""
-        j, t = np.divmod(j, len(self.inner))
+        j, t = np.unravel_index(j, self.radices)
         return j, self.inner._key(t)
 
     def _hits(self, pts, scale, t: float, anchor):
@@ -168,8 +168,7 @@ class SuspendedCharts(ChartFamily):
         ``scale * lam_factor`` and the inner images at ``scale * beta``.  So
         they are the ragged outer product, layer-major, of the layer family's
         lists and the inner family's, and the counts are their products."""
-        n_in = len(self.inner)
-        j, t = np.divmod(idx, n_in)
+        j, t = np.unravel_index(idx, self.radices)
         cj, outer = self.layers._neighbors(j, scale * self.lam_factor)
         ct, inner = self.inner._neighbors(t, scale * self.beta)
 
@@ -177,7 +176,7 @@ class SuspendedCharts(ChartFamily):
             reps = np.repeat(ct, cj)            # each layer neighbour's inner count
             skip = np.repeat(np.cumsum(ct) - ct, cj) - (np.cumsum(reps) - reps)
             pos = np.repeat(skip, reps) + np.arange(reps.sum())
-            return np.repeat(outer() * n_in, reps) + inner()[pos]
+            return np.ravel_multi_index((np.repeat(outer(), reps), inner()[pos]), self.radices)
         return cj * ct, lists
 
 

@@ -10,6 +10,7 @@ rows are, or () for a set with none.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -79,6 +80,8 @@ class PolydiscRegion:
 
     def __post_init__(self):
         check_positive("eta", self.eta)
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise DimensionMismatch(f"the region's dimension n must be an integer >= 1, got {self.n!r}")
 
     def axes(self) -> frozenset:
         if self.active_axes is None:
@@ -497,9 +500,9 @@ def chain_between(cov: Covering, p, q, seed: int = 0,
     ``seed`` is kept for compatibility; the witnesses are exact and do not use it.
     """
     t = tolerance(tol)
-    fam, p, q, n = cov.charts, tuple(p), tuple(q), cov.dim
-    if not len(p) == len(q) == n:
-        raise DimensionMismatch(f"endpoints of dim {len(p)}, {len(q)} for a covering of dim {n}")
+    fam, p, q, n = cov.charts, np.ravel(p), np.ravel(q), cov.dim     # one point each, as `contains` reads it
+    if not p.size == q.size == n:
+        raise DimensionMismatch(f"endpoints of dim {p.size}, {q.size} for a covering of dim {n}")
     end, charts = fam.locate(np.array([p, q], dtype=complex), 1.0, tol=t)
     starts, goals = charts[end == 0], charts[end == 1]
     if not starts.size or not goals.size:

@@ -1,6 +1,7 @@
 """The chart-family protocol, checked the same way on every kind of family."""
 
 import hashlib
+import math
 import tracemalloc
 import warnings
 
@@ -24,8 +25,14 @@ from atlascover.core import (
     family,
 )
 from atlascover.jsonio import covering_to_dict
-from atlascover.levelset import cover_monomial_level_set, direct_branch_values
+from atlascover.levelset import (
+    LevelBranchCharts,
+    MonomialLevelChart,
+    cover_monomial_level_set,
+    direct_branch_values,
+)
 from atlascover.polydisc import cover_punctured_polydisc
+from atlascover.real_acharts import GraphCharts, MonomialData, cover_monomial_graph
 from atlascover.suspension import (
     SuspendedCharts,
     chart_arrays,
@@ -635,6 +642,61 @@ def test_every_budget_site_reads_the_budget_at_call_time(site, monkeypatch):
 def test_len_is_the_stated_kappa(name):
     fam = family(_charts(name))
     assert type(fam.kappa) is int and len(fam) == fam.kappa == len(list(fam))
+
+
+ATLAS_DATA = MonomialData(1.0, (0.5, -0.25))
+
+ADDRESSED = {       # every family kind, each form: a `FAMILIES` entry, level branches, a-chart atlases
+    **FAMILIES,
+    "level-set": lambda: cover_monomial_level_set((2, 1), 0.04).charts,
+    "atlas-m1": lambda: cover_monomial_graph(MonomialData(1.0, (1.0,)), 0.05),
+    "atlas-m2": lambda: cover_monomial_graph(ATLAS_DATA, 0.3),
+    "atlas-listed": lambda: GraphCharts.listed(list(cover_monomial_graph(ATLAS_DATA, 0.3))[::3]),
+}
+
+
+def _check_address(fam, i):
+    """Chart i is the chart that the `np.unravel_index` columns of i over the
+    family's radices name, read off its factors: a suspension's inner chart t
+    and layer disk j, a ring's ring k and angle j, a level chart's base chart t
+    and branch k (a Python int), a list's row and an atlas's `graph_arrays` row,
+    which for a product is box center ``box`` and offsets ``t``."""
+    cols, chart = np.unravel_index(i, fam.radices), fam[i]
+    if isinstance(fam, SuspendedCharts):
+        j, t = (np.array([x]) for x in cols)
+        (bt, dt), (bj, dj) = fam.inner.arrays_at(t), fam.layers.arrays_at(j)
+        assert chart == DiagonalAffineChart(np.append(bt, bj), np.append(
+            fam.beta * dt, fam.lam_factor * dj.real), fam.gamma)
+        _check_address(fam.inner, int(t[0]))
+    elif isinstance(fam, RingDisks):
+        k, j = (int(x) for x in cols)
+        assert chart.d == (fam.rf * fam.q ** k,)
+        assert np.isclose(chart.b[0], fam.cf * fam.q ** k * np.exp(2j * np.pi * j / fam.n_angles),
+                          rtol=1e-14, atol=0.0)
+    elif isinstance(fam, LevelBranchCharts):
+        t, k = cols
+        assert type(chart.branch) is int and chart == MonomialLevelChart(
+            base=fam.base[int(t)], branch=int(k), alpha=fam.alpha, c=fam.c)
+    elif isinstance(fam, GraphCharts):
+        y, z0 = fam.graph_arrays()
+        assert np.array_equal(np.array(chart.y).view(np.uint64), y[i].view(np.uint64))
+        assert np.array_equal(np.array(chart.z0).view(np.uint64), z0[i].view(np.uint64))
+        if fam.offsets is not None:
+            box, *t = cols
+            assert len(t) == fam.m and np.array_equal(y[i], fam.boxes[box])
+            assert np.array_equal(z0[i], fam.offsets[t])
+    else:
+        assert cols == (i,) and chart == DiagonalAffineChart(fam.b[i], fam.d[i], fam.gamma)
+
+
+@pytest.mark.parametrize("name", ADDRESSED)
+def test_kappa_is_the_product_of_the_radices_and_chart_i_their_address(name):
+    """kappa is the product of the radices, and chart i, for the first, the last
+    and 30 random i, is the chart its mixed-radix columns name (`_check_address`)."""
+    fam = family(ADDRESSED[name]())
+    assert type(fam.kappa) is int and fam.kappa == math.prod(fam.radices) == len(fam) > 1
+    for i in [0, len(fam) - 1, *np.random.default_rng(5).integers(0, len(fam), 30).tolist()]:
+        _check_address(fam, i)
 
 
 # -- point shapes ---------------------------------------------------------------

@@ -222,6 +222,9 @@ CHECKS = {
                              RegionMismatch, "level-set parameters do not match the ambient"),
     "polydisc-region-eta-nan": (lambda: region_samples(PolydiscRegion(math.nan, 2), 10 ** 12, 0),
                                 ValueError, "eta must be finite, got nan"),
+    **{f"polydisc-region-n-{n}": (
+        lambda n=n: region_samples(PolydiscRegion(0.5, n), 10, 0), DimensionMismatch,
+        f"the region's dimension n must be an integer >= 1, got {n}") for n in (0, -1, 1.5)},
     "annulus-region-delta-negative": (lambda: region_samples(AnnulusRegion(-0.5), 100, 0),
                                       ValueError, "delta must be positive, got -0.5"),
     "fit-one-point": (lambda: linear_fit([1.0], [2.0]),

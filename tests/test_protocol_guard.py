@@ -24,10 +24,15 @@ view beside ``Covering.charts``, and families do not concatenate with ``+``.
 And the library keeps only what it runs: no module defines or imports the
 single-chart helpers and the base-plan reader that nothing in it called.
 
-And one count and one budget: a chart family states its count once, as
-``kappa``, and no subclass of `ChartFamily` defines ``__len__`` (its index-safe
-view, defined once there); no module but ``core`` names ``MATERIALIZE_BUDGET``,
-so every refusal over it goes through `check_budget`, which reads it at call time."""
+And one count and one budget: a chart family states its factor sizes once,
+as ``radices``, and no subclass of `ChartFamily` defines or sets ``kappa``
+(their product) or ``__len__`` (its index-safe view), both defined once there;
+no module but ``core`` names ``MATERIALIZE_BUDGET``, so every refusal over it
+goes through `check_budget`, which reads it at call time.
+
+And one address: no library module calls ``divmod`` or numpy's, as every
+family splits and joins its flat index over its ``radices`` with
+``np.unravel_index`` and ``np.ravel_multi_index``."""
 
 import ast
 from pathlib import Path
@@ -277,10 +282,11 @@ def test_retired_api_guard_finds_each_spelling():
         (8, "first_coordinate")]
 
 
-def family_len_definitions(source: str) -> list:
-    """(line, class) of each ``__len__`` defined or assigned in a class that
-    derives from `ChartFamily`: one that names it as a base (a name or an
-    attribute), or a class of ``source`` that does, defined before it."""
+def family_definitions(source: str, name: str) -> list:
+    """(line, class) of each ``name`` defined or assigned in the body of a class
+    that derives from `ChartFamily`, or set as ``self.<name>`` in its methods: a
+    class that names it as a base (a name or an attribute), or a class of
+    ``source`` that does, defined before it."""
     families, hits = {"ChartFamily"}, []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
@@ -292,13 +298,21 @@ def family_len_definitions(source: str) -> list:
         for item in node.body:
             names = ([item.name] if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                      else [t.id for t in getattr(item, "targets", []) if isinstance(t, ast.Name)])
-            hits += [(item.lineno, node.name) for n in names if n == "__len__"]
+            hits += [(item.lineno, node.name) for n in names if n == name]
+        hits += [(n.lineno, node.name) for n in ast.walk(node)
+                 if isinstance(n, ast.Attribute) and n.attr == name and isinstance(n.ctx, ast.Store)
+                 and isinstance(n.value, ast.Name) and n.value.id == "self"]
     return sorted(hits)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_families_state_kappa_not_len(path):
-    assert family_len_definitions(path.read_text()) == []
+    assert family_definitions(path.read_text(), "__len__") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_families_state_radices_not_kappa(path):
+    assert family_definitions(path.read_text(), "kappa") == []
 
 
 def test_family_len_guard_finds_each_spelling():
@@ -314,7 +328,61 @@ def test_family_len_guard_finds_each_spelling():
               "    def __len__(self): return 0\n"
               "class Counted(ChartFamily):\n"
               "    kappa = 3  # not `__len__`\n")
-    assert family_len_definitions(source) == [(4, "Rings"), (6, "Deep"), (8, "Listed")]
+    assert family_definitions(source, "__len__") == [(4, "Rings"), (6, "Deep"), (8, "Listed")]
+
+
+def test_family_kappa_guard_finds_each_spelling():
+    source = ("class ChartFamily(Sequence):\n"
+              "    kappa = property(lambda self: math.prod(self.radices))\n"
+              "class Rings(ChartFamily):\n"
+              "    def __init__(self, n):\n"
+              "        self.kappa = n\n"
+              "class Deep(Rings):\n"
+              "    @property\n"
+              "    def kappa(self): return 2\n"
+              "class Listed(core.ChartFamily):\n"
+              "    kappa = 3\n"
+              "    def grow(self, b):\n"
+              "        self.b, self.kappa = b, 4\n"
+              "class Plain:\n"
+              "    def __init__(self): self.kappa = 0\n"
+              "class Counted(ChartFamily):\n"
+              "    radices = (3,)  # not `kappa`\n"
+              "    def count(self, other): other.kappa = self.kappa\n")
+    assert family_definitions(source, "kappa") == [
+        (5, "Rings"), (8, "Deep"), (10, "Listed"), (12, "Listed")]
+
+
+def divmod_spellings(source: str) -> list:
+    """(line, spelling) of each call of the builtin ``divmod`` and each use of
+    numpy's (``np.divmod``, ``numpy.divmod`` or the name imported from numpy)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "divmod":
+            hits.append((node.lineno, "divmod"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "divmod"
+                and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}):
+            hits.append((node.lineno, f"{node.value.id}.divmod"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            hits += [(node.lineno, a.name) for a in node.names if a.name == "divmod"]
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_mixed_radix_address(path):
+    assert divmod_spellings(path.read_text()) == []
+
+
+def test_address_guard_finds_each_spelling():
+    source = ("t, k = divmod(i, self.alpha1)\n"
+              "j, t = np.divmod(idx, len(self.inner))\n"
+              "q, r = numpy.divmod(a, b)\n"
+              "from numpy import divmod, unravel_index\n"
+              "j, t = np.unravel_index(idx, self.radices)  # not `divmod`\n"
+              "ring = (j + da) % n_angles\n"
+              "doc = 'np.divmod(idx, n)'\n")
+    assert divmod_spellings(source) == [
+        (1, "divmod"), (2, "np.divmod"), (3, "numpy.divmod"), (4, "divmod")]
 
 
 BUDGET = "MATERIALIZE_BUDGET"

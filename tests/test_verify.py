@@ -820,6 +820,14 @@ def test_malformed_endpoints_are_domain_errors(name):
                     chain_between(cov, *ends)
 
 
+def test_a_dim_1_chain_takes_bare_numbers():
+    """On a dim-1 covering a number is a point, as for `contains`: the chain
+    between two numbers is the one between the one-coordinate tuples."""
+    cov = cover_annulus(1e-2, 2.0)
+    chain = chain_between(cov, 0.9, -0.015)
+    assert chain == chain_between(cov, (0.9,), (-0.015,)) and chain.length == 15
+
+
 @pytest.mark.parametrize("alpha, c", [((2, 1), 0.04), ((2, 1, 1), 0.5)])
 def test_level_region_samples_use_the_base_plan_eta(alpha, c):
     """The samples equal those drawn from the original eta formula, bit for bit."""
