@@ -138,6 +138,12 @@ def tolerance(tol: float | None = None) -> float:
     return value
 
 
+def check_dimension(n, name: str = "dimension") -> None:
+    """Raise `DimensionMismatch` naming ``name`` unless ``n`` is an integer >= 1."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DimensionMismatch(f"{name} must be an integer >= 1, got {n!r}")
+
+
 def check_positive(name: str, value: float) -> None:
     """Raise `ValueError` naming ``name`` unless ``value`` is a finite positive number."""
     if not math.isfinite(value):
@@ -237,8 +243,7 @@ class PolydiscComplement:
 
     def __post_init__(self):
         object.__setattr__(self, "active_axes", frozenset(int(i) for i in self.active_axes))
-        if self.n < 1:
-            raise DimensionMismatch("dimension must be positive")
+        check_dimension(self.n)
         if not all(1 <= i <= self.n for i in self.active_axes):
             raise ValueError(f"active axes must lie in 1..{self.n}")
 

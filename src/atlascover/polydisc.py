@@ -21,6 +21,7 @@ from .core import (
     GammaTooSmall,
     NotARegularValue,
     PolydiscComplement,
+    check_dimension,
     check_positive,
 )
 from .suspension import SuspendedCharts, cover_axis, layer_zeta
@@ -83,8 +84,7 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
     built: the factor mu it extends, its layer family's factor and count, and
     kappa.
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
+    check_dimension(n)
     check_positive("eta", eta)
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")

@@ -10,7 +10,6 @@ rows are, or () for a set with none.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -33,6 +32,7 @@ from .core import (
     _product_rows,
     _witness_rows,
     check_budget,
+    check_dimension,
     check_positive,
     tolerance,
 )
@@ -80,8 +80,7 @@ class PolydiscRegion:
 
     def __post_init__(self):
         check_positive("eta", self.eta)
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
-            raise DimensionMismatch(f"the region's dimension n must be an integer >= 1, got {self.n!r}")
+        check_dimension(self.n, "the region's dimension n")
 
     def axes(self) -> frozenset:
         if self.active_axes is None:
@@ -299,7 +298,7 @@ POINT_BLOCK = 1 << 14           # rows of one range of a pooled check: two in fl
 
 
 def _coverage_threads() -> int:
-    """Threads of a pooled `check_coverage`: two, or fewer if fewer CPUs are usable."""
+    """Threads of a pooled `check_coverage`, the caller's included: two, or one."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(2, cpus or 1)
 
@@ -315,14 +314,18 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
     point.  The rows it leaves open, rebuilt from their axis indices, and the
     random rows go through `covers_points`; a level-set region (no grid) and a
     chart list (no anchor) keep that row path.  At most 2 `POINT_BLOCK` samples
-    are decided on the calling thread, in one `covers_points` call; more are
-    split into slabs and `POINT_BLOCK` random rows (`sample_rows`) that a pool of
-    `_coverage_threads` threads, made for this call, decides one per thread at a
-    time, so at most 2 `POINT_BLOCK` rows are held at once, and the GIL-free numpy
-    work overlaps.  The parts' counts and first 100 uncovered samples fold in row
-    order: one call's report over every sample, whatever the threads.  An error in
-    a part, or from a signal handler while this call waits, is raised once the
-    queued parts are cancelled and the threads have ended.  An empty region passes.
+    are decided in one `covers_points` call on the calling thread.  More are
+    split into slabs and ranges of `POINT_BLOCK` random rows (`sample_rows`),
+    which the calling thread decides one at a time (a range, or a slab that
+    leaves rows open, in one `covers_points` call) while a pool thread, made
+    for this call, draws the next range, so at most 2 `POINT_BLOCK` rows are
+    held at once and the draw's GIL-free `np.exp` overlaps the decisions; if
+    only one CPU is usable (`_coverage_threads`), the caller draws each range
+    itself.  The parts' counts and first 100 uncovered samples fold in row
+    order: one call's report over every sample, whatever the threads.  An error
+    in a draw or a decision, or from a signal handler while this call waits, is
+    raised once no later range is queued and the pool thread has ended.  An
+    empty region passes.
     """
     _fit_kind(region, cov.ambient)
     region.fits(cov.ambient)
@@ -333,7 +336,7 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
     g, one = _grid_rows(grid), np.ones(1)
     len(fam)                        # a family too large to index is refused, as `covers` does
 
-    def decide(slabs, lo, hi):      # (covered, first 100 uncovered) of the slabs, then rows [lo, hi)
+    def decide(slabs, pts=()):      # (covered, first 100 uncovered) of the slabs, then rows pts
         covered, parts = 0, []
         for slab in slabs:
             axes = _slab_points(grid, slab)
@@ -342,8 +345,8 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
             if left.size:
                 left = np.unravel_index(left, [x.size for x in axes])
                 parts.append(np.stack([x[i] for x, i in zip(axes, left)], axis=1))
-        if hi > lo:
-            parts.append(rows(lo, hi))
+        if len(pts):
+            parts.append(pts)
         if not parts:
             return covered, ()
         pts = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -352,13 +355,21 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
 
     slabs = [slab for _, _, slab in _slabs(grid, 0, g, POINT_BLOCK)]
     if total <= 2 * POINT_BLOCK:
-        return _fold(total, [decide(slabs, g, total)])
+        return _fold(total, [decide(slabs, rows(g, total))])
+    spans = [(lo, min(lo + POINT_BLOCK, total)) for lo in range(g, total, POINT_BLOCK)]
+    if _coverage_threads() < 2 or not spans:
+        return _fold(total, [decide([slab]) for slab in slabs] +
+                     [decide((), rows(*span)) for span in spans])
     from concurrent.futures import ThreadPoolExecutor        # about 5 ms to import
-    pool = ThreadPoolExecutor(_coverage_threads())
-    parts = [([slab], g, g) for slab in slabs] + [
-        ([], lo, min(lo + POINT_BLOCK, total)) for lo in range(g, total, POINT_BLOCK)]
+    pool = ThreadPoolExecutor(1)
     try:
-        return _fold(total, pool.map(lambda part: decide(*part), parts))
+        ahead = pool.submit(rows, *spans[0])
+        parts = [decide([slab]) for slab in slabs]
+        for span in spans[1:] + [None]:
+            drawn = ahead.result()
+            ahead = span and pool.submit(rows, *span)
+            parts.append(decide((), drawn))
+        return _fold(total, parts)
     finally:
         pool.shutdown(cancel_futures=True)
 

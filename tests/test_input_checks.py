@@ -65,7 +65,9 @@ STRING_ROWS = {     # a v1 covering of the plane whose one chart's b holds a str
 
 CHECKS = {
     "polydisc-dim-0": (lambda: PolydiscComplement(0),
-                       DimensionMismatch, "dimension must be positive"),
+                       DimensionMismatch, "dimension must be an integer >= 1, got 0"),
+    "polydisc-dim-1.5": (lambda: PolydiscComplement(1.5),
+                         DimensionMismatch, "dimension must be an integer >= 1, got 1.5"),
     "polydisc-axis-3": (lambda: PolydiscComplement(2, {3}),
                         ValueError, "active axes must lie in 1..2"),
     "level-set-exponent-0": (lambda: MonomialLevelSet((0, 1), 0.5),
@@ -128,7 +130,9 @@ CHECKS = {
     "polydisc-axes-3": (lambda: cover_punctured_polydisc(2, 0.5, 2.0, active_axes={3}),
                         ValueError, "active axes must lie in 1..2"),
     "polydisc-n-0": (lambda: cover_punctured_polydisc(0, 0.5, 2.0),
-                     ValueError, "dimension must be positive"),
+                     DimensionMismatch, "dimension must be an integer >= 1, got 0"),
+    "polydisc-n-1.5": (lambda: cover_punctured_polydisc(1.5, 0.5, 2.0),
+                       DimensionMismatch, "dimension must be an integer >= 1, got 1.5"),
     "polydisc-eta-0": (lambda: cover_punctured_polydisc(2, 0.0, 2.0),
                        ValueError, "eta must be positive, got 0.0"),
     "lower-bound-c-unit": (lambda: level_lower_bound(0.5, 0.5, 1),

@@ -198,6 +198,34 @@ def _counting(calls, fail_at=None, exc=ValueError):
     return counted
 
 
+class _DrawLog:
+    """``region``, whose ``rows(lo, hi)`` record each range's thread in
+    ``draws`` and raise ``ValueError`` on range ``fail_at``."""
+
+    def __init__(self, region, fail_at=None):
+        self.region, self.fail_at, self.draws = region, fail_at, []
+
+    def __getattr__(self, name):
+        return getattr(self.region, name)
+
+    def rows(self, n_samples, seed):
+        total, rows = self.region.rows(n_samples, seed)
+
+        def logged(lo, hi):
+            self.draws.append(threading.get_ident())
+            if len(self.draws) == self.fail_at:
+                raise ValueError(f"range {self.fail_at} failed")
+            return rows(lo, hi)
+        return total, logged
+
+
+def _starts(monkeypatch):
+    """The threads `threading.Thread.start` starts from now on, in a list."""
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda th: started.append(th) or start(th))
+    return started
+
+
 class TestPooledCoverage:
     @pytest.mark.parametrize("build, region, count, block, n_calls", [
         (lambda: cover_punctured_polydisc(3, 0.3, 2.0)[0], PolydiscRegion(0.3, 3), 31_000, None, 1),
@@ -207,39 +235,114 @@ class TestPooledCoverage:
     def test_only_a_set_past_two_blocks_starts_threads(self, build, region, count, block,
                                                        n_calls, monkeypatch):
         """31,125 rows (at most 2 `POINT_BLOCK`) and 20,000 rows at 10,000 a
-        block are one `covers_points` call on the calling thread, and start
-        no thread; at 9,999 a block they are two calls on pool threads, one per
-        range of the 10,000 random rows (the anchor pass settles both slabs of
-        the 10,000 grid rows), all ended when the check returns."""
-        cov, calls, started = build(), [], []
+        block are one draw and one `covers_points` call on the calling
+        thread, and start no thread; at 9,999 a block they are two calls,
+        one per range of the 10,000 random rows (the anchor pass settles both
+        slabs of the 10,000 grid rows), still on the calling thread, while
+        one pool thread draws both ranges and has ended when the check
+        returns."""
+        cov, calls, region = build(), [], _DrawLog(region)
         monkeypatch.setattr(verify_mod, "covers_points", _counting(calls))
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda th: started.append(th) or start(th))
+        monkeypatch.setattr(verify_mod, "_coverage_threads", lambda: 2)
+        started = _starts(monkeypatch)
         if block is not None:
             monkeypatch.setattr(verify_mod, "POINT_BLOCK", block)
         rep = check_coverage(cov, region, count, 0)
-        assert rep.passed and len(calls) == n_calls
+        assert rep.passed and calls == [threading.get_ident()] * n_calls
         if n_calls == 1:
-            assert calls == [threading.get_ident()] and not started
+            assert region.draws == [threading.get_ident()] and not started
         else:
-            assert threading.get_ident() not in calls and 1 <= len(started) <= 2
-            assert not any(th.is_alive() for th in started)
+            assert len(started) == 1 and region.draws == [started[0].ident] * 2
+            assert not started[0].is_alive()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_the_report_does_not_depend_on_the_threads(self, threads, monkeypatch):
-        """The pruned annulus at 300 rows a block, on a pool of one thread or
-        two: the one-call report, its 100 uncovered samples of 400 included."""
+        """The pruned annulus at 300 rows a block, with one usable CPU or two:
+        the one-call report, its 100 uncovered samples of 400 included, from
+        11 `covers_points` calls on the calling thread; the 5 random ranges
+        are drawn there too, or on one pool thread, ended when the check
+        returns."""
         cov, region, n = BLOCKED_COVERAGE["pruned-list"]
         cov = cov()
         want = coverage_by_rows(cov, region, n, 5)
-        calls = []
+        calls, region = [], _DrawLog(region)
         monkeypatch.setattr(verify_mod, "covers_points", _counting(calls))
         monkeypatch.setattr(verify_mod, "POINT_BLOCK", 300)
         monkeypatch.setattr(verify_mod, "_coverage_threads", lambda: threads)
+        started = _starts(monkeypatch)
         got = check_coverage(cov, region, n, 5)
         assert got == want and want.samples_total - want.samples_covered == 400
-        assert len(calls) == 11 and len(set(calls)) <= threads
-        assert threading.get_ident() not in calls
+        assert calls == [threading.get_ident()] * 11
+        assert len(started) == threads - 1 and not any(th.is_alive() for th in started)
+        drawer = started[0].ident if started else threading.get_ident()
+        assert region.draws == [drawer] * 5
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_an_error_in_a_draw_ends_the_check_and_its_thread(self, threads, monkeypatch):
+        """A region whose 3rd range of 15 raises: `check_coverage` raises that
+        error, no later range is drawn, and no thread is left."""
+        monkeypatch.setattr(verify_mod, "POINT_BLOCK", 100)
+        monkeypatch.setattr(verify_mod, "_coverage_threads", lambda: threads)
+        region, before = _DrawLog(AnnulusRegion(0.1), fail_at=3), threading.active_count()
+        with pytest.raises(ValueError, match="^range 3 failed$"):
+            check_coverage(_pruned_annulus(), region, 3000, 5)
+        assert len(region.draws) == 3 and threading.active_count() == before
+
+    @pytest.mark.parametrize("name, n, block, slabs", [
+        ("n3-axes13", 3000, 300, 16), ("level-set", 2000, 300, 0), ("pruned-list", 600, 50, 7),
+        ("pruned-list", 1, 1, 4)])
+    def test_the_pipeline_gives_the_one_call_report(self, name, n, block, slabs, monkeypatch):
+        """A polydisc whose every grid slab leaves rows open, a level set (no
+        grid), the pruned annulus at 624 samples, whose 78 uncovered samples
+        all enter the report, from grid and random rows alike, and at one
+        sample, a 4-row grid and no random row: with one range drawn ahead,
+        the one-call report, from one `covers_points` call per slab left
+        open and per range."""
+        build, region, _ = BLOCKED_COVERAGE[name]
+        cov = build()
+        want = coverage_by_rows(cov, region, n, 5)
+        calls, region = [], _DrawLog(region)
+        monkeypatch.setattr(verify_mod, "covers_points", _counting(calls))
+        monkeypatch.setattr(verify_mod, "POINT_BLOCK", block)
+        monkeypatch.setattr(verify_mod, "_coverage_threads", lambda: 2)
+        assert check_coverage(cov, region, n, 5) == want
+        assert want.samples_total - want.samples_covered == len(want.uncovered)
+        g = verify_mod._grid_rows(region.grid(n))
+        ranges = -(-(want.samples_total - g) // block)
+        assert len(list(verify_mod._slabs(region.grid(n), 0, g, block))) == slabs
+        assert len(region.draws) == ranges and len(calls) == slabs + ranges
+
+    def test_concurrent_pipelines_keep_their_reports(self, monkeypatch):
+        """Three threads each run pooled checks of the pruned annulus at 300
+        rows a block, at once and with the interpreter switching threads
+        every microsecond: each report is the one-call report of its seed,
+        and every thread has ended within the time allowed."""
+        cov, region, n = BLOCKED_COVERAGE["pruned-list"]
+        cov = cov()
+        want = {seed: coverage_by_rows(cov, region, n, seed) for seed in range(3)}
+        monkeypatch.setattr(verify_mod, "POINT_BLOCK", 300)
+        monkeypatch.setattr(verify_mod, "_coverage_threads", lambda: 2)
+        got, errors = {}, []
+
+        def run(seed):
+            try:
+                for _ in range(3):
+                    got.setdefault(seed, []).append(check_coverage(cov, region, n, seed))
+            except BaseException as exc:        # reported by the main thread
+                errors.append(exc)
+
+        callers = [threading.Thread(target=run, args=(seed,)) for seed in range(3)]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in callers:
+                th.start()
+            for th in callers:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(th.is_alive() for th in callers) and not errors
+        assert got == {seed: [rep] * 3 for seed, rep in want.items()}
 
     @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
     def test_an_error_in_a_block_ends_the_check_and_its_threads(self, exc, monkeypatch):
