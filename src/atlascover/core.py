@@ -144,6 +144,12 @@ def check_dimension(n, name: str = "dimension") -> None:
         raise DimensionMismatch(f"{name} must be an integer >= 1, got {n!r}")
 
 
+def check_integer(name: str, value) -> None:
+    """Raise `ValueError` naming ``name`` unless ``value`` is an integer."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_positive(name: str, value: float) -> None:
     """Raise `ValueError` naming ``name`` unless ``value`` is a finite positive number."""
     if not math.isfinite(value):
@@ -242,6 +248,8 @@ class PolydiscComplement:
     branches = 1
 
     def __post_init__(self):
+        for i in self.active_axes:
+            check_integer("an active axis", i)
         object.__setattr__(self, "active_axes", frozenset(int(i) for i in self.active_axes))
         check_dimension(self.n)
         if not all(1 <= i <= self.n for i in self.active_axes):
@@ -270,6 +278,8 @@ class MonomialLevelSet:
     punctured_axes = ()     # x^alpha = c != 0 meets no coordinate hyperplane
 
     def __post_init__(self):
+        for a in self.alpha:
+            check_integer("an exponent", a)
         object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
         object.__setattr__(self, "c", complex(self.c))
         if not self.alpha or any(a < 1 for a in self.alpha):
@@ -806,5 +816,7 @@ class EtaParams:
             raise ValueError("C_unit must be >= 1")
         if self.c_lower > self.C_unit:
             raise ValueError("two-sided bounds require c_lower <= C_unit")
+        check_integer("d", self.d)
+        check_integer("alpha0", self.alpha0)
         if self.d < 1 or self.alpha0 < 1:
             raise ValueError("d and alpha0 must be positive integers")

@@ -97,11 +97,10 @@ def recipe_to_dict(cov: Covering) -> dict | None:
     `==` compares recipes and never scans charts."""
     meta = _jsonable(cov.meta)
     try:
-        built = _construction(cov.meta, cov.ambient, cov.gamma, cov.kappa)
+        built = _construction(meta, cov.ambient, cov.gamma, cov.kappa)
     except (AtlasError, ArithmeticError, KeyError, TypeError, ValueError):
         return None
-    if not (type(built.charts.base) is type(cov.charts.base)
-            and built == cov and _jsonable(built.meta) == meta):
+    if not (type(built.charts.base) is type(cov.charts.base) and built == cov):
         return None
     return {**_header(SCHEMA_VERSION, cov), "meta": meta}
 
@@ -189,9 +188,9 @@ _CONSTRUCTIONS = {
 
 def _construction(meta: dict, ambient, gamma: float, kappa) -> Covering:
     """The covering that the construction named in ``meta`` builds on ``ambient``
-    from the inputs ``meta`` stores, checked to have ``kappa`` charts and factor
-    ``gamma``.  Building lists no chart, and `RingDisks` refuses a ring table
-    over the budget."""
+    from the inputs ``meta`` stores, checked to have ``kappa`` charts, factor
+    ``gamma`` and the meta ``meta`` (as JSON reads it back).  Building lists no
+    chart, and `RingDisks` refuses a ring table over the budget."""
     kind = meta.get("construction")
     needs, build = _CONSTRUCTIONS.get(str(kind), (None, None))  # str: a file may hold a list
     if needs != ambient.kind:
@@ -201,6 +200,8 @@ def _construction(meta: dict, ambient, gamma: float, kappa) -> Covering:
         raise MalformedFile(f"the recipe builds {cov.kappa} charts, not kappa={kappa}")
     if cov.gamma != gamma:
         raise MalformedFile(f"the recipe builds factor {cov.gamma}, not gamma={gamma}")
+    if _jsonable(cov.meta) != meta:
+        raise MalformedFile("meta disagrees with the one its construction builds")
     return cov
 
 
@@ -212,8 +213,7 @@ def _rebuild(meta: dict, ambient, gamma: float, b: np.ndarray, d: np.ndarray):
     except (AtlasError, ArithmeticError, KeyError, TypeError, ValueError):
         return None
     rb, rd = cov.charts.base.chart_arrays()
-    same = _same_bits(rb, b) and _same_bits(rd, d) and _jsonable(cov.meta) == meta
-    return cov.charts if same else None
+    return cov.charts if _same_bits(rb, b) and _same_bits(rd, d) else None
 
 
 def covering_from_dict(d: dict) -> Covering:
@@ -225,10 +225,7 @@ def covering_from_dict(d: dict) -> Covering:
         if version == SCHEMA_VERSION:
             if "charts" in d:
                 raise MalformedFile("a schema-2 covering stores its recipe, not charts")
-            cov = _construction(meta, ambient, gamma, json_number(d["kappa"], integral=True))
-            if _jsonable(cov.meta) != meta:
-                raise MalformedFile("meta disagrees with the one its construction builds")
-            return cov
+            return _construction(meta, ambient, gamma, json_number(d["kappa"], integral=True))
         if version != "1":
             raise MalformedFile(f"unknown covering schema_version {version!r}")
         b, dd = _STORED[ambient.chart_kind]["rows"](list(d["charts"]), ambient)

@@ -84,7 +84,9 @@ class MonomialLevelChart:
 def level_points(b, d, alpha, c, x, branches) -> np.ndarray:
     """The chart map (g_k(phi(x)), phi(x)) of the listed branches k over base
     data (b, d) at base preimage points x.  b, d and x broadcast with base
-    coordinates last; the branches index a new axis before the last."""
+    coordinates last; the branches broadcast on a new axis before the last, so
+    a list gives every point each listed branch, and a column (r, 1) row i's
+    own branch alone."""
     abar = np.asarray(alpha[1:], dtype=float)
     s = (abar * (np.log(b) + np.log(1.0 + d * x / b))).sum(axis=-1)
     logs = ((np.log(c) - s) / alpha[0])[..., None] + 2j * math.pi * np.asarray(branches) / alpha[0]
@@ -212,8 +214,8 @@ class LevelBranchCharts(ChartFamily):
         ok = self._base._hits(pts[:, 1:], scale, t, self._base._key(base))
         r = np.nonzero(ok)[0]
         b, d = self._base.arrays_at(base[r])
-        g = level_points(b, d, self.alpha, self.c, (pts[r, 1:] - b) / d, range(self.alpha1))
-        ok[r] = _root_match(g[np.arange(r.size), k[r], 0], pts[r, 0], t)
+        g = level_points(b, d, self.alpha, self.c, (pts[r, 1:] - b) / d, k[r, None])
+        ok[r] = _root_match(g[:, 0, 0], pts[r, 0], t)
         return ok
 
     contains = ChartFamily.contains         # bound here too: the benchmark tracer counts its calls
@@ -245,8 +247,7 @@ def _branch_rows(alpha, c, rows, branches, wb, tol: float):
     d2) meet at ``wb``: the branch values g at wb agree by the rule of
     `LevelBranchCharts._hits`, and w = (g1, wb).  Two roots of one equation
     agree on all of the convex base overlap or nowhere: the test is exact."""
-    g1, g2 = (level_points(b, d, alpha, c, (wb - b) / d,
-                           range(alpha[0]))[np.arange(len(wb)), k, 0]
+    g1, g2 = (level_points(b, d, alpha, c, (wb - b) / d, np.asarray(k)[:, None])[:, 0, 0]
               for b, d, k in ((*rows[:2], branches[0]), (*rows[2:], branches[1])))
     return _root_match(g1, g2, tol), np.concatenate([g1[:, None], wb], axis=1)
 

@@ -17,14 +17,13 @@ or listed from charts; the scan and the membership lookup read its fields.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import (ChartFamily, DimensionMismatch, NotHolomorphic, _product_rows,
-                   check_budget, tolerance)
+                   check_budget, check_integer, tolerance)
 
 
 @dataclass(frozen=True)
@@ -462,8 +461,7 @@ def _check_scan(grid: int, interior: int, m: int = 1) -> None:
     """Refuse a scan-set size that is not an integer at least its least value:
     a grid >= 2 angles a ring, interior >= 0 points, m >= 1 axes."""
     for name, value, least in (("grid", grid, 2), ("interior", interior, 0), ("m", m, 1)):
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integer(name, value)
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
 

@@ -10,7 +10,6 @@ rows are, or () for a set with none.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -33,6 +32,7 @@ from .core import (
     _witness_rows,
     check_budget,
     check_dimension,
+    check_integer,
     check_positive,
     tolerance,
 )
@@ -256,10 +256,13 @@ def sample_rows(region, n_samples: int, seed: int) -> tuple:
     ``rows(lo, hi)``, which draws rows [lo, hi) of it into a fresh C-contiguous
     array, the same bits whatever the range: the region's own ``rows``.  A set of
     entries (rows x dim) over the budget (`check_budget`) raises `AtlasError`,
-    a negative count `ValueError`, both before any row is drawn, and an object
-    with no ``rows`` `RegionMismatch`; a count of 0 has none."""
-    if n_samples < 0:
-        raise ValueError(f"the sample count must be >= 0, got {n_samples}")
+    a count or seed that is not an integer >= 0 `ValueError`, both before any
+    row is drawn, and an object with no ``rows`` `RegionMismatch`; a count of
+    0 has none."""
+    for name, value in (("the sample count", n_samples), ("the seed", seed)):
+        check_integer(name, value)
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     rows = getattr(region, "rows", None)
     if rows is None:
         raise RegionMismatch(f"unknown region {region!r}")
@@ -297,12 +300,6 @@ class CoverageReport:
 POINT_BLOCK = 1 << 14           # rows of one range of a pooled check: two in flight hold 2^15
 
 
-def _coverage_threads() -> int:
-    """Threads of a pooled `check_coverage`, the caller's included: two, or one."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(2, cpus or 1)
-
-
 def check_coverage(cov: Covering, region, n_samples: int = 10000,
                    seed: int = 0, tol: float | None = None) -> CoverageReport:
     """Sample the region, which must fit the covering's ambient (`fits`),
@@ -311,21 +308,21 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
     The grid half of a polydisc or annulus set (`PolydiscRegion.grid`) is cut
     into slabs of at most `POINT_BLOCK` rows (`_slabs`), whose anchor pass
     (`ChartFamily._grid_hits`) takes each anchor and layer split once per axis
-    point.  The rows it leaves open, rebuilt from their axis indices, and the
-    random rows go through `covers_points`; a level-set region (no grid) and a
-    chart list (no anchor) keep that row path.  At most 2 `POINT_BLOCK` samples
-    are decided in one `covers_points` call on the calling thread.  More are
-    split into slabs and ranges of `POINT_BLOCK` random rows (`sample_rows`),
-    which the calling thread decides one at a time (a range, or a slab that
-    leaves rows open, in one `covers_points` call) while a pool thread, made
-    for this call, draws the next range, so at most 2 `POINT_BLOCK` rows are
-    held at once and the draw's GIL-free `np.exp` overlaps the decisions; if
-    only one CPU is usable (`_coverage_threads`), the caller draws each range
-    itself.  The parts' counts and first 100 uncovered samples fold in row
-    order: one call's report over every sample, whatever the threads.  An error
-    in a draw or a decision, or from a signal handler while this call waits, is
-    raised once no later range is queued and the pool thread has ended.  An
-    empty region passes.
+    point; the rows it leaves open, rebuilt from their axis indices, go through
+    one `covers_points` call.  A level-set region (no grid) has no slab, and a
+    chart list (no anchor) leaves every slab row open.  The random rows are
+    split into ranges of `POINT_BLOCK` rows (`sample_rows`), each decided in
+    one `covers_points` call.  The calling thread decides every part, the
+    slabs first.  A set of at most 2 `POINT_BLOCK` samples, or one with no
+    random row, draws its ranges on the calling thread too.  A larger one
+    runs as a pipeline: a pool thread, made for this call, draws range 0
+    while the slabs are decided, and then range i+1 while range i is, so at
+    most 2 `POINT_BLOCK` rows are held at once and the draw's GIL-free
+    `np.exp` overlaps the decisions.  The parts' counts and first 100
+    uncovered samples fold in row order: one call's report over every
+    sample, whatever the threads.  An error in a draw or a decision, or from
+    a signal handler while this call waits, is raised once no later range is
+    queued and the pool thread has ended.  An empty region passes.
     """
     _fit_kind(region, cov.ambient)
     region.fits(cov.ambient)
@@ -336,39 +333,32 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
     g, one = _grid_rows(grid), np.ones(1)
     len(fam)                        # a family too large to index is refused, as `covers` does
 
-    def decide(slabs, pts=()):      # (covered, first 100 uncovered) of the slabs, then rows pts
-        covered, parts = 0, []
-        for slab in slabs:
-            axes = _slab_points(grid, slab)
-            left = np.flatnonzero(~fam._grid_hits(axes, one, t)[0])
-            covered += math.prod(x.size for x in axes) - left.size
-            if left.size:
-                left = np.unravel_index(left, [x.size for x in axes])
-                parts.append(np.stack([x[i] for x, i in zip(axes, left)], axis=1))
-        if len(pts):
-            parts.append(pts)
-        if not parts:
-            return covered, ()
-        pts = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    def decide(pts, covered=0):     # (covered, first 100 uncovered) of drawn rows pts
         got = covers_points(fam, pts, 1.0, tol=t)
         return covered + int(np.count_nonzero(got)), pts[np.flatnonzero(~got)[:100]]
 
-    slabs = [slab for _, _, slab in _slabs(grid, 0, g, POINT_BLOCK)]
-    if total <= 2 * POINT_BLOCK:
-        return _fold(total, [decide(slabs, rows(g, total))])
+    def decide_slab(slab):          # the anchor pass, then `decide` on the rows it left open
+        axes = _slab_points(grid, slab)
+        left = np.flatnonzero(~fam._grid_hits(axes, one, t)[0])
+        covered = math.prod(x.size for x in axes) - left.size
+        if not left.size:
+            return covered, ()
+        left = np.unravel_index(left, [x.size for x in axes])
+        return decide(np.stack([x[i] for x, i in zip(axes, left)], axis=1), covered)
+
+    slabs = (slab for _, _, slab in _slabs(grid, 0, g, POINT_BLOCK))
     spans = [(lo, min(lo + POINT_BLOCK, total)) for lo in range(g, total, POINT_BLOCK)]
-    if _coverage_threads() < 2 or not spans:
-        return _fold(total, [decide([slab]) for slab in slabs] +
-                     [decide((), rows(*span)) for span in spans])
+    if total <= 2 * POINT_BLOCK or not spans:
+        return _fold(total, [*map(decide_slab, slabs), *(decide(rows(*span)) for span in spans)])
     from concurrent.futures import ThreadPoolExecutor        # about 5 ms to import
     pool = ThreadPoolExecutor(1)
     try:
         ahead = pool.submit(rows, *spans[0])
-        parts = [decide([slab]) for slab in slabs]
+        parts = list(map(decide_slab, slabs))
         for span in spans[1:] + [None]:
             drawn = ahead.result()
             ahead = span and pool.submit(rows, *span)
-            parts.append(decide((), drawn))
+            parts.append(decide(drawn))
         return _fold(total, parts)
     finally:
         pool.shutdown(cancel_futures=True)

@@ -72,6 +72,10 @@ CHECKS = {
                         ValueError, "active axes must lie in 1..2"),
     "level-set-exponent-0": (lambda: MonomialLevelSet((0, 1), 0.5),
                              ValueError, "all exponents must be >= 1"),
+    "level-set-exponent-2.5": (lambda: MonomialLevelSet((2.5, 1), 0.5),
+                               ValueError, "an exponent must be an integer, got 2.5"),
+    "polydisc-axis-1.5": (lambda: PolydiscComplement(2, {1.5}),
+                          ValueError, "an active axis must be an integer, got 1.5"),
     "covering-gamma-1": (lambda: Covering(PuncturedPlane(), 1.0, []),
                          InvalidDoublingFactor, "gamma must exceed 1, got 1.0"),
     "covering-other-factor": (lambda: Covering(PuncturedPlane(), 3.0, [DISK]),
@@ -90,6 +94,9 @@ CHECKS = {
                       ValueError, "c_lower must be positive"),
     "eta-c-unit-half": (lambda: EtaParams(c_lower=0.1, C_unit=0.5, d=1, alpha0=1),
                         ValueError, "C_unit must be >= 1"),
+    "eta-d-1.5": (lambda: EtaParams(0.5, 1.0, 1.5, 1), ValueError, "d must be an integer, got 1.5"),
+    "eta-alpha0-2.5": (lambda: EtaParams(0.5, 1.0, 1, 2.5),
+                       ValueError, "alpha0 must be an integer, got 2.5"),
     "avoidance-above-gamma": (lambda: avoidance_certificate(DISK, PuncturedPlane(), 3.0),
                               ValueError, "scale 3.0 exceeds the chart factor 2.0"),
     "avoidance-other-dim": (lambda: avoidance_certificate(DISK, PolydiscComplement(2), 1.0),
@@ -125,10 +132,14 @@ CHECKS = {
                                                 "rounds to 1"),
     "level-set-dim-1": (lambda: cover_monomial_level_set((2,), 0.5),
                         DimensionMismatch, "the graph construction needs dimension >= 2"),
+    "level-set-cover-exponent-2.5": (lambda: cover_monomial_level_set((2.5, 1), 0.5),
+                                     ValueError, "an exponent must be an integer, got 2.5"),
     "polydisc-no-axes": (lambda: cover_punctured_polydisc(2, 0.5, 2.0, active_axes=set()),
                          ValueError, "at least one axis must be punctured"),
     "polydisc-axes-3": (lambda: cover_punctured_polydisc(2, 0.5, 2.0, active_axes={3}),
                         ValueError, "active axes must lie in 1..2"),
+    "polydisc-axes-1.9": (lambda: cover_punctured_polydisc(2, 0.5, 2.0, {1.9}),
+                          ValueError, "an active axis must be an integer, got 1.9"),
     "polydisc-n-0": (lambda: cover_punctured_polydisc(0, 0.5, 2.0),
                      DimensionMismatch, "dimension must be an integer >= 1, got 0"),
     "polydisc-n-1.5": (lambda: cover_punctured_polydisc(1.5, 0.5, 2.0),
@@ -224,6 +235,14 @@ CHECKS = {
     "coverage-other-level": (lambda: check_coverage(cover_monomial_level_set((2, 1), 0.5),
                                                     LevelGraphRegion((2, 1), 0.25), 10),
                              RegionMismatch, "level-set parameters do not match the ambient"),
+    "coverage-count-10.5": (lambda: check_coverage(cover_annulus(0.1, 2.0), AnnulusRegion(0.1), 10.5),
+                            ValueError, "the sample count must be an integer, got 10.5"),
+    "coverage-seed-string": (lambda: check_coverage(cover_annulus(0.1, 2.0), AnnulusRegion(0.1),
+                                                    10, seed="x"),
+                             ValueError, "the seed must be an integer, got 'x'"),
+    "coverage-seed-negative": (lambda: check_coverage(cover_annulus(0.1, 2.0), AnnulusRegion(0.1),
+                                                      10, seed=-1),
+                               ValueError, "the seed must be >= 0, got -1"),
     "polydisc-region-eta-nan": (lambda: region_samples(PolydiscRegion(math.nan, 2), 10 ** 12, 0),
                                 ValueError, "eta must be finite, got nan"),
     **{f"polydisc-region-n-{n}": (

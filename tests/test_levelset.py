@@ -15,6 +15,7 @@ from atlascover.levelset import (
     MonomialLevelChart,
     cover_monomial_level_set,
     direct_branch_values,
+    level_points,
     level_residual,
 )
 from atlascover.core import Covering, UnsupportedAmbient
@@ -149,6 +150,23 @@ def test_one_branch_has_the_bits_of_all_branches(alpha):
         for k in range(alpha[0]):
             col = direct_branch_values(alpha, 0.3 + 0.1j, xbar, slice(k, k + 1))
             assert col.tobytes() == np.ascontiguousarray(full[:, k:k + 1]).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [(3, 2), (2, 1, 1), (5, 1, 2)])
+def test_a_branch_column_has_the_bits_of_all_branches(alpha):
+    """`level_points` with each row's branch as a column (r, 1), as
+    `LevelBranchCharts._hits` and `_branch_rows` call it, is that branch of
+    the all-branch call, bit for bit, on 5,000 random rows."""
+    rng = np.random.default_rng(7)
+    shape = (5000, len(alpha) - 1)
+    b = rng.uniform(0.05, 1.0, shape) * np.exp(1j * rng.uniform(0, 7, shape))
+    d = b * rng.uniform(0.01, 0.5, shape) * np.exp(1j * rng.uniform(0, 7, shape))
+    x = rng.uniform(0, 1, shape) * np.exp(1j * rng.uniform(0, 7, shape))
+    k = rng.integers(0, alpha[0], shape[0])
+    full = level_points(b, d, alpha, 0.3 + 0.1j, x, range(alpha[0]))
+    col = level_points(b, d, alpha, 0.3 + 0.1j, x, k[:, None])
+    assert col.shape == (5000, 1, len(alpha))
+    assert np.array_equal(col[:, 0].view(np.uint64), full[np.arange(5000), k].view(np.uint64))
 
 
 def test_plain_list_of_level_charts_is_a_domain_error():

@@ -240,7 +240,7 @@ def test_plain_list_guard_finds_each_spelling():
 
 RETIRED_API = {"SuspensionParams", "suspend_chart", "vertical_radius", "shrink_for_tube",
                "complexity_report", "ComplexityReport", "evaluate_level_chart",
-               "first_coordinate", "level_base_plan"}
+               "first_coordinate", "level_base_plan", "_coverage_threads"}
 
 
 def api_spellings(source: str) -> list:

@@ -243,7 +243,6 @@ class TestPooledCoverage:
         returns."""
         cov, calls, region = build(), [], _DrawLog(region)
         monkeypatch.setattr(verify_mod, "covers_points", _counting(calls))
-        monkeypatch.setattr(verify_mod, "_coverage_threads", lambda: 2)
         started = _starts(monkeypatch)
         if block is not None:
             monkeypatch.setattr(verify_mod, "POINT_BLOCK", block)
@@ -255,34 +254,48 @@ class TestPooledCoverage:
             assert len(started) == 1 and region.draws == [started[0].ident] * 2
             assert not started[0].is_alive()
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_the_report_does_not_depend_on_the_threads(self, threads, monkeypatch):
-        """The pruned annulus at 300 rows a block, with one usable CPU or two:
-        the one-call report, its 100 uncovered samples of 400 included, from
-        11 `covers_points` calls on the calling thread; the 5 random ranges
-        are drawn there too, or on one pool thread, ended when the check
-        returns."""
+    def test_the_report_does_not_depend_on_the_threads(self, monkeypatch):
+        """The pruned annulus at 300 rows a block: the one-call report, its
+        100 uncovered samples of 400 included, from 11 `covers_points` calls
+        on the calling thread, while the 5 random ranges are drawn on one
+        pool thread, ended when the check returns."""
         cov, region, n = BLOCKED_COVERAGE["pruned-list"]
         cov = cov()
         want = coverage_by_rows(cov, region, n, 5)
         calls, region = [], _DrawLog(region)
         monkeypatch.setattr(verify_mod, "covers_points", _counting(calls))
         monkeypatch.setattr(verify_mod, "POINT_BLOCK", 300)
-        monkeypatch.setattr(verify_mod, "_coverage_threads", lambda: threads)
         started = _starts(monkeypatch)
         got = check_coverage(cov, region, n, 5)
         assert got == want and want.samples_total - want.samples_covered == 400
         assert calls == [threading.get_ident()] * 11
-        assert len(started) == threads - 1 and not any(th.is_alive() for th in started)
-        drawer = started[0].ident if started else threading.get_ident()
-        assert region.draws == [drawer] * 5
+        assert len(started) == 1 and not started[0].is_alive()
+        assert region.draws == [started[0].ident] * 5
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_an_error_in_a_draw_ends_the_check_and_its_thread(self, threads, monkeypatch):
+    def test_a_serial_check_decides_each_open_slab_and_range(self, monkeypatch):
+        """The pruned annulus's 3,021 samples at 1,600 rows a block (at most 2
+        blocks): its one grid slab, which the anchor pass leaves rows of, and
+        its one range of 1,500 random rows are one `covers_points` call each,
+        on the calling thread, which draws the range too and starts no
+        thread; the report is the one-call report."""
+        cov, region, n = BLOCKED_COVERAGE["pruned-list"]
+        cov = cov()
+        want = coverage_by_rows(cov, region, n, 5)
+        calls, region = [], _DrawLog(region)
+        monkeypatch.setattr(verify_mod, "covers_points", _counting(calls))
+        monkeypatch.setattr(verify_mod, "POINT_BLOCK", 1600)
+        started = _starts(monkeypatch)
+        assert check_coverage(cov, region, n, 5) == want and not want.passed
+        g = verify_mod._grid_rows(region.grid(n))
+        assert (g, want.samples_total) == (1521, 3021)
+        assert len(list(verify_mod._slabs(region.grid(n), 0, g, 1600))) == 1
+        assert calls == [threading.get_ident()] * 2 and not started
+        assert region.draws == [threading.get_ident()]
+
+    def test_an_error_in_a_draw_ends_the_check_and_its_thread(self, monkeypatch):
         """A region whose 3rd range of 15 raises: `check_coverage` raises that
         error, no later range is drawn, and no thread is left."""
         monkeypatch.setattr(verify_mod, "POINT_BLOCK", 100)
-        monkeypatch.setattr(verify_mod, "_coverage_threads", lambda: threads)
         region, before = _DrawLog(AnnulusRegion(0.1), fail_at=3), threading.active_count()
         with pytest.raises(ValueError, match="^range 3 failed$"):
             check_coverage(_pruned_annulus(), region, 3000, 5)
@@ -304,7 +317,6 @@ class TestPooledCoverage:
         calls, region = [], _DrawLog(region)
         monkeypatch.setattr(verify_mod, "covers_points", _counting(calls))
         monkeypatch.setattr(verify_mod, "POINT_BLOCK", block)
-        monkeypatch.setattr(verify_mod, "_coverage_threads", lambda: 2)
         assert check_coverage(cov, region, n, 5) == want
         assert want.samples_total - want.samples_covered == len(want.uncovered)
         g = verify_mod._grid_rows(region.grid(n))
@@ -321,7 +333,6 @@ class TestPooledCoverage:
         cov = cov()
         want = {seed: coverage_by_rows(cov, region, n, seed) for seed in range(3)}
         monkeypatch.setattr(verify_mod, "POINT_BLOCK", 300)
-        monkeypatch.setattr(verify_mod, "_coverage_threads", lambda: 2)
         got, errors = {}, []
 
         def run(seed):
