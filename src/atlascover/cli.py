@@ -14,7 +14,16 @@ import sys
 
 from . import __version__
 from .annulus import cover_annulus
-from .core import AtlasError, EtaParams, MonomialLevelSet, PolydiscComplement, PuncturedPlane, cpoint
+from .core import (
+    AtlasError,
+    EtaParams,
+    MalformedFile,
+    MonomialLevelSet,
+    PolydiscComplement,
+    PuncturedPlane,
+    cpoint,
+    json_number,
+)
 from .jsonio import (
     SCHEMA_VERSION,
     read_achart_atlas,
@@ -163,11 +172,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _meta_number(cov, key: str) -> float:
+    """The number ``cov.meta[key]``; `MalformedFile` naming the key if the meta,
+    say of a hand-made covering file, holds none there."""
+    if key not in cov.meta:
+        raise MalformedFile(f"the covering's meta has no {key!r} to sample by")
+    try:
+        return json_number(cov.meta[key])
+    except TypeError as exc:
+        raise MalformedFile(f"the covering's meta {key!r}: {exc}") from None
+
+
 # ambient kind: the region `verify coverage` samples for a covering of that ambient
 _REGIONS = {
-    PuncturedPlane.kind: lambda cov: AnnulusRegion(delta=float(cov.meta["delta"])),
+    PuncturedPlane.kind: lambda cov: AnnulusRegion(delta=_meta_number(cov, "delta")),
     PolydiscComplement.kind: lambda cov: PolydiscRegion(
-        eta=float(cov.meta["eta"]), n=cov.ambient.n, active_axes=frozenset(cov.ambient.active_axes)),
+        eta=_meta_number(cov, "eta"), n=cov.ambient.n, active_axes=cov.ambient.active_axes),
     MonomialLevelSet.kind: lambda cov: LevelGraphRegion(alpha=cov.ambient.alpha, c=cov.ambient.c),
 }
 

@@ -236,9 +236,8 @@ class PuncturedPlane:
 class PolydiscComplement:
     """C^n minus the coordinate hyperplanes {x_i = 0} over the active axes.
 
-    An empty active set denotes the plain polydisc (nothing removed); it only
-    occurs for intermediate levels of constructions whose punctured axes come
-    later.
+    An empty active set denotes C^n itself (nothing removed).  No construction
+    builds one, and `cover_punctured_polydisc` refuses it.
     """
 
     n: int

@@ -22,6 +22,7 @@ from .core import (
     NotARegularValue,
     PolydiscComplement,
     check_dimension,
+    check_integer,
     check_positive,
 )
 from .suspension import SuspendedCharts, cover_axis, layer_zeta
@@ -155,6 +156,7 @@ def level_lower_bound(c: complex, C_unit: float, alpha0: int) -> float:
         raise NotARegularValue("0 is the singular value of a monomial")
     if not C_unit >= 1:
         raise ValueError("C_unit must be >= 1")
+    check_integer("alpha0", alpha0)
     if alpha0 < 1:
         raise ValueError("alpha0 must be a positive integer")
     return (abs(c) / C_unit) ** (1.0 / alpha0)

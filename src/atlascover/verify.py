@@ -1,10 +1,10 @@
 """Covering-level certification, coverage sampling, chains, and scaling fits.
 
-Sample regions state the ``ambient_kind`` they lie in and implement
-``fits(ambient)``, which raises `RegionMismatch` unless the ambient is theirs,
-``rows(n_samples, seed)``, their seeded sample set as `sample_rows` gives it,
-and ``grid(n_samples)``, the per-axis factors of the product grid its first
-rows are, or () for a set with none.
+Sample regions state the ``ambient`` they lie in, an ambient of `core` whose
+equality says when two are the same, and implement ``rows(n_samples, seed)``,
+their seeded sample set as `sample_rows` gives it, and ``grid(n_samples)``,
+the per-axis factors of the product grid its first rows are, or () for a set
+with none.
 """
 
 from __future__ import annotations
@@ -44,20 +44,12 @@ from .suspension import covers_points
 # sample regions
 # ---------------------------------------------------------------------------
 
-def _fit_kind(region, ambient) -> None:
-    """Raise `RegionMismatch` unless ``region`` is a region of ``ambient``'s kind."""
-    if getattr(region, "ambient_kind", None) != ambient.kind:
-        raise RegionMismatch(
-            f"region {type(region).__name__} does not fit ambient {type(ambient).__name__}")
-
-
 @dataclass(frozen=True)
 class AnnulusRegion:
     """{delta <= |z| <= 1} in the punctured plane; empty if delta >= 1."""
 
     delta: float
-    ambient_kind = PuncturedPlane.kind
-    fits = _fit_kind        # the plane has no parameters to match
+    ambient = PuncturedPlane()
 
     def __post_init__(self):
         check_positive("delta", self.delta)
@@ -76,23 +68,17 @@ class PolydiscRegion:
     eta: float
     n: int
     active_axes: frozenset | None = None
-    ambient_kind = PolydiscComplement.kind
 
     def __post_init__(self):
         check_positive("eta", self.eta)
         check_dimension(self.n, "the region's dimension n")
+        self.ambient                    # a bad active axis is refused here, not when sampled
 
-    def axes(self) -> frozenset:
-        if self.active_axes is None:
-            return frozenset(range(1, self.n + 1))
-        return frozenset(self.active_axes)
-
-    def fits(self, ambient) -> None:
-        _fit_kind(self, ambient)
-        if self.n != ambient.n or self.axes() != frozenset(ambient.active_axes):
-            raise RegionMismatch(
-                f"region ({self.n}, {sorted(self.axes())}) does not match "
-                f"ambient ({ambient.n}, {sorted(ambient.active_axes)})")
+    @property
+    def ambient(self) -> PolydiscComplement:
+        """The complement of the active axes' hyperplanes: every axis's when none is given."""
+        return PolydiscComplement(
+            self.n, range(1, self.n + 1) if self.active_axes is None else self.active_axes)
 
     def grid(self, n_samples: int) -> tuple:
         """Grid rows [0, g) of `rows` as factors: per axis, `_axis_grid`'s radii (log-spaced
@@ -100,7 +86,7 @@ class PolydiscRegion:
         holding point (r // S^(n-1-i)) % S on axis i; () if empty or no sample is asked for."""
         if self.eta >= 1.0 or not n_samples:
             return ()
-        side, axes = _grid_side(n_samples, self.n), self.axes()
+        side, axes = _grid_side(n_samples, self.n), self.ambient.active_axes
         return tuple(_axis_grid(self.eta, side, True) if i + 1 in axes
                      else _axis_grid(0.0, side, False) for i in range(self.n))
 
@@ -113,7 +99,7 @@ class PolydiscRegion:
         it to its first draw (one 64-bit output per double), so it costs its
         own rows only.  Each range has a PCG64 of its own, so ranges may be
         drawn on several threads at once."""
-        n, eta, axes = self.n, self.eta, self.axes()
+        n, eta, axes = self.n, self.eta, self.ambient.active_axes
         if eta >= 1.0:
             return _no_rows(n)
         _sample_budget(n_samples, n)
@@ -154,12 +140,10 @@ class LevelGraphRegion:
 
     alpha: tuple
     c: complex
-    ambient_kind = MonomialLevelSet.kind
 
-    def fits(self, ambient) -> None:
-        _fit_kind(self, ambient)
-        if tuple(self.alpha) != ambient.alpha or complex(self.c) != ambient.c:
-            raise RegionMismatch("level-set parameters do not match the ambient")
+    @property
+    def ambient(self) -> MonomialLevelSet:
+        return MonomialLevelSet(self.alpha, self.c)
 
     def grid(self, n_samples: int) -> tuple:
         """(): the graph points are no product of axis grids."""
@@ -302,8 +286,9 @@ POINT_BLOCK = 1 << 14           # rows of one range of a pooled check: two in fl
 
 def check_coverage(cov: Covering, region, n_samples: int = 10000,
                    seed: int = 0, tol: float | None = None) -> CoverageReport:
-    """Sample the region, which must fit the covering's ambient (`fits`),
-    deterministically and test unit-scale membership.
+    """Sample the region deterministically and test unit-scale membership.
+    The region's ``ambient`` must equal the covering's, else `RegionMismatch`
+    is raised before any sample is drawn.
 
     The grid half of a polydisc or annulus set (`PolydiscRegion.grid`) is cut
     into slabs of at most `POINT_BLOCK` rows (`_slabs`), whose anchor pass
@@ -324,8 +309,8 @@ def check_coverage(cov: Covering, region, n_samples: int = 10000,
     a signal handler while this call waits, is raised once no later range is
     queued and the pool thread has ended.  An empty region passes.
     """
-    _fit_kind(region, cov.ambient)
-    region.fits(cov.ambient)
+    if getattr(region, "ambient", None) != cov.ambient:
+        raise RegionMismatch(f"region {region!r} does not fit ambient {cov.ambient!r}")
     total, rows = sample_rows(region, n_samples, seed)
     if total == 0:
         return CoverageReport(samples_total=0, samples_covered=0)

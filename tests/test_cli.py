@@ -301,6 +301,30 @@ def test_coverage_of_a_file_whose_delta_is_not_positive_exits_two(tmp_path, caps
     assert capsys.readouterr().err == f"error: ValueError: {message}\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build, meta, message", [
+    (lambda: cover_punctured_polydisc(2, 0.75, 2.0)[0], {},
+     "the covering's meta has no 'eta' to sample by"),
+    (lambda: cover_annulus(0.1, 2.0), {}, "the covering's meta has no 'delta' to sample by"),
+    (lambda: cover_punctured_polydisc(2, 0.75, 2.0)[0], {"eta": [0.75]},
+     "the covering's meta 'eta': expected a number, got [0.75]"),
+    (lambda: cover_annulus(0.1, 2.0), {"delta": [0.1]},
+     "the covering's meta 'delta': expected a number, got [0.1]"),
+], ids=["polydisc-no-eta", "annulus-no-delta", "polydisc-eta-list", "annulus-delta-list"])
+def test_coverage_of_a_hand_made_file_without_its_meta_number_exits_two(
+        tmp_path, capsys, build, meta, message):
+    """A schema-1 file of 50 charts whose meta lacks the number its region
+    is sampled by, or holds a list there, names the key and exits 2, where
+    it once ended in a `KeyError` or `TypeError` traceback."""
+    from atlascover.core import Covering
+    cov = build()
+    path = tmp_path / "hand-made.json"
+    write_covering(Covering(cov.ambient, cov.gamma, list(cov.charts)[:50], meta), path)
+    assert json.loads(path.read_text())["schema_version"] == "1"
+    assert main(["verify", "coverage", "--covering", str(path), "--samples", "100"]) == 2
+    assert capsys.readouterr().err == f"error: MalformedFile: {message}\n"
+
+
 def test_domain_error_exits_two(capsys):
     assert main(["cover", "levelset", "--alpha", "2,1", "--c", "0,0",
                  "--gamma", "2", "--out", "/tmp/never.json"]) == 2

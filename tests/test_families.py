@@ -18,7 +18,6 @@ from atlascover.core import (
     Covering,
     DiagonalAffineChart,
     DimensionMismatch,
-    PolydiscComplement,
     PuncturedPlane,
     UnsupportedAmbient,
     _product_rows,
@@ -490,9 +489,7 @@ def test_covers_settled_by_the_anchor_pass_splits_once_per_level(monkeypatch):
 def _covering(name, region):
     """The covering of FAMILIES[name] in the ambient of ``region``."""
     fam = family(_charts(name))
-    ambient = PuncturedPlane() if isinstance(region, AnnulusRegion) else \
-        PolydiscComplement(n=region.n, active_axes=region.axes())
-    return Covering(ambient=ambient, gamma=fam.gamma, charts=fam)
+    return Covering(ambient=region.ambient, gamma=fam.gamma, charts=fam)
 
 
 def test_every_family_has_a_region():

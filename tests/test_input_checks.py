@@ -150,6 +150,8 @@ CHECKS = {
                            ValueError, "C_unit must be >= 1"),
     "lower-bound-alpha0": (lambda: level_lower_bound(0.5, 1.0, 0),
                            ValueError, "alpha0 must be a positive integer"),
+    "lower-bound-alpha0-2.5": (lambda: level_lower_bound(0.5, 1.0, 2.5),
+                               ValueError, "alpha0 must be an integer, got 2.5"),
     "achart-y": (lambda: RealAChart((1.5,), (1.0,), 4.0, DATA),
                  ValueError, "box centers must lie in (0, 1)^m"),
     "achart-c3": (lambda: RealAChart((0.5,), (1.0,), 3.0, DATA),
@@ -227,14 +229,17 @@ CHECKS = {
                        RegionMismatch, "unknown region 'disk'"),
     "coverage-region-other-ambient": (
         lambda: check_coverage(cover_annulus(0.5, 2.0), PolydiscRegion(eta=0.5, n=1), 10),
-        RegionMismatch, "region PolydiscRegion does not fit ambient PuncturedPlane"),
+        RegionMismatch, "region PolydiscRegion(eta=0.5, n=1, active_axes=None) "
+                        "does not fit ambient PuncturedPlane()"),
     "coverage-polydisc-other-axes": (
         lambda: check_coverage(cover_punctured_polydisc(2, 0.75, 2.0)[0],
                                PolydiscRegion(eta=0.75, n=2, active_axes=frozenset({2})), 10),
-        RegionMismatch, "region (2, [2]) does not match ambient (2, [1, 2])"),
+        RegionMismatch, "region PolydiscRegion(eta=0.75, n=2, active_axes=frozenset({2})) "
+                        "does not fit ambient PolydiscComplement(n=2, active_axes=frozenset({1, 2}))"),
     "coverage-other-level": (lambda: check_coverage(cover_monomial_level_set((2, 1), 0.5),
                                                     LevelGraphRegion((2, 1), 0.25), 10),
-                             RegionMismatch, "level-set parameters do not match the ambient"),
+                             RegionMismatch, "region LevelGraphRegion(alpha=(2, 1), c=0.25) does not "
+                                             "fit ambient MonomialLevelSet(alpha=(2, 1), c=(0.5+0j))"),
     "coverage-count-10.5": (lambda: check_coverage(cover_annulus(0.1, 2.0), AnnulusRegion(0.1), 10.5),
                             ValueError, "the sample count must be an integer, got 10.5"),
     "coverage-seed-string": (lambda: check_coverage(cover_annulus(0.1, 2.0), AnnulusRegion(0.1),
@@ -248,6 +253,10 @@ CHECKS = {
     **{f"polydisc-region-n-{n}": (
         lambda n=n: region_samples(PolydiscRegion(0.5, n), 10, 0), DimensionMismatch,
         f"the region's dimension n must be an integer >= 1, got {n}") for n in (0, -1, 1.5)},
+    **{f"polydisc-region-axes-{a}": (
+        lambda a=a: PolydiscRegion(0.5, 2, frozenset({a})), ValueError, message)
+       for a, message in ((1.5, "an active axis must be an integer, got 1.5"),
+                          (3, "active axes must lie in 1..2"))},
     "annulus-region-delta-negative": (lambda: region_samples(AnnulusRegion(-0.5), 100, 0),
                                       ValueError, "delta must be positive, got -0.5"),
     "fit-one-point": (lambda: linear_fit([1.0], [2.0]),

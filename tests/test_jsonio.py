@@ -130,7 +130,7 @@ def test_ambient_file_form_and_cli_region(name):
     assert ambient_from_dict(json.loads(form)) == cov.ambient
     got = _REGIONS[cov.ambient.kind](cov)
     assert repr(got) == region
-    got.fits(cov.ambient)
+    assert got.ambient == cov.ambient
     report = check_coverage(cov, got, 300, 3)
     assert (report.samples_covered, report.samples_total, report.uncovered) == (covered, total, ())
 

@@ -1,7 +1,7 @@
 """Guard for the ambient, region and chart-family protocols: no library
 module tells an ambient or a sample region apart by an `isinstance` test, and
 `verify` and `jsonio` do not test for `LevelBranchCharts`.  Each type answers
-for itself (`kind`, `punctured_axes`, `fits`, `rows`, `_pair_witnesses`), so a
+for itself (`kind`, `punctured_axes`, `ambient`, `rows`, `_pair_witnesses`), so a
 new ambient adds a type, not a branch in every module.
 
 It also guards the one ball rule: no library module defines the helpers that
@@ -240,7 +240,8 @@ def test_plain_list_guard_finds_each_spelling():
 
 RETIRED_API = {"SuspensionParams", "suspend_chart", "vertical_radius", "shrink_for_tube",
                "complexity_report", "ComplexityReport", "evaluate_level_chart",
-               "first_coordinate", "level_base_plan", "_coverage_threads"}
+               "first_coordinate", "level_base_plan", "_coverage_threads",
+               "fits", "ambient_kind", "_fit_kind"}
 
 
 def api_spellings(source: str) -> list:
