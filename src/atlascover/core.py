@@ -139,14 +139,14 @@ def tolerance(tol: float | None = None) -> float:
 
 
 def check_dimension(n, name: str = "dimension") -> None:
-    """Raise `DimensionMismatch` naming ``name`` unless ``n`` is an integer >= 1."""
-    if not (isinstance(n, numbers.Integral) and n >= 1):
+    """Raise `DimensionMismatch` naming ``name`` unless ``n`` is an integer >= 1, not a bool."""
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
         raise DimensionMismatch(f"{name} must be an integer >= 1, got {n!r}")
 
 
 def check_integer(name: str, value) -> None:
-    """Raise `ValueError` naming ``name`` unless ``value`` is an integer."""
-    if not isinstance(value, numbers.Integral):
+    """Raise `ValueError` naming ``name`` unless ``value`` is an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -236,21 +236,22 @@ class PuncturedPlane:
 class PolydiscComplement:
     """C^n minus the coordinate hyperplanes {x_i = 0} over the active axes.
 
-    An empty active set denotes C^n itself (nothing removed).  No construction
-    builds one, and `cover_punctured_polydisc` refuses it.
+    None punctures every axis; an empty active set denotes C^n itself (nothing
+    removed), which no construction builds and `cover_punctured_polydisc` refuses.
     """
 
     n: int
-    active_axes: frozenset = field(default_factory=frozenset)
+    active_axes: frozenset | None = field(default_factory=frozenset)
     kind = "polydisc_complement"
     chart_kind = "diag_affine"
     branches = 1
 
     def __post_init__(self):
-        for i in self.active_axes:
-            check_integer("an active axis", i)
-        object.__setattr__(self, "active_axes", frozenset(int(i) for i in self.active_axes))
         check_dimension(self.n)
+        axes = range(1, self.n + 1) if self.active_axes is None else frozenset(self.active_axes)
+        for i in axes:
+            check_integer("an active axis", i)
+        object.__setattr__(self, "active_axes", frozenset(int(i) for i in axes))
         if not all(1 <= i <= self.n for i in self.active_axes):
             raise ValueError(f"active axes must lie in 1..{self.n}")
 
@@ -298,7 +299,7 @@ class MonomialLevelSet:
 
     @property
     def base(self) -> PolydiscComplement:
-        return PolydiscComplement(self.dim - 1, range(1, self.dim))
+        return PolydiscComplement(self.dim - 1, None)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "alpha": list(self.alpha), "c": [self.c.real, self.c.imag]}

@@ -58,15 +58,6 @@ class PolydiscCoveringPlan:
                 "kappa": self.kappa_final}
 
 
-def _normalize_axes(n: int, active_axes) -> frozenset:
-    if active_axes is None:
-        return frozenset(range(1, n + 1))
-    axes = frozenset(active_axes)
-    if not axes:
-        raise ValueError("at least one axis must be punctured")
-    return axes                 # `PolydiscComplement` checks that they are integers in range
-
-
 def polydisc_plan(n: int, eta: float, gamma: float,
                   active_axes=None) -> PolydiscCoveringPlan:
     """Count-only mode: the plan the lazy construction records; no chart is built."""
@@ -91,8 +82,9 @@ def cover_punctured_polydisc(n: int, eta: float, gamma: float,
         raise ValueError(f"gamma must be finite, got {gamma}")
     if not gamma >= 2.0:
         raise GammaTooSmall(f"the induction requires gamma >= 2, got {gamma}")
-    ambient = PolydiscComplement(n=n, active_axes=_normalize_axes(n, active_axes))
-    axes = ambient.active_axes
+    ambient = PolydiscComplement(n=n, active_axes=active_axes)
+    if not (axes := ambient.active_axes):
+        raise ValueError("at least one axis must be punctured")
     if eta >= 1.0:
         plan = PolydiscCoveringPlan(n=n, eta=float(eta), gamma=float(gamma))
         cov = Covering(ambient=ambient, gamma=float(gamma), charts=[],

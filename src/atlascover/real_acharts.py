@@ -117,16 +117,14 @@ class RealAChart:
 def axis_scale_centers(eps: float) -> list:
     """Dyadic centers y_k = (2/3) 2^-k whose intervals (y/2, 3y/2) chain-cover (eps, 1).
 
-    K is the smallest index with (1/3) 2^-K <= eps; eps >= 1/2 needs a single
-    center.
+    K is the smallest index with (1/3) 2^-K <= eps, counted up from 0 in at
+    most 1,075 steps; eps >= 1/2 needs a single center.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    K = max(0, math.ceil(-math.log2(3.0 * eps)))
+    K = 0
     while (1.0 / 3.0) * 2.0 ** -K > eps:
         K += 1
-    while K > 0 and (1.0 / 3.0) * 2.0 ** -(K - 1) <= eps:
-        K -= 1
     return [(2.0 / 3.0) * 2.0 ** -k for k in range(K + 1)]
 
 
@@ -197,7 +195,7 @@ def graph_grid_size(data: MonomialData, eps: float, c3: float) -> tuple:
 def _ranks(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The index of each value in the sorted distinct ``table``, -1 where absent."""
     at = np.minimum(np.searchsorted(table, values), len(table) - 1)
-    return np.where(table[at] == values, at, -1)
+    return np.where(table.take(at) == values, at, -1)
 
 
 ABSENT = -(1 << 62)    # the column of a value no key holds: every code it joins is negative
@@ -264,11 +262,10 @@ class _GraphKeys:
         `ABSENT` where no key holds that k with that z0 on an axis."""
         if not len(self.values):
             return np.full(z0.shape, ABSENT, dtype=np.int64)
-        with np.errstate(invalid="ignore"):
-            j = (z0 - self.odd_lo) / 2.0
-            j = np.where((j >= 0) & (j < len(self.odd_rank)), j, -1)    # a NaN is outside
-        zr = self.odd_rank[j.astype(np.int64)]
-        zr = np.where(self.values[zr] == z0, zr, -1)     # a non-integer j took its floor
+        with np.errstate(invalid="ignore"):     # a NaN or a j outside is clipped, then refused
+            j = ((z0 - self.odd_lo) / 2.0).astype(np.int64)
+        zr = self.odd_rank.take(j, mode="clip")           # `take`: faster than indexing
+        zr = np.where(self.values.take(zr) == z0, zr, -1)     # a non-integer j was truncated
         if self.loose:
             zr[zr < 0] = _ranks(self.values, z0[zr < 0])
         kc = k - self.kmin
@@ -283,10 +280,10 @@ class _GraphKeys:
         for i, ranked in enumerate(self.ranked):
             if ranked is not None:
                 codes = _ranks(ranked, codes)
-            codes = (codes * self.size + col[i][:, pts]).ravel()
+            codes = (codes * self.size + col[i].take(pts, axis=1)).ravel()
             at = np.flatnonzero(codes >= 0)
-            pts, codes = pts[at % len(pts)], codes[at]
-        return pts[self.grid[codes] if self.codes is None else _ranks(self.codes, codes) >= 0]
+            pts, codes = pts.take(at % len(pts)), codes.take(at)
+        return pts[self.grid.take(codes) if self.codes is None else _ranks(self.codes, codes) >= 0]
 
 
 class GraphCharts(ChartFamily):
@@ -546,19 +543,24 @@ def graph_membership(charts, xs: np.ndarray,
                      tol: float | None = None) -> np.ndarray:
     """Which real points (x, a x^mu) lie in some chart's real image.
 
-    On each axis x_i lies in the interval (y/2, 3y/2) of at most two dyadic
-    scales k, y = (2/3) 2^-k.  For each, u = 2 C3 (x/y - 1) names the unit
-    box z0 = 2 floor(u/2) + 1 and w = u - z0.  A point is a member iff for
-    some choice of scale per axis every |u_i| < C3 (1 + t) and
-    |w_i| <= 1 + t, and (k, z0) is a chart's key (`GraphCharts.is_key`);
-    the last coordinate then agrees identically, being the same monomial of
-    the first m.  All choices are decided in one pass: each point's partial
-    keys are expanded by the valid scales of one axis at a time, and the
-    candidates are looked up at once.  Chart images lie in (0, inf)^m, so a
-    row with a coordinate that is not a positive finite number (or too small
-    to invert) is not a member.  Points of another width than m, or an array
-    of more than 2 dims, raise `DimensionMismatch`; complex points raise
-    `ValueError`.
+    Per axis and dyadic scale k, y = (2/3) 2^-k, u = 2 C3 (x/y - 1) names the
+    unit box z0 = 2 floor(u/2) + 1 and w = u - z0.  A point is a member iff
+    for some scale per axis with y/2 < x_i < 3y/2 every |u_i| < C3 (1 + t) and
+    |w_i| <= 1 + t, and (k, z0) is a chart's key (`GraphCharts.is_key`); the
+    last coordinate then agrees, being the same monomial of the first m.  All
+    choices are decided in one pass (`_GraphKeys.members`).  A coordinate that
+    is not a positive finite number (or too small to invert) is in no chart
+    image.  Points of another width than m, or an array of more than 2 dims,
+    raise `DimensionMismatch`; complex points raise `ValueError`.
+
+    Floating point lets the pass test less.  Scales: k = c, c + 1 with c =
+    ceil(lg - 1 - 1e-9), lg = log2((2/3) / x); the exact test passes only k in
+    (L - 1, L + log2(3/2)), L = log2(fl(2/3) / x), up to roundings far below
+    1e-12: k0, the least integer above L - 1, and k0 + 1 if L - k0 > 0.41.  A
+    finite lg is within 1e-12 of L: c is k0, or k0 - 1 where k0 + 1 fails.
+    Offsets: where |u| < 2^53 (the u bound stops there: no odd float is
+    above), z0 is an exact odd integer within 1 of u (to 2^-1074 if u/2 is
+    subnormal), so w rounds into [-1, 1]: |w| <= 1 + t for `tolerance`'s t >= 0.
     """
     xs = np.asarray(xs)
     if np.iscomplexobj(xs):
@@ -572,32 +574,25 @@ def graph_membership(charts, xs: np.ndarray,
     f = GraphCharts.listed(charts)
     if xs.shape[1] != f.data.m:
         raise DimensionMismatch(f"points of width {xs.shape[1]} for an atlas of dim {f.data.m}")
-    t, c3 = tolerance(tol), f.c3
+    c3, bound = f.c3, min(f.c3 * (1.0 + tolerance(tol)), 2.0 ** 53)
+    # (axis, slot, point) arrays for k = c, c + 1, C-ordered; in place where bits allow: fresh ones fault
+    xt = np.ascontiguousarray(xs.T)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lg = np.log2((2.0 / 3.0) / xs.T)
-    rows = np.nonzero(np.isfinite(lg).all(axis=0))[0]
-    if len(rows) < len(xs):
-        xs, lg = xs[rows], lg[:, rows]
-    # (axis, scale slot, point) arrays for the scales base - 1, base, base + 1;
-    # updated in place where that keeps the bits, since fresh arrays this size
-    # cost page faults on every call
-    x = xs.T[:, None, :]
-    k = np.floor(lg).astype(np.int32)[:, None, :] + np.arange(-1, 2, dtype=np.int32)[:, None]
-    y = np.ldexp(2.0 / 3.0, -k)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        lg = np.log2((2.0 / 3.0) / xt) - (1.0 + 1e-9)
+        lg[~np.isfinite(lg)] = -3.0     # scales k < 0, which no member has
+        x = xt[:, None, :]
+        k = np.ceil(lg, out=lg).astype(np.int32)[:, None, :] + np.arange(2, dtype=np.int32)[:, None]
+        y = np.ldexp(2.0 / 3.0, -k)
         u = np.divide(x, y)
         u -= 1.0
         u *= 2.0 * c3
-    ok = (k >= 0) & (y / 2.0 < x) & (x < 3.0 * y / 2.0) & (np.abs(u) < c3 * (1.0 + t))
+        ok = (k >= 0) & (y / 2.0 < x) & (x < 3.0 * y / 2.0) & (np.abs(u) < bound)
     del y
-    z0 = np.floor(u / 2.0)
+    z0 = np.floor(np.divide(u, 2.0, out=u), out=u)
     z0 *= 2.0
     z0 += 1.0
-    u -= z0
-    ok &= np.abs(u, out=u) <= 1.0 + t
-    del u
     at = np.flatnonzero(ok)
     col = np.full(k.shape, ABSENT, dtype=np.int64)
-    col.reshape(-1)[at] = f._keys.columns(k.reshape(-1)[at], z0.reshape(-1)[at])
-    out[rows[f._keys.members(col)]] = True
+    col.reshape(-1)[at] = f._keys.columns(k.take(at), z0.take(at))
+    out[f._keys.members(col)] = True
     return out

@@ -77,8 +77,7 @@ class PolydiscRegion:
     @property
     def ambient(self) -> PolydiscComplement:
         """The complement of the active axes' hyperplanes: every axis's when none is given."""
-        return PolydiscComplement(
-            self.n, range(1, self.n + 1) if self.active_axes is None else self.active_axes)
+        return _polydisc_ambient(self.n, self.active_axes is None, *(self.active_axes or ()))
 
     def grid(self, n_samples: int) -> tuple:
         """Grid rows [0, g) of `rows` as factors: per axis, `_axis_grid`'s radii (log-spaced
@@ -143,7 +142,7 @@ class LevelGraphRegion:
 
     @property
     def ambient(self) -> MonomialLevelSet:
-        return MonomialLevelSet(self.alpha, self.c)
+        return _level_ambient(self.c, *self.alpha)
 
     def grid(self, n_samples: int) -> tuple:
         """(): the graph points are no product of axis grids."""
@@ -168,6 +167,18 @@ class LevelGraphRegion:
                 seg[:, :1], seg[:, 1:] = direct_branch_values(alpha, c, pts, slice(k, k + 1)), pts
             return out
         return alpha[0] * n_base, rows
+
+
+@lru_cache(maxsize=64, typed=True)
+def _polydisc_ambient(n, every: bool, *axes) -> PolydiscComplement:
+    """`PolydiscRegion.ambient` once per field tuple, typed, each axis apart: 1.0 or True never finds 1's."""
+    return PolydiscComplement(n, None if every else axes)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _level_ambient(c, *alpha) -> MonomialLevelSet:
+    """`LevelGraphRegion.ambient` once per field tuple, as `_polydisc_ambient`."""
+    return MonomialLevelSet(alpha, c)
 
 
 @lru_cache(maxsize=16)

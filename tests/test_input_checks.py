@@ -50,6 +50,7 @@ from atlascover.verify import (
     linear_fit,
     named_bound,
     region_samples,
+    sample_rows,
 )
 
 DISK = DiagonalAffineChart(b=(0.5,), d=(0.1,), gamma=2.0)
@@ -248,6 +249,17 @@ CHECKS = {
     "coverage-seed-negative": (lambda: check_coverage(cover_annulus(0.1, 2.0), AnnulusRegion(0.1),
                                                       10, seed=-1),
                                ValueError, "the seed must be >= 0, got -1"),
+    # a bool is not an integer, as the file reader (`json_number`) already holds
+    "polydisc-dim-true": (lambda: cover_punctured_polydisc(True, 0.5, 2.0),
+                          DimensionMismatch, "dimension must be an integer >= 1, got True"),
+    "polydisc-axis-true": (lambda: PolydiscComplement(2, {True}),
+                           ValueError, "an active axis must be an integer, got True"),
+    "level-set-exponent-true": (lambda: MonomialLevelSet((2, True), 0.5),
+                                ValueError, "an exponent must be an integer, got True"),
+    "coverage-count-true": (lambda: sample_rows(PolydiscRegion(0.5, 2), True, 0),
+                            ValueError, "the sample count must be an integer, got True"),
+    "coverage-seed-true": (lambda: sample_rows(PolydiscRegion(0.5, 2), 10, True),
+                           ValueError, "the seed must be an integer, got True"),
     "polydisc-region-eta-nan": (lambda: region_samples(PolydiscRegion(math.nan, 2), 10 ** 12, 0),
                                 ValueError, "eta must be finite, got nan"),
     **{f"polydisc-region-n-{n}": (

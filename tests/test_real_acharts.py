@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from atlascover import core
 from atlascover.core import AtlasError, DimensionMismatch, NotHolomorphic, UnsupportedAmbient
@@ -16,6 +17,7 @@ from atlascover.real_acharts import (
     axis_scale_centers,
     choose_C3,
     cover_monomial_graph,
+    graph_c3,
     graph_count_bound,
     graph_membership,
     offset_grid,
@@ -270,6 +272,107 @@ def test_membership_matches_the_per_point_loop(mu, coeff, eps):
             assert got.any() and not got.all()
 
 
+def _scale_window(x):
+    """The scales `graph_membership` tries for a coordinate x: c and c + 1,
+    c = ceil(log2((2/3) / x) - 1 - 1e-9), or none where that log is not finite."""
+    with np.errstate(divide="ignore", over="ignore"):
+        lg = np.log2((2.0 / 3.0) / np.float64(x))
+    return set() if not np.isfinite(lg) else {int(np.ceil(lg - (1.0 + 1e-9))) + j for j in (0, 1)}
+
+
+def _in_scale(x, k):
+    """The exact interval test y/2 < x < 3y/2 of scale k, y = fl(2/3) 2^-k."""
+    with np.errstate(over="ignore"):
+        y = np.ldexp(2.0 / 3.0, -k)
+        return bool(y / 2.0 < x < 3.0 * y / 2.0)
+
+
+def _dyadic_edges():
+    """fl(2/3) 2^-k {1/2, 3/2} for k <= 60, each with its neighbours one ulp either side."""
+    edges = np.ldexp(2.0 / 3.0, -np.arange(61))[:, None] * np.array([0.5, 1.5])
+    return np.unique(np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)]))
+
+
+@given(st.one_of(st.builds(lambda e: 4.0 * 2.0 ** -e, st.floats(0.0, 1080.0)),     # log-uniform in (0, 4)
+                 st.sampled_from(_dyadic_edges().tolist()),
+                 st.integers(1, 2 ** 52 - 1).map(lambda i: i * 5e-324),           # subnormals
+                 st.floats(2.0 / 3.0, 1e308, exclude_min=True)))
+@example(x=5e-324)
+@example(x=2.0 ** -1022)
+@example(x=2.0 / 3.0)
+def test_the_two_scale_window_holds_every_scale_that_passes(x):
+    """Every scale floor(lg) + {-2, ..., 2} that passes the exact interval
+    test lies in {c, c + 1}: the window `graph_membership` tries drops none."""
+    window = _scale_window(x)
+    if not window:
+        return
+    base = math.floor(np.log2((2.0 / 3.0) / x))
+    assert {k for k in range(base - 2, base + 3) if _in_scale(x, k)} <= window
+
+
+def test_the_two_scale_window_on_every_dyadic_edge():
+    """The window holds every passing scale on each edge and its neighbours."""
+    for x in _dyadic_edges():
+        window = _scale_window(x)
+        base = math.floor(np.log2((2.0 / 3.0) / x))
+        assert {k for k in range(base - 2, base + 3) if _in_scale(x, k)} <= window, x
+
+
+_C3S = sorted({5.0, graph_c3(MonomialData(1.0, (0.5, -0.25))), graph_c3(MonomialData(1.0, (1.0,)))})
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-10, 1e-3, 1e6])
+@pytest.mark.parametrize("c3", _C3S)
+@given(data=st.data())
+def test_the_offset_remainder_needs_no_test(c3, t, data):
+    """For every |u| < C3 (1 + t), w = u - (2 floor(u/2) + 1) rounds into
+    [-1, 1], so |w| <= 1 + t holds unasked; w is 1 itself only for u in
+    [-2^-54, 0), where 1 + u rounds up."""
+    bound = c3 * (1.0 + t)
+    inside = float(np.nextafter(bound, 0.0))
+    u = data.draw(st.one_of(st.floats(-inside, inside),
+                            st.sampled_from([inside, -inside, 0.0, -0.0, 5e-324, -5e-324,
+                                             -2.0 ** -54, -2.0 ** -53, 2.0 ** -54]),
+                            st.integers(-int(inside), int(inside)).map(float)))
+    u = np.float64(u)
+    w = u - (2.0 * np.floor(u / 2.0) + 1.0)
+    assert -1.0 <= w <= 1.0 <= 1.0 + t
+    assert w < 1.0 or -2.0 ** -54 <= u < 0.0
+
+
+def _proof_edge_points(charts, m, seed):
+    """Rows of the edge sets the two proofs turn on: the dyadic edges, the
+    unit-box edges of `_edge_points`, log-uniform values in (0, 4),
+    subnormals x whose (2/3) / x is finite (the loop takes no other) and
+    values past 2/3, mixed over the m axes."""
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([_dyadic_edges(), _edge_points(charts, 2000, seed).ravel(),
+                             4.0 * 2.0 ** -rng.uniform(0.0, 1020.0, 500),
+                             rng.integers(2 ** 50, 2 ** 52, 100) * 5e-324,
+                             rng.uniform(2.0 / 3.0, 4.0, 100)])
+    return rng.choice(values, size=(3000, m))
+
+
+def _bench_atlas(mu, eps):
+    return cover_monomial_graph(MonomialData(1.0, mu), eps)
+
+
+@pytest.mark.parametrize("atlas", [
+    lambda: _bench_atlas((0.5, -0.25), 0.01),
+    lambda: _bench_atlas((1.0,), 1e-6),
+    lambda: list(_bench_atlas((0.5, -0.25), 0.01))[::3],
+], ids=["m2", "m1", "m2-listed"])
+@pytest.mark.parametrize("tol", [0.0, None, 1e-3])
+def test_membership_is_the_loop_on_the_proof_edges(atlas, tol):
+    """`graph_membership`, two scales and no w test, gives the three-scale
+    loop's answers bit for bit on the edges both proofs turn on."""
+    charts = atlas()
+    xs = _proof_edge_points(charts, charts[0].m, 6)
+    got = graph_membership(charts, xs, tol)
+    assert np.array_equal(got, graph_membership_loop(list(charts), xs, tol))
+    assert got.any() and not got.all()
+
+
 def test_membership_with_hand_made_offsets():
     """Offsets that are not odd integers never match; a non-dyadic y takes
     the key of the nearest scale, as in the loop."""
@@ -409,6 +512,17 @@ def test_membership_outside_the_positive_orthant():
         warnings.simplefilter("error")
         got = graph_membership(charts, xs)
     assert got.tolist() == [False] * 6 + [True]
+
+
+def test_membership_of_the_largest_floats_raises_no_warning():
+    """A coordinate near the largest float has scales k near -1024, whose
+    y = (2/3) 2^-k and 3y overflow: it is not a member, and raises no warning."""
+    charts = cover_monomial_graph(MonomialData(1.0, (0.5, -0.25)), 0.01)
+    xs = [[1e308, 0.5], [0.5, np.finfo(float).max], [0.5, 0.5]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = graph_membership(charts, xs)
+    assert got.tolist() == [False, False, True]
 
 
 def test_affine_queries_refuse_a_charts():

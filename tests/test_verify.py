@@ -573,6 +573,36 @@ def test_polydisc_region_requires_matching_axes():
         check_coverage(cov, PolydiscRegion(eta=0.4, n=2), 100, 0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PolydiscRegion(0.5, 3),
+    lambda: PolydiscRegion(0.5, 3, frozenset({1, 3})),
+    lambda: LevelGraphRegion((2, 1), 0.25),
+], ids=["polydisc", "polydisc-axes", "level"])
+def test_a_region_builds_its_ambient_once(make):
+    """Regions of one field tuple share one ambient, built once, and keep it
+    out of their ``__dict__``, so a region rebuilt from ``vars`` is equal."""
+    region = make()
+    assert region.ambient is region.ambient is make().ambient
+    assert "ambient" not in vars(region)
+    assert type(region)(**vars(region)) == region
+
+
+@pytest.mark.parametrize("valid, invalid, message", [
+    (lambda: PolydiscRegion(0.5, 2, frozenset({1})), lambda: PolydiscRegion(0.5, 2, frozenset({1.0})),
+     "an active axis must be an integer, got 1.0"),
+    (lambda: PolydiscRegion(0.5, 2, frozenset({1})), lambda: PolydiscRegion(0.5, 2, frozenset({True})),
+     "an active axis must be an integer, got True"),
+    (lambda: LevelGraphRegion((2, 1), 0.5).ambient, lambda: LevelGraphRegion((2.0, 1), 0.5).ambient,
+     "an exponent must be an integer, got 2.0"),
+], ids=["axis-1.0", "axis-true", "exponent-2.0"])
+def test_an_equal_field_of_another_type_builds_its_own_ambient(valid, invalid, message):
+    """1.0 and True equal 1, but an ambient refuses them: the ambient that
+    1 built is not handed to a region that holds 1.0 or True."""
+    valid()
+    with pytest.raises(ValueError, match=message):
+        invalid()
+
+
 # ---------------------------------------------------------------------------
 # chart neighbours and exact witnesses
 # ---------------------------------------------------------------------------
